@@ -247,7 +247,10 @@ def build_realization(spec: DesignSpec) -> FilterRealization:
         raise IllConditionedDesignError(spec.weight.kappa, spec.weight.p, spec.model_order, cond)
 
     if spec.delay is None:
-        spec = replace(spec, delay=optimal_delay(spec).q_optimal)
+        report = optimal_delay(spec)
+        spec, vrf = replace(spec, delay=report.q_optimal), report.vrf
+    else:
+        vrf = vrf_matrix(spec)
 
     kappa, p = spec.weight.kappa, spec.weight.p
     n_first, n_second = spec.n_first_states, spec.n_second_states
@@ -281,7 +284,6 @@ def build_realization(spec: DesignSpec) -> FilterRealization:
     for matrix in (overlap, to_on, from_on, synthesis, coeff_output, state_output, power_output):
         matrix.flags.writeable = False
 
-    vrf = vrf_matrix(spec)
     vrf.flags.writeable = False
     steady_first = steady_state_vector(n_first, p)
     steady_second = steady_state_vector(n_second, p)

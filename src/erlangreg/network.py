@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 from scipy.signal import lfilter
@@ -120,48 +119,37 @@ def impulse_to_weight_transform(order: int) -> np.ndarray:
     """Integer matrix T mapping state impulse responses onto monomial weights.
 
     Row k satisfies sum_j T[k, j] * C(m + j, j) = m**k for all m >= 0, so
-    T applied to the cascade states realizes the weights m**k * p**m.  The
-    system is solved exactly over rationals on m = 0..order-1 (enough points,
-    since both sides are polynomials in m of degree < order) and the entries
-    come out integral.
+    T applied to the cascade states realizes the weights m**k * p**m.  In
+    closed form,
+
+        T[k, j] = sum_i S2(k, i) * i! * (-1)**(i - j) * C(i, j),
+
+    with S2 the Stirling numbers of the second kind: m**k expands as
+    sum_i S2(k, i) * i! * C(m, i), and C(m, i) = sum_j (-1)**(i - j) *
+    C(i, j) * C(m + j, j) inverts the Vandermonde identity
+    C(m + j, j) = sum_i C(j, i) * C(m, i).  The sums run over exact
+    integers; entries stay below 2**53 through order 17.
     """
     if order < 1 or int(order) != order:
         raise ValueError(f"transform order must be a positive integer, got {order}")
     order = int(order)
-    basis = [
-        [Fraction(math.comb(m + j, j)) for m in range(order)] for j in range(order)
-    ]
-    targets = [[Fraction(m ** k) for m in range(order)] for k in range(order)]
-    coeffs = _solve_rational(basis, targets)
-    out = np.empty((order, order))
-    for k in range(order):
-        for j in range(order):
-            value = coeffs[k][j]
-            if value.denominator != 1:
-                raise AssertionError("impulse-to-weight transform entries must be integers")
-            out[k, j] = float(value)
+    # stirling[k][i] = S2(k, i), from S2(k, i) = i*S2(k-1, i) + S2(k-1, i-1).
+    stirling = [[1] + [0] * (order - 1)]
+    for _ in range(1, order):
+        prev = stirling[-1]
+        stirling.append([0] + [i * prev[i] + prev[i - 1] for i in range(1, order)])
+    out = np.array(
+        [
+            [
+                sum(
+                    stirling[k][i] * math.factorial(i) * (-1) ** (i - j) * math.comb(i, j)
+                    for i in range(j, k + 1)
+                )
+                for j in range(order)
+            ]
+            for k in range(order)
+        ],
+        dtype=float,
+    )
     out.flags.writeable = False
     return out
-
-
-def _solve_rational(basis, targets):
-    """Solve T * basis = targets exactly; returns rows of T as Fractions."""
-    n = len(basis)
-    # Augment basis with the identity and eliminate: [basis | I] -> [I | basis^-1].
-    aug = [row[:] + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(basis)]
-    for col in range(n):
-        pivot = next(r for r in range(col, n) if aug[r][col] != 0)
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        scale = aug[col][col]
-        aug[col] = [v / scale for v in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                factor = aug[r][col]
-                aug[r] = [v - factor * w for v, w in zip(aug[r], aug[col])]
-    inverse = [row[n:] for row in aug]
-    # T[k] = targets[k] (row vector over m) times basis^-1; basis rows are
-    # indexed by j and columns by m, so contract over m.
-    return [
-        [sum(targets[k][m] * inverse[m][j] for m in range(n)) for j in range(n)]
-        for k in range(n)
-    ]

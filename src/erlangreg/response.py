@@ -5,6 +5,11 @@ the pure delay exp(-i*q*omega) at low frequency.  The distortion
 |H(omega) - exp(-i*q*omega)|**2 measures how far the realized response
 strays from that ideal, and the distortion-free bandwidth f_c is the lowest
 frequency where it reaches one half.
+
+Every response comes from the cascade's exact transfer functions: state k
+is the (k+1)-fold leaky integration of the input, so its transfer function
+is (1 - p e^{-i omega})**-(k + 1), and each output is a fixed linear
+combination of those.
 """
 
 from __future__ import annotations
@@ -14,7 +19,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .design import FilterRealization
 
@@ -40,17 +44,15 @@ class ResponseReport:
     group_delay_dc: float      # samples
 
 
-def _resolvent_input(realization: FilterRealization, omega: float) -> np.ndarray:
-    """Solve (I - G e^{-i omega}) r = H by forward substitution.
+def _state_responses(realization: FilterRealization, omegas: np.ndarray) -> np.ndarray:
+    """Transfer functions of the first-moment cascade states, (order, n).
 
-    The system matrix is lower triangular because G is, so each frequency
-    costs O(order**2) and no general inversion is needed.  The spectral
-    radius of G is p < 1, keeping the solve well posed on the unit circle.
+    Row k is (1 - p e^{-i omega})**-(k + 1).  On the unit circle
+    |p e^{-i omega}| = p < 1, so the denominator never vanishes.
     """
-    G = realization.first_net.G
-    H = realization.first_net.H
-    system = np.eye(G.shape[0], dtype=complex) - G * cmath.exp(-1j * omega)
-    return solve_triangular(system, H.astype(complex), lower=True)
+    net = realization.first_net
+    base = 1.0 / (1.0 - net.p * np.exp(-1j * omegas))
+    return base[None, :] ** np.arange(1, net.order + 1)[:, None]
 
 
 def frequency_response(realization: FilterRealization, omega: float, output: int = 0) -> complex:
@@ -59,36 +61,39 @@ def frequency_response(realization: FilterRealization, omega: float, output: int
         raise ValueError(
             f"output must be in [0, {realization.spec.n_outputs}), got {output}"
         )
-    return complex(realization.state_output[output] @ _resolvent_input(realization, omega))
+    states = _state_responses(realization, np.array([omega], dtype=float))
+    return complex(realization.state_output[output] @ states[:, 0])
 
 
 def response_matrix(realization: FilterRealization, omegas: np.ndarray) -> np.ndarray:
     """All derivative outputs' responses over a frequency grid."""
-    omegas = np.asarray(omegas, dtype=float)
-    out = np.empty((realization.spec.n_outputs, omegas.size), dtype=complex)
-    for idx, omega in enumerate(omegas.ravel()):
-        out[:, idx] = realization.state_output @ _resolvent_input(realization, omega)
-    return out
+    omegas = np.asarray(omegas, dtype=float).ravel()
+    return realization.state_output @ _state_responses(realization, omegas)
+
+
+def _distortion(realization, omegas, smoother):
+    """|H - e^{-i q omega}|**2 given the smoother's responses at omegas."""
+    return np.abs(smoother - np.exp(-1j * realization.spec.delay * omegas)) ** 2
 
 
 def distortion(realization: FilterRealization, omega: float) -> float:
     """Squared complex error of the smoother against the ideal delay."""
-    ideal = cmath.exp(-1j * realization.spec.delay * omega)
-    return abs(frequency_response(realization, omega, 0) - ideal) ** 2
+    return float(_distortion(realization, omega, frequency_response(realization, omega, 0)))
 
 
-def bandwidth(realization: FilterRealization, grid_size: int = 2048) -> Optional[float]:
-    """Least frequency (cycles/sample) where the distortion reaches 1/2.
-
-    Brackets the first crossing on a uniform grid over [0, 1/2], then
-    bisects to 1e-6 cycles/sample.  Returns None when the distortion stays
-    below 1/2 all the way to the half-sample frequency.
-    """
+def _grid(grid_size):
     if grid_size < 2:
         raise ValueError(f"grid_size must be at least 2, got {grid_size}")
-    freqs = np.linspace(0.0, 0.5, grid_size)
-    values = _distortion_grid(realization, freqs)
-    above = np.nonzero(values >= 0.5)[0]
+    return np.linspace(0.0, 0.5, grid_size)
+
+
+def _half_crossing(realization, freqs, dist):
+    """First frequency where the distortion reaches 1/2, or None.
+
+    Brackets the crossing between consecutive grid points of `dist` and
+    bisects to 1e-6 cycles/sample.
+    """
+    above = np.nonzero(dist >= 0.5)[0]
     if len(above) == 0:
         return None
     hi_idx = int(above[0])
@@ -104,11 +109,17 @@ def bandwidth(realization: FilterRealization, grid_size: int = 2048) -> Optional
     return 0.5 * (lo + hi)
 
 
-def _distortion_grid(realization, freqs):
+def bandwidth(realization: FilterRealization, grid_size: int = 2048) -> Optional[float]:
+    """Least frequency (cycles/sample) where the distortion reaches 1/2.
+
+    Brackets the first crossing on a uniform grid over [0, 1/2], then
+    bisects to 1e-6 cycles/sample.  Returns None when the distortion stays
+    below 1/2 all the way to the half-sample frequency.
+    """
+    freqs = _grid(grid_size)
     omegas = 2.0 * np.pi * freqs
-    smoother = response_matrix(realization, omegas)[0]
-    ideal = np.exp(-1j * realization.spec.delay * omegas)
-    return np.abs(smoother - ideal) ** 2
+    smoother = realization.state_output[0] @ _state_responses(realization, omegas)
+    return _half_crossing(realization, freqs, _distortion(realization, omegas, smoother))
 
 
 def group_delay_dc(realization: FilterRealization, step: float = 1e-4) -> float:
@@ -123,17 +134,14 @@ def group_delay_dc(realization: FilterRealization, step: float = 1e-4) -> float:
 
 def response_report(realization: FilterRealization, grid_size: int = 2048) -> ResponseReport:
     """Evaluate the full grid report used by the analyze command."""
-    if grid_size < 2:
-        raise ValueError(f"grid_size must be at least 2, got {grid_size}")
-    freqs = np.linspace(0.0, 0.5, grid_size)
+    freqs = _grid(grid_size)
     omegas = 2.0 * np.pi * freqs
     responses = response_matrix(realization, omegas)
-    ideal = np.exp(-1j * realization.spec.delay * omegas)
-    dist = np.abs(responses[0] - ideal) ** 2
+    dist = _distortion(realization, omegas, responses[0])
     return ResponseReport(
         freqs=freqs,
         responses=responses,
         distortion=dist,
-        f_c=bandwidth(realization, grid_size),
+        f_c=_half_crossing(realization, freqs, dist),
         group_delay_dc=group_delay_dc(realization),
     )

@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
-import numpy as np
 from scipy.integrate import quad
 
 __all__ = [
@@ -29,26 +28,6 @@ __all__ = [
     "dispersion",
 ]
 
-# Closed-form numerators of S_k(p) = N_k(p) / (1 - p)**(k + 1) for k <= 10.
-# Entry j of row k multiplies p**j; the coefficients are the Eulerian numbers.
-_SUM_NUMERATORS = {
-    0: [1],
-    1: [0, 1],
-    2: [0, 1, 1],
-    3: [0, 1, 4, 1],
-    4: [0, 1, 11, 11, 1],
-    5: [0, 1, 26, 66, 26, 1],
-    6: [0, 1, 57, 302, 302, 57, 1],
-    7: [0, 1, 120, 1191, 2416, 1191, 120, 1],
-    8: [0, 1, 247, 4293, 15619, 15619, 4293, 247, 1],
-    9: [0, 1, 502, 14608, 88234, 156190, 88234, 14608, 502, 1],
-    10: [0, 1, 1013, 47840, 455192, 1310354, 1310354, 455192, 47840, 1013, 1],
-}
-
-_NUMERIC_TERM_CUTOFF = 1e-16  # stop once a term is this small relative to the total
-_NUMERIC_TERM_CAP = 10_000_000
-_NUMERIC_BLOCK = 4096
-
 
 def _check_sum_args(k, p):
     if not 0.0 < p < 1.0:
@@ -58,36 +37,23 @@ def _check_sum_args(k, p):
 
 
 def erlang_sum(k: int, p: float) -> float:
-    """Evaluate S_k(p) = sum over m >= 0 of p**m * m**k.
+    """Evaluate S_k(p) = sum over m >= 0 of p**m * m**k in closed form.
 
-    Orders up to 10 use exact closed forms; higher orders fall back to a
-    truncated numeric sum (terms below 1e-16 of the running total, capped
-    at 1e7 terms).
+    S_k(p) = A_k(p) / (1 - p)**(k + 1), where coefficient j of the
+    polynomial A_k is the Eulerian number A(k, j), built by the recurrence
+    A(n, j) = j*A(n-1, j) + (n-j+1)*A(n-1, j-1) from A(0, 0) = 1.  Every
+    coefficient is a nonnegative integer and p > 0, so nothing cancels.
     """
     _check_sum_args(k, p)
     k = int(k)
-    if k <= 10:
-        num = 0.0
-        for coeff in reversed(_SUM_NUMERATORS[k]):
-            num = num * p + coeff
-        return num / (1.0 - p) ** (k + 1)
-    return _numeric_sum(k, p)
-
-
-def _numeric_sum(k, p):
-    # The terms peak near m = k * lambda_w; convergence is only declared past
-    # the peak.  Blocks are vectorized so slow decays (p near 1) stay cheap.
-    peak = -k / math.log(p)
-    total = 0.0
-    start = 0
-    while start < _NUMERIC_TERM_CAP:
-        m = np.arange(start, start + _NUMERIC_BLOCK, dtype=float)
-        terms = p ** m * m ** k
-        total += float(terms.sum())
-        start += _NUMERIC_BLOCK
-        if start > peak and terms[-1] < _NUMERIC_TERM_CUTOFF * total:
-            break
-    return total
+    eulerian = [1]
+    for n in range(1, k + 1):
+        prev = eulerian + [0]
+        eulerian = [0] + [j * prev[j] + (n - j + 1) * prev[j - 1] for j in range(1, n + 1)]
+    num = 0.0
+    for coeff in reversed(eulerian):
+        num = num * p + coeff
+    return num / (1.0 - p) ** (k + 1)
 
 
 def normalizer(k: int, p: float) -> float:

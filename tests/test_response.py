@@ -29,11 +29,15 @@ def test_derivative_outputs_vanish_at_dc():
         assert abs(frequency_response(real, 0.0, k)) < 1e-12
 
 
-def test_response_equals_direct_impulse_transform():
-    # Cross-check the resolvent against an explicit DFT of the truncated
-    # impulse response.
-    real = build(1, 0.8, 2, kt=2, q=5.0)
-    horizon = 4000
+@pytest.mark.parametrize(
+    "kappa,p,kx", [(1, 0.8, 2), (8, 0.9, 3), (6, 0.8, 4), (0, 0.99, 3)]
+)
+def test_response_equals_direct_impulse_transform(kappa, p, kx):
+    # Cross-check the closed-form transfer function against an explicit DFT
+    # of the truncated impulse response.  The horizon leaves a tail below
+    # 1e-20 even at p = 0.99.
+    real = build(kappa, p, kx, kt=2, q=5.0)
+    horizon = 8000
     impulse = np.zeros(horizon)
     impulse[0] = 1.0
     from erlangreg import run_block

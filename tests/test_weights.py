@@ -17,17 +17,13 @@ from oracles import brute_sum, closed_sigma_omega
 
 
 @pytest.mark.parametrize("p", [0.5, 0.7, 0.8, 0.9, 0.95])
-@pytest.mark.parametrize("k", range(11))
+@pytest.mark.parametrize("k", range(29))
 def test_closed_sums_match_brute_force(k, p):
+    # k = 28 is the largest squared-overlap order for kappa <= 10 and
+    # model_order <= 5.
     closed = erlang_sum(k, p)
     brute = brute_sum(k, p)
     assert closed == pytest.approx(brute, rel=1e-10)
-
-
-@pytest.mark.parametrize("k", [11, 12, 14])
-def test_numeric_fallback_beyond_closed_forms(k):
-    for p in (0.6, 0.9):
-        assert erlang_sum(k, p) == pytest.approx(brute_sum(k, p), rel=1e-9)
 
 
 def test_sum_rejects_bad_arguments():
