@@ -14,6 +14,7 @@ import argparse
 import contextlib
 import csv
 import json
+import math
 import sys
 
 import numpy as np
@@ -84,8 +85,10 @@ def _numeric_column(fh):
     """Yield floats from a strictly single-column CSV.
 
     A non-numeric first row is accepted as the header; any later
-    non-numeric or multi-field row is an error naming its line.  Blank
-    rows (for example a trailing newline) are skipped.
+    non-numeric or multi-field row is an error naming its line, and so is
+    any NaN or infinite value (a `nan` first row included), because one
+    such sample would turn every later output into NaN.  Blank rows (for
+    example a trailing newline) are skipped.
     """
     reader = csv.reader(fh)
     for lineno, row in enumerate(reader, start=1):
@@ -102,6 +105,8 @@ def _numeric_column(fh):
             if lineno == 1:
                 continue
             raise ValueError(f"line {lineno}: not numeric: {text!r}") from None
+        if not math.isfinite(value):
+            raise ValueError(f"line {lineno}: not finite: {text!r}")
         yield value
 
 

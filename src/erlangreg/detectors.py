@@ -5,6 +5,13 @@ by its own estimated standard deviation, and declares one event per
 contiguous run of threshold exceedances, at the run's extremum.  When the
 variance estimate underflows (no data yet, or a perfect fit) Z is reported
 as 0 so that empty regimes never alarm.
+
+update() feeds one sample; run() feeds a block, computes Z for the whole
+block at once and finds its events with array operations, so its Python
+work grows with the number of exceedance runs, not of samples.  A run still
+open at the end of a block carries into the next one, so events do not
+depend on how the stream is cut into blocks or mixed with update() calls;
+finish() closes a run left open at the end of the stream.
 """
 
 from __future__ import annotations
@@ -16,12 +23,17 @@ from typing import Optional
 import numpy as np
 
 from .design import DesignError, DesignSpec, build_realization
-from .estimator import EstimateFrame, StreamingEstimator, new_estimator
-from .network import run_block
+from .estimator import (
+    EstimateFrame,
+    StreamingEstimator,
+    _advance_moments,
+    _noise_variance,
+    _step_moments,
+    new_estimator,
+)
 
 __all__ = [
     "Event",
-    "DetectorOutput",
     "ChangeDetectorConfig",
     "edge_statistic",
     "peak_statistic",
@@ -49,19 +61,21 @@ class Event:
     kind: str
 
 
-@dataclass(frozen=True)
-class DetectorOutput:
-    """One output row: the statistic at sample n, plus the event landing there."""
-
-    n: int
-    z: float
-    event: Optional[Event] = None
-
-
 def _guarded_ratio(value, variance):
-    if variance < _VARIANCE_FLOOR:
-        return 0.0
-    return value / math.sqrt(variance)
+    """value / sqrt(variance), or 0 where the variance is below the floor.
+
+    Takes scalars (one sample) or arrays (a block).
+    """
+    if not isinstance(variance, np.ndarray):
+        if variance < _VARIANCE_FLOOR:
+            return 0.0
+        return value / math.sqrt(variance)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(
+            variance < _VARIANCE_FLOOR,
+            0.0,
+            value / np.sqrt(np.maximum(variance, _VARIANCE_FLOOR)),
+        )
 
 
 def edge_statistic(frame: EstimateFrame) -> float:
@@ -93,8 +107,16 @@ class _RunMarker:
 
     Runs of z > threshold produce kind_pos events at the maximum; when
     kind_neg is given, runs of z < -threshold produce kind_neg events at
-    the minimum.  An event is returned only when its run ends; flush()
-    closes a run left open at end of stream.
+    the minimum.  z equal to the threshold is not an exceedance, and a tie
+    for the extremum goes to the earliest sample.  An event is returned
+    only when its run ends; flush() closes a run left open at end of
+    stream.
+
+    update() takes one sample, extend() a block.  Both keep the same
+    state: the sign of the run open after the last sample (_sign, 0 when
+    none is open) and its extremum so far (_best_n, _best_z).  A run open
+    at the end of a block therefore continues into the next block or
+    update(), and the two can be mixed freely on one stream.
     """
 
     def __init__(self, threshold: float, kind_pos: str, kind_neg: Optional[str] = None):
@@ -124,6 +146,65 @@ class _RunMarker:
         else:
             self._sign = 0
         return completed
+
+    def extend(self, start: int, z: np.ndarray) -> list[Event]:
+        """Feed a block whose first sample is number start; returns its events.
+
+        Exceedance runs come from the places where the sign of the
+        exceedance changes, and each run's extremum from one reduceat over
+        the exceedance samples, so Python work is per run, not per sample.
+        """
+        z = np.asarray(z, dtype=float)
+        pos = z > self.threshold
+        sign = pos.astype(np.int8)
+        if self.kind_neg is not None:
+            # As in update(), a sample past both bounds (a negative
+            # threshold) counts as positive.
+            sign -= (z < -self.threshold) & ~pos
+        active = np.flatnonzero(sign)
+        events = []
+        if active.size == 0:
+            if self._sign != 0 and z.size:
+                events.append(self._emit())
+            return events
+        signs = sign[active]
+        # Signed so that every run's extremum is its maximum.
+        value = z[active] * signs
+        new_run = np.empty(active.size, dtype=bool)
+        new_run[0] = True
+        np.logical_or(np.diff(active) != 1, signs[1:] != signs[:-1], out=new_run[1:])
+        starts = np.flatnonzero(new_run)
+        peak = np.maximum.reduceat(value, starts)
+        lengths = np.diff(starts, append=active.size)
+        hits = np.flatnonzero(value == np.repeat(peak, lengths))
+        # Every run holds a hit, so the first hit at or after a run's start
+        # is that run's earliest extremum.
+        best = active[hits[np.searchsorted(hits, starts)]].tolist()
+        run_signs = signs[starts].tolist()
+        best_z = z[best].tolist()
+
+        if self._sign != 0:
+            if active[0] == 0 and run_signs[0] == self._sign:
+                # The open run continues; its earlier extremum wins ties.
+                if self._sign > 0:
+                    keep = best_z[0] <= self._best_z
+                else:
+                    keep = best_z[0] >= self._best_z
+                if keep:
+                    best[0], best_z[0] = self._best_n - start, self._best_z
+            else:
+                events.append(self._emit())
+        open_last = active[-1] == z.size - 1
+        closed = len(best) - 1 if open_last else len(best)
+        for i in range(closed):
+            kind = self.kind_pos if run_signs[i] > 0 else self.kind_neg
+            events.append(Event(n=start + best[i], z=best_z[i], kind=kind))
+        if open_last:
+            self._sign = run_signs[-1]
+            self._best_n, self._best_z = start + best[-1], best_z[-1]
+        else:
+            self._sign = 0
+        return events
 
     def flush(self) -> Optional[Event]:
         if self._sign != 0:
@@ -173,16 +254,10 @@ class _EstimatorDetector:
         start = 0 if self._estimator.state is None else self._estimator.state.n + 1
         result = self._estimator.extend(xs)
         idx = self._statistic_index
-        variance = result.variances[idx]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            z = np.where(
-                variance < _VARIANCE_FLOOR,
-                0.0,
-                self._statistic_sign * result.estimates[idx]
-                / np.sqrt(np.maximum(variance, _VARIANCE_FLOOR)),
-            )
-        for offset, value in enumerate(z):
-            self._note(start + offset, float(value))
+        z = _guarded_ratio(
+            self._statistic_sign * result.estimates[idx], result.variances[idx]
+        )
+        self.events.extend(self._marker.extend(start, z))
         return z
 
     def finish(self) -> None:
@@ -294,20 +369,18 @@ class ChangeDetector:
         self.realization_a = real_a
         self.realization_b = real_b
         # Shared recursions at the slow filter's orders (kappa_b > kappa_a).
-        self._net1 = real_b.first_net
-        self._net2 = real_b.second_net
-        self._row_a = _pad(real_a.state_output[0], self._net1.order)
+        k1, k2 = real_b.first_net.order, real_b.second_net.order
+        self._p = real_b.spec.weight.p
+        self._row_a = _pad(real_a.state_output[0], k1)
         self._row_b = real_b.state_output[0]
-        self._coeff_a = _pad_cols(real_a.coeff_output, self._net1.order)
+        self._coeff_a = _pad_cols(real_a.coeff_output, k1)
         self._coeff_b = real_b.coeff_output
-        self._power_a = _pad(real_a.power_output, self._net2.order)
+        self._power_a = _pad(real_a.power_output, k2)
         self._power_b = real_b.power_output
         self._vrf_a = float(real_a.vrf[0, 0])
         self._vrf_b = float(real_b.vrf[0, 0])
         self._sigma0_sq = sigma0_sq
-        self._w1 = None
-        self._w2 = None
-        self._n = -1
+        self._state = None
         self._marker = _RunMarker(threshold, BREAK_UP, BREAK_DOWN)
         self.events: list[Event] = []
 
@@ -320,44 +393,27 @@ class ChangeDetector:
 
     def update(self, x: float) -> float:
         x = float(x)
-        if self._w1 is None:
-            state = new_estimator(self.realization_b, x, self._sigma0_sq)
-            self._w1, self._w2, self._n = state.w1, state.w2, 0
+        if self._state is None:
+            self._state = new_estimator(self.realization_b, x, self._sigma0_sq)
         else:
-            p = self._net1.p
-            self._w1 = p * np.cumsum(self._w1) + x
-            self._w2 = p * np.cumsum(self._w2) + x * x
-            self._n += 1
-        z = self._statistic(self._w1, self._w2)
-        self._note(self._n, float(z))
-        return float(z)
+            _step_moments(self._state, self._p, x)
+        z = float(self._statistic(self._state.w1, self._state.w2))
+        event = self._marker.update(self._state.n, z)
+        if event is not None:
+            self.events.append(event)
+        return z
 
     def run(self, xs: np.ndarray) -> np.ndarray:
         xs = np.asarray(xs, dtype=float)
         if xs.size == 0:
             return np.empty(0)
-        if self._w1 is None:
-            state = new_estimator(self.realization_b, float(xs[0]), self._sigma0_sq)
-            w1_block = np.empty((self._net1.order, xs.size))
-            w2_block = np.empty((self._net2.order, xs.size))
-            w1_block[:, 0] = state.w1
-            w2_block[:, 0] = state.w2
-            if xs.size > 1:
-                w1_block[:, 1:] = run_block(self._net1, xs[1:], state.w1)
-                w2_block[:, 1:] = run_block(self._net2, xs[1:] ** 2, state.w2)
-            start = 0
-            self._n = xs.size - 1
-        else:
-            w1_block = run_block(self._net1, xs, self._w1)
-            w2_block = run_block(self._net2, xs ** 2, self._w2)
-            start = self._n + 1
-            self._n += xs.size
-        self._w1 = w1_block[:, -1].copy()
-        self._w2 = w2_block[:, -1].copy()
+        start = 0 if self._state is None else self._state.n + 1
+        w1_block, w2_block, self._state = _advance_moments(
+            self.realization_b, xs, self._sigma0_sq, self._state
+        )
         z = self._statistic(w1_block, w2_block)
-        for offset, value in enumerate(np.atleast_1d(z)):
-            self._note(start + offset, float(value))
-        return np.atleast_1d(z)
+        self.events.extend(self._marker.extend(start, z))
+        return z
 
     def finish(self) -> None:
         event = self._marker.flush()
@@ -365,39 +421,15 @@ class ChangeDetector:
             self.events.append(event)
 
     def _statistic(self, w1, w2):
-        est_a = self._row_a @ w1
-        est_b = self._row_b @ w1
-        sig_a = _block_noise_variance(
-            self._coeff_a, self._power_a, w1, w2, self.realization_a.residual_mass
+        """Z from the moment states: one sample (vectors) or a block (columns)."""
+        sig_a = _noise_variance(
+            self._coeff_a @ w1, self._power_a @ w2, self.realization_a.residual_mass
         )
-        sig_b = _block_noise_variance(
-            self._coeff_b, self._power_b, w1, w2, self.realization_b.residual_mass
+        sig_b = _noise_variance(
+            self._coeff_b @ w1, self._power_b @ w2, self.realization_b.residual_mass
         )
         variance = sig_a * self._vrf_a + sig_b * self._vrf_b
-        value = est_a - est_b
-        if np.ndim(variance) == 0:
-            return _guarded_ratio(float(value), float(variance))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return np.where(
-                variance < _VARIANCE_FLOOR,
-                0.0,
-                value / np.sqrt(np.maximum(variance, _VARIANCE_FLOOR)),
-            )
-
-    def _note(self, n, z):
-        event = self._marker.update(n, z)
-        if event is not None:
-            self.events.append(event)
-
-
-def _block_noise_variance(coeff, power_row, w1, w2, residual_mass):
-    beta = coeff @ w1
-    power = power_row @ w2
-    if beta.ndim == 1:
-        residual = float(power) - float(beta @ beta)
-        return max(residual, 0.0) / residual_mass
-    residual = np.maximum(power - np.einsum("ij,ij->j", beta, beta), 0.0)
-    return residual / residual_mass
+        return _guarded_ratio(self._row_a @ w1 - self._row_b @ w1, variance)
 
 
 def _pad(vector, length):

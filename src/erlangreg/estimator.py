@@ -81,7 +81,7 @@ def new_estimator(realization: FilterRealization, x0: float, sigma0_sq: float = 
     )
 
 
-def _noise_variance(realization, beta, power):
+def _noise_variance(beta, power, residual_mass):
     """Residual power over the effective weight mass, clamped at zero.
 
     The weighted residual sum is the filtered input power minus the power
@@ -89,18 +89,23 @@ def _noise_variance(realization, beta, power):
     effective mass (total weight mass minus the fit's leverage) makes the
     estimate unbiased for white noise; finite precision can drive the
     difference slightly negative early on, hence the clamp.
+
+    For one sample beta is a vector and power a scalar, and the result is
+    a float; for a block beta has one column per sample and power is a
+    vector, and the result is a vector.
     """
-    residual = power - float(beta @ beta)
-    if residual < 0.0:
-        residual = 0.0
-    return residual / realization.residual_mass
+    if beta.ndim == 1:
+        residual = float(power) - float(beta @ beta)
+        return max(residual, 0.0) / residual_mass
+    residual = power - np.einsum("ij,ij->j", beta, beta)
+    return np.maximum(residual, 0.0) / residual_mass
 
 
 def current_frame(state: EstimatorState, realization: FilterRealization) -> EstimateFrame:
     """Frame for the state as it stands, without consuming a sample."""
     beta = realization.coeff_output @ state.w1
-    power = float(realization.power_output @ state.w2)
-    sigma_eps2 = _noise_variance(realization, beta, power)
+    power = realization.power_output @ state.w2
+    sigma_eps2 = _noise_variance(beta, power, realization.residual_mass)
     return EstimateFrame(
         n=state.n,
         estimates=realization.state_output @ state.w1,
@@ -109,12 +114,54 @@ def current_frame(state: EstimatorState, realization: FilterRealization) -> Esti
     )
 
 
-def update(state: EstimatorState, realization: FilterRealization, x: float) -> EstimateFrame:
-    """Consume one sample, advancing both recursions in place."""
-    p = realization.spec.weight.p
+def _step_moments(state: EstimatorState, p: float, x: float) -> None:
+    """Advance both moment cascades by one sample, in place.
+
+    Uses the O(K) cumulative-sum form of the cascade's triangular state
+    matrix: w <- p * cumsum(w) + x for the signal and for its square.
+    """
     state.w1 = p * np.cumsum(state.w1) + x
     state.w2 = p * np.cumsum(state.w2) + x * x
     state.n += 1
+
+
+def _advance_moments(
+    realization: FilterRealization,
+    xs: np.ndarray,
+    sigma0_sq: float,
+    state: EstimatorState | None,
+):
+    """Advance both moment cascades over a non-empty block.
+
+    Returns (w1_block, w2_block, state): the state trajectories, one column
+    per sample, and the state after the block.  With state=None the stream
+    starts here: the first sample sets the final-value start (its column
+    is the start itself, and the sample counter stays at 0) and the rest
+    advance the recursions.  A given state is updated in place.
+    """
+    first, second = realization.first_net, realization.second_net
+    if state is None:
+        state = new_estimator(realization, float(xs[0]), sigma0_sq)
+        w1_block = np.empty((first.order, xs.size))
+        w2_block = np.empty((second.order, xs.size))
+        w1_block[:, 0] = state.w1
+        w2_block[:, 0] = state.w2
+        if xs.size > 1:
+            w1_block[:, 1:] = run_block(first, xs[1:], state.w1)
+            w2_block[:, 1:] = run_block(second, xs[1:] ** 2, state.w2)
+        state.n = xs.size - 1
+    else:
+        w1_block = run_block(first, xs, state.w1)
+        w2_block = run_block(second, xs ** 2, state.w2)
+        state.n += xs.size
+    state.w1 = w1_block[:, -1].copy()
+    state.w2 = w2_block[:, -1].copy()
+    return w1_block, w2_block, state
+
+
+def update(state: EstimatorState, realization: FilterRealization, x: float) -> EstimateFrame:
+    """Consume one sample, advancing both recursions in place."""
+    _step_moments(state, realization.spec.weight.p, x)
     return current_frame(state, realization)
 
 
@@ -153,33 +200,10 @@ def run_sequence(
         )
         return empty, state
 
-    k1 = realization.first_net.order
-    k2 = realization.second_net.order
-    w1_block = np.empty((k1, xs.size))
-    w2_block = np.empty((k2, xs.size))
-    if state is None:
-        # Fresh stream: the first sample initializes (no update), so it
-        # leaves the sample counter at 0 and the rest are updates.
-        state = new_estimator(realization, float(xs[0]), sigma0_sq)
-        w1_block[:, 0] = state.w1
-        w2_block[:, 0] = state.w2
-        if xs.size > 1:
-            w1_block[:, 1:] = run_block(realization.first_net, xs[1:], state.w1)
-            w2_block[:, 1:] = run_block(realization.second_net, xs[1:] ** 2, state.w2)
-        final_n = xs.size - 1
-    else:
-        w1_block[:, :] = run_block(realization.first_net, xs, state.w1)
-        w2_block[:, :] = run_block(realization.second_net, xs ** 2, state.w2)
-        final_n = state.n + xs.size
-
-    state.w1 = w1_block[:, -1].copy()
-    state.w2 = w2_block[:, -1].copy()
-    state.n = final_n
-
+    w1_block, w2_block, state = _advance_moments(realization, xs, sigma0_sq, state)
     beta = realization.coeff_output @ w1_block
     power = realization.power_output @ w2_block
-    residual = np.maximum(power - np.einsum("ij,ij->j", beta, beta), 0.0)
-    sigma_eps2 = residual / realization.residual_mass
+    sigma_eps2 = _noise_variance(beta, power, realization.residual_mass)
     estimates = realization.state_output @ w1_block
     variances = sigma_eps2[None, :] * np.diag(realization.vrf)[:, None]
     return SequenceResult(estimates=estimates, sigma_eps2=sigma_eps2, variances=variances), state

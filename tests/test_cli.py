@@ -156,6 +156,16 @@ def test_run_rejects_non_numeric_row(tmp_path, capsys):
     assert "line 4" in capsys.readouterr().err
 
 
+def test_run_rejects_non_finite_row(tmp_path, capsys):
+    design = _design(tmp_path, "d.json", kappa=0, p=0.8, kx=1, kt=1, q=0.0)
+    data = tmp_path / "in.csv"
+    data.write_text("x\n1.0\n2.0\ninf\n4.0\n")
+    rc = main(["run", "--design", str(design), "--input", str(data),
+               "--out", str(tmp_path / "out.csv")])
+    assert rc == 3
+    assert "line 4: not finite: 'inf'" in capsys.readouterr().err
+
+
 def test_run_rejects_multiple_columns(tmp_path, capsys):
     design = _design(tmp_path, "d.json", kappa=0, p=0.8, kx=1, kt=1, q=0.0)
     data = tmp_path / "in.csv"
@@ -263,6 +273,19 @@ def test_detect_infinite_threshold_is_silent(tmp_path):
                  "--out", str(out)]) == 0
     _, rows = _read_csv(out)
     assert all(not row[2] for row in rows)
+
+
+def test_detect_rejects_non_finite_first_row(tmp_path, capsys):
+    # A first row that parses as a float is data, not a header.
+    design = _design(tmp_path, "d.json", kappa=2, p=0.8, kx=2, kt=2)
+    data = tmp_path / "in.csv"
+    data.write_text("nan\n1.0\n2.0\n3.0\n4.0\n")
+    out = tmp_path / "out.csv"
+    rc = main(["detect", "--kind", "edge", "--design", str(design),
+               "--threshold", "3", "--input", str(data), "--out", str(out)])
+    assert rc == 3
+    assert "line 1: not finite: 'nan'" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_detect_rejects_insufficient_outputs(tmp_path, capsys):
