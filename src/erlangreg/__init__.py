@@ -17,12 +17,9 @@ from .weights import (
 )
 from .network import (
     NetworkMatrices,
-    StateVector,
     build_network,
-    step,
     run_block,
     steady_state_vector,
-    initialize,
     impulse_to_weight_transform,
 )
 from .design import (
@@ -70,9 +67,6 @@ from .detectors import (
     EdgeDetector,
     PeakDetector,
     ChangeDetector,
-    edge_statistic,
-    peak_statistic,
-    change_statistic,
 )
 from .scenarios import (
     TargetScenario,
@@ -101,12 +95,9 @@ __all__ = [
     "weight_moments",
     "dispersion",
     "NetworkMatrices",
-    "StateVector",
     "build_network",
-    "step",
     "run_block",
     "steady_state_vector",
-    "initialize",
     "impulse_to_weight_transform",
     "DesignError",
     "IllConditionedDesignError",
@@ -144,9 +135,6 @@ __all__ = [
     "EdgeDetector",
     "PeakDetector",
     "ChangeDetector",
-    "edge_statistic",
-    "peak_statistic",
-    "change_statistic",
     "TargetScenario",
     "make_rng",
     "gaussian_noise",

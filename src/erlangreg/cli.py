@@ -86,8 +86,8 @@ def _numeric_column(fh):
 
     A non-numeric first row is accepted as the header; any later
     non-numeric or multi-field row is an error naming its line, and so is
-    any NaN or infinite value (a `nan` first row included), because one
-    such sample would turn every later output into NaN.  Blank rows (for
+    any NaN or infinite value (a `nan` first row included); the estimator
+    would reject it too, but by sample index, not by line.  Blank rows (for
     example a trailing newline) are skipped.
     """
     reader = csv.reader(fh)

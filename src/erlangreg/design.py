@@ -22,7 +22,7 @@ from .network import (
     impulse_to_weight_transform,
     steady_state_vector,
 )
-from .weights import WeightSpec, erlang_sum, normalizer
+from .weights import WeightSpec, erlang_sum
 
 __all__ = [
     "DesignError",
@@ -143,7 +143,6 @@ class FilterRealization:
     transforms: TransformSet
     steady_first: np.ndarray         # per-unit-input fixed point of first_net
     steady_second: np.ndarray        # per-unit-input fixed point of second_net
-    gamma: float                     # weight normalizer 1/S_kappa(p)
     residual_mass: float             # divisor of the weighted residual power
     vrf: np.ndarray                  # (n_outputs, n_outputs) noise gain matrix
 
@@ -297,7 +296,6 @@ def build_realization(spec: DesignSpec) -> FilterRealization:
         transforms=transforms,
         steady_first=steady_first,
         steady_second=steady_second,
-        gamma=normalizer(kappa, p),
         residual_mass=residual_mass,
         vrf=vrf,
     )

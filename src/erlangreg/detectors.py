@@ -1,17 +1,25 @@
-"""Threshold detectors on the streaming estimates: edges, peaks, trend breaks.
+"""Threshold detectors on the streaming moment states: edges, peaks, trend breaks.
 
-Each detector forms a dimensionless test statistic Z, an estimate divided
-by its own estimated standard deviation, and declares one event per
-contiguous run of threshold exceedances, at the run's extremum.  When the
-variance estimate underflows (no data yet, or a perfect fit) Z is reported
-as 0 so that empty regimes never alarm.
+A detector is a fixed readout of the estimator's two moment cascades.  Its
+statistic Z is a linear readout of the signal cascade (a derivative, or the
+difference of two smoothers) divided by its standard deviation, which is
+the design's noise gain times the live noise variance read from both
+cascades; Z is a CFAR-style test against a fixed threshold.  One contiguous
+run of threshold exceedances declares one event, at the run's extremum.
+When the variance estimate underflows (no data yet, or a perfect fit) Z is
+reported as 0 so that empty regimes never alarm.
+
+EdgeDetector reads the slope, PeakDetector the negated curvature, and
+ChangeDetector the difference between a fast and a slow smoother; each is
+only the data of its readout on one shared engine.
 
 update() feeds one sample; run() feeds a block, computes Z for the whole
 block at once and finds its events with array operations, so its Python
 work grows with the number of exceedance runs, not of samples.  A run still
 open at the end of a block carries into the next one, so events do not
 depend on how the stream is cut into blocks or mixed with update() calls;
-finish() closes a run left open at the end of the stream.
+finish() closes a run left open at the end of the stream.  A NaN or
+infinite sample raises ValueError and leaves the detector as it was.
 """
 
 from __future__ import annotations
@@ -23,21 +31,11 @@ from typing import Optional
 import numpy as np
 
 from .design import DesignError, DesignSpec, build_realization
-from .estimator import (
-    EstimateFrame,
-    StreamingEstimator,
-    _advance_moments,
-    _noise_variance,
-    _step_moments,
-    new_estimator,
-)
+from .estimator import _advance_moments, _noise_variance, _start_or_step
 
 __all__ = [
     "Event",
     "ChangeDetectorConfig",
-    "edge_statistic",
-    "peak_statistic",
-    "change_statistic",
     "EdgeDetector",
     "PeakDetector",
     "ChangeDetector",
@@ -76,30 +74,6 @@ def _guarded_ratio(value, variance):
             0.0,
             value / np.sqrt(np.maximum(variance, _VARIANCE_FLOOR)),
         )
-
-
-def edge_statistic(frame: EstimateFrame) -> float:
-    """Slope significance: first derivative over its standard deviation."""
-    if len(frame.estimates) < 2:
-        raise ValueError("edge statistic needs a first-derivative output (n_outputs >= 2)")
-    return _guarded_ratio(float(frame.estimates[1]), float(frame.covariance[1, 1]))
-
-
-def peak_statistic(frame: EstimateFrame) -> float:
-    """Concavity significance: negated second derivative over its deviation.
-
-    Positive at local maxima of the underlying signal (negative curvature).
-    """
-    if len(frame.estimates) < 3:
-        raise ValueError("peak statistic needs a second-derivative output (n_outputs >= 3)")
-    return _guarded_ratio(-float(frame.estimates[2]), float(frame.covariance[2, 2]))
-
-
-def change_statistic(frame_a: EstimateFrame, frame_b: EstimateFrame) -> float:
-    """Disagreement between two smoothers evaluated at the same delayed time."""
-    value = float(frame_a.estimates[0]) - float(frame_b.estimates[0])
-    variance = float(frame_a.covariance[0, 0]) + float(frame_b.covariance[0, 0])
-    return _guarded_ratio(value, variance)
 
 
 class _RunMarker:
@@ -218,45 +192,47 @@ class _RunMarker:
         return event
 
 
-class _EstimatorDetector:
-    """Shared machinery for detectors driven by a single estimator."""
+class _Detector:
+    """Z readout and event extraction on the moment states of one stream.
 
-    _min_outputs = 2
-    _statistic_index = 1
-    _statistic_sign = 1.0
-    _kind_pos = RISING_EDGE
-    _kind_neg: Optional[str] = FALLING_EDGE
+    The stream runs realization's cascades.  Z is value_row @ w1 over the
+    square root of sum(vrf_ii * noise variance) across noise_terms, each
+    (coeff, power, residual_mass, vrf_ii) reading one filter's noise
+    variance from the states as coeff @ w1 and power @ w2.
+    """
 
-    def __init__(self, realization, threshold: float, sigma0_sq: float = 0.0):
-        if realization.spec.n_outputs < self._min_outputs:
-            raise DesignError(
-                f"{type(self).__name__} needs n_outputs >= {self._min_outputs}, "
-                f"got {realization.spec.n_outputs}"
-            )
+    def __init__(self, realization, threshold: float, sigma0_sq: float,
+                 value_row, noise_terms, kind_pos: str, kind_neg: Optional[str]):
+        if sigma0_sq < 0.0:
+            raise ValueError(f"sigma0_sq must be nonnegative, got {sigma0_sq}")
         self.threshold = threshold
-        self._estimator = StreamingEstimator(realization, sigma0_sq)
-        self._marker = _RunMarker(threshold, self._kind_pos, self._kind_neg)
         self.events: list[Event] = []
+        self._realization = realization
+        self._sigma0_sq = sigma0_sq
+        self._value_row = value_row
+        self._noise_terms = noise_terms
+        self._marker = _RunMarker(threshold, kind_pos, kind_neg)
+        self._state = None
 
     def update(self, x: float) -> float:
         """Feed one sample; returns the statistic (events collect in .events)."""
-        frame = self._estimator.update(x)
-        idx = self._statistic_index
-        z = _guarded_ratio(
-            self._statistic_sign * float(frame.estimates[idx]),
-            float(frame.covariance[idx, idx]),
-        )
-        self._note(frame.n, z)
+        self._state = _start_or_step(self._realization, self._state, x, self._sigma0_sq)
+        z = float(self._statistic(self._state.w1, self._state.w2))
+        event = self._marker.update(self._state.n, z)
+        if event is not None:
+            self.events.append(event)
         return z
 
     def run(self, xs: np.ndarray) -> np.ndarray:
         """Feed a block; returns the statistic sequence for the block."""
-        start = 0 if self._estimator.state is None else self._estimator.state.n + 1
-        result = self._estimator.extend(xs)
-        idx = self._statistic_index
-        z = _guarded_ratio(
-            self._statistic_sign * result.estimates[idx], result.variances[idx]
+        xs = np.asarray(xs, dtype=float)
+        if xs.size == 0:
+            return np.empty(0)
+        start = 0 if self._state is None else self._state.n + 1
+        w1_block, w2_block, self._state = _advance_moments(
+            self._realization, xs, self._sigma0_sq, self._state
         )
+        z = self._statistic(w1_block, w2_block)
         self.events.extend(self._marker.extend(start, z))
         return z
 
@@ -266,30 +242,65 @@ class _EstimatorDetector:
         if event is not None:
             self.events.append(event)
 
-    def _note(self, n, z):
-        event = self._marker.update(n, z)
-        if event is not None:
-            self.events.append(event)
+    def _statistic(self, w1, w2):
+        """Z from the moment states: one sample (vectors) or a block (columns)."""
+        variance = sum(
+            vrf_ii * _noise_variance(coeff @ w1, power @ w2, residual_mass)
+            for coeff, power, residual_mass, vrf_ii in self._noise_terms
+        )
+        return _guarded_ratio(self._value_row @ w1, variance)
 
 
-class EdgeDetector(_EstimatorDetector):
-    """Rising/falling edge detection from the slope statistic."""
+def _output_row(detector, realization, index):
+    """Row of output index in state_output; the design must emit it."""
+    n_outputs = realization.spec.n_outputs
+    if n_outputs <= index:
+        raise DesignError(
+            f"{type(detector).__name__} needs n_outputs >= {index + 1}, got {n_outputs}"
+        )
+    return realization.state_output[index]
 
-    _min_outputs = 2
-    _statistic_index = 1
-    _statistic_sign = 1.0
-    _kind_pos = RISING_EDGE
-    _kind_neg = FALLING_EDGE
+
+def _noise_term(realization, index, stream):
+    """Noise term of output index, zero-padded to the cascades of stream.
+
+    stream is the realization whose cascades run.  Padding lets a filter
+    ride longer cascades of the same decay: the first states of a longer
+    cascade evolve exactly like the shorter one.
+    """
+    pad1 = stream.first_net.order - realization.first_net.order
+    pad2 = stream.second_net.order - realization.second_net.order
+    return (
+        np.pad(realization.coeff_output, ((0, 0), (0, pad1))),
+        np.pad(realization.power_output, (0, pad2)),
+        realization.residual_mass,
+        float(realization.vrf[index, index]),
+    )
 
 
-class PeakDetector(_EstimatorDetector):
-    """Peak detection from the concavity statistic (one-sided)."""
+class EdgeDetector(_Detector):
+    """Rising/falling edge detection: the slope over its standard deviation."""
 
-    _min_outputs = 3
-    _statistic_index = 2
-    _statistic_sign = -1.0
-    _kind_pos = PEAK
-    _kind_neg = None
+    def __init__(self, realization, threshold: float, sigma0_sq: float = 0.0):
+        super().__init__(
+            realization, threshold, sigma0_sq,
+            _output_row(self, realization, 1), [_noise_term(realization, 1, realization)],
+            RISING_EDGE, FALLING_EDGE,
+        )
+
+
+class PeakDetector(_Detector):
+    """Peak detection (one-sided): negated curvature over its deviation.
+
+    Positive at local maxima of the underlying signal (negative curvature).
+    """
+
+    def __init__(self, realization, threshold: float, sigma0_sq: float = 0.0):
+        super().__init__(
+            realization, threshold, sigma0_sq,
+            -_output_row(self, realization, 2), [_noise_term(realization, 2, realization)],
+            PEAK, None,
+        )
 
 
 @dataclass(frozen=True)
@@ -332,14 +343,14 @@ class ChangeDetectorConfig:
             raise DesignError(f"common_q must be finite, got {self.common_q}")
 
 
-class ChangeDetector:
+class ChangeDetector(_Detector):
     """Trend-break detector comparing a fast and a slow smoother.
 
-    Both filters run off one shared pair of moment recursions at the larger
-    filter's orders; the smaller filter's output matrices are zero-padded.
-    That works because the first states of a longer cascade evolve exactly
-    like the shorter cascade.  Z > threshold declares an upward break,
-    Z < -threshold a downward one.
+    Z is the difference of the two smoothed values over its standard
+    deviation.  Both filters read one shared pair of moment recursions at
+    the slow filter's (larger) orders; the fast filter's readouts are
+    zero-padded.  Z > threshold declares an upward break, Z < -threshold a
+    downward one.
 
     Accepts two already-built realizations so that designs loaded from
     documents run as stored; from_config() builds them from a
@@ -348,8 +359,6 @@ class ChangeDetector:
 
     def __init__(self, realization_a, realization_b, threshold: float,
                  sigma0_sq: float = 0.0):
-        if sigma0_sq < 0.0:
-            raise ValueError(f"sigma0_sq must be nonnegative, got {sigma0_sq}")
         real_a, real_b = realization_a, realization_b
         spec_a, spec_b = real_a.spec, real_b.spec
         # Mirror the config validation on the resolved specs, plus the
@@ -365,24 +374,15 @@ class ChangeDetector:
                 f"change detector filters must share the delay, "
                 f"got {spec_a.delay} and {spec_b.delay}"
             )
-        self.threshold = threshold
         self.realization_a = real_a
         self.realization_b = real_b
-        # Shared recursions at the slow filter's orders (kappa_b > kappa_a).
-        k1, k2 = real_b.first_net.order, real_b.second_net.order
-        self._p = real_b.spec.weight.p
-        self._row_a = _pad(real_a.state_output[0], k1)
-        self._row_b = real_b.state_output[0]
-        self._coeff_a = _pad_cols(real_a.coeff_output, k1)
-        self._coeff_b = real_b.coeff_output
-        self._power_a = _pad(real_a.power_output, k2)
-        self._power_b = real_b.power_output
-        self._vrf_a = float(real_a.vrf[0, 0])
-        self._vrf_b = float(real_b.vrf[0, 0])
-        self._sigma0_sq = sigma0_sq
-        self._state = None
-        self._marker = _RunMarker(threshold, BREAK_UP, BREAK_DOWN)
-        self.events: list[Event] = []
+        pad = real_b.first_net.order - real_a.first_net.order
+        super().__init__(
+            real_b, threshold, sigma0_sq,
+            np.pad(real_a.state_output[0], (0, pad)) - real_b.state_output[0],
+            [_noise_term(real_a, 0, real_b), _noise_term(real_b, 0, real_b)],
+            BREAK_UP, BREAK_DOWN,
+        )
 
     @classmethod
     def from_config(cls, config: ChangeDetectorConfig, sigma0_sq: float = 0.0):
@@ -390,55 +390,3 @@ class ChangeDetector:
         real_a = build_realization(replace(config.filter_a, delay=config.common_q))
         real_b = build_realization(replace(config.filter_b, delay=config.common_q))
         return cls(real_a, real_b, config.threshold, sigma0_sq)
-
-    def update(self, x: float) -> float:
-        x = float(x)
-        if self._state is None:
-            self._state = new_estimator(self.realization_b, x, self._sigma0_sq)
-        else:
-            _step_moments(self._state, self._p, x)
-        z = float(self._statistic(self._state.w1, self._state.w2))
-        event = self._marker.update(self._state.n, z)
-        if event is not None:
-            self.events.append(event)
-        return z
-
-    def run(self, xs: np.ndarray) -> np.ndarray:
-        xs = np.asarray(xs, dtype=float)
-        if xs.size == 0:
-            return np.empty(0)
-        start = 0 if self._state is None else self._state.n + 1
-        w1_block, w2_block, self._state = _advance_moments(
-            self.realization_b, xs, self._sigma0_sq, self._state
-        )
-        z = self._statistic(w1_block, w2_block)
-        self.events.extend(self._marker.extend(start, z))
-        return z
-
-    def finish(self) -> None:
-        event = self._marker.flush()
-        if event is not None:
-            self.events.append(event)
-
-    def _statistic(self, w1, w2):
-        """Z from the moment states: one sample (vectors) or a block (columns)."""
-        sig_a = _noise_variance(
-            self._coeff_a @ w1, self._power_a @ w2, self.realization_a.residual_mass
-        )
-        sig_b = _noise_variance(
-            self._coeff_b @ w1, self._power_b @ w2, self.realization_b.residual_mass
-        )
-        variance = sig_a * self._vrf_a + sig_b * self._vrf_b
-        return _guarded_ratio(self._row_a @ w1 - self._row_b @ w1, variance)
-
-
-def _pad(vector, length):
-    out = np.zeros(length)
-    out[: len(vector)] = vector
-    return out
-
-
-def _pad_cols(matrix, width):
-    out = np.zeros((matrix.shape[0], width))
-    out[:, : matrix.shape[1]] = matrix
-    return out

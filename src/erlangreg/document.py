@@ -70,7 +70,6 @@ def design_to_document(realization: FilterRealization, requested_delay="auto") -
             "group_delay_dc": group_delay_dc(realization),
         },
         "realization": {
-            "gamma": realization.gamma,
             "residual_mass": realization.residual_mass,
             "steady_first": realization.steady_first.tolist(),
             "steady_second": realization.steady_second.tolist(),
@@ -116,7 +115,7 @@ def _validate(document: dict) -> None:
         if key not in spec:
             raise DesignError(f"design document spec is missing {key!r}")
     realization = document["realization"]
-    for key in ("gamma", "residual_mass") + _ARRAY_FIELDS:
+    for key in ("residual_mass",) + _ARRAY_FIELDS:
         if key not in realization:
             raise DesignError(f"design document realization is missing {key!r}")
 
@@ -126,7 +125,9 @@ def realization_from_document(document: dict) -> FilterRealization:
 
     Nothing is recomputed: the arrays come straight from the document, and
     only the structural cascade matrices (which are fully determined by the
-    decay and the orders) are rebuilt.
+    decay and the orders) are rebuilt.  Fields the runtime does not read,
+    such as the weight normalizer `gamma` that older documents carry, are
+    ignored.
     """
     _validate(document)
     raw_spec = document["spec"]
@@ -173,7 +174,6 @@ def realization_from_document(document: dict) -> FilterRealization:
         transforms=transforms,
         steady_first=arrays["steady_first"],
         steady_second=arrays["steady_second"],
-        gamma=float(raw["gamma"]),
         residual_mass=float(raw["residual_mass"]),
         vrf=vrf,
     )

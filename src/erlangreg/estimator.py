@@ -6,12 +6,16 @@ the weighted input power.  Their difference gives a running estimate of the
 measurement-noise variance, which scales the design-time noise gain matrix
 into a live covariance for every derivative output.
 
-Inputs are assumed finite; NaN or infinite samples must be rejected by the
-caller before they reach the recursions.
+Both cascades run on the input less the stream's first sample x0, so a
+large constant offset does not swamp the power recursion with the square
+of the level; x0 is added back only where a level is read out.  A NaN or
+infinite sample raises ValueError naming its index and leaves the stream's
+state as it was.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,9 +40,10 @@ __all__ = [
 class EstimatorState:
     """Live recursion state for one stream."""
 
-    w1: np.ndarray   # first-moment cascade, length kappa + model_order
-    w2: np.ndarray   # second-moment cascade, length kappa + 1
-    n: int           # samples consumed
+    w1: np.ndarray   # first-moment cascade of x - x0, length kappa + model_order
+    w2: np.ndarray   # second-moment cascade of x - x0, length kappa + 1
+    n: int           # index of the newest sample consumed
+    x0: float        # the stream's first sample
 
 
 @dataclass(frozen=True)
@@ -70,15 +75,26 @@ def new_estimator(realization: FilterRealization, x0: float, sigma0_sq: float = 
 
     Both cascades begin at the steady state they would reach under a
     constant input x0 whose noise variance is sigma0_sq, so a constant
-    stream produces flat outputs from the very first sample.
+    stream produces flat outputs from the very first sample.  Measured from
+    x0, that is zero for the signal cascade and sigma0_sq times the unit
+    steady state for the power cascade.
     """
     if sigma0_sq < 0.0:
         raise ValueError(f"sigma0_sq must be nonnegative, got {sigma0_sq}")
     return EstimatorState(
-        w1=realization.steady_first * x0,
-        w2=realization.steady_second * (sigma0_sq + x0 * x0),
+        w1=np.zeros(realization.first_net.order),
+        w2=realization.steady_second * sigma0_sq,
         n=0,
+        x0=_finite(x0, 0),
     )
+
+
+def _finite(x: float, n: int) -> float:
+    """x as a float; ValueError naming sample n if it is NaN or infinite."""
+    x = float(x)
+    if not math.isfinite(x):
+        raise ValueError(f"sample {n} is not finite: {x!r}")
+    return x
 
 
 def _noise_variance(beta, power, residual_mass):
@@ -106,9 +122,11 @@ def current_frame(state: EstimatorState, realization: FilterRealization) -> Esti
     beta = realization.coeff_output @ state.w1
     power = realization.power_output @ state.w2
     sigma_eps2 = _noise_variance(beta, power, realization.residual_mass)
+    estimates = realization.state_output @ state.w1
+    estimates[0] += state.x0
     return EstimateFrame(
         n=state.n,
-        estimates=realization.state_output @ state.w1,
+        estimates=estimates,
         sigma_eps2=sigma_eps2,
         covariance=sigma_eps2 * realization.vrf,
     )
@@ -118,11 +136,24 @@ def _step_moments(state: EstimatorState, p: float, x: float) -> None:
     """Advance both moment cascades by one sample, in place.
 
     Uses the O(K) cumulative-sum form of the cascade's triangular state
-    matrix: w <- p * cumsum(w) + x for the signal and for its square.
+    matrix: w <- p * cumsum(w) + d for d = x - x0 and for its square.
     """
-    state.w1 = p * np.cumsum(state.w1) + x
-    state.w2 = p * np.cumsum(state.w2) + x * x
+    d = _finite(x, state.n + 1) - state.x0
+    state.w1 = p * np.cumsum(state.w1) + d
+    state.w2 = p * np.cumsum(state.w2) + d * d
     state.n += 1
+
+
+def _start_or_step(realization, state, x, sigma0_sq):
+    """Consume one sample and return the state.
+
+    With state=None the stream starts on x; otherwise state advances in
+    place.
+    """
+    if state is None:
+        return new_estimator(realization, x, sigma0_sq)
+    _step_moments(state, realization.spec.weight.p, x)
+    return state
 
 
 def _advance_moments(
@@ -137,22 +168,30 @@ def _advance_moments(
     per sample, and the state after the block.  With state=None the stream
     starts here: the first sample sets the final-value start (its column
     is the start itself, and the sample counter stays at 0) and the rest
-    advance the recursions.  A given state is updated in place.
+    advance the recursions.  A given state is updated in place, unless the
+    block holds a NaN or infinite sample, which raises ValueError first.
     """
+    start = 0 if state is None else state.n + 1
+    finite = np.isfinite(xs)
+    if not finite.all():
+        bad = int(np.argmin(finite))
+        raise ValueError(f"sample {start + bad} is not finite: {float(xs[bad])!r}")
     first, second = realization.first_net, realization.second_net
     if state is None:
-        state = new_estimator(realization, float(xs[0]), sigma0_sq)
+        state = new_estimator(realization, xs[0], sigma0_sq)
+        d = xs[1:] - state.x0
         w1_block = np.empty((first.order, xs.size))
         w2_block = np.empty((second.order, xs.size))
         w1_block[:, 0] = state.w1
         w2_block[:, 0] = state.w2
-        if xs.size > 1:
-            w1_block[:, 1:] = run_block(first, xs[1:], state.w1)
-            w2_block[:, 1:] = run_block(second, xs[1:] ** 2, state.w2)
+        if d.size:
+            w1_block[:, 1:] = run_block(first, d, state.w1)
+            w2_block[:, 1:] = run_block(second, d * d, state.w2)
         state.n = xs.size - 1
     else:
-        w1_block = run_block(first, xs, state.w1)
-        w2_block = run_block(second, xs ** 2, state.w2)
+        d = xs - state.x0
+        w1_block = run_block(first, d, state.w1)
+        w2_block = run_block(second, d * d, state.w2)
         state.n += xs.size
     state.w1 = w1_block[:, -1].copy()
     state.w2 = w2_block[:, -1].copy()
@@ -172,8 +211,14 @@ def coefficients(state: EstimatorState, realization: FilterRealization):
     age counted in samples behind the newest one, so a rising ramp has a
     negative alpha[1].
     """
+    from_orthonormal = realization.transforms.from_orthonormal
     beta = realization.coeff_output @ state.w1
-    alpha = realization.transforms.from_orthonormal @ beta
+    alpha = from_orthonormal @ beta
+    # The constant x0 is alpha[0] = x0 in the monomial basis; the basis
+    # change is upper triangular, so in the orthonormal one it is beta[0]
+    # = x0 / from_orthonormal[0, 0].
+    alpha[0] += state.x0
+    beta[0] += state.x0 / from_orthonormal[0, 0]
     return beta, alpha
 
 
@@ -205,6 +250,7 @@ def run_sequence(
     power = realization.power_output @ w2_block
     sigma_eps2 = _noise_variance(beta, power, realization.residual_mass)
     estimates = realization.state_output @ w1_block
+    estimates[0] += state.x0
     variances = sigma_eps2[None, :] * np.diag(realization.vrf)[:, None]
     return SequenceResult(estimates=estimates, sigma_eps2=sigma_eps2, variances=variances), state
 
@@ -225,10 +271,8 @@ class StreamingEstimator:
         self.state: EstimatorState | None = None
 
     def update(self, x: float) -> EstimateFrame:
-        if self.state is None:
-            self.state = new_estimator(self.realization, float(x), self.sigma0_sq)
-            return current_frame(self.state, self.realization)
-        return update(self.state, self.realization, float(x))
+        self.state = _start_or_step(self.realization, self.state, x, self.sigma0_sq)
+        return current_frame(self.state, self.realization)
 
     def extend(self, xs: np.ndarray) -> SequenceResult:
         result, self.state = run_sequence(

@@ -1,10 +1,11 @@
-"""Leaky-integrator cascade: state matrices, weight transforms, initialization.
+"""Leaky-integrator cascade: block recursion, steady state, weight transforms.
 
 A cascade of K identical leaky integrators y[n] = p*y[n-1] + u[n], each fed
 the running sum of its predecessors plus the input, realizes every Erlang
-weight of decay p up to shape kappa = K - 1.  State k has impulse response
-phi_k[m] = C(m + k, k) * p**m; an integer change of basis turns those into
-the monomial family m**k * p**m.
+weight of decay p up to shape kappa = K - 1.  In state-space form one
+sample is w <- G w + H x with G = p * tril(ones(K, K)) and H = ones(K).
+State k has impulse response phi_k[m] = C(m + k, k) * p**m; an integer
+change of basis turns those into the monomial family m**k * p**m.
 """
 
 from __future__ import annotations
@@ -17,36 +18,23 @@ from scipy.signal import lfilter
 
 __all__ = [
     "NetworkMatrices",
-    "StateVector",
     "build_network",
-    "step",
     "run_block",
     "steady_state_vector",
-    "initialize",
     "impulse_to_weight_transform",
 ]
 
 
 @dataclass(frozen=True)
 class NetworkMatrices:
-    """State-space pair of the cascade.
+    """A cascade of `order` leaky integrators of decay p.
 
-    G is lower triangular with p on and below the diagonal, H is all ones.
-    Every eigenvalue of G equals p, so the network is stable for p < 1.
+    Every eigenvalue of its state matrix equals p, so the network is stable
+    for p < 1.
     """
 
-    G: np.ndarray
-    H: np.ndarray
     order: int
     p: float
-
-
-@dataclass
-class StateVector:
-    """Live cascade state; owned by a single stream."""
-
-    w: np.ndarray
-    n: int
 
 
 def build_network(order: int, p: float) -> NetworkMatrices:
@@ -54,22 +42,7 @@ def build_network(order: int, p: float) -> NetworkMatrices:
         raise ValueError(f"network order must be a positive integer, got {order}")
     if not 0.0 < p < 1.0:
         raise ValueError(f"smoothing parameter must satisfy 0 < p < 1, got {p}")
-    order = int(order)
-    G = p * np.tril(np.ones((order, order)))
-    H = np.ones(order)
-    G.flags.writeable = False
-    H.flags.writeable = False
-    return NetworkMatrices(G=G, H=H, order=order, p=p)
-
-
-def step(net: NetworkMatrices, state: StateVector, x: float) -> StateVector:
-    """Advance one sample: w <- G w + H x.
-
-    Uses the O(K) cumulative-sum form of the triangular product; equivalent
-    to the dense matrix-vector recursion.
-    """
-    w = net.p * np.cumsum(state.w) + x
-    return StateVector(w=w, n=state.n + 1)
+    return NetworkMatrices(order=int(order), p=p)
 
 
 def run_block(net: NetworkMatrices, u: np.ndarray, w_prev: np.ndarray | None = None) -> np.ndarray:
@@ -80,7 +53,7 @@ def run_block(net: NetworkMatrices, u: np.ndarray, w_prev: np.ndarray | None = N
     leaky integration of the input, so the block reduces to chained
     first-order filters, which run vectorized.  w_prev is the state vector
     before the block (None for a network at rest); the state after the
-    block is the last column.  Equivalent to repeated step() calls.
+    block is the last column.
     """
     u = np.asarray(u, dtype=float)
     states = np.empty((net.order, u.size))
@@ -93,7 +66,7 @@ def run_block(net: NetworkMatrices, u: np.ndarray, w_prev: np.ndarray | None = N
 
 
 def steady_state_vector(order: int, p: float) -> np.ndarray:
-    """Fixed point of w = G w + H for unit constant input.
+    """Fixed point of w = G w + H: the state under unit constant input.
 
     Component k settles at 1/(1 - p)**(k + 1): each stage multiplies the
     previous stage's settled value by the geometric sum 1/(1 - p).  Equals
@@ -105,14 +78,6 @@ def steady_state_vector(order: int, p: float) -> np.ndarray:
         raise ValueError(f"smoothing parameter must satisfy 0 < p < 1, got {p}")
     k = np.arange(1, int(order) + 1)
     return (1.0 - p) ** (-k.astype(float))
-
-
-def initialize(net: NetworkMatrices, x0: float) -> StateVector:
-    """Final-value initialization: start at the steady state for constant x0.
-
-    Removes the startup transient entirely for constant inputs.
-    """
-    return StateVector(w=steady_state_vector(net.order, net.p) * x0, n=0)
 
 
 def impulse_to_weight_transform(order: int) -> np.ndarray:

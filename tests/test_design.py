@@ -144,8 +144,3 @@ def test_residual_mass_positive_and_less_than_total():
     for kappa, p, kx in [(0, 0.8, 1), (2, 0.9, 3), (3, 0.75, 2)]:
         real = build(kappa=kappa, p=p, kx=kx, q=2.0)
         assert 0.0 < real.residual_mass < erlang_sum(kappa, p)
-
-
-def test_gamma_is_reciprocal_mass():
-    real = build(kappa=2, p=0.8, kx=2, q=2.0)
-    assert real.gamma == pytest.approx(1.0 / erlang_sum(2, 0.8), rel=1e-14)

@@ -13,10 +13,8 @@ from erlangreg import (
     PeakDetector,
     StreamingEstimator,
     WeightSpec,
-    change_statistic,
-    edge_statistic,
-    peak_statistic,
 )
+from erlangreg.detectors import _VARIANCE_FLOOR
 
 from oracles import build
 
@@ -47,23 +45,52 @@ def _assert_events_match(got, expected):
         assert a.z == pytest.approx(b.z, rel=1e-9)
 
 
+def _z(value, variance):
+    """The test statistic from frame values; 0 where the variance vanishes."""
+    return value / math.sqrt(variance) if variance >= _VARIANCE_FLOOR else 0.0
+
+
+def _change_pair():
+    return build(0, 0.8, 2, kt=1, q=8.5), build(3, 0.8, 2, kt=1, q=8.5)
+
+
 def test_statistics_guard_vanishing_variance():
     real = build(0, 0.8, 3, kt=3, q=2.0)
-    est = StreamingEstimator(real)
-    frame = est.update(5.0)
-    # With a zero prior the first frame has no residual, hence no variance.
-    assert edge_statistic(frame) == 0.0
-    assert peak_statistic(frame) == 0.0
-    assert change_statistic(frame, frame) == 0.0
+    # With a zero prior a constant input leaves no residual, hence no
+    # variance, on the first sample and on every one after it.
+    for make in (
+        lambda: EdgeDetector(real, 3.0),
+        lambda: PeakDetector(real, 3.0),
+        lambda: ChangeDetector(*_change_pair(), 3.0),
+    ):
+        assert make().update(5.0) == 0.0
+        assert np.array_equal(make().run(np.full(50, 5.0)), np.zeros(50))
 
 
 def test_statistics_need_enough_outputs():
-    real = build(0, 0.8, 1, kt=1, q=1.0)
-    frame = StreamingEstimator(real).update(1.0)
-    with pytest.raises(ValueError):
-        edge_statistic(frame)
-    with pytest.raises(ValueError):
-        peak_statistic(frame)
+    # A detector reads one derivative output, which the design must emit.
+    for cls, index in ((EdgeDetector, 1), (PeakDetector, 2)):
+        with pytest.raises(DesignError, match=f"{cls.__name__} needs n_outputs >= {index + 1}"):
+            cls(build(0, 0.8, index + 1, kt=index, q=1.0), threshold=3.0)
+        cls(build(0, 0.8, index + 1, kt=index + 1, q=1.0), threshold=3.0)
+
+
+def test_edge_and_peak_match_estimator_frames():
+    # Each detector reads only its own output; Z must equal the frame's
+    # estimate over its own standard deviation.
+    real = build(2, 0.8, 3, kt=3, q=None)
+    xs = _ramp_with_noise(12)
+    est = StreamingEstimator(real, sigma0_sq=0.1)
+    edge_expected, peak_expected = [], []
+    for x in xs:
+        frame = est.update(x)
+        edge_expected.append(_z(frame.estimates[1], frame.covariance[1, 1]))
+        peak_expected.append(_z(-frame.estimates[2], frame.covariance[2, 2]))
+    for detector, expected in (
+        (EdgeDetector(real, 3.0, sigma0_sq=0.1), edge_expected),
+        (PeakDetector(real, 3.0, sigma0_sq=0.1), peak_expected),
+    ):
+        np.testing.assert_allclose(detector.run(xs), expected, rtol=1e-9, atol=1e-12)
 
 
 def test_detector_output_requirements():
@@ -181,7 +208,10 @@ def test_change_detector_matches_two_independent_filters():
     for x in xs:
         frame_a = est_a.update(x)
         frame_b = est_b.update(x)
-        expected.append(change_statistic(frame_a, frame_b))
+        expected.append(_z(
+            frame_a.estimates[0] - frame_b.estimates[0],
+            frame_a.covariance[0, 0] + frame_b.covariance[0, 0],
+        ))
     z = detector.run(xs)
     np.testing.assert_allclose(z, expected, rtol=1e-9, atol=1e-12)
 
@@ -215,3 +245,38 @@ def test_change_detector_flat_signal_stays_quiet():
     detector.finish()
     assert np.all(np.abs(z) < 3.0)
     assert detector.events == []
+
+
+@pytest.mark.parametrize("kind", ["edge", "peak", "change"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_sample_raises_and_leaves_detector_unchanged(kind, bad):
+    def make():
+        if kind == "change":
+            return ChangeDetector(*_change_pair(), 1.0, sigma0_sq=0.25)
+        real = build(2, 0.8, 3, kt=3, q=None)
+        cls = EdgeDetector if kind == "edge" else PeakDetector
+        return cls(real, 1.0, sigma0_sq=0.25)
+
+    xs = _ramp_with_noise(13, n=240)
+    reference = make()
+    z_ref = reference.run(xs)
+    reference.finish()
+
+    detector = make()
+    with pytest.raises(ValueError, match="sample 0 "):
+        detector.update(bad)
+    with pytest.raises(ValueError, match="sample 0 "):
+        detector.run(np.array([bad, 1.0]))
+    z_head = detector.run(xs[:100])
+    with pytest.raises(ValueError, match="sample 103 "):
+        detector.run(np.concatenate([xs[100:103], [bad], xs[103:110]]))
+    with pytest.raises(ValueError, match="sample 100 "):
+        detector.update(bad)
+    z_tail = [detector.update(x) for x in xs[100:120]] + list(detector.run(xs[120:]))
+    detector.finish()
+    np.testing.assert_allclose(
+        np.concatenate([z_head, z_tail]), z_ref, rtol=1e-12, atol=1e-12
+    )
+    assert [(e.n, e.kind) for e in detector.events] == [
+        (e.n, e.kind) for e in reference.events
+    ]

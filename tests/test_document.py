@@ -31,10 +31,9 @@ def test_round_trip_is_bit_exact():
     np.testing.assert_array_equal(
         loaded.transforms.from_orthonormal, real.transforms.from_orthonormal
     )
-    assert loaded.gamma == real.gamma
     assert loaded.residual_mass == real.residual_mass
     assert loaded.first_net.order == real.first_net.order
-    np.testing.assert_array_equal(loaded.first_net.G, real.first_net.G)
+    assert loaded.first_net.p == real.first_net.p
 
 
 def test_document_records_request_and_resolution():
@@ -81,6 +80,22 @@ def test_rejects_malformed_documents():
     bad["spec"]["p"] = 1.5
     with pytest.raises(DesignError):
         realization_from_document(bad)
+
+
+def test_document_with_gamma_field_still_loads():
+    # Older version-1 documents also carry the weight normalizer gamma,
+    # which the runtime never reads; they must load as before.
+    from erlangreg import erlang_sum
+
+    real = build(2, 0.8, 3, kt=3, q=None)
+    doc = json.loads(document_to_json(design_to_document(real)))
+    assert "gamma" not in doc["realization"]
+    doc["realization"]["gamma"] = 1.0 / erlang_sum(2, 0.8)
+    loaded = realization_from_document(document_from_json(json.dumps(doc)))
+    assert loaded.spec == real.spec
+    assert loaded.residual_mass == real.residual_mass
+    np.testing.assert_array_equal(loaded.state_output, real.state_output)
+    np.testing.assert_array_equal(loaded.vrf, real.vrf)
 
 
 def test_loaded_realization_runs_identically():

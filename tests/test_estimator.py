@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -144,7 +146,10 @@ def test_streaming_wrapper_guards():
 def test_prior_variance_seeds_power_recursion():
     real = build(0, 0.8, 2, kt=1, q=8.5)
     state = new_estimator(real, 100.0, sigma0_sq=0.25)
-    np.testing.assert_allclose(state.w2, real.steady_second * 10000.25, rtol=1e-13)
+    # The cascades run on x - x0, so only the prior enters the power state.
+    assert state.x0 == 100.0
+    np.testing.assert_array_equal(state.w1, np.zeros(real.first_net.order))
+    np.testing.assert_allclose(state.w2, real.steady_second * 0.25, rtol=1e-13)
     # The seeded prior surfaces in sigma scaled by total over residual mass.
     from erlangreg import erlang_sum
 
@@ -153,3 +158,82 @@ def test_prior_variance_seeds_power_recursion():
     assert frame.sigma_eps2 == pytest.approx(expected, rel=1e-9)
     with pytest.raises(ValueError):
         new_estimator(real, 1.0, sigma0_sq=-0.5)
+
+
+@pytest.mark.parametrize("level", [10.0, 1000.0, 1e8])
+def test_constant_input_is_exact(level):
+    real = build(2, 0.8, 3, kt=3, q=5.0)
+    result, _ = run_sequence(real, np.full(200, level))
+    assert np.array_equal(result.estimates[0], np.full(200, level))
+    assert not result.estimates[1:].any()
+    assert not result.sigma_eps2.any()
+    est = StreamingEstimator(real)
+    for _ in range(50):
+        frame = est.update(level)
+        assert frame.estimates[0] == level
+        assert frame.sigma_eps2 == 0.0
+
+
+def test_large_dc_offset_keeps_noise_variance():
+    # Unit noise on a 1e8 offset: sigma^2 must read about 1, unclamped,
+    # and match the same noise without the offset.
+    real = build(2, 0.99, 2, kt=1, q=None)
+    noise = np.random.Generator(np.random.PCG64(31)).standard_normal(20_000)
+    offset = 1e8
+    shifted, _ = run_sequence(real, noise + offset)
+    plain, _ = run_sequence(real, noise)
+    warm = 2_000
+    sigma2 = shifted.sigma_eps2[warm:]
+    assert np.all(sigma2 > 0.0)
+    assert abs(float(np.mean(sigma2)) - 1.0) < 0.1
+    np.testing.assert_allclose(sigma2, plain.sigma_eps2[warm:], rtol=1e-6)
+    np.testing.assert_allclose(
+        shifted.estimates[0] - offset, plain.estimates[0], rtol=0, atol=1e-6
+    )
+    # The per-sample path takes the same offset.
+    est = StreamingEstimator(real)
+    frames = [est.update(x) for x in noise[:3_000] + offset]
+    np.testing.assert_allclose(
+        [f.sigma_eps2 for f in frames], shifted.sigma_eps2[:3_000], rtol=1e-9, atol=1e-12
+    )
+    beta, alpha = est.coefficients()
+    assert alpha[0] == pytest.approx(offset, rel=1e-12)
+    np.testing.assert_allclose(alpha, real.transforms.from_orthonormal @ beta, rtol=1e-12)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_sample_raises_and_leaves_state_unchanged(bad):
+    real = build(1, 0.85, 2, kt=2, q=None)
+    xs = np.random.Generator(np.random.PCG64(32)).standard_normal(60) + 3.0
+    reference, _ = run_sequence(real, xs)
+
+    with pytest.raises(ValueError, match="sample 0 "):
+        run_sequence(real, np.array([bad, 1.0]))
+    with pytest.raises(ValueError, match="sample 0 "):
+        new_estimator(real, bad)
+    est = StreamingEstimator(real)
+    with pytest.raises(ValueError, match="sample 0 "):
+        est.update(bad)
+    with pytest.raises(ValueError, match="sample 0 "):
+        est.extend(np.array([bad]))
+    assert est.state is None
+
+    est.extend(xs[:30])
+    kept = (est.state.w1.copy(), est.state.w2.copy(), est.state.n, est.state.x0)
+    with pytest.raises(ValueError, match="sample 32 "):
+        est.extend(np.concatenate([xs[30:32], [bad], xs[32:40]]))
+    with pytest.raises(ValueError, match="sample 30 "):
+        est.update(bad)
+    with pytest.raises(ValueError, match="sample 30 "):
+        update(est.state, real, bad)
+    with pytest.raises(ValueError, match="sample 31 "):
+        run_sequence(real, np.array([1.0, bad]), state=est.state)
+    assert np.array_equal(est.state.w1, kept[0])
+    assert np.array_equal(est.state.w2, kept[1])
+    assert (est.state.n, est.state.x0) == kept[2:]
+
+    frame = est.update(xs[30])
+    tail = est.extend(xs[31:])
+    np.testing.assert_allclose(frame.estimates, reference.estimates[:, 30], rtol=1e-12)
+    np.testing.assert_allclose(tail.estimates, reference.estimates[:, 31:], rtol=1e-12)
+    np.testing.assert_allclose(tail.sigma_eps2, reference.sigma_eps2[31:], rtol=1e-9)

@@ -1,7 +1,8 @@
 """Block event extraction: _RunMarker.extend and chunking invariance.
 
-Events must not depend on how a stream is cut into blocks, nor on how
-run() and update() calls are mixed on one detector.
+Z and events must not depend on how a stream is cut into blocks, nor on
+how run() and update() calls are mixed on one detector, also on top of a
+large DC offset.
 """
 
 import math
@@ -44,9 +45,11 @@ _CHUNK_PLANS = st.lists(
 
 
 @pytest.mark.parametrize("kind", sorted(_DETECTORS))
-@hypothesis.given(seed=st.integers(0, 2**16), plan=_CHUNK_PLANS)
-def test_events_do_not_depend_on_chunking(kind, seed, plan):
-    xs = _ramp_and_bump(seed)
+@hypothesis.given(
+    seed=st.integers(0, 2**16), plan=_CHUNK_PLANS, offset=st.sampled_from([0.0, 1e8])
+)
+def test_events_do_not_depend_on_chunking(kind, seed, plan, offset):
+    xs = _ramp_and_bump(seed) + offset
     whole = _DETECTORS[kind]()
     z_whole = whole.run(xs)
     whole.finish()

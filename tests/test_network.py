@@ -1,34 +1,34 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from erlangreg import (
-    StateVector,
     build_network,
     impulse_to_weight_transform,
-    initialize,
     run_block,
     steady_state_vector,
-    step,
 )
 
 from oracles import WEIGHT_TRANSFORM_6, dense_states
 
 
-def _rest(order):
-    """State of a network that has seen no input yet."""
-    return StateVector(w=np.zeros(order), n=-1)
+def _steps(net, xs, w=None):
+    """The cascade advanced one sample at a time, one run_block call each."""
+    columns = []
+    for x in xs:
+        w = run_block(net, [x], w)[:, 0]
+        columns.append(w)
+    return np.array(columns).T
 
 
 def test_network_matrix_structure():
     net = build_network(4, 0.8)
     assert net.order == 4
     assert net.p == 0.8
-    expected = 0.8 * np.tril(np.ones((4, 4)))
-    assert np.array_equal(net.G, expected)
-    assert np.array_equal(net.H, np.ones(4))
-    assert not net.G.flags.writeable
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        net.p = 0.9
 
 
 def test_network_validation():
@@ -43,33 +43,29 @@ def test_step_matches_dense_recursion():
     xs = rng.random(200)
     net = build_network(5, 0.85)
     expected = dense_states(0.85, 5, xs)
-    state = _rest(5)
-    for n, x in enumerate(xs):
-        state = step(net, state, x)
-        assert state.n == n
-        np.testing.assert_allclose(state.w, expected[:, n], rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(run_block(net, xs), expected, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(_steps(net, xs), expected, rtol=1e-12, atol=1e-12)
 
 
 def test_step_is_matrix_recursion():
-    net = build_network(3, 0.7)
-    state = _rest(3)
-    w = np.zeros(3)
+    # The state-space form: w <- G w + H x with G = p tril(1), H = ones.
+    p = 0.7
+    net = build_network(3, p)
+    G = p * np.tril(np.ones((3, 3)))
     rng = np.random.Generator(np.random.PCG64(8))
-    for x in rng.random(50):
-        state = step(net, state, x)
-        w = net.G @ w + net.H * x
-        np.testing.assert_allclose(state.w, w, rtol=1e-13, atol=1e-13)
+    xs = rng.random(50)
+    block = run_block(net, xs)
+    w = np.zeros(3)
+    for n, x in enumerate(xs):
+        w = G @ w + x
+        np.testing.assert_allclose(block[:, n], w, rtol=1e-13, atol=1e-13)
 
 
 def test_run_block_equals_per_sample_steps():
     rng = np.random.Generator(np.random.PCG64(9))
     xs = rng.standard_normal(300)
     net = build_network(6, 0.9)
-    block = run_block(net, xs)
-    state = _rest(6)
-    for n, x in enumerate(xs):
-        state = step(net, state, x)
-        np.testing.assert_allclose(block[:, n], state.w, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(run_block(net, xs), _steps(net, xs), rtol=1e-12, atol=1e-12)
 
 
 def test_run_block_carries_state_across_splits():
@@ -99,17 +95,17 @@ def test_steady_state_is_fixed_point():
     for order, p in [(1, 0.5), (4, 0.8), (7, 0.95)]:
         net = build_network(order, p)
         s = steady_state_vector(order, p)
-        np.testing.assert_allclose(net.G @ s + net.H, s, rtol=1e-12)
+        np.testing.assert_allclose(run_block(net, [1.0], s)[:, 0], s, rtol=1e-12)
         for k in range(order):
             assert s[k] == pytest.approx((1.0 - p) ** -(k + 1), rel=1e-14)
 
 
 def test_initialize_removes_startup_transient():
+    # Started at x0 times the steady state, a constant x0 input stays put.
     net = build_network(5, 0.8)
-    state = initialize(net, 3.5)
-    for _ in range(20):
-        state = step(net, state, 3.5)
-        np.testing.assert_allclose(state.w, 3.5 * steady_state_vector(5, 0.8), rtol=1e-13)
+    start = 3.5 * steady_state_vector(5, 0.8)
+    states = run_block(net, np.full(20, 3.5), start)
+    np.testing.assert_allclose(states, start[:, None] * np.ones(20), rtol=1e-13)
 
 
 def test_weight_transform_matches_printed_table():
