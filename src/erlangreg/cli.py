@@ -27,7 +27,7 @@ from .document import (
     document_to_json,
     realization_from_document,
 )
-from .estimator import run_sequence
+from .estimator import _prior_variance, run_sequence
 from .response import response_report
 from .scenarios import (
     TargetScenario,
@@ -175,6 +175,7 @@ def cmd_analyze(args) -> int:
 
 def cmd_run(args) -> int:
     realization = _load_design(args.design)
+    sigma0_sq = _prior_variance(args.sigma0_sq)
     n_outputs = realization.spec.n_outputs
     header = (
         ["n"]
@@ -194,7 +195,7 @@ def cmd_run(args) -> int:
         def flush(chunk):
             nonlocal state, next_n
             result, state = run_sequence(
-                realization, np.array(chunk), args.sigma0_sq, state
+                realization, np.array(chunk), sigma0_sq, state
             )
             columns = [range(next_n, next_n + len(chunk))]
             columns += result.estimates.tolist()

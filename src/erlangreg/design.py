@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Optional
+from functools import cached_property
+from typing import NamedTuple, Optional
 
 import numpy as np
 from scipy.linalg import solve_triangular
@@ -133,6 +134,14 @@ class TransformSet:
     power_output: np.ndarray
 
 
+class _FloatRows(NamedTuple):
+    """The output matrices as lists of Python floats, for one-sample readouts."""
+
+    coeff_output: list[list[float]]
+    state_output: list[list[float]]
+    power_output: list[float]
+
+
 @dataclass(frozen=True)
 class FilterRealization:
     """Everything the runtime needs, frozen at design time."""
@@ -141,7 +150,6 @@ class FilterRealization:
     first_net: NetworkMatrices       # order kappa + model_order
     second_net: NetworkMatrices      # order kappa + 1
     transforms: TransformSet
-    steady_first: np.ndarray         # per-unit-input fixed point of first_net
     steady_second: np.ndarray        # per-unit-input fixed point of second_net
     residual_mass: float             # divisor of the weighted residual power
     vrf: np.ndarray                  # (n_outputs, n_outputs) noise gain matrix
@@ -157,6 +165,14 @@ class FilterRealization:
     @property
     def power_output(self) -> np.ndarray:
         return self.transforms.power_output
+
+    @cached_property
+    def _float_rows(self) -> _FloatRows:
+        return _FloatRows(
+            self.coeff_output.tolist(),
+            self.state_output.tolist(),
+            self.power_output.tolist(),
+        )
 
 
 def overlap_matrix(spec: DesignSpec) -> np.ndarray:
@@ -284,9 +300,7 @@ def build_realization(spec: DesignSpec) -> FilterRealization:
         matrix.flags.writeable = False
 
     vrf.flags.writeable = False
-    steady_first = steady_state_vector(n_first, p)
     steady_second = steady_state_vector(n_second, p)
-    steady_first.flags.writeable = False
     steady_second.flags.writeable = False
 
     return FilterRealization(
@@ -294,7 +308,6 @@ def build_realization(spec: DesignSpec) -> FilterRealization:
         first_net=build_network(n_first, p),
         second_net=build_network(n_second, p),
         transforms=transforms,
-        steady_first=steady_first,
         steady_second=steady_second,
         residual_mass=residual_mass,
         vrf=vrf,

@@ -13,13 +13,16 @@ EdgeDetector reads the slope, PeakDetector the negated curvature, and
 ChangeDetector the difference between a fast and a slow smoother; each is
 only the data of its readout on one shared engine.
 
-update() feeds one sample; run() feeds a block, computes Z for the whole
-block at once and finds its events with array operations, so its Python
-work grows with the number of exceedance runs, not of samples.  A run still
-open at the end of a block carries into the next one, so events do not
-depend on how the stream is cut into blocks or mixed with update() calls;
-finish() closes a run left open at the end of the stream.  A NaN or
-infinite sample raises ValueError and leaves the detector as it was.
+update() feeds one sample and computes Z in Python floats, from float
+copies of the readout rows made once per detector; run() feeds a block,
+computes Z for the whole block at once with the same formula on arrays and
+finds its events with array operations, so its Python work grows with the
+number of exceedance runs, not of samples.  A run still open at the end of
+a block carries into the next one, so events do not depend on how the
+stream is cut into blocks or mixed with update() calls; finish() closes a
+run left open at the end of the stream.  A NaN or infinite sample, or a
+prior variance sigma0_sq that is negative or not finite, raises ValueError;
+a bad sample leaves the detector as it was.
 """
 
 from __future__ import annotations
@@ -31,7 +34,13 @@ from typing import Optional
 import numpy as np
 
 from .design import DesignError, DesignSpec, build_realization
-from .estimator import _advance_moments, _noise_variance, _start_or_step
+from .estimator import (
+    _advance_moments,
+    _noise_variance,
+    _prior_variance,
+    _read,
+    _start_or_step,
+)
 
 __all__ = [
     "Event",
@@ -198,26 +207,29 @@ class _Detector:
     The stream runs realization's cascades.  Z is value_row @ w1 over the
     square root of sum(vrf_ii * noise variance) across noise_terms, each
     (coeff, power, residual_mass, vrf_ii) reading one filter's noise
-    variance from the states as coeff @ w1 and power @ w2.
+    variance from the states as coeff @ w1 and power @ w2.  The rows are
+    kept as arrays for blocks and as float lists for single samples.
     """
 
     def __init__(self, realization, threshold: float, sigma0_sq: float,
                  value_row, noise_terms, kind_pos: str, kind_neg: Optional[str]):
-        if sigma0_sq < 0.0:
-            raise ValueError(f"sigma0_sq must be nonnegative, got {sigma0_sq}")
         self.threshold = threshold
         self.events: list[Event] = []
         self._realization = realization
-        self._sigma0_sq = sigma0_sq
-        self._value_row = value_row
-        self._noise_terms = noise_terms
+        self._sigma0_sq = _prior_variance(sigma0_sq)
+        self._block_rows = (value_row, noise_terms)
+        self._sample_rows = (
+            value_row.tolist(),
+            [(coeff.tolist(), power.tolist(), residual_mass, vrf_ii)
+             for coeff, power, residual_mass, vrf_ii in noise_terms],
+        )
         self._marker = _RunMarker(threshold, kind_pos, kind_neg)
         self._state = None
 
     def update(self, x: float) -> float:
         """Feed one sample; returns the statistic (events collect in .events)."""
         self._state = _start_or_step(self._realization, self._state, x, self._sigma0_sq)
-        z = float(self._statistic(self._state.w1, self._state.w2))
+        z = self._statistic(self._state.w1, self._state.w2)
         event = self._marker.update(self._state.n, z)
         if event is not None:
             self.events.append(event)
@@ -243,12 +255,15 @@ class _Detector:
             self.events.append(event)
 
     def _statistic(self, w1, w2):
-        """Z from the moment states: one sample (vectors) or a block (columns)."""
-        variance = sum(
-            vrf_ii * _noise_variance(coeff @ w1, power @ w2, residual_mass)
-            for coeff, power, residual_mass, vrf_ii in self._noise_terms
+        """Z from the moment states: one sample (float lists) or a block (columns)."""
+        value_row, noise_terms = (
+            self._sample_rows if isinstance(w1, list) else self._block_rows
         )
-        return _guarded_ratio(self._value_row @ w1, variance)
+        variance = sum(
+            vrf_ii * _noise_variance(_read(coeff, w1), _read(power, w2), residual_mass)
+            for coeff, power, residual_mass, vrf_ii in noise_terms
+        )
+        return _guarded_ratio(_read(value_row, w1), variance)
 
 
 def _output_row(detector, realization, index):

@@ -30,7 +30,6 @@ FORMAT_TAG = "erlang-regression-design"
 FORMAT_VERSION = 1
 
 _ARRAY_FIELDS = (
-    "steady_first",
     "steady_second",
     "overlap",
     "to_orthonormal",
@@ -71,7 +70,6 @@ def design_to_document(realization: FilterRealization, requested_delay="auto") -
         },
         "realization": {
             "residual_mass": realization.residual_mass,
-            "steady_first": realization.steady_first.tolist(),
             "steady_second": realization.steady_second.tolist(),
             "overlap": t.overlap.tolist(),
             "to_orthonormal": t.to_orthonormal.tolist(),
@@ -126,8 +124,8 @@ def realization_from_document(document: dict) -> FilterRealization:
     Nothing is recomputed: the arrays come straight from the document, and
     only the structural cascade matrices (which are fully determined by the
     decay and the orders) are rebuilt.  Fields the runtime does not read,
-    such as the weight normalizer `gamma` that older documents carry, are
-    ignored.
+    such as the weight normalizer `gamma` and the signal cascade's fixed
+    point `steady_first` that older documents carry, are ignored.
     """
     _validate(document)
     raw_spec = document["spec"]
@@ -172,7 +170,6 @@ def realization_from_document(document: dict) -> FilterRealization:
         first_net=build_network(spec.n_first_states, spec.weight.p),
         second_net=build_network(spec.n_second_states, spec.weight.p),
         transforms=transforms,
-        steady_first=arrays["steady_first"],
         steady_second=arrays["steady_second"],
         residual_mass=float(raw["residual_mass"]),
         vrf=vrf,
@@ -183,7 +180,6 @@ def _check_shapes(spec: DesignSpec, arrays: dict) -> None:
     n1, n2 = spec.n_first_states, spec.n_second_states
     k, m = spec.n_outputs, spec.model_order
     expected = {
-        "steady_first": (n1,),
         "steady_second": (n2,),
         "overlap": (m, m),
         "to_orthonormal": (m, m),

@@ -10,13 +10,24 @@ Both cascades run on the input less the stream's first sample x0, so a
 large constant offset does not swamp the power recursion with the square
 of the level; x0 is added back only where a level is read out.  A NaN or
 infinite sample raises ValueError naming its index and leaves the stream's
-state as it was.
+state as it was; a prior noise variance sigma0_sq that is negative or not
+finite raises ValueError too.
+
+The per-sample path runs in Python floats: the state vectors are lists of
+floats, one step of a cascade is a running sum, and each readout is a few
+multiply-adds over float rows built once per realization.  On vectors of
+a handful of states, numpy's per-call overhead costs far more than the
+arithmetic.  The block path filters whole arrays and reads them out with
+matrix products.  Both paths share one readout helper and one formula for
+the estimates and the noise variance.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
+from operator import mul
 
 import numpy as np
 
@@ -40,8 +51,8 @@ __all__ = [
 class EstimatorState:
     """Live recursion state for one stream."""
 
-    w1: np.ndarray   # first-moment cascade of x - x0, length kappa + model_order
-    w2: np.ndarray   # second-moment cascade of x - x0, length kappa + 1
+    w1: list[float]  # first-moment cascade of x - x0, length kappa + model_order
+    w2: list[float]  # second-moment cascade of x - x0, length kappa + 1
     n: int           # index of the newest sample consumed
     x0: float        # the stream's first sample
 
@@ -79,14 +90,25 @@ def new_estimator(realization: FilterRealization, x0: float, sigma0_sq: float = 
     x0, that is zero for the signal cascade and sigma0_sq times the unit
     steady state for the power cascade.
     """
-    if sigma0_sq < 0.0:
-        raise ValueError(f"sigma0_sq must be nonnegative, got {sigma0_sq}")
+    sigma0_sq = _prior_variance(sigma0_sq)
     return EstimatorState(
-        w1=np.zeros(realization.first_net.order),
-        w2=realization.steady_second * sigma0_sq,
+        w1=[0.0] * realization.first_net.order,
+        w2=(realization.steady_second * sigma0_sq).tolist(),
         n=0,
         x0=_finite(x0, 0),
     )
+
+
+def _prior_variance(sigma0_sq: float) -> float:
+    """sigma0_sq as a float; ValueError unless it is finite and nonnegative.
+
+    A NaN prior would pass a plain `< 0` test and then poison the power
+    cascade, and with it sigma_eps2 and every Z, for the rest of the stream.
+    """
+    sigma0_sq = float(sigma0_sq)
+    if not (math.isfinite(sigma0_sq) and sigma0_sq >= 0.0):
+        raise ValueError(f"sigma0_sq must be finite and nonnegative, got {sigma0_sq}")
+    return sigma0_sq
 
 
 def _finite(x: float, n: int) -> float:
@@ -95,6 +117,20 @@ def _finite(x: float, n: int) -> float:
     if not math.isfinite(x):
         raise ValueError(f"sample {n} is not finite: {x!r}")
     return x
+
+
+def _read(rows, w):
+    """The readout rows @ w of cascade states, for a block or one sample.
+
+    For a block, rows is an ndarray and w an ndarray with one state column
+    per sample.  For one sample, w is a list of floats and rows are float
+    lists: one row, read as a float, or a list of rows, read as a list.
+    """
+    if isinstance(w, np.ndarray):
+        return rows @ w
+    if isinstance(rows[0], float):
+        return sum(map(mul, rows, w))
+    return [sum(map(mul, row, w)) for row in rows]
 
 
 def _noise_variance(beta, power, residual_mass):
@@ -106,27 +142,39 @@ def _noise_variance(beta, power, residual_mass):
     estimate unbiased for white noise; finite precision can drive the
     difference slightly negative early on, hence the clamp.
 
-    For one sample beta is a vector and power a scalar, and the result is
-    a float; for a block beta has one column per sample and power is a
-    vector, and the result is a vector.
+    For one sample beta is a list of floats and power a float, and the
+    result is a float; for a block beta has one column per sample and power
+    is a vector, and the result is a vector.
     """
-    if beta.ndim == 1:
-        residual = float(power) - float(beta @ beta)
+    if isinstance(beta, list):
+        residual = power - _read(beta, beta)
         return max(residual, 0.0) / residual_mass
     residual = power - np.einsum("ij,ij->j", beta, beta)
     return np.maximum(residual, 0.0) / residual_mass
 
 
+def _readout(rows, residual_mass, w1, w2, x0):
+    """(estimates, sigma_eps2) from the moment states and the output rows.
+
+    rows holds coeff_output, state_output and power_output: the
+    realization's arrays for a block, their float lists for one sample.
+    """
+    sigma_eps2 = _noise_variance(
+        _read(rows.coeff_output, w1), _read(rows.power_output, w2), residual_mass
+    )
+    estimates = _read(rows.state_output, w1)
+    estimates[0] += x0
+    return estimates, sigma_eps2
+
+
 def current_frame(state: EstimatorState, realization: FilterRealization) -> EstimateFrame:
     """Frame for the state as it stands, without consuming a sample."""
-    beta = realization.coeff_output @ state.w1
-    power = realization.power_output @ state.w2
-    sigma_eps2 = _noise_variance(beta, power, realization.residual_mass)
-    estimates = realization.state_output @ state.w1
-    estimates[0] += state.x0
+    estimates, sigma_eps2 = _readout(
+        realization._float_rows, realization.residual_mass, state.w1, state.w2, state.x0
+    )
     return EstimateFrame(
         n=state.n,
-        estimates=estimates,
+        estimates=np.array(estimates),
         sigma_eps2=sigma_eps2,
         covariance=sigma_eps2 * realization.vrf,
     )
@@ -136,11 +184,13 @@ def _step_moments(state: EstimatorState, p: float, x: float) -> None:
     """Advance both moment cascades by one sample, in place.
 
     Uses the O(K) cumulative-sum form of the cascade's triangular state
-    matrix: w <- p * cumsum(w) + d for d = x - x0 and for its square.
+    matrix: w <- p * cumsum(w) + d for d = x - x0 and for its square, in
+    Python floats.
     """
     d = _finite(x, state.n + 1) - state.x0
-    state.w1 = p * np.cumsum(state.w1) + d
-    state.w2 = p * np.cumsum(state.w2) + d * d
+    dd = d * d
+    state.w1 = [p * s + d for s in accumulate(state.w1)]
+    state.w2 = [p * s + dd for s in accumulate(state.w2)]
     state.n += 1
 
 
@@ -193,8 +243,8 @@ def _advance_moments(
         w1_block = run_block(first, d, state.w1)
         w2_block = run_block(second, d * d, state.w2)
         state.n += xs.size
-    state.w1 = w1_block[:, -1].copy()
-    state.w2 = w2_block[:, -1].copy()
+    state.w1 = w1_block[:, -1].tolist()
+    state.w2 = w2_block[:, -1].tolist()
     return w1_block, w2_block, state
 
 
@@ -212,7 +262,7 @@ def coefficients(state: EstimatorState, realization: FilterRealization):
     negative alpha[1].
     """
     from_orthonormal = realization.transforms.from_orthonormal
-    beta = realization.coeff_output @ state.w1
+    beta = np.array(_read(realization._float_rows.coeff_output, state.w1))
     alpha = from_orthonormal @ beta
     # The constant x0 is alpha[0] = x0 in the monomial basis; the basis
     # change is upper triangular, so in the orthonormal one it is beta[0]
@@ -246,11 +296,9 @@ def run_sequence(
         return empty, state
 
     w1_block, w2_block, state = _advance_moments(realization, xs, sigma0_sq, state)
-    beta = realization.coeff_output @ w1_block
-    power = realization.power_output @ w2_block
-    sigma_eps2 = _noise_variance(beta, power, realization.residual_mass)
-    estimates = realization.state_output @ w1_block
-    estimates[0] += state.x0
+    estimates, sigma_eps2 = _readout(
+        realization, realization.residual_mass, w1_block, w2_block, state.x0
+    )
     variances = sigma_eps2[None, :] * np.diag(realization.vrf)[:, None]
     return SequenceResult(estimates=estimates, sigma_eps2=sigma_eps2, variances=variances), state
 
@@ -264,10 +312,8 @@ class StreamingEstimator:
     """
 
     def __init__(self, realization: FilterRealization, sigma0_sq: float = 0.0):
-        if sigma0_sq < 0.0:
-            raise ValueError(f"sigma0_sq must be nonnegative, got {sigma0_sq}")
         self.realization = realization
-        self.sigma0_sq = sigma0_sq
+        self.sigma0_sq = _prior_variance(sigma0_sq)
         self.state: EstimatorState | None = None
 
     def update(self, x: float) -> EstimateFrame:

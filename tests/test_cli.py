@@ -166,6 +166,22 @@ def test_run_rejects_non_finite_row(tmp_path, capsys):
     assert "line 4: not finite: 'inf'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["run", "detect"])
+@pytest.mark.parametrize("prior", ["nan", "inf", "-1"])
+def test_bad_prior_variance_exits_before_any_output(tmp_path, capsys, command, prior):
+    design = _design(tmp_path, "d.json", kappa=2, p=0.8, kx=2, kt=2)
+    data = tmp_path / "in.csv"
+    data.write_text("x\n1.0\n2.0\n3.0\n")
+    out = tmp_path / "out.csv"
+    argv = [command, "--design", str(design), "--input", str(data),
+            "--sigma0-sq", prior, "--out", str(out)]
+    if command == "detect":
+        argv += ["--kind", "edge", "--threshold", "3"]
+    assert main(argv) == 3
+    assert "sigma0_sq must be finite and nonnegative" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_run_rejects_multiple_columns(tmp_path, capsys):
     design = _design(tmp_path, "d.json", kappa=0, p=0.8, kx=1, kt=1, q=0.0)
     data = tmp_path / "in.csv"

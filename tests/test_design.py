@@ -11,6 +11,7 @@ from erlangreg import (
     orthonormal_transforms,
     overlap_matrix,
     squared_overlap_matrix,
+    steady_state_vector,
     synthesis_matrix,
 )
 
@@ -117,7 +118,6 @@ def test_realization_matrices_are_frozen():
         real.transforms.coeff_output,
         real.state_output,
         real.vrf,
-        real.steady_first,
     ):
         with pytest.raises(ValueError):
             matrix[..., 0] = 0.0
@@ -128,7 +128,7 @@ def test_constant_signal_reproduced_from_steady_state():
     # recover the constant and zero derivatives: the regression of a flat
     # signal is flat.
     real = build(kappa=2, p=0.85, kx=3, kt=3, q=4.0)
-    outputs = real.state_output @ real.steady_first
+    outputs = real.state_output @ steady_state_vector(real.first_net.order, 0.85)
     np.testing.assert_allclose(outputs, [1.0, 0.0, 0.0], atol=1e-11)
 
 

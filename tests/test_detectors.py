@@ -280,3 +280,16 @@ def test_non_finite_sample_raises_and_leaves_detector_unchanged(kind, bad):
     assert [(e.n, e.kind) for e in detector.events] == [
         (e.n, e.kind) for e in reference.events
     ]
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -0.5])
+def test_detectors_reject_bad_prior_variance(bad):
+    # A NaN prior used to be accepted and kept Z NaN, so nothing ever fired.
+    real = build(2, 0.8, 3, kt=3, q=None)
+    for make in (
+        lambda: EdgeDetector(real, 3.0, sigma0_sq=bad),
+        lambda: PeakDetector(real, 3.0, sigma0_sq=bad),
+        lambda: ChangeDetector(*_change_pair(), 3.0, sigma0_sq=bad),
+    ):
+        with pytest.raises(ValueError, match="sigma0_sq must be finite and nonnegative"):
+            make()

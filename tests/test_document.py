@@ -27,7 +27,7 @@ def test_round_trip_is_bit_exact():
     np.testing.assert_array_equal(loaded.state_output, real.state_output)
     np.testing.assert_array_equal(loaded.coeff_output, real.coeff_output)
     np.testing.assert_array_equal(loaded.power_output, real.power_output)
-    np.testing.assert_array_equal(loaded.steady_first, real.steady_first)
+    np.testing.assert_array_equal(loaded.steady_second, real.steady_second)
     np.testing.assert_array_equal(
         loaded.transforms.from_orthonormal, real.transforms.from_orthonormal
     )
@@ -96,6 +96,27 @@ def test_document_with_gamma_field_still_loads():
     assert loaded.residual_mass == real.residual_mass
     np.testing.assert_array_equal(loaded.state_output, real.state_output)
     np.testing.assert_array_equal(loaded.vrf, real.vrf)
+
+
+def test_document_with_steady_first_field_still_loads():
+    # Older version-1 documents also carry the signal cascade's fixed point
+    # steady_first, which the runtime no longer reads; they must load and
+    # run as before.
+    from erlangreg import run_sequence, steady_state_vector
+
+    real = build(2, 0.8, 3, kt=3, q=None)
+    doc = json.loads(document_to_json(design_to_document(real)))
+    assert "steady_first" not in doc["realization"]
+    doc["realization"]["steady_first"] = steady_state_vector(real.first_net.order, 0.8).tolist()
+    loaded = realization_from_document(document_from_json(json.dumps(doc)))
+    assert loaded.spec == real.spec
+    np.testing.assert_array_equal(loaded.state_output, real.state_output)
+    np.testing.assert_array_equal(loaded.steady_second, real.steady_second)
+    xs = np.random.Generator(np.random.PCG64(12)).standard_normal(50) + 3.0
+    direct, _ = run_sequence(real, xs)
+    via_doc, _ = run_sequence(loaded, xs)
+    np.testing.assert_array_equal(direct.estimates, via_doc.estimates)
+    np.testing.assert_array_equal(direct.sigma_eps2, via_doc.sigma_eps2)
 
 
 def test_loaded_realization_runs_identically():

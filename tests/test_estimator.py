@@ -1,14 +1,22 @@
+import functools
 import math
 
+import hypothesis
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from erlangreg import (
+    ChangeDetector,
+    DesignError,
+    EdgeDetector,
+    PeakDetector,
     StreamingEstimator,
     coefficients,
     current_frame,
     new_estimator,
     run_sequence,
+    steady_state_vector,
     update,
 )
 
@@ -237,3 +245,119 @@ def test_non_finite_sample_raises_and_leaves_state_unchanged(bad):
     np.testing.assert_allclose(frame.estimates, reference.estimates[:, 30], rtol=1e-12)
     np.testing.assert_allclose(tail.estimates, reference.estimates[:, 31:], rtol=1e-12)
     np.testing.assert_allclose(tail.sigma_eps2, reference.sigma_eps2[31:], rtol=1e-9)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -0.5])
+def test_prior_variance_must_be_finite_and_nonnegative(bad):
+    # A NaN prior would leave sigma^2 and Z NaN for the whole stream.
+    real = build(1, 0.85, 2, kt=2, q=None)
+    with pytest.raises(ValueError, match="sigma0_sq must be finite and nonnegative"):
+        new_estimator(real, 1.0, sigma0_sq=bad)
+    with pytest.raises(ValueError, match="sigma0_sq must be finite and nonnegative"):
+        StreamingEstimator(real, sigma0_sq=bad)
+    with pytest.raises(ValueError, match="sigma0_sq must be finite and nonnegative"):
+        run_sequence(real, np.ones(5), sigma0_sq=bad)
+
+
+def _assert_float_state(state, stream):
+    for w, order in ((state.w1, stream.first_net.order), (state.w2, stream.second_net.order)):
+        assert type(w) is list and len(w) == order
+        assert all(type(v) is float for v in w)
+
+
+def test_state_vectors_are_float_lists():
+    real = build(2, 0.9, 3, kt=3, q=None)
+    xs = np.random.Generator(np.random.PCG64(33)).standard_normal(50) + 2.0
+
+    state = new_estimator(real, 1.0, sigma0_sq=0.25)
+    _assert_float_state(state, real)
+    update(state, real, 2.0)
+    _assert_float_state(state, real)
+    _, state = run_sequence(real, xs, state=state)
+    _assert_float_state(state, real)
+    _, state = run_sequence(real, xs)
+    _assert_float_state(state, real)
+
+    est = StreamingEstimator(real)
+    est.update(1.0)
+    _assert_float_state(est.state, real)
+    est.extend(xs)
+    _assert_float_state(est.state, real)
+
+    slow = build(3, 0.8, 2, kt=1, q=8.5)
+    for detector, stream in [
+        (EdgeDetector(real, 3.0), real),
+        (PeakDetector(real, 3.0), real),
+        (ChangeDetector(build(0, 0.8, 2, kt=1, q=8.5), slow, 3.0), slow),
+    ]:
+        detector.update(1.0)
+        _assert_float_state(detector._state, stream)
+        detector.run(xs)
+        _assert_float_state(detector._state, stream)
+
+
+@functools.lru_cache(maxsize=None)
+def _grid_design(kappa, p, kx):
+    try:
+        return build(kappa, p, kx, kt=min(kx, 3), q=None)
+    except DesignError:
+        return None
+
+
+@hypothesis.given(
+    kappa=st.sampled_from([0, 1, 2, 4, 8]),
+    p=st.sampled_from([0.8, 0.9, 0.95, 0.98, 0.99]),
+    kx=st.integers(1, 5),
+    seed=st.integers(0, 2**16),
+    # (chunk length, fed through update() instead of extend())
+    plan=st.lists(
+        st.tuples(st.one_of(st.just(1), st.integers(1, 80)), st.booleans()),
+        min_size=1,
+        max_size=30,
+    ),
+    offset=st.sampled_from([0.0, 1e8]),
+)
+def test_update_and_extend_agree_with_one_run_sequence(kappa, p, kx, seed, plan, offset):
+    real = _grid_design(kappa, p, kx)
+    hypothesis.assume(real is not None)
+    t = np.arange(300, dtype=float)
+    noise = np.random.Generator(np.random.PCG64(seed)).standard_normal(t.size)
+    xs = offset + 3.0 + 0.02 * t + 1e-4 * t * t + noise
+    whole, state = run_sequence(real, xs, sigma0_sq=0.25)
+
+    est = StreamingEstimator(real, sigma0_sq=0.25)
+    estimates, sigma2 = [], []
+    pos, i = 0, 0
+    while pos < xs.size:
+        size, per_sample = plan[i % len(plan)]
+        chunk = xs[pos:pos + size]
+        if per_sample:
+            frames = [est.update(x) for x in chunk]
+            estimates += [f.estimates for f in frames]
+            sigma2 += [f.sigma_eps2 for f in frames]
+        else:
+            result = est.extend(chunk)
+            estimates += list(result.estimates.T)
+            sigma2 += list(result.sigma_eps2)
+        pos += size
+        i += 1
+
+    # The per-sample step and the block filter sum in different orders,
+    # and the readouts amplify that rounding by the design's conditioning.
+    for row, expected in zip(np.array(estimates).T, whole.estimates):
+        scale = np.max(np.abs(expected))
+        np.testing.assert_allclose(row, expected, rtol=0, atol=1e-10 * scale)
+    np.testing.assert_allclose(
+        sigma2, whole.sigma_eps2, rtol=0, atol=1e-10 * np.max(whole.sigma_eps2)
+    )
+    for got, expected in zip(est.coefficients(), coefficients(state, real)):
+        np.testing.assert_allclose(got, expected, rtol=0, atol=1e-10 * np.max(np.abs(expected)))
+    # State k is bounded by max|d| / (1 - p)**(k + 1), d = x - x0.
+    d = np.max(np.abs(xs - xs[0]))
+    for got, expected, order, bound in [
+        (est.state.w1, state.w1, real.first_net.order, d),
+        (est.state.w2, state.w2, real.second_net.order, max(d * d, 0.25)),
+    ]:
+        scale = bound * steady_state_vector(order, p)
+        assert np.all(np.abs(np.subtract(got, expected)) <= 1e-12 * scale)
+    assert est.state.n == state.n
