@@ -15,7 +15,6 @@ from functools import cached_property
 from typing import NamedTuple, Optional
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .network import (
     NetworkMatrices,
@@ -209,7 +208,12 @@ def orthonormal_transforms(overlap: np.ndarray):
 
     Returns (to_orthonormal, from_orthonormal) with to_orthonormal = L**-1
     (lower) and from_orthonormal = L**-T (upper), so that
-    to_orthonormal @ overlap @ to_orthonormal.T is the identity.
+    to_orthonormal @ overlap @ to_orthonormal.T is the identity.  L**-1
+    comes from one forward substitution, row by row, and L**-T is its
+    transpose; the factor is at most model_order square, so a LAPACK call
+    buys nothing.  Scaling each row by the reciprocal pivot, as optimized
+    BLAS triangular solves do, reproduces their L**-1 on most designs bit
+    for bit.
     """
     overlap = np.asarray(overlap, dtype=float)
     try:
@@ -221,9 +225,10 @@ def orthonormal_transforms(overlap: np.ndarray):
             f"reduce model_order or move p away from 1"
         ) from exc
     eye = np.eye(overlap.shape[0])
-    to_orthonormal = solve_triangular(lower, eye, lower=True)
-    from_orthonormal = solve_triangular(lower.T, eye, lower=False)
-    return to_orthonormal, from_orthonormal
+    to_orthonormal = np.zeros_like(lower)
+    for i in range(lower.shape[0]):
+        to_orthonormal[i] = (eye[i] - lower[i, :i] @ to_orthonormal[:i]) * (1.0 / lower[i, i])
+    return to_orthonormal, to_orthonormal.T
 
 
 def synthesis_matrix(spec: DesignSpec) -> np.ndarray:

@@ -6,6 +6,10 @@ weight of decay p up to shape kappa = K - 1.  In state-space form one
 sample is w <- G w + H x with G = p * tril(ones(K, K)) and H = ones(K).
 State k has impulse response phi_k[m] = C(m + k, k) * p**m; an integer
 change of basis turns those into the monomial family m**k * p**m.
+
+scipy is imported by run_block alone, on its first call: importing
+scipy.signal takes over a second, and design, analysis, documents and the
+per-sample path never need it.
 """
 
 from __future__ import annotations
@@ -14,7 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import lfilter
 
 __all__ = [
     "NetworkMatrices",
@@ -54,7 +57,13 @@ def run_block(net: NetworkMatrices, u: np.ndarray, w_prev: np.ndarray | None = N
     first-order filters, which run vectorized.  w_prev is the state vector
     before the block (None for a network at rest); the state after the
     block is the last column.
+
+    scipy.signal is imported here rather than at module level, so that
+    only block runs pay its start-up cost; a repeated import is a
+    sys.modules lookup.
     """
+    from scipy.signal import lfilter
+
     u = np.asarray(u, dtype=float)
     states = np.empty((net.order, u.size))
     signal = u

@@ -16,8 +16,6 @@ import math
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
-from scipy.integrate import quad
-
 __all__ = [
     "WeightSpec",
     "WeightMoments",
@@ -122,56 +120,25 @@ def dispersion(spec: WeightSpec, t_s: float = 1.0) -> DispersionReport:
     """Time and frequency dispersion of the weight at sample period t_s.
 
     The time spread is sqrt(kappa + 1) * lambda_w * t_s.  The frequency
-    spread comes from numeric moments of the pulse magnitude
-    |Psi(Omega)| = Gamma(kappa + 1) / (Omega**2 + a**2)**((kappa + 1)/2)
-    with a = 1/(lambda_w * t_s); the magnitude is even in Omega, so the
-    first moment vanishes and one-sided integrals suffice.
+    spread is the root second moment of the pulse magnitude
+    |Psi(Omega)| = Gamma(kappa + 1) / (Omega**2 + a**2)**((kappa + 1)/2),
+    a = 1/(lambda_w * t_s), about Omega = 0 (the magnitude is even, so the
+    first moment vanishes).  Substituting Omega = a*sqrt(u) turns both
+    half-line moments into Beta integrals, and their ratio is exact:
+
+        sigma_omega**2 = a**2 * B(3/2, kappa/2 - 1) / B(1/2, kappa/2)
+                       = a**2 / (kappa - 2),
+
+    so sigma_omega = 1/(lambda_w * t_s * sqrt(kappa - 2)).
     """
     if t_s <= 0.0:
         raise ValueError(f"sample period must be positive, got {t_s}")
     sigma_t = math.sqrt(spec.kappa + 1) * spec.lambda_w * t_s
     if spec.kappa < 3:
         return DispersionReport(sigma_t=sigma_t, sigma_omega=None, product=None)
-    decay = 1.0 / (spec.lambda_w * t_s)
-    m0 = _half_line_moment(0, spec.kappa, decay)
-    m2 = _half_line_moment(2, spec.kappa, decay)
-    sigma_omega = math.sqrt(m2 / m0)
+    sigma_omega = 1.0 / (spec.lambda_w * t_s * math.sqrt(spec.kappa - 2))
     return DispersionReport(
         sigma_t=sigma_t,
         sigma_omega=sigma_omega,
         product=sigma_t * sigma_omega,
     )
-
-
-def _half_line_moment(order, kappa, decay):
-    """Integrate Omega**order * |Psi(Omega)| over [0, inf) to convergence.
-
-    The integral is accumulated over octave segments [L, 2L], doubling the
-    upper limit until a segment adds less than 1e-10 of the total and the
-    magnitude has fallen below 1e-12 of its peak.  Integrating the whole
-    range in one call misses the origin peak once the limit is large, and
-    the kappa = 3 tail decays only like Omega**-2, so the segmented form is
-    required for convergence.  The magnitude is evaluated in log space to
-    avoid overflow at large kappa.
-    """
-    log_gamma = math.lgamma(kappa + 1)
-    half_power = 0.5 * (kappa + 1)
-
-    def integrand(omega):
-        return omega ** order * math.exp(
-            log_gamma - half_power * math.log(omega * omega + decay * decay)
-        )
-
-    # Frequency at which |Psi| drops to 1e-12 of its Omega = 0 peak.
-    edge = decay * math.sqrt(max(1e24 ** (1.0 / (kappa + 1)) - 1.0, 1.0))
-    total = quad(integrand, 0.0, decay, limit=200)[0]
-    low = decay
-    while True:
-        segment = quad(integrand, low, 2.0 * low, limit=200)[0]
-        total += segment
-        low *= 2.0
-        if low >= edge and segment <= 1e-10 * total:
-            break
-        if low > 1e18 * decay:  # safety stop; never reached for kappa >= 3
-            break
-    return total

@@ -105,6 +105,45 @@ def closed_sigma_omega(kappa: int, p: float, ts: float = 1.0) -> float:
     return 1.0 / (lam * ts * math.sqrt(kappa - 2))
 
 
+def numeric_sigma_omega(kappa: int, p: float, ts: float = 1.0) -> float:
+    """Frequency spread of the weight magnitude by numeric integration.
+
+    sqrt(m2 / m0), with m_n the integral of Omega**n * |Psi(Omega)| over
+    [0, inf) and |Psi(Omega)| = Gamma(kappa + 1) / (Omega**2 + a**2)**((kappa
+    + 1)/2), a = 1/(lambda_w * ts).  Each moment is accumulated over octave
+    segments [L, 2L], doubling the upper limit until a segment adds less than
+    1e-10 of the total and the magnitude has fallen below 1e-12 of its peak:
+    one call over the whole range misses the peak at the origin, and the
+    kappa = 3 tail of m2 decays only like Omega**-2.  The magnitude is
+    evaluated in log space to avoid overflow at large kappa.
+    """
+    from scipy.integrate import quad
+
+    decay = 1.0 / (-1.0 / math.log(p) * ts)
+    log_gamma = math.lgamma(kappa + 1)
+    half_power = 0.5 * (kappa + 1)
+    # Frequency at which |Psi| drops to 1e-12 of its Omega = 0 peak.
+    edge = decay * math.sqrt(max(1e24 ** (1.0 / (kappa + 1)) - 1.0, 1.0))
+
+    def moment(order):
+        def integrand(omega):
+            return omega**order * math.exp(
+                log_gamma - half_power * math.log(omega * omega + decay * decay)
+            )
+
+        total = quad(integrand, 0.0, decay, limit=200)[0]
+        low = decay
+        while low < 1e18 * decay:
+            segment = quad(integrand, low, 2.0 * low, limit=200)[0]
+            total += segment
+            low *= 2.0
+            if low >= edge and segment <= 1e-10 * total:
+                break
+        return total
+
+    return math.sqrt(moment(2) / moment(0))
+
+
 def build(kappa, p, kx, kt=1, q=None, ts=1.0):
     """Shorthand realization builder for tests."""
     return build_realization(

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.linalg import solve_triangular
 
 from erlangreg import (
     DesignError,
@@ -76,6 +77,34 @@ def test_orthonormal_transforms_whiten_overlap():
     np.testing.assert_allclose(from_on @ to_on @ overlap, np.eye(4), atol=1e-9)
     assert np.allclose(to_on, np.tril(to_on))
     assert np.allclose(from_on, np.triu(from_on))
+
+
+def test_basis_change_on_the_design_grid():
+    # Every design of the conditioning grid kappa x p x kx 1-5 that builds.
+    built = 0
+    for kappa in (0, 1, 2, 4, 8):
+        for p in (0.8, 0.9, 0.95, 0.98, 0.99, 0.995, 0.999):
+            for kx in range(1, 6):
+                try:
+                    transforms = build_realization(_spec(kappa, p, kx, kt=1, q=0.0)).transforms
+                except IllConditionedDesignError:
+                    continue
+                built += 1
+                design = f"kappa={kappa} p={p} kx={kx}"
+                to_on, from_on = transforms.to_orthonormal, transforms.from_orthonormal
+                assert np.array_equal(from_on, to_on.T), design
+                np.testing.assert_allclose(
+                    to_on @ transforms.overlap @ to_on.T, np.eye(kx), rtol=0, atol=1e-10,
+                    err_msg=design,
+                )
+                # LAPACK's triangular solves are the oracle for both factors.
+                lower = np.linalg.cholesky(transforms.overlap)
+                for got, oracle in (
+                    (to_on, solve_triangular(lower, np.eye(kx), lower=True)),
+                    (from_on, solve_triangular(lower.T, np.eye(kx), lower=False)),
+                ):
+                    assert np.max(np.abs(got - oracle)) <= 1e-13 * np.max(np.abs(oracle)), design
+    assert built >= 100
 
 
 def test_orthonormal_transforms_reject_indefinite():

@@ -13,7 +13,7 @@ from erlangreg import (
     weight_moments,
 )
 
-from oracles import brute_sum, closed_sigma_omega
+from oracles import brute_sum, closed_sigma_omega, numeric_sigma_omega
 
 
 @pytest.mark.parametrize("p", [0.5, 0.7, 0.8, 0.9, 0.95])
@@ -85,6 +85,15 @@ def test_dispersion_undefined_below_kappa_3():
 def test_frequency_spread_matches_closed_form(kappa, p):
     report = dispersion(WeightSpec(kappa=kappa, p=p))
     assert report.sigma_omega == pytest.approx(closed_sigma_omega(kappa, p), rel=1e-6)
+
+
+@pytest.mark.parametrize("kappa", [3, 4, 8, 12])
+@pytest.mark.parametrize("p", [0.7, 0.9])
+def test_frequency_spread_matches_numeric_integration(kappa, p):
+    # dispersion() uses the Beta-ratio closed form; the oracle integrates
+    # the pulse magnitude's moments numerically and shares no formula.
+    report = dispersion(WeightSpec(kappa=kappa, p=p))
+    assert report.sigma_omega == pytest.approx(numeric_sigma_omega(kappa, p), rel=1e-6)
 
 
 def test_dispersion_product_independent_of_p():
