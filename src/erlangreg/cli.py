@@ -5,6 +5,13 @@ commands; every other command loads one and uses its stored matrices as
 they are.  Data travels as headered CSV with 17-significant-digit floats,
 so files round-trip losslessly and diff cleanly.
 
+`run` and `detect` stream their input in blocks of 8192 values, counted
+from the first value, so their memory stays flat as the input grows and
+no whole-input product rounds differently with the BLAS thread count.
+`detect` holds back only the rows an open exceedance run may still mark.
+Input rejected in its first block leaves no output file; a bad row in a
+later block exits 3 and leaves the rows written before it.
+
 Exit codes: 0 success, 2 usage error, 3 numerical or data rejection.
 """
 
@@ -13,6 +20,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import itertools
 import json
 import math
 import sys
@@ -41,11 +49,6 @@ from .weights import WeightSpec
 __all__ = ["main", "build_parser"]
 
 _RUN_CHUNK = 8192
-
-
-def _fmt(value) -> str:
-    """17 significant digits: enough for a lossless float round trip."""
-    return format(float(value), ".17g")
 
 
 @contextlib.contextmanager
@@ -81,33 +84,81 @@ def _load_design(path):
     return realization_from_document(document)
 
 
-def _numeric_column(fh):
-    """Yield floats from a strictly single-column CSV.
+def _numeric_column(rows, start=1):
+    """Yield floats from the csv rows of a strictly single-column CSV.
 
-    A non-numeric first row is accepted as the header; any later
-    non-numeric or multi-field row is an error naming its line, and so is
-    any NaN or infinite value (a `nan` first row included); the estimator
-    would reject it too, but by sample index, not by line.  Blank rows (for
+    rows are numbered from start.  A non-numeric row 1 is accepted as the
+    header; any later non-numeric or multi-field row is an error naming its
+    line, and so is any NaN or infinite value (a `nan` first row included);
+    the estimator would reject it too, but by sample index, not by line.
+    So is a field longer than csv.field_size_limit().  Blank rows (for
     example a trailing newline) are skipped.
     """
-    reader = csv.reader(fh)
-    for lineno, row in enumerate(reader, start=1):
-        if not row:
-            continue
-        if len(row) != 1:
-            raise ValueError(
-                f"line {lineno}: expected a single numeric column, got {len(row)} fields"
-            )
-        text = row[0].strip()
-        try:
-            value = float(text)
-        except ValueError:
-            if lineno == 1:
+    lineno = start - 1
+    try:
+        for lineno, row in enumerate(rows, start=start):
+            if not row:
                 continue
-            raise ValueError(f"line {lineno}: not numeric: {text!r}") from None
-        if not math.isfinite(value):
-            raise ValueError(f"line {lineno}: not finite: {text!r}")
-        yield value
+            if len(row) != 1:
+                raise ValueError(
+                    f"line {lineno}: expected a single numeric column, got {len(row)} fields"
+                )
+            text = row[0].strip()
+            try:
+                value = float(text)
+            except ValueError:
+                if lineno == 1:
+                    continue
+                raise ValueError(f"line {lineno}: not numeric: {text!r}") from None
+            if not math.isfinite(value):
+                raise ValueError(f"line {lineno}: not finite: {text!r}")
+            yield value
+    except csv.Error as exc:
+        raise ValueError(f"line {lineno + 1}: {exc}") from None
+
+
+def _column_blocks(fh):
+    """Yield the values of a single-column CSV as float64 arrays of _RUN_CHUNK.
+
+    Every array but the last holds exactly _RUN_CHUNK values, counted from
+    the first value, so results do not depend on where the lines fall.
+    Line 1 (header or value) goes through _numeric_column.  Each later
+    block of lines is parsed in bulk by float() and one isfinite check,
+    which pass exactly the blocks whose every line holds one finite number.
+    The first block that fails (a blank row, a quote, a second field, text,
+    NaN/inf or an oversized field) and the rest of the stream go to
+    _numeric_column, numbered from the block's first line, so every input
+    is accepted or rejected by its rules and messages.
+    """
+    lines = iter(fh)
+    head = list(_numeric_column(itertools.islice(csv.reader(lines), 1)))
+    lineno = 2
+    limit = csv.field_size_limit()
+    while True:
+        block_lines = list(itertools.islice(lines, _RUN_CHUNK - len(head)))
+        if not (head or block_lines):
+            return
+        try:
+            block = np.fromiter(
+                map(float, head + block_lines), float, len(head) + len(block_lines)
+            )
+        except ValueError:
+            block = None
+        if (
+            block is None
+            or not np.isfinite(block).all()
+            or max(map(len, block_lines), default=0) > limit
+        ):
+            rows = csv.reader(itertools.chain(block_lines, lines))
+            values = itertools.chain(head, _numeric_column(rows, start=lineno))
+            while True:
+                block = np.fromiter(itertools.islice(values, _RUN_CHUNK), float)
+                if not block.size:
+                    return
+                yield block
+        yield block
+        lineno += len(block_lines)
+        head = []
 
 
 # ---------------------------------------------------------------------------
@@ -139,15 +190,13 @@ def cmd_analyze(args) -> int:
     for k in range(n_outputs):
         header += [f"h{k}_re", f"h{k}_im"]
     header.append("distortion")
+    columns = [report.freqs.tolist()]
+    for h in report.responses:
+        columns += [h.real.tolist(), h.imag.tolist()]
+    columns.append(report.distortion.tolist())
     with _open_out(args.out) as fh:
         fh.write(",".join(header) + "\n")
-        for i, f in enumerate(report.freqs):
-            fields = [_fmt(f)]
-            for k in range(n_outputs):
-                h = report.responses[k, i]
-                fields += [_fmt(h.real), _fmt(h.imag)]
-            fields.append(_fmt(report.distortion[i]))
-            fh.write(",".join(fields) + "\n")
+        _write_rows(fh, ",".join(["%.17g"] * len(columns)) + "\n", columns)
 
     spec = realization.spec
     summary = {
@@ -173,6 +222,25 @@ def cmd_analyze(args) -> int:
     return 0
 
 
+def _read_ahead(blocks):
+    """The same blocks, with the first one parsed now.
+
+    Commands read ahead before they open their output, so that input
+    rejected in its first block leaves no output file behind.
+    """
+    first = list(itertools.islice(blocks, 1))
+    return itertools.chain(first, blocks)
+
+
+def _write_rows(fh, template, columns):
+    """Write one line per row of the columns, formatted by a %-template.
+
+    %-formatting a whole row at once is much faster than per-value
+    format() calls, which matters at the promised streaming throughput.
+    """
+    fh.write("".join(template % row for row in zip(*columns)))
+
+
 def cmd_run(args) -> int:
     realization = _load_design(args.design)
     sigma0_sq = _prior_variance(args.sigma0_sq)
@@ -183,34 +251,21 @@ def cmd_run(args) -> int:
         + ["sigma_eps2"]
         + [f"var_{k}" for k in range(n_outputs)]
     )
+    row_template = "%d," + ",".join(["%.17g"] * (2 * n_outputs + 1)) + "\n"
     state = None
     next_n = 0
-    # printf-style row template: %-formatting is much faster than per-value
-    # format() calls, which matters at the promised streaming throughput.
-    row_template = "%d," + ",".join(["%.17g"] * (2 * n_outputs + 1)) + "\n"
-    with _open_in(args.input) as src, _open_out(args.out) as dst:
-        dst.write(",".join(header) + "\n")
-        chunk: list[float] = []
-
-        def flush(chunk):
-            nonlocal state, next_n
-            result, state = run_sequence(
-                realization, np.array(chunk), sigma0_sq, state
-            )
-            columns = [range(next_n, next_n + len(chunk))]
-            columns += result.estimates.tolist()
-            columns.append(result.sigma_eps2.tolist())
-            columns += result.variances.tolist()
-            dst.write("".join(row_template % row for row in zip(*columns)))
-            next_n += len(chunk)
-
-        for value in _numeric_column(src):
-            chunk.append(value)
-            if len(chunk) >= _RUN_CHUNK:
-                flush(chunk)
-                chunk = []
-        if chunk:
-            flush(chunk)
+    with _open_in(args.input) as src:
+        blocks = _read_ahead(_column_blocks(src))
+        with _open_out(args.out) as dst:
+            dst.write(",".join(header) + "\n")
+            for block in blocks:
+                result, state = run_sequence(realization, block, sigma0_sq, state)
+                columns = [range(next_n, next_n + block.size)]
+                columns += result.estimates.tolist()
+                columns.append(result.sigma_eps2.tolist())
+                columns += result.variances.tolist()
+                _write_rows(dst, row_template, columns)
+                next_n += block.size
     return 0
 
 
@@ -228,16 +283,31 @@ def cmd_detect(args) -> int:
             realization, realization_b, args.threshold, args.sigma0_sq
         )
 
-    with _open_in(args.input) as src:
-        values = np.array(list(_numeric_column(src)))
-    z = detector.run(values) if values.size else np.empty(0)
-    detector.finish()
-    kinds = {event.n: event.kind for event in detector.events}
+    # Rows are written once no later event can land on them: all but those
+    # from the open exceedance run's current extremum onward.
+    held_n = 0                  # number of the first row not yet written
+    held_z: list[float] = []    # z of the rows from held_n onward
+    written_events = 0
 
-    with _open_out(args.out) as fh:
-        fh.write("n,z,event\n")
-        for n, value in enumerate(z):
-            fh.write(f"{n},{_fmt(value)},{kinds.get(n, '')}\n")
+    def write(fh, stop):
+        nonlocal held_n, held_z, written_events
+        count = stop - held_n
+        marks = [""] * count
+        for event in detector.events[written_events:]:
+            marks[event.n - held_n] = event.kind
+        written_events = len(detector.events)
+        _write_rows(fh, "%d,%.17g,%s\n", [range(held_n, stop), held_z[:count], marks])
+        held_n, held_z = stop, held_z[count:]
+
+    with _open_in(args.input) as src:
+        blocks = _read_ahead(_column_blocks(src))
+        with _open_out(args.out) as fh:
+            fh.write("n,z,event\n")
+            for block in blocks:
+                held_z += detector.run(block).tolist()
+                write(fh, detector._settled_count())
+            detector.finish()
+            write(fh, held_n + len(held_z))
     return 0
 
 
@@ -260,9 +330,11 @@ def cmd_simulate(args) -> int:
         truth, measurements = simulate_target(scenario)
         with _open_out(args.out) as fh:
             fh.write("n,position,velocity,acceleration,measurement\n")
-            for n in range(truth.shape[0]):
-                fields = [str(n)] + [_fmt(v) for v in truth[n]] + [_fmt(measurements[n])]
-                fh.write(",".join(fields) + "\n")
+            _write_rows(
+                fh,
+                "%d,%.17g,%.17g,%.17g,%.17g\n",
+                [range(truth.shape[0]), *truth.T.tolist(), measurements.tolist()],
+            )
         return 0
 
     generators = {
@@ -275,8 +347,9 @@ def cmd_simulate(args) -> int:
     clean, noisy = generator(args.seed, n_samples, args.noise_std)
     with _open_out(args.out) as fh:
         fh.write("n,clean,measurement\n")
-        for n in range(n_samples):
-            fh.write(f"{n},{_fmt(clean[n])},{_fmt(noisy[n])}\n")
+        _write_rows(
+            fh, "%d,%.17g,%.17g\n", [range(n_samples), clean.tolist(), noisy.tolist()]
+        )
     return 0
 
 

@@ -254,6 +254,17 @@ class _Detector:
         if event is not None:
             self.events.append(event)
 
+    def _settled_count(self) -> int:
+        """Samples whose events are final.
+
+        That is every sample seen, or, while an exceedance run is open,
+        every sample before the run's extremum so far: the run's event can
+        only land there or later.
+        """
+        if self._marker._sign != 0:
+            return self._marker._best_n
+        return 0 if self._state is None else self._state.n + 1
+
     def _statistic(self, w1, w2):
         """Z from the moment states: one sample (float lists) or a block (columns)."""
         value_row, noise_terms = (

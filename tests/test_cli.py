@@ -2,12 +2,13 @@ import csv
 import hashlib
 import json
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from erlangreg import run_sequence
-from erlangreg.cli import main
+from erlangreg import EdgeDetector, run_sequence
+from erlangreg.cli import _RUN_CHUNK, _column_blocks, _numeric_column, main
 from erlangreg.document import document_from_json, realization_from_document
 
 
@@ -389,3 +390,163 @@ def test_run_throughput_on_a_million_samples(tmp_path):
     assert n / elapsed >= 1e5, f"throughput {n / elapsed:,.0f} samples/s"
     with open(out) as fh:
         assert sum(1 for _ in fh) == n + 1
+
+
+def _values_text(n, seed=5):
+    rng = np.random.Generator(np.random.PCG64(seed))
+    return [f"{float(v)!r}\n" for v in 3.0 + rng.standard_normal(n)]
+
+
+def _corpus():
+    """name -> (file text, line the error names or None)."""
+    lines = _values_text(20_000)
+    at = 9_000      # inside the second block
+
+    def with_row(row, header=True):
+        body = lines[:at] + [row] + lines[at:]
+        return ("x\n" if header else "") + "".join(body)
+
+    wide = "0." + "0" * 140_000 + "1\n"     # float() parses it; csv rejects it
+    return {
+        "header": ("x\n" + "".join(lines), None),
+        "no-header": ("".join(lines), None),
+        "crlf": ("x\r\n" + "".join(v.replace("\n", "\r\n") for v in lines), None),
+        "quoted-header": ('"x"\n' + "".join(lines), None),
+        "quoted-value": (with_row('"1.5"\n'), None),
+        "padded": (with_row("   1.5 \t\n"), None),
+        "underscore": (with_row("1_000\n"), None),
+        "blank-middle": (with_row("\n"), None),
+        "blank-first": ("\n" + "".join(lines), None),
+        "blank-end": ("x\n" + "".join(lines) + "\n\n", None),
+        "header-only": ("x\n", None),
+        "empty": ("", None),
+        "one-value": ("2.5", None),
+        "second-field": (with_row("1.0,2.0\n"), at + 2),
+        "bad-row": (with_row("broken\n"), at + 2),
+        "nan": (with_row("nan\n", header=False), at + 1),
+        "header-after-blank": ("\nx\n1.0\n", 2),
+        "oversized": (with_row(wide), at + 2),
+        "oversized-header": (wide + "".join(lines), 1),
+    }
+
+
+_CORPUS = _corpus()
+
+
+@pytest.mark.parametrize("name", sorted(_CORPUS))
+def test_block_reader_agrees_with_line_parser(tmp_path, capsys, name):
+    text, error_line = _CORPUS[name]
+    data = tmp_path / "in.csv"
+    data.write_bytes(text.encode())
+
+    def outcome(parse):
+        with open(data, newline="") as fh:
+            try:
+                return parse(fh), None
+            except ValueError as exc:
+                return None, str(exc)
+
+    expected, expected_error = outcome(lambda fh: list(_numeric_column(csv.reader(fh))))
+    blocks, error = outcome(lambda fh: list(_column_blocks(fh)))
+    assert error == expected_error
+    if error_line is None:
+        assert expected_error is None
+        assert all(block.size == _RUN_CHUNK for block in blocks[:-1])
+        assert all(0 < block.size <= _RUN_CHUNK for block in blocks)
+        got = np.concatenate(blocks) if blocks else np.empty(0)
+        assert np.array_equal(got, np.array(expected))
+    else:
+        assert error.startswith(f"line {error_line}: ")
+
+    design = _design(tmp_path, "d.json", kappa=0, p=0.8, kx=1, kt=1, q=0.0)
+    out = tmp_path / "out.csv"
+    capsys.readouterr()
+    rc = main(["run", "--design", str(design), "--input", str(data), "--out", str(out)])
+    if error is None:
+        assert rc == 0
+        assert sum(1 for _ in open(out)) == len(expected) + 1
+    else:
+        assert rc == 3
+        assert capsys.readouterr().err == f"error: {error}\n"
+
+
+@pytest.mark.parametrize("command", ["run", "detect"])
+def test_oversized_field_exits_3(tmp_path, capsys, command):
+    design = _design(tmp_path, "d.json", kappa=2, p=0.8, kx=2, kt=2)
+    data = tmp_path / "in.csv"
+    data.write_text("x\n1.0\n" + "1" * 140_000 + "\n2.0\n")
+    argv = [command, "--design", str(design), "--input", str(data),
+            "--out", str(tmp_path / "out.csv")]
+    if command == "detect":
+        argv += ["--kind", "edge", "--threshold", "3"]
+    assert main(argv) == 3
+    assert "line 3: field larger than field limit (131072)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["run", "detect"])
+def test_bad_row_after_first_block_keeps_earlier_rows(tmp_path, capsys, command):
+    design = _design(tmp_path, "d.json", kappa=2, p=0.8, kx=2, kt=2)
+    lines = _values_text(3 * _RUN_CHUNK)
+    good, partial = tmp_path / "good.csv", tmp_path / "partial.csv"
+    good.write_text("".join(lines))
+    bad = tmp_path / "bad.csv"
+    bad.write_text("".join(lines[:_RUN_CHUNK + 10] + ["oops\n"] + lines[_RUN_CHUNK + 10:]))
+    argv = [command, "--design", str(design)]
+    if command == "detect":
+        argv += ["--kind", "edge", "--threshold", "3"]
+    assert main(argv + ["--input", str(good), "--out", str(tmp_path / "full.csv")]) == 0
+    assert main(argv + ["--input", str(bad), "--out", str(partial)]) == 3
+    assert f"line {_RUN_CHUNK + 11}: not numeric: 'oops'" in capsys.readouterr().err
+    full = (tmp_path / "full.csv").read_text().splitlines()
+    rows = partial.read_text().splitlines()
+    # The first block's rows are written; the failing block's are not.
+    assert _RUN_CHUNK - 100 < len(rows) - 1 <= _RUN_CHUNK
+    assert rows == full[:len(rows)]
+
+
+def test_detect_streams_blocks_like_the_library(tmp_path):
+    # A step just before the first block boundary: its exceedance run peaks
+    # in the first block but is still open when that block ends, so its
+    # event lands on a row of the first block only during the second.
+    design = _design(tmp_path, "d.json", kappa=2, p=0.9, kx=2, kt=2)
+    rng = np.random.Generator(np.random.PCG64(8))
+    xs = rng.standard_normal(20_000)
+    xs[_RUN_CHUNK - 40:] += 25.0
+    data = tmp_path / "in.csv"
+    data.write_text("x\n" + "".join(f"{float(v)!r}\n" for v in xs))
+    out = tmp_path / "det.csv"
+    assert main(["detect", "--kind", "edge", "--design", str(design), "--threshold", "3",
+                 "--input", str(data), "--out", str(out)]) == 0
+
+    detector = EdgeDetector(realization_from_document(document_from_json(design.read_text())), 3)
+    z = [detector.run(xs[:_RUN_CHUNK])]
+    peak = detector._settled_count()
+    assert peak < _RUN_CHUNK - 1
+    z += [detector.run(xs[i:i + _RUN_CHUNK]) for i in range(_RUN_CHUNK, xs.size, _RUN_CHUNK)]
+    detector.finish()
+    kinds = {event.n: event.kind for event in detector.events}
+    assert kinds[peak] == "rising-edge"
+    expected = "n,z,event\n" + "".join(
+        f"{n},{value:.17g},{kinds.get(n, '')}\n"
+        for n, value in enumerate(np.concatenate(z).tolist())
+    )
+    assert out.read_text() == expected
+
+
+def test_detect_memory_does_not_grow_with_input(tmp_path):
+    design = _design(tmp_path, "d.json", kappa=2, p=0.9, kx=2, kt=2)
+    argv = ["detect", "--kind", "edge", "--design", str(design), "--threshold", "3",
+            "--out", str(tmp_path / "det.csv")]
+    peaks = []
+    for blocks in (1, 1, 12):
+        data = tmp_path / "in.csv"
+        data.write_text("x\n" + "".join(_values_text(blocks * _RUN_CHUNK)))
+        tracemalloc.start()
+        try:
+            assert main(argv + ["--input", str(data)]) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    # The first run pays one-off imports; 11 more blocks may add at most
+    # what the events and the open run hold, far below one block of input.
+    assert peaks[2] - peaks[1] < 0.5e6, peaks
