@@ -12,10 +12,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import NamedTuple, Optional
+from typing import Optional
 
 import numpy as np
 
+from ._kernel import SampleKernel, estimator_kernel
 from .network import (
     NetworkMatrices,
     build_network,
@@ -92,8 +93,10 @@ class DesignSpec:
                 f"n_outputs must satisfy 1 <= n_outputs <= model_order, "
                 f"got {self.n_outputs} with model_order {self.model_order}"
             )
-        if self.sample_period <= 0.0:
-            raise DesignError(f"sample_period must be positive, got {self.sample_period}")
+        if not (math.isfinite(self.sample_period) and self.sample_period > 0.0):
+            raise DesignError(
+                f"sample_period must be finite and positive, got {self.sample_period}"
+            )
         if self.delay is not None and not math.isfinite(self.delay):
             raise DesignError(f"delay must be finite, got {self.delay}")
 
@@ -133,14 +136,6 @@ class TransformSet:
     power_output: np.ndarray
 
 
-class _FloatRows(NamedTuple):
-    """The output matrices as lists of Python floats, for one-sample readouts."""
-
-    coeff_output: list[list[float]]
-    state_output: list[list[float]]
-    power_output: list[float]
-
-
 @dataclass(frozen=True)
 class FilterRealization:
     """Everything the runtime needs, frozen at design time."""
@@ -166,12 +161,9 @@ class FilterRealization:
         return self.transforms.power_output
 
     @cached_property
-    def _float_rows(self) -> _FloatRows:
-        return _FloatRows(
-            self.coeff_output.tolist(),
-            self.state_output.tolist(),
-            self.power_output.tolist(),
-        )
+    def _sample_kernel(self) -> SampleKernel:
+        """The estimator's compiled per-sample step, built on first use."""
+        return estimator_kernel(self)
 
 
 def overlap_matrix(spec: DesignSpec) -> np.ndarray:

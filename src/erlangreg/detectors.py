@@ -13,16 +13,17 @@ EdgeDetector reads the slope, PeakDetector the negated curvature, and
 ChangeDetector the difference between a fast and a slow smoother; each is
 only the data of its readout on one shared engine.
 
-update() feeds one sample and computes Z in Python floats, from float
-copies of the readout rows made once per detector; run() feeds a block,
-computes Z for the whole block at once with the same formula on arrays and
-finds its events with array operations, so its Python work grows with the
-number of exceedance runs, not of samples.  A run still open at the end of
-a block carries into the next one, so events do not depend on how the
-stream is cut into blocks or mixed with update() calls; finish() closes a
-run left open at the end of the stream.  A NaN or infinite sample, or a
-prior variance sigma0_sq that is negative or not finite, raises ValueError;
-a bad sample leaves the detector as it was.
+update() feeds one sample through a kernel generated and compiled for the
+detector on its first update() (see _kernel): one unrolled step of both
+cascades and Z as explicit multiply-adds in Python floats.  run() feeds a
+block, computes Z for the whole block at once with the same formula on
+arrays and finds its events with array operations, so its Python work
+grows with the number of exceedance runs, not of samples.  A run still
+open at the end of a block carries into the next one, so events do not
+depend on how the stream is cut into blocks or mixed with update() calls;
+finish() closes a run left open at the end of the stream.  A NaN or
+infinite sample, or a prior variance sigma0_sq that is negative or not
+finite, raises ValueError; a bad sample leaves the detector as it was.
 """
 
 from __future__ import annotations
@@ -33,14 +34,9 @@ from typing import Optional
 
 import numpy as np
 
+from ._kernel import detector_kernel
 from .design import DesignError, DesignSpec, build_realization
-from .estimator import (
-    _advance_moments,
-    _noise_variance,
-    _prior_variance,
-    _read,
-    _start_or_step,
-)
+from .estimator import _advance_moments, _finite, _noise_variance, _prior_variance, new_estimator
 
 __all__ = [
     "Event",
@@ -71,12 +67,8 @@ class Event:
 def _guarded_ratio(value, variance):
     """value / sqrt(variance), or 0 where the variance is below the floor.
 
-    Takes scalars (one sample) or arrays (a block).
+    Takes arrays (a block); the per-sample kernels evaluate the same guard.
     """
-    if not isinstance(variance, np.ndarray):
-        if variance < _VARIANCE_FLOOR:
-            return 0.0
-        return value / math.sqrt(variance)
     with np.errstate(divide="ignore", invalid="ignore"):
         return np.where(
             variance < _VARIANCE_FLOOR,
@@ -207,8 +199,9 @@ class _Detector:
     The stream runs realization's cascades.  Z is value_row @ w1 over the
     square root of sum(vrf_ii * noise variance) across noise_terms, each
     (coeff, power, residual_mass, vrf_ii) reading one filter's noise
-    variance from the states as coeff @ w1 and power @ w2.  The rows are
-    kept as arrays for blocks and as float lists for single samples.
+    variance from the states as coeff @ w1 and power @ w2.  Blocks read the
+    rows as arrays; single samples go through a kernel compiled from them
+    on the first update().
     """
 
     def __init__(self, realization, threshold: float, sigma0_sq: float,
@@ -217,20 +210,25 @@ class _Detector:
         self.events: list[Event] = []
         self._realization = realization
         self._sigma0_sq = _prior_variance(sigma0_sq)
-        self._block_rows = (value_row, noise_terms)
-        self._sample_rows = (
-            value_row.tolist(),
-            [(coeff.tolist(), power.tolist(), residual_mass, vrf_ii)
-             for coeff, power, residual_mass, vrf_ii in noise_terms],
-        )
+        self._rows = (value_row, noise_terms)
+        self._kernel = None
         self._marker = _RunMarker(threshold, kind_pos, kind_neg)
         self._state = None
 
     def update(self, x: float) -> float:
         """Feed one sample; returns the statistic (events collect in .events)."""
-        self._state = _start_or_step(self._realization, self._state, x, self._sigma0_sq)
-        z = self._statistic(self._state.w1, self._state.w2)
-        event = self._marker.update(self._state.n, z)
+        kernel = self._kernel
+        if kernel is None:
+            kernel = self._kernel = detector_kernel(self._realization, *self._rows, _VARIANCE_FLOOR)
+        state = self._state
+        if state is None:
+            state = self._state = new_estimator(self._realization, x, self._sigma0_sq)
+            z = kernel.read(state.w1, state.w2)
+        else:
+            d = _finite(x, state.n + 1) - state.x0
+            state.w1, state.w2, z = kernel.step(state.w1, state.w2, d)
+            state.n += 1
+        event = self._marker.update(state.n, z)
         if event is not None:
             self.events.append(event)
         return z
@@ -265,16 +263,14 @@ class _Detector:
             return self._marker._best_n
         return 0 if self._state is None else self._state.n + 1
 
-    def _statistic(self, w1, w2):
-        """Z from the moment states: one sample (float lists) or a block (columns)."""
-        value_row, noise_terms = (
-            self._sample_rows if isinstance(w1, list) else self._block_rows
-        )
+    def _statistic(self, w1_block, w2_block):
+        """Z for a block of moment states, one column per sample."""
+        value_row, noise_terms = self._rows
         variance = sum(
-            vrf_ii * _noise_variance(_read(coeff, w1), _read(power, w2), residual_mass)
+            vrf_ii * _noise_variance(coeff @ w1_block, power @ w2_block, residual_mass)
             for coeff, power, residual_mass, vrf_ii in noise_terms
         )
-        return _guarded_ratio(_read(value_row, w1), variance)
+        return _guarded_ratio(value_row @ w1_block, variance)
 
 
 def _output_row(detector, realization, index):

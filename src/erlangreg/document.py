@@ -10,6 +10,7 @@ on another.
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 
@@ -28,6 +29,8 @@ __all__ = [
 
 FORMAT_TAG = "erlang-regression-design"
 FORMAT_VERSION = 1
+
+_SPEC_NUMBERS = ("kappa", "p", "model_order", "n_outputs", "delay", "sample_period")
 
 _ARRAY_FIELDS = (
     "steady_second",
@@ -109,7 +112,7 @@ def _validate(document: dict) -> None:
         if not isinstance(document.get(section), dict):
             raise DesignError(f"design document is missing its {section!r} section")
     spec = document["spec"]
-    for key in ("kappa", "p", "model_order", "n_outputs", "delay", "sample_period"):
+    for key in _SPEC_NUMBERS:
         if key not in spec:
             raise DesignError(f"design document spec is missing {key!r}")
     realization = document["realization"]
@@ -129,6 +132,8 @@ def realization_from_document(document: dict) -> FilterRealization:
     """
     _validate(document)
     raw_spec = document["spec"]
+    for key in _SPEC_NUMBERS:
+        _finite_number("spec", key, raw_spec[key])
     try:
         spec = DesignSpec(
             weight=WeightSpec(kappa=int(raw_spec["kappa"]), p=float(raw_spec["p"])),
@@ -141,20 +146,23 @@ def realization_from_document(document: dict) -> FilterRealization:
         raise DesignError(f"design document spec is invalid: {exc}") from exc
 
     raw = document["realization"]
+    residual_mass = _finite_number("realization", "residual_mass", raw["residual_mass"])
+    if not residual_mass > 0.0:
+        raise DesignError(
+            f"design document realization field 'residual_mass' must be positive, "
+            f"got {residual_mass!r}"
+        )
     arrays = {}
     for key in _ARRAY_FIELDS:
-        arr = np.array(raw[key], dtype=float)
-        arr.flags.writeable = False
-        arrays[key] = arr
+        arrays[key] = _finite_array("realization", key, raw[key])
     _check_shapes(spec, arrays)
 
-    vrf = np.array(document["analysis"].get("vrf"), dtype=float)
+    vrf = _finite_array("analysis", "vrf", document["analysis"].get("vrf"))
     if vrf.shape != (spec.n_outputs, spec.n_outputs):
         raise DesignError(
             f"design document vrf has shape {vrf.shape}, "
             f"expected {(spec.n_outputs, spec.n_outputs)}"
         )
-    vrf.flags.writeable = False
 
     transforms = TransformSet(
         overlap=arrays["overlap"],
@@ -171,9 +179,47 @@ def realization_from_document(document: dict) -> FilterRealization:
         second_net=build_network(spec.n_second_states, spec.weight.p),
         transforms=transforms,
         steady_second=arrays["steady_second"],
-        residual_mass=float(raw["residual_mass"]),
+        residual_mass=residual_mass,
         vrf=vrf,
     )
+
+
+def _finite_number(section: str, key: str, value) -> float:
+    """value as a float; DesignError naming the field unless it is a finite number.
+
+    json.loads accepts the tokens NaN and Infinity, and a non-finite number
+    in a design runs without error but yields NaN estimates or a zero noise
+    variance, so that no detector ever alarms.
+    """
+    try:
+        number = float(value)
+    except (TypeError, ValueError) as exc:
+        raise DesignError(
+            f"design document {section} field {key!r} is not a number: {value!r}"
+        ) from exc
+    if not math.isfinite(number):
+        raise DesignError(f"design document {section} field {key!r} is not finite: {number!r}")
+    return number
+
+
+def _finite_array(section: str, key: str, value) -> np.ndarray:
+    """value as a read-only float array; DesignError naming the field unless all finite."""
+    try:
+        arr = np.array(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise DesignError(
+            f"design document {section} field {key!r} is not a numeric array: {exc}"
+        ) from exc
+    finite = np.isfinite(arr)
+    if not finite.all():
+        bad = np.flatnonzero(~finite)
+        index = np.unravel_index(bad[0], arr.shape)
+        raise DesignError(
+            f"design document {section} field {key!r} holds {bad.size} non-finite "
+            f"value(s), first {float(arr[index])!r} at {tuple(int(i) for i in index)}"
+        )
+    arr.flags.writeable = False
+    return arr
 
 
 def _check_shapes(spec: DesignSpec, arrays: dict) -> None:

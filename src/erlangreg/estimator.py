@@ -14,20 +14,20 @@ state as it was; a prior noise variance sigma0_sq that is negative or not
 finite raises ValueError too.
 
 The per-sample path runs in Python floats: the state vectors are lists of
-floats, one step of a cascade is a running sum, and each readout is a few
-multiply-adds over float rows built once per realization.  On vectors of
-a handful of states, numpy's per-call overhead costs far more than the
-arithmetic.  The block path filters whole arrays and reads them out with
-matrix products.  Both paths share one readout helper and one formula for
-the estimates and the noise variance.
+floats, and one sample is one call of a kernel generated and compiled for
+the realization on its first per-sample use (see _kernel), which steps
+both cascades as unrolled running sums and reads the estimates and the
+noise variance as explicit multiply-adds.  On vectors of a handful of
+states, numpy's per-call overhead, and even Python's own loops and calls,
+cost far more than the arithmetic.  The block path filters whole arrays
+and reads them out with matrix products, by the same formula for the
+estimates and the noise variance.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import accumulate
-from operator import mul
 
 import numpy as np
 
@@ -119,20 +119,6 @@ def _finite(x: float, n: int) -> float:
     return x
 
 
-def _read(rows, w):
-    """The readout rows @ w of cascade states, for a block or one sample.
-
-    For a block, rows is an ndarray and w an ndarray with one state column
-    per sample.  For one sample, w is a list of floats and rows are float
-    lists: one row, read as a float, or a list of rows, read as a list.
-    """
-    if isinstance(w, np.ndarray):
-        return rows @ w
-    if isinstance(rows[0], float):
-        return sum(map(mul, rows, w))
-    return [sum(map(mul, row, w)) for row in rows]
-
-
 def _noise_variance(beta, power, residual_mass):
     """Residual power over the effective weight mass, clamped at zero.
 
@@ -140,70 +126,37 @@ def _noise_variance(beta, power, residual_mass):
     captured by the orthonormal fit coefficients.  Dividing by the
     effective mass (total weight mass minus the fit's leverage) makes the
     estimate unbiased for white noise; finite precision can drive the
-    difference slightly negative early on, hence the clamp.
-
-    For one sample beta is a list of floats and power a float, and the
-    result is a float; for a block beta has one column per sample and power
-    is a vector, and the result is a vector.
+    difference slightly negative early on, hence the clamp.  beta has one
+    column per sample and power one entry per sample; the per-sample
+    kernels evaluate the same formula.
     """
-    if isinstance(beta, list):
-        residual = power - _read(beta, beta)
-        return max(residual, 0.0) / residual_mass
     residual = power - np.einsum("ij,ij->j", beta, beta)
     return np.maximum(residual, 0.0) / residual_mass
 
 
-def _readout(rows, residual_mass, w1, w2, x0):
-    """(estimates, sigma_eps2) from the moment states and the output rows.
-
-    rows holds coeff_output, state_output and power_output: the
-    realization's arrays for a block, their float lists for one sample.
-    """
-    sigma_eps2 = _noise_variance(
-        _read(rows.coeff_output, w1), _read(rows.power_output, w2), residual_mass
-    )
-    estimates = _read(rows.state_output, w1)
-    estimates[0] += x0
-    return estimates, sigma_eps2
+def _frame(n: int, estimates: list, sigma_eps2: float, realization) -> EstimateFrame:
+    # Positional: keyword arguments cost a third more on a frozen dataclass.
+    return EstimateFrame(n, np.array(estimates), sigma_eps2, sigma_eps2 * realization.vrf)
 
 
 def current_frame(state: EstimatorState, realization: FilterRealization) -> EstimateFrame:
     """Frame for the state as it stands, without consuming a sample."""
-    estimates, sigma_eps2 = _readout(
-        realization._float_rows, realization.residual_mass, state.w1, state.w2, state.x0
-    )
-    return EstimateFrame(
-        n=state.n,
-        estimates=np.array(estimates),
-        sigma_eps2=sigma_eps2,
-        covariance=sigma_eps2 * realization.vrf,
-    )
+    estimates, sigma_eps2 = realization._sample_kernel.read(state.w1, state.w2, state.x0)
+    return _frame(state.n, estimates, sigma_eps2, realization)
 
 
-def _step_moments(state: EstimatorState, p: float, x: float) -> None:
-    """Advance both moment cascades by one sample, in place.
+def _step(state: EstimatorState, realization: FilterRealization, x: float) -> EstimateFrame:
+    """Consume one sample, advancing both recursions in place; returns its frame.
 
-    Uses the O(K) cumulative-sum form of the cascade's triangular state
-    matrix: w <- p * cumsum(w) + d for d = x - x0 and for its square, in
-    Python floats.
+    A NaN or infinite x raises before the state changes.
     """
-    d = _finite(x, state.n + 1) - state.x0
-    dd = d * d
-    state.w1 = [p * s + d for s in accumulate(state.w1)]
-    state.w2 = [p * s + dd for s in accumulate(state.w2)]
+    x0 = state.x0
+    d = _finite(x, state.n + 1) - x0
+    state.w1, state.w2, estimates, sigma_eps2 = realization._sample_kernel.step(
+        state.w1, state.w2, d, x0
+    )
     state.n += 1
-
-
-def _start_or_step(realization, state, x, sigma0_sq):
-    """Consume one sample and return the state.
-
-    With state=None the stream starts on x; otherwise state advances in
-    place.
-    """
-    if state is None:
-        return new_estimator(realization, x, sigma0_sq)
-    _step_moments(state, realization.spec.weight.p, x)
-    return state
+    return _frame(state.n, estimates, sigma_eps2, realization)
 
 
 def _advance_moments(
@@ -250,8 +203,7 @@ def _advance_moments(
 
 def update(state: EstimatorState, realization: FilterRealization, x: float) -> EstimateFrame:
     """Consume one sample, advancing both recursions in place."""
-    _step_moments(state, realization.spec.weight.p, x)
-    return current_frame(state, realization)
+    return _step(state, realization, x)
 
 
 def coefficients(state: EstimatorState, realization: FilterRealization):
@@ -262,7 +214,7 @@ def coefficients(state: EstimatorState, realization: FilterRealization):
     negative alpha[1].
     """
     from_orthonormal = realization.transforms.from_orthonormal
-    beta = np.array(_read(realization._float_rows.coeff_output, state.w1))
+    beta = realization.coeff_output @ np.array(state.w1)
     alpha = from_orthonormal @ beta
     # The constant x0 is alpha[0] = x0 in the monomial basis; the basis
     # change is upper triangular, so in the orthonormal one it is beta[0]
@@ -296,9 +248,13 @@ def run_sequence(
         return empty, state
 
     w1_block, w2_block, state = _advance_moments(realization, xs, sigma0_sq, state)
-    estimates, sigma_eps2 = _readout(
-        realization, realization.residual_mass, w1_block, w2_block, state.x0
+    sigma_eps2 = _noise_variance(
+        realization.coeff_output @ w1_block,
+        realization.power_output @ w2_block,
+        realization.residual_mass,
     )
+    estimates = realization.state_output @ w1_block
+    estimates[0] += state.x0
     variances = sigma_eps2[None, :] * np.diag(realization.vrf)[:, None]
     return SequenceResult(estimates=estimates, sigma_eps2=sigma_eps2, variances=variances), state
 
@@ -317,8 +273,10 @@ class StreamingEstimator:
         self.state: EstimatorState | None = None
 
     def update(self, x: float) -> EstimateFrame:
-        self.state = _start_or_step(self.realization, self.state, x, self.sigma0_sq)
-        return current_frame(self.state, self.realization)
+        if self.state is None:
+            self.state = new_estimator(self.realization, x, self.sigma0_sq)
+            return current_frame(self.state, self.realization)
+        return _step(self.state, self.realization, x)
 
     def extend(self, xs: np.ndarray) -> SequenceResult:
         result, self.state = run_sequence(

@@ -155,3 +155,82 @@ def build(kappa, p, kx, kt=1, q=None, ts=1.0):
             sample_period=ts,
         )
     )
+
+
+# One per-sample step and its readouts in plain floats: explicit loops, each
+# sum added left to right from 0.0, no sum() (which compensates its rounding
+# on Python >= 3.12).  The package's per-sample path must agree exactly.
+
+
+def sample_cascade_step(w, p: float, feed: float) -> list:
+    """One cascade step: state i becomes p * (w[0] + ... + w[i]) + feed."""
+    out = []
+    partial = None
+    for value in w:
+        partial = value if partial is None else partial + value
+        out.append(p * partial + feed)
+    return out
+
+
+def sample_dot(row, w) -> float:
+    total = 0.0
+    for r, v in zip(row, w):
+        total += r * v
+    return total
+
+
+def sample_noise_variance(coeff_rows, power_row, residual_mass, w1, w2) -> float:
+    """Weighted residual power over the residual mass, clamped at zero."""
+    betas = [sample_dot(row, w1) for row in coeff_rows]
+    residual = sample_dot(power_row, w2) - sample_dot(betas, betas)
+    if residual < 0.0:
+        residual = 0.0
+    return residual / residual_mass
+
+
+def sample_frame(real, w1, w2, x0: float):
+    """(estimates, sigma_eps2) of the estimator on float-list states."""
+    sigma2 = sample_noise_variance(
+        real.coeff_output.tolist(), real.power_output.tolist(), real.residual_mass, w1, w2
+    )
+    estimates = [sample_dot(row, w1) for row in real.state_output.tolist()]
+    estimates[0] += x0
+    return estimates, sigma2
+
+
+def _padded(row, length):
+    return list(row) + [0.0] * (length - len(row))
+
+
+def sample_statistic(value_row, filters, stream, w1, w2, floor=1e-15) -> float:
+    """Z = value_row @ w1 / sqrt(sum of vrf_ii * noise variance), 0 below floor.
+
+    filters is a list of (realization, output index); each filter's readout
+    rows are zero-padded to the cascades of realization stream.
+    """
+    n1, n2 = stream.first_net.order, stream.second_net.order
+    variance = 0.0
+    for real, index in filters:
+        coeff = [_padded(row, n1) for row in real.coeff_output.tolist()]
+        power = _padded(real.power_output.tolist(), n2)
+        variance += float(real.vrf[index, index]) * sample_noise_variance(
+            coeff, power, real.residual_mass, w1, w2
+        )
+    if variance < floor:
+        return 0.0
+    return sample_dot(value_row, w1) / math.sqrt(variance)
+
+
+def edge_statistic(real, w1, w2) -> float:
+    return sample_statistic(real.state_output[1].tolist(), [(real, 1)], real, w1, w2)
+
+
+def peak_statistic(real, w1, w2) -> float:
+    row = [-v for v in real.state_output[2].tolist()]
+    return sample_statistic(row, [(real, 2)], real, w1, w2)
+
+
+def change_statistic(fast, slow, w1, w2) -> float:
+    fast_row = _padded(fast.state_output[0].tolist(), slow.first_net.order)
+    row = [a - b for a, b in zip(fast_row, slow.state_output[0].tolist())]
+    return sample_statistic(row, [(fast, 0), (slow, 0)], slow, w1, w2)

@@ -168,6 +168,24 @@ def test_run_rejects_non_finite_row(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command", ["run", "detect"])
+def test_non_finite_design_document_exits_3(tmp_path, capsys, command):
+    design = _design(tmp_path, "d.json", kappa=2, p=0.8, kx=2, kt=2)
+    document = json.loads(design.read_text())
+    document["realization"]["state_output"][0][1] = float("nan")
+    document["realization"]["residual_mass"] = float("inf")
+    design.write_text(json.dumps(document))
+    data = tmp_path / "in.csv"
+    data.write_text("x\n1.0\n2.0\n3.0\n")
+    out = tmp_path / "out.csv"
+    argv = [command, "--design", str(design), "--input", str(data), "--out", str(out)]
+    if command == "detect":
+        argv += ["--kind", "edge", "--threshold", "3"]
+    assert main(argv) == 3
+    assert "'residual_mass' is not finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["run", "detect"])
 @pytest.mark.parametrize("prior", ["nan", "inf", "-1"])
 def test_bad_prior_variance_exits_before_any_output(tmp_path, capsys, command, prior):
     design = _design(tmp_path, "d.json", kappa=2, p=0.8, kx=2, kt=2)

@@ -36,8 +36,9 @@ def test_spec_validation():
         _spec(kx=2, kt=3)
     with pytest.raises(DesignError):
         _spec(kt=0)
-    with pytest.raises(DesignError):
-        _spec(ts=0.0)
+    for ts in (0.0, float("nan"), float("inf")):
+        with pytest.raises(DesignError):
+            _spec(ts=ts)
     with pytest.raises(DesignError):
         _spec(q=float("nan"))
 

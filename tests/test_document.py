@@ -81,6 +81,41 @@ def test_rejects_malformed_documents():
     with pytest.raises(DesignError):
         realization_from_document(bad)
 
+    # json.loads takes the tokens NaN and Infinity; a design holding one
+    # would run to NaN estimates or a zero noise variance (no detector
+    # could alarm), so every non-finite number is rejected by its field.
+    nan, inf = float("nan"), float("inf")
+    cases = [
+        ("spec", "p", nan),
+        ("spec", "delay", inf),
+        ("spec", "sample_period", inf),
+        ("spec", "sample_period", nan),
+        ("spec", "kappa", inf),
+        ("spec", "model_order", nan),
+        ("spec", "n_outputs", -inf),
+        ("realization", "residual_mass", inf),
+        ("realization", "residual_mass", nan),
+        ("realization", "residual_mass", 0.0),
+        ("realization", "residual_mass", -2.5),
+    ]
+    for section, key, value in cases:
+        bad = json.loads(document_to_json(doc))
+        bad[section][key] = value
+        with pytest.raises(DesignError, match=repr(key)):
+            realization_from_document(document_from_json(json.dumps(bad)))
+    fields = [("realization", key) for key in doc["realization"] if key != "residual_mass"]
+    for section, key in fields + [("analysis", "vrf")]:
+        for value in (nan, inf, -inf):
+            bad = json.loads(document_to_json(doc))
+            row = bad[section][key]
+            if isinstance(row[-1], list):
+                row = row[-1]
+            row[-1] = value
+            text = json.dumps(bad)
+            assert "NaN" in text or "Infinity" in text
+            with pytest.raises(DesignError, match=f"{key!r}.*non-finite"):
+                realization_from_document(document_from_json(text))
+
 
 def test_document_with_gamma_field_still_loads():
     # Older version-1 documents also carry the weight normalizer gamma,
