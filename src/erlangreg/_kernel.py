@@ -103,8 +103,8 @@ def estimator_kernel(realization) -> SampleKernel:
     """Kernel of the estimator's frame on realization's cascades.
 
     step(w1, w2, d, x0) -> (w1, w2, estimates, sigma_eps2) and
-    read(w1, w2, x0) -> (estimates, sigma_eps2); estimates is a float
-    list whose level has x0 added back.
+    read(w1, w2, x0) -> (estimates, sigma_eps2); estimates is a tuple of
+    floats whose level has x0 added back.
     """
     spec = realization.spec
     src = _Source(spec.weight.p, spec.n_first_states, spec.n_second_states)
@@ -115,7 +115,7 @@ def estimator_kernel(realization) -> SampleKernel:
     ))
     rows = [src.dot(row, "a") for row in realization.state_output.tolist()]
     rows[0] += " + x0"
-    return src.build(", x0", f"[{', '.join(rows)}], v")
+    return src.build(", x0", f"({', '.join(rows)},), v")
 
 
 def detector_kernel(stream, value_row, noise_terms, floor: float) -> SampleKernel:

@@ -19,15 +19,19 @@ the realization on its first per-sample use (see _kernel), which steps
 both cascades as unrolled running sums and reads the estimates and the
 noise variance as explicit multiply-adds.  On vectors of a handful of
 states, numpy's per-call overhead, and even Python's own loops and calls,
-cost far more than the arithmetic.  The block path filters whole arrays
-and reads them out with matrix products, by the same formula for the
-estimates and the noise variance.
+cost far more than the arithmetic.  For the same reason a per-sample frame
+keeps the kernel's floats and builds its estimates and covariance arrays
+only when they are read.  The block path filters whole arrays and reads
+them out with matrix products, by the same formula for the estimates and
+the noise variance.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
+from operator import itemgetter
 
 import numpy as np
 
@@ -57,19 +61,56 @@ class EstimatorState:
     x0: float        # the stream's first sample
 
 
-@dataclass(frozen=True)
-class EstimateFrame:
+class EstimateFrame(tuple):
     """Per-sample output: derivative estimates with their covariance.
 
-    estimates[k] is the k-th time derivative of the local fit evaluated
-    `delay` samples behind sample n, in input units per second**k.
-    covariance is sigma_eps2 times the design's noise gain matrix, exactly.
+    n is the index of the sample the frame describes.  estimates[k] is the
+    k-th time derivative of the local fit evaluated `delay` samples behind
+    sample n, in input units per second**k.  covariance is sigma_eps2 times
+    the design's noise gain matrix, exactly.
+
+    A frame keeps the floats the per-sample kernel produced and builds its
+    arrays when they are read: each read of estimates or covariance returns
+    a new float64 array, so repeated reads are equal but not the same
+    object, and writing into one changes neither the frame nor the stream.
+    Frames are immutable (assigning any attribute raises AttributeError)
+    and are built by the estimator only; EstimateFrame(...) raises
+    TypeError.  The type is a tuple underneath, for speed; its items are
+    internal, so read the named fields.
     """
 
-    n: int
-    estimates: np.ndarray
-    sigma_eps2: float
-    covariance: np.ndarray
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        raise TypeError("EstimateFrame is built by the estimator only")
+
+    n = property(itemgetter(0))
+    sigma_eps2 = property(itemgetter(2))
+
+    @property
+    def estimates(self) -> np.ndarray:
+        return np.array(self[1])
+
+    @property
+    def covariance(self) -> np.ndarray:
+        return self[2] * self[3]
+
+    def __reduce__(self):
+        # Pickling and copying rebuild through _frame, as __new__ refuses.
+        return _frame, (tuple(self),)
+
+    def __repr__(self) -> str:
+        return (
+            f"EstimateFrame(n={self.n!r}, estimates={self.estimates!r}, "
+            f"sigma_eps2={self.sigma_eps2!r})"
+        )
+
+
+# _frame((n, estimates, sigma_eps2, vrf)) is the only constructor of a
+# frame: estimates is the kernel's tuple of floats and vrf the design's
+# noise gain matrix, shared, never copied.  A C-level partial, so building
+# a frame runs no Python frame of its own.
+_frame = partial(tuple.__new__, EstimateFrame)
 
 
 @dataclass(frozen=True)
@@ -115,8 +156,13 @@ def _finite(x: float, n: int) -> float:
     """x as a float; ValueError naming sample n if it is NaN or infinite."""
     x = float(x)
     if not math.isfinite(x):
-        raise ValueError(f"sample {n} is not finite: {x!r}")
+        raise _not_finite(n, x)
     return x
+
+
+def _not_finite(n: int, x: float) -> ValueError:
+    """The error for sample n, whose value x is NaN or infinite."""
+    return ValueError(f"sample {n} is not finite: {x!r}")
 
 
 def _noise_variance(beta, power, residual_mass):
@@ -134,29 +180,28 @@ def _noise_variance(beta, power, residual_mass):
     return np.maximum(residual, 0.0) / residual_mass
 
 
-def _frame(n: int, estimates: list, sigma_eps2: float, realization) -> EstimateFrame:
-    # Positional: keyword arguments cost a third more on a frozen dataclass.
-    return EstimateFrame(n, np.array(estimates), sigma_eps2, sigma_eps2 * realization.vrf)
-
-
 def current_frame(state: EstimatorState, realization: FilterRealization) -> EstimateFrame:
     """Frame for the state as it stands, without consuming a sample."""
     estimates, sigma_eps2 = realization._sample_kernel.read(state.w1, state.w2, state.x0)
-    return _frame(state.n, estimates, sigma_eps2, realization)
+    return _frame((state.n, estimates, sigma_eps2, realization.vrf))
 
 
 def _step(state: EstimatorState, realization: FilterRealization, x: float) -> EstimateFrame:
     """Consume one sample, advancing both recursions in place; returns its frame.
 
-    A NaN or infinite x raises before the state changes.
+    A NaN or infinite x raises before the state changes.  The check is
+    written out rather than left to _finite: on this path one more Python
+    call is a few percent of the cost.
     """
+    x = float(x)
+    if not math.isfinite(x):
+        raise _not_finite(state.n + 1, x)
     x0 = state.x0
-    d = _finite(x, state.n + 1) - x0
     state.w1, state.w2, estimates, sigma_eps2 = realization._sample_kernel.step(
-        state.w1, state.w2, d, x0
+        state.w1, state.w2, x - x0, x0
     )
-    state.n += 1
-    return _frame(state.n, estimates, sigma_eps2, realization)
+    state.n = n = state.n + 1
+    return _frame((n, estimates, sigma_eps2, realization.vrf))
 
 
 def _advance_moments(
@@ -178,7 +223,7 @@ def _advance_moments(
     finite = np.isfinite(xs)
     if not finite.all():
         bad = int(np.argmin(finite))
-        raise ValueError(f"sample {start + bad} is not finite: {float(xs[bad])!r}")
+        raise _not_finite(start + bad, float(xs[bad]))
     first, second = realization.first_net, realization.second_net
     if state is None:
         state = new_estimator(realization, xs[0], sigma0_sq)

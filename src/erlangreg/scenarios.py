@@ -77,10 +77,20 @@ class TargetScenario:
             )
         if self.n_samples < 1:
             raise ValueError(f"n_samples must be positive, got {self.n_samples}")
+        # NaN fails every comparison, so `<= 0.0` alone would let it through.
+        for name in ("sample_period", "initial_position", "initial_velocity", "accel_value"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.sample_period <= 0.0:
             raise ValueError(f"sample_period must be positive, got {self.sample_period}")
-        if self.noise_std < 0.0:
-            raise ValueError(f"noise_std must be nonnegative, got {self.noise_std}")
+        _check_noise_std(self.noise_std)
+
+
+def _check_noise_std(noise_std: float) -> None:
+    """ValueError unless the noise deviation is finite and nonnegative."""
+    if not (math.isfinite(noise_std) and noise_std >= 0.0):
+        raise ValueError(f"noise_std must be finite and nonnegative, got {noise_std}")
 
 
 def simulate_target(scenario: TargetScenario) -> Tuple[np.ndarray, np.ndarray]:
@@ -135,6 +145,7 @@ def synth_edge_waveform(
     seed: int, n_samples: int = 400, noise_std: float = 0.5
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Smoothed pulse on a flat baseline of 100; returns (clean, noisy)."""
+    _check_noise_std(noise_std)
     clean = _smoothed_pulse(n_samples) + 100.0
     noisy = clean + noise_std * gaussian_noise(make_rng(seed), n_samples)
     return clean, noisy
@@ -144,6 +155,7 @@ def synth_change_waveform(
     seed: int, n_samples: int = 400, noise_std: float = 0.5
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Smoothed pulse on a rising ramp; the pulse onset and exit are the breaks."""
+    _check_noise_std(noise_std)
     ramp = 100.0 + np.arange(n_samples) / 10.0
     clean = _smoothed_pulse(n_samples) + ramp
     noisy = clean + noise_std * gaussian_noise(make_rng(seed), n_samples)
@@ -160,6 +172,7 @@ def synth_peak_waveform(
     halfway point, too narrow for a smoother tuned to the target width.
     The cubic background sweeps the baseline across [10, 20].
     """
+    _check_noise_std(noise_std)
     n = np.arange(n_samples)
     target = 10.0 * np.exp(-0.5 * ((n - 0.75 * n_samples) / 12.0) ** 2)
     clutter = 10.0 * np.exp(-0.5 * ((n - 0.5 * n_samples) / 2.0) ** 2)

@@ -387,6 +387,26 @@ def test_simulate_same_seed_same_bytes(tmp_path):
     assert hashlib.sha256(other.read_bytes()).hexdigest() != digests[0]
 
 
+@pytest.mark.parametrize("argv", [
+    ["--scenario", "target-constant-accel", "--ts", "nan"],
+    ["--scenario", "target-random-accel", "--ts", "inf"],
+    ["--scenario", "target-constant-accel", "--x0", "nan"],
+    ["--scenario", "target-constant-accel", "--v0=-inf"],
+    ["--scenario", "target-constant-accel", "--accel", "nan"],
+    ["--scenario", "target-random-accel", "--noise-std", "nan"],
+    ["--scenario", "edge", "--noise-std", "nan"],
+    ["--scenario", "change", "--noise-std", "inf"],
+    ["--scenario", "peak", "--noise-std=-1"],
+], ids=["ts-nan", "ts-inf", "x0-nan", "v0-inf", "accel-nan", "target-noise-nan",
+        "edge-noise-nan", "change-noise-inf", "peak-noise-negative"])
+def test_simulate_rejects_non_finite_parameters(tmp_path, capsys, argv):
+    out = tmp_path / "s.csv"
+    assert main(["simulate", *argv, "--n-samples", "5", "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "must be finite" in err
+    assert not out.exists()
+
+
 def test_simulate_unknown_scenario_is_usage_error():
     assert main(["simulate", "--scenario", "tsunami"]) == 2
 

@@ -1,15 +1,19 @@
+import copy
 import functools
 import math
+import pickle
 
 import hypothesis
 import numpy as np
 import pytest
 from hypothesis import strategies as st
 
+from erlangreg import estimator as estimator_module
 from erlangreg import (
     ChangeDetector,
     DesignError,
     EdgeDetector,
+    EstimateFrame,
     PeakDetector,
     StreamingEstimator,
     coefficients,
@@ -361,3 +365,89 @@ def test_update_and_extend_agree_with_one_run_sequence(kappa, p, kx, seed, plan,
         scale = bound * steady_state_vector(order, p)
         assert np.all(np.abs(np.subtract(got, expected)) <= 1e-12 * scale)
     assert est.state.n == state.n
+
+
+def _frame_values(frame):
+    """A frame's fields, copied out."""
+    return frame.n, frame.estimates.tolist(), frame.sigma_eps2, frame.covariance.copy()
+
+
+def _assert_frame_reads(frame, values):
+    n, estimates, sigma_eps2, covariance = values
+    assert frame.n == n
+    assert frame.estimates.tolist() == estimates
+    assert frame.sigma_eps2 == sigma_eps2
+    np.testing.assert_array_equal(frame.covariance, covariance)
+
+
+def test_frames_are_snapshots():
+    real = build(2, 0.9, 3, kt=3, q=None)
+    xs = (np.random.Generator(np.random.PCG64(34)).standard_normal(120) + 4.0).tolist()
+    est = StreamingEstimator(real, sigma0_sq=0.25)
+    twin = StreamingEstimator(real, sigma0_sq=0.25)
+    first = est.update(xs[0])
+    twin.update(xs[0])
+    for x in xs[1:10]:
+        est.update(x), twin.update(x)
+    kept = [first, est.update(xs[10]), est.update(xs[11])]
+    twin.update(xs[10]), twin.update(xs[11])
+    values = [_frame_values(frame) for frame in kept]
+    assert [v[0] for v in values] == [0, 10, 11]
+
+    for frame in kept:
+        estimates = frame.estimates
+        assert type(estimates) is np.ndarray
+        assert estimates.dtype == np.float64 and estimates.shape == (3,)
+        assert frame.estimates is not estimates
+        assert frame.covariance.shape == (3, 3)
+        # Writing into the arrays a frame hands out changes nothing else.
+        state = (est.state.w1.copy(), est.state.w2.copy())
+        estimates[:] = 99.0
+        frame.covariance[:] = 99.0
+        assert (est.state.w1, est.state.w2) == state
+        for name in ("n", "estimates", "sigma_eps2", "covariance", "other"):
+            with pytest.raises(AttributeError):
+                setattr(frame, name, 0.0)
+
+    for x in xs[12:112]:
+        _assert_frame_reads(est.update(x), _frame_values(twin.update(x)))
+    for frame, expected in zip(kept, values):
+        _assert_frame_reads(frame, expected)
+        _assert_frame_reads(copy.deepcopy(frame), expected)
+        _assert_frame_reads(pickle.loads(pickle.dumps(frame)), expected)
+    again = current_frame(est.state, real)
+    _assert_frame_reads(again, _frame_values(current_frame(twin.state, real)))
+    with pytest.raises(TypeError):
+        EstimateFrame(again)
+
+
+class _NoNumpy:
+    """Stands in for numpy and records every attribute asked of it."""
+
+    def __init__(self):
+        self.touched = []
+
+    def __getattr__(self, name):
+        self.touched.append(name)
+        raise AssertionError(f"numpy touched: np.{name}")
+
+
+def test_per_sample_update_touches_no_numpy(monkeypatch):
+    # Frames build their arrays only when read, so a stream whose frames
+    # are never read makes no numpy call at all.
+    real = build(2, 0.9, 2, kt=2, q=None)
+    xs = (np.random.Generator(np.random.PCG64(35)).standard_normal(3000) + 7.0).tolist()
+    expected = [_frame_values(frame) for frame in map(StreamingEstimator(real).update, xs)]
+
+    proxy = _NoNumpy()
+    monkeypatch.setattr(estimator_module, "np", proxy)
+    est = StreamingEstimator(real)
+    frames = [est.update(x) for x in xs]
+    state = new_estimator(real, xs[0])
+    frames += [update(state, real, x) for x in xs[1:]]
+    frames.append(current_frame(state, real))
+    monkeypatch.undo()
+
+    assert proxy.touched == []
+    for frame, values in zip(frames, expected + expected[1:] + expected[-1:]):
+        _assert_frame_reads(frame, values)

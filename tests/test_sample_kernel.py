@@ -107,6 +107,7 @@ def _check_shape(kappa, p, kx, xs, sigma0_sq):
                 again = current_frame(state, stream)
                 assert again.estimates.tolist() == estimates
                 assert again.sigma_eps2 == sigma2
+                np.testing.assert_array_equal(again.covariance, sigma2 * stream.vrf)
             elif kind == "edge":
                 assert got == edge_statistic(stream, plain.w1, plain.w2), (kind, n)
             elif kind == "peak":

@@ -76,6 +76,25 @@ def test_target_scenario_validation():
         TargetScenario(noise_std=-1.0)
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize(
+    "field",
+    ["sample_period", "noise_std", "initial_position", "initial_velocity", "accel_value"],
+)
+def test_target_scenario_rejects_non_finite_numbers(field, value):
+    with pytest.raises(ValueError, match=field):
+        TargetScenario(**{field: value})
+
+
+@pytest.mark.parametrize("noise_std", [-0.5, float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize(
+    "generator", [synth_edge_waveform, synth_change_waveform, synth_peak_waveform]
+)
+def test_waveforms_reject_bad_noise_std(generator, noise_std):
+    with pytest.raises(ValueError, match="noise_std"):
+        generator(1, 50, noise_std)
+
+
 def test_edge_waveform_shape_and_levels():
     clean, noisy = synth_edge_waveform(seed=1)
     assert clean.shape == noisy.shape == (400,)
