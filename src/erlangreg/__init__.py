@@ -16,8 +16,6 @@ from .weights import (
     dispersion,
 )
 from .network import (
-    NetworkMatrices,
-    build_network,
     run_block,
     steady_state_vector,
     impulse_to_weight_transform,
@@ -26,7 +24,6 @@ from .design import (
     DesignError,
     IllConditionedDesignError,
     DesignSpec,
-    TransformSet,
     FilterRealization,
     overlap_matrix,
     squared_overlap_matrix,
@@ -94,15 +91,12 @@ __all__ = [
     "normalizer",
     "weight_moments",
     "dispersion",
-    "NetworkMatrices",
-    "build_network",
     "run_block",
     "steady_state_vector",
     "impulse_to_weight_transform",
     "DesignError",
     "IllConditionedDesignError",
     "DesignSpec",
-    "TransformSet",
     "FilterRealization",
     "overlap_matrix",
     "squared_overlap_matrix",

@@ -5,6 +5,11 @@ under the Erlang weight, then evaluates the fit and its first n_outputs - 1
 derivatives at a point `delay` samples behind the newest sample.  All of
 that collapses into a handful of frozen matrices applied to the live
 cascade states; building them is the job of this module.
+
+Every design quantity comes from one pair of Gram matrices built from the
+sums S_k(p): the overlap G and its squared-weight twin G2.  The noise-gain
+helpers here read that pair, so build_realization makes it once; the public
+wrappers in variance.py rebuild it per call.
 """
 
 from __future__ import annotations
@@ -17,19 +22,13 @@ from typing import Optional
 import numpy as np
 
 from ._kernel import SampleKernel, estimator_kernel
-from .network import (
-    NetworkMatrices,
-    build_network,
-    impulse_to_weight_transform,
-    steady_state_vector,
-)
-from .weights import WeightSpec, erlang_sum
+from .network import impulse_to_weight_transform, steady_state_vector
+from .weights import WeightSpec, erlang_sum, weight_moments
 
 __all__ = [
     "DesignError",
     "IllConditionedDesignError",
     "DesignSpec",
-    "TransformSet",
     "FilterRealization",
     "overlap_matrix",
     "squared_overlap_matrix",
@@ -112,8 +111,11 @@ class DesignSpec:
 
 
 @dataclass(frozen=True)
-class TransformSet:
-    """Frozen matrices taking cascade states to regression outputs.
+class FilterRealization:
+    """Everything the runtime needs, frozen at design time.
+
+    The cascades are fixed by the spec: spec.n_first_states stages of decay
+    spec.weight.p for the signal moments, spec.n_second_states for the power.
 
     overlap : (model_order, model_order) weighted Gram matrix of monomials.
     to_orthonormal / from_orthonormal : lower/upper triangular basis changes
@@ -127,6 +129,8 @@ class TransformSet:
         second-moment states.
     """
 
+    spec: DesignSpec                 # delay always resolved (never None)
+    steady_second: np.ndarray        # per-unit-input fixed point of the power cascade
     overlap: np.ndarray
     to_orthonormal: np.ndarray
     from_orthonormal: np.ndarray
@@ -134,31 +138,8 @@ class TransformSet:
     coeff_output: np.ndarray
     state_output: np.ndarray
     power_output: np.ndarray
-
-
-@dataclass(frozen=True)
-class FilterRealization:
-    """Everything the runtime needs, frozen at design time."""
-
-    spec: DesignSpec                 # delay always resolved (never None)
-    first_net: NetworkMatrices       # order kappa + model_order
-    second_net: NetworkMatrices      # order kappa + 1
-    transforms: TransformSet
-    steady_second: np.ndarray        # per-unit-input fixed point of second_net
     residual_mass: float             # divisor of the weighted residual power
     vrf: np.ndarray                  # (n_outputs, n_outputs) noise gain matrix
-
-    @property
-    def state_output(self) -> np.ndarray:
-        return self.transforms.state_output
-
-    @property
-    def coeff_output(self) -> np.ndarray:
-        return self.transforms.coeff_output
-
-    @property
-    def power_output(self) -> np.ndarray:
-        return self.transforms.power_output
 
     @cached_property
     def _sample_kernel(self) -> SampleKernel:
@@ -166,17 +147,24 @@ class FilterRealization:
         return estimator_kernel(self)
 
 
+def _hankel(kappa: int, p: float, n: int) -> np.ndarray:
+    """(n, n) matrix with entry (a, b) = S_{a + b + kappa}(p).
+
+    Entries depend on a + b only, so each of the 2n - 1 sums is taken once.
+    """
+    sums = np.array([erlang_sum(k + kappa, p) for k in range(2 * n - 1)])
+    return sums[np.add.outer(np.arange(n), np.arange(n))]
+
+
+def _gram_pair(spec: DesignSpec):
+    """(overlap, squared overlap) of a design: one S_k per distinct entry."""
+    kappa, p, n = spec.weight.kappa, spec.weight.p, spec.model_order
+    return _hankel(kappa, p, n), _hankel(2 * kappa, p * p, n)
+
+
 def overlap_matrix(spec: DesignSpec) -> np.ndarray:
     """Weighted Gram matrix: entry (a, b) = S_{a + b + kappa}(p)."""
-    kappa, p = spec.weight.kappa, spec.weight.p
-    n = spec.model_order
-    out = np.empty((n, n))
-    # Entries depend on a + b only; compute each diagonal sum once.
-    sums = [erlang_sum(k + kappa, p) for k in range(2 * n - 1)]
-    for a in range(n):
-        for b in range(n):
-            out[a, b] = sums[a + b]
-    return out
+    return _hankel(spec.weight.kappa, spec.weight.p, spec.model_order)
 
 
 def squared_overlap_matrix(spec: DesignSpec) -> np.ndarray:
@@ -185,14 +173,7 @@ def squared_overlap_matrix(spec: DesignSpec) -> np.ndarray:
     Entry (a, b) = S_{a + b + 2 kappa}(p**2); the weight enters squared, as
     it does wherever white noise passes through the weighted fit.
     """
-    kappa, p = spec.weight.kappa, spec.weight.p
-    n = spec.model_order
-    out = np.empty((n, n))
-    sums = [erlang_sum(k + 2 * kappa, p * p) for k in range(2 * n - 1)]
-    for a in range(n):
-        for b in range(n):
-            out[a, b] = sums[a + b]
-    return out
+    return _hankel(2 * spec.weight.kappa, spec.weight.p * spec.weight.p, spec.model_order)
 
 
 def orthonormal_transforms(overlap: np.ndarray):
@@ -243,6 +224,58 @@ def synthesis_matrix(spec: DesignSpec) -> np.ndarray:
     return out
 
 
+def _vrf(synthesis: np.ndarray, overlap: np.ndarray, squared: np.ndarray) -> np.ndarray:
+    """Noise gain matrix synthesis G**-1 G2 G**-T synthesis.T."""
+    # Rows of the per-state output map: synthesis @ overlap**-1.
+    state_rows = np.linalg.solve(overlap, synthesis.T).T
+    return state_rows @ squared @ state_rows.T
+
+
+def _delay_polynomial(spec: DesignSpec, overlap, squared, output: int) -> np.ndarray:
+    """Ascending coefficients of output's diagonal noise gain in the delay."""
+    if not 0 <= output < spec.model_order:
+        raise ValueError(f"output must be in [0, {spec.model_order}), got {output}")
+    inv = np.linalg.solve(overlap, np.eye(spec.model_order))
+    core = inv @ squared @ inv.T
+    degree = 2 * (spec.model_order - 1 - output)
+    coeffs = np.zeros(degree + 1)
+    scale = spec.sample_period ** (-2 * output)
+    for i in range(output, spec.model_order):
+        for j in range(output, spec.model_order):
+            weight = math.perm(i, output) * math.perm(j, output)
+            coeffs[i + j - 2 * output] += scale * weight * core[i, j]
+    return coeffs
+
+
+def _optimal_delay(spec: DesignSpec, overlap, squared, output: int):
+    """(q_best, candidates): the least-delay minimum of output's noise gain.
+
+    candidates lists (delay, gain) at every real stationary point; it is
+    empty when the gain does not depend on the delay, and q_best is then
+    the weight centroid.
+    """
+    coeffs = _delay_polynomial(spec, overlap, squared, output)
+    if len(coeffs) == 1:
+        return weight_moments(spec.weight).mu_w, []
+    derivative = coeffs[1:] * np.arange(1, len(coeffs))
+    roots = np.roots(derivative[::-1])
+    real_roots = sorted(float(r.real) for r in roots if abs(r.imag) <= 1e-8)
+
+    def gain(q):
+        return float(np.polyval(coeffs[::-1], q))
+
+    candidates = [(q, gain(q)) for q in real_roots]
+    step = 1e-3
+    minima = [
+        q for q, _ in candidates
+        if gain(q - step) - 2.0 * gain(q) + gain(q + step) > 0.0
+    ]
+    if minima:
+        return min(minima), candidates
+    # Degenerate fallback; not reachable for a positive even-degree gain.
+    return min(candidates, key=lambda c: c[1])[0], candidates
+
+
 def build_realization(spec: DesignSpec) -> FilterRealization:
     """Assemble every runtime matrix for a design.
 
@@ -250,19 +283,15 @@ def build_realization(spec: DesignSpec) -> FilterRealization:
     overlap matrix is numerically rank deficient, and attaches the noise
     gain matrix.
     """
-    # Deferred import: variance analysis consumes this module's matrices.
-    from .variance import optimal_delay, vrf_matrix
-
-    overlap = overlap_matrix(spec)
+    overlap, squared = _gram_pair(spec)
     cond = np.linalg.cond(overlap)
     if cond > _CONDITION_LIMIT:
         raise IllConditionedDesignError(spec.weight.kappa, spec.weight.p, spec.model_order, cond)
 
     if spec.delay is None:
-        report = optimal_delay(spec)
-        spec, vrf = replace(spec, delay=report.q_optimal), report.vrf
-    else:
-        vrf = vrf_matrix(spec)
+        spec = replace(spec, delay=_optimal_delay(spec, overlap, squared, 0)[0])
+    synthesis = synthesis_matrix(spec)
+    vrf = _vrf(synthesis, overlap, squared)
 
     kappa, p = spec.weight.kappa, spec.weight.p
     n_first, n_second = spec.n_first_states, spec.n_second_states
@@ -274,17 +303,16 @@ def build_realization(spec: DesignSpec) -> FilterRealization:
     selector = np.zeros((spec.model_order, n_first))
     selector[:, kappa:] = np.eye(spec.model_order)
     coeff_output = to_on @ selector @ weight_from_states
-
-    synthesis = synthesis_matrix(spec)
     state_output = synthesis @ from_on @ coeff_output
     power_output = impulse_to_weight_transform(n_second)[-1]
 
-    squared = squared_overlap_matrix(spec)
     # Expected weighted residual power of unit-variance white noise: total
-    # weight mass minus the mass the fit absorbs through its leverage.
-    residual_mass = erlang_sum(kappa, p) - float(np.trace(to_on @ squared @ to_on.T))
+    # weight mass S_kappa(p) = overlap[0, 0] minus the mass the fit absorbs
+    # through its leverage.
+    residual_mass = float(overlap[0, 0]) - float(np.trace(to_on @ squared @ to_on.T))
 
-    transforms = TransformSet(
+    arrays = dict(
+        steady_second=steady_state_vector(n_second, p),
         overlap=overlap,
         to_orthonormal=to_on,
         from_orthonormal=from_on,
@@ -293,19 +321,6 @@ def build_realization(spec: DesignSpec) -> FilterRealization:
         state_output=state_output,
         power_output=power_output,
     )
-    for matrix in (overlap, to_on, from_on, synthesis, coeff_output, state_output, power_output):
+    for matrix in (*arrays.values(), vrf):
         matrix.flags.writeable = False
-
-    vrf.flags.writeable = False
-    steady_second = steady_state_vector(n_second, p)
-    steady_second.flags.writeable = False
-
-    return FilterRealization(
-        spec=spec,
-        first_net=build_network(n_first, p),
-        second_net=build_network(n_second, p),
-        transforms=transforms,
-        steady_second=steady_second,
-        residual_mass=residual_mass,
-        vrf=vrf,
-    )
+    return FilterRealization(spec=spec, residual_mass=residual_mass, vrf=vrf, **arrays)

@@ -290,8 +290,8 @@ def _noise_term(realization, index, stream):
     ride longer cascades of the same decay: the first states of a longer
     cascade evolve exactly like the shorter one.
     """
-    pad1 = stream.first_net.order - realization.first_net.order
-    pad2 = stream.second_net.order - realization.second_net.order
+    pad1 = stream.spec.n_first_states - realization.spec.n_first_states
+    pad2 = stream.spec.n_second_states - realization.spec.n_second_states
     return (
         np.pad(realization.coeff_output, ((0, 0), (0, pad1))),
         np.pad(realization.power_output, (0, pad2)),
@@ -398,7 +398,7 @@ class ChangeDetector(_Detector):
             )
         self.realization_a = real_a
         self.realization_b = real_b
-        pad = real_b.first_net.order - real_a.first_net.order
+        pad = spec_b.n_first_states - spec_a.n_first_states
         super().__init__(
             real_b, threshold, sigma0_sq,
             np.pad(real_a.state_output[0], (0, pad)) - real_b.state_output[0],

@@ -14,8 +14,7 @@ import math
 
 import numpy as np
 
-from .design import DesignError, DesignSpec, FilterRealization, TransformSet
-from .network import build_network
+from .design import DesignError, DesignSpec, FilterRealization
 from .weights import WeightSpec
 
 __all__ = [
@@ -53,7 +52,6 @@ def design_to_document(realization: FilterRealization, requested_delay="auto") -
     from .response import bandwidth, group_delay_dc
 
     spec = realization.spec
-    t = realization.transforms
     return {
         "format": FORMAT_TAG,
         "version": FORMAT_VERSION,
@@ -73,14 +71,7 @@ def design_to_document(realization: FilterRealization, requested_delay="auto") -
         },
         "realization": {
             "residual_mass": realization.residual_mass,
-            "steady_second": realization.steady_second.tolist(),
-            "overlap": t.overlap.tolist(),
-            "to_orthonormal": t.to_orthonormal.tolist(),
-            "from_orthonormal": t.from_orthonormal.tolist(),
-            "synthesis": t.synthesis.tolist(),
-            "coeff_output": t.coeff_output.tolist(),
-            "state_output": t.state_output.tolist(),
-            "power_output": t.power_output.tolist(),
+            **{key: getattr(realization, key).tolist() for key in _ARRAY_FIELDS},
         },
     }
 
@@ -125,8 +116,8 @@ def realization_from_document(document: dict) -> FilterRealization:
     """Reconstruct the runtime object from stored matrices.
 
     Nothing is recomputed: the arrays come straight from the document, and
-    only the structural cascade matrices (which are fully determined by the
-    decay and the orders) are rebuilt.  Fields the runtime does not read,
+    the cascades are fully determined by the spec.  Fields the runtime does
+    not read,
     such as the weight normalizer `gamma` and the signal cascade's fixed
     point `steady_first` that older documents carry, are ignored.
     """
@@ -152,9 +143,7 @@ def realization_from_document(document: dict) -> FilterRealization:
             f"design document realization field 'residual_mass' must be positive, "
             f"got {residual_mass!r}"
         )
-    arrays = {}
-    for key in _ARRAY_FIELDS:
-        arrays[key] = _finite_array("realization", key, raw[key])
+    arrays = {key: _finite_array("realization", key, raw[key]) for key in _ARRAY_FIELDS}
     _check_shapes(spec, arrays)
 
     vrf = _finite_array("analysis", "vrf", document["analysis"].get("vrf"))
@@ -164,24 +153,7 @@ def realization_from_document(document: dict) -> FilterRealization:
             f"expected {(spec.n_outputs, spec.n_outputs)}"
         )
 
-    transforms = TransformSet(
-        overlap=arrays["overlap"],
-        to_orthonormal=arrays["to_orthonormal"],
-        from_orthonormal=arrays["from_orthonormal"],
-        synthesis=arrays["synthesis"],
-        coeff_output=arrays["coeff_output"],
-        state_output=arrays["state_output"],
-        power_output=arrays["power_output"],
-    )
-    return FilterRealization(
-        spec=spec,
-        first_net=build_network(spec.n_first_states, spec.weight.p),
-        second_net=build_network(spec.n_second_states, spec.weight.p),
-        transforms=transforms,
-        steady_second=arrays["steady_second"],
-        residual_mass=residual_mass,
-        vrf=vrf,
-    )
+    return FilterRealization(spec=spec, residual_mass=residual_mass, vrf=vrf, **arrays)
 
 
 def _finite_number(section: str, key: str, value) -> float:

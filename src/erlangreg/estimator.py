@@ -133,7 +133,7 @@ def new_estimator(realization: FilterRealization, x0: float, sigma0_sq: float = 
     """
     sigma0_sq = _prior_variance(sigma0_sq)
     return EstimatorState(
-        w1=[0.0] * realization.first_net.order,
+        w1=[0.0] * realization.spec.n_first_states,
         w2=(realization.steady_second * sigma0_sq).tolist(),
         n=0,
         x0=_finite(x0, 0),
@@ -224,22 +224,22 @@ def _advance_moments(
     if not finite.all():
         bad = int(np.argmin(finite))
         raise _not_finite(start + bad, float(xs[bad]))
-    first, second = realization.first_net, realization.second_net
+    p = realization.spec.weight.p
     if state is None:
         state = new_estimator(realization, xs[0], sigma0_sq)
         d = xs[1:] - state.x0
-        w1_block = np.empty((first.order, xs.size))
-        w2_block = np.empty((second.order, xs.size))
+        w1_block = np.empty((len(state.w1), xs.size))
+        w2_block = np.empty((len(state.w2), xs.size))
         w1_block[:, 0] = state.w1
         w2_block[:, 0] = state.w2
         if d.size:
-            w1_block[:, 1:] = run_block(first, d, state.w1)
-            w2_block[:, 1:] = run_block(second, d * d, state.w2)
+            w1_block[:, 1:] = run_block(p, d, state.w1)
+            w2_block[:, 1:] = run_block(p, d * d, state.w2)
         state.n = xs.size - 1
     else:
         d = xs - state.x0
-        w1_block = run_block(first, d, state.w1)
-        w2_block = run_block(second, d * d, state.w2)
+        w1_block = run_block(p, d, state.w1)
+        w2_block = run_block(p, d * d, state.w2)
         state.n += xs.size
     state.w1 = w1_block[:, -1].tolist()
     state.w2 = w2_block[:, -1].tolist()
@@ -258,7 +258,7 @@ def coefficients(state: EstimatorState, realization: FilterRealization):
     age counted in samples behind the newest one, so a rising ramp has a
     negative alpha[1].
     """
-    from_orthonormal = realization.transforms.from_orthonormal
+    from_orthonormal = realization.from_orthonormal
     beta = realization.coeff_output @ np.array(state.w1)
     alpha = from_orthonormal @ beta
     # The constant x0 is alpha[0] = x0 in the monomial basis; the basis

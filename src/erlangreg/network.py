@@ -15,48 +15,26 @@ per-sample path never need it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
-    "NetworkMatrices",
-    "build_network",
     "run_block",
     "steady_state_vector",
     "impulse_to_weight_transform",
 ]
 
 
-@dataclass(frozen=True)
-class NetworkMatrices:
-    """A cascade of `order` leaky integrators of decay p.
+def run_block(p: float, u: np.ndarray, w_prev) -> np.ndarray:
+    """Advance a cascade of decay p over a whole block of input at once.
 
-    Every eigenvalue of its state matrix equals p, so the network is stable
-    for p < 1.
-    """
-
-    order: int
-    p: float
-
-
-def build_network(order: int, p: float) -> NetworkMatrices:
-    if order < 1 or int(order) != order:
-        raise ValueError(f"network order must be a positive integer, got {order}")
-    if not 0.0 < p < 1.0:
-        raise ValueError(f"smoothing parameter must satisfy 0 < p < 1, got {p}")
-    return NetworkMatrices(order=int(order), p=p)
-
-
-def run_block(net: NetworkMatrices, u: np.ndarray, w_prev: np.ndarray | None = None) -> np.ndarray:
-    """Advance the cascade over a whole block of input at once.
-
-    Returns the (order, len(u)) state trajectories; column t is the state
-    vector after consuming u[t].  Stage k of the cascade is the (k+1)-fold
-    leaky integration of the input, so the block reduces to chained
-    first-order filters, which run vectorized.  w_prev is the state vector
-    before the block (None for a network at rest); the state after the
-    block is the last column.
+    w_prev is the state vector before the block (zeros for a cascade at
+    rest); its length is the cascade order.  Returns the (order, len(u))
+    state trajectories; column t is the state vector after consuming u[t],
+    so the state after the block is the last column.  Stage k of the
+    cascade is the (k+1)-fold leaky integration of the input, so the block
+    reduces to chained first-order filters, which run vectorized.  Every
+    eigenvalue of the cascade equals p, so it is stable for 0 < p < 1.
 
     scipy.signal is imported here rather than at module level, so that
     only block runs pay its start-up cost; a repeated import is a
@@ -64,12 +42,16 @@ def run_block(net: NetworkMatrices, u: np.ndarray, w_prev: np.ndarray | None = N
     """
     from scipy.signal import lfilter
 
+    if not 0.0 < p < 1.0:
+        raise ValueError(f"smoothing parameter must satisfy 0 < p < 1, got {p}")
+    order = len(w_prev)
+    if order < 1:
+        raise ValueError("cascade order must be positive: w_prev is empty")
     u = np.asarray(u, dtype=float)
-    states = np.empty((net.order, u.size))
+    states = np.empty((order, u.size))
     signal = u
-    for k in range(net.order):
-        carry = net.p * w_prev[k] if w_prev is not None else 0.0
-        signal, _ = lfilter([1.0], [1.0, -net.p], signal, zi=[carry])
+    for k in range(order):
+        signal, _ = lfilter([1.0], [1.0, -p], signal, zi=[p * w_prev[k]])
         states[k] = signal
     return states
 

@@ -50,9 +50,9 @@ def _state_responses(realization: FilterRealization, omegas: np.ndarray) -> np.n
     Row k is (1 - p e^{-i omega})**-(k + 1).  On the unit circle
     |p e^{-i omega}| = p < 1, so the denominator never vanishes.
     """
-    net = realization.first_net
-    base = 1.0 / (1.0 - net.p * np.exp(-1j * omegas))
-    return base[None, :] ** np.arange(1, net.order + 1)[:, None]
+    spec = realization.spec
+    base = 1.0 / (1.0 - spec.weight.p * np.exp(-1j * omegas))
+    return base[None, :] ** np.arange(1, spec.n_first_states + 1)[:, None]
 
 
 def frequency_response(realization: FilterRealization, omega: float, output: int = 0) -> complex:

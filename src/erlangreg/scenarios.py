@@ -93,6 +93,18 @@ def _check_noise_std(noise_std: float) -> None:
         raise ValueError(f"noise_std must be finite and nonnegative, got {noise_std}")
 
 
+def _check_length(n_samples: int, shortest: int, reason: str) -> None:
+    """ValueError unless the record holds at least `shortest` samples.
+
+    A shorter record makes a waveform's scale divide by zero and come out
+    as NaN rows.
+    """
+    if n_samples < shortest:
+        raise ValueError(
+            f"n_samples must be at least {shortest} ({reason}), got {n_samples}"
+        )
+
+
 def simulate_target(scenario: TargetScenario) -> Tuple[np.ndarray, np.ndarray]:
     """Propagate the target and measure its position.
 
@@ -123,9 +135,12 @@ def simulate_target(scenario: TargetScenario) -> Tuple[np.ndarray, np.ndarray]:
     return truth, measurements
 
 
+_PULSE_START = 150
+
+
 def _smoothed_pulse(
     n_samples: int = 400,
-    start: int = 150,
+    start: int = _PULSE_START,
     width: int = 100,
     height: float = 20.0,
     kernel_sigma: float = 8.0,
@@ -144,8 +159,12 @@ def _smoothed_pulse(
 def synth_edge_waveform(
     seed: int, n_samples: int = 400, noise_std: float = 0.5
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Smoothed pulse on a flat baseline of 100; returns (clean, noisy)."""
+    """Smoothed pulse on a flat baseline of 100; returns (clean, noisy).
+
+    The pulse starts at sample 150, so the record needs at least 151 samples.
+    """
     _check_noise_std(noise_std)
+    _check_length(n_samples, _PULSE_START + 1, f"the pulse starts at sample {_PULSE_START}")
     clean = _smoothed_pulse(n_samples) + 100.0
     noisy = clean + noise_std * gaussian_noise(make_rng(seed), n_samples)
     return clean, noisy
@@ -154,8 +173,12 @@ def synth_edge_waveform(
 def synth_change_waveform(
     seed: int, n_samples: int = 400, noise_std: float = 0.5
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Smoothed pulse on a rising ramp; the pulse onset and exit are the breaks."""
+    """Smoothed pulse on a rising ramp; the pulse onset and exit are the breaks.
+
+    The pulse starts at sample 150, so the record needs at least 151 samples.
+    """
     _check_noise_std(noise_std)
+    _check_length(n_samples, _PULSE_START + 1, f"the pulse starts at sample {_PULSE_START}")
     ramp = 100.0 + np.arange(n_samples) / 10.0
     clean = _smoothed_pulse(n_samples) + ramp
     noisy = clean + noise_std * gaussian_noise(make_rng(seed), n_samples)
@@ -170,9 +193,11 @@ def synth_peak_waveform(
     The target is a Gaussian bump of amplitude 10 and width 12 centered at
     3/4 of the record; the clutter is amplitude 10 but width 2 at the
     halfway point, too narrow for a smoother tuned to the target width.
-    The cubic background sweeps the baseline across [10, 20].
+    The cubic background sweeps the baseline across [10, 20]; it is flat
+    on fewer than 4 samples, so the record needs at least 4.
     """
     _check_noise_std(noise_std)
+    _check_length(n_samples, 4, "the cubic background is flat on fewer samples")
     n = np.arange(n_samples)
     target = 10.0 * np.exp(-0.5 * ((n - 0.75 * n_samples) / 12.0) ** 2)
     clutter = 10.0 * np.exp(-0.5 * ((n - 0.5 * n_samples) / 2.0) ** 2)

@@ -4,19 +4,27 @@ The VRF (variance reduction factor) of an output is the ratio of its
 steady-state noise variance to the input white-noise variance, equal to the
 sum of squared impulse-response samples.  For these filters it has a closed
 algebraic form in the design matrices; the impulse-response summation is
-kept alongside as an independent check.
+kept alongside as an independent check.  The closed forms themselves live
+in design.py, next to the Gram pair they read; the functions here build
+that pair for one spec and call them.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .design import DesignSpec, FilterRealization, overlap_matrix, squared_overlap_matrix, synthesis_matrix
+from .design import (
+    DesignSpec,
+    FilterRealization,
+    _delay_polynomial,
+    _gram_pair,
+    _optimal_delay,
+    _vrf,
+    synthesis_matrix,
+)
 from .network import run_block
-from .weights import weight_moments
 
 __all__ = [
     "VrfReport",
@@ -42,12 +50,7 @@ def vrf_matrix(spec: DesignSpec) -> np.ndarray:
     Output covariance of unit white noise equals this matrix; entry (a, b)
     is the covariance between derivative outputs a and b.
     """
-    synthesis = synthesis_matrix(spec)
-    overlap = overlap_matrix(spec)
-    squared = squared_overlap_matrix(spec)
-    # Rows of the per-state output map: synthesis @ overlap**-1.
-    state_rows = np.linalg.solve(overlap, synthesis.T).T
-    return state_rows @ squared @ state_rows.T
+    return _vrf(synthesis_matrix(spec), *_gram_pair(spec))
 
 
 def vrf_by_parseval(
@@ -67,12 +70,12 @@ def vrf_by_parseval(
         raise ValueError(f"output indices must be in [0, {n_out}), got {k_a}, {k_b}")
     row_a = realization.state_output[k_a]
     row_b = realization.state_output[k_b]
-    net = realization.first_net
+    p = realization.spec.weight.p
 
     total = 0.0
     consumed = 0
     block = 64
-    state = None  # cascade state between blocks
+    state = np.zeros(realization.spec.n_first_states)  # cascade at rest
     first = True
     limit = horizon if horizon is not None else 1_000_000
     while consumed < limit:
@@ -80,7 +83,7 @@ def vrf_by_parseval(
         u = np.zeros(block)
         if first:
             u[0] = 1.0  # unit impulse enters once
-        states = run_block(net, u, state)
+        states = run_block(p, u, state)
         state = states[:, -1]
         h_a = row_a @ states
         h_b = row_b @ states
@@ -106,20 +109,7 @@ def delay_polynomial(spec: DesignSpec, output: int = 0) -> np.ndarray:
     2 * (model_order - 1 - output) in the delay; this returns its exact
     coefficients, independent of any delay stored in the spec.
     """
-    if not 0 <= output < spec.model_order:
-        raise ValueError(f"output must be in [0, {spec.model_order}), got {output}")
-    overlap = overlap_matrix(spec)
-    squared = squared_overlap_matrix(spec)
-    inv = np.linalg.solve(overlap, np.eye(spec.model_order))
-    core = inv @ squared @ inv.T
-    degree = 2 * (spec.model_order - 1 - output)
-    coeffs = np.zeros(degree + 1)
-    scale = spec.sample_period ** (-2 * output)
-    for i in range(output, spec.model_order):
-        for j in range(output, spec.model_order):
-            weight = math.perm(i, output) * math.perm(j, output)
-            coeffs[i + j - 2 * output] += scale * weight * core[i, j]
-    return coeffs
+    return _delay_polynomial(spec, *_gram_pair(spec), output)
 
 
 def optimal_delay(spec: DesignSpec, output: int = 0) -> VrfReport:
@@ -131,28 +121,7 @@ def optimal_delay(spec: DesignSpec, output: int = 0) -> VrfReport:
     of 1, or the highest derivative) the weight centroid is reported and
     the candidate list is empty.
     """
-    coeffs = delay_polynomial(spec, output)
-    if len(coeffs) == 1:
-        q_best = weight_moments(spec.weight).mu_w
-        candidates = []
-    else:
-        derivative = coeffs[1:] * np.arange(1, len(coeffs))
-        roots = np.roots(derivative[::-1])
-        real_roots = sorted(float(r.real) for r in roots if abs(r.imag) <= 1e-8)
-
-        def gain(q):
-            return float(np.polyval(coeffs[::-1], q))
-
-        candidates = [(q, gain(q)) for q in real_roots]
-        step = 1e-3
-        minima = [
-            q for q, _ in candidates
-            if gain(q - step) - 2.0 * gain(q) + gain(q + step) > 0.0
-        ]
-        if minima:
-            q_best = min(minima)
-        else:
-            # Degenerate fallback; not reachable for a positive even-degree gain.
-            q_best = min(candidates, key=lambda c: c[1])[0]
-    vrf = vrf_matrix(replace(spec, delay=q_best))
+    overlap, squared = _gram_pair(spec)
+    q_best, candidates = _optimal_delay(spec, overlap, squared, output)
+    vrf = _vrf(synthesis_matrix(replace(spec, delay=q_best)), overlap, squared)
     return VrfReport(vrf=vrf, q_optimal=q_best, candidates=candidates)

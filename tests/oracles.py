@@ -208,7 +208,7 @@ def sample_statistic(value_row, filters, stream, w1, w2, floor=1e-15) -> float:
     filters is a list of (realization, output index); each filter's readout
     rows are zero-padded to the cascades of realization stream.
     """
-    n1, n2 = stream.first_net.order, stream.second_net.order
+    n1, n2 = stream.spec.n_first_states, stream.spec.n_second_states
     variance = 0.0
     for real, index in filters:
         coeff = [_padded(row, n1) for row in real.coeff_output.tolist()]
@@ -231,6 +231,6 @@ def peak_statistic(real, w1, w2) -> float:
 
 
 def change_statistic(fast, slow, w1, w2) -> float:
-    fast_row = _padded(fast.state_output[0].tolist(), slow.first_net.order)
+    fast_row = _padded(fast.state_output[0].tolist(), slow.spec.n_first_states)
     row = [a - b for a, b in zip(fast_row, slow.state_output[0].tolist())]
     return sample_statistic(row, [(fast, 0), (slow, 0)], slow, w1, w2)

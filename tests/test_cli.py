@@ -407,6 +407,19 @@ def test_simulate_rejects_non_finite_parameters(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("scenario,n_samples,shortest", [
+    ("edge", "100", 151), ("change", "150", 151), ("peak", "3", 4), ("peak", "0", 4),
+    ("edge", "-3", 151),
+])
+def test_simulate_rejects_records_too_short(tmp_path, capsys, scenario, n_samples, shortest):
+    out = tmp_path / "s.csv"
+    assert main(["simulate", "--scenario", scenario, "--n-samples", n_samples,
+                 "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: n_samples must be at least {shortest} ")
+    assert not out.exists()
+
+
 def test_simulate_unknown_scenario_is_usage_error():
     assert main(["simulate", "--scenario", "tsunami"]) == 2
 
@@ -502,7 +515,7 @@ def test_block_reader_agrees_with_line_parser(tmp_path, capsys, name):
     rc = main(["run", "--design", str(design), "--input", str(data), "--out", str(out)])
     if error is None:
         assert rc == 0
-        assert sum(1 for _ in open(out)) == len(expected) + 1
+        assert len(out.read_text().splitlines()) == len(expected) + 1
     else:
         assert rc == 3
         assert capsys.readouterr().err == f"error: {error}\n"

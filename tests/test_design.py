@@ -1,3 +1,6 @@
+import ast
+import inspect
+
 import numpy as np
 import pytest
 from scipy.linalg import solve_triangular
@@ -15,6 +18,10 @@ from erlangreg import (
     steady_state_vector,
     synthesis_matrix,
 )
+
+import erlangreg.design
+from erlangreg import optimal_delay, vrf_matrix
+from erlangreg.document import _ARRAY_FIELDS
 
 from oracles import build
 
@@ -87,19 +94,19 @@ def test_basis_change_on_the_design_grid():
         for p in (0.8, 0.9, 0.95, 0.98, 0.99, 0.995, 0.999):
             for kx in range(1, 6):
                 try:
-                    transforms = build_realization(_spec(kappa, p, kx, kt=1, q=0.0)).transforms
+                    real = build_realization(_spec(kappa, p, kx, kt=1, q=0.0))
                 except IllConditionedDesignError:
                     continue
                 built += 1
                 design = f"kappa={kappa} p={p} kx={kx}"
-                to_on, from_on = transforms.to_orthonormal, transforms.from_orthonormal
+                to_on, from_on = real.to_orthonormal, real.from_orthonormal
                 assert np.array_equal(from_on, to_on.T), design
                 np.testing.assert_allclose(
-                    to_on @ transforms.overlap @ to_on.T, np.eye(kx), rtol=0, atol=1e-10,
+                    to_on @ real.overlap @ to_on.T, np.eye(kx), rtol=0, atol=1e-10,
                     err_msg=design,
                 )
                 # LAPACK's triangular solves are the oracle for both factors.
-                lower = np.linalg.cholesky(transforms.overlap)
+                lower = np.linalg.cholesky(real.overlap)
                 for got, oracle in (
                     (to_on, solve_triangular(lower, np.eye(kx), lower=True)),
                     (from_on, solve_triangular(lower.T, np.eye(kx), lower=False)),
@@ -143,14 +150,9 @@ def test_build_rejects_ill_conditioned():
 
 def test_realization_matrices_are_frozen():
     real = build(kappa=1, p=0.8, kx=2, kt=2)
-    for matrix in (
-        real.transforms.overlap,
-        real.transforms.coeff_output,
-        real.state_output,
-        real.vrf,
-    ):
+    for field in _ARRAY_FIELDS + ("vrf",):
         with pytest.raises(ValueError):
-            matrix[..., 0] = 0.0
+            getattr(real, field)[..., 0] = 0.0
 
 
 def test_constant_signal_reproduced_from_steady_state():
@@ -158,7 +160,7 @@ def test_constant_signal_reproduced_from_steady_state():
     # recover the constant and zero derivatives: the regression of a flat
     # signal is flat.
     real = build(kappa=2, p=0.85, kx=3, kt=3, q=4.0)
-    outputs = real.state_output @ steady_state_vector(real.first_net.order, 0.85)
+    outputs = real.state_output @ steady_state_vector(real.spec.n_first_states, 0.85)
     np.testing.assert_allclose(outputs, [1.0, 0.0, 0.0], atol=1e-11)
 
 
@@ -174,3 +176,41 @@ def test_residual_mass_positive_and_less_than_total():
     for kappa, p, kx in [(0, 0.8, 1), (2, 0.9, 3), (3, 0.75, 2)]:
         real = build(kappa=kappa, p=p, kx=kx, q=2.0)
         assert 0.0 < real.residual_mass < erlang_sum(kappa, p)
+
+
+@pytest.mark.parametrize("kappa,p,kx,kt", [(0, 0.8, 1, 1), (2, 0.9, 2, 2), (6, 0.8, 4, 3),
+                                           (1, 0.95, 3, 1), (0, 0.8, 5, 3)])
+@pytest.mark.parametrize("q", [None, 3.5])
+def test_build_takes_each_gram_sum_once(monkeypatch, kappa, p, kx, kt, q):
+    # One pass: the overlap and the squared overlap each need 2 kx - 1
+    # distinct sums S_k, and every other design quantity reads those two.
+    calls = []
+
+    def counting(k, p):
+        calls.append((k, p))
+        return erlang_sum(k, p)
+
+    monkeypatch.setattr(erlangreg.design, "erlang_sum", counting)
+    build_realization(_spec(kappa, p, kx, kt, q))
+    assert len(calls) == 2 * (2 * kx - 1)
+    assert len(set(calls)) == len(calls)
+
+
+@pytest.mark.parametrize("kappa,p,kx,kt", [(0, 0.8, 1, 1), (2, 0.9, 2, 2), (6, 0.8, 4, 3),
+                                           (8, 0.95, 3, 3)])
+def test_public_noise_gains_equal_the_built_ones(kappa, p, kx, kt):
+    spec = _spec(kappa, p, kx, kt, q=None)
+    real = build_realization(spec)
+    report = optimal_delay(spec)
+    assert report.q_optimal == real.spec.delay
+    assert np.array_equal(report.vrf, real.vrf)
+    assert np.array_equal(vrf_matrix(real.spec), real.vrf)
+
+
+def test_design_does_not_import_variance():
+    tree = ast.parse(inspect.getsource(erlangreg.design))
+    imported = [
+        node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+    ] + [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+         for alias in node.names]
+    assert not [name for name in imported if name and name.split(".")[-1] == "variance"]

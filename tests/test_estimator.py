@@ -137,12 +137,12 @@ def test_coefficients_bases_are_consistent():
         update(state, real, x)
     beta, alpha = coefficients(state, real)
     np.testing.assert_allclose(
-        alpha, real.transforms.from_orthonormal @ beta, rtol=1e-12
+        alpha, real.from_orthonormal @ beta, rtol=1e-12
     )
     # The monomial coefficients must reproduce the synthesized outputs.
     frame = current_frame(state, real)
     assert frame.estimates[0] == pytest.approx(
-        float(real.transforms.synthesis[0] @ alpha), rel=1e-10
+        float(real.synthesis[0] @ alpha), rel=1e-10
     )
 
 
@@ -160,7 +160,7 @@ def test_prior_variance_seeds_power_recursion():
     state = new_estimator(real, 100.0, sigma0_sq=0.25)
     # The cascades run on x - x0, so only the prior enters the power state.
     assert state.x0 == 100.0
-    np.testing.assert_array_equal(state.w1, np.zeros(real.first_net.order))
+    np.testing.assert_array_equal(state.w1, np.zeros(real.spec.n_first_states))
     np.testing.assert_allclose(state.w2, real.steady_second * 0.25, rtol=1e-13)
     # The seeded prior surfaces in sigma scaled by total over residual mass.
     from erlangreg import erlang_sum
@@ -210,7 +210,7 @@ def test_large_dc_offset_keeps_noise_variance():
     )
     beta, alpha = est.coefficients()
     assert alpha[0] == pytest.approx(offset, rel=1e-12)
-    np.testing.assert_allclose(alpha, real.transforms.from_orthonormal @ beta, rtol=1e-12)
+    np.testing.assert_allclose(alpha, real.from_orthonormal @ beta, rtol=1e-12)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -264,7 +264,7 @@ def test_prior_variance_must_be_finite_and_nonnegative(bad):
 
 
 def _assert_float_state(state, stream):
-    for w, order in ((state.w1, stream.first_net.order), (state.w2, stream.second_net.order)):
+    for w, order in ((state.w1, stream.spec.n_first_states), (state.w2, stream.spec.n_second_states)):
         assert type(w) is list and len(w) == order
         assert all(type(v) is float for v in w)
 
@@ -359,8 +359,8 @@ def test_update_and_extend_agree_with_one_run_sequence(kappa, p, kx, seed, plan,
     # State k is bounded by max|d| / (1 - p)**(k + 1), d = x - x0.
     d = np.max(np.abs(xs - xs[0]))
     for got, expected, order, bound in [
-        (est.state.w1, state.w1, real.first_net.order, d),
-        (est.state.w2, state.w2, real.second_net.order, max(d * d, 0.25)),
+        (est.state.w1, state.w1, real.spec.n_first_states, d),
+        (est.state.w2, state.w2, real.spec.n_second_states, max(d * d, 0.25)),
     ]:
         scale = bound * steady_state_vector(order, p)
         assert np.all(np.abs(np.subtract(got, expected)) <= 1e-12 * scale)

@@ -96,8 +96,8 @@ def test_per_sample_update_loads_no_scipy(tmp_path):
 def test_run_block_loads_scipy_signal(tmp_path):
     code = (
         "import numpy as np\n"
-        "from erlangreg import build_network, run_block\n"
-        "run_block(build_network(2, 0.9), np.ones(4))\n"
+        "from erlangreg import run_block\n"
+        "run_block(0.9, np.ones(4), np.zeros(2))\n"
     )
     assert "scipy.signal" in _scipy_modules_after(code, tmp_path)
 

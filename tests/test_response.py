@@ -42,7 +42,7 @@ def test_response_equals_direct_impulse_transform(kappa, p, kx):
     impulse[0] = 1.0
     from erlangreg import run_block
 
-    states = run_block(real.first_net, impulse)
+    states = run_block(p, impulse, np.zeros(real.spec.n_first_states))
     h = real.state_output @ states
     m = np.arange(horizon)
     for omega in (0.1, 0.5, 1.5, 3.0):

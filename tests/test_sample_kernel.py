@@ -64,7 +64,7 @@ class _PlainStream:
     def __init__(self, real, x0, sigma0_sq):
         self.p = real.spec.weight.p
         self.x0 = x0
-        self.w1 = [0.0] * real.first_net.order
+        self.w1 = [0.0] * real.spec.n_first_states
         self.w2 = [s * sigma0_sq for s in real.steady_second.tolist()]
 
     def step(self, x):

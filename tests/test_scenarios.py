@@ -134,3 +134,18 @@ def test_waveforms_are_deterministic():
         b_clean, b_noisy = synth(seed=42)
         assert np.array_equal(a_clean, b_clean)
         assert np.array_equal(a_noisy, b_noisy)
+
+
+@pytest.mark.parametrize(
+    "generator,shortest",
+    [(synth_edge_waveform, 151), (synth_change_waveform, 151), (synth_peak_waveform, 4)],
+)
+def test_waveforms_reject_records_too_short_for_their_shape(generator, shortest):
+    # One sample less leaves the pulse outside the record (edge, change) or
+    # the cubic background flat (peak); the scale would divide by zero.
+    for n in (shortest - 1, 0, -3):
+        with pytest.raises(ValueError, match=f"n_samples must be at least {shortest}"):
+            generator(1, n)
+    clean, noisy = generator(1, shortest)
+    assert clean.shape == noisy.shape == (shortest,)
+    assert np.isfinite(clean).all() and np.isfinite(noisy).all()
