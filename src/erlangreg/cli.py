@@ -36,6 +36,7 @@ from .document import (
     realization_from_document,
 )
 from .estimator import _prior_variance, run_sequence
+from .network import _PIECE
 from .response import response_report
 from .scenarios import (
     TargetScenario,
@@ -48,7 +49,10 @@ from .weights import WeightSpec
 
 __all__ = ["main", "build_parser"]
 
-_RUN_CHUNK = 8192
+# One input block is one piece of the cascade engine, cut at the sample
+# numbers where run_sequence cuts a whole input, so the CLI's floats are
+# those of one library call.
+_RUN_CHUNK = _PIECE
 
 
 @contextlib.contextmanager

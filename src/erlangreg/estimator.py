@@ -36,7 +36,7 @@ from operator import itemgetter
 import numpy as np
 
 from .design import FilterRealization
-from .network import run_block
+from .network import _PIECE, run_block
 
 __all__ = [
     "EstimatorState",
@@ -218,6 +218,13 @@ def _advance_moments(
     is the start itself, and the sample counter stays at 0) and the rest
     advance the recursions.  A given state is updated in place, unless the
     block holds a NaN or infinite sample, which raises ValueError first.
+
+    The two cascades run as one stacked run_block call on the rows
+    [d, d**2], d = x - x0: the power cascade has the first kappa + 1 stages
+    of the signal cascade, and those stages share their products.  The
+    block is cut at sample numbers that are multiples of _PIECE, counted
+    from the stream's first sample, so a stream fed in blocks aligned to
+    them (as the CLI feeds it) gets the very floats of one whole call.
     """
     start = 0 if state is None else state.n + 1
     finite = np.isfinite(xs)
@@ -225,22 +232,30 @@ def _advance_moments(
         bad = int(np.argmin(finite))
         raise _not_finite(start + bad, float(xs[bad]))
     p = realization.spec.weight.p
+    first = 0
     if state is None:
         state = new_estimator(realization, xs[0], sigma0_sq)
-        d = xs[1:] - state.x0
-        w1_block = np.empty((len(state.w1), xs.size))
-        w2_block = np.empty((len(state.w2), xs.size))
-        w1_block[:, 0] = state.w1
-        w2_block[:, 0] = state.w2
-        if d.size:
-            w1_block[:, 1:] = run_block(p, d, state.w1)
-            w2_block[:, 1:] = run_block(p, d * d, state.w2)
-        state.n = xs.size - 1
+        first = 1  # column 0 is the start itself
+    moments = np.empty((2, xs.size - first))
+    np.subtract(xs[first:], state.x0, out=moments[0])
+    np.multiply(moments[0], moments[0], out=moments[1])
+    # run_block cuts every _PIECE samples from its own start, so one call
+    # up to the first multiple of _PIECE aligns all the cuts after it.
+    head = min(-(start + first) % _PIECE, moments.shape[1])
+    w = [state.w1, state.w2]
+    pieces = []
+    for lo, hi in ((0, head), (head, moments.shape[1])):
+        if hi > lo:
+            pieces.append(run_block(p, moments[:, lo:hi], w))
+            w = [states[:, -1] for states in pieces[-1]]
+    if first:
+        pieces.insert(0, [np.array(state.w1)[:, None], np.array(state.w2)[:, None]])
+    if len(pieces) == 1:
+        w1_block, w2_block = pieces[0]
     else:
-        d = xs - state.x0
-        w1_block = run_block(p, d, state.w1)
-        w2_block = run_block(p, d * d, state.w2)
-        state.n += xs.size
+        w1_block = np.hstack([piece[0] for piece in pieces])
+        w2_block = np.hstack([piece[1] for piece in pieces])
+    state.n = start + xs.size - 1
     state.w1 = w1_block[:, -1].tolist()
     state.w2 = w2_block[:, -1].tolist()
     return w1_block, w2_block, state

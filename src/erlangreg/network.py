@@ -7,13 +7,20 @@ sample is w <- G w + H x with G = p * tril(ones(K, K)) and H = ones(K).
 State k has impulse response phi_k[m] = C(m + k, k) * p**m; an integer
 change of basis turns those into the monomial family m**k * p**m.
 
-scipy is imported by run_block alone, on its first call: importing
-scipy.signal takes over a second, and design, analysis, documents and the
-per-sample path never need it.
+run_block runs the cascade in numpy alone, as a chunked first-order scan
+(Blelloch, "Prefix sums and their applications", 1990) applied stage after
+stage.  Within each sub-block of _SUB samples one matrix product applies
+the lower-triangular Toeplitz of p**(i - s); the sub-block end values carry
+through one product with the Toeplitz of p**(_SUB * m); and each carry
+re-enters its sub-block as p**(i + 1) times the carry.  Every coefficient
+is a non-negative power of p, so nothing cancels and nothing divides by a
+power of p.  Input is taken in pieces of at most _PIECE samples, so the
+tables stay the size of one piece however long the input is.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -24,36 +31,126 @@ __all__ = [
     "impulse_to_weight_transform",
 ]
 
+_SUB = 32       # samples per sub-block of the scan
+_PIECE = 8192   # samples per piece; a multiple of _SUB
 
-def run_block(p: float, u: np.ndarray, w_prev) -> np.ndarray:
+
+@functools.lru_cache(maxsize=16)
+def _scan_tables(p: float):
+    """Powers of p for the blocked scan of one piece, read-only.
+
+    Returns (within, offset, across, start), with i, s offsets in a
+    sub-block and j, m sub-block numbers:
+      within[s, i] = p**(i - s) for s <= i, else 0: the sub-block's
+        response to its own input, from rest;
+      offset[i] = p**(i + 1): its response to the carry into it;
+      across[m, j] = p**(_SUB * (j - 1 - m)) for m < j, else 0: how the end
+        of sub-block m reaches the carry into sub-block j;
+      start[j] = p**(_SUB * j): how the state before the piece reaches it.
+    Each entry is one pow() of p, and entries below the smallest normal
+    float are zero, so no product runs on subnormals.
+    """
+    def powers(exponent, keep=True):
+        table = np.where(keep, p ** np.maximum(exponent, 0).astype(float), 0.0)
+        table[table < np.finfo(float).tiny] = 0.0
+        table.flags.writeable = False
+        return table
+
+    i = np.arange(_SUB)
+    j = np.arange(_PIECE // _SUB)
+    lag = i[None, :] - i[:, None]
+    lag_sub = j[None, :] - 1 - j[:, None]
+    return (
+        powers(lag, lag >= 0),
+        powers(i + 1),
+        powers(_SUB * lag_sub, lag_sub >= 0),
+        powers(_SUB * j),
+    )
+
+
+def run_block(p: float, u: np.ndarray, w_prev):
     """Advance a cascade of decay p over a whole block of input at once.
 
     w_prev is the state vector before the block (zeros for a cascade at
     rest); its length is the cascade order.  Returns the (order, len(u))
     state trajectories; column t is the state vector after consuming u[t],
     so the state after the block is the last column.  Stage k of the
-    cascade is the (k+1)-fold leaky integration of the input, so the block
-    reduces to chained first-order filters, which run vectorized.  Every
+    cascade is the (k+1)-fold leaky integration of the input.  Every
     eigenvalue of the cascade equals p, so it is stable for 0 < p < 1.
 
-    scipy.signal is imported here rather than at module level, so that
-    only block runs pay its start-up cost; a repeated import is a
-    sys.modules lookup.
+    Several cascades of the same p run together when u is a 2-D array of
+    input rows and w_prev a sequence of one state vector per row, longest
+    first; the result is then the list of their trajectories.  Stage k runs
+    once for every row whose cascade has more than k stages.
     """
-    from scipy.signal import lfilter
-
     if not 0.0 < p < 1.0:
         raise ValueError(f"smoothing parameter must satisfy 0 < p < 1, got {p}")
-    order = len(w_prev)
-    if order < 1:
-        raise ValueError("cascade order must be positive: w_prev is empty")
     u = np.asarray(u, dtype=float)
-    states = np.empty((order, u.size))
-    signal = u
-    for k in range(order):
-        signal, _ = lfilter([1.0], [1.0, -p], signal, zi=[p * w_prev[k]])
-        states[k] = signal
-    return states
+    stacked = u.ndim == 2
+    if not stacked:
+        u, w_prev = u[None], [w_prev]
+    w = list(w_prev)
+    orders = [len(w_r) for w_r in w]
+    if len(orders) != len(u):
+        raise ValueError(f"{len(u)} input rows need as many state vectors, got {len(orders)}")
+    if min(orders) < 1:
+        raise ValueError("cascade order must be positive: w_prev is empty")
+    if orders != sorted(orders, reverse=True):
+        raise ValueError(f"state vectors must be ordered longest first, got orders {orders}")
+    n = u.shape[1]
+    # Room for whole sub-blocks: the scan writes them, the caller sees n.
+    # Stage k of every cascade is one slab states[k], one row per cascade.
+    states = np.empty((orders[0], len(orders), -(-n // _SUB) * _SUB))
+    for lo in range(0, n, _PIECE):
+        hi = min(lo + _PIECE, n)
+        if states.shape[2] <= _PIECE:
+            _scan_piece(p, u, w, states)
+        else:
+            piece = np.empty(states.shape[:2] + (-(-(hi - lo) // _SUB) * _SUB,))
+            _scan_piece(p, u[:, lo:hi], w, piece)
+            states[:, :, lo:lo + piece.shape[2]] = piece
+        w = [states[: len(w_r), r, hi - 1] for r, w_r in enumerate(w)]
+    out = [states[:order, r, :n] for r, order in enumerate(orders)]
+    return out if stacked else out[0]
+
+
+def _scan_piece(p, u, state, states):
+    """Run every stage over one piece of at most _PIECE samples, into states.
+
+    u holds one input row per cascade and state one start vector each,
+    longest first; states[k, r] receives stage k of cascade r, in whole
+    sub-blocks.  The piece is zero-padded to whole sub-blocks; the padding
+    trails every real sample, so it changes none of them.  A stage's
+    signal is laid out one sub-block per row, cascade after cascade, so a
+    single product of those rows with `within` gives the stage's response
+    from rest; the carries then follow from the end column of that very
+    product.
+    """
+    within, offset, across, start = _scan_tables(p)
+    rows, n = u.shape
+    n_sub = states.shape[2] // _SUB
+    across = across[:n_sub, :n_sub]
+    start_terms = np.zeros((len(state[0]), rows))
+    for r, w in enumerate(state):
+        start_terms[: len(w), r] = w
+    start_terms = start_terms[:, :, None] * start[:n_sub]
+
+    signal = np.zeros((rows, n_sub * _SUB))
+    signal[:, :n] = u
+    signal = signal.reshape(rows * n_sub, _SUB)
+    carried = np.empty_like(signal)
+    active = rows
+    for k in range(len(state[0])):
+        while len(state[active - 1]) <= k:
+            active -= 1
+        m = active * n_sub
+        y = np.matmul(signal[:m], within, out=states[k, :active].reshape(m, _SUB))
+        carry = y[:, -1].reshape(active, n_sub) @ across
+        carry += start_terms[k, :active]
+        # einsum forms this outer product faster than a broadcast multiply,
+        # whose inner loop runs over rows only _SUB long.
+        y += np.einsum("i,j->ij", carry.reshape(m), offset, out=carried[:m])
+        signal = y
 
 
 def steady_state_vector(order: int, p: float) -> np.ndarray:

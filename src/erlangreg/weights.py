@@ -12,6 +12,7 @@ to the sums S_k(p) = sum_{m>=0} p**m * m**k, so those sums live here.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
@@ -44,14 +45,20 @@ def erlang_sum(k: int, p: float) -> float:
     """
     _check_sum_args(k, p)
     k = int(k)
-    eulerian = [1]
-    for n in range(1, k + 1):
-        prev = eulerian + [0]
-        eulerian = [0] + [j * prev[j] + (n - j + 1) * prev[j - 1] for j in range(1, n + 1)]
     num = 0.0
-    for coeff in reversed(eulerian):
+    for coeff in reversed(_eulerian_row(k)):
         num = num * p + coeff
     return num / (1.0 - p) ** (k + 1)
+
+
+@functools.lru_cache(maxsize=128)
+def _eulerian_row(k: int) -> tuple:
+    """Row k of the Eulerian triangle, A(k, 0) ... A(k, k), built once per k."""
+    row = (1,)
+    for n in range(1, k + 1):
+        prev = row + (0,)
+        row = (0,) + tuple(j * prev[j] + (n - j + 1) * prev[j - 1] for j in range(1, n + 1))
+    return row
 
 
 def normalizer(k: int, p: float) -> float:

@@ -234,3 +234,23 @@ def change_statistic(fast, slow, w1, w2) -> float:
     fast_row = _padded(fast.state_output[0].tolist(), slow.spec.n_first_states)
     row = [a - b for a, b in zip(fast_row, slow.state_output[0].tolist())]
     return sample_statistic(row, [(fast, 0), (slow, 0)], slow, w1, w2)
+
+
+def cascade_longdouble(p: float, u, w_prev) -> np.ndarray:
+    """Leaky-integrator cascade in np.longdouble, one sample at a time.
+
+    Stage k runs y[n] = p * y[n-1] + x_k[n] from y[-1] = w_prev[k], with
+    x_0 the input and x_k the trajectory of stage k-1.  Returns the
+    (len(w_prev), len(u)) trajectories in long double, whose extra
+    precision makes it a reference for the float64 engines.
+    """
+    p = np.longdouble(p)
+    signal = [np.longdouble(x) for x in np.asarray(u, dtype=float)]
+    out = np.empty((len(w_prev), len(signal)), dtype=np.longdouble)
+    for k, w in enumerate(w_prev):
+        y = np.longdouble(float(w))
+        for n, x in enumerate(signal):
+            y = p * y + x
+            signal[n] = y
+        out[k] = signal
+    return out

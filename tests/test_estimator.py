@@ -98,6 +98,30 @@ def test_run_sequence_chunks_are_equivalent():
     assert state.n == state_whole.n
 
 
+@pytest.mark.parametrize("design", [(0, 0.8, 2, 1), (2, 0.9, 2, 2), (6, 0.8, 4, 3), (3, 0.99, 2, 2)])
+@pytest.mark.parametrize("n", [1, 8192, 8193, 20_000, 30_000])
+def test_aligned_blocks_give_the_floats_of_one_call(design, n):
+    # Blocks cut where the CLI cuts (every _PIECE samples from the first)
+    # leave the moment states and their trajectories bit for bit those of
+    # one whole call.
+    kappa, p, kx, kt = design
+    real = build(kappa, p, kx, kt=kt)
+    xs = 40.0 + np.random.Generator(np.random.PCG64(n)).standard_normal(n)
+    piece = estimator_module._PIECE
+    w1_whole, w2_whole, whole = estimator_module._advance_moments(real, xs, 0.5, None)
+    parts, state = [], None
+    for lo in range(0, n, piece):
+        w1, w2, state = estimator_module._advance_moments(real, xs[lo:lo + piece], 0.5, state)
+        parts.append((w1, w2))
+    assert np.array_equal(np.hstack([w1 for w1, _ in parts]), w1_whole)
+    assert np.array_equal(np.hstack([w2 for _, w2 in parts]), w2_whole)
+    assert (state.w1, state.w2, state.n) == (whole.w1, whole.w2, whole.n)
+    _, by_blocks = run_sequence(real, xs[:piece], 0.5)
+    for lo in range(piece, n, piece):
+        _, by_blocks = run_sequence(real, xs[lo:lo + piece], 0.5, by_blocks)
+    assert (by_blocks.w1, by_blocks.w2) == (whole.w1, whole.w2)
+
+
 def test_empty_input_leaves_state_alone():
     real = build(0, 0.8, 2, kt=1, q=8.5)
     result, state = run_sequence(real, np.empty(0))

@@ -1,9 +1,10 @@
-"""Import and laziness guards: only block runs load scipy, only update() compiles.
+"""Import and laziness guards: no path loads scipy, only update() compiles.
 
-Importing scipy.signal costs over a second of start-up, so the package, the
-CLI's design/analyze commands and the per-sample path must load numpy only.
-Each of those checks runs in a fresh interpreter, because this test process
-has long since imported scipy through other tests.
+Importing scipy.signal costs over a second of start-up, and the package
+runs on numpy alone: the package, the CLI and every block and per-sample
+path must load no scipy module.  Each of those checks runs in a fresh
+interpreter, because this test process has long since imported scipy
+through other tests.
 
 Compiling a per-sample kernel costs about half a millisecond, so only the
 first per-sample update() of a realization or a detector may build one;
@@ -93,13 +94,73 @@ def test_per_sample_update_loads_no_scipy(tmp_path):
     assert _scipy_modules_after(code, tmp_path) == []
 
 
-def test_run_block_loads_scipy_signal(tmp_path):
-    code = (
-        "import numpy as np\n"
-        "from erlangreg import run_block\n"
-        "run_block(0.9, np.ones(4), np.zeros(2))\n"
+_BLOCK_RUNS = (
+    "import numpy as np\n"
+    "from erlangreg import (ChangeDetector, DesignSpec, EdgeDetector, PeakDetector,\n"
+    "    StreamingEstimator, WeightSpec, build_realization, run_block, run_sequence)\n"
+    "def design(kappa, kx, kt, delay=None):\n"
+    "    return build_realization(DesignSpec(weight=WeightSpec(kappa=kappa, p=0.9),"
+    " model_order=kx, n_outputs=kt, delay=delay))\n"
+    "xs = 2.0 + np.sin(np.arange(10000) / 50.0)\n"
+    "real = design(2, 3, 3)\n"
+    "fast = design(0, 2, 1)\n"
+    "slow = design(3, 2, 1, fast.spec.delay)\n"
+    "run_block(0.9, xs, np.zeros(4))\n"
+    "run_block(0.9, np.vstack([xs, xs * xs]), [np.zeros(4), np.zeros(2)])\n"
+    "run_sequence(real, xs)\n"
+    "StreamingEstimator(real).extend(xs)\n"
+    "for detector in (EdgeDetector(real, 3.0), PeakDetector(real, 3.0),"
+    " ChangeDetector(fast, slow, 3.0)):\n"
+    "    detector.run(xs)\n"
+)
+
+
+def test_block_runs_load_no_scipy(tmp_path):
+    assert _scipy_modules_after(_BLOCK_RUNS, tmp_path) == []
+
+
+_CLI_RUN_AND_DETECT = (
+    "from erlangreg.cli import main\n"
+    "with open('x.csv', 'w') as fh:\n"
+    "    fh.write('x\\n' + ''.join(f'{(n % 97) / 7.0!r}\\n' for n in range(9000)))\n"
+    "for kappa, name in ((0, 'fast.json'), (3, 'slow.json')):\n"
+    "    assert main(['design', '--kappa', str(kappa), '--p', '0.9', '--kx', '3',"
+    " '--kt', '3', '--q', '8', '--out', name]) == 0\n"
+    "assert main(['run', '--design', 'fast.json', '--input', 'x.csv', '--out', 'run.csv']) == 0\n"
+    "for kind in ('edge', 'peak', 'change'):\n"
+    "    assert main(['detect', '--kind', kind, '--design', 'fast.json', '--design-b',"
+    " 'slow.json', '--threshold', '3', '--input', 'x.csv', '--out', kind + '.csv']) == 0\n"
+)
+
+
+def test_cli_run_and_detect_load_no_scipy(tmp_path):
+    assert _scipy_modules_after(_CLI_RUN_AND_DETECT, tmp_path) == []
+    assert len((tmp_path / "run.csv").read_text().splitlines()) == 9001
+    for kind in ("edge", "peak", "change"):
+        assert len((tmp_path / f"{kind}.csv").read_text().splitlines()) == 9001
+
+
+def test_cli_runs_with_scipy_unavailable(tmp_path):
+    # A meta-path finder that refuses every scipy module stands in for an
+    # installation without scipy: design, run and detect must still work.
+    blocker = (
+        "import sys\n"
+        "class NoScipy:\n"
+        "    def find_spec(self, name, path=None, target=None):\n"
+        "        if name.split('.')[0] == 'scipy':\n"
+        "            raise ImportError(f'{name} is blocked')\n"
+        "        return None\n"
+        "sys.meta_path.insert(0, NoScipy())\n"
+        "try:\n"
+        "    import scipy.signal\n"
+        "except ImportError:\n"
+        "    pass\n"
+        "else:\n"
+        "    raise AssertionError('scipy was not blocked')\n"
     )
-    assert "scipy.signal" in _scipy_modules_after(code, tmp_path)
+    assert _scipy_modules_after(blocker + _CLI_RUN_AND_DETECT + _BLOCK_RUNS, tmp_path) == []
+    for name in ("run.csv", "edge.csv", "peak.csv", "change.csv"):
+        assert len((tmp_path / name).read_text().splitlines()) == 9001
 
 
 def _design(kappa, kx, kt, delay=None):

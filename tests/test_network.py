@@ -9,7 +9,7 @@ from erlangreg import (
     steady_state_vector,
 )
 
-from oracles import WEIGHT_TRANSFORM_6, dense_states
+from oracles import WEIGHT_TRANSFORM_6, cascade_longdouble, dense_states
 
 
 def _steps(p, xs, w):
@@ -65,6 +65,65 @@ def test_run_block_carries_state_across_splits():
     head = run_block(0.8, xs[:100], np.zeros(4))
     tail = run_block(0.8, xs[100:], head[:, -1])
     np.testing.assert_allclose(np.hstack([head, tail]), whole, rtol=1e-12, atol=1e-14)
+
+
+def _lfilter_cascade(p, u, w_prev):
+    """The cascade as chained scipy first-order filters, stage after stage."""
+    from scipy.signal import lfilter
+
+    out = np.empty((len(w_prev), len(u)))
+    signal = u
+    for k, w in enumerate(w_prev):
+        signal, _ = lfilter([1.0], [1.0, -p], signal, zi=[p * w])
+        out[k] = signal
+    return out
+
+
+def _stage_errors(states, reference):
+    """Per stage: max |error| over max |state| of the long-double reference."""
+    scale = np.abs(reference).max(axis=1)
+    return (np.abs(states - reference).max(axis=1) / scale).astype(float)
+
+
+def _accuracy_case(p, order, n, seed):
+    rng = np.random.Generator(np.random.PCG64(seed))
+    u = rng.standard_normal(n) + 0.25
+    w_prev = rng.standard_normal(order) * steady_state_vector(order, p)
+    reference = cascade_longdouble(p, u, w_prev)
+    blocked = _stage_errors(run_block(p, u, w_prev), reference)
+    lfiltered = _stage_errors(_lfilter_cascade(p, u, w_prev), reference)
+    # Both engines are a few ulps from the long-double recursion; the
+    # blocked scan must stay within twice the first-order filter's error.
+    assert blocked.max() <= 1e-14, blocked
+    assert blocked.max() <= 2.0 * lfiltered.max(), (blocked, lfiltered)
+
+
+@pytest.mark.parametrize("order", [1, 4, 8, 13])
+@pytest.mark.parametrize("p", [0.8, 0.9, 0.95, 0.99, 0.995, 0.999])
+def test_run_block_matches_long_double_recursion(p, order):
+    _accuracy_case(p, order, 2500, seed=int(p * 1000) + order)
+
+
+@pytest.mark.parametrize("p", [0.9, 0.999])
+def test_run_block_accuracy_across_a_piece_boundary(p):
+    # 9000 samples run as two pieces: the state carried across the cut at
+    # 8192 must keep the same accuracy.
+    _accuracy_case(p, 13, 9000, seed=17)
+
+
+def test_stacked_cascades_equal_separate_runs():
+    # Rows of one stacked call are the cascades run one by one, and the
+    # shorter cascade is the leading stages of the longer one on its input.
+    rng = np.random.Generator(np.random.PCG64(12))
+    u = rng.standard_normal(9000)
+    w_long, w_short = rng.standard_normal(7), rng.standard_normal(3)
+    stacked = run_block(0.95, np.vstack([u, u * u]), [w_long, w_short])
+    assert _stage_errors(stacked[0], run_block(0.95, u, w_long)).max() <= 1e-15
+    assert _stage_errors(stacked[1], run_block(0.95, u * u, w_short)).max() <= 1e-15
+    with pytest.raises(ValueError, match="longest first"):
+        run_block(0.95, np.vstack([u, u]), [w_short, w_long])
+    with pytest.raises(ValueError, match="as many state vectors"):
+        run_block(0.95, np.vstack([u, u]), [w_long])
 
 
 def test_impulse_responses_are_binomial():

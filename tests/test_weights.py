@@ -26,6 +26,26 @@ def test_closed_sums_match_brute_force(k, p):
     assert closed == pytest.approx(brute, rel=1e-10)
 
 
+def _eulerian_sum(k, p):
+    """S_k(p) with the Eulerian triangle rebuilt from row 0, Horner in p."""
+    row = [1]
+    for n in range(1, k + 1):
+        prev = row + [0]
+        row = [0] + [j * prev[j] + (n - j + 1) * prev[j - 1] for j in range(1, n + 1)]
+    num = 0.0
+    for coeff in reversed(row):
+        num = num * p + coeff
+    return num / (1.0 - p) ** (k + 1)
+
+
+def test_cached_triangle_rows_give_the_same_floats():
+    # erlang_sum keeps each Eulerian row once built; every float stays that
+    # of a triangle rebuilt on every call, in any order of k.
+    for k in [7, 3, 40, 0, 12, 39, 1, 28]:
+        for p in (0.3, 0.8, 0.9, 0.99, 0.999):
+            assert erlang_sum(k, p) == _eulerian_sum(k, p)
+
+
 def test_sum_rejects_bad_arguments():
     with pytest.raises(ValueError):
         erlang_sum(2, 1.0)
