@@ -11,32 +11,19 @@ from .weights import (
     WeightMoments,
     DispersionReport,
     erlang_sum,
-    normalizer,
     weight_moments,
     dispersion,
 )
-from .network import (
-    run_block,
-    steady_state_vector,
-    impulse_to_weight_transform,
-)
+from .network import run_block
 from .design import (
     DesignError,
     IllConditionedDesignError,
     DesignSpec,
     FilterRealization,
-    overlap_matrix,
-    squared_overlap_matrix,
-    orthonormal_transforms,
-    synthesis_matrix,
-    build_realization,
-)
-from .variance import (
     VrfReport,
     vrf_matrix,
-    vrf_by_parseval,
-    delay_polynomial,
     optimal_delay,
+    build_realization,
 )
 from .response import (
     ResponseReport,
@@ -52,8 +39,6 @@ from .estimator import (
     EstimateFrame,
     SequenceResult,
     StreamingEstimator,
-    new_estimator,
-    current_frame,
     update,
     coefficients,
     run_sequence,
@@ -67,8 +52,6 @@ from .detectors import (
 )
 from .scenarios import (
     TargetScenario,
-    make_rng,
-    gaussian_noise,
     simulate_target,
     synth_edge_waveform,
     synth_peak_waveform,
@@ -88,26 +71,17 @@ __all__ = [
     "WeightMoments",
     "DispersionReport",
     "erlang_sum",
-    "normalizer",
     "weight_moments",
     "dispersion",
     "run_block",
-    "steady_state_vector",
-    "impulse_to_weight_transform",
     "DesignError",
     "IllConditionedDesignError",
     "DesignSpec",
     "FilterRealization",
-    "overlap_matrix",
-    "squared_overlap_matrix",
-    "orthonormal_transforms",
-    "synthesis_matrix",
-    "build_realization",
     "VrfReport",
     "vrf_matrix",
-    "vrf_by_parseval",
-    "delay_polynomial",
     "optimal_delay",
+    "build_realization",
     "ResponseReport",
     "frequency_response",
     "response_matrix",
@@ -119,8 +93,6 @@ __all__ = [
     "EstimateFrame",
     "SequenceResult",
     "StreamingEstimator",
-    "new_estimator",
-    "current_frame",
     "update",
     "coefficients",
     "run_sequence",
@@ -130,8 +102,6 @@ __all__ = [
     "PeakDetector",
     "ChangeDetector",
     "TargetScenario",
-    "make_rng",
-    "gaussian_noise",
     "simulate_target",
     "synth_edge_waveform",
     "synth_peak_waveform",

@@ -1,15 +1,20 @@
-"""Filter design: overlap matrices, orthonormal transforms, output synthesis.
+"""Filter design: the Gram pair, noise gains, optimal delay, runtime rows.
 
 A design fits a local polynomial of model_order coefficients to the stream
 under the Erlang weight, then evaluates the fit and its first n_outputs - 1
 derivatives at a point `delay` samples behind the newest sample.  All of
-that collapses into a handful of frozen matrices applied to the live
-cascade states; building them is the job of this module.
+that collapses into a few frozen readout rows applied to the live cascade
+states; building them is the job of this module.
 
 Every design quantity comes from one pair of Gram matrices built from the
 sums S_k(p): the overlap G and its squared-weight twin G2.  The noise-gain
 helpers here read that pair, so build_realization makes it once; the public
-wrappers in variance.py rebuild it per call.
+vrf_matrix and optimal_delay build it per call.
+
+The VRF (variance reduction factor) of an output is the ratio of its
+steady-state noise variance to the input white-noise variance, the sum of
+its squared impulse-response samples.  For these filters it has a closed
+form in the Gram pair.
 """
 
 from __future__ import annotations
@@ -30,10 +35,11 @@ __all__ = [
     "IllConditionedDesignError",
     "DesignSpec",
     "FilterRealization",
-    "overlap_matrix",
-    "squared_overlap_matrix",
+    "VrfReport",
     "orthonormal_transforms",
     "synthesis_matrix",
+    "vrf_matrix",
+    "optimal_delay",
     "build_realization",
 ]
 
@@ -116,11 +122,13 @@ class FilterRealization:
 
     The cascades are fixed by the spec: spec.n_first_states stages of decay
     spec.weight.p for the signal moments, spec.n_second_states for the power.
+    The design-time matrices that only build these rows (the Gram pair, the
+    basis change into the orthonormal polynomials and the synthesis matrix)
+    are not kept; _gram_pair, orthonormal_transforms and synthesis_matrix
+    rebuild them from the spec.
 
-    overlap : (model_order, model_order) weighted Gram matrix of monomials.
-    to_orthonormal / from_orthonormal : lower/upper triangular basis changes
-        between monomial and weight-orthonormal polynomial coefficients.
-    synthesis : (n_outputs, model_order) differentiate-and-evaluate matrix.
+    from_orthonormal : (model_order, model_order) upper triangular basis
+        change from weight-orthonormal to monomial coefficients.
     coeff_output : (model_order, n_first_states) orthonormal coefficients
         from the first-moment states.
     state_output : (n_outputs, n_first_states) derivative estimates from the
@@ -131,10 +139,7 @@ class FilterRealization:
 
     spec: DesignSpec                 # delay always resolved (never None)
     steady_second: np.ndarray        # per-unit-input fixed point of the power cascade
-    overlap: np.ndarray
-    to_orthonormal: np.ndarray
     from_orthonormal: np.ndarray
-    synthesis: np.ndarray
     coeff_output: np.ndarray
     state_output: np.ndarray
     power_output: np.ndarray
@@ -157,23 +162,15 @@ def _hankel(kappa: int, p: float, n: int) -> np.ndarray:
 
 
 def _gram_pair(spec: DesignSpec):
-    """(overlap, squared overlap) of a design: one S_k per distinct entry."""
+    """(overlap, squared overlap) of a design: one S_k per distinct entry.
+
+    Overlap entry (a, b) is S_{a + b + kappa}(p), the weighted Gram matrix
+    of the monomials in sample age.  The squared overlap has entry
+    S_{a + b + 2 kappa}(p**2): the weight enters squared, as it does
+    wherever white noise passes through the weighted fit.
+    """
     kappa, p, n = spec.weight.kappa, spec.weight.p, spec.model_order
     return _hankel(kappa, p, n), _hankel(2 * kappa, p * p, n)
-
-
-def overlap_matrix(spec: DesignSpec) -> np.ndarray:
-    """Weighted Gram matrix: entry (a, b) = S_{a + b + kappa}(p)."""
-    return _hankel(spec.weight.kappa, spec.weight.p, spec.model_order)
-
-
-def squared_overlap_matrix(spec: DesignSpec) -> np.ndarray:
-    """Gram matrix of the weighted monomials with themselves.
-
-    Entry (a, b) = S_{a + b + 2 kappa}(p**2); the weight enters squared, as
-    it does wherever white noise passes through the weighted fit.
-    """
-    return _hankel(2 * spec.weight.kappa, spec.weight.p * spec.weight.p, spec.model_order)
 
 
 def orthonormal_transforms(overlap: np.ndarray):
@@ -276,6 +273,39 @@ def _optimal_delay(spec: DesignSpec, overlap, squared, output: int):
     return min(candidates, key=lambda c: c[1])[0], candidates
 
 
+@dataclass(frozen=True)
+class VrfReport:
+    """Noise gains at the chosen delay plus the stationary-delay survey."""
+
+    vrf: np.ndarray                       # (n_outputs, n_outputs) at q_optimal
+    q_optimal: float                      # samples
+    candidates: list                      # (delay, objective value) per stationary point
+
+
+def vrf_matrix(spec: DesignSpec) -> np.ndarray:
+    """Closed-form noise gain matrix of a design with a resolved delay.
+
+    Output covariance of unit white noise equals this matrix; entry (a, b)
+    is the covariance between derivative outputs a and b.
+    """
+    return _vrf(synthesis_matrix(spec), *_gram_pair(spec))
+
+
+def optimal_delay(spec: DesignSpec, output: int = 0) -> VrfReport:
+    """Pick the delay minimizing the output's noise gain.
+
+    Differentiates the delay polynomial, takes its real roots, classifies
+    each stationary point by a second difference, and returns the minimum
+    with the least delay.  When the gain is delay-independent (model_order
+    of 1, or the highest derivative) the weight centroid is reported and
+    the candidate list is empty.
+    """
+    overlap, squared = _gram_pair(spec)
+    q_best, candidates = _optimal_delay(spec, overlap, squared, output)
+    vrf = _vrf(synthesis_matrix(replace(spec, delay=q_best)), overlap, squared)
+    return VrfReport(vrf=vrf, q_optimal=q_best, candidates=candidates)
+
+
 def build_realization(spec: DesignSpec) -> FilterRealization:
     """Assemble every runtime matrix for a design.
 
@@ -313,10 +343,7 @@ def build_realization(spec: DesignSpec) -> FilterRealization:
 
     arrays = dict(
         steady_second=steady_state_vector(n_second, p),
-        overlap=overlap,
-        to_orthonormal=to_on,
         from_orthonormal=from_on,
-        synthesis=synthesis,
         coeff_output=coeff_output,
         state_output=state_output,
         power_output=power_output,

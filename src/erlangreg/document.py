@@ -27,16 +27,14 @@ __all__ = [
 ]
 
 FORMAT_TAG = "erlang-regression-design"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
+_READABLE_VERSIONS = (1, 2)
 
 _SPEC_NUMBERS = ("kappa", "p", "model_order", "n_outputs", "delay", "sample_period")
 
 _ARRAY_FIELDS = (
     "steady_second",
-    "overlap",
-    "to_orthonormal",
     "from_orthonormal",
-    "synthesis",
     "coeff_output",
     "state_output",
     "power_output",
@@ -97,7 +95,7 @@ def _validate(document: dict) -> None:
     if tag != FORMAT_TAG:
         raise DesignError(f"unrecognized design document format: {tag!r}")
     version = document.get("version")
-    if version != FORMAT_VERSION:
+    if version not in _READABLE_VERSIONS:
         raise DesignError(f"unsupported design document version: {version!r}")
     for section in ("spec", "analysis", "realization"):
         if not isinstance(document.get(section), dict):
@@ -117,9 +115,9 @@ def realization_from_document(document: dict) -> FilterRealization:
 
     Nothing is recomputed: the arrays come straight from the document, and
     the cascades are fully determined by the spec.  Fields the runtime does
-    not read,
-    such as the weight normalizer `gamma` and the signal cascade's fixed
-    point `steady_first` that older documents carry, are ignored.
+    not read, such as the overlap, to_orthonormal and synthesis arrays of
+    version 1, or the weight normalizer `gamma` and the signal cascade's
+    fixed point `steady_first` that older documents carry, are ignored.
     """
     _validate(document)
     raw_spec = document["spec"]
@@ -199,10 +197,7 @@ def _check_shapes(spec: DesignSpec, arrays: dict) -> None:
     k, m = spec.n_outputs, spec.model_order
     expected = {
         "steady_second": (n2,),
-        "overlap": (m, m),
-        "to_orthonormal": (m, m),
         "from_orthonormal": (m, m),
-        "synthesis": (k, m),
         "coeff_output": (m, n1),
         "state_output": (k, n1),
         "power_output": (n2,),

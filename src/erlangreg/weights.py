@@ -22,7 +22,6 @@ __all__ = [
     "WeightMoments",
     "DispersionReport",
     "erlang_sum",
-    "normalizer",
     "weight_moments",
     "dispersion",
 ]
@@ -59,11 +58,6 @@ def _eulerian_row(k: int) -> tuple:
         prev = row + (0,)
         row = (0,) + tuple(j * prev[j] + (n - j + 1) * prev[j - 1] for j in range(1, n + 1))
     return row
-
-
-def normalizer(k: int, p: float) -> float:
-    """Reciprocal sum 1/S_k(p); scales the weight m**k * p**m to unit mass."""
-    return 1.0 / erlang_sum(k, p)
 
 
 @dataclass(frozen=True)
@@ -138,8 +132,8 @@ def dispersion(spec: WeightSpec, t_s: float = 1.0) -> DispersionReport:
 
     so sigma_omega = 1/(lambda_w * t_s * sqrt(kappa - 2)).
     """
-    if t_s <= 0.0:
-        raise ValueError(f"sample period must be positive, got {t_s}")
+    if not (math.isfinite(t_s) and t_s > 0.0):
+        raise ValueError(f"sample period must be finite and positive, got {t_s}")
     sigma_t = math.sqrt(spec.kappa + 1) * spec.lambda_w * t_s
     if spec.kappa < 3:
         return DispersionReport(sigma_t=sigma_t, sigma_omega=None, product=None)

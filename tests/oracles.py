@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 
-from erlangreg import DesignSpec, WeightSpec, build_realization
+from erlangreg import DesignSpec, WeightSpec, build_realization, run_block
 
 # Hand-checked impulse-to-weight transform for a 6-stage cascade: row k gives
 # the combination of state impulse responses that reproduces the weight
@@ -97,6 +97,51 @@ def batch_wls_variance(xs, kappa: int, p: float, model_order: int) -> float:
     hat_trace = float(np.trace(np.linalg.solve(gram, a.T @ (a * weights[:, None]))))
     mass = float(weights.sum())
     return float(residual @ residual) / (mass - hat_trace)
+
+
+def vrf_by_parseval(realization, k_a: int = 0, k_b: int = 0, horizon: int | None = None) -> float:
+    """Noise gain as the sum of h_a[m] * h_b[m] over the explicit impulse response.
+
+    Shares nothing with the closed-form VRF: the impulse runs through the
+    package's cascade (checked against dense_states in test_network.py) and
+    the realization's state_output rows read it out.  The horizon is
+    adaptive: blocks double in length until the last block contributes less
+    than 1e-12 of the accumulated sum.  An explicit horizon overrides that.
+    Raises if 1e6 samples do not converge.
+    """
+    n_out = realization.spec.n_outputs
+    if not (0 <= k_a < n_out and 0 <= k_b < n_out):
+        raise ValueError(f"output indices must be in [0, {n_out}), got {k_a}, {k_b}")
+    row_a = realization.state_output[k_a]
+    row_b = realization.state_output[k_b]
+    p = realization.spec.weight.p
+
+    total = 0.0
+    consumed = 0
+    block = 64
+    state = np.zeros(realization.spec.n_first_states)  # cascade at rest
+    first = True
+    limit = horizon if horizon is not None else 1_000_000
+    while consumed < limit:
+        block = min(block, limit - consumed)
+        u = np.zeros(block)
+        if first:
+            u[0] = 1.0  # unit impulse enters once
+        states = run_block(p, u, state)
+        state = states[:, -1]
+        contribution = float((row_a @ states) @ (row_b @ states))
+        total += contribution
+        consumed += block
+        if horizon is None and not first and abs(contribution) < 1e-12 * max(abs(total), 1e-300):
+            return total
+        first = False
+        block *= 2
+    if horizon is not None:
+        return total
+    raise RuntimeError(
+        f"impulse-response sum did not converge within {limit} samples "
+        f"(p={p}); the tail decays too slowly"
+    )
 
 
 def closed_sigma_omega(kappa: int, p: float, ts: float = 1.0) -> float:

@@ -10,7 +10,7 @@ import time
 
 import numpy as np
 
-from oracles import WEIGHT_TRANSFORM_6, batch_wls, brute_sum, build
+from oracles import WEIGHT_TRANSFORM_6, batch_wls, brute_sum, build, vrf_by_parseval
 from erlangreg import (
     ChangeDetector,
     DesignSpec,
@@ -23,14 +23,13 @@ from erlangreg import (
     dispersion,
     erlang_sum,
     frequency_response,
-    impulse_to_weight_transform,
     run_sequence,
     simulate_target,
     synth_change_waveform,
     synth_edge_waveform,
     synth_peak_waveform,
-    vrf_by_parseval,
 )
+from erlangreg.network import impulse_to_weight_transform
 
 # Optimal designs at p = 0.80, keyed by (model_order, kappa):
 # (optimal delay q, noise gain VRF[0,0], half-distortion bandwidth f_c).

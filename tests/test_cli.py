@@ -3,6 +3,7 @@ import hashlib
 import json
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -355,6 +356,38 @@ def test_detect_change_rejects_mismatched_delay(tmp_path, capsys):
                "--input", str(data), "--out", str(tmp_path / "o.csv")])
     assert rc == 3
     assert "delay" in capsys.readouterr().err
+
+
+def test_version_1_and_version_2_documents_give_the_same_bytes(tmp_path):
+    # The version-1 fixture was written by `design --kappa 2 --p 0.8 --kx 3
+    # --kt 3` before the format dropped its overlap, to_orthonormal and
+    # synthesis arrays; every command reading it must write what the same
+    # design's version-2 document gives.
+    v1 = Path(__file__).parent / "data" / "design_v1_kappa2_p0.8_kx3_kt3.json"
+    v2 = _design(tmp_path, "v2.json", kappa=2, p=0.8, kx=3, kt=3)
+    assert json.loads(v2.read_text())["version"] == 2
+    xs = np.random.Generator(np.random.PCG64(8)).standard_normal(3000)
+    xs[1500:] += 0.02 * np.arange(1500)
+    np.savetxt(tmp_path / "x.csv", xs)
+    commands = {
+        "run": ["run"],
+        "edge": ["detect", "--kind", "edge", "--threshold", "3"],
+        "peak": ["detect", "--kind", "peak", "--threshold", "3"],
+        "analyze": ["analyze", "--grid-size", "64"],
+    }
+    for name, argv in commands.items():
+        outputs = []
+        for version, doc in (("v1", v1), ("v2", v2)):
+            out = tmp_path / f"{name}-{version}.csv"
+            summary = tmp_path / f"{name}-{version}.json"
+            if name == "analyze":
+                argv_in = ["--summary-out", str(summary)]
+            else:
+                argv_in = ["--input", str(tmp_path / "x.csv")]
+                summary.write_text("")
+            assert main(argv + argv_in + ["--design", str(doc), "--out", str(out)]) == 0
+            outputs.append((out.read_bytes(), summary.read_bytes()))
+        assert outputs[0] == outputs[1], name
 
 
 def test_simulate_row_counts(tmp_path):

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,10 +9,15 @@ from erlangreg import (
     design_to_document,
     document_from_json,
     document_to_json,
+    erlang_sum,
     realization_from_document,
+    run_sequence,
 )
+from erlangreg.network import steady_state_vector
 
 from oracles import build
+
+DATA = Path(__file__).parent / "data"
 
 
 def _round_trip(real, requested="auto"):
@@ -57,10 +63,11 @@ def test_rejects_malformed_documents():
     with pytest.raises(DesignError):
         document_from_json(json.dumps({"format": "something-else", "version": 1}))
 
-    bad = json.loads(document_to_json(doc))
-    bad["version"] = 99
-    with pytest.raises(DesignError):
-        document_from_json(json.dumps(bad))
+    for version in (0, 3, 99):
+        bad = json.loads(document_to_json(doc))
+        bad["version"] = version
+        with pytest.raises(DesignError, match=f"version: {version}"):
+            document_from_json(json.dumps(bad))
 
     bad = json.loads(document_to_json(doc))
     del bad["realization"]["coeff_output"]
@@ -113,46 +120,50 @@ def test_rejects_malformed_documents():
                 realization_from_document(document_from_json(text))
 
 
-def test_document_with_gamma_field_still_loads():
-    # Older version-1 documents also carry the weight normalizer gamma,
-    # which the runtime never reads; they must load as before.
-    from erlangreg import erlang_sum
+def _check_version_1_document(real, extra):
+    # A document the version-1 writer produced (design --kappa 2 --p 0.8
+    # --kx 3 --kt 3) carries overlap, to_orthonormal and synthesis, and
+    # older ones also the weight normalizer gamma or the signal cascade's
+    # fixed point steady_first (passed in `extra`).  The runtime reads none of
+    # them: the document loads to the arrays of a fresh build, bit for bit,
+    # and runs as the version-2 document does.
+    doc = json.loads((DATA / "design_v1_kappa2_p0.8_kx3_kt3.json").read_text())
+    assert doc["version"] == 1
+    assert {"overlap", "to_orthonormal", "synthesis"} <= set(doc["realization"])
+    assert not set(extra) & set(doc["realization"])
+    doc["realization"].update(extra)
+    v1 = realization_from_document(document_from_json(json.dumps(doc)))
 
+    assert v1.spec == real.spec
+    assert v1.residual_mass == real.residual_mass
+    for key in ("steady_second", "from_orthonormal", "coeff_output", "state_output",
+                "power_output", "vrf"):
+        np.testing.assert_array_equal(getattr(v1, key), getattr(real, key), err_msg=key)
+
+    v2_doc = design_to_document(real)
+    assert v2_doc["version"] == 2
+    assert not {"overlap", "to_orthonormal", "synthesis"} & set(v2_doc["realization"])
+    v2 = _round_trip(real)
+    xs = np.random.Generator(np.random.PCG64(12)).standard_normal(50) + 3.0
+    via_v1, _ = run_sequence(v1, xs)
+    via_v2, _ = run_sequence(v2, xs)
+    np.testing.assert_array_equal(via_v1.estimates, via_v2.estimates)
+    np.testing.assert_array_equal(via_v1.sigma_eps2, via_v2.sigma_eps2)
+    np.testing.assert_array_equal(via_v1.variances, via_v2.variances)
+
+
+def test_document_with_gamma_field_still_loads():
     real = build(2, 0.8, 3, kt=3, q=None)
-    doc = json.loads(document_to_json(design_to_document(real)))
-    assert "gamma" not in doc["realization"]
-    doc["realization"]["gamma"] = 1.0 / erlang_sum(2, 0.8)
-    loaded = realization_from_document(document_from_json(json.dumps(doc)))
-    assert loaded.spec == real.spec
-    assert loaded.residual_mass == real.residual_mass
-    np.testing.assert_array_equal(loaded.state_output, real.state_output)
-    np.testing.assert_array_equal(loaded.vrf, real.vrf)
+    _check_version_1_document(real, {"gamma": 1.0 / erlang_sum(2, 0.8)})
 
 
 def test_document_with_steady_first_field_still_loads():
-    # Older version-1 documents also carry the signal cascade's fixed point
-    # steady_first, which the runtime no longer reads; they must load and
-    # run as before.
-    from erlangreg import run_sequence, steady_state_vector
-
     real = build(2, 0.8, 3, kt=3, q=None)
-    doc = json.loads(document_to_json(design_to_document(real)))
-    assert "steady_first" not in doc["realization"]
-    doc["realization"]["steady_first"] = steady_state_vector(real.spec.n_first_states, 0.8).tolist()
-    loaded = realization_from_document(document_from_json(json.dumps(doc)))
-    assert loaded.spec == real.spec
-    np.testing.assert_array_equal(loaded.state_output, real.state_output)
-    np.testing.assert_array_equal(loaded.steady_second, real.steady_second)
-    xs = np.random.Generator(np.random.PCG64(12)).standard_normal(50) + 3.0
-    direct, _ = run_sequence(real, xs)
-    via_doc, _ = run_sequence(loaded, xs)
-    np.testing.assert_array_equal(direct.estimates, via_doc.estimates)
-    np.testing.assert_array_equal(direct.sigma_eps2, via_doc.sigma_eps2)
+    steady_first = steady_state_vector(real.spec.n_first_states, 0.8).tolist()
+    _check_version_1_document(real, {"steady_first": steady_first})
 
 
 def test_loaded_realization_runs_identically():
-    from erlangreg import run_sequence
-
     real = build(2, 0.85, 2, kt=2, q=None)
     loaded = _round_trip(real)
     rng = np.random.Generator(np.random.PCG64(11))

@@ -17,12 +17,12 @@ from erlangreg import (
     PeakDetector,
     StreamingEstimator,
     coefficients,
-    current_frame,
-    new_estimator,
     run_sequence,
-    steady_state_vector,
     update,
 )
+from erlangreg.design import synthesis_matrix
+from erlangreg.estimator import current_frame, new_estimator
+from erlangreg.network import steady_state_vector
 
 from oracles import batch_wls, batch_wls_variance, build
 
@@ -166,7 +166,7 @@ def test_coefficients_bases_are_consistent():
     # The monomial coefficients must reproduce the synthesized outputs.
     frame = current_frame(state, real)
     assert frame.estimates[0] == pytest.approx(
-        float(real.synthesis[0] @ alpha), rel=1e-10
+        float(synthesis_matrix(real.spec)[0] @ alpha), rel=1e-10
     )
 
 

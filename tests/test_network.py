@@ -3,11 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from erlangreg import (
-    impulse_to_weight_transform,
-    run_block,
-    steady_state_vector,
-)
+from erlangreg import run_block
+from erlangreg.network import impulse_to_weight_transform, steady_state_vector
 
 from oracles import WEIGHT_TRANSFORM_6, cascade_longdouble, dense_states
 

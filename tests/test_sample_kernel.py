@@ -23,8 +23,8 @@ from erlangreg import (
     EdgeDetector,
     PeakDetector,
     StreamingEstimator,
-    current_frame,
 )
+from erlangreg.estimator import current_frame
 
 from oracles import (
     build,

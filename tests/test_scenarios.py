@@ -3,13 +3,12 @@ import pytest
 
 from erlangreg import (
     TargetScenario,
-    gaussian_noise,
-    make_rng,
     simulate_target,
     synth_change_waveform,
     synth_edge_waveform,
     synth_peak_waveform,
 )
+from erlangreg.scenarios import gaussian_noise, make_rng
 
 
 def test_noise_stream_is_reproducible():

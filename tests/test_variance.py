@@ -1,16 +1,10 @@
 import numpy as np
 import pytest
 
-from erlangreg import (
-    DesignSpec,
-    WeightSpec,
-    delay_polynomial,
-    optimal_delay,
-    vrf_by_parseval,
-    vrf_matrix,
-)
+from erlangreg import DesignSpec, WeightSpec, optimal_delay, vrf_matrix
+from erlangreg.design import _delay_polynomial, _gram_pair
 
-from oracles import build
+from oracles import build, vrf_by_parseval
 
 
 def _spec(kappa, p, kx, kt=1, q=None, ts=1.0):
@@ -57,7 +51,7 @@ def test_vrf_scales_with_sample_period():
 def test_delay_polynomial_evaluates_to_vrf():
     spec = _spec(2, 0.8, 3, 3)
     for output in range(3):
-        coeffs = delay_polynomial(spec, output)
+        coeffs = _delay_polynomial(spec, *_gram_pair(spec), output)
         for q in (-2.0, 0.0, 3.7, 11.0):
             direct = vrf_matrix(_spec(2, 0.8, 3, 3, q=q))[output, output]
             poly = float(np.polyval(coeffs[::-1], q))

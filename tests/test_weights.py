@@ -9,7 +9,6 @@ from erlangreg import (
     WeightSpec,
     dispersion,
     erlang_sum,
-    normalizer,
     weight_moments,
 )
 
@@ -53,10 +52,6 @@ def test_sum_rejects_bad_arguments():
         erlang_sum(2, 0.0)
     with pytest.raises(ValueError):
         erlang_sum(-1, 0.5)
-
-
-def test_normalizer_inverts_sum():
-    assert normalizer(3, 0.8) * erlang_sum(3, 0.8) == pytest.approx(1.0, rel=1e-14)
 
 
 def test_weight_spec_derives_timescale():
@@ -123,5 +118,8 @@ def test_dispersion_product_independent_of_p():
 
 
 def test_dispersion_rejects_bad_period():
-    with pytest.raises(ValueError):
-        dispersion(WeightSpec(kappa=3, p=0.8), t_s=0.0)
+    # A NaN period would give NaN spreads, and an infinite one
+    # sigma_t = inf with sigma_omega = 0.
+    for t_s in (0.0, -1.0, float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(ValueError):
+            dispersion(WeightSpec(kappa=3, p=0.8), t_s=t_s)
