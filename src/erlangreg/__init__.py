@@ -27,11 +27,7 @@ from .design import (
 )
 from .response import (
     ResponseReport,
-    frequency_response,
     response_matrix,
-    distortion,
-    bandwidth,
-    group_delay_dc,
     response_report,
 )
 from .estimator import (
@@ -83,11 +79,7 @@ __all__ = [
     "optimal_delay",
     "build_realization",
     "ResponseReport",
-    "frequency_response",
     "response_matrix",
-    "distortion",
-    "bandwidth",
-    "group_delay_dc",
     "response_report",
     "EstimatorState",
     "EstimateFrame",

@@ -257,20 +257,10 @@ def _optimal_delay(spec: DesignSpec, overlap, squared, output: int):
     derivative = coeffs[1:] * np.arange(1, len(coeffs))
     roots = np.roots(derivative[::-1])
     real_roots = sorted(float(r.real) for r in roots if abs(r.imag) <= 1e-8)
-
-    def gain(q):
-        return float(np.polyval(coeffs[::-1], q))
-
-    candidates = [(q, gain(q)) for q in real_roots]
-    step = 1e-3
-    minima = [
-        q for q, _ in candidates
-        if gain(q - step) - 2.0 * gain(q) + gain(q + step) > 0.0
-    ]
-    if minima:
-        return min(minima), candidates
-    # Degenerate fallback; not reachable for a positive even-degree gain.
-    return min(candidates, key=lambda c: c[1])[0], candidates
+    candidates = [(q, float(np.polyval(coeffs[::-1], q))) for q in real_roots]
+    curvature = derivative[1:] * np.arange(1, len(derivative))
+    minima = [q for q in real_roots if np.polyval(curvature[::-1], q) > 0.0]
+    return min(minima), candidates
 
 
 @dataclass(frozen=True)
@@ -295,10 +285,10 @@ def optimal_delay(spec: DesignSpec, output: int = 0) -> VrfReport:
     """Pick the delay minimizing the output's noise gain.
 
     Differentiates the delay polynomial, takes its real roots, classifies
-    each stationary point by a second difference, and returns the minimum
-    with the least delay.  When the gain is delay-independent (model_order
-    of 1, or the highest derivative) the weight centroid is reported and
-    the candidate list is empty.
+    each stationary point by the sign of the exact second derivative, and
+    returns the minimum with the least delay.  When the gain is
+    delay-independent (model_order of 1, or the highest derivative) the
+    weight centroid is reported and the candidate list is empty.
     """
     overlap, squared = _gram_pair(spec)
     q_best, candidates = _optimal_delay(spec, overlap, squared, output)

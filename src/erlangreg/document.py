@@ -4,7 +4,9 @@ The document is the only artifact the command-line tools pass between each
 other: `design` writes one, every other command reads one.  It carries the
 resolved parameters plus every runtime matrix, so loading never repeats
 design-time numerics and a document built on one machine runs identically
-on another.
+on another.  Its analysis section holds only the noise gain matrix `vrf`,
+which the runtime reads; the frequency metrics (cutoff frequency, DC group
+delay) are computed by `analyze` from the loaded realization.
 """
 
 from __future__ import annotations
@@ -47,8 +49,6 @@ def design_to_document(realization: FilterRealization, requested_delay="auto") -
     requested_delay records what the user asked for ("auto" or a number);
     spec.delay always holds the resolved value actually built.
     """
-    from .response import bandwidth, group_delay_dc
-
     spec = realization.spec
     return {
         "format": FORMAT_TAG,
@@ -64,8 +64,6 @@ def design_to_document(realization: FilterRealization, requested_delay="auto") -
         },
         "analysis": {
             "vrf": realization.vrf.tolist(),
-            "cutoff_frequency": bandwidth(realization),
-            "group_delay_dc": group_delay_dc(realization),
         },
         "realization": {
             "residual_mass": realization.residual_mass,
@@ -95,7 +93,8 @@ def _validate(document: dict) -> None:
     if tag != FORMAT_TAG:
         raise DesignError(f"unrecognized design document format: {tag!r}")
     version = document.get("version")
-    if version not in _READABLE_VERSIONS:
+    # True == 1 and 2.0 == 2 in Python, so membership alone would take them.
+    if type(version) is not int or version not in _READABLE_VERSIONS:
         raise DesignError(f"unsupported design document version: {version!r}")
     for section in ("spec", "analysis", "realization"):
         if not isinstance(document.get(section), dict):
@@ -116,8 +115,10 @@ def realization_from_document(document: dict) -> FilterRealization:
     Nothing is recomputed: the arrays come straight from the document, and
     the cascades are fully determined by the spec.  Fields the runtime does
     not read, such as the overlap, to_orthonormal and synthesis arrays of
-    version 1, or the weight normalizer `gamma` and the signal cascade's
-    fixed point `steady_first` that older documents carry, are ignored.
+    version 1, the weight normalizer `gamma` and the signal cascade's
+    fixed point `steady_first`, or the `cutoff_frequency` and
+    `group_delay_dc` analysis fields that older documents carry, are
+    ignored.
     """
     _validate(document)
     raw_spec = document["spec"]

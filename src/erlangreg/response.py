@@ -1,4 +1,4 @@
-"""Frequency-domain instruments: response, distortion, bandwidth, group delay.
+"""Frequency-domain analysis: response grid, distortion, bandwidth, group delay.
 
 A smoother that fits and evaluates `delay` samples back ideally looks like
 the pure delay exp(-i*q*omega) at low frequency.  The distortion
@@ -9,12 +9,15 @@ frequency where it reaches one half.
 Every response comes from the cascade's exact transfer functions: state k
 is the (k+1)-fold leaky integration of the input, so its transfer function
 is (1 - p e^{-i omega})**-(k + 1), and each output is a fixed linear
-combination of those.
+combination of those.  The DC group delay is the centroid of the smoother's
+impulse response, an exact sum over the same states.
+
+response_report is the one entry point for the analyze command; design
+documents carry none of these numbers.
 """
 
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass
 from typing import Optional
 
@@ -24,10 +27,7 @@ from .design import FilterRealization
 
 __all__ = [
     "ResponseReport",
-    "frequency_response",
     "response_matrix",
-    "distortion",
-    "bandwidth",
     "group_delay_dc",
     "response_report",
 ]
@@ -55,16 +55,6 @@ def _state_responses(realization: FilterRealization, omegas: np.ndarray) -> np.n
     return base[None, :] ** np.arange(1, spec.n_first_states + 1)[:, None]
 
 
-def frequency_response(realization: FilterRealization, omega: float, output: int = 0) -> complex:
-    """Steady-state response of one derivative output at omega radians/sample."""
-    if not 0 <= output < realization.spec.n_outputs:
-        raise ValueError(
-            f"output must be in [0, {realization.spec.n_outputs}), got {output}"
-        )
-    states = _state_responses(realization, np.array([omega], dtype=float))
-    return complex(realization.state_output[output] @ states[:, 0])
-
-
 def response_matrix(realization: FilterRealization, omegas: np.ndarray) -> np.ndarray:
     """All derivative outputs' responses over a frequency grid."""
     omegas = np.asarray(omegas, dtype=float).ravel()
@@ -74,11 +64,6 @@ def response_matrix(realization: FilterRealization, omegas: np.ndarray) -> np.nd
 def _distortion(realization, omegas, smoother):
     """|H - e^{-i q omega}|**2 given the smoother's responses at omegas."""
     return np.abs(smoother - np.exp(-1j * realization.spec.delay * omegas)) ** 2
-
-
-def distortion(realization: FilterRealization, omega: float) -> float:
-    """Squared complex error of the smoother against the ideal delay."""
-    return float(_distortion(realization, omega, frequency_response(realization, omega, 0)))
 
 
 def _grid(grid_size):
@@ -100,36 +85,32 @@ def _half_crossing(realization, freqs, dist):
     if hi_idx == 0:
         return 0.0
     lo, hi = freqs[hi_idx - 1], freqs[hi_idx]
+    smoother = realization.state_output[0]
     while hi - lo > 1e-6:
         mid = 0.5 * (lo + hi)
-        if distortion(realization, 2.0 * np.pi * mid) >= 0.5:
+        omega = 2.0 * np.pi * mid
+        response = smoother @ _state_responses(realization, np.array([omega]))[:, 0]
+        if _distortion(realization, omega, response) >= 0.5:
             hi = mid
         else:
             lo = mid
     return 0.5 * (lo + hi)
 
 
-def bandwidth(realization: FilterRealization, grid_size: int = 2048) -> Optional[float]:
-    """Least frequency (cycles/sample) where the distortion reaches 1/2.
+def group_delay_dc(realization: FilterRealization) -> float:
+    """Negative phase slope of the smoother at DC, in samples, exactly.
 
-    Brackets the first crossing on a uniform grid over [0, 1/2], then
-    bisects to 1e-6 cycles/sample.  Returns None when the distortion stays
-    below 1/2 all the way to the half-sample frequency.
+    For a real impulse response h the DC group delay is its centroid
+    sum(m h[m]) / sum(h[m]).  State k's impulse response sums to
+    (1 - p)**-(k + 1) and its first moment is (k + 1) p (1 - p)**-(k + 2),
+    so both sums are fixed combinations of the smoother row.
     """
-    freqs = _grid(grid_size)
-    omegas = 2.0 * np.pi * freqs
-    smoother = realization.state_output[0] @ _state_responses(realization, omegas)
-    return _half_crossing(realization, freqs, _distortion(realization, omegas, smoother))
-
-
-def group_delay_dc(realization: FilterRealization, step: float = 1e-4) -> float:
-    """Negative phase slope of the smoother at DC, by central difference.
-
-    Equals the delay parameter to within the finite-difference error.
-    """
-    ahead = frequency_response(realization, step, 0)
-    behind = frequency_response(realization, -step, 0)
-    return (cmath.phase(behind) - cmath.phase(ahead)) / (2.0 * step)
+    p = realization.spec.weight.p
+    stages = np.arange(1, realization.spec.n_first_states + 1)
+    mass = (1.0 - p) ** -stages
+    first_moment = stages * (p / (1.0 - p)) * mass
+    smoother = realization.state_output[0]
+    return float(smoother @ first_moment) / float(smoother @ mass)
 
 
 def response_report(realization: FilterRealization, grid_size: int = 2048) -> ResponseReport:

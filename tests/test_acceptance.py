@@ -18,11 +18,11 @@ from erlangreg import (
     PeakDetector,
     TargetScenario,
     WeightSpec,
-    bandwidth,
     build_realization,
     dispersion,
     erlang_sum,
-    frequency_response,
+    response_matrix,
+    response_report,
     run_sequence,
     simulate_target,
     synth_change_waveform,
@@ -103,7 +103,7 @@ def _check_design_point(kappa, p, model_order, expected, q=None):
     q_ref, vrf_ref, fc_ref = expected
     dq = 0.0 if q is not None else abs(real.spec.delay - q_ref)
     dv = abs(real.vrf[0, 0] - vrf_ref)
-    df = abs(bandwidth(real) - fc_ref)
+    df = abs(response_report(real).f_c - fc_ref)
     return dq, dv, df
 
 
@@ -213,9 +213,7 @@ def test_criterion_08_moment_conditions_at_dc():
             for p in GRID_PS:
                 real = build(kappa, p, model_order, kt=1)
                 q = real.spec.delay
-                h_plus = frequency_response(real, h)
-                h_zero = frequency_response(real, 0.0)
-                h_minus = frequency_response(real, -h)
+                h_plus, h_zero, h_minus = response_matrix(real, [h, 0.0, -h])[0]
                 derivatives = [
                     h_zero,
                     (h_plus - h_minus) / (2.0 * h),

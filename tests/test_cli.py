@@ -48,13 +48,23 @@ def _extract_measurements(scenario_csv, out_path, column="measurement"):
     return out_path
 
 
-def test_design_document_on_stdout(capsys):
+def _analyze_summary(tmp_path, design):
+    out = tmp_path / "resp.csv"
+    assert main(["analyze", "--design", str(design), "--out", str(out)]) == 0
+    return json.loads((tmp_path / "resp.csv.summary.json").read_text())
+
+
+def test_design_document_on_stdout(capsys, tmp_path):
     assert main(["design", "--kappa", "0", "--p", "0.8", "--kx", "2"]) == 0
-    document = document_from_json(capsys.readouterr().out)
+    text = capsys.readouterr().out
+    document = document_from_json(text)
     assert document["spec"]["requested_delay"] == "auto"
     assert document["spec"]["delay"] == pytest.approx(8.50, abs=0.01)
     assert document["analysis"]["vrf"][0][0] == pytest.approx(0.056, abs=0.001)
-    assert document["analysis"]["cutoff_frequency"] == pytest.approx(0.042, abs=0.001)
+    path = tmp_path / "d.json"
+    path.write_text(text)
+    assert _analyze_summary(tmp_path, path)["cutoff_frequency"] == pytest.approx(
+        0.042, abs=0.001)
 
 
 def test_design_example_high_shape(tmp_path):
@@ -62,7 +72,18 @@ def test_design_example_high_shape(tmp_path):
     document = document_from_json(path.read_text())
     assert document["spec"]["delay"] == pytest.approx(30.77, abs=0.01)
     assert document["analysis"]["vrf"][0][0] == pytest.approx(0.022, abs=0.001)
-    assert document["analysis"]["cutoff_frequency"] == pytest.approx(0.019, abs=0.001)
+    assert _analyze_summary(tmp_path, path)["cutoff_frequency"] == pytest.approx(
+        0.019, abs=0.001)
+
+
+def test_design_document_carries_no_frequency_analysis(tmp_path):
+    # analyze computes the cutoff frequency and the DC group delay; the
+    # design document keeps only the noise gains the runtime reads.
+    path = _design(tmp_path, "d.json", kappa=2, p=0.9, kx=3, kt=3)
+    assert set(json.loads(path.read_text())["analysis"]) == {"vrf"}
+    summary = _analyze_summary(tmp_path, path)
+    q = summary["delay"]
+    assert abs(summary["group_delay_dc"] - q) <= 1e-12 * max(1.0, q)
 
 
 def test_design_rejects_invalid_p(capsys):

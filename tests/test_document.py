@@ -1,4 +1,5 @@
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -11,8 +12,10 @@ from erlangreg import (
     document_to_json,
     erlang_sum,
     realization_from_document,
+    response_report,
     run_sequence,
 )
+from erlangreg import response
 from erlangreg.network import steady_state_vector
 
 from oracles import build
@@ -43,8 +46,21 @@ def test_document_records_request_and_resolution():
     doc = design_to_document(real, "auto")
     assert doc["spec"]["requested_delay"] == "auto"
     assert doc["spec"]["delay"] == pytest.approx(8.50, abs=0.01)
-    assert doc["analysis"]["cutoff_frequency"] == pytest.approx(0.042, abs=0.001)
-    assert doc["analysis"]["group_delay_dc"] == pytest.approx(8.50, abs=1e-4)
+    # The frequency metrics are not stored; the loaded realization gives them.
+    assert set(doc["analysis"]) == {"vrf"}
+    report = response_report(_round_trip(real))
+    assert report.f_c == pytest.approx(0.042, abs=0.001)
+    assert report.group_delay_dc == pytest.approx(8.50, abs=1e-4)
+
+
+def test_document_writer_does_no_frequency_analysis(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("design_to_document evaluated a frequency response")
+
+    monkeypatch.setattr(response, "_state_responses", refuse)
+    real = build(2, 0.8, 3, kt=3, q=None)
+    loaded = _round_trip(real)
+    np.testing.assert_array_equal(loaded.state_output, real.state_output)
 
 
 def test_loaded_matrices_are_read_only():
@@ -63,10 +79,11 @@ def test_rejects_malformed_documents():
     with pytest.raises(DesignError):
         document_from_json(json.dumps({"format": "something-else", "version": 1}))
 
-    for version in (0, 3, 99):
+    # True == 1 and 2.0 == 2 in Python; only the integers 1 and 2 are versions.
+    for version in (0, 3, 99, True, False, 1.0, 2.0, "2"):
         bad = json.loads(document_to_json(doc))
         bad["version"] = version
-        with pytest.raises(DesignError, match=f"version: {version}"):
+        with pytest.raises(DesignError, match=re.escape(f"version: {version!r}")):
             document_from_json(json.dumps(bad))
 
     bad = json.loads(document_to_json(doc))
