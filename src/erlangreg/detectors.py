@@ -23,7 +23,9 @@ open at the end of a block carries into the next one, so events do not
 depend on how the stream is cut into blocks or mixed with update() calls;
 finish() closes a run left open at the end of the stream.  A NaN or
 infinite sample, or a prior variance sigma0_sq that is negative or not
-finite, raises ValueError; a bad sample leaves the detector as it was.
+finite, raises ValueError; a bad sample leaves the detector as it was.  So
+does a NaN threshold, which no statistic could ever exceed; an infinite
+threshold is allowed and never fires.
 """
 
 from __future__ import annotations
@@ -206,6 +208,8 @@ class _Detector:
 
     def __init__(self, realization, threshold: float, sigma0_sq: float,
                  value_row, noise_terms, kind_pos: str, kind_neg: Optional[str]):
+        if math.isnan(threshold):
+            raise ValueError(f"threshold must not be NaN, got {threshold!r}")
         self.threshold = threshold
         self.events: list[Event] = []
         self._realization = realization

@@ -299,3 +299,13 @@ def cascade_longdouble(p: float, u, w_prev) -> np.ndarray:
             signal[n] = y
         out[k] = signal
     return out
+
+
+def template_rows(template: str, columns) -> str:
+    """One line per row of the columns, each row %-formatted by template.
+
+    The CSV writer's reference: Python's own '%d' and '%.17g' (correctly
+    rounded dtoa) applied to one row at a time.
+    """
+    columns = [c.tolist() if isinstance(c, np.ndarray) else c for c in columns]
+    return "".join(template % row for row in zip(*columns))

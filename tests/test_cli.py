@@ -8,9 +8,20 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from erlangreg import EdgeDetector, run_sequence
+from erlangreg import (
+    ChangeDetector,
+    EdgeDetector,
+    PeakDetector,
+    TargetScenario,
+    response_report,
+    run_sequence,
+    simulate_target,
+    synth_change_waveform,
+)
 from erlangreg.cli import _RUN_CHUNK, _column_blocks, _numeric_column, main
 from erlangreg.document import document_from_json, realization_from_document
+
+from oracles import template_rows
 
 
 def _read_csv(path):
@@ -330,6 +341,17 @@ def test_detect_infinite_threshold_is_silent(tmp_path):
                  "--out", str(out)]) == 0
     _, rows = _read_csv(out)
     assert all(not row[2] for row in rows)
+
+
+def test_detect_nan_threshold_exits_3(tmp_path, capsys):
+    design = _design(tmp_path, "d.json", kappa=2, p=0.8, kx=2, kt=2)
+    data = tmp_path / "in.csv"
+    data.write_text("x\n1.0\n2.0\n")
+    out = tmp_path / "det.csv"
+    assert main(["detect", "--kind", "edge", "--design", str(design), "--threshold", "nan",
+                 "--input", str(data), "--out", str(out)]) == 3
+    assert "threshold must not be NaN" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_detect_rejects_non_finite_first_row(tmp_path, capsys):
@@ -655,3 +677,156 @@ def test_detect_memory_does_not_grow_with_input(tmp_path):
     # The first run pays one-off imports; 11 more blocks may add at most
     # what the events and the open run hold, far below one block of input.
     assert peaks[2] - peaks[1] < 0.5e6, peaks
+
+
+# ---------------------------------------------------------------------------
+# Byte identity: every command's CSV is what Python's '%d' and '%.17g' give
+# for the library's numbers, row by row (tests/oracles.template_rows).
+
+
+def _load(design):
+    return realization_from_document(document_from_json(design.read_text()))
+
+
+def _write_column(path, xs):
+    path.write_text("x\n" + "".join(f"{float(v)!r}\n" for v in xs))
+    return path
+
+
+def _both_paths_input():
+    """Exact zeros, then levels near 1e18 and 1e-13, then ordinary data.
+
+    The zeros make warm-up rows of 0, the far levels values outside the
+    formatter's fast range, and the last stretch values inside it; each of
+    the last three stretches crosses a block boundary.
+    """
+    rng = np.random.Generator(np.random.PCG64(40))
+    huge = 1e18 + 1e3 * rng.standard_normal(_RUN_CHUNK)
+    tiny = 1e-13 * (1.0 + 0.01 * rng.standard_normal(_RUN_CHUNK))
+    ordinary = 30.0 * np.sin(np.arange(_RUN_CHUNK + 500) / 300.0) + rng.standard_normal(
+        _RUN_CHUNK + 500)
+    return np.concatenate([np.zeros(300), huge, tiny, ordinary])
+
+
+def _library_run(real, xs):
+    tables, state = [], None
+    for i in range(0, xs.size, _RUN_CHUNK):
+        result, state = run_sequence(real, xs[i:i + _RUN_CHUNK], 0.0, state)
+        tables.append(np.vstack([result.estimates, result.sigma_eps2, result.variances]))
+    table = np.concatenate(tables, axis=1)
+    template = "%d," + ",".join(["%.17g"] * table.shape[0]) + "\n"
+    return template_rows(template, [range(xs.size), *table])
+
+
+def _library_detect(detector, xs):
+    z = np.concatenate([detector.run(xs[i:i + _RUN_CHUNK])
+                        for i in range(0, xs.size, _RUN_CHUNK)])
+    detector.finish()
+    kinds = {event.n: event.kind for event in detector.events}
+    return template_rows("%d,%.17g,%s\n",
+                         [range(z.size), z, [kinds.get(n, "") for n in range(z.size)]])
+
+
+def test_run_bytes_match_the_oracle(tmp_path):
+    design = _design(tmp_path, "d.json", kappa=2, p=0.9, kx=2, kt=2)
+    xs = _both_paths_input()
+    data = _write_column(tmp_path / "in.csv", xs)
+    out = tmp_path / "run.csv"
+    assert main(["run", "--design", str(design), "--input", str(data), "--out", str(out)]) == 0
+    want = "n,estimate_0,estimate_1,sigma_eps2,var_0,var_1\n" + _library_run(_load(design), xs)
+    text = out.read_text()
+    assert text == want
+    # Both formatter paths ran: zeros, values far outside the fast range
+    # and ordinary ones.
+    fields = [row.split(",") for row in text.splitlines()[1:]]
+    assert all(f[2] == "0" for f in fields[1:300])
+    assert any("e+17" in f[1] or "e+18" in f[1] for f in fields)
+    assert any("e-13" in f[1] or "e-14" in f[1] for f in fields)
+    assert any(len(f[1]) > 15 and 1.0 < abs(float(f[1])) < 100.0 for f in fields)
+
+
+@pytest.mark.parametrize("kind", ["edge", "peak", "change"])
+def test_detect_bytes_match_the_oracle(tmp_path, kind):
+    xs = _both_paths_input()
+    argv = ["detect", "--kind", kind, "--threshold", "3"]
+    if kind == "change":
+        fast = _design(tmp_path, "fast.json", kappa=0, p=0.8, kx=2, kt=2)
+        slow = _design(tmp_path, "slow.json", kappa=3, p=0.8, kx=2, kt=1,
+                       q=repr(_load(fast).spec.delay))
+        detector = ChangeDetector(_load(fast), _load(slow), 3.0)
+        argv += ["--design", str(fast), "--design-b", str(slow)]
+    else:
+        design = _design(tmp_path, "d.json", kappa=2, p=0.9, kx=3, kt=3)
+        detector = (EdgeDetector if kind == "edge" else PeakDetector)(_load(design), 3.0)
+        argv += ["--design", str(design)]
+    data = _write_column(tmp_path / "in.csv", xs)
+    out = tmp_path / "det.csv"
+    assert main(argv + ["--input", str(data), "--out", str(out)]) == 0
+    assert out.read_text() == "n,z,event\n" + _library_detect(detector, xs)
+    assert detector.events
+
+
+@pytest.mark.parametrize("event_n", [_RUN_CHUNK - 1, _RUN_CHUNK])
+def test_detect_event_on_block_edge(tmp_path, event_n):
+    # A 25-sigma step 33 samples earlier puts this design's rising-edge
+    # event on the last row of the first block or the first of the second.
+    design = _design(tmp_path, "d.json", kappa=2, p=0.9, kx=2, kt=2)
+    xs = np.random.Generator(np.random.PCG64(3)).standard_normal(20_000)
+    xs[event_n - 33:] += 25.0
+    detector = EdgeDetector(_load(design), 3.0)
+    want = _library_detect(detector, xs)
+    assert (event_n, "rising-edge") in [(e.n, e.kind) for e in detector.events]
+    data = _write_column(tmp_path / "in.csv", xs)
+    out = tmp_path / "det.csv"
+    assert main(["detect", "--kind", "edge", "--design", str(design), "--threshold", "3",
+                 "--input", str(data), "--out", str(out)]) == 0
+    assert out.read_text() == "n,z,event\n" + want
+
+
+def test_analyze_bytes_match_the_oracle(tmp_path):
+    design = _design(tmp_path, "d.json", kappa=2, p=0.9, kx=3, kt=3)
+    out = tmp_path / "resp.csv"
+    assert main(["analyze", "--design", str(design), "--grid-size", "300",
+                 "--out", str(out)]) == 0
+    report = response_report(_load(design), 300)
+    columns = [report.freqs]
+    for h in report.responses:
+        columns += [h.real, h.imag]
+    columns.append(report.distortion)
+    header = "f,h0_re,h0_im,h1_re,h1_im,h2_re,h2_im,distortion\n"
+    want = header + template_rows(",".join(["%.17g"] * len(columns)) + "\n", columns)
+    assert out.read_text() == want
+
+
+def test_simulate_bytes_match_the_oracle(tmp_path):
+    # Zero starting conditions print as "-0" in the first rows.
+    out = tmp_path / "z.csv"
+    assert main(["simulate", "--scenario", "target-constant-accel", "--n-samples", "20",
+                 "--x0=-0.0", "--v0=-0.0", "--accel=-0.0", "--out", str(out)]) == 0
+    scenario = TargetScenario(sample_period=0.01, n_samples=20, initial_position=-0.0,
+                              initial_velocity=-0.0, accel_mode="constant",
+                              accel_value=-0.0, noise_std=0.5, seed=0)
+    truth, measurements = simulate_target(scenario)
+    want = "n,position,velocity,acceleration,measurement\n" + template_rows(
+        "%d,%.17g,%.17g,%.17g,%.17g\n", [range(20), *truth.T, measurements])
+    assert out.read_text() == want
+    assert out.read_text().splitlines()[1].startswith("0,-0,-0,-0,")
+
+    out = tmp_path / "t.csv"
+    assert main(["simulate", "--scenario", "target-random-accel", "--seed", "4",
+                 "--n-samples", "9000", "--x0", "1e17", "--out", str(out)]) == 0
+    scenario = TargetScenario(sample_period=0.01, n_samples=9000, initial_position=1e17,
+                              initial_velocity=20.0, accel_mode="gaussian",
+                              accel_value=100.0, noise_std=0.5, seed=4)
+    truth, measurements = simulate_target(scenario)
+    want = "n,position,velocity,acceleration,measurement\n" + template_rows(
+        "%d,%.17g,%.17g,%.17g,%.17g\n", [range(9000), *truth.T, measurements])
+    assert out.read_text() == want
+
+    out = tmp_path / "c.csv"
+    assert main(["simulate", "--scenario", "change", "--seed", "4", "--n-samples", "9000",
+                 "--out", str(out)]) == 0
+    clean, noisy = synth_change_waveform(4, 9000, 0.5)
+    want = "n,clean,measurement\n" + template_rows("%d,%.17g,%.17g\n",
+                                                   [range(9000), clean, noisy])
+    assert out.read_text() == want

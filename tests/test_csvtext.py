@@ -1,0 +1,115 @@
+"""The numpy CSV writer against Python's own '%d' and '%.17g'.
+
+Every value must come out byte for byte as '%.17g' writes it: values in
+the fast range through the exact integer scaling, every other one (zeros,
+subnormals, huge and tiny magnitudes, inf, nan) through the fallback.
+"""
+
+import hypothesis
+import numpy as np
+import pytest
+from hypothesis import strategies as st
+
+from erlangreg._csvtext import csv_lines
+
+from oracles import template_rows
+
+_BLOCK = 1 << 16
+
+
+def _assert_formats(values):
+    values = np.asarray(values, dtype=float)
+    for i in range(0, values.size, _BLOCK):
+        block = values[i:i + _BLOCK]
+        got = csv_lines([block])
+        want = template_rows("%.17g\n", [block])
+        if got != want:
+            bad = [(g, w) for g, w in zip(got.splitlines(), want.splitlines()) if g != w]
+            pytest.fail(f"{len(bad)} values differ from '%.17g', first {bad[:5]}")
+
+
+def test_random_bit_patterns():
+    # Uniform bit patterns: both signs and every exponent, subnormals,
+    # zeros, inf and nan included; most fall outside the fast range.
+    rng = np.random.Generator(np.random.PCG64(20))
+    bits = rng.integers(0, 1 << 64, size=2_000_000, dtype=np.uint64, endpoint=False)
+    subnormal = rng.integers(0, 1 << 52, size=20_000, dtype=np.uint64)
+    subnormal |= rng.integers(0, 2, size=subnormal.size, dtype=np.uint64) << np.uint64(63)
+    special = np.array([0x7FF0000000000000, 0xFFF0000000000000, 0x7FF8000000000000,
+                        0x0000000000000001, 0x8000000000000000], dtype=np.uint64)
+    _assert_formats(np.concatenate([bits, subnormal, special]).view(np.float64))
+
+
+def test_log_uniform_magnitudes():
+    # Mostly the fast range, with both of its ends and a margin past them.
+    rng = np.random.Generator(np.random.PCG64(21))
+    size = 1_000_000
+    values = 10.0 ** rng.uniform(-13.0, 17.0, size) * rng.choice([-1.0, 1.0], size)
+    _assert_formats(values)
+    # Short decimals: trailing zeros that %g strips.
+    _assert_formats(np.round(values[:200_000] * 1e-6, 9))
+    _assert_formats(np.round(values[200_000:400_000], 2))
+
+
+@hypothesis.settings(max_examples=300)
+@hypothesis.given(st.lists(st.floats(allow_nan=True, allow_infinity=True), min_size=1,
+                           max_size=50))
+def test_any_float(values):
+    _assert_formats(values)
+
+
+def _edges():
+    powers = np.array([10.0 ** j for j in range(-20, 21)])
+    return np.concatenate([
+        [0.0, -0.0],
+        powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf),
+        # Switch points: fixed below 1e-4 and from 1e16 on, the fast
+        # range's ends, and the rounding to 17 digits across them.
+        [1e-5, 1e-4, 1e16, 1e17, 1e-11, 1e15, 9.99999999999999e-5, 9.9999999999999995e-5,
+         99999999999999.99, 999999999999999.9, 9999999999999998.0],
+        # Exact half-even ties at the 17th digit.
+        [100000000000000.125, 10000000000000.0625, -100000000000000.625,
+         100000000000000.375, 1000000000000000.25],
+        # Literals past 17 digits that parse to a power of ten; the
+        # largest doubles below each power are among the nextafter values.
+        [0.99999999999999999, 9.9999999999999999, 0.099999999999999999,
+         9.99999999999999999e-6, 99999999999999.999],
+    ])
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_edge_values(sign):
+    _assert_formats(sign * _edges())
+
+
+def test_ties_round_to_even():
+    assert csv_lines([[100000000000000.125, 10000000000000.0625, -100000000000000.625]]) == (
+        "100000000000000.12\n10000000000000.062\n-100000000000000.62\n")
+
+
+@pytest.mark.parametrize("start,count", [
+    (0, 12), (5, 10), (99_999_990, 20), (100_000_000, 3), (123_456_789_012, 5),
+    (10**19 - 2, 4),
+])
+def test_row_numbers(start, count):
+    values = np.linspace(-1.5, 2.5, count)
+    want = template_rows("%d,%.17g\n", [range(start, start + count), values])
+    assert csv_lines([values], start=start) == want
+
+
+def test_columns_and_text():
+    rng = np.random.Generator(np.random.PCG64(22))
+    columns = [rng.standard_normal(300) * 10.0 ** rng.integers(-14, 19) for _ in range(4)]
+    columns[1][::7] = 0.0
+    marks = {0: "peak", 150: "falling-edge", 299: "break-up"}
+    kinds = [marks.get(i, "") for i in range(300)]
+    assert csv_lines(columns) == template_rows("%.17g,%.17g,%.17g,%.17g\n", columns)
+    assert csv_lines(columns[:1], start=40, text=marks) == template_rows(
+        "%d,%.17g,%s\n", [range(40, 340), columns[0], kinds])
+    assert csv_lines(columns[:2], start=0, text={}) == template_rows(
+        "%d,%.17g,%.17g,%s\n", [range(300), *columns[:2], [""] * 300])
+
+
+def test_no_rows():
+    assert csv_lines([np.empty(0)], start=7, text={}) == ""
+    assert csv_lines([np.empty(0), np.empty(0)]) == ""

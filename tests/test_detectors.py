@@ -152,6 +152,24 @@ def test_infinite_threshold_never_fires():
     assert detector.events == []
 
 
+@pytest.mark.parametrize("kind", ["edge", "peak", "change", "config"])
+def test_nan_threshold_is_rejected(kind):
+    real = build(2, 0.8, 3, kt=3, q=None)
+    fast = build(0, 0.8, 2, q=None)
+    slow = build(3, 0.8, 2, q=fast.spec.delay)
+    make = {
+        "edge": lambda: EdgeDetector(real, math.nan),
+        "peak": lambda: PeakDetector(real, threshold=math.nan),
+        "change": lambda: ChangeDetector(fast, slow, math.nan),
+        "config": lambda: ChangeDetector.from_config(ChangeDetectorConfig(
+            filter_a=_spec(0), filter_b=_spec(3), common_q=fast.spec.delay,
+            threshold=math.nan,
+        )),
+    }[kind]
+    with pytest.raises(ValueError, match="threshold must not be NaN"):
+        make()
+
+
 def test_peak_detector_fires_on_bump():
     real = build(2, 0.8, 3, kt=3, q=None)
     n = np.arange(400, dtype=float)
