@@ -35,13 +35,10 @@ from .estimator import (
     EstimateFrame,
     SequenceResult,
     StreamingEstimator,
-    update,
-    coefficients,
     run_sequence,
 )
 from .detectors import (
     Event,
-    ChangeDetectorConfig,
     EdgeDetector,
     PeakDetector,
     ChangeDetector,
@@ -85,11 +82,8 @@ __all__ = [
     "EstimateFrame",
     "SequenceResult",
     "StreamingEstimator",
-    "update",
-    "coefficients",
     "run_sequence",
     "Event",
-    "ChangeDetectorConfig",
     "EdgeDetector",
     "PeakDetector",
     "ChangeDetector",

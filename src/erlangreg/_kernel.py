@@ -35,8 +35,8 @@ __all__ = ["SampleKernel", "estimator_kernel", "detector_kernel"]
 class SampleKernel(NamedTuple):
     """A compiled cascade step with its readouts, and the readouts alone."""
 
-    step: Callable   # (w1, w2, d, *extra) -> (w1, w2, *readout)
-    read: Callable   # (w1, w2, *extra) -> readout
+    step: Callable   # (w1, w2, d, x0) -> (w1, w2, readout)
+    read: Callable   # (w1, w2, x0) -> readout
 
 
 class _Source:
@@ -75,8 +75,8 @@ class _Source:
         self.let("r", f"{self.dot(power_row, 'q')} - ({' + '.join(betas)})")
         return f"(0.0 if r < 0.0 else r) / {self.const(residual_mass)}"
 
-    def build(self, extra: str, result: str) -> SampleKernel:
-        """Compile step and read around the readout lines; both return result."""
+    def build(self, result: str) -> SampleKernel:
+        """Compile step(w1, w2, d, x0) and read(w1, w2, x0); both return result."""
         a = [f"a{j}" for j in range(self.n1)]
         q = [f"q{j}" for j in range(self.n2)]
         unpack = [f"{', '.join(a)}, = w1", f"{', '.join(q)}, = w2"]
@@ -88,10 +88,10 @@ class _Source:
                     step.append(f"s = s + {name}")
                 step.append(f"{name} = {self.p} * s + {feed}")
         body = "\n".join(
-            [f"def step(w1, w2, d{extra}):"]
+            ["def step(w1, w2, d, x0):"]
             + [f"    {line}" for line in unpack + ["dd = d * d"] + step + self.readout]
             + [f"    return [{', '.join(a)}], [{', '.join(q)}], {result}"]
-            + [f"def read(w1, w2{extra}):"]
+            + ["def read(w1, w2, x0):"]
             + [f"    {line}" for line in unpack + self.readout]
             + [f"    return {result}"]
         )
@@ -102,9 +102,8 @@ class _Source:
 def estimator_kernel(realization) -> SampleKernel:
     """Kernel of the estimator's frame on realization's cascades.
 
-    step(w1, w2, d, x0) -> (w1, w2, estimates, sigma_eps2) and
-    read(w1, w2, x0) -> (estimates, sigma_eps2); estimates is a tuple of
-    floats whose level has x0 added back.
+    The readout is (estimates, sigma_eps2): estimates is a tuple of floats
+    whose level has x0 added back.
     """
     spec = realization.spec
     src = _Source(spec.weight.p, spec.n_first_states, spec.n_second_states)
@@ -115,7 +114,7 @@ def estimator_kernel(realization) -> SampleKernel:
     ))
     rows = [src.dot(row, "a") for row in realization.state_output.tolist()]
     rows[0] += " + x0"
-    return src.build(", x0", f"({', '.join(rows)},), v")
+    return src.build(f"(({', '.join(rows)},), v)")
 
 
 def detector_kernel(stream, value_row, noise_terms, floor: float) -> SampleKernel:
@@ -123,8 +122,8 @@ def detector_kernel(stream, value_row, noise_terms, floor: float) -> SampleKerne
 
     Z is value_row @ w1 over the square root of the sum, over noise_terms
     (coeff, power, residual_mass, vrf_ii), of vrf_ii times each filter's
-    noise variance, and 0.0 where that sum is below floor.
-    step(w1, w2, d) -> (w1, w2, z) and read(w1, w2) -> z.
+    noise variance, and 0.0 where that sum is below floor.  The readout
+    is z.
     """
     spec = stream.spec
     src = _Source(spec.weight.p, spec.n_first_states, spec.n_second_states)
@@ -133,4 +132,4 @@ def detector_kernel(stream, value_row, noise_terms, floor: float) -> SampleKerne
         src.let("t", f"{'t + ' if i else ''}{src.const(vrf_ii)} * ({variance})")
     value = src.dot(value_row.tolist(), "a")
     src.let("z", f"0.0 if t < {src.const(floor)} else ({value}) / sqrt(t)")
-    return src.build("", "z")
+    return src.build("z")

@@ -39,7 +39,7 @@ from .document import (
     document_to_json,
     realization_from_document,
 )
-from .estimator import _prior_variance, run_sequence
+from .estimator import StreamingEstimator
 from .network import _PIECE
 from .response import response_report
 from .scenarios import (
@@ -242,7 +242,7 @@ def _read_ahead(blocks):
 
 def cmd_run(args) -> int:
     realization = _load_design(args.design)
-    sigma0_sq = _prior_variance(args.sigma0_sq)
+    estimator = StreamingEstimator(realization, args.sigma0_sq)
     n_outputs = realization.spec.n_outputs
     header = (
         ["n"]
@@ -250,14 +250,13 @@ def cmd_run(args) -> int:
         + ["sigma_eps2"]
         + [f"var_{k}" for k in range(n_outputs)]
     )
-    state = None
     next_n = 0
     with _open_in(args.input) as src:
         blocks = _read_ahead(_column_blocks(src))
         with _open_out(args.out) as dst:
             dst.write(",".join(header) + "\n")
             for block in blocks:
-                result, state = run_sequence(realization, block, sigma0_sq, state)
+                result = estimator.extend(block)
                 columns = [*result.estimates, result.sigma_eps2, *result.variances]
                 dst.write(csv_lines(columns, start=next_n))
                 next_n += block.size
@@ -452,7 +451,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except BrokenPipeError:
         return 0
-    except (DesignError, ValueError, OSError, RuntimeError) as exc:
+    except (DesignError, ValueError, OSError, RuntimeError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

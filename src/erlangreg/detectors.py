@@ -11,7 +11,11 @@ reported as 0 so that empty regimes never alarm.
 
 EdgeDetector reads the slope, PeakDetector the negated curvature, and
 ChangeDetector the difference between a fast and a slow smoother; each is
-only the data of its readout on one shared engine.
+only the data of its readout on one shared engine.  Every detector is an
+estimator._Stream, the same stream the estimator runs: it exposes
+realization, sigma0_sq and state, its samples enter through the stream's
+one per-sample and one block entry, and all it adds is Z and the run
+marker that turns Z into events.
 
 update() feeds one sample through a kernel generated and compiled for the
 detector on its first update() (see _kernel): one unrolled step of both
@@ -31,18 +35,17 @@ threshold is allowed and never fires.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from ._kernel import detector_kernel
-from .design import DesignError, DesignSpec, build_realization
-from .estimator import _advance_moments, _finite, _noise_variance, _prior_variance, new_estimator
+from .design import DesignError
+from .estimator import _advance_moments, _noise_variance, _Stream
 
 __all__ = [
     "Event",
-    "ChangeDetectorConfig",
     "EdgeDetector",
     "PeakDetector",
     "ChangeDetector",
@@ -195,7 +198,7 @@ class _RunMarker:
         return event
 
 
-class _Detector:
+class _Detector(_Stream):
     """Z readout and event extraction on the moment states of one stream.
 
     The stream runs realization's cascades.  Z is value_row @ w1 over the
@@ -210,29 +213,19 @@ class _Detector:
                  value_row, noise_terms, kind_pos: str, kind_neg: Optional[str]):
         if math.isnan(threshold):
             raise ValueError(f"threshold must not be NaN, got {threshold!r}")
+        super().__init__(realization, sigma0_sq)
         self.threshold = threshold
         self.events: list[Event] = []
-        self._realization = realization
-        self._sigma0_sq = _prior_variance(sigma0_sq)
         self._rows = (value_row, noise_terms)
-        self._kernel = None
         self._marker = _RunMarker(threshold, kind_pos, kind_neg)
-        self._state = None
+
+    def _build_kernel(self):
+        return detector_kernel(self.realization, *self._rows, _VARIANCE_FLOOR)
 
     def update(self, x: float) -> float:
         """Feed one sample; returns the statistic (events collect in .events)."""
-        kernel = self._kernel
-        if kernel is None:
-            kernel = self._kernel = detector_kernel(self._realization, *self._rows, _VARIANCE_FLOOR)
-        state = self._state
-        if state is None:
-            state = self._state = new_estimator(self._realization, x, self._sigma0_sq)
-            z = kernel.read(state.w1, state.w2)
-        else:
-            d = _finite(x, state.n + 1) - state.x0
-            state.w1, state.w2, z = kernel.step(state.w1, state.w2, d)
-            state.n += 1
-        event = self._marker.update(state.n, z)
+        z = self._sample(x)
+        event = self._marker.update(self.state.n, z)
         if event is not None:
             self.events.append(event)
         return z
@@ -240,14 +233,13 @@ class _Detector:
     def run(self, xs: np.ndarray) -> np.ndarray:
         """Feed a block; returns the statistic sequence for the block."""
         xs = np.asarray(xs, dtype=float)
-        if xs.size == 0:
+        if xs.shape == (0,):
             return np.empty(0)
-        start = 0 if self._state is None else self._state.n + 1
-        w1_block, w2_block, self._state = _advance_moments(
-            self._realization, xs, self._sigma0_sq, self._state
+        w1_block, w2_block, self.state = _advance_moments(
+            self.realization, xs, self.sigma0_sq, self.state
         )
         z = self._statistic(w1_block, w2_block)
-        self.events.extend(self._marker.extend(start, z))
+        self.events.extend(self._marker.extend(self.state.n + 1 - xs.size, z))
         return z
 
     def finish(self) -> None:
@@ -265,7 +257,7 @@ class _Detector:
         """
         if self._marker._sign != 0:
             return self._marker._best_n
-        return 0 if self._state is None else self._state.n + 1
+        return 0 if self.state is None else self.state.n + 1
 
     def _statistic(self, w1_block, w2_block):
         """Z for a block of moment states, one column per sample."""
@@ -329,46 +321,6 @@ class PeakDetector(_Detector):
         )
 
 
-@dataclass(frozen=True)
-class ChangeDetectorConfig:
-    """Paired-filter setup for trend-break detection.
-
-    filter_a emphasizes new data (small shape parameter), filter_b old data
-    (larger shape); both share the decay, model order, and sample period,
-    and both are evaluated at the same common delay so their estimates
-    refer to the same instant.
-    """
-
-    filter_a: DesignSpec
-    filter_b: DesignSpec
-    common_q: float
-    threshold: float
-
-    def __post_init__(self):
-        a, b = self.filter_a, self.filter_b
-        if a.weight.p != b.weight.p:
-            raise DesignError(
-                f"change detector filters must share p, got {a.weight.p} and {b.weight.p}"
-            )
-        if a.model_order != b.model_order:
-            raise DesignError(
-                f"change detector filters must share model_order, "
-                f"got {a.model_order} and {b.model_order}"
-            )
-        if a.sample_period != b.sample_period:
-            raise DesignError(
-                f"change detector filters must share sample_period, "
-                f"got {a.sample_period} and {b.sample_period}"
-            )
-        if a.weight.kappa >= b.weight.kappa:
-            raise DesignError(
-                f"filter_a must have the smaller shape parameter (new-data emphasis), "
-                f"got kappa {a.weight.kappa} vs {b.weight.kappa}"
-            )
-        if not math.isfinite(self.common_q):
-            raise DesignError(f"common_q must be finite, got {self.common_q}")
-
-
 class ChangeDetector(_Detector):
     """Trend-break detector comparing a fast and a slow smoother.
 
@@ -378,41 +330,42 @@ class ChangeDetector(_Detector):
     zero-padded.  Z > threshold declares an upward break, Z < -threshold a
     downward one.
 
-    Accepts two already-built realizations so that designs loaded from
-    documents run as stored; from_config() builds them from a
-    ChangeDetectorConfig instead.
+    Takes two already-built realizations, so that designs loaded from
+    documents run as stored.  realization_a emphasizes new data (the
+    smaller shape parameter) and realization_b old data; both must share
+    the decay, model order, sample period and resolved delay, so that
+    their estimates refer to the same instant.
     """
 
     def __init__(self, realization_a, realization_b, threshold: float,
                  sigma0_sq: float = 0.0):
-        real_a, real_b = realization_a, realization_b
-        spec_a, spec_b = real_a.spec, real_b.spec
-        # Mirror the config validation on the resolved specs, plus the
-        # common-delay requirement that makes the difference meaningful.
-        ChangeDetectorConfig(
-            filter_a=replace(spec_a, delay=None),
-            filter_b=replace(spec_b, delay=None),
-            common_q=spec_a.delay,
-            threshold=threshold,
-        )
-        if abs(spec_a.delay - spec_b.delay) > 1e-9:
+        a, b = realization_a.spec, realization_b.spec
+        for name, value_a, value_b in (
+            ("p", a.weight.p, b.weight.p),
+            ("model_order", a.model_order, b.model_order),
+            ("sample_period", a.sample_period, b.sample_period),
+        ):
+            if value_a != value_b:
+                raise DesignError(
+                    f"change detector filters must share {name}, got {value_a} and {value_b}"
+                )
+        if a.weight.kappa >= b.weight.kappa:
+            raise DesignError(
+                f"filter_a must have the smaller shape parameter (new-data emphasis), "
+                f"got kappa {a.weight.kappa} vs {b.weight.kappa}"
+            )
+        if abs(a.delay - b.delay) > 1e-9:
             raise DesignError(
                 f"change detector filters must share the delay, "
-                f"got {spec_a.delay} and {spec_b.delay}"
+                f"got {a.delay} and {b.delay}"
             )
-        self.realization_a = real_a
-        self.realization_b = real_b
-        pad = spec_b.n_first_states - spec_a.n_first_states
+        self.realization_a = realization_a
+        self.realization_b = realization_b
+        pad = b.n_first_states - a.n_first_states
         super().__init__(
-            real_b, threshold, sigma0_sq,
-            np.pad(real_a.state_output[0], (0, pad)) - real_b.state_output[0],
-            [_noise_term(real_a, 0, real_b), _noise_term(real_b, 0, real_b)],
+            realization_b, threshold, sigma0_sq,
+            np.pad(realization_a.state_output[0], (0, pad)) - realization_b.state_output[0],
+            [_noise_term(realization_a, 0, realization_b),
+             _noise_term(realization_b, 0, realization_b)],
             BREAK_UP, BREAK_DOWN,
         )
-
-    @classmethod
-    def from_config(cls, config: ChangeDetectorConfig, sigma0_sq: float = 0.0):
-        """Build both realizations at the common delay and wrap them."""
-        real_a = build_realization(replace(config.filter_a, delay=config.common_q))
-        real_b = build_realization(replace(config.filter_b, delay=config.common_q))
-        return cls(real_a, real_b, config.threshold, sigma0_sq)

@@ -13,24 +13,30 @@ infinite sample raises ValueError naming its index and leaves the stream's
 state as it was; a prior noise variance sigma0_sq that is negative or not
 finite raises ValueError too.
 
+Every consumer of a stream, StreamingEstimator here and the detectors, is
+a _Stream: it exposes realization, sigma0_sq and state (None until the
+first sample), and only its readout is its own.  A sample enters a stream
+at one place, _Stream._sample, and a block at one other, _advance_moments;
+each starts the stream on its first sample and rejects non-finite input.
+
 The per-sample path runs in Python floats: the state vectors are lists of
 floats, and one sample is one call of a kernel generated and compiled for
-the realization on its first per-sample use (see _kernel), which steps
-both cascades as unrolled running sums and reads the estimates and the
-noise variance as explicit multiply-adds.  On vectors of a handful of
-states, numpy's per-call overhead, and even Python's own loops and calls,
-cost far more than the arithmetic.  For the same reason a per-sample frame
-keeps the kernel's floats and builds its estimates and covariance arrays
-only when they are read.  The block path filters whole arrays and reads
-them out with matrix products, by the same formula for the estimates and
-the noise variance.
+the consumer on its first per-sample use (see _kernel), which steps both
+cascades as unrolled running sums and evaluates the readout as explicit
+multiply-adds.  On vectors of a handful of states, numpy's per-call
+overhead, and even Python's own loops and calls, cost far more than the
+arithmetic.  For the same reason a per-sample frame keeps the kernel's
+floats and builds its estimates and covariance arrays only when they are
+read.  The block path filters whole arrays and reads them out with matrix
+products, by the same formula for the estimates and the noise variance;
+run_sequence is that path for a caller who keeps the state.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import partial
+from math import isfinite
 from operator import itemgetter
 
 import numpy as np
@@ -42,10 +48,6 @@ __all__ = [
     "EstimatorState",
     "EstimateFrame",
     "SequenceResult",
-    "new_estimator",
-    "current_frame",
-    "update",
-    "coefficients",
     "run_sequence",
     "StreamingEstimator",
 ]
@@ -122,21 +124,20 @@ class SequenceResult:
     variances: np.ndarray    # (n_outputs, N) diagonal of the covariance
 
 
-def new_estimator(realization: FilterRealization, x0: float, sigma0_sq: float = 0.0) -> EstimatorState:
-    """Start a stream on its first sample with final-value initialization.
+def _start(realization: FilterRealization, x0: float, sigma0_sq: float) -> EstimatorState:
+    """A stream's state on its first sample x0: the final-value start.
 
     Both cascades begin at the steady state they would reach under a
     constant input x0 whose noise variance is sigma0_sq, so a constant
     stream produces flat outputs from the very first sample.  Measured from
     x0, that is zero for the signal cascade and sigma0_sq times the unit
-    steady state for the power cascade.
+    steady state for the power cascade.  The caller has checked x0.
     """
-    sigma0_sq = _prior_variance(sigma0_sq)
     return EstimatorState(
         w1=[0.0] * realization.spec.n_first_states,
-        w2=(realization.steady_second * sigma0_sq).tolist(),
+        w2=(realization.steady_second * _prior_variance(sigma0_sq)).tolist(),
         n=0,
-        x0=_finite(x0, 0),
+        x0=float(x0),
     )
 
 
@@ -147,17 +148,9 @@ def _prior_variance(sigma0_sq: float) -> float:
     cascade, and with it sigma_eps2 and every Z, for the rest of the stream.
     """
     sigma0_sq = float(sigma0_sq)
-    if not (math.isfinite(sigma0_sq) and sigma0_sq >= 0.0):
+    if not (isfinite(sigma0_sq) and sigma0_sq >= 0.0):
         raise ValueError(f"sigma0_sq must be finite and nonnegative, got {sigma0_sq}")
     return sigma0_sq
-
-
-def _finite(x: float, n: int) -> float:
-    """x as a float; ValueError naming sample n if it is NaN or infinite."""
-    x = float(x)
-    if not math.isfinite(x):
-        raise _not_finite(n, x)
-    return x
 
 
 def _not_finite(n: int, x: float) -> ValueError:
@@ -180,30 +173,6 @@ def _noise_variance(beta, power, residual_mass):
     return np.maximum(residual, 0.0) / residual_mass
 
 
-def current_frame(state: EstimatorState, realization: FilterRealization) -> EstimateFrame:
-    """Frame for the state as it stands, without consuming a sample."""
-    estimates, sigma_eps2 = realization._sample_kernel.read(state.w1, state.w2, state.x0)
-    return _frame((state.n, estimates, sigma_eps2, realization.vrf))
-
-
-def _step(state: EstimatorState, realization: FilterRealization, x: float) -> EstimateFrame:
-    """Consume one sample, advancing both recursions in place; returns its frame.
-
-    A NaN or infinite x raises before the state changes.  The check is
-    written out rather than left to _finite: on this path one more Python
-    call is a few percent of the cost.
-    """
-    x = float(x)
-    if not math.isfinite(x):
-        raise _not_finite(state.n + 1, x)
-    x0 = state.x0
-    state.w1, state.w2, estimates, sigma_eps2 = realization._sample_kernel.step(
-        state.w1, state.w2, x - x0, x0
-    )
-    state.n = n = state.n + 1
-    return _frame((n, estimates, sigma_eps2, realization.vrf))
-
-
 def _advance_moments(
     realization: FilterRealization,
     xs: np.ndarray,
@@ -213,7 +182,8 @@ def _advance_moments(
     """Advance both moment cascades over a non-empty block.
 
     Returns (w1_block, w2_block, state): the state trajectories, one column
-    per sample, and the state after the block.  With state=None the stream
+    per sample, and the state after the block.  A block that is not a 1-D
+    array raises ValueError naming its shape.  With state=None the stream
     starts here: the first sample sets the final-value start (its column
     is the start itself, and the sample counter stays at 0) and the rest
     advance the recursions.  A given state is updated in place, unless the
@@ -226,6 +196,8 @@ def _advance_moments(
     from the stream's first sample, so a stream fed in blocks aligned to
     them (as the CLI feeds it) gets the very floats of one whole call.
     """
+    if xs.ndim != 1:
+        raise ValueError(f"a block of samples must be 1-D, got shape {xs.shape}")
     start = 0 if state is None else state.n + 1
     finite = np.isfinite(xs)
     if not finite.all():
@@ -234,7 +206,7 @@ def _advance_moments(
     p = realization.spec.weight.p
     first = 0
     if state is None:
-        state = new_estimator(realization, xs[0], sigma0_sq)
+        state = _start(realization, xs[0], sigma0_sq)
         first = 1  # column 0 is the start itself
     moments = np.empty((2, xs.size - first))
     np.subtract(xs[first:], state.x0, out=moments[0])
@@ -261,29 +233,6 @@ def _advance_moments(
     return w1_block, w2_block, state
 
 
-def update(state: EstimatorState, realization: FilterRealization, x: float) -> EstimateFrame:
-    """Consume one sample, advancing both recursions in place."""
-    return _step(state, realization, x)
-
-
-def coefficients(state: EstimatorState, realization: FilterRealization):
-    """Current fit coefficients (orthonormal and monomial bases).
-
-    Returns (beta, alpha).  alpha[j] multiplies age**j in the local model,
-    age counted in samples behind the newest one, so a rising ramp has a
-    negative alpha[1].
-    """
-    from_orthonormal = realization.from_orthonormal
-    beta = realization.coeff_output @ np.array(state.w1)
-    alpha = from_orthonormal @ beta
-    # The constant x0 is alpha[0] = x0 in the monomial basis; the basis
-    # change is upper triangular, so in the orthonormal one it is beta[0]
-    # = x0 / from_orthonormal[0, 0].
-    alpha[0] += state.x0
-    beta[0] += state.x0 / from_orthonormal[0, 0]
-    return beta, alpha
-
-
 def run_sequence(
     realization: FilterRealization,
     xs: np.ndarray,
@@ -299,7 +248,7 @@ def run_sequence(
     """
     xs = np.asarray(xs, dtype=float)
     n_out = realization.spec.n_outputs
-    if xs.size == 0:
+    if xs.shape == (0,):
         empty = SequenceResult(
             estimates=np.empty((n_out, 0)),
             sigma_eps2=np.empty(0),
@@ -319,24 +268,60 @@ def run_sequence(
     return SequenceResult(estimates=estimates, sigma_eps2=sigma_eps2, variances=variances), state
 
 
-class StreamingEstimator:
-    """Convenience wrapper owning the state of one stream.
+class _Stream:
+    """One stream through realization's two moment cascades.
 
-    update() feeds one sample (the first initializes), extend() feeds a
-    block through the vectorized path.  Both produce outputs identical to
-    the module-level functions they wrap.
+    Owns the stream's state (None until its first sample) and its
+    per-sample kernel, which the subclass's _build_kernel() makes on the
+    first per-sample call.  Samples enter one at a time through _sample()
+    and in blocks through _advance_moments(); the two can be mixed freely on
+    one stream.  A subclass adds only its readout: the estimator's frames,
+    a detector's statistic and events.
     """
 
     def __init__(self, realization: FilterRealization, sigma0_sq: float = 0.0):
         self.realization = realization
         self.sigma0_sq = _prior_variance(sigma0_sq)
         self.state: EstimatorState | None = None
+        self._kernel = None
+
+    def _sample(self, x: float):
+        """Consume one sample; returns the kernel's readout after it.
+
+        The first sample starts the stream.  A NaN or infinite sample
+        raises ValueError before the state changes; the check is written
+        out rather than called, as on this path one more Python call is a
+        few percent of the cost.
+        """
+        kernel = self._kernel
+        if kernel is None:
+            kernel = self._kernel = self._build_kernel()
+        x = float(x)
+        state = self.state
+        if not isfinite(x):
+            raise _not_finite(0 if state is None else state.n + 1, x)
+        if state is None:
+            state = self.state = _start(self.realization, x, self.sigma0_sq)
+            return kernel.read(state.w1, state.w2, x)
+        x0 = state.x0
+        state.w1, state.w2, readout = kernel.step(state.w1, state.w2, x - x0, x0)
+        state.n += 1
+        return readout
+
+
+class StreamingEstimator(_Stream):
+    """The estimator on one stream: update() feeds one sample, extend() a block.
+
+    update() returns the sample's EstimateFrame and extend() the block's
+    SequenceResult, the same numbers run_sequence gives for the stream.
+    """
+
+    def _build_kernel(self):
+        return self.realization._sample_kernel
 
     def update(self, x: float) -> EstimateFrame:
-        if self.state is None:
-            self.state = new_estimator(self.realization, x, self.sigma0_sq)
-            return current_frame(self.state, self.realization)
-        return _step(self.state, self.realization, x)
+        estimates, sigma_eps2 = self._sample(x)
+        return _frame((self.state.n, estimates, sigma_eps2, self.realization.vrf))
 
     def extend(self, xs: np.ndarray) -> SequenceResult:
         result, self.state = run_sequence(
@@ -345,6 +330,20 @@ class StreamingEstimator:
         return result
 
     def coefficients(self):
+        """Current fit coefficients (orthonormal and monomial bases).
+
+        Returns (beta, alpha).  alpha[j] multiplies age**j in the local
+        model, age counted in samples behind the newest one, so a rising
+        ramp has a negative alpha[1].
+        """
         if self.state is None:
             raise RuntimeError("no samples consumed yet")
-        return coefficients(self.state, self.realization)
+        from_orthonormal = self.realization.from_orthonormal
+        beta = self.realization.coeff_output @ np.array(self.state.w1)
+        alpha = from_orthonormal @ beta
+        # The constant x0 is alpha[0] = x0 in the monomial basis; the basis
+        # change is upper triangular, so in the orthonormal one it is beta[0]
+        # = x0 / from_orthonormal[0, 0].
+        alpha[0] += self.state.x0
+        beta[0] += self.state.x0 / from_orthonormal[0, 0]
+        return beta, alpha

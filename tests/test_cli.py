@@ -147,6 +147,22 @@ def test_analyze_rejects_zero_grid(tmp_path, capsys):
     assert "grid" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["analyze", "simulate"])
+def test_oversized_size_exits_3_without_output(tmp_path, capsys, command):
+    # 1e12 float64 values ask for 7.3 TiB, which numpy refuses at once
+    # with a MemoryError; that used to escape as a traceback and exit 1.
+    out = tmp_path / "big.csv"
+    if command == "analyze":
+        design = _design(tmp_path, "d.json", kappa=0, p=0.8, kx=2)
+        argv = ["analyze", "--design", str(design), "--grid-size", "1000000000000"]
+    else:
+        argv = ["simulate", "--scenario", "edge", "--n-samples", "1000000000000"]
+    assert main(argv + ["--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "allocate" in err
+    assert list(tmp_path.glob("big.csv*")) == []
+
+
 def test_analyze_missing_document(tmp_path, capsys):
     rc = main(["analyze", "--design", str(tmp_path / "absent.json"),
                "--out", str(tmp_path / "r.csv")])

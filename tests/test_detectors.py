@@ -1,32 +1,18 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from erlangreg import (
     ChangeDetector,
-    ChangeDetectorConfig,
     DesignError,
-    DesignSpec,
     EdgeDetector,
     PeakDetector,
     StreamingEstimator,
-    WeightSpec,
 )
 from erlangreg.detectors import _VARIANCE_FLOOR
 
 from oracles import build
-
-
-def _spec(kappa, p=0.8, kx=2, kt=1, q=None, ts=1.0):
-    return DesignSpec(
-        weight=WeightSpec(kappa=kappa, p=p),
-        model_order=kx,
-        n_outputs=kt,
-        delay=q,
-        sample_period=ts,
-    )
 
 
 def _ramp_with_noise(seed, n=300, step_at=150):
@@ -152,7 +138,7 @@ def test_infinite_threshold_never_fires():
     assert detector.events == []
 
 
-@pytest.mark.parametrize("kind", ["edge", "peak", "change", "config"])
+@pytest.mark.parametrize("kind", ["edge", "peak", "change"])
 def test_nan_threshold_is_rejected(kind):
     real = build(2, 0.8, 3, kt=3, q=None)
     fast = build(0, 0.8, 2, q=None)
@@ -161,10 +147,6 @@ def test_nan_threshold_is_rejected(kind):
         "edge": lambda: EdgeDetector(real, math.nan),
         "peak": lambda: PeakDetector(real, threshold=math.nan),
         "change": lambda: ChangeDetector(fast, slow, math.nan),
-        "config": lambda: ChangeDetector.from_config(ChangeDetectorConfig(
-            filter_a=_spec(0), filter_b=_spec(3), common_q=fast.spec.delay,
-            threshold=math.nan,
-        )),
     }[kind]
     with pytest.raises(ValueError, match="threshold must not be NaN"):
         make()
@@ -185,20 +167,21 @@ def test_peak_detector_fires_on_bump():
     assert 245 <= event.n <= 255 + int(real.spec.delay) + 10
 
 
-def test_change_config_validation():
-    good_a = _spec(0, q=None)
-    good_b = _spec(3, q=None)
-    ChangeDetectorConfig(filter_a=good_a, filter_b=good_b, common_q=8.5, threshold=3.0)
-    with pytest.raises(DesignError):
-        ChangeDetectorConfig(filter_a=good_a, filter_b=_spec(3, p=0.9), common_q=8.5, threshold=3.0)
-    with pytest.raises(DesignError):
-        ChangeDetectorConfig(filter_a=good_a, filter_b=_spec(3, kx=3), common_q=8.5, threshold=3.0)
-    with pytest.raises(DesignError):
-        ChangeDetectorConfig(filter_a=good_a, filter_b=_spec(3, ts=0.5), common_q=8.5, threshold=3.0)
-    with pytest.raises(DesignError):
-        ChangeDetectorConfig(filter_a=good_b, filter_b=good_a, common_q=8.5, threshold=3.0)
-    with pytest.raises(DesignError):
-        ChangeDetectorConfig(filter_a=good_a, filter_b=good_b, common_q=math.nan, threshold=3.0)
+def test_change_detector_validation():
+    # A NaN common delay cannot reach the detector: no realization carries
+    # one, as DesignSpec rejects it (test_design.py::test_spec_validation).
+    fast, slow = _change_pair()
+    ChangeDetector(fast, slow, threshold=3.0)
+    for other, message in [
+        (build(3, 0.9, 2, q=8.5), "must share p, got 0.8 and 0.9"),
+        (build(3, 0.8, 3, q=8.5), "must share model_order, got 2 and 3"),
+        (build(3, 0.8, 2, q=8.5, ts=0.5), "must share sample_period, got 1.0 and 0.5"),
+    ]:
+        with pytest.raises(DesignError, match=message):
+            ChangeDetector(fast, other, threshold=3.0)
+    for a, b in ((slow, fast), (slow, slow)):
+        with pytest.raises(DesignError, match="filter_a must have the smaller shape parameter"):
+            ChangeDetector(a, b, threshold=3.0)
 
 
 def test_change_detector_requires_common_delay():
@@ -212,10 +195,7 @@ def test_change_detector_matches_two_independent_filters():
     # The production path runs one shared recursion at the slow filter's
     # orders with zero-padded outputs for the fast filter; it must agree
     # exactly with two entirely separate estimators.
-    config = ChangeDetectorConfig(
-        filter_a=_spec(0, q=None), filter_b=_spec(3, q=None), common_q=8.5, threshold=3.0
-    )
-    detector = ChangeDetector.from_config(config)
+    detector = ChangeDetector(*_change_pair(), 3.0)
     rng = np.random.Generator(np.random.PCG64(7))
     xs = np.concatenate([np.full(120, 50.0), np.full(120, 58.0)])
     xs = xs + 0.5 * rng.standard_normal(240)
@@ -239,14 +219,11 @@ def test_change_detector_matches_two_independent_filters():
 
 
 def test_change_detector_streaming_equals_batch():
-    config = ChangeDetectorConfig(
-        filter_a=_spec(0, q=None), filter_b=_spec(3, q=None), common_q=8.5, threshold=3.0
-    )
     xs = _ramp_with_noise(8, n=220)
-    batch = ChangeDetector.from_config(config)
+    batch = ChangeDetector(*_change_pair(), 3.0)
     z_batch = batch.run(xs)
     batch.finish()
-    stream = ChangeDetector.from_config(config)
+    stream = ChangeDetector(*_change_pair(), 3.0)
     z_stream = np.array([stream.update(x) for x in xs])
     stream.finish()
     np.testing.assert_allclose(z_stream, z_batch, rtol=1e-9, atol=1e-12)
@@ -254,10 +231,7 @@ def test_change_detector_streaming_equals_batch():
 
 
 def test_change_detector_flat_signal_stays_quiet():
-    config = ChangeDetectorConfig(
-        filter_a=_spec(0, q=None), filter_b=_spec(3, q=None), common_q=8.5, threshold=3.0
-    )
-    detector = ChangeDetector.from_config(config)
+    detector = ChangeDetector(*_change_pair(), 3.0)
     rng = np.random.Generator(np.random.PCG64(9))
     z = detector.run(100.0 + 0.5 * rng.standard_normal(400))
     detector.finish()

@@ -2,6 +2,7 @@ import copy
 import functools
 import math
 import pickle
+import re
 
 import hypothesis
 import numpy as np
@@ -16,12 +17,9 @@ from erlangreg import (
     EstimateFrame,
     PeakDetector,
     StreamingEstimator,
-    coefficients,
     run_sequence,
-    update,
 )
 from erlangreg.design import synthesis_matrix
-from erlangreg.estimator import current_frame, new_estimator
 from erlangreg.network import steady_state_vector
 
 from oracles import batch_wls, batch_wls_variance, build
@@ -134,10 +132,11 @@ def test_empty_input_leaves_state_alone():
 
 def test_covariance_is_sigma_times_vrf():
     real = build(1, 0.85, 2, kt=2, q=6.0)
-    state = new_estimator(real, 1.0)
+    est = StreamingEstimator(real)
+    est.update(1.0)
     rng = np.random.Generator(np.random.PCG64(25))
     for x in rng.standard_normal(40) + 1.0:
-        frame = update(state, real, x)
+        frame = est.update(x)
     np.testing.assert_allclose(
         frame.covariance, frame.sigma_eps2 * real.vrf, rtol=1e-12
     )
@@ -155,16 +154,16 @@ def test_variance_estimate_never_negative():
 
 def test_coefficients_bases_are_consistent():
     real = build(1, 0.8, 3, kt=1, q=2.0)
-    state = new_estimator(real, 0.0)
+    est = StreamingEstimator(real)
+    est.update(0.0)
     rng = np.random.Generator(np.random.PCG64(26))
     for x in rng.standard_normal(80):
-        update(state, real, x)
-    beta, alpha = coefficients(state, real)
+        frame = est.update(x)
+    beta, alpha = est.coefficients()
     np.testing.assert_allclose(
         alpha, real.from_orthonormal @ beta, rtol=1e-12
     )
     # The monomial coefficients must reproduce the synthesized outputs.
-    frame = current_frame(state, real)
     assert frame.estimates[0] == pytest.approx(
         float(synthesis_matrix(real.spec)[0] @ alpha), rel=1e-10
     )
@@ -181,7 +180,9 @@ def test_streaming_wrapper_guards():
 
 def test_prior_variance_seeds_power_recursion():
     real = build(0, 0.8, 2, kt=1, q=8.5)
-    state = new_estimator(real, 100.0, sigma0_sq=0.25)
+    est = StreamingEstimator(real, sigma0_sq=0.25)
+    frame = est.update(100.0)
+    state = est.state
     # The cascades run on x - x0, so only the prior enters the power state.
     assert state.x0 == 100.0
     np.testing.assert_array_equal(state.w1, np.zeros(real.spec.n_first_states))
@@ -189,11 +190,10 @@ def test_prior_variance_seeds_power_recursion():
     # The seeded prior surfaces in sigma scaled by total over residual mass.
     from erlangreg import erlang_sum
 
-    frame = current_frame(state, real)
     expected = 0.25 * erlang_sum(0, 0.8) / real.residual_mass
     assert frame.sigma_eps2 == pytest.approx(expected, rel=1e-9)
     with pytest.raises(ValueError):
-        new_estimator(real, 1.0, sigma0_sq=-0.5)
+        StreamingEstimator(real, sigma0_sq=-0.5)
 
 
 @pytest.mark.parametrize("level", [10.0, 1000.0, 1e8])
@@ -245,8 +245,6 @@ def test_non_finite_sample_raises_and_leaves_state_unchanged(bad):
 
     with pytest.raises(ValueError, match="sample 0 "):
         run_sequence(real, np.array([bad, 1.0]))
-    with pytest.raises(ValueError, match="sample 0 "):
-        new_estimator(real, bad)
     est = StreamingEstimator(real)
     with pytest.raises(ValueError, match="sample 0 "):
         est.update(bad)
@@ -260,8 +258,6 @@ def test_non_finite_sample_raises_and_leaves_state_unchanged(bad):
         est.extend(np.concatenate([xs[30:32], [bad], xs[32:40]]))
     with pytest.raises(ValueError, match="sample 30 "):
         est.update(bad)
-    with pytest.raises(ValueError, match="sample 30 "):
-        update(est.state, real, bad)
     with pytest.raises(ValueError, match="sample 31 "):
         run_sequence(real, np.array([1.0, bad]), state=est.state)
     assert np.array_equal(est.state.w1, kept[0])
@@ -280,11 +276,81 @@ def test_prior_variance_must_be_finite_and_nonnegative(bad):
     # A NaN prior would leave sigma^2 and Z NaN for the whole stream.
     real = build(1, 0.85, 2, kt=2, q=None)
     with pytest.raises(ValueError, match="sigma0_sq must be finite and nonnegative"):
-        new_estimator(real, 1.0, sigma0_sq=bad)
-    with pytest.raises(ValueError, match="sigma0_sq must be finite and nonnegative"):
         StreamingEstimator(real, sigma0_sq=bad)
     with pytest.raises(ValueError, match="sigma0_sq must be finite and nonnegative"):
         run_sequence(real, np.ones(5), sigma0_sq=bad)
+
+
+# Every consumer of a stream, each with a prior; the change pair rides the
+# slow filter's cascades.
+_CONSUMERS = {
+    "estimator": lambda: StreamingEstimator(build(2, 0.9, 3, kt=3, q=None), sigma0_sq=0.25),
+    "edge": lambda: EdgeDetector(build(2, 0.9, 3, kt=3, q=None), 3.0, sigma0_sq=0.25),
+    "peak": lambda: PeakDetector(build(2, 0.9, 3, kt=3, q=None), 3.0, sigma0_sq=0.25),
+    "change": lambda: ChangeDetector(
+        build(0, 0.8, 2, kt=1, q=8.5), build(3, 0.8, 2, kt=1, q=8.5), 3.0, sigma0_sq=0.25
+    ),
+}
+
+
+def _feed_block(consumer, xs):
+    """xs through the consumer's block entry: extend() or run()."""
+    if isinstance(consumer, StreamingEstimator):
+        return consumer.extend(xs)
+    return consumer.run(xs)
+
+
+@pytest.mark.parametrize("kind", sorted(_CONSUMERS))
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_every_consumer_is_one_stream(kind, bad):
+    consumer = _CONSUMERS[kind]()
+    stream = consumer.realization_b if kind == "change" else consumer.realization
+    assert consumer.realization is stream
+    assert consumer.sigma0_sq == 0.25
+    assert consumer.state is None
+
+    # A bad first sample, one at a time or in a block, starts nothing.
+    with pytest.raises(ValueError, match="sample 0 "):
+        consumer.update(bad)
+    with pytest.raises(ValueError, match="sample 0 "):
+        _feed_block(consumer, np.array([bad, 1.0]))
+    assert consumer.state is None
+
+    xs = np.random.Generator(np.random.PCG64(36)).standard_normal(12) + 2.0
+    for x in xs[:5]:
+        consumer.update(x)
+    kept = copy.deepcopy(consumer.state)
+    with pytest.raises(ValueError, match="sample 5 "):
+        consumer.update(bad)
+    assert consumer.state == kept
+    with pytest.raises(ValueError, match="sample 7 "):
+        _feed_block(consumer, np.array([xs[5], xs[6], bad]))
+    assert consumer.state == kept
+    _feed_block(consumer, xs[5:])
+    assert consumer.state.n == 11
+
+
+@pytest.mark.parametrize("kind", sorted(_CONSUMERS))
+@pytest.mark.parametrize("shape", [(4, 1), (1, 4), (2, 3), (), (0, 3)])
+def test_blocks_must_be_one_dimensional(kind, shape):
+    # Before, these failed deep inside with a TypeError or an IndexError.
+    consumer = _CONSUMERS[kind]()
+    xs = np.ones(shape)
+    message = re.escape(f"a block of samples must be 1-D, got shape {shape}")
+    with pytest.raises(ValueError, match=message):
+        _feed_block(consumer, xs)
+    assert consumer.state is None
+    _feed_block(consumer, np.arange(5.0))
+    kept = copy.deepcopy(consumer.state)
+    with pytest.raises(ValueError, match=message):
+        _feed_block(consumer, xs)
+    assert consumer.state == kept
+    if kind == "estimator":
+        with pytest.raises(ValueError, match=message):
+            run_sequence(consumer.realization, xs)
+        with pytest.raises(ValueError, match=message):
+            run_sequence(consumer.realization, xs, state=consumer.state)
+        assert consumer.state == kept
 
 
 def _assert_float_state(state, stream):
@@ -297,11 +363,12 @@ def test_state_vectors_are_float_lists():
     real = build(2, 0.9, 3, kt=3, q=None)
     xs = np.random.Generator(np.random.PCG64(33)).standard_normal(50) + 2.0
 
-    state = new_estimator(real, 1.0, sigma0_sq=0.25)
-    _assert_float_state(state, real)
-    update(state, real, 2.0)
-    _assert_float_state(state, real)
-    _, state = run_sequence(real, xs, state=state)
+    est = StreamingEstimator(real, sigma0_sq=0.25)
+    est.update(1.0)
+    _assert_float_state(est.state, real)
+    est.update(2.0)
+    _assert_float_state(est.state, real)
+    _, state = run_sequence(real, xs, state=est.state)
     _assert_float_state(state, real)
     _, state = run_sequence(real, xs)
     _assert_float_state(state, real)
@@ -319,9 +386,9 @@ def test_state_vectors_are_float_lists():
         (ChangeDetector(build(0, 0.8, 2, kt=1, q=8.5), slow, 3.0), slow),
     ]:
         detector.update(1.0)
-        _assert_float_state(detector._state, stream)
+        _assert_float_state(detector.state, stream)
         detector.run(xs)
-        _assert_float_state(detector._state, stream)
+        _assert_float_state(detector.state, stream)
 
 
 @functools.lru_cache(maxsize=None)
@@ -378,7 +445,9 @@ def test_update_and_extend_agree_with_one_run_sequence(kappa, p, kx, seed, plan,
     np.testing.assert_allclose(
         sigma2, whole.sigma_eps2, rtol=0, atol=1e-10 * np.max(whole.sigma_eps2)
     )
-    for got, expected in zip(est.coefficients(), coefficients(state, real)):
+    reference = StreamingEstimator(real, sigma0_sq=0.25)
+    reference.extend(xs)
+    for got, expected in zip(est.coefficients(), reference.coefficients()):
         np.testing.assert_allclose(got, expected, rtol=0, atol=1e-10 * np.max(np.abs(expected)))
     # State k is bounded by max|d| / (1 - p)**(k + 1), d = x - x0.
     d = np.max(np.abs(xs - xs[0]))
@@ -439,8 +508,8 @@ def test_frames_are_snapshots():
         _assert_frame_reads(frame, expected)
         _assert_frame_reads(copy.deepcopy(frame), expected)
         _assert_frame_reads(pickle.loads(pickle.dumps(frame)), expected)
-    again = current_frame(est.state, real)
-    _assert_frame_reads(again, _frame_values(current_frame(twin.state, real)))
+    again = est.update(xs[112])
+    _assert_frame_reads(again, _frame_values(twin.update(xs[112])))
     with pytest.raises(TypeError):
         EstimateFrame(again)
 
@@ -467,11 +536,8 @@ def test_per_sample_update_touches_no_numpy(monkeypatch):
     monkeypatch.setattr(estimator_module, "np", proxy)
     est = StreamingEstimator(real)
     frames = [est.update(x) for x in xs]
-    state = new_estimator(real, xs[0])
-    frames += [update(state, real, x) for x in xs[1:]]
-    frames.append(current_frame(state, real))
     monkeypatch.undo()
 
     assert proxy.touched == []
-    for frame, values in zip(frames, expected + expected[1:] + expected[-1:]):
+    for frame, values in zip(frames, expected, strict=True):
         _assert_frame_reads(frame, values)
