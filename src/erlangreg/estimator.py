@@ -244,8 +244,10 @@ def run_sequence(
     With state=None the stream starts here: the first sample initializes
     the recursions and contributes the first frame.  Passing the returned
     state back in continues the stream across blocks with output identical
-    to per-sample update() calls.
+    to per-sample update() calls.  sigma0_sq is checked on every call,
+    with or without a state, before the state changes.
     """
+    sigma0_sq = _prior_variance(sigma0_sq)
     xs = np.asarray(xs, dtype=float)
     n_out = realization.spec.n_outputs
     if xs.shape == (0,):

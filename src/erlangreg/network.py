@@ -168,6 +168,7 @@ def steady_state_vector(order: int, p: float) -> np.ndarray:
     return (1.0 - p) ** (-k.astype(float))
 
 
+@functools.lru_cache(maxsize=32)
 def impulse_to_weight_transform(order: int) -> np.ndarray:
     """Integer matrix T mapping state impulse responses onto monomial weights.
 
@@ -182,6 +183,9 @@ def impulse_to_weight_transform(order: int) -> np.ndarray:
     C(i, j) * C(m + j, j) inverts the Vandermonde identity
     C(m + j, j) = sum_i C(j, i) * C(m, i).  The sums run over exact
     integers; entries stay below 2**53 through order 17.
+
+    The result is cached per order: every call with the same order returns
+    the same read-only array, shared by all callers.
     """
     if order < 1 or int(order) != order:
         raise ValueError(f"transform order must be a positive integer, got {order}")

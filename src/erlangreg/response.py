@@ -9,7 +9,10 @@ frequency where it reaches one half.
 Every response comes from the cascade's exact transfer functions: state k
 is the (k+1)-fold leaky integration of the input, so its transfer function
 is (1 - p e^{-i omega})**-(k + 1), and each output is a fixed linear
-combination of those.  The DC group delay is the centroid of the smoother's
+combination of those.  The powers are built by recurrence, one complex
+product per state and frequency: on a grid as numpy rows multiplied in
+place, and at the single frequencies of the cutoff search in Python
+complex arithmetic.  The DC group delay is the centroid of the smoother's
 impulse response, an exact sum over the same states.
 
 response_report is the one entry point for the analyze command; design
@@ -18,6 +21,7 @@ documents carry none of these numbers.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -47,23 +51,35 @@ class ResponseReport:
 def _state_responses(realization: FilterRealization, omegas: np.ndarray) -> np.ndarray:
     """Transfer functions of the first-moment cascade states, (order, n).
 
-    Row k is (1 - p e^{-i omega})**-(k + 1).  On the unit circle
+    Row k is (1 - p e^{-i omega})**-(k + 1).  Row 0 is the reciprocal of
+    1 - p cos(omega) + i p sin(omega), and each later row is the row before
+    it times row 0, written in place.  On the unit circle
     |p e^{-i omega}| = p < 1, so the denominator never vanishes.
     """
-    spec = realization.spec
-    base = 1.0 / (1.0 - spec.weight.p * np.exp(-1j * omegas))
-    return base[None, :] ** np.arange(1, spec.n_first_states + 1)[:, None]
+    p = realization.spec.weight.p
+    out = np.empty((realization.spec.n_first_states, omegas.size), dtype=complex)
+    base = out[0]
+    base.real = 1.0 - p * np.cos(omegas)
+    base.imag = p * np.sin(omegas)
+    np.reciprocal(base, out=base)
+    for k in range(1, out.shape[0]):
+        np.multiply(out[k - 1], base, out=out[k])
+    return out
 
 
 def response_matrix(realization: FilterRealization, omegas: np.ndarray) -> np.ndarray:
     """All derivative outputs' responses over a frequency grid."""
     omegas = np.asarray(omegas, dtype=float).ravel()
-    return realization.state_output @ _state_responses(realization, omegas)
+    # The output rows are real: one real product over the interleaved real
+    # and imaginary parts of the state responses does the complex one.
+    states = _state_responses(realization, omegas)
+    return (realization.state_output @ states.view(float)).view(complex)
 
 
 def _distortion(realization, omegas, smoother):
     """|H - e^{-i q omega}|**2 given the smoother's responses at omegas."""
-    return np.abs(smoother - np.exp(-1j * realization.spec.delay * omegas)) ** 2
+    phase = realization.spec.delay * omegas
+    return (smoother.real - np.cos(phase)) ** 2 + (smoother.imag + np.sin(phase)) ** 2
 
 
 def _grid(grid_size):
@@ -76,7 +92,10 @@ def _half_crossing(realization, freqs, dist):
     """First frequency where the distortion reaches 1/2, or None.
 
     Brackets the crossing between consecutive grid points of `dist` and
-    bisects to 1e-6 cycles/sample.
+    bisects to 1e-6 cycles/sample.  Each bisection step evaluates the
+    smoother at its one frequency in Python complex arithmetic, by the same
+    recurrence as _state_responses: the state term is multiplied by
+    1 / (1 - p e^{-i omega}) once per state.
     """
     above = np.nonzero(dist >= 0.5)[0]
     if len(above) == 0:
@@ -84,13 +103,19 @@ def _half_crossing(realization, freqs, dist):
     hi_idx = int(above[0])
     if hi_idx == 0:
         return 0.0
-    lo, hi = freqs[hi_idx - 1], freqs[hi_idx]
-    smoother = realization.state_output[0]
+    lo, hi = float(freqs[hi_idx - 1]), float(freqs[hi_idx])
+    p, q = realization.spec.weight.p, realization.spec.delay
+    smoother = realization.state_output[0].tolist()
     while hi - lo > 1e-6:
         mid = 0.5 * (lo + hi)
-        omega = 2.0 * np.pi * mid
-        response = smoother @ _state_responses(realization, np.array([omega]))[:, 0]
-        if _distortion(realization, omega, response) >= 0.5:
+        omega = 2.0 * math.pi * mid
+        base = 1.0 / complex(1.0 - p * math.cos(omega), p * math.sin(omega))
+        term, response = base, 0j
+        for weight in smoother:
+            response += weight * term
+            term *= base
+        error = response - complex(math.cos(q * omega), -math.sin(q * omega))
+        if error.real * error.real + error.imag * error.imag >= 0.5:
             hi = mid
         else:
             lo = mid

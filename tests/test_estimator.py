@@ -279,6 +279,14 @@ def test_prior_variance_must_be_finite_and_nonnegative(bad):
         StreamingEstimator(real, sigma0_sq=bad)
     with pytest.raises(ValueError, match="sigma0_sq must be finite and nonnegative"):
         run_sequence(real, np.ones(5), sigma0_sq=bad)
+    # A continued stream checks the prior too, empty block included, and
+    # leaves its state as it was.
+    _, state = run_sequence(real, np.arange(5.0))
+    kept = (list(state.w1), list(state.w2), state.n, state.x0)
+    for xs in (np.ones(5), np.empty(0)):
+        with pytest.raises(ValueError, match="sigma0_sq must be finite and nonnegative"):
+            run_sequence(real, xs, sigma0_sq=bad, state=state)
+        assert (state.w1, state.w2, state.n, state.x0) == kept
 
 
 # Every consumer of a stream, each with a prior; the change pair rides the

@@ -168,5 +168,7 @@ def test_weight_transform_identity():
 
 
 def test_weight_transform_is_read_only():
+    # The transform is cached per order, so every caller shares one array.
     with pytest.raises(ValueError):
         impulse_to_weight_transform(3)[0, 0] = 99.0
+    assert impulse_to_weight_transform(3) is impulse_to_weight_transform(3)

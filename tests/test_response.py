@@ -46,6 +46,26 @@ def test_response_equals_direct_impulse_transform(kappa, p, kx):
             assert grid[k, i] == pytest.approx(direct, abs=1e-9)
 
 
+@pytest.mark.parametrize("kappa,p,kx", [(8, 0.99, 2), (8, 0.95, 3), (0, 0.99, 3)])
+def test_response_matches_extended_precision_at_top_of_design_space(kappa, p, kx):
+    # The accepted designs with the most states and p nearest 1, where a
+    # truncated DFT cannot reach, against state_output @
+    # (1 - p e^{-i omega})**-(k + 1) evaluated in np.clongdouble.  The
+    # frequencies run geometrically from 1e-4 cycles/sample so the narrow
+    # passband, where each row peaks, is sampled; 0 and 1/2 are included.
+    real = build(kappa, p, kx, kt=kx, q=None)
+    freqs = np.concatenate(([0.0], np.geomspace(1e-4, 0.5, 63)))
+    omegas = 2.0 * np.pi * freqs
+    grid = response_matrix(real, omegas)
+
+    base = 1.0 / (1.0 - np.longdouble(p) * np.exp(-1j * omegas.astype(np.clongdouble)))
+    states = base[None, :] ** np.arange(1, real.spec.n_first_states + 1)[:, None]
+    reference = real.state_output.astype(np.clongdouble) @ states
+    scale = np.abs(reference).max(axis=1)
+    err = np.abs(grid - reference).max(axis=1) / scale
+    assert np.all(err.astype(float) <= 2e-13), err
+
+
 def test_response_matrix_matches_scalar_calls():
     # A grid and one frequency at a time give the same responses, and both
     # match the state transfer functions (1 - p e^{-i omega})**-(k + 1).
