@@ -1,15 +1,22 @@
-"""Generated per-sample kernels: one cascade step and its readouts, unrolled.
+"""Generated per-sample kernels: one cascade step and its readout, unrolled.
 
 One sample through the estimator or a detector is a few dozen
-multiply-adds on a handful of states; in Python, the loops, calls and type
-dispatch around them cost several times more than the arithmetic.  For one
-shape (decay, cascade orders and readout rows) this module writes a
-straight-line function that unpacks both state lists into locals, steps
-both cascades as an unrolled running sum, evaluates every readout row as
-explicit multiply-adds, and returns the new state lists with the readout.
-It compiles that source once, together with a read-only twin that reads
-the states without stepping them; the owner of a stream builds its kernel
-on the first per-sample call and keeps it.
+multiply-adds on a handful of states; in Python, the loops, calls, list
+traffic and type dispatch around them cost several times more than the
+arithmetic.  For one shape (decay, cascade orders and readout rows) this
+module writes a straight-line kernel factory, compiles it once and returns
+
+    make(w1, w2, x0, n) -> (step, read, export)
+
+make moves one stream's state into the closure cells of three new
+functions: each cascade state is a cell of its own, as are the stream's
+first sample x0 and its sample counter n.  step(x) steps both cascades by
+d = x - x0 as an unrolled running sum, advances n and returns the readout;
+read() returns the readout without stepping (a stream's first sample);
+export() returns (w1, w2, n) as new float lists and the counter.  While a
+stream is fed one sample at a time its state lives in those cells only,
+so no list is built, unpacked or stored per sample; the owner (see
+estimator._Stream) writes it back with export() when it is read.
 
 The arithmetic and its order are those of a plain loop: state i becomes
 p * (w_0 + ... + w_i) + d, the partial sum carried from state to state,
@@ -19,43 +26,41 @@ row; the two differ only in the sign of a zero read by a row of all
 negative entries from all-zero states.
 
 The source text is built from indices and fixed operators only.  Every
-number (the decay, the row entries, the residual masses, the noise gains
-and the variance floor) is bound by name in the namespace the code runs
-in, so no float and no outside text is ever compiled.
+number (the decay, the row entries, the residual masses, the noise gains,
+the variance floor and the counter's increment) and every object the
+readout calls is a parameter of the factory, bound when it is called, so
+the kernel reads them from closure cells and no float and no outside text
+is ever compiled.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, NamedTuple
+from typing import Callable
 
-__all__ = ["SampleKernel", "estimator_kernel", "detector_kernel"]
-
-
-class SampleKernel(NamedTuple):
-    """A compiled cascade step with its readouts, and the readouts alone."""
-
-    step: Callable   # (w1, w2, d, x0) -> (w1, w2, readout)
-    read: Callable   # (w1, w2, x0) -> readout
+__all__ = ["estimator_kernel", "detector_kernel"]
 
 
 class _Source:
-    """Source lines of one kernel and the namespace holding its constants."""
+    """Source lines of one kernel factory and the values of its parameters."""
 
     def __init__(self, p: float, n1: int, n2: int):
-        self.namespace = {"sqrt": math.sqrt}
+        self.parameters = {"sqrt": math.sqrt, "one": 1}
         self.n1, self.n2 = n1, n2
         self.p = self.const(p)
         self.readout: list[str] = []
 
-    def const(self, value) -> str:
-        """Name bound to the float value in the kernel's namespace."""
-        name = f"k{len(self.namespace)}"
-        self.namespace[name] = float(value)
+    def bind(self, name: str, value) -> str:
+        """Name of a factory parameter bound to value."""
+        self.parameters[name] = value
         return name
 
+    def const(self, value) -> str:
+        """Name of a factory parameter bound to the float value."""
+        return self.bind(f"k{len(self.parameters)}", float(value))
+
     def dot(self, row, state: str) -> str:
-        """Expression for row @ state, with state held in locals state0, state1, ..."""
+        """Expression for row @ state, with state held in cells state0, state1, ..."""
         return " + ".join(f"{self.const(r)} * {state}{j}" for j, r in enumerate(row))
 
     def let(self, name: str, expression: str) -> None:
@@ -75,35 +80,45 @@ class _Source:
         self.let("r", f"{self.dot(power_row, 'q')} - ({' + '.join(betas)})")
         return f"(0.0 if r < 0.0 else r) / {self.const(residual_mass)}"
 
-    def build(self, result: str) -> SampleKernel:
-        """Compile step(w1, w2, d, x0) and read(w1, w2, x0); both return result."""
+    def build(self) -> Callable:
+        """Compile the factory; the readout lines end in their return."""
         a = [f"a{j}" for j in range(self.n1)]
         q = [f"q{j}" for j in range(self.n2)]
-        unpack = [f"{', '.join(a)}, = w1", f"{', '.join(q)}, = w2"]
-        step = []
+        cells = ", ".join(a + q + ["n"])
+        advance = ["d = x - x0", "dd = d * d"]
         for names, feed in ((a, "d"), (q, "dd")):
-            step.append(f"s = {names[0]}")
+            advance.append(f"s = {names[0]}")
             for j, name in enumerate(names):
                 if j:
-                    step.append(f"s = s + {name}")
-                step.append(f"{name} = {self.p} * s + {feed}")
+                    advance.append(f"s = s + {name}")
+                advance.append(f"{name} = {self.p} * s + {feed}")
+        advance.append("n = n + one")
         body = "\n".join(
-            ["def step(w1, w2, d, x0):"]
-            + [f"    {line}" for line in unpack + ["dd = d * d"] + step + self.readout]
-            + [f"    return [{', '.join(a)}], [{', '.join(q)}], {result}"]
-            + ["def read(w1, w2, x0):"]
-            + [f"    {line}" for line in unpack + self.readout]
-            + [f"    return {result}"]
+            [f"def kernel({', '.join(self.parameters)}):",
+             "    def make(w1, w2, x0, n):",
+             f"        {', '.join(a)}, = w1",
+             f"        {', '.join(q)}, = w2",
+             "        def step(x):",
+             f"            nonlocal {cells}"]
+            + [f"            {line}" for line in advance + self.readout]
+            + ["        def read():"]
+            + [f"            {line}" for line in self.readout]
+            + ["        def export():",
+               f"            return [{', '.join(a)}], [{', '.join(q)}], n",
+               "        return step, read, export",
+               "    return make"]
         )
-        exec(compile(body, "<erlangreg sample kernel>", "exec"), self.namespace)
-        return SampleKernel(self.namespace["step"], self.namespace["read"])
+        namespace = {}
+        exec(compile(body, "<erlangreg sample kernel>", "exec"), namespace)
+        return namespace["kernel"](**self.parameters)
 
 
-def estimator_kernel(realization) -> SampleKernel:
-    """Kernel of the estimator's frame on realization's cascades.
+def estimator_kernel(realization, frame) -> Callable:
+    """Kernel factory of the estimator's frame on realization's cascades.
 
-    The readout is (estimates, sigma_eps2): estimates is a tuple of floats
-    whose level has x0 added back.
+    The readout is frame((n, estimates, sigma_eps2, vrf)): estimates is a
+    tuple of floats whose level has x0 added back, vrf the realization's
+    noise gain matrix, and frame the estimator's frame constructor.
     """
     spec = realization.spec
     src = _Source(spec.weight.p, spec.n_first_states, spec.n_second_states)
@@ -114,16 +129,19 @@ def estimator_kernel(realization) -> SampleKernel:
     ))
     rows = [src.dot(row, "a") for row in realization.state_output.tolist()]
     rows[0] += " + x0"
-    return src.build(f"(({', '.join(rows)},), v)")
+    src.readout.append(f"return {src.bind('frame', frame)}(("
+                       f"n, ({', '.join(rows)},), v, {src.bind('vrf', realization.vrf)}))")
+    return src.build()
 
 
-def detector_kernel(stream, value_row, noise_terms, floor: float) -> SampleKernel:
-    """Kernel of a detector's statistic on the cascades of realization stream.
+def detector_kernel(stream, value_row, noise_terms, floor: float, marker, events) -> Callable:
+    """Kernel factory of a detector's statistic on the cascades of realization stream.
 
     Z is value_row @ w1 over the square root of the sum, over noise_terms
     (coeff, power, residual_mass, vrf_ii), of vrf_ii times each filter's
     noise variance, and 0.0 where that sum is below floor.  The readout
-    is z.
+    passes (n, z) to marker.update, appends the event it returns, if any,
+    to the list events, and returns z.
     """
     spec = stream.spec
     src = _Source(spec.weight.p, spec.n_first_states, spec.n_second_states)
@@ -132,4 +150,7 @@ def detector_kernel(stream, value_row, noise_terms, floor: float) -> SampleKerne
         src.let("t", f"{'t + ' if i else ''}{src.const(vrf_ii)} * ({variance})")
     value = src.dot(value_row.tolist(), "a")
     src.let("z", f"0.0 if t < {src.const(floor)} else ({value}) / sqrt(t)")
-    return src.build("z")
+    src.let("event", f"{src.bind('marker', marker)}.update(n, z)")
+    src.readout += [f"if event is not None: {src.bind('events', events)}.append(event)",
+                    "return z"]
+    return src.build()

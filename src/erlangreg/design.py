@@ -26,7 +26,7 @@ from typing import Optional
 
 import numpy as np
 
-from ._kernel import SampleKernel, estimator_kernel
+from ._kernel import estimator_kernel
 from .network import impulse_to_weight_transform, steady_state_vector
 from .weights import WeightSpec, erlang_sum, weight_moments
 
@@ -147,9 +147,18 @@ class FilterRealization:
     vrf: np.ndarray                  # (n_outputs, n_outputs) noise gain matrix
 
     @cached_property
-    def _sample_kernel(self) -> SampleKernel:
-        """The estimator's compiled per-sample step, built on first use."""
-        return estimator_kernel(self)
+    def _sample_kernel(self):
+        """The estimator's compiled per-sample kernel factory, built on first use."""
+        from .estimator import _frame  # estimator imports this module
+
+        return estimator_kernel(self, _frame)
+
+    def __getstate__(self):
+        # Compiled code never enters pickled or copied state; a copy
+        # compiles its own kernel on its first per-sample use.
+        state = dict(self.__dict__)
+        state.pop("_sample_kernel", None)
+        return state
 
 
 def _hankel(kappa: int, p: float, n: int) -> np.ndarray:

@@ -19,13 +19,14 @@ marker that turns Z into events.
 
 update() feeds one sample through a kernel generated and compiled for the
 detector on its first update() (see _kernel): one unrolled step of both
-cascades and Z as explicit multiply-adds in Python floats.  run() feeds a
-block, computes Z for the whole block at once with the same formula on
-arrays and finds its events with array operations, so its Python work
-grows with the number of exceedance runs, not of samples.  A run still
-open at the end of a block carries into the next one, so events do not
-depend on how the stream is cut into blocks or mixed with update() calls;
-finish() closes a run left open at the end of the stream.  A NaN or
+cascades held in closure cells, Z as explicit multiply-adds in Python
+floats, and the run marker's update on (n, Z), all in one call.  run()
+feeds a block, computes Z for the whole block at once with the same
+formula on arrays and finds its events with array operations, so its
+Python work grows with the number of exceedance runs, not of samples.  A
+run still open at the end of a block carries into the next one, so events
+do not depend on how the stream is cut into blocks or mixed with update()
+calls; finish() closes a run left open at the end of the stream.  A NaN or
 infinite sample, or a prior variance sigma0_sq that is negative or not
 finite, raises ValueError; a bad sample leaves the detector as it was.  So
 does a NaN threshold, which no statistic could ever exceed; an infinite
@@ -205,8 +206,9 @@ class _Detector(_Stream):
     square root of sum(vrf_ii * noise variance) across noise_terms, each
     (coeff, power, residual_mass, vrf_ii) reading one filter's noise
     variance from the states as coeff @ w1 and power @ w2.  Blocks read the
-    rows as arrays; single samples go through a kernel compiled from them
-    on the first update().
+    rows as arrays; single samples go through a kernel compiled from them,
+    and bound to the detector's run marker and event list, on the first
+    update().
     """
 
     def __init__(self, realization, threshold: float, sigma0_sq: float,
@@ -220,22 +222,15 @@ class _Detector(_Stream):
         self._marker = _RunMarker(threshold, kind_pos, kind_neg)
 
     def _build_kernel(self):
-        return detector_kernel(self.realization, *self._rows, _VARIANCE_FLOOR)
-
-    def update(self, x: float) -> float:
-        """Feed one sample; returns the statistic (events collect in .events)."""
-        z = self._sample(x)
-        event = self._marker.update(self.state.n, z)
-        if event is not None:
-            self.events.append(event)
-        return z
+        return detector_kernel(self.realization, *self._rows, _VARIANCE_FLOOR,
+                               self._marker, self.events)
 
     def run(self, xs: np.ndarray) -> np.ndarray:
         """Feed a block; returns the statistic sequence for the block."""
         xs = np.asarray(xs, dtype=float)
         if xs.shape == (0,):
             return np.empty(0)
-        w1_block, w2_block, self.state = _advance_moments(
+        w1_block, w2_block, self._state = _advance_moments(
             self.realization, xs, self.sigma0_sq, self.state
         )
         z = self._statistic(w1_block, w2_block)

@@ -16,20 +16,25 @@ finite raises ValueError too.
 Every consumer of a stream, StreamingEstimator here and the detectors, is
 a _Stream: it exposes realization, sigma0_sq and state (None until the
 first sample), and only its readout is its own.  A sample enters a stream
-at one place, _Stream._sample, and a block at one other, _advance_moments;
+at one place, _Stream.update, and a block at one other, _advance_moments;
 each starts the stream on its first sample and rejects non-finite input.
 
-The per-sample path runs in Python floats: the state vectors are lists of
-floats, and one sample is one call of a kernel generated and compiled for
-the consumer on its first per-sample use (see _kernel), which steps both
-cascades as unrolled running sums and evaluates the readout as explicit
-multiply-adds.  On vectors of a handful of states, numpy's per-call
-overhead, and even Python's own loops and calls, cost far more than the
-arithmetic.  For the same reason a per-sample frame keeps the kernel's
-floats and builds its estimates and covariance arrays only when they are
-read.  The block path filters whole arrays and reads them out with matrix
-products, by the same formula for the estimates and the noise variance;
-run_sequence is that path for a caller who keeps the state.
+The per-sample path runs in Python floats.  On the consumer's first
+per-sample use the package compiles a kernel for its shape (see _kernel),
+which steps both cascades as unrolled running sums and evaluates the
+readout as explicit multiply-adds.  While samples arrive one at a time,
+the stream's state lives in the closure cells of that kernel, one float
+per cell, so one sample is one call with no list built or unpacked.
+Reading .state writes the cells back into the stream's EstimatorState,
+whose vectors are lists of floats, and the next update() moves them into
+new cells; the state is in one of the two places at a time.  On vectors of
+a handful of states, numpy's per-call overhead, and even Python's own
+loops, calls and list traffic, cost far more than the arithmetic.  For the
+same reason a per-sample frame keeps the kernel's floats and builds its
+estimates and covariance arrays only when they are read.  The block path
+filters whole arrays and reads them out with matrix products, by the same
+formula for the estimates and the noise variance; run_sequence is that
+path for a caller who keeps the state.
 """
 
 from __future__ import annotations
@@ -274,41 +279,74 @@ class _Stream:
     """One stream through realization's two moment cascades.
 
     Owns the stream's state (None until its first sample) and its
-    per-sample kernel, which the subclass's _build_kernel() makes on the
-    first per-sample call.  Samples enter one at a time through _sample()
-    and in blocks through _advance_moments(); the two can be mixed freely on
-    one stream.  A subclass adds only its readout: the estimator's frames,
-    a detector's statistic and events.
+    per-sample kernel factory, which the subclass's _build_kernel() makes
+    on the first per-sample call.  Samples enter one at a time through
+    update() and in blocks through _advance_moments(); the two can be
+    mixed freely on one stream.  A subclass adds only its readout: the
+    estimator's frames, a detector's statistic and events.
+
+    The state has one home at a time.  While samples arrive one by one it
+    lives in the closure cells of the kernel's step (see _kernel), and the
+    EstimatorState object is left as it was when the closures were made.
+    Reading .state writes the cells back into that same object and drops
+    the closures; the next update() makes new ones from it.
     """
 
     def __init__(self, realization: FilterRealization, sigma0_sq: float = 0.0):
         self.realization = realization
         self.sigma0_sq = _prior_variance(sigma0_sq)
-        self.state: EstimatorState | None = None
-        self._kernel = None
+        self._state: EstimatorState | None = None
+        self._make = None     # the kernel factory, built on the first update()
+        self._step = None     # step and export hold the state in their cells,
+        self._export = None   # or are None while _state holds it
 
-    def _sample(self, x: float):
-        """Consume one sample; returns the kernel's readout after it.
+    @property
+    def state(self) -> EstimatorState | None:
+        """The stream's recursion state, None before its first sample.
 
+        Always the same object for a started stream, up to date when read.
+        """
+        if self._export is not None:
+            state = self._state
+            state.w1, state.w2, state.n = self._export()
+            self._step = self._export = None
+        return self._state
+
+    def __getstate__(self):
+        # Reading .state writes the cells back and drops the closures, so
+        # pickles and copies carry the state and never compiled code.
+        self.state
+        return {**self.__dict__, "_make": None}
+
+    def update(self, x: float):
+        """Feed one sample; returns its readout.
+
+        The readout is the sample's EstimateFrame from the estimator, and
+        the statistic Z from a detector, whose events collect in .events.
         The first sample starts the stream.  A NaN or infinite sample
         raises ValueError before the state changes; the check is written
         out rather than called, as on this path one more Python call is a
         few percent of the cost.
         """
-        kernel = self._kernel
-        if kernel is None:
-            kernel = self._kernel = self._build_kernel()
         x = float(x)
-        state = self.state
         if not isfinite(x):
+            state = self.state
             raise _not_finite(0 if state is None else state.n + 1, x)
-        if state is None:
-            state = self.state = _start(self.realization, x, self.sigma0_sq)
-            return kernel.read(state.w1, state.w2, x)
-        x0 = state.x0
-        state.w1, state.w2, readout = kernel.step(state.w1, state.w2, x - x0, x0)
-        state.n += 1
-        return readout
+        step = self._step
+        if step is None:
+            return self._resume(x)
+        return step(x)
+
+    def _resume(self, x: float):
+        """update() while the state is not in cells: move it there, then sample x."""
+        state = self._state
+        first = state is None
+        if first:
+            state = self._state = _start(self.realization, x, self.sigma0_sq)
+        if self._make is None:
+            self._make = self._build_kernel()
+        self._step, read, self._export = self._make(state.w1, state.w2, state.x0, state.n)
+        return read() if first else self._step(x)
 
 
 class StreamingEstimator(_Stream):
@@ -321,12 +359,8 @@ class StreamingEstimator(_Stream):
     def _build_kernel(self):
         return self.realization._sample_kernel
 
-    def update(self, x: float) -> EstimateFrame:
-        estimates, sigma_eps2 = self._sample(x)
-        return _frame((self.state.n, estimates, sigma_eps2, self.realization.vrf))
-
     def extend(self, xs: np.ndarray) -> SequenceResult:
-        result, self.state = run_sequence(
+        result, self._state = run_sequence(
             self.realization, xs, self.sigma0_sq, self.state
         )
         return result
@@ -338,14 +372,15 @@ class StreamingEstimator(_Stream):
         model, age counted in samples behind the newest one, so a rising
         ramp has a negative alpha[1].
         """
-        if self.state is None:
+        state = self.state
+        if state is None:
             raise RuntimeError("no samples consumed yet")
         from_orthonormal = self.realization.from_orthonormal
-        beta = self.realization.coeff_output @ np.array(self.state.w1)
+        beta = self.realization.coeff_output @ np.array(state.w1)
         alpha = from_orthonormal @ beta
         # The constant x0 is alpha[0] = x0 in the monomial basis; the basis
         # change is upper triangular, so in the orthonormal one it is beta[0]
         # = x0 / from_orthonormal[0, 0].
-        alpha[0] += self.state.x0
-        beta[0] += self.state.x0 / from_orthonormal[0, 0]
+        alpha[0] += state.x0
+        beta[0] += state.x0 / from_orthonormal[0, 0]
         return beta, alpha

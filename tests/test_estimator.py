@@ -361,6 +361,103 @@ def test_blocks_must_be_one_dimensional(kind, shape):
         assert consumer.state == kept
 
 
+def _events_signal(size=300):
+    """A ramp with a step and a bump in noise: every detector fires on it."""
+    t = np.arange(size, dtype=float)
+    noise = np.random.Generator(np.random.PCG64(37)).standard_normal(size)
+    return 2.0 + 0.02 * t + 4.0 * (t >= 120) + 6.0 * np.exp(-((t - 210) / 6) ** 2) + 0.3 * noise
+
+
+def _feed(consumer, xs, per_sample=True, read_state=False):
+    """Feed xs one sample at a time or as a block; returns the readouts as
+    plain values for ==.  read_state also reads .state (and the estimator's
+    coefficients()) after every sample."""
+    if not per_sample:
+        result = _feed_block(consumer, xs)
+        if isinstance(result, np.ndarray):
+            return result.tolist()
+        return [result.estimates.tolist(), result.sigma_eps2.tolist()]
+    out = []
+    for x in xs:
+        got = consumer.update(x)
+        if isinstance(got, EstimateFrame):
+            got = (got.n, got.estimates.tolist(), got.sigma_eps2)
+        out.append(got)
+        if read_state:
+            assert consumer.state is not None
+            if isinstance(consumer, StreamingEstimator):
+                consumer.coefficients()
+    return out
+
+
+def _finished(consumer):
+    """Events (open runs closed) and state of a consumer, for ==."""
+    if isinstance(consumer, StreamingEstimator):
+        return consumer.state
+    consumer.finish()
+    return consumer.events, consumer.state
+
+
+@pytest.mark.parametrize("kind", sorted(_CONSUMERS))
+@pytest.mark.parametrize("mixed", [False, True])
+def test_reading_the_state_changes_nothing(kind, mixed):
+    # While a stream samples, its state lives in the kernel's closure cells;
+    # reading .state moves it back into the state object and the next
+    # update() moves it into new cells.  Neither move may change a bit.
+    xs = _events_signal()
+    rng = np.random.Generator(np.random.PCG64(38))
+    plan = []
+    pos = 0
+    while pos < xs.size:
+        size = int(rng.integers(1, 40)) if mixed else xs.size
+        plan.append((pos, pos + size, not mixed or bool(rng.integers(2))))
+        pos += size
+    watched, unwatched = _CONSUMERS[kind](), _CONSUMERS[kind]()
+    got, expected = [], []
+    for lo, hi, per_sample in plan:
+        got += _feed(watched, xs[lo:hi], per_sample, read_state=True)
+        expected += _feed(unwatched, xs[lo:hi], per_sample)
+        # One state object for the life of the stream.
+        assert watched.state is watched.state
+    assert got == expected
+    assert _finished(watched) == _finished(unwatched)
+    if kind != "estimator":
+        assert watched.events
+
+
+def test_update_continues_from_a_state_changed_by_run_sequence():
+    real = build(2, 0.9, 3, kt=3, q=None)
+    xs = _events_signal()
+    est, twin = StreamingEstimator(real, 0.25), StreamingEstimator(real, 0.25)
+    _feed(est, xs[:20]), _feed(twin, xs[:20])
+    state = est.state
+    _, continued = run_sequence(real, xs[20:50], 0.25, state=state)
+    assert continued is state and est.state is state and state.n == 49
+    twin.extend(xs[20:50])
+    assert _feed(est, xs[50:]) == _feed(twin, xs[50:])
+    assert est.state == twin.state
+
+
+@pytest.mark.parametrize("kind", sorted(_CONSUMERS))
+@pytest.mark.parametrize("how", ["pickle", "deepcopy"])
+def test_consumers_copy_after_per_sample_updates(kind, how):
+    # Compiled code never enters pickled or copied state: a copy compiles
+    # its own kernel and owns its own cells.
+    duplicate = {"pickle": lambda obj: pickle.loads(pickle.dumps(obj)),
+                 "deepcopy": copy.deepcopy}[how]
+    xs = _events_signal()
+    consumer, twin = _CONSUMERS[kind](), _CONSUMERS[kind]()
+    _feed(consumer, xs[:100]), _feed(twin, xs[:100])
+    duplicate(consumer.realization)
+    copied = duplicate(consumer)
+
+    # Feeding only the copy leaves the original as it was.
+    from_copy = _feed(copied, xs[100:])
+    assert consumer.state == twin.state
+    assert _feed(consumer, xs[100:]) == from_copy == _feed(twin, xs[100:])
+    assert _finished(consumer) == _finished(copied) == _finished(twin)
+
+
 def _assert_float_state(state, stream):
     for w, order in ((state.w1, stream.spec.n_first_states), (state.w2, stream.spec.n_second_states)):
         assert type(w) is list and len(w) == order

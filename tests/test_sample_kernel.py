@@ -104,8 +104,8 @@ def _check_shape(kappa, p, kx, xs, sigma0_sq):
                 assert got.sigma_eps2 == sigma2, (kind, n)
                 np.testing.assert_array_equal(got.covariance, sigma2 * stream.vrf)
                 # The read-only twin, which starts a stream, reads the same.
-                again = stream._sample_kernel.read(state.w1, state.w2, state.x0)
-                assert again == (tuple(estimates), sigma2)
+                _, read, _ = stream._sample_kernel(state.w1, state.w2, state.x0, state.n)
+                assert read() == (n, tuple(estimates), sigma2, stream.vrf)
             elif kind == "edge":
                 assert got == edge_statistic(stream, plain.w1, plain.w2), (kind, n)
             elif kind == "peak":
