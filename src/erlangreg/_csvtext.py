@@ -1,10 +1,27 @@
 """CSV rows of float64 columns, byte for byte what '%.17g' writes, built in numpy.
 
-csv_lines() turns a block of float columns, with an optional leading
-row-number column and an optional trailing text column, into the text
-that '%d,%.17g,...,%s\\n' % row gives for each row.  Every row is laid out
-in one uint8 matrix in which each field has a fixed-width slot padded
-with NUL bytes; deleting the NULs leaves the rows.
+CsvWriter writes blocks of rows to a binary stream: float columns, with an
+optional leading row-number column and an optional trailing text column,
+each row exactly what '%d,%.17g,...,%s\\n' % row gives.
+
+Layout.  A writer owns one bytearray and lays out every block it writes
+in it, viewed as a (rows, words) matrix of native uint32 words.  Each
+column has a slot of whole words in every row, holding its field padded
+with NUL bytes, and the last word of a row holds the newline.  Each
+column's fields go straight into their slot, every byte of every slot,
+padding included, is written again for each block, and the buffer is
+resized to the block's layout, so no byte of an earlier block can reach a
+later one.  Deleting the NULs with bytearray.translate leaves the rows,
+which go to the stream as bytes.
+
+Why one buffer, and one column at a time: built as per-column field
+matrices that were concatenated, copied to bytes and decoded to text (and
+encoded again by a text stream), one 8192-row block of `run`'s five float
+columns allocated about 5 MB of large temporaries.  The allocator gave
+them back to the system and the next block faulted the same memory in
+again: about 740 minor page faults per block, 98k-134k for a `run` of
+1e6 rows.  With the reused buffer, and each column formatted into its slot
+before the next one's temporaries are made, a block takes about 11.
 
 Fast path.  A finite x with 1e-11 <= |x| < 1e15 is x = M * 2**E with an
 integer mantissa M < 2**53.  Its 17 significant digits are the integer
@@ -28,10 +45,10 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["csv_lines"]
+__all__ = ["CsvWriter"]
 
 _U64 = np.uint64
-_NUL, _COMMA, _DOT, _ZERO = 0, ord(","), ord("."), ord("0")
+_DOT, _ZERO = ord("."), ord("0")
 
 # The fast range: true decimal exponents -11..14, so k = 16 - X is 2..27
 # and the shift -E - k is 0..63 bits even when the first guess of X is
@@ -112,14 +129,26 @@ def _quads(values, count=4):
     return [high, values - high * 10**4]
 
 
-def _fast_fields(x):
-    """The NUL-padded fields of fast-range values x as rows of uint32 words.
+def _word(text):
+    """The native uint32 word of 4 ASCII bytes."""
+    return np.frombuffer(text, np.uint32)[0]
+
+
+_COMMA, _NEWLINE = _word(b",\0\0\0"), _word(b"\n\0\0\0")
+_UNITS_ZERO = _word(b"\0\0\0" + b"0")
+_NOT_FIRST = _word(b"\0\xff\xff\xff")      # clears a word's first byte
+# A field formatted by '%.17g' itself: ',' and at most 24 characters.
+_SLOW = 7
+
+
+def _fast_fields(x, slot):
+    """Write the fields of fast-range values x into slot, rows of uint32 words.
 
     A row is the head (2 words), the digits before the point, right-aligned
-    (as many words as the longest needs), the point (1 word), the digits
-    after it, left-aligned (4 words), and the tail (1 word).  Every step
-    works on whole 1-D arrays: numpy's per-row cost on narrow 2-D arrays
-    would exceed the arithmetic.
+    (slot's width less 8 words), the point (1 word), the digits after it,
+    left-aligned (4 words), and the tail (1 word).  Every step works on
+    whole 1-D arrays: numpy's per-row cost on narrow 2-D arrays would
+    exceed the arithmetic.
     """
     bits = x.view(_U64)
     mant = (bits & _U64((1 << 52) - 1)) | _U64(1 << 52)
@@ -139,85 +168,140 @@ def _fast_fields(x):
     scale = _POW10[17 - count]
     before = digits // scale
     after = digits - before * scale
-    width = -(-int(count.max()) // 4)
-    fields = np.empty((x.size, width + 8), np.uint32)
+    width = slot.shape[1] - 8
     head = (bits >> _U64(63)).astype(np.intp) * len(_XS) + xi
-    fields[:, 0] = np.take(_HEAD[0], head)
-    fields[:, 1] = np.take(_HEAD[1], head)
+    slot[:, 0] = np.take(_HEAD[0], head)
+    slot[:, 1] = np.take(_HEAD[1], head)
     # Group j holds leading zeros where the number has fewer digits than
     # the groups from j rightwards; a group of only those is all NUL.
     for j, group in enumerate(_quads(before, width)):
         lead = (count < 4 * (width - j)) * _LEADING
-        fields[:, 2 + j] = np.take(_WORDS, group + lead)
-    fields[:, 2 + width] = ((after != 0) & _POINTED[xi]) * np.uint32(_DOT)
+        slot[:, 2 + j] = np.take(_WORDS, group + lead)
+    slot[:, 2 + width] = ((after != 0) & _POINTED[xi]) * np.uint32(_DOT)
     # Group j holds trailing zeros where every group right of it is zero.
     rest = 0
     for j, group in reversed(list(enumerate(_quads(after * _POW10[count - 1])))):
-        fields[:, 3 + width + j] = np.take(_WORDS, group + (rest == 0) * _TRAILING)
+        slot[:, 3 + width + j] = np.take(_WORDS, group + (rest == 0) * _TRAILING)
         rest = rest | group
-    fields[:, -1] = _TAIL[xi]
-    return fields
+    slot[:, -1] = _TAIL[xi]
 
 
-def _float_fields(x):
-    """',' and the '%.17g' text of each value of x, one NUL-padded uint8 row each."""
+def _float_slot(x):
+    """(words, fill) of a float column: ',' and the '%.17g' text of each value.
+
+    Only the slot's width is worked out here; fill(slot) formats the column
+    into it, so that one column's temporaries are freed before the next
+    column's are made.
+    """
     with np.errstate(invalid="ignore"):
         size = np.abs(x)
         fast = (size >= _LOW) & (size < _HIGH)
-    if fast.all():
-        return _fast_fields(x).view(np.uint8)
-    slow = ~fast
-    # One %-call for all of them; no '%.17g' output is longer than 24.
-    values = x[slow].tolist()
-    text = ((",%-24.17g" * len(values)) % tuple(values)).replace(" ", "\0")
-    text = np.frombuffer(text.encode("ascii"), np.uint8).reshape(len(values), 25)
-    if not fast.any():
-        return text
-    fields = _fast_fields(x[fast]).view(np.uint8)
-    out = np.empty((x.size, fields.shape[1]), np.uint8)
-    out[fast] = fields
-    out[slow, :25] = text
-    out[slow, 25:] = _NUL
-    return out
+    slow = np.flatnonzero(~fast)
+
+    def fill(slot):
+        if slow.size < x.size:
+            # Fast fields in every row, from the stand-in 1.0 where the value
+            # is not in the fast range; its words past the first _SLOW are NUL.
+            _fast_fields(np.where(fast, x, 1.0) if slow.size else x, slot)
+        if slow.size:
+            # '%.17g' over those rows, in one %-call; no output is longer than 24.
+            values = x[slow].tolist()
+            text = ((",%-27.17g" * len(values)) % tuple(values)).replace(" ", "\0")
+            slot[slow, :_SLOW] = np.frombuffer(text.encode("ascii"), np.uint32).reshape(
+                -1, _SLOW)
+
+    if slow.size == x.size:
+        return _SLOW, fill
+    # The digits before the point of the largest value, which 1e15 bounds,
+    # set the width: as many as its integer part has, or one below 1.
+    before = len("%d" % np.max(size, where=fast, initial=0.0))
+    return 8 + -(-before // 4), fill
 
 
-def _row_numbers(start, count):
-    """'%d' of start .. start + count - 1 in NUL-padded rows, (count, width)."""
-    width = len(str(start + count - 1))
+def _row_number_slot(start, count):
+    """(words, fill) of the row numbers start .. start + count - 1, '%d' each."""
     numbers = _U64(start) + np.arange(count, dtype=_U64)
-    quads = -(-width // 4)
-    groups = np.stack(
-        [numbers // _POW10[4 * j] % _U64(10**4) for j in range(quads - 1, -1, -1)], axis=1
-    )
-    text = _WORDS[groups].view(np.uint8).reshape(count, 4 * quads)[:, 4 * quads - width:]
-    length = np.searchsorted(_POW10[1:width], numbers, side="right") + 1
-    return text * (np.arange(width) >= width - length[:, None])
+    quads = -(-len(str(start + count - 1)) // 4)
+
+    def fill(slot):
+        # Group j holds leading zeros where every group left of it is zero,
+        # which is always so for the first; the number 0 keeps its digit.
+        for j, group in enumerate(_quads(numbers, quads)):
+            lead = True if j == 0 else numbers < _U64(10 ** (4 * (quads - j)))
+            slot[:, j] = np.take(_WORDS, group + lead * _LEADING)
+        if start == 0:
+            slot[0, -1] = _UNITS_ZERO
+
+    return quads, fill
 
 
-def csv_lines(columns, start=None, text=None) -> str:
-    """The CSV lines of equal-length float columns, each value as '%.17g'.
+def _text_slot(text, count):
+    """(words, fill) of a text column: ',' in every row, then text[row] where given."""
+    fields = {row: b"," + word.encode("ascii") for row, word in text.items()}
+    words = -(-max([1, *map(len, fields.values())]) // 4)
 
-    start, when given, adds a leading column of row numbers start,
-    start + 1, ...  text, when given, adds a trailing column of ASCII
-    strings: it maps row offsets to strings, and the other rows' field is
-    empty.
+    def fill(slot):
+        slot[:, 0] = _COMMA
+        slot[:, 1:] = 0
+        for row, field in fields.items():
+            slot[row] = np.frombuffer(field.ljust(4 * words, b"\0"), np.uint32)
+
+    return words, fill
+
+
+def _newline(slot):
+    slot[:] = _NEWLINE
+
+
+class CsvWriter:
+    """Writes CSV rows of float columns to a binary stream, one block per call.
+
+    The rows of each block are laid out in one bytearray that the writer
+    owns and reuses from block to block (see the module docstring).
     """
-    values = np.asarray(columns, dtype=float)
-    count = values.shape[1]
-    if count == 0:
-        return ""
-    # Column by column: the temporaries of one column stay small enough
-    # for the allocator to reuse them instead of faulting in new pages.
-    parts = [_float_fields(column) for column in values]
-    if start is None:
-        parts[0] = parts[0][:, 1:]
-    else:
-        parts.insert(0, _row_numbers(start, count))
-    if text is not None:
-        words = np.zeros(count, dtype=f"S{max([1, *map(len, text.values())])}")
-        for row, word in text.items():
-            words[row] = word
-        parts.append(np.full((count, 1), _COMMA, np.uint8))
-        parts.append(words.view(np.uint8).reshape(count, words.itemsize))
-    parts.append(np.full((count, 1), ord("\n"), np.uint8))
-    return np.concatenate(parts, axis=1).tobytes().translate(None, b"\0").decode("ascii")
+
+    def __init__(self, stream):
+        self._stream = stream
+        self._buffer = bytearray()
+
+    def write(self, columns, start=None, text=None):
+        """Write the rows of equal-length float columns, each value as '%.17g'.
+
+        start, when given, adds a leading column of row numbers start,
+        start + 1, ...  text, when given, adds a trailing column of ASCII
+        strings: it maps row offsets to strings, and the other rows' field
+        is empty.
+        """
+        columns = [np.asarray(column, dtype=float) for column in columns]
+        count = columns[0].size
+        if count == 0:
+            return
+        slots = [_float_slot(column) for column in columns]
+        if start is not None:
+            slots.insert(0, _row_number_slot(start, count))
+        if text is not None:
+            slots.append(_text_slot(text, count))
+        slots.append((1, _newline))
+        rows = self._rows(count, sum(words for words, _ in slots))
+        at = 0
+        for words, fill in slots:
+            fill(rows[:, at:at + words])
+            at += words
+        if start is None:
+            rows[:, 0] &= _NOT_FIRST      # the first field has no leading ','
+        self._stream.write(self._buffer.translate(None, b"\0"))
+
+    def _rows(self, count, words):
+        """The buffer, resized to count rows of words, as that uint32 matrix.
+
+        bytearray keeps its allocation when it shrinks to no less than half
+        of it and over-allocates when it grows, so blocks of about the same
+        size reuse the same memory.
+        """
+        buffer = self._buffer
+        excess = len(buffer) - 4 * count * words
+        if excess > 0:
+            del buffer[-excess:]
+        elif excess < 0:
+            buffer.extend(bytes(-excess))
+        return np.frombuffer(buffer, np.uint32).reshape(count, words)

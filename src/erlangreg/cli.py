@@ -8,6 +8,14 @@ exactly what '%.17g' writes; _csvtext lays out whole blocks of rows in
 numpy, with exact integer arithmetic for finite 1e-11 <= |x| < 1e15 and
 '%.17g' itself for every other value.
 
+Every command writes bytes to a binary stream: a file opened "wb", or
+standard output's buffer after its text layer is flushed.  A command that
+writes CSV creates one _csvtext.CsvWriter on that stream and passes every
+block through it, so all blocks are laid out in the writer's one bytearray
+and go out without a text layer.  Fresh buffers for every block cost a
+`run` of 1e6 rows 98k-134k minor page faults; the reused one, about 8k,
+5k of them the interpreter's and numpy's start-up.
+
 `run` and `detect` stream their input in blocks of 8192 values, counted
 from the first value, so their memory stays flat as the input grows and
 no whole-input product rounds differently with the BLAS thread count.
@@ -30,7 +38,7 @@ import sys
 
 import numpy as np
 
-from ._csvtext import csv_lines
+from ._csvtext import CsvWriter
 from .design import DesignError, DesignSpec, build_realization
 from .detectors import ChangeDetector, EdgeDetector, PeakDetector
 from .document import (
@@ -61,10 +69,12 @@ _RUN_CHUNK = _PIECE
 
 @contextlib.contextmanager
 def _open_out(path):
+    """A binary stream to path, or to standard output for None and '-'."""
     if path is None or path == "-":
-        yield sys.stdout
+        sys.stdout.flush()
+        yield sys.stdout.buffer
     else:
-        with open(path, "w", newline="") as fh:
+        with open(path, "wb") as fh:
             yield fh
 
 
@@ -185,7 +195,7 @@ def cmd_design(args) -> int:
     requested = "auto" if args.q is None else args.q
     document = design_to_document(realization, requested)
     with _open_out(args.out) as fh:
-        fh.write(document_to_json(document))
+        fh.write(document_to_json(document).encode("ascii"))
     return 0
 
 
@@ -203,8 +213,8 @@ def cmd_analyze(args) -> int:
         columns += [h.real, h.imag]
     columns.append(report.distortion)
     with _open_out(args.out) as fh:
-        fh.write(",".join(header) + "\n")
-        fh.write(csv_lines(columns))
+        fh.write((",".join(header) + "\n").encode("ascii"))
+        CsvWriter(fh).write(columns)
 
     spec = realization.spec
     summary = {
@@ -225,8 +235,7 @@ def cmd_analyze(args) -> int:
             raise ValueError("--summary-out is required when the CSV goes to stdout")
         summary_path = args.out + ".summary.json"
     with _open_out(summary_path) as fh:
-        json.dump(summary, fh, indent=2)
-        fh.write("\n")
+        fh.write((json.dumps(summary, indent=2) + "\n").encode("ascii"))
     return 0
 
 
@@ -254,11 +263,12 @@ def cmd_run(args) -> int:
     with _open_in(args.input) as src:
         blocks = _read_ahead(_column_blocks(src))
         with _open_out(args.out) as dst:
-            dst.write(",".join(header) + "\n")
+            dst.write((",".join(header) + "\n").encode("ascii"))
+            writer = CsvWriter(dst)
             for block in blocks:
                 result = estimator.extend(block)
                 columns = [*result.estimates, result.sigma_eps2, *result.variances]
-                dst.write(csv_lines(columns, start=next_n))
+                writer.write(columns, start=next_n)
                 next_n += block.size
     return 0
 
@@ -283,23 +293,24 @@ def cmd_detect(args) -> int:
     held_z = np.empty(0)        # z of the rows from held_n onward
     written_events = 0
 
-    def write(fh, stop):
+    def write(writer, stop):
         nonlocal held_n, held_z, written_events
         count = stop - held_n
         marks = {event.n - held_n: event.kind for event in detector.events[written_events:]}
         written_events = len(detector.events)
-        fh.write(csv_lines([held_z[:count]], start=held_n, text=marks))
+        writer.write([held_z[:count]], start=held_n, text=marks)
         held_n, held_z = stop, held_z[count:]
 
     with _open_in(args.input) as src:
         blocks = _read_ahead(_column_blocks(src))
         with _open_out(args.out) as fh:
-            fh.write("n,z,event\n")
+            fh.write(b"n,z,event\n")
+            writer = CsvWriter(fh)
             for block in blocks:
                 held_z = np.concatenate([held_z, detector.run(block)])
-                write(fh, detector._settled_count())
+                write(writer, detector._settled_count())
             detector.finish()
-            write(fh, held_n + len(held_z))
+            write(writer, held_n + len(held_z))
     return 0
 
 
@@ -321,8 +332,8 @@ def cmd_simulate(args) -> int:
         )
         truth, measurements = simulate_target(scenario)
         with _open_out(args.out) as fh:
-            fh.write("n,position,velocity,acceleration,measurement\n")
-            fh.write(csv_lines([*truth.T, measurements], start=0))
+            fh.write(b"n,position,velocity,acceleration,measurement\n")
+            CsvWriter(fh).write([*truth.T, measurements], start=0)
         return 0
 
     generators = {
@@ -334,8 +345,8 @@ def cmd_simulate(args) -> int:
     n_samples = args.n_samples if args.n_samples is not None else 400
     clean, noisy = generator(args.seed, n_samples, args.noise_std)
     with _open_out(args.out) as fh:
-        fh.write("n,clean,measurement\n")
-        fh.write(csv_lines([clean, noisy], start=0))
+        fh.write(b"n,clean,measurement\n")
+        CsvWriter(fh).write([clean, noisy], start=0)
     return 0
 
 

@@ -35,6 +35,7 @@ threshold is allowed and never fires.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -224,6 +225,12 @@ class _Detector(_Stream):
     def _build_kernel(self):
         return detector_kernel(self.realization, *self._rows, _VARIANCE_FLOOR,
                                self._marker, self.events)
+
+    def __copy__(self):
+        clone = super().__copy__()
+        clone.events = list(self.events)
+        clone._marker = copy.copy(self._marker)
+        return clone
 
     def run(self, xs: np.ndarray) -> np.ndarray:
         """Feed a block; returns the statistic sequence for the block."""

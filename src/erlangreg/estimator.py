@@ -39,7 +39,7 @@ path for a caller who keeps the state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 from math import isfinite
 from operator import itemgetter
@@ -317,6 +317,19 @@ class _Stream:
         # pickles and copies carry the state and never compiled code.
         self.state
         return {**self.__dict__, "_make": None}
+
+    def __copy__(self):
+        """A consumer that goes on from here on its own.
+
+        It shares the realization, which is immutable, and has its own copy
+        of the state; a detector's copy also has its own run marker and
+        events.
+        """
+        clone = object.__new__(type(self))
+        clone.__dict__.update(self.__getstate__())
+        if self._state is not None:
+            clone._state = replace(self._state, w1=list(self._state.w1), w2=list(self._state.w2))
+        return clone
 
     def update(self, x: float):
         """Feed one sample; returns its readout.

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -48,32 +49,38 @@ class ResponseReport:
     group_delay_dc: float      # samples
 
 
-def _state_responses(realization: FilterRealization, omegas: np.ndarray) -> np.ndarray:
+def _state_responses(realization: FilterRealization, cos, sin) -> np.ndarray:
     """Transfer functions of the first-moment cascade states, (order, n).
 
-    Row k is (1 - p e^{-i omega})**-(k + 1).  Row 0 is the reciprocal of
+    cos and sin are cos(omega) and sin(omega) of the n frequencies.  Row k
+    is (1 - p e^{-i omega})**-(k + 1).  Row 0 is the reciprocal of
     1 - p cos(omega) + i p sin(omega), and each later row is the row before
     it times row 0, written in place.  On the unit circle
     |p e^{-i omega}| = p < 1, so the denominator never vanishes.
     """
     p = realization.spec.weight.p
-    out = np.empty((realization.spec.n_first_states, omegas.size), dtype=complex)
+    out = np.empty((realization.spec.n_first_states, cos.size), dtype=complex)
     base = out[0]
-    base.real = 1.0 - p * np.cos(omegas)
-    base.imag = p * np.sin(omegas)
+    base.real = 1.0 - p * cos
+    base.imag = p * sin
     np.reciprocal(base, out=base)
     for k in range(1, out.shape[0]):
         np.multiply(out[k - 1], base, out=out[k])
     return out
 
 
+def _responses(realization, cos, sin):
+    """All derivative outputs' responses, given cos and sin of the frequencies."""
+    # The output rows are real: one real product over the interleaved real
+    # and imaginary parts of the state responses does the complex one.
+    states = _state_responses(realization, cos, sin)
+    return (realization.state_output @ states.view(float)).view(complex)
+
+
 def response_matrix(realization: FilterRealization, omegas: np.ndarray) -> np.ndarray:
     """All derivative outputs' responses over a frequency grid."""
     omegas = np.asarray(omegas, dtype=float).ravel()
-    # The output rows are real: one real product over the interleaved real
-    # and imaginary parts of the state responses does the complex one.
-    states = _state_responses(realization, omegas)
-    return (realization.state_output @ states.view(float)).view(complex)
+    return _responses(realization, np.cos(omegas), np.sin(omegas))
 
 
 def _distortion(realization, omegas, smoother):
@@ -86,6 +93,20 @@ def _grid(grid_size):
     if grid_size < 2:
         raise ValueError(f"grid_size must be at least 2, got {grid_size}")
     return np.linspace(0.0, 0.5, grid_size)
+
+
+@lru_cache(maxsize=4)
+def _grid_trig(grid_size):
+    """cos(omega) and sin(omega) on the report grid of grid_size, read-only.
+
+    They do not depend on the design, so a process that reports on many
+    designs computes them once per grid size.
+    """
+    omegas = 2.0 * np.pi * _grid(grid_size)
+    tables = np.cos(omegas), np.sin(omegas)
+    for table in tables:
+        table.flags.writeable = False
+    return tables
 
 
 def _half_crossing(realization, freqs, dist):
@@ -142,7 +163,7 @@ def response_report(realization: FilterRealization, grid_size: int = 2048) -> Re
     """Evaluate the full grid report used by the analyze command."""
     freqs = _grid(grid_size)
     omegas = 2.0 * np.pi * freqs
-    responses = response_matrix(realization, omegas)
+    responses = _responses(realization, *_grid_trig(grid_size))
     dist = _distortion(realization, omegas, responses[0])
     return ResponseReport(
         freqs=freqs,

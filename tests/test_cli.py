@@ -1,6 +1,9 @@
 import csv
 import hashlib
+import io
 import json
+import math
+import sys
 import time
 import tracemalloc
 from pathlib import Path
@@ -797,6 +800,116 @@ def test_detect_event_on_block_edge(tmp_path, event_n):
     assert main(["detect", "--kind", "edge", "--design", str(design), "--threshold", "3",
                  "--input", str(data), "--out", str(out)]) == 0
     assert out.read_text() == "n,z,event\n" + want
+
+
+def _changing_layout_input():
+    """Four blocks whose rows need different slot widths.
+
+    A noisy first block makes wide fast-range fields; a jump of 1e17 and an
+    exact return to the first sample make fields of 1e15 and more, of
+    e-notation, subnormals and zeros, and edge events, in the second; small
+    noise makes narrow fields in the third; the fourth is short.
+    """
+    rng = np.random.Generator(np.random.PCG64(41))
+    x0 = 0.25
+    wide = x0 + 3e6 * rng.standard_normal(_RUN_CHUNK)
+    wide[0] = x0
+    jump = np.full(_RUN_CHUNK, x0)
+    jump[:200] += 1e17
+    narrow = x0 + 1e-3 * rng.standard_normal(_RUN_CHUNK + 50)
+    return np.concatenate([wide, jump, narrow])
+
+
+@pytest.mark.parametrize("command", ["run", "detect"])
+def test_rows_across_changing_layouts(tmp_path, command):
+    design = _design(tmp_path, "d.json", kappa=2, p=0.9, kx=2, kt=2)
+    xs = _changing_layout_input()
+    data = _write_column(tmp_path / "in.csv", xs)
+    out = tmp_path / "out.csv"
+    argv = ["--design", str(design), "--input", str(data), "--out", str(out)]
+    if command == "run":
+        assert main(["run"] + argv) == 0
+        want = "n,estimate_0,estimate_1,sigma_eps2,var_0,var_1\n" + _library_run(
+            _load(design), xs)
+    else:
+        assert main(["detect", "--kind", "edge", "--threshold", "3"] + argv) == 0
+        want = "n,z,event\n" + _library_detect(EdgeDetector(_load(design), 3.0), xs)
+    text = out.read_text()
+    assert text == want
+    rows = [row.split(",") for row in text.splitlines()[1:]]
+    blocks = [rows[i:i + _RUN_CHUNK] for i in range(0, len(rows), _RUN_CHUNK)]
+    assert [len(block) for block in blocks] == [_RUN_CHUNK] * 3 + [50]
+    floats = slice(1, 2) if command == "detect" else slice(1, None)
+    values = [np.array([float(f) for row in block for f in row[floats]]) for block in blocks]
+    size = [np.abs(v) for v in values]
+    assert np.any(size[1] == 0.0)
+    if command == "run":
+        # Wide fast-range fields past the warm-up rows, then every kind,
+        # then fields of one digit before the point.
+        first = size[0].reshape(_RUN_CHUNK, -1)[10:]
+        assert first.min() >= 1e-11 and 1e12 <= first.max() < 1e15
+        assert np.any(size[1] >= 1e15)
+        assert np.any((size[1] > 0.0) & (size[1] < 2.2250738585072014e-308))
+        assert max(size[2].max(), size[3].max()) < 10.0
+    else:
+        assert {row[2] for row in blocks[1]} == {"", "rising-edge", "falling-edge"}
+        assert {row[2] for row in blocks[3]} == {""}
+
+
+@pytest.mark.parametrize("command", ["run", "detect"])
+def test_standard_output_bytes_match_a_file(tmp_path, capsysbinary, command):
+    xs = _both_paths_input()
+    data = _write_column(tmp_path / "in.csv", xs)
+    if command == "run":
+        design = _design(tmp_path, "d.json", kappa=2, p=0.9, kx=2, kt=2)
+        argv = ["run", "--design", str(design)]
+    else:
+        fast = _design(tmp_path, "fast.json", kappa=0, p=0.8, kx=2, kt=2)
+        slow = _design(tmp_path, "slow.json", kappa=3, p=0.8, kx=2, kt=1,
+                       q=repr(_load(fast).spec.delay))
+        argv = ["detect", "--kind", "change", "--design", str(fast), "--design-b", str(slow),
+                "--threshold", "3"]
+    argv += ["--input", str(data)]
+    out = tmp_path / "out.csv"
+    assert main(argv + ["--out", str(out)]) == 0
+    capsysbinary.readouterr()
+    # Text already written to standard output comes first.
+    print("before")
+    assert main(argv + ["--out", "-"]) == 0
+    assert capsysbinary.readouterr().out == b"before\n" + out.read_bytes()
+
+
+class _ClosingPipe(io.RawIOBase):
+    """A pipe whose reader goes away after `room` bytes."""
+
+    def __init__(self, room):
+        self.room = room
+
+    def writable(self):
+        return True
+
+    def write(self, data):
+        if self.room <= 0:
+            raise BrokenPipeError(32, "Broken pipe")
+        taken = min(len(data), self.room)
+        self.room -= taken
+        return taken
+
+
+@pytest.mark.parametrize("command", ["run", "detect"])
+def test_closed_pipe_exits_0(tmp_path, monkeypatch, command):
+    design = _design(tmp_path, "d.json", kappa=2, p=0.9, kx=2, kt=2)
+    data = _write_column(tmp_path / "in.csv", _both_paths_input())
+    argv = [command, "--design", str(design), "--input", str(data), "--out", "-"]
+    if command == "detect":
+        argv[1:1] = ["--kind", "edge", "--threshold", "3"]
+    pipe = _ClosingPipe(100_000)
+    stdout = io.TextIOWrapper(io.BufferedWriter(pipe), encoding="ascii")
+    monkeypatch.setattr(sys, "stdout", stdout)
+    assert main(argv) == 0
+    assert pipe.room == 0
+    pipe.room = math.inf     # let the wrapper close quietly
+    stdout.close()
 
 
 def test_analyze_bytes_match_the_oracle(tmp_path):

@@ -438,22 +438,34 @@ def test_update_continues_from_a_state_changed_by_run_sequence():
     assert est.state == twin.state
 
 
+def _marker_state(consumer):
+    marker = getattr(consumer, "_marker", None)
+    return None if marker is None else vars(marker)
+
+
 @pytest.mark.parametrize("kind", sorted(_CONSUMERS))
-@pytest.mark.parametrize("how", ["pickle", "deepcopy"])
+@pytest.mark.parametrize("how", ["pickle", "deepcopy", "copy"])
 def test_consumers_copy_after_per_sample_updates(kind, how):
     # Compiled code never enters pickled or copied state: a copy compiles
-    # its own kernel and owns its own cells.
+    # its own kernel and owns its own cells.  A shallow copy shares only
+    # the realization.
     duplicate = {"pickle": lambda obj: pickle.loads(pickle.dumps(obj)),
-                 "deepcopy": copy.deepcopy}[how]
+                 "deepcopy": copy.deepcopy, "copy": copy.copy}[how]
     xs = _events_signal()
     consumer, twin = _CONSUMERS[kind](), _CONSUMERS[kind]()
     _feed(consumer, xs[:100]), _feed(twin, xs[:100])
     duplicate(consumer.realization)
-    copied = duplicate(consumer)
+    copied, deep = duplicate(consumer), copy.deepcopy(consumer)
+    if how == "copy":
+        assert copied.realization is consumer.realization
+        assert copied.state is not consumer.state
 
     # Feeding only the copy leaves the original as it was.
     from_copy = _feed(copied, xs[100:])
     assert consumer.state == twin.state
+    assert getattr(consumer, "events", None) == getattr(twin, "events", None)
+    assert _marker_state(consumer) == _marker_state(twin)
+    assert from_copy == _feed(deep, xs[100:])
     assert _feed(consumer, xs[100:]) == from_copy == _feed(twin, xs[100:])
     assert _finished(consumer) == _finished(copied) == _finished(twin)
 
