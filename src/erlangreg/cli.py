@@ -200,6 +200,12 @@ def cmd_design(args) -> int:
 
 
 def cmd_analyze(args) -> int:
+    # A usage error leaves nothing written, so the summary path comes first.
+    summary_path = args.summary_out
+    if summary_path is None:
+        if args.out == "-":
+            raise ValueError("--summary-out is required when the CSV goes to stdout")
+        summary_path = args.out + ".summary.json"
     realization = _load_design(args.design)
     report = response_report(realization, args.grid_size)
 
@@ -229,11 +235,6 @@ def cmd_analyze(args) -> int:
         "group_delay_dc": report.group_delay_dc,
         "vrf": realization.vrf.tolist(),
     }
-    summary_path = args.summary_out
-    if summary_path is None:
-        if args.out is None or args.out == "-":
-            raise ValueError("--summary-out is required when the CSV goes to stdout")
-        summary_path = args.out + ".summary.json"
     with _open_out(summary_path) as fh:
         fh.write((json.dumps(summary, indent=2) + "\n").encode("ascii"))
     return 0

@@ -74,14 +74,16 @@ class Event:
 def _guarded_ratio(value, variance):
     """value / sqrt(variance), or 0 where the variance is below the floor.
 
-    Takes arrays (a block); the per-sample kernels evaluate the same guard.
+    Takes arrays (a block) and overwrites both with intermediate results;
+    the per-sample kernels evaluate the same guard.  The variance is raised
+    to the floor before its root is taken, so nothing divides by zero.
     """
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(
-            variance < _VARIANCE_FLOOR,
-            0.0,
-            value / np.sqrt(np.maximum(variance, _VARIANCE_FLOOR)),
-        )
+    small = variance < _VARIANCE_FLOOR
+    np.maximum(variance, _VARIANCE_FLOOR, out=variance)
+    np.sqrt(variance, out=variance)
+    value /= variance
+    value[small] = 0.0
+    return value
 
 
 class _RunMarker:
@@ -137,13 +139,16 @@ class _RunMarker:
         the exceedance samples, so Python work is per run, not per sample.
         """
         z = np.asarray(z, dtype=float)
-        pos = z > self.threshold
-        sign = pos.astype(np.int8)
+        exceed = pos = z > self.threshold
+        sign = pos.view(np.int8)
         if self.kind_neg is not None:
             # As in update(), a sample past both bounds (a negative
             # threshold) counts as positive.
-            sign -= (z < -self.threshold) & ~pos
-        active = np.flatnonzero(sign)
+            neg = (z < -self.threshold) & ~pos
+            exceed = pos | neg
+            sign -= neg  # pos is not read again
+        # nonzero() is several times faster on bool than on int8.
+        active = exceed.nonzero()[0]
         events = []
         if active.size == 0:
             if self._sign != 0 and z.size:
@@ -154,16 +159,19 @@ class _RunMarker:
         value = z[active] * signs
         new_run = np.empty(active.size, dtype=bool)
         new_run[0] = True
-        np.logical_or(np.diff(active) != 1, signs[1:] != signs[:-1], out=new_run[1:])
-        starts = np.flatnonzero(new_run)
+        np.logical_or(active[1:] - active[:-1] != 1, signs[1:] != signs[:-1], out=new_run[1:])
+        starts = new_run.nonzero()[0]
         peak = np.maximum.reduceat(value, starts)
-        lengths = np.diff(starts, append=active.size)
-        hits = np.flatnonzero(value == np.repeat(peak, lengths))
+        lengths = np.empty_like(starts)
+        np.subtract(starts[1:], starts[:-1], out=lengths[:-1])
+        lengths[-1] = active.size - starts[-1]
+        hits = (value == peak.repeat(lengths)).nonzero()[0]
         # Every run holds a hit, so the first hit at or after a run's start
         # is that run's earliest extremum.
-        best = active[hits[np.searchsorted(hits, starts)]].tolist()
-        run_signs = signs[starts].tolist()
+        best = active[hits[hits.searchsorted(starts)]]
         best_z = z[best].tolist()
+        best = best.tolist()
+        run_signs = signs[starts].tolist()
 
         if self._sign != 0:
             if active[0] == 0 and run_signs[0] == self._sign:
@@ -178,9 +186,10 @@ class _RunMarker:
                 events.append(self._emit())
         open_last = active[-1] == z.size - 1
         closed = len(best) - 1 if open_last else len(best)
-        for i in range(closed):
-            kind = self.kind_pos if run_signs[i] > 0 else self.kind_neg
-            events.append(Event(n=start + best[i], z=best_z[i], kind=kind))
+        events += [
+            Event(start + n, z_n, self.kind_pos if s > 0 else self.kind_neg)
+            for n, z_n, s in zip(best[:closed], best_z, run_signs)
+        ]
         if open_last:
             self._sign = run_signs[-1]
             self._best_n, self._best_z = start + best[-1], best_z[-1]
@@ -264,10 +273,11 @@ class _Detector(_Stream):
     def _statistic(self, w1_block, w2_block):
         """Z for a block of moment states, one column per sample."""
         value_row, noise_terms = self._rows
-        variance = sum(
-            vrf_ii * _noise_variance(coeff @ w1_block, power @ w2_block, residual_mass)
-            for coeff, power, residual_mass, vrf_ii in noise_terms
-        )
+        variance = None
+        for coeff, power, residual_mass, vrf_ii in noise_terms:
+            term = _noise_variance(coeff @ w1_block, power @ w2_block, residual_mass)
+            term *= vrf_ii
+            variance = term if variance is None else np.add(variance, term, out=variance)
         return _guarded_ratio(value_row @ w1_block, variance)
 
 

@@ -174,8 +174,11 @@ def _noise_variance(beta, power, residual_mass):
     column per sample and power one entry per sample; the per-sample
     kernels evaluate the same formula.
     """
-    residual = power - np.einsum("ij,ij->j", beta, beta)
-    return np.maximum(residual, 0.0) / residual_mass
+    residual = np.einsum("ij,ij->j", beta, beta)
+    np.subtract(power, residual, out=residual)
+    np.maximum(residual, 0.0, out=residual)
+    residual /= residual_mass
+    return residual
 
 
 def _advance_moments(
@@ -204,10 +207,14 @@ def _advance_moments(
     if xs.ndim != 1:
         raise ValueError(f"a block of samples must be 1-D, got shape {xs.shape}")
     start = 0 if state is None else state.n + 1
-    finite = np.isfinite(xs)
-    if not finite.all():
-        bad = int(np.argmin(finite))
-        raise _not_finite(start + bad, float(xs[bad]))
+    # One reduction for the common case: a NaN or infinite sample makes the
+    # sum non-finite.  So does a sum of finite samples that overflows (numpy
+    # then warns of it); only then are the samples checked one by one.
+    if not isfinite(np.add.reduce(xs)):
+        finite = np.isfinite(xs)
+        if not finite.all():
+            bad = int(np.argmin(finite))
+            raise _not_finite(start + bad, float(xs[bad]))
     p = realization.spec.weight.p
     first = 0
     if state is None:
@@ -271,7 +278,7 @@ def run_sequence(
     )
     estimates = realization.state_output @ w1_block
     estimates[0] += state.x0
-    variances = sigma_eps2[None, :] * np.diag(realization.vrf)[:, None]
+    variances = sigma_eps2 * realization.vrf.diagonal()[:, None]
     return SequenceResult(estimates=estimates, sigma_eps2=sigma_eps2, variances=variances), state
 
 

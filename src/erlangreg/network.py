@@ -33,6 +33,16 @@ __all__ = [
 
 _SUB = 32       # samples per sub-block of the scan
 _PIECE = 8192   # samples per piece; a multiple of _SUB
+# The carry term of a stage is the outer product of its carries, one per
+# sub-block row, with `offset`.  Up to _OUTER_ROWS rows it is a broadcast
+# multiply, which costs least per call; above, it is einsum, whose loop is
+# faster than a broadcast whose inner loop is only _SUB long.  Timed on one
+# core of a 2-vCPU Xeon VM with numpy 2.4: at 2 rows the multiply takes
+# 2.9 us and einsum 4.7 us; at 512 rows the multiply takes 29 us and einsum
+# 20 us; they cross between 64 and 96 rows.  Each entry is the same single
+# product either way; only a zero product's sign may differ (einsum writes
+# +0.0), and no comparison sees that.
+_OUTER_ROWS = 64
 
 
 @functools.lru_cache(maxsize=16)
@@ -102,14 +112,15 @@ def run_block(p: float, u: np.ndarray, w_prev):
     # Stage k of every cascade is one slab states[k], one row per cascade.
     states = np.empty((orders[0], len(orders), -(-n // _SUB) * _SUB))
     for lo in range(0, n, _PIECE):
-        hi = min(lo + _PIECE, n)
+        if lo:
+            w = [states[:order, r, lo - 1] for r, order in enumerate(orders)]
         if states.shape[2] <= _PIECE:
             _scan_piece(p, u, w, states)
         else:
+            hi = min(lo + _PIECE, n)
             piece = np.empty(states.shape[:2] + (-(-(hi - lo) // _SUB) * _SUB,))
             _scan_piece(p, u[:, lo:hi], w, piece)
             states[:, :, lo:lo + piece.shape[2]] = piece
-        w = [states[: len(w_r), r, hi - 1] for r, w_r in enumerate(w)]
     out = [states[:order, r, :n] for r, order in enumerate(orders)]
     return out if stacked else out[0]
 
@@ -128,28 +139,33 @@ def _scan_piece(p, u, state, states):
     """
     within, offset, across, start = _scan_tables(p)
     rows, n = u.shape
-    n_sub = states.shape[2] // _SUB
+    order, _, width = states.shape
+    n_sub = width // _SUB
     across = across[:n_sub, :n_sub]
-    start_terms = np.zeros((len(state[0]), rows))
+    start_terms = np.zeros((order, rows))
     for r, w in enumerate(state):
         start_terms[: len(w), r] = w
     start_terms = start_terms[:, :, None] * start[:n_sub]
+    # Stage k as one sub-block per row, and the end values of its sub-blocks.
+    slabs = states.reshape(order, rows * n_sub, _SUB)
+    ends = states[:, :, _SUB - 1::_SUB]
 
-    signal = np.zeros((rows, n_sub * _SUB))
+    signal = np.zeros((rows, width))
     signal[:, :n] = u
     signal = signal.reshape(rows * n_sub, _SUB)
     carried = np.empty_like(signal)
     active = rows
-    for k in range(len(state[0])):
+    for k in range(order):
         while len(state[active - 1]) <= k:
             active -= 1
         m = active * n_sub
-        y = np.matmul(signal[:m], within, out=states[k, :active].reshape(m, _SUB))
-        carry = y[:, -1].reshape(active, n_sub) @ across
+        y = np.matmul(signal[:m], within, out=slabs[k, :m])
+        carry = ends[k, :active] @ across
         carry += start_terms[k, :active]
-        # einsum forms this outer product faster than a broadcast multiply,
-        # whose inner loop runs over rows only _SUB long.
-        y += np.einsum("i,j->ij", carry.reshape(m), offset, out=carried[:m])
+        if m > _OUTER_ROWS:
+            y += np.einsum("i,j->ij", carry.reshape(m), offset, out=carried[:m])
+        else:
+            y += np.multiply(carry.reshape(m, 1), offset, out=carried[:m])
         signal = y
 
 

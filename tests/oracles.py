@@ -309,3 +309,158 @@ def template_rows(template: str, columns) -> str:
     """
     columns = [c.tolist() if isinstance(c, np.ndarray) else c for c in columns]
     return "".join(template % row for row in zip(*columns))
+
+
+# The block path as it computed its floats before its per-call costs were
+# cut: the same operations, operands, memory layouts and order, so that the
+# package must match them exactly (np.array_equal), not merely to rounding.
+# The stage loop forms each carry term with einsum and reshapes its views
+# per stage; the noise terms are added with sum(); the guard is np.where
+# under errstate.  Samples are cut into pieces of BLOCK_PIECE counted from
+# the stream's first sample, as the package cuts them.
+
+BLOCK_SUB = 32
+BLOCK_PIECE = 8192
+
+
+def _scan_tables_reference(p: float):
+    """(within, offset, across, start) powers of p for one piece."""
+    def powers(exponent, keep=True):
+        table = np.where(keep, p ** np.maximum(exponent, 0).astype(float), 0.0)
+        table[table < np.finfo(float).tiny] = 0.0
+        return table
+
+    i = np.arange(BLOCK_SUB)
+    j = np.arange(BLOCK_PIECE // BLOCK_SUB)
+    lag = i[None, :] - i[:, None]
+    lag_sub = j[None, :] - 1 - j[:, None]
+    return (
+        powers(lag, lag >= 0),
+        powers(i + 1),
+        powers(BLOCK_SUB * lag_sub, lag_sub >= 0),
+        powers(BLOCK_SUB * j),
+    )
+
+
+def _scan_piece_reference(p, u, state, states):
+    within, offset, across, start = _scan_tables_reference(p)
+    rows, n = u.shape
+    n_sub = states.shape[2] // BLOCK_SUB
+    across = across[:n_sub, :n_sub]
+    start_terms = np.zeros((len(state[0]), rows))
+    for r, w in enumerate(state):
+        start_terms[: len(w), r] = w
+    start_terms = start_terms[:, :, None] * start[:n_sub]
+    signal = np.zeros((rows, n_sub * BLOCK_SUB))
+    signal[:, :n] = u
+    signal = signal.reshape(rows * n_sub, BLOCK_SUB)
+    carried = np.empty_like(signal)
+    active = rows
+    for k in range(len(state[0])):
+        while len(state[active - 1]) <= k:
+            active -= 1
+        m = active * n_sub
+        y = np.matmul(signal[:m], within, out=states[k, :active].reshape(m, BLOCK_SUB))
+        carry = y[:, -1].reshape(active, n_sub) @ across
+        carry += start_terms[k, :active]
+        y += np.einsum("i,j->ij", carry.reshape(m), offset, out=carried[:m])
+        signal = y
+
+
+def scan_reference(p: float, u, w_prev):
+    """run_block's trajectories: 1-D u and one state, or rows and states."""
+    u = np.asarray(u, dtype=float)
+    stacked = u.ndim == 2
+    if not stacked:
+        u, w_prev = u[None], [w_prev]
+    w = list(w_prev)
+    orders = [len(w_r) for w_r in w]
+    n = u.shape[1]
+    states = np.empty((orders[0], len(orders), -(-n // BLOCK_SUB) * BLOCK_SUB))
+    for lo in range(0, n, BLOCK_PIECE):
+        hi = min(lo + BLOCK_PIECE, n)
+        if states.shape[2] <= BLOCK_PIECE:
+            _scan_piece_reference(p, u, w, states)
+        else:
+            piece = np.empty(states.shape[:2] + (-(-(hi - lo) // BLOCK_SUB) * BLOCK_SUB,))
+            _scan_piece_reference(p, u[:, lo:hi], w, piece)
+            states[:, :, lo:lo + piece.shape[2]] = piece
+        w = [states[: len(w_r), r, hi - 1] for r, w_r in enumerate(w)]
+    out = [states[:order, r, :n] for r, order in enumerate(orders)]
+    return out if stacked else out[0]
+
+
+def moments_reference(real, xs, sigma0_sq: float, state):
+    """Both moment cascades over a block: (w1_block, w2_block, state).
+
+    state is (w1, w2, n, x0) with float-list cascades, or None to start the
+    stream on xs[0] (the final-value start, whose column is the start).
+    """
+    xs = np.asarray(xs, dtype=float)
+    first = 0
+    if state is None:
+        state = ([0.0] * real.spec.n_first_states,
+                 (real.steady_second * float(sigma0_sq)).tolist(), -1, float(xs[0]))
+        first = 1
+    w1, w2, n_prev, x0 = state
+    start = n_prev + 1
+    moments = np.empty((2, xs.size - first))
+    np.subtract(xs[first:], x0, out=moments[0])
+    np.multiply(moments[0], moments[0], out=moments[1])
+    head = min(-(start + first) % BLOCK_PIECE, moments.shape[1])
+    w = [w1, w2]
+    pieces = []
+    for lo, hi in ((0, head), (head, moments.shape[1])):
+        if hi > lo:
+            pieces.append(scan_reference(real.spec.weight.p, moments[:, lo:hi], w))
+            w = [states[:, -1] for states in pieces[-1]]
+    if first:
+        pieces.insert(0, [np.array(w1)[:, None], np.array(w2)[:, None]])
+    if len(pieces) == 1:
+        w1_block, w2_block = pieces[0]
+    else:
+        w1_block = np.hstack([piece[0] for piece in pieces])
+        w2_block = np.hstack([piece[1] for piece in pieces])
+    state = (w1_block[:, -1].tolist(), w2_block[:, -1].tolist(), start + xs.size - 1, x0)
+    return w1_block, w2_block, state
+
+
+def _block_noise_variance(beta, power, residual_mass):
+    residual = power - np.einsum("ij,ij->j", beta, beta)
+    return np.maximum(residual, 0.0) / residual_mass
+
+
+def sequence_reference(real, w1_block, w2_block, x0: float):
+    """run_sequence's (estimates, sigma_eps2, variances) from the trajectories."""
+    sigma_eps2 = _block_noise_variance(
+        real.coeff_output @ w1_block, real.power_output @ w2_block, real.residual_mass
+    )
+    estimates = real.state_output @ w1_block
+    estimates[0] += x0
+    variances = sigma_eps2[None, :] * np.diag(real.vrf)[:, None]
+    return estimates, sigma_eps2, variances
+
+
+def block_statistic_reference(value_row, noise_terms, w1_block, w2_block, floor=1e-15):
+    """A detector's block Z from its value row and (coeff, power, mass, vrf_ii) terms."""
+    variance = sum(
+        vrf_ii * _block_noise_variance(coeff @ w1_block, power @ w2_block, residual_mass)
+        for coeff, power, residual_mass, vrf_ii in noise_terms
+    )
+    value = value_row @ w1_block
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(variance < floor, 0.0, value / np.sqrt(np.maximum(variance, floor)))
+
+
+def packet_signal(seed: int, n: int):
+    """(xs, sizes): a noisy trend with steps and a 1e6 offset stretch, and
+    log-uniform packet sizes from 64 to 8192 adding up to n."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    slopes = np.repeat(rng.normal(0.0, 0.2, n // 500 + 1), 500)[:n]
+    steps = np.where(rng.random(n) < 1e-3, rng.normal(0.0, 8.0, n), 0.0)
+    xs = np.cumsum(slopes) + np.cumsum(steps) + rng.standard_normal(n)
+    xs[n // 3:n // 2] += 1e6
+    sizes = []
+    while sum(sizes) < n:
+        sizes.append(min(int(np.exp(rng.uniform(np.log(64), np.log(8192)))), n - sum(sizes)))
+    return xs, sizes

@@ -166,6 +166,16 @@ def test_oversized_size_exits_3_without_output(tmp_path, capsys, command):
     assert list(tmp_path.glob("big.csv*")) == []
 
 
+def test_analyze_to_stdout_without_summary_writes_nothing(tmp_path, capsys):
+    # The usage error comes before the table: standard output stays empty.
+    design = _design(tmp_path, "d.json", kappa=0, p=0.8, kx=2)
+    assert main(["analyze", "--design", str(design), "--grid-size", "5", "--out", "-"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --summary-out is required when the CSV goes to stdout\n"
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["d.json"]
+
+
 def test_analyze_missing_document(tmp_path, capsys):
     rc = main(["analyze", "--design", str(tmp_path / "absent.json"),
                "--out", str(tmp_path / "r.csv")])

@@ -10,9 +10,9 @@ from erlangreg import (
     PeakDetector,
     StreamingEstimator,
 )
-from erlangreg.detectors import _VARIANCE_FLOOR
+from erlangreg.detectors import _VARIANCE_FLOOR, _RunMarker
 
-from oracles import build
+from oracles import block_statistic_reference, build, moments_reference, packet_signal
 
 
 def _ramp_with_noise(seed, n=300, step_at=150):
@@ -285,3 +285,44 @@ def test_detectors_reject_bad_prior_variance(bad):
     ):
         with pytest.raises(ValueError, match="sigma0_sq must be finite and nonnegative"):
             make()
+
+
+def _stream_block_detectors():
+    """Edge on base, peak on wide, change on the fast/slow pair."""
+    fast = build(0, 0.8, 2, kt=2)
+    slow = build(3, 0.8, 2, kt=1, q=fast.spec.delay)
+    return [EdgeDetector(build(2, 0.9, 2, kt=2), 3.0),
+            PeakDetector(build(6, 0.8, 4, kt=3), 3.0),
+            ChangeDetector(fast, slow, 3.0)]
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_run_gives_the_floats_of_the_reference_block_path(seed):
+    # Packets of 64 to 8192 samples, several crossing a multiple of 8192,
+    # one stretch at a 1e6 offset.  Z equals the reference block path's Z,
+    # the events those of the per-sample marker on it, and the final state
+    # the reference's: any change of rounding in the readout fails here.
+    xs, sizes = packet_signal(seed, 40_000)
+    for detector in _stream_block_detectors():
+        value_row, noise_terms = detector._rows
+        marker = _RunMarker(detector.threshold, detector._marker.kind_pos,
+                            detector._marker.kind_neg)
+        events = []
+        state = None
+        pos = 0
+        for size in sizes:
+            block = xs[pos:pos + size]
+            z = detector.run(block)
+            w1_block, w2_block, state = moments_reference(
+                detector.realization, block, 0.0, state)
+            want = block_statistic_reference(value_row, noise_terms, w1_block, w2_block)
+            assert np.array_equal(z, want), (type(detector).__name__, pos)
+            events += [e for n, v in enumerate(want.tolist(), start=pos)
+                       if (e := marker.update(n, v)) is not None]
+            pos += size
+        detector.finish()
+        events += [e for e in [marker.flush()] if e is not None]
+        assert detector.events == events
+        assert len(events) > 10
+        final = detector.state
+        assert (final.w1, final.w2, final.n, final.x0) == state

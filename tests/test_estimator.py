@@ -22,7 +22,14 @@ from erlangreg import (
 from erlangreg.design import synthesis_matrix
 from erlangreg.network import steady_state_vector
 
-from oracles import batch_wls, batch_wls_variance, build
+from oracles import (
+    batch_wls,
+    batch_wls_variance,
+    build,
+    moments_reference,
+    packet_signal,
+    sequence_reference,
+)
 
 
 def _noisy_poly(rng, n=400):
@@ -118,6 +125,32 @@ def test_aligned_blocks_give_the_floats_of_one_call(design, n):
     for lo in range(piece, n, piece):
         _, by_blocks = run_sequence(real, xs[lo:lo + piece], 0.5, by_blocks)
     assert (by_blocks.w1, by_blocks.w2) == (whole.w1, whole.w2)
+
+
+@pytest.mark.parametrize("design", [(6, 0.8, 4, 3), (2, 0.9, 2, 2)])
+@pytest.mark.parametrize("seed", [1, 2])
+def test_extend_gives_the_floats_of_the_reference_block_path(design, seed):
+    # Packets of 64 to 8192 samples, several crossing a multiple of 8192,
+    # one stretch at a 1e6 offset.  Every estimate, sigma_eps2, variance and
+    # the final state equal those of the reference block path: any change
+    # of rounding in the moments or the readouts fails here.
+    kappa, p, kx, kt = design
+    real = build(kappa, p, kx, kt=kt)
+    xs, sizes = packet_signal(seed, 40_000)
+    estimator = StreamingEstimator(real, 0.5)
+    state = None
+    pos = 0
+    for size in sizes:
+        block = xs[pos:pos + size]
+        got = estimator.extend(block)
+        w1_block, w2_block, state = moments_reference(real, block, 0.5, state)
+        want = sequence_reference(real, w1_block, w2_block, state[3])
+        assert np.array_equal(got.estimates, want[0]), pos
+        assert np.array_equal(got.sigma_eps2, want[1]), pos
+        assert np.array_equal(got.variances, want[2]), pos
+        pos += size
+    final = estimator.state
+    assert (final.w1, final.w2, final.n, final.x0) == state
 
 
 def test_empty_input_leaves_state_alone():

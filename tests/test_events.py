@@ -90,6 +90,16 @@ def _marker():
     two_sided=st.booleans(),
     threshold=st.sampled_from([3.0, 0.0, -1.0, -3.0]),
 )
+# One-sample blocks, one of them carrying an open run on.
+@hypothesis.example(z=[4.0, 5.0, 0.0, 4.0], cuts=[1, 2, 3], two_sided=True, threshold=3.0)
+# Every sample of the block exceeds, and the runs turn sign inside it.
+@hypothesis.example(z=[4.0, 5.0, 4.0, -4.0, -5.0], cuts=[], two_sided=True, threshold=3.0)
+# The second block's first sample continues the open run, with a tie.
+@hypothesis.example(z=[0.0, 4.0, 5.0, 5.0, 4.0, 0.0], cuts=[3], two_sided=True, threshold=3.0)
+# The second block's first sample turns the open run's sign.
+@hypothesis.example(z=[0.0, 4.0, 5.0, -4.0, -5.0, 0.0], cuts=[3], two_sided=True, threshold=3.0)
+# A negative threshold: 0.0 is past both bounds and counts as positive.
+@hypothesis.example(z=[0.0, -3.0, 2.0, 0.0, -3.0], cuts=[2], two_sided=True, threshold=-1.0)
 def test_marker_extend_matches_update(z, cuts, two_sided, threshold):
     # Few distinct values make ties, threshold hits and sign turns common.
     # A negative threshold puts samples past both bounds.

@@ -6,7 +6,7 @@ import pytest
 from erlangreg import run_block
 from erlangreg.network import impulse_to_weight_transform, steady_state_vector
 
-from oracles import WEIGHT_TRANSFORM_6, cascade_longdouble, dense_states
+from oracles import WEIGHT_TRANSFORM_6, cascade_longdouble, dense_states, scan_reference
 
 
 def _steps(p, xs, w):
@@ -172,3 +172,25 @@ def test_weight_transform_is_read_only():
     with pytest.raises(ValueError):
         impulse_to_weight_transform(3)[0, 0] = 99.0
     assert impulse_to_weight_transform(3) is impulse_to_weight_transform(3)
+
+
+# The cascades of the stream-block designs: (p, orders of the stacked signal
+# and power cascades) for wide (6, 0.8, 4), base (2, 0.9, 2) and the change
+# pair's slow filter (3, 0.8, 2).
+@pytest.mark.parametrize("p, orders", [(0.8, (10, 7)), (0.9, (4, 3)), (0.8, (5, 4))])
+def test_run_block_gives_the_floats_of_the_reference_scan(p, orders):
+    # Not close: equal.  Any change to the rounding of the scan fails here,
+    # on one row and on two stacked rows, across the sub-block edges and the
+    # piece edge, with list and array states.
+    rng = np.random.Generator(np.random.PCG64(23))
+    sizes = [1, 2, 31, 32, 33, 64, 65, 2047, 2048, 2049, 4096, 8191, 8192, 8193, 20_000]
+    sizes += rng.integers(1, 8193, 10).tolist()
+    for n in sizes:
+        u = 40.0 + 3.0 * rng.standard_normal(n)
+        rows = np.vstack([u - 40.0, (u - 40.0) ** 2])
+        w = [rng.standard_normal(k).tolist() for k in orders]
+        assert np.array_equal(run_block(p, u, w[0]), scan_reference(p, u, w[0])), n
+        for state in (w, [np.array(w_r) for w_r in w]):
+            got = run_block(p, rows, state)
+            want = scan_reference(p, rows, state)
+            assert all(np.array_equal(a, b) for a, b in zip(got, want)), n
