@@ -37,8 +37,7 @@ from __future__ import annotations
 
 import copy
 import math
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -62,8 +61,7 @@ BREAK_UP = "break-up"
 BREAK_DOWN = "break-down"
 
 
-@dataclass(frozen=True)
-class Event:
+class Event(NamedTuple):
     """A declared detection: the extremum of one exceedance run."""
 
     n: int
@@ -235,22 +233,22 @@ class _Detector(_Stream):
         return detector_kernel(self.realization, *self._rows, _VARIANCE_FLOOR,
                                self._marker, self.events)
 
-    def __copy__(self):
-        clone = super().__copy__()
-        clone.events = list(self.events)
-        clone._marker = copy.copy(self._marker)
-        return clone
+    def __getstate__(self):
+        # A copy has its own run marker and events.
+        return {**super().__getstate__(), "events": list(self.events),
+                "_marker": copy.copy(self._marker)}
 
     def run(self, xs: np.ndarray) -> np.ndarray:
         """Feed a block; returns the statistic sequence for the block."""
         xs = np.asarray(xs, dtype=float)
         if xs.shape == (0,):
             return np.empty(0)
-        w1_block, w2_block, self._state = _advance_moments(
+        w1_block, w2_block, state = _advance_moments(
             self.realization, xs, self.sigma0_sq, self.state
         )
         z = self._statistic(w1_block, w2_block)
-        self.events.extend(self._marker.extend(self.state.n + 1 - xs.size, z))
+        self.events.extend(self._marker.extend(state.n + 1 - xs.size, z))
+        self._state = state
         return z
 
     def finish(self) -> None:

@@ -18,6 +18,8 @@ a _Stream: it exposes realization, sigma0_sq and state (None until the
 first sample), and only its readout is its own.  A sample enters a stream
 at one place, _Stream.update, and a block at one other, _advance_moments;
 each starts the stream on its first sample and rejects non-finite input.
+Nothing changes an EstimatorState once it exists: a block returns a new
+one, and a consumer's state changes only when its call returns.
 
 The per-sample path runs in Python floats.  On the consumer's first
 per-sample use the package compiles a kernel for its shape (see _kernel),
@@ -25,24 +27,25 @@ which steps both cascades as unrolled running sums and evaluates the
 readout as explicit multiply-adds.  While samples arrive one at a time,
 the stream's state lives in the closure cells of that kernel, one float
 per cell, so one sample is one call with no list built or unpacked.
-Reading .state writes the cells back into the stream's EstimatorState,
-whose vectors are lists of floats, and the next update() moves them into
-new cells; the state is in one of the two places at a time.  On vectors of
-a handful of states, numpy's per-call overhead, and even Python's own
-loops, calls and list traffic, cost far more than the arithmetic.  For the
-same reason a per-sample frame keeps the kernel's floats and builds its
-estimates and covariance arrays only when they are read.  The block path
-filters whole arrays and reads them out with matrix products, by the same
-formula for the estimates and the noise variance; run_sequence is that
-path for a caller who keeps the state.
+Reading .state builds a new EstimatorState from the cells, whose vectors
+are lists of floats, and the next update() moves it into new cells; the
+state is in one of the two places at a time.  On vectors of a handful of
+states, numpy's per-call overhead, and even Python's own loops, calls and
+list traffic, cost far more than the arithmetic.  For the same reason a
+per-sample frame keeps the kernel's floats and builds its estimates and
+covariance arrays only when they are read.  The block path filters whole
+arrays and reads them out with matrix products, by the same formula for
+the estimates and the noise variance; run_sequence is that path for a
+caller who keeps the state: state in, state out.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 from math import isfinite
 from operator import itemgetter
+from typing import NamedTuple
 
 import numpy as np
 
@@ -58,9 +61,8 @@ __all__ = [
 ]
 
 
-@dataclass
-class EstimatorState:
-    """Live recursion state for one stream."""
+class EstimatorState(NamedTuple):
+    """Recursion state of one stream after its sample n; never changed."""
 
     w1: list[float]  # first-moment cascade of x - x0, length kappa + model_order
     w2: list[float]  # second-moment cascade of x - x0, length kappa + 1
@@ -190,12 +192,12 @@ def _advance_moments(
     """Advance both moment cascades over a non-empty block.
 
     Returns (w1_block, w2_block, state): the state trajectories, one column
-    per sample, and the state after the block.  A block that is not a 1-D
-    array raises ValueError naming its shape.  With state=None the stream
-    starts here: the first sample sets the final-value start (its column
-    is the start itself, and the sample counter stays at 0) and the rest
-    advance the recursions.  A given state is updated in place, unless the
-    block holds a NaN or infinite sample, which raises ValueError first.
+    per sample, and a new state after the block; the given state is never
+    changed.  A block that is not a 1-D array raises ValueError naming its
+    shape, and one that holds a NaN or infinite sample raises ValueError
+    naming its index.  With state=None the stream starts here: the first
+    sample sets the final-value start (its column is the start itself, and
+    the sample counter stays at 0) and the rest advance the recursions.
 
     The two cascades run as one stacked run_block call on the rows
     [d, d**2], d = x - x0: the power cascade has the first kappa + 1 stages
@@ -239,9 +241,8 @@ def _advance_moments(
     else:
         w1_block = np.hstack([piece[0] for piece in pieces])
         w2_block = np.hstack([piece[1] for piece in pieces])
-    state.n = start + xs.size - 1
-    state.w1 = w1_block[:, -1].tolist()
-    state.w2 = w2_block[:, -1].tolist()
+    state = EstimatorState(w1_block[:, -1].tolist(), w2_block[:, -1].tolist(),
+                           start + xs.size - 1, state.x0)
     return w1_block, w2_block, state
 
 
@@ -254,12 +255,18 @@ def run_sequence(
     """Process a block of samples at once; returns (SequenceResult, state).
 
     With state=None the stream starts here: the first sample initializes
-    the recursions and contributes the first frame.  Passing the returned
-    state back in continues the stream across blocks with output identical
-    to per-sample update() calls.  sigma0_sq is checked on every call,
-    with or without a state, before the state changes.
+    the recursions from the prior noise variance sigma0_sq and contributes
+    the first frame.  Passing the returned state back in continues the
+    stream across blocks with output identical to per-sample update()
+    calls.  The state given is never changed, also when the call raises,
+    and one whose cascade lengths are not this design's raises ValueError.
+    sigma0_sq is checked on every call, but with a state it is not used.
     """
     sigma0_sq = _prior_variance(sigma0_sq)
+    n1, n2 = realization.spec.n_first_states, realization.spec.n_second_states
+    if state is not None and (len(state.w1), len(state.w2)) != (n1, n2):
+        raise ValueError(f"state has cascades of {len(state.w1)} and {len(state.w2)} "
+                         f"states, this design {n1} and {n2}")
     xs = np.asarray(xs, dtype=float)
     n_out = realization.spec.n_outputs
     if xs.shape == (0,):
@@ -293,10 +300,10 @@ class _Stream:
     estimator's frames, a detector's statistic and events.
 
     The state has one home at a time.  While samples arrive one by one it
-    lives in the closure cells of the kernel's step (see _kernel), and the
-    EstimatorState object is left as it was when the closures were made.
-    Reading .state writes the cells back into that same object and drops
-    the closures; the next update() makes new ones from it.
+    lives in the closure cells of the kernel's step (see _kernel).  Reading
+    .state builds a new EstimatorState from the cells and drops the
+    closures; the next update() makes new ones from it.  A block replaces
+    the state only once it has succeeded.
     """
 
     def __init__(self, realization: FilterRealization, sigma0_sq: float = 0.0):
@@ -311,32 +318,20 @@ class _Stream:
     def state(self) -> EstimatorState | None:
         """The stream's recursion state, None before its first sample.
 
-        Always the same object for a started stream, up to date when read.
+        A snapshot: a kept state does not change when samples follow.  Two
+        reads with no sample between them return the same object.
         """
         if self._export is not None:
-            state = self._state
-            state.w1, state.w2, state.n = self._export()
+            self._state = EstimatorState(*self._export(), self._state.x0)
             self._step = self._export = None
         return self._state
 
     def __getstate__(self):
-        # Reading .state writes the cells back and drops the closures, so
-        # pickles and copies carry the state and never compiled code.
+        # Reading .state moves the state out of the cells and drops the
+        # closures, so pickles and copies carry the state and never compiled
+        # code.  A copy shares the realization and the state, both immutable.
         self.state
         return {**self.__dict__, "_make": None}
-
-    def __copy__(self):
-        """A consumer that goes on from here on its own.
-
-        It shares the realization, which is immutable, and has its own copy
-        of the state; a detector's copy also has its own run marker and
-        events.
-        """
-        clone = object.__new__(type(self))
-        clone.__dict__.update(self.__getstate__())
-        if self._state is not None:
-            clone._state = replace(self._state, w1=list(self._state.w1), w2=list(self._state.w2))
-        return clone
 
     def update(self, x: float):
         """Feed one sample; returns its readout.

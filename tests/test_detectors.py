@@ -274,6 +274,41 @@ def test_non_finite_sample_raises_and_leaves_detector_unchanged(kind, bad):
     ]
 
 
+@pytest.mark.parametrize("kind", ["edge", "peak", "change"])
+def test_run_on_an_empty_block_changes_nothing(kind):
+    def make():
+        if kind == "change":
+            return ChangeDetector(*_change_pair(), 1.0, sigma0_sq=0.25)
+        real = build(2, 0.8, 3, kt=3, q=None)
+        cls = EdgeDetector if kind == "edge" else PeakDetector
+        return cls(real, 1.0, sigma0_sq=0.25)
+
+    def snapshot(detector):
+        return detector.state, list(detector.events), dict(vars(detector._marker))
+
+    def run_empty(detector):
+        kept = snapshot(detector)
+        z = detector.run(np.empty(0))
+        assert z.dtype == np.float64 and z.shape == (0,)
+        assert snapshot(detector) == kept
+
+    xs = _ramp_with_noise(13, n=240)
+    detector, twin = make(), make()
+    run_empty(detector)
+    assert detector.state is None
+    # Up to a sample that leaves an exceedance run open.
+    for cut, x in enumerate(xs, start=1):
+        detector.update(x), twin.update(x)
+        if detector._marker._sign != 0:
+            break
+    assert detector._marker._sign != 0
+    run_empty(detector)
+    assert np.array_equal(detector.run(xs[cut:]), twin.run(xs[cut:]))
+    detector.finish(), twin.finish()
+    assert detector.events == twin.events
+    assert detector.events
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -0.5])
 def test_detectors_reject_bad_prior_variance(bad):
     # A NaN prior used to be accepted and kept Z NaN, so nothing ever fired.

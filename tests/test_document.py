@@ -78,6 +78,29 @@ def test_rejects_malformed_documents():
         document_from_json("not json at all{")
     with pytest.raises(DesignError):
         document_from_json(json.dumps({"format": "something-else", "version": 1}))
+    with pytest.raises(DesignError, match="must be a JSON object"):
+        document_from_json("[]")
+    bad = json.loads(document_to_json(doc))
+    del bad["analysis"]
+    with pytest.raises(DesignError, match="missing its 'analysis' section"):
+        document_from_json(json.dumps(bad))
+    bad = json.loads(document_to_json(doc))
+    del bad["spec"]["delay"]
+    with pytest.raises(DesignError, match="spec is missing 'delay'"):
+        document_from_json(json.dumps(bad))
+    bad = json.loads(document_to_json(doc))
+    bad["spec"]["kappa"] = None
+    with pytest.raises(DesignError, match="spec field 'kappa' is not a number"):
+        realization_from_document(document_from_json(json.dumps(bad)))
+    for value in ([[1.0, 2.0], [3.0]], [["a", "b"]]):
+        bad = json.loads(document_to_json(doc))
+        bad["realization"]["coeff_output"] = value
+        with pytest.raises(DesignError, match="'coeff_output' is not a numeric array"):
+            realization_from_document(document_from_json(json.dumps(bad)))
+    bad = json.loads(document_to_json(doc))
+    bad["analysis"]["vrf"] = [[1.0, 0.0], [0.0, 1.0]]
+    with pytest.raises(DesignError, match=re.escape("vrf has shape (2, 2), expected (1, 1)")):
+        realization_from_document(document_from_json(json.dumps(bad)))
 
     # True == 1 and 2.0 == 2 in Python; only the integers 1 and 2 are versions.
     for version in (0, 3, 99, True, False, 1.0, 2.0, "2"):

@@ -458,16 +458,52 @@ def test_reading_the_state_changes_nothing(kind, mixed):
         assert watched.events
 
 
-def test_update_continues_from_a_state_changed_by_run_sequence():
+def test_run_sequence_returns_a_state_that_continues_the_stream():
+    # State in, state out: the returned state continues the stream as
+    # extend() does, and the state given, with the consumer that owns it,
+    # is left as it was.
     real = build(2, 0.9, 3, kt=3, q=None)
     xs = _events_signal()
     est, twin = StreamingEstimator(real, 0.25), StreamingEstimator(real, 0.25)
     _feed(est, xs[:20]), _feed(twin, xs[:20])
     state = est.state
-    _, continued = run_sequence(real, xs[20:50], 0.25, state=state)
-    assert continued is state and est.state is state and state.n == 49
-    twin.extend(xs[20:50])
-    assert _feed(est, xs[50:]) == _feed(twin, xs[50:])
+    kept = copy.deepcopy(state)
+    result, continued = run_sequence(real, xs[20:50], 0.25, state=state)
+    assert continued.n == 49 and state == kept and est.state is state
+    assert _feed(twin, xs[20:50], per_sample=False) == [
+        result.estimates.tolist(), result.sigma_eps2.tolist()
+    ]
+    assert twin.state == continued
+    # The owner never saw xs[20:50]: it goes on from sample 20.
+    assert _feed(est, xs[20:]) == _feed(StreamingEstimator(real, 0.25), xs)[20:]
+
+
+@pytest.mark.parametrize("case", ["success", "nan", "foreign"])
+def test_run_sequence_leaves_its_state_argument_alone(case):
+    # Before, run_sequence advanced the state it was given in place, and the
+    # consumer that handed it out with it; a foreign state was advanced too,
+    # before the readout failed on it.
+    real = build(1, 0.9, 3, kt=3, q=None)
+    xs = _events_signal()
+    est, twin = StreamingEstimator(real, 0.25), StreamingEstimator(real, 0.25)
+    est.extend(xs[:100]), twin.extend(xs[:100])
+    state = est.state
+    kept = copy.deepcopy(state)
+    design, block, error = {
+        "success": (real, xs[100:150], None),
+        "nan": (real, np.concatenate([xs[100:107], [math.nan], xs[107:150]]), "sample 107 "),
+        "foreign": (build(2, 0.9, 2, kt=2, q=None), xs[100:150],
+                    "state has cascades of 4 and 2 states, this design 4 and 3"),
+    }[case]
+    if error is None:
+        _, continued = run_sequence(design, block, 0.25, state)
+        assert continued.n == 149
+    else:
+        with pytest.raises(ValueError, match=error):
+            run_sequence(design, block, 0.25, state)
+    assert state == kept and est.state == kept
+    assert _feed(est, xs[100:200]) == _feed(twin, xs[100:200])
+    assert _feed(est, xs[200:], per_sample=False) == _feed(twin, xs[200:], per_sample=False)
     assert est.state == twin.state
 
 
@@ -480,8 +516,9 @@ def _marker_state(consumer):
 @pytest.mark.parametrize("how", ["pickle", "deepcopy", "copy"])
 def test_consumers_copy_after_per_sample_updates(kind, how):
     # Compiled code never enters pickled or copied state: a copy compiles
-    # its own kernel and owns its own cells.  A shallow copy shares only
-    # the realization.
+    # its own kernel and owns its own cells.  A shallow copy shares the
+    # realization and the state, both immutable, and has its own events
+    # and run marker.
     duplicate = {"pickle": lambda obj: pickle.loads(pickle.dumps(obj)),
                  "deepcopy": copy.deepcopy, "copy": copy.copy}[how]
     xs = _events_signal()
@@ -491,7 +528,6 @@ def test_consumers_copy_after_per_sample_updates(kind, how):
     copied, deep = duplicate(consumer), copy.deepcopy(consumer)
     if how == "copy":
         assert copied.realization is consumer.realization
-        assert copied.state is not consumer.state
 
     # Feeding only the copy leaves the original as it was.
     from_copy = _feed(copied, xs[100:])

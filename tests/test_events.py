@@ -156,3 +156,14 @@ def test_marker_open_run_closes_later():
     assert marker.extend(7, np.array([9.0, 5.0])) == []
     assert marker.flush() == Event(7, 9.0, "up")
     assert marker.flush() is None
+
+
+def test_event_is_a_plain_value():
+    event = Event(n=4, z=8.0, kind="up")
+    assert (event.n, event.z, event.kind) == (4, 8.0, "up")
+    assert repr(event) == "Event(n=4, z=8.0, kind='up')"
+    assert event == Event(4, 8.0, "up") != Event(4, 8.0, "down")
+    assert hash(event) == hash(Event(4, 8.0, "up"))
+    assert len({event, Event(4, 8.0, "up"), Event(5, 8.0, "up")}) == 2
+    with pytest.raises(AttributeError):
+        event.n = 5
