@@ -13,7 +13,7 @@ functions: each cascade state is a cell of its own, as are the stream's
 first sample x0 and its sample counter n.  step(x) steps both cascades by
 d = x - x0 as an unrolled running sum, advances n and returns the readout;
 read() returns the readout without stepping (a stream's first sample);
-export() returns (w1, w2, n) as new float lists and the counter.  While a
+export() returns (w1, w2, n) as new float tuples and the counter.  While a
 stream is fed one sample at a time its state lives in those cells only,
 so no list is built, unpacked or stored per sample; the owner (see
 estimator._Stream) writes it back with export() when it is read.
@@ -36,6 +36,7 @@ is ever compiled.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 from typing import Callable
 
 __all__ = ["estimator_kernel", "detector_kernel"]
@@ -104,7 +105,7 @@ class _Source:
             + ["        def read():"]
             + [f"            {line}" for line in self.readout]
             + ["        def export():",
-               f"            return [{', '.join(a)}], [{', '.join(q)}], n",
+               f"            return ({', '.join(a)},), ({', '.join(q)},), n",
                "        return step, read, export",
                "    return make"]
         )
@@ -113,12 +114,14 @@ class _Source:
         return namespace["kernel"](**self.parameters)
 
 
+@lru_cache(maxsize=64)
 def estimator_kernel(realization, frame) -> Callable:
     """Kernel factory of the estimator's frame on realization's cascades.
 
     The readout is frame((n, estimates, sigma_eps2, vrf)): estimates is a
     tuple of floats whose level has x0 added back, vrf the realization's
-    noise gain matrix, and frame the estimator's frame constructor.
+    noise gain matrix, and frame the estimator's frame constructor.  Cached
+    by identity: the last 64 pairs stay alive until evicted or process exit.
     """
     spec = realization.spec
     src = _Source(spec.weight.p, spec.n_first_states, spec.n_second_states)

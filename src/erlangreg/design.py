@@ -21,12 +21,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property
 from typing import Optional
 
 import numpy as np
 
-from ._kernel import estimator_kernel
 from .network import impulse_to_weight_transform, steady_state_vector
 from .weights import WeightSpec, erlang_sum, weight_moments
 
@@ -116,7 +114,7 @@ class DesignSpec:
         return self.weight.kappa + 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FilterRealization:
     """Everything the runtime needs, frozen at design time.
 
@@ -135,6 +133,10 @@ class FilterRealization:
         first-moment states.
     power_output : (n_second_states,) weighted input power from the
         second-moment states.
+
+    A plain value: it compares and hashes by identity, as its arrays have
+    no single truth value, and holds no compiled code; _kernel caches the
+    estimator's kernel per realization.
     """
 
     spec: DesignSpec                 # delay always resolved (never None)
@@ -145,20 +147,6 @@ class FilterRealization:
     power_output: np.ndarray
     residual_mass: float             # divisor of the weighted residual power
     vrf: np.ndarray                  # (n_outputs, n_outputs) noise gain matrix
-
-    @cached_property
-    def _sample_kernel(self):
-        """The estimator's compiled per-sample kernel factory, built on first use."""
-        from .estimator import _frame  # estimator imports this module
-
-        return estimator_kernel(self, _frame)
-
-    def __getstate__(self):
-        # Compiled code never enters pickled or copied state; a copy
-        # compiles its own kernel on its first per-sample use.
-        state = dict(self.__dict__)
-        state.pop("_sample_kernel", None)
-        return state
 
 
 def _hankel(kappa: int, p: float, n: int) -> np.ndarray:
@@ -217,17 +205,29 @@ def synthesis_matrix(spec: DesignSpec) -> np.ndarray:
     delay**(k_x - k_t) for k_t <= k_x, else zero.  The sign flip per
     derivative accounts for the model's age axis running backward in time:
     a rising ramp has a negative slope against sample age, and this matrix
-    returns it as a positive time derivative.
+    returns it as a positive time derivative.  A delay whose powers
+    overflow raises DesignError.
     """
     if spec.delay is None:
         raise DesignError("synthesis matrix needs a resolved delay; got None")
     q, t_s = spec.delay, spec.sample_period
     out = np.zeros((spec.n_outputs, spec.model_order))
-    for k_t in range(spec.n_outputs):
-        scale = (-1.0 / t_s) ** k_t
-        for k_x in range(k_t, spec.model_order):
-            out[k_t, k_x] = scale * math.perm(k_x, k_t) * q ** (k_x - k_t)
+    try:
+        for k_t in range(spec.n_outputs):
+            scale = (-1.0 / t_s) ** k_t
+            for k_x in range(k_t, spec.model_order):
+                out[k_t, k_x] = scale * math.perm(k_x, k_t) * q ** (k_x - k_t)
+    except OverflowError:
+        raise _delay_overflow(spec) from None
     return out
+
+
+def _delay_overflow(spec: DesignSpec) -> DesignError:
+    """The error of a pinned delay whose powers overflow the design's matrices."""
+    return DesignError(
+        f"delay {spec.delay!r} overflows the design: its synthesis, noise gains "
+        f"or readout rows are not finite; pin a delay of smaller magnitude"
+    )
 
 
 def _vrf(synthesis: np.ndarray, overlap: np.ndarray, squared: np.ndarray) -> np.ndarray:
@@ -272,7 +272,7 @@ def _optimal_delay(spec: DesignSpec, overlap, squared, output: int):
     return min(minima), candidates
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class VrfReport:
     """Noise gains at the chosen delay plus the stationary-delay survey."""
 
@@ -285,9 +285,15 @@ def vrf_matrix(spec: DesignSpec) -> np.ndarray:
     """Closed-form noise gain matrix of a design with a resolved delay.
 
     Output covariance of unit white noise equals this matrix; entry (a, b)
-    is the covariance between derivative outputs a and b.
+    is the covariance between derivative outputs a and b.  A delay whose
+    gains would not be finite raises DesignError.
     """
-    return _vrf(synthesis_matrix(spec), *_gram_pair(spec))
+    synthesis = synthesis_matrix(spec)
+    with np.errstate(over="ignore", invalid="ignore"):
+        vrf = _vrf(synthesis, *_gram_pair(spec))
+    if not np.isfinite(vrf).all():
+        raise _delay_overflow(spec)
+    return vrf
 
 
 def optimal_delay(spec: DesignSpec, output: int = 0) -> VrfReport:
@@ -310,7 +316,8 @@ def build_realization(spec: DesignSpec) -> FilterRealization:
 
     Resolves delay=None to the variance-optimal delay, rejects designs whose
     overlap matrix is numerically rank deficient, and attaches the noise
-    gain matrix.
+    gain matrix.  A delay whose rows or gains would not be finite raises
+    DesignError.
     """
     overlap, squared = _gram_pair(spec)
     cond = np.linalg.cond(overlap)
@@ -320,7 +327,6 @@ def build_realization(spec: DesignSpec) -> FilterRealization:
     if spec.delay is None:
         spec = replace(spec, delay=_optimal_delay(spec, overlap, squared, 0)[0])
     synthesis = synthesis_matrix(spec)
-    vrf = _vrf(synthesis, overlap, squared)
 
     kappa, p = spec.weight.kappa, spec.weight.p
     n_first, n_second = spec.n_first_states, spec.n_second_states
@@ -332,7 +338,10 @@ def build_realization(spec: DesignSpec) -> FilterRealization:
     selector = np.zeros((spec.model_order, n_first))
     selector[:, kappa:] = np.eye(spec.model_order)
     coeff_output = to_on @ selector @ weight_from_states
-    state_output = synthesis @ from_on @ coeff_output
+    # The products of the delay's powers: a far pinned delay overflows them.
+    with np.errstate(over="ignore", invalid="ignore"):
+        vrf = _vrf(synthesis, overlap, squared)
+        state_output = synthesis @ from_on @ coeff_output
     power_output = impulse_to_weight_transform(n_second)[-1]
 
     # Expected weighted residual power of unit-variance white noise: total
@@ -347,6 +356,9 @@ def build_realization(spec: DesignSpec) -> FilterRealization:
         state_output=state_output,
         power_output=power_output,
     )
+    if not (math.isfinite(residual_mass) and np.isfinite(vrf).all()
+            and np.isfinite(state_output).all()):
+        raise _delay_overflow(spec)
     for matrix in (*arrays.values(), vrf):
         matrix.flags.writeable = False
     return FilterRealization(spec=spec, residual_mass=residual_mass, vrf=vrf, **arrays)

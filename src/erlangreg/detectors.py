@@ -15,7 +15,8 @@ only the data of its readout on one shared engine.  Every detector is an
 estimator._Stream, the same stream the estimator runs: it exposes
 realization, sigma0_sq and state, its samples enter through the stream's
 one per-sample and one block entry, and all it adds is Z and the run
-marker that turns Z into events.
+marker that turns Z into events.  Its threshold and events list, like its
+realization, are read-only, as the marker and the kernel capture them.
 
 update() feeds one sample through a kernel generated and compiled for the
 detector on its first update() (see _kernel): one unrolled step of both
@@ -224,18 +225,28 @@ class _Detector(_Stream):
         if math.isnan(threshold):
             raise ValueError(f"threshold must not be NaN, got {threshold!r}")
         super().__init__(realization, sigma0_sq)
-        self.threshold = threshold
-        self.events: list[Event] = []
+        self._events: list[Event] = []
         self._rows = (value_row, noise_terms)
         self._marker = _RunMarker(threshold, kind_pos, kind_neg)
 
+    @property
+    def threshold(self) -> float:
+        """The run marker's threshold; read-only, as the marker captures it."""
+        return self._marker.threshold
+
+    @property
+    def events(self) -> list[Event]:
+        """Declared events, oldest first: the list the kernel appends to, so
+        it is read-only; clear() it to drop the events already taken."""
+        return self._events
+
     def _build_kernel(self):
         return detector_kernel(self.realization, *self._rows, _VARIANCE_FLOOR,
-                               self._marker, self.events)
+                               self._marker, self._events)
 
     def __getstate__(self):
         # A copy has its own run marker and events.
-        return {**super().__getstate__(), "events": list(self.events),
+        return {**super().__getstate__(), "_events": list(self._events),
                 "_marker": copy.copy(self._marker)}
 
     def run(self, xs: np.ndarray) -> np.ndarray:
@@ -247,7 +258,7 @@ class _Detector(_Stream):
             self.realization, xs, self.sigma0_sq, self.state
         )
         z = self._statistic(w1_block, w2_block)
-        self.events.extend(self._marker.extend(state.n + 1 - xs.size, z))
+        self._events.extend(self._marker.extend(state.n + 1 - xs.size, z))
         self._state = state
         return z
 
@@ -255,7 +266,7 @@ class _Detector(_Stream):
         """Close any exceedance run still open at end of stream."""
         event = self._marker.flush()
         if event is not None:
-            self.events.append(event)
+            self._events.append(event)
 
     def _settled_count(self) -> int:
         """Samples whose events are final.
@@ -369,8 +380,7 @@ class ChangeDetector(_Detector):
                 f"change detector filters must share the delay, "
                 f"got {a.delay} and {b.delay}"
             )
-        self.realization_a = realization_a
-        self.realization_b = realization_b
+        self._realization_a = realization_a
         pad = b.n_first_states - a.n_first_states
         super().__init__(
             realization_b, threshold, sigma0_sq,
@@ -379,3 +389,10 @@ class ChangeDetector(_Detector):
              _noise_term(realization_b, 0, realization_b)],
             BREAK_UP, BREAK_DOWN,
         )
+
+    @property
+    def realization_a(self):
+        """The fast filter's design; read-only, as the kernel captures it."""
+        return self._realization_a
+
+    realization_b = _Stream.realization  # the slow filter, whose cascades run

@@ -14,12 +14,13 @@ state as it was; a prior noise variance sigma0_sq that is negative or not
 finite raises ValueError too.
 
 Every consumer of a stream, StreamingEstimator here and the detectors, is
-a _Stream: it exposes realization, sigma0_sq and state (None until the
-first sample), and only its readout is its own.  A sample enters a stream
-at one place, _Stream.update, and a block at one other, _advance_moments;
-each starts the stream on its first sample and rejects non-finite input.
-Nothing changes an EstimatorState once it exists: a block returns a new
-one, and a consumer's state changes only when its call returns.
+a _Stream: it exposes realization (read-only, as its kernel captures it),
+sigma0_sq and state (None until the first sample), and only its readout
+is its own.  A sample enters a stream at one place, _Stream.update, and a
+block at one other, _advance_moments; each starts the stream on its first
+sample and rejects non-finite input.  Nothing changes an EstimatorState
+once it exists: a block returns a new one, and a consumer's state changes
+only when its call returns.
 
 The per-sample path runs in Python floats.  On the consumer's first
 per-sample use the package compiles a kernel for its shape (see _kernel),
@@ -28,7 +29,7 @@ readout as explicit multiply-adds.  While samples arrive one at a time,
 the stream's state lives in the closure cells of that kernel, one float
 per cell, so one sample is one call with no list built or unpacked.
 Reading .state builds a new EstimatorState from the cells, whose vectors
-are lists of floats, and the next update() moves it into new cells; the
+are tuples of floats, and the next update() moves it into new cells; the
 state is in one of the two places at a time.  On vectors of a handful of
 states, numpy's per-call overhead, and even Python's own loops, calls and
 list traffic, cost far more than the arithmetic.  For the same reason a
@@ -49,6 +50,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from ._kernel import estimator_kernel
 from .design import FilterRealization
 from .network import _PIECE, run_block
 
@@ -64,10 +66,10 @@ __all__ = [
 class EstimatorState(NamedTuple):
     """Recursion state of one stream after its sample n; never changed."""
 
-    w1: list[float]  # first-moment cascade of x - x0, length kappa + model_order
-    w2: list[float]  # second-moment cascade of x - x0, length kappa + 1
-    n: int           # index of the newest sample consumed
-    x0: float        # the stream's first sample
+    w1: tuple[float, ...]  # first-moment cascade of x - x0, length kappa + model_order
+    w2: tuple[float, ...]  # second-moment cascade of x - x0, length kappa + 1
+    n: int                 # index of the newest sample consumed
+    x0: float              # the stream's first sample
 
 
 class EstimateFrame(tuple):
@@ -122,7 +124,7 @@ class EstimateFrame(tuple):
 _frame = partial(tuple.__new__, EstimateFrame)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SequenceResult:
     """Vectorized frames for a block of samples (diagonal covariance only)."""
 
@@ -141,8 +143,8 @@ def _start(realization: FilterRealization, x0: float, sigma0_sq: float) -> Estim
     steady state for the power cascade.  The caller has checked x0.
     """
     return EstimatorState(
-        w1=[0.0] * realization.spec.n_first_states,
-        w2=(realization.steady_second * _prior_variance(sigma0_sq)).tolist(),
+        w1=(0.0,) * realization.spec.n_first_states,
+        w2=tuple((realization.steady_second * _prior_variance(sigma0_sq)).tolist()),
         n=0,
         x0=float(x0),
     )
@@ -241,7 +243,7 @@ def _advance_moments(
     else:
         w1_block = np.hstack([piece[0] for piece in pieces])
         w2_block = np.hstack([piece[1] for piece in pieces])
-    state = EstimatorState(w1_block[:, -1].tolist(), w2_block[:, -1].tolist(),
+    state = EstimatorState(tuple(w1_block[:, -1].tolist()), tuple(w2_block[:, -1].tolist()),
                            start + xs.size - 1, state.x0)
     return w1_block, w2_block, state
 
@@ -257,10 +259,11 @@ def run_sequence(
     With state=None the stream starts here: the first sample initializes
     the recursions from the prior noise variance sigma0_sq and contributes
     the first frame.  Passing the returned state back in continues the
-    stream across blocks with output identical to per-sample update()
-    calls.  The state given is never changed, also when the call raises,
-    and one whose cascade lengths are not this design's raises ValueError.
-    sigma0_sq is checked on every call, but with a state it is not used.
+    stream across blocks with output that agrees with per-sample update()
+    calls to rounding, as the block path orders its sums differently.  The
+    state given is never changed, also when the call raises, and one whose
+    cascade lengths are not this design's raises ValueError.  sigma0_sq is
+    checked on every call, but with a state it is not used.
     """
     sigma0_sq = _prior_variance(sigma0_sq)
     n1, n2 = realization.spec.n_first_states, realization.spec.n_second_states
@@ -307,12 +310,17 @@ class _Stream:
     """
 
     def __init__(self, realization: FilterRealization, sigma0_sq: float = 0.0):
-        self.realization = realization
+        self._realization = realization
         self.sigma0_sq = _prior_variance(sigma0_sq)
         self._state: EstimatorState | None = None
         self._make = None     # the kernel factory, built on the first update()
         self._step = None     # step and export hold the state in their cells,
         self._export = None   # or are None while _state holds it
+
+    @property
+    def realization(self) -> FilterRealization:
+        """The design the stream runs; read-only, as the kernel captures it."""
+        return self._realization
 
     @property
     def state(self) -> EstimatorState | None:
@@ -372,7 +380,7 @@ class StreamingEstimator(_Stream):
     """
 
     def _build_kernel(self):
-        return self.realization._sample_kernel
+        return estimator_kernel(self.realization, _frame)
 
     def extend(self, xs: np.ndarray) -> SequenceResult:
         result, self._state = run_sequence(

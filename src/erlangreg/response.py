@@ -38,7 +38,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ResponseReport:
     """Gridded frequency response with the scalar summary metrics."""
 

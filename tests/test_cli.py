@@ -105,6 +105,18 @@ def test_design_rejects_invalid_p(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("q", ["1e200", "1e100"])
+def test_design_with_overflowing_delay_exits_3_without_output(tmp_path, capsys, q):
+    # 1e200 used to escape as an OverflowError traceback and exit 1; 1e100
+    # printed a numpy RuntimeWarning and wrote NaN and Infinity into the
+    # document, which run then rejected.
+    out = tmp_path / "d.json"
+    argv = ["design", "--kappa", "2", "--p", "0.9", "--kx", "3", "--kt", "3", "--q", q]
+    assert main(argv + ["--out", str(out)]) == 3
+    assert f"delay {float(q)!r} overflows" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_design_usage_error_is_exit_2():
     assert main(["design", "--kappa", "0", "--p", "0.8"]) == 2
     assert main(["design", "--kappa", "0", "--p", "0.8", "--kx", "2", "--q", "soon"]) == 2

@@ -1,3 +1,6 @@
+import copy
+import re
+
 import numpy as np
 import pytest
 from scipy.linalg import solve_triangular
@@ -10,6 +13,8 @@ from erlangreg import (
     build_realization,
     erlang_sum,
     optimal_delay,
+    response_report,
+    run_sequence,
     vrf_matrix,
 )
 
@@ -142,6 +147,32 @@ def test_build_rejects_ill_conditioned():
         build(kappa=0, p=0.999, kx=8, q=0.0)
     assert err.value.cond > 1e12
     assert "0.999" in str(err.value)
+
+
+@pytest.mark.parametrize("kx,kt,q", [(3, 3, 1e200), (3, 3, 1e100), (3, 3, -1e100),
+                                     (2, 1, 1e170), (4, 4, 1e80)])
+def test_overflowing_delay_raises_design_error(kx, kt, q):
+    # A pinned delay whose powers overflow used to escape as OverflowError,
+    # or to build NaN and infinite rows behind a numpy RuntimeWarning.
+    spec = _spec(kappa=2, p=0.9, kx=kx, kt=kt, q=q)
+    for make in (build_realization, vrf_matrix):
+        with pytest.raises(DesignError, match=re.escape(f"delay {q!r} overflows")):
+            make(spec)
+    real = build_realization(_spec(kappa=2, p=0.9, kx=kx, kt=kt, q=1e10))
+    assert np.isfinite(real.state_output).all() and np.isfinite(real.vrf).all()
+
+
+def test_array_values_compare_by_identity():
+    # Their generated __eq__ compared arrays and raised, and hashing failed
+    # on the arrays.  Identity makes them usable as keys and list members.
+    real = build(kappa=2, p=0.9, kx=3, kt=2)
+    values = [real, optimal_delay(real.spec), run_sequence(real, np.arange(5.0))[0],
+              response_report(real, 16)]
+    for value in values:
+        twin = copy.deepcopy(value)
+        assert value == value and value != twin
+        assert value in [twin, value] and twin not in [value]
+        assert {value: 1, twin: 2}[value] == 1
 
 
 def test_realization_matrices_are_frozen():

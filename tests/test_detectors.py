@@ -360,4 +360,4 @@ def test_run_gives_the_floats_of_the_reference_block_path(seed):
         assert detector.events == events
         assert len(events) > 10
         final = detector.state
-        assert (final.w1, final.w2, final.n, final.x0) == state
+        assert (list(final.w1), list(final.w2), final.n, final.x0) == state

@@ -150,7 +150,7 @@ def test_extend_gives_the_floats_of_the_reference_block_path(design, seed):
         assert np.array_equal(got.variances, want[2]), pos
         pos += size
     final = estimator.state
-    assert (final.w1, final.w2, final.n, final.x0) == state
+    assert (list(final.w1), list(final.w2), final.n, final.x0) == state
 
 
 def test_empty_input_leaves_state_alone():
@@ -286,7 +286,7 @@ def test_non_finite_sample_raises_and_leaves_state_unchanged(bad):
     assert est.state is None
 
     est.extend(xs[:30])
-    kept = (est.state.w1.copy(), est.state.w2.copy(), est.state.n, est.state.x0)
+    kept = (est.state.w1, est.state.w2, est.state.n, est.state.x0)
     with pytest.raises(ValueError, match="sample 32 "):
         est.extend(np.concatenate([xs[30:32], [bad], xs[32:40]]))
     with pytest.raises(ValueError, match="sample 30 "):
@@ -319,7 +319,7 @@ def test_prior_variance_must_be_finite_and_nonnegative(bad):
     for xs in (np.ones(5), np.empty(0)):
         with pytest.raises(ValueError, match="sigma0_sq must be finite and nonnegative"):
             run_sequence(real, xs, sigma0_sq=bad, state=state)
-        assert (state.w1, state.w2, state.n, state.x0) == kept
+        assert (list(state.w1), list(state.w2), state.n, state.x0) == kept
 
 
 # Every consumer of a stream, each with a prior; the change pair rides the
@@ -539,13 +539,70 @@ def test_consumers_copy_after_per_sample_updates(kind, how):
     assert _finished(consumer) == _finished(copied) == _finished(twin)
 
 
+@pytest.mark.parametrize("kind", sorted(_CONSUMERS))
+def test_consumer_settings_are_read_only(kind):
+    # The kernel and the run marker capture the design, the threshold and
+    # the event list.  Rebinding one used to leave them on the old value
+    # while the attribute showed the new one.
+    consumer = _CONSUMERS[kind]()
+    _feed(consumer, _events_signal()[:100])
+    names = ["realization"]
+    if kind != "estimator":
+        names += ["threshold", "events"]
+        assert consumer.threshold == 3.0
+    if kind == "change":
+        names += ["realization_a", "realization_b"]
+    for name in names:
+        kept = getattr(consumer, name)
+        with pytest.raises(AttributeError):
+            setattr(consumer, name, None)
+        assert getattr(consumer, name) is kept
+
+
+@pytest.mark.parametrize("kind", ["edge", "peak", "change"])
+def test_cleared_events_collect_from_both_paths(kind):
+    # events is the very list the compiled kernel appends to: after
+    # clear(), the events of later samples, one at a time or in a block,
+    # land in it.  A copy has a list of its own.
+    xs = _events_signal()
+    detector, twin = _CONSUMERS[kind](), _CONSUMERS[kind]()
+    _feed(detector, xs[:100]), _feed(twin, xs[:100])
+    events = detector.events
+    taken = len(twin.events)
+    events.clear()
+    assert copy.copy(detector).events is not events
+    _feed(detector, xs[100:220]), _feed(twin, xs[100:220])
+    per_sample = len(events)
+    _feed(detector, xs[220:], per_sample=False), _feed(twin, xs[220:], per_sample=False)
+    detector.finish(), twin.finish()
+    assert detector.events is events
+    assert 0 < per_sample < len(events)
+    assert events == twin.events[taken:]
+
+
+def test_realization_pickles_after_its_kernel_is_compiled():
+    # The compiled kernel is cached by _kernel, keyed by the realization's
+    # identity; the realization itself is plain data.  A loaded copy is a
+    # new design value with a kernel of its own and the same frames.
+    real = build(2, 0.9, 3, kt=2, q=None)
+    xs = _events_signal()[:50]
+    est = StreamingEstimator(real)
+    frames = _feed(est, xs)
+    loaded = pickle.loads(pickle.dumps(real))
+    assert loaded is not real and loaded != real and loaded == loaded
+    assert _feed(StreamingEstimator(loaded), xs) == frames
+    # Estimators on one realization share one compile.
+    assert StreamingEstimator(real)._build_kernel() is est._make
+    assert StreamingEstimator(loaded)._build_kernel() is not est._make
+
+
 def _assert_float_state(state, stream):
     for w, order in ((state.w1, stream.spec.n_first_states), (state.w2, stream.spec.n_second_states)):
-        assert type(w) is list and len(w) == order
+        assert type(w) is tuple and len(w) == order
         assert all(type(v) is float for v in w)
 
 
-def test_state_vectors_are_float_lists():
+def test_state_vectors_are_float_tuples():
     real = build(2, 0.9, 3, kt=3, q=None)
     xs = np.random.Generator(np.random.PCG64(33)).standard_normal(50) + 2.0
 
@@ -575,6 +632,17 @@ def test_state_vectors_are_float_lists():
         _assert_float_state(detector.state, stream)
         detector.run(xs)
         _assert_float_state(detector.state, stream)
+
+    # One state per cascade (kappa 0, model order 1): one-element tuples.
+    tiny = build(0, 0.8, 1, kt=1, q=None)
+    est = StreamingEstimator(tiny)
+    est.update(1.0)
+    est.update(2.0)
+    _assert_float_state(est.state, tiny)
+    # A shallow copy shares the state, and nothing can change it in place.
+    with pytest.raises(TypeError):
+        copy.copy(est).state.w1[-1] += 100.0
+    assert est.update(3.0).n == 2
 
 
 @functools.lru_cache(maxsize=None)
@@ -680,7 +748,7 @@ def test_frames_are_snapshots():
         assert frame.estimates is not estimates
         assert frame.covariance.shape == (3, 3)
         # Writing into the arrays a frame hands out changes nothing else.
-        state = (est.state.w1.copy(), est.state.w2.copy())
+        state = (est.state.w1, est.state.w2)
         estimates[:] = 99.0
         frame.covariance[:] = 99.0
         assert (est.state.w1, est.state.w2) == state

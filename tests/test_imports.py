@@ -6,9 +6,9 @@ path must load no scipy module.  Each of those checks runs in a fresh
 interpreter, because this test process has long since imported scipy
 through other tests.
 
-Compiling a per-sample kernel costs about half a millisecond, so only the
-first per-sample update() of a realization or a detector may build one;
-designs, detector construction and block runs never do.
+Compiling a per-sample kernel costs one to a few milliseconds, so only
+the first per-sample update() of a realization or a detector may build
+one; designs, detector construction and block runs never do.
 """
 
 import json

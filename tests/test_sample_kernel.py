@@ -24,6 +24,7 @@ from erlangreg import (
     PeakDetector,
     StreamingEstimator,
 )
+from erlangreg.estimator import _frame
 
 from oracles import (
     build,
@@ -96,15 +97,16 @@ def _check_shape(kappa, p, kx, xs, sigma0_sq):
                 plain.step(x)
             state = consumer.state
             assert state.n == n
-            assert state.w1 == plain.w1, (kind, n)
-            assert state.w2 == plain.w2, (kind, n)
+            assert list(state.w1) == plain.w1, (kind, n)
+            assert list(state.w2) == plain.w2, (kind, n)
             if kind == "estimator":
                 estimates, sigma2 = sample_frame(stream, plain.w1, plain.w2, plain.x0)
                 assert got.estimates.tolist() == estimates, (kind, n)
                 assert got.sigma_eps2 == sigma2, (kind, n)
                 np.testing.assert_array_equal(got.covariance, sigma2 * stream.vrf)
                 # The read-only twin, which starts a stream, reads the same.
-                _, read, _ = stream._sample_kernel(state.w1, state.w2, state.x0, state.n)
+                make = _kernel.estimator_kernel(stream, _frame)
+                _, read, _ = make(state.w1, state.w2, state.x0, state.n)
                 assert read() == (n, tuple(estimates), sigma2, stream.vrf)
             elif kind == "edge":
                 assert got == edge_statistic(stream, plain.w1, plain.w2), (kind, n)
