@@ -61,9 +61,9 @@ from .weights import WeightSpec
 
 __all__ = ["main", "build_parser"]
 
-# One input block is one piece of the cascade engine, cut at the sample
-# numbers where run_sequence cuts a whole input, so the CLI's floats are
-# those of one library call.
+# One input block is one whole piece of the stream's grid, the sample
+# numbers where run_block cuts a stream, so the CLI's floats are those of
+# one library call.
 _RUN_CHUNK = _PIECE
 
 

@@ -164,10 +164,19 @@ def _gram_pair(spec: DesignSpec):
     Overlap entry (a, b) is S_{a + b + kappa}(p), the weighted Gram matrix
     of the monomials in sample age.  The squared overlap has entry
     S_{a + b + 2 kappa}(p**2): the weight enters squared, as it does
-    wherever white noise passes through the weighted fit.
+    wherever white noise passes through the weighted fit.  A sum that is
+    not a finite float, or a p whose square underflows, raises DesignError
+    naming kappa, p and model_order.
     """
     kappa, p, n = spec.weight.kappa, spec.weight.p, spec.model_order
-    return _hankel(kappa, p, n), _hankel(2 * kappa, p * p, n)
+    if p * p == 0.0:
+        cause = f"p={p} is so small that its square, the squared weight's decay, underflows to 0"
+    else:
+        try:
+            return _hankel(kappa, p, n), _hankel(2 * kappa, p * p, n)
+        except OverflowError:
+            cause = "its weight sums overflow the float range"
+    raise DesignError(f"design rejected: {cause} (kappa={kappa}, p={p}, model_order={n})")
 
 
 def orthonormal_transforms(overlap: np.ndarray):
@@ -205,28 +214,51 @@ def synthesis_matrix(spec: DesignSpec) -> np.ndarray:
     delay**(k_x - k_t) for k_t <= k_x, else zero.  The sign flip per
     derivative accounts for the model's age axis running backward in time:
     a rising ramp has a negative slope against sample age, and this matrix
-    returns it as a positive time derivative.  A delay whose powers
-    overflow raises DesignError.
+    returns it as a positive time derivative.  A delay or sample period
+    whose powers overflow raises DesignError.
     """
+    try:
+        return _synthesis(spec)
+    except OverflowError:
+        raise _overflow(spec, pinned=True) from None
+
+
+def _synthesis(spec: DesignSpec) -> np.ndarray:
+    """synthesis_matrix, but a power that overflows raises OverflowError."""
     if spec.delay is None:
         raise DesignError("synthesis matrix needs a resolved delay; got None")
     q, t_s = spec.delay, spec.sample_period
     out = np.zeros((spec.n_outputs, spec.model_order))
-    try:
-        for k_t in range(spec.n_outputs):
-            scale = (-1.0 / t_s) ** k_t
-            for k_x in range(k_t, spec.model_order):
-                out[k_t, k_x] = scale * math.perm(k_x, k_t) * q ** (k_x - k_t)
-    except OverflowError:
-        raise _delay_overflow(spec) from None
+    for k_t in range(spec.n_outputs):
+        scale = (-1.0 / t_s) ** k_t
+        for k_x in range(k_t, spec.model_order):
+            out[k_t, k_x] = scale * math.perm(k_x, k_t) * q ** (k_x - k_t)
     return out
 
 
-def _delay_overflow(spec: DesignSpec) -> DesignError:
-    """The error of a pinned delay whose powers overflow the design's matrices."""
+def _overflow(spec: DesignSpec, pinned: bool) -> DesignError:
+    """The error of a design whose synthesis, noise gains or readout rows overflow.
+
+    Row k of those matrices carries (1/sample_period)**k, so the sample
+    period is named when the same design at a unit period is finite, and
+    the delay otherwise.  Only a delay the caller pinned gets the advice to
+    pin a smaller one.
+    """
+    if spec.sample_period != 1.0:
+        try:
+            build_realization(replace(spec, sample_period=1.0))
+        except DesignError:
+            pass
+        else:
+            return DesignError(
+                f"sample period {spec.sample_period!r} overflows the design: the derivative "
+                f"scale (1/sample_period)**{spec.n_outputs - 1} makes its noise gains or "
+                f"readout rows not finite; use a longer sample period or fewer outputs"
+            )
+    advice = "; pin a delay of smaller magnitude" if pinned else ""
     return DesignError(
         f"delay {spec.delay!r} overflows the design: its synthesis, noise gains "
-        f"or readout rows are not finite; pin a delay of smaller magnitude"
+        f"or readout rows are not finite{advice}"
     )
 
 
@@ -235,6 +267,20 @@ def _vrf(synthesis: np.ndarray, overlap: np.ndarray, squared: np.ndarray) -> np.
     # Rows of the per-state output map: synthesis @ overlap**-1.
     state_rows = np.linalg.solve(overlap, synthesis.T).T
     return state_rows @ squared @ state_rows.T
+
+
+def _gains(spec: DesignSpec, overlap, squared, pinned: bool):
+    """(synthesis, vrf) at spec's resolved delay; DesignError unless finite."""
+    try:
+        synthesis = _synthesis(spec)
+        # The products of the delay's powers: a far delay overflows them.
+        with np.errstate(over="ignore", invalid="ignore"):
+            vrf = _vrf(synthesis, overlap, squared)
+    except OverflowError:
+        vrf = None
+    if vrf is None or not np.isfinite(vrf).all():
+        raise _overflow(spec, pinned)
+    return synthesis, vrf
 
 
 def _delay_polynomial(spec: DesignSpec, overlap, squared, output: int) -> np.ndarray:
@@ -285,15 +331,10 @@ def vrf_matrix(spec: DesignSpec) -> np.ndarray:
     """Closed-form noise gain matrix of a design with a resolved delay.
 
     Output covariance of unit white noise equals this matrix; entry (a, b)
-    is the covariance between derivative outputs a and b.  A delay whose
-    gains would not be finite raises DesignError.
+    is the covariance between derivative outputs a and b.  A delay or
+    sample period whose gains would not be finite raises DesignError.
     """
-    synthesis = synthesis_matrix(spec)
-    with np.errstate(over="ignore", invalid="ignore"):
-        vrf = _vrf(synthesis, *_gram_pair(spec))
-    if not np.isfinite(vrf).all():
-        raise _delay_overflow(spec)
-    return vrf
+    return _gains(spec, *_gram_pair(spec), pinned=True)[1]
 
 
 def optimal_delay(spec: DesignSpec, output: int = 0) -> VrfReport:
@@ -303,11 +344,12 @@ def optimal_delay(spec: DesignSpec, output: int = 0) -> VrfReport:
     each stationary point by the sign of the exact second derivative, and
     returns the minimum with the least delay.  When the gain is
     delay-independent (model_order of 1, or the highest derivative) the
-    weight centroid is reported and the candidate list is empty.
+    weight centroid is reported and the candidate list is empty.  A sample
+    period whose gains would not be finite raises DesignError.
     """
     overlap, squared = _gram_pair(spec)
     q_best, candidates = _optimal_delay(spec, overlap, squared, output)
-    vrf = _vrf(synthesis_matrix(replace(spec, delay=q_best)), overlap, squared)
+    vrf = _gains(replace(spec, delay=q_best), overlap, squared, pinned=False)[1]
     return VrfReport(vrf=vrf, q_optimal=q_best, candidates=candidates)
 
 
@@ -316,17 +358,18 @@ def build_realization(spec: DesignSpec) -> FilterRealization:
 
     Resolves delay=None to the variance-optimal delay, rejects designs whose
     overlap matrix is numerically rank deficient, and attaches the noise
-    gain matrix.  A delay whose rows or gains would not be finite raises
-    DesignError.
+    gain matrix.  Weight sums, a delay or a sample period that leave the
+    float range raise DesignError naming the cause.
     """
     overlap, squared = _gram_pair(spec)
     cond = np.linalg.cond(overlap)
     if cond > _CONDITION_LIMIT:
         raise IllConditionedDesignError(spec.weight.kappa, spec.weight.p, spec.model_order, cond)
 
-    if spec.delay is None:
+    pinned = spec.delay is not None
+    if not pinned:
         spec = replace(spec, delay=_optimal_delay(spec, overlap, squared, 0)[0])
-    synthesis = synthesis_matrix(spec)
+    synthesis, vrf = _gains(spec, overlap, squared, pinned)
 
     kappa, p = spec.weight.kappa, spec.weight.p
     n_first, n_second = spec.n_first_states, spec.n_second_states
@@ -338,9 +381,7 @@ def build_realization(spec: DesignSpec) -> FilterRealization:
     selector = np.zeros((spec.model_order, n_first))
     selector[:, kappa:] = np.eye(spec.model_order)
     coeff_output = to_on @ selector @ weight_from_states
-    # The products of the delay's powers: a far pinned delay overflows them.
-    with np.errstate(over="ignore", invalid="ignore"):
-        vrf = _vrf(synthesis, overlap, squared)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
         state_output = synthesis @ from_on @ coeff_output
     power_output = impulse_to_weight_transform(n_second)[-1]
 
@@ -356,9 +397,8 @@ def build_realization(spec: DesignSpec) -> FilterRealization:
         state_output=state_output,
         power_output=power_output,
     )
-    if not (math.isfinite(residual_mass) and np.isfinite(vrf).all()
-            and np.isfinite(state_output).all()):
-        raise _delay_overflow(spec)
+    if not (math.isfinite(residual_mass) and np.isfinite(state_output).all()):
+        raise _overflow(spec, pinned)
     for matrix in (*arrays.values(), vrf):
         matrix.flags.writeable = False
     return FilterRealization(spec=spec, residual_mass=residual_mass, vrf=vrf, **arrays)

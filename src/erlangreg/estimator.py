@@ -52,7 +52,7 @@ import numpy as np
 
 from ._kernel import estimator_kernel
 from .design import FilterRealization
-from .network import _PIECE, run_block
+from .network import run_block
 
 __all__ = [
     "EstimatorState",
@@ -140,7 +140,10 @@ def _start(realization: FilterRealization, x0: float, sigma0_sq: float) -> Estim
     constant input x0 whose noise variance is sigma0_sq, so a constant
     stream produces flat outputs from the very first sample.  Measured from
     x0, that is zero for the signal cascade and sigma0_sq times the unit
-    steady state for the power cascade.  The caller has checked x0.
+    steady state for the power cascade.  With the signal cascade at zero no
+    part of that power counts as fit, so sigma_eps2 at sample 0 is
+    sigma0_sq * S_kappa(p) / residual_mass, somewhat above sigma0_sq.  The
+    caller has checked x0.
     """
     return EstimatorState(
         w1=(0.0,) * realization.spec.n_first_states,
@@ -203,10 +206,7 @@ def _advance_moments(
 
     The two cascades run as one stacked run_block call on the rows
     [d, d**2], d = x - x0: the power cascade has the first kappa + 1 stages
-    of the signal cascade, and those stages share their products.  The
-    block is cut at sample numbers that are multiples of _PIECE, counted
-    from the stream's first sample, so a stream fed in blocks aligned to
-    them (as the CLI feeds it) gets the very floats of one whole call.
+    of the signal cascade, and those stages share their products.
     """
     if xs.ndim != 1:
         raise ValueError(f"a block of samples must be 1-D, got shape {xs.shape}")
@@ -227,22 +227,10 @@ def _advance_moments(
     moments = np.empty((2, xs.size - first))
     np.subtract(xs[first:], state.x0, out=moments[0])
     np.multiply(moments[0], moments[0], out=moments[1])
-    # run_block cuts every _PIECE samples from its own start, so one call
-    # up to the first multiple of _PIECE aligns all the cuts after it.
-    head = min(-(start + first) % _PIECE, moments.shape[1])
-    w = [state.w1, state.w2]
-    pieces = []
-    for lo, hi in ((0, head), (head, moments.shape[1])):
-        if hi > lo:
-            pieces.append(run_block(p, moments[:, lo:hi], w))
-            w = [states[:, -1] for states in pieces[-1]]
+    w1_block, w2_block = run_block(p, moments, [state.w1, state.w2], start=start + first)
     if first:
-        pieces.insert(0, [np.array(state.w1)[:, None], np.array(state.w2)[:, None]])
-    if len(pieces) == 1:
-        w1_block, w2_block = pieces[0]
-    else:
-        w1_block = np.hstack([piece[0] for piece in pieces])
-        w2_block = np.hstack([piece[1] for piece in pieces])
+        w1_block = np.hstack([np.array(state.w1)[:, None], w1_block])
+        w2_block = np.hstack([np.array(state.w2)[:, None], w2_block])
     state = EstimatorState(tuple(w1_block[:, -1].tolist()), tuple(w2_block[:, -1].tolist()),
                            start + xs.size - 1, state.x0)
     return w1_block, w2_block, state

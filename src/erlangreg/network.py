@@ -14,8 +14,9 @@ the lower-triangular Toeplitz of p**(i - s); the sub-block end values carry
 through one product with the Toeplitz of p**(_SUB * m); and each carry
 re-enters its sub-block as p**(i + 1) times the carry.  Every coefficient
 is a non-negative power of p, so nothing cancels and nothing divides by a
-power of p.  Input is taken in pieces of at most _PIECE samples, so the
-tables stay the size of one piece however long the input is.
+power of p.  Input is cut into pieces where a sample's number in its
+stream is a multiple of _PIECE, so the tables stay the size of one piece
+and a stream fed in blocks gets the floats of one call.
 """
 
 from __future__ import annotations
@@ -78,7 +79,7 @@ def _scan_tables(p: float):
     )
 
 
-def run_block(p: float, u: np.ndarray, w_prev):
+def run_block(p: float, u: np.ndarray, w_prev, *, start: int = 0):
     """Advance a cascade of decay p over a whole block of input at once.
 
     w_prev is the state vector before the block (zeros for a cascade at
@@ -87,6 +88,9 @@ def run_block(p: float, u: np.ndarray, w_prev):
     so the state after the block is the last column.  Stage k of the
     cascade is the (k+1)-fold leaky integration of the input.  Every
     eigenvalue of the cascade equals p, so it is stable for 0 < p < 1.
+
+    start is the number of u[0] in its stream: the block is cut into
+    pieces wherever start + t is a multiple of _PIECE.
 
     Several cascades of the same p run together when u is a 2-D array of
     input rows and w_prev a sequence of one state vector per row, longest
@@ -111,16 +115,19 @@ def run_block(p: float, u: np.ndarray, w_prev):
     # Room for whole sub-blocks: the scan writes them, the caller sees n.
     # Stage k of every cascade is one slab states[k], one row per cascade.
     states = np.empty((orders[0], len(orders), -(-n // _SUB) * _SUB))
-    for lo in range(0, n, _PIECE):
+    # Cut at 0, at n, and where start + t is a multiple of _PIECE.
+    cuts = sorted({0, n, *range(-start % _PIECE, n, _PIECE)})
+    for lo, hi in zip(cuts, cuts[1:]):
         if lo:
             w = [states[:order, r, lo - 1] for r, order in enumerate(orders)]
-        if states.shape[2] <= _PIECE:
+        if hi - lo == n:
             _scan_piece(p, u, w, states)
         else:
-            hi = min(lo + _PIECE, n)
+            # A piece off the sub-block grid pads past the block's end, so
+            # only its real columns are kept.
             piece = np.empty(states.shape[:2] + (-(-(hi - lo) // _SUB) * _SUB,))
             _scan_piece(p, u[:, lo:hi], w, piece)
-            states[:, :, lo:lo + piece.shape[2]] = piece
+            states[:, :, lo:hi] = piece[:, :, :hi - lo]
     out = [states[:order, r, :n] for r, order in enumerate(orders)]
     return out if stacked else out[0]
 

@@ -41,13 +41,20 @@ def erlang_sum(k: int, p: float) -> float:
     polynomial A_k is the Eulerian number A(k, j), built by the recurrence
     A(n, j) = j*A(n-1, j) + (n-j+1)*A(n-1, j-1) from A(0, 0) = 1.  Every
     coefficient is a nonnegative integer and p > 0, so nothing cancels.
+    A sum that is not a finite float raises OverflowError naming k and p.
     """
     _check_sum_args(k, p)
     k = int(k)
     num = 0.0
-    for coeff in reversed(_eulerian_row(k)):
-        num = num * p + coeff
-    return num / (1.0 - p) ** (k + 1)
+    try:
+        for coeff in reversed(_eulerian_row(k)):
+            num = num * p + coeff
+        total = num / (1.0 - p) ** (k + 1)
+    except (OverflowError, ZeroDivisionError):  # a coefficient or (1 - p)**(k + 1)
+        total = math.inf
+    if not math.isfinite(total):
+        raise OverflowError(f"erlang sum S_k(p) with k={k}, p={p} overflows the float range")
+    return total
 
 
 @functools.lru_cache(maxsize=128)

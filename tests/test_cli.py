@@ -117,6 +117,23 @@ def test_design_with_overflowing_delay_exits_3_without_output(tmp_path, capsys, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize("args, cause", [
+    ("--kappa 300 --p 0.99 --kx 1", "overflow the float range (kappa=300, p=0.99, model_order=1)"),
+    ("--kappa 120 --p 0.999 --kx 1", "overflow the float range (kappa=120, p=0.999, model_order=1)"),
+    ("--kappa 80 --p 0.99 --kx 2", "overflow the float range (kappa=80, p=0.99, model_order=2)"),
+    ("--kappa 2 --p 1e-300 --kx 2", "p=1e-300 is so small that its square"),
+    ("--kappa 2 --p 0.9 --kx 3 --kt 3 --ts 1e-200", "sample period 1e-200 overflows"),
+])
+def test_design_names_the_real_cause_and_writes_nothing(tmp_path, capsys, args, cause):
+    # The first two exited 1 with a traceback; the others exited 3 naming
+    # no design, p = 0.0, or the auto delay with advice to pin another.
+    out = tmp_path / "d.json"
+    assert main(["design", *args.split(), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert cause in err and "pin a delay" not in err
+    assert not out.exists()
+
+
 def test_design_usage_error_is_exit_2():
     assert main(["design", "--kappa", "0", "--p", "0.8"]) == 2
     assert main(["design", "--kappa", "0", "--p", "0.8", "--kx", "2", "--q", "soon"]) == 2

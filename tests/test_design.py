@@ -162,6 +162,45 @@ def test_overflowing_delay_raises_design_error(kx, kt, q):
     assert np.isfinite(real.state_output).all() and np.isfinite(real.vrf).all()
 
 
+@pytest.mark.parametrize("kappa, p, kx", [(300, 0.99, 1), (140, 0.99, 1), (150, 0.9, 1),
+                                          (120, 0.999, 1), (100, 0.9999, 1), (80, 0.99, 2)])
+def test_weight_sums_beyond_float_range_raise_design_error(kappa, p, kx):
+    # These escaped from erlang_sum as OverflowError or ZeroDivisionError,
+    # or reached numpy as infinite sums, whose error named no design.
+    spec = _spec(kappa=kappa, p=p, kx=kx, kt=1, q=1.0)
+    named = re.escape(f"overflow the float range (kappa={kappa}, p={p}, model_order={kx})")
+    for make in (build_realization, vrf_matrix, optimal_delay):
+        with pytest.raises(DesignError, match=named):
+            make(spec)
+    with pytest.raises(DesignError, match=named):
+        build_realization(_spec(kappa=kappa, p=p, kx=kx, kt=1, q=None))
+
+
+def test_p_whose_square_underflows_is_named():
+    # p**2 rounds to 0, which the squared-weight sums used to report as
+    # "0 < p < 1, got 0.0".
+    spec = _spec(kappa=2, p=1e-300, kx=2, kt=1, q=1.0)
+    for make in (build_realization, vrf_matrix, optimal_delay):
+        with pytest.raises(DesignError, match=re.escape("p=1e-300 is so small that its square")):
+            make(spec)
+
+
+@pytest.mark.parametrize("q", [None, 5.0])
+def test_overflowing_sample_period_is_named(q):
+    # The derivative scale (1/sample_period)**2 overflows; the error used to
+    # blame the delay and advise pinning a smaller one.
+    spec = _spec(kappa=2, p=0.9, kx=3, kt=3, q=q, ts=1e-200)
+    makers = (build_realization, optimal_delay) + ((vrf_matrix,) if q is not None else ())
+    for make in makers:
+        with pytest.raises(DesignError, match=r"^sample period 1e-200 overflows") as err:
+            make(spec)
+        assert "delay" not in str(err.value)
+    # A pinned delay that overflows the design at a unit period is named.
+    with pytest.raises(DesignError, match=r"^delay 1e\+200 overflows .*pin a delay"):
+        build_realization(_spec(kappa=2, p=0.9, kx=3, kt=3, q=1e200, ts=1e-200))
+    assert np.isfinite(build_realization(_spec(kappa=2, p=0.9, kx=3, kt=3, ts=1e-50)).vrf).all()
+
+
 def test_array_values_compare_by_identity():
     # Their generated __eq__ compared arrays and raised, and hashing failed
     # on the arrays.  Identity makes them usable as keys and list members.

@@ -20,7 +20,7 @@ from erlangreg import (
     run_sequence,
 )
 from erlangreg.design import synthesis_matrix
-from erlangreg.network import steady_state_vector
+from erlangreg.network import _PIECE, run_block, steady_state_vector
 
 from oracles import (
     batch_wls,
@@ -112,7 +112,7 @@ def test_aligned_blocks_give_the_floats_of_one_call(design, n):
     kappa, p, kx, kt = design
     real = build(kappa, p, kx, kt=kt)
     xs = 40.0 + np.random.Generator(np.random.PCG64(n)).standard_normal(n)
-    piece = estimator_module._PIECE
+    piece = _PIECE
     w1_whole, w2_whole, whole = estimator_module._advance_moments(real, xs, 0.5, None)
     parts, state = [], None
     for lo in range(0, n, piece):
@@ -369,6 +369,27 @@ def test_every_consumer_is_one_stream(kind, bad):
     assert consumer.state == kept
     _feed_block(consumer, xs[5:])
     assert consumer.state.n == 11
+
+
+@pytest.mark.parametrize("kind", sorted(_CONSUMERS))
+def test_a_block_is_one_engine_call(kind, monkeypatch):
+    # A block that crosses a multiple of _PIECE, at the stream's start and
+    # later, costs each consumer one run_block call, told where the block's
+    # first cascade column sits in the stream.
+    starts = []
+
+    def counted(*args, **kwargs):
+        starts.append(kwargs.get("start", 0))
+        return run_block(*args, **kwargs)
+
+    monkeypatch.setattr(estimator_module, "run_block", counted)
+    consumer = _CONSUMERS[kind]()
+    xs = np.random.Generator(np.random.PCG64(37)).standard_normal(20_000) + 2.0
+    _feed_block(consumer, xs[:9000])
+    _feed_block(consumer, xs[9000:17_000])
+    _feed_block(consumer, xs[17_000:])
+    assert starts == [1, 9000, 17_000]
+    assert consumer.state.n == 19_999
 
 
 @pytest.mark.parametrize("kind", sorted(_CONSUMERS))

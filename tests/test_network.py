@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from erlangreg import run_block
-from erlangreg.network import impulse_to_weight_transform, steady_state_vector
+from erlangreg.network import _PIECE, impulse_to_weight_transform, steady_state_vector
 
 from oracles import WEIGHT_TRANSFORM_6, cascade_longdouble, dense_states, scan_reference
 
@@ -194,3 +194,31 @@ def test_run_block_gives_the_floats_of_the_reference_scan(p, orders):
             got = run_block(p, rows, state)
             want = scan_reference(p, rows, state)
             assert all(np.array_equal(a, b) for a, b in zip(got, want)), n
+
+
+def _split_at_the_grid(p, rows, w, start):
+    """run_block as two calls, cut where start + t first reaches the grid."""
+    head = min(-start % _PIECE, rows.shape[1])
+    first = run_block(p, rows[:, :head], w)
+    if head:
+        w = [states[:, -1] for states in first]
+    return [np.hstack(pair) for pair in zip(first, run_block(p, rows[:, head:], w))]
+
+
+@pytest.mark.parametrize("start", [0, 1, 8191, 8192, 12_345])
+def test_start_cuts_the_block_on_the_stream_grid(start):
+    # A block told its stream position gives the floats of two calls split
+    # where start + t first reaches a multiple of _PIECE, bit for bit.  At
+    # start 8191 a 64-sample block has a piece that starts off the 32-sample
+    # grid and ends at the block's end; at 12 345 the last of 20 000 does.
+    rng = np.random.Generator(np.random.PCG64(start))
+    for n in [0, 1, 64, 8192, 8193, 20_000]:
+        u = 40.0 + 3.0 * rng.standard_normal(n)
+        rows = np.vstack([u - 40.0, (u - 40.0) ** 2])
+        w = [rng.standard_normal(7).tolist(), rng.standard_normal(4).tolist()]
+        want = _split_at_the_grid(0.9, rows, w, start)
+        got = run_block(0.9, rows, w, start=start)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want)), n
+        assert np.array_equal(run_block(0.9, u, w[0], start=start),
+                              _split_at_the_grid(0.9, u[None], w[:1], start)[0]), n
+        assert got[0].shape == (7, n) and got[1].shape == (4, n)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -52,6 +53,17 @@ def test_sum_rejects_bad_arguments():
         erlang_sum(2, 0.0)
     with pytest.raises(ValueError):
         erlang_sum(-1, 0.5)
+
+
+@pytest.mark.parametrize("k, p", [(300, 0.99), (1000, 0.5), (120, 0.999), (100, 0.9999),
+                                  (140, 0.99), (160, 0.9801)])
+def test_sum_beyond_float_range_raises_overflow_naming_k_and_p(k, p):
+    # An Eulerian coefficient too large for a float raised a bare
+    # OverflowError, (1 - p)**(k + 1) underflowing raised ZeroDivisionError,
+    # and a quotient past the float range came back as inf.
+    with pytest.raises(OverflowError, match=re.escape(f"k={k}, p={p}")):
+        erlang_sum(k, p)
+    assert math.isfinite(erlang_sum(82, 0.99))
 
 
 def test_weight_spec_derives_timescale():
