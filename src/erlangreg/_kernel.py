@@ -137,14 +137,13 @@ def estimator_kernel(realization, frame) -> Callable:
     return src.build()
 
 
-def detector_kernel(stream, value_row, noise_terms, floor: float, marker, events) -> Callable:
+def detector_kernel(stream, value_row, noise_terms, floor: float, marker) -> Callable:
     """Kernel factory of a detector's statistic on the cascades of realization stream.
 
     Z is value_row @ w1 over the square root of the sum, over noise_terms
     (coeff, power, residual_mass, vrf_ii), of vrf_ii times each filter's
     noise variance, and 0.0 where that sum is below floor.  The readout
-    passes (n, z) to marker.update, appends the event it returns, if any,
-    to the list events, and returns z.
+    passes (n, z) to marker.update, which records the events, and returns z.
     """
     spec = stream.spec
     src = _Source(spec.weight.p, spec.n_first_states, spec.n_second_states)
@@ -153,7 +152,5 @@ def detector_kernel(stream, value_row, noise_terms, floor: float, marker, events
         src.let("t", f"{'t + ' if i else ''}{src.const(vrf_ii)} * ({variance})")
     value = src.dot(value_row.tolist(), "a")
     src.let("z", f"0.0 if t < {src.const(floor)} else ({value}) / sqrt(t)")
-    src.let("event", f"{src.bind('marker', marker)}.update(n, z)")
-    src.readout += [f"if event is not None: {src.bind('events', events)}.append(event)",
-                    "return z"]
+    src.readout += [f"{src.bind('marker', marker)}.update(n, z)", "return z"]
     return src.build()

@@ -20,6 +20,7 @@ form in the Gram pair.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -262,6 +263,21 @@ def _overflow(spec: DesignSpec, pinned: bool) -> DesignError:
     )
 
 
+def _period_error(spec: DesignSpec, output: int, gain=None) -> DesignError:
+    """The error of a sample period that scales output's noise gain out of range.
+
+    The gain carries (1/sample_period)**(2 * output); gain, when given, is
+    the value it took, which is not a positive normal float.
+    """
+    t_s = spec.sample_period
+    way, fix = ("overflows", "longer") if t_s < 1.0 else ("underflows", "shorter")
+    took = "" if gain is None else f", which came out as {gain!r}"
+    return DesignError(
+        f"sample period {t_s!r} {way} the noise gain of output {output}{took}: it "
+        f"carries (1/sample_period)**{2 * output}; use a {fix} sample period or fewer outputs"
+    )
+
+
 def _vrf(synthesis: np.ndarray, overlap: np.ndarray, squared: np.ndarray) -> np.ndarray:
     """Noise gain matrix synthesis G**-1 G2 G**-T synthesis.T."""
     # Rows of the per-state output map: synthesis @ overlap**-1.
@@ -270,7 +286,12 @@ def _vrf(synthesis: np.ndarray, overlap: np.ndarray, squared: np.ndarray) -> np.
 
 
 def _gains(spec: DesignSpec, overlap, squared, pinned: bool):
-    """(synthesis, vrf) at spec's resolved delay; DesignError unless finite."""
+    """(synthesis, vrf) at spec's resolved delay.
+
+    DesignError unless vrf is finite and every output's noise gain is a
+    positive normal float: a derivative's gain that underflows would read
+    0 forever, and its Z could never fire.
+    """
     try:
         synthesis = _synthesis(spec)
         # The products of the delay's powers: a far delay overflows them.
@@ -280,6 +301,9 @@ def _gains(spec: DesignSpec, overlap, squared, pinned: bool):
         vrf = None
     if vrf is None or not np.isfinite(vrf).all():
         raise _overflow(spec, pinned)
+    for output, gain in enumerate(vrf.diagonal().tolist()):
+        if not gain >= sys.float_info.min:
+            raise _period_error(spec, output, gain)
     return synthesis, vrf
 
 
@@ -291,7 +315,12 @@ def _delay_polynomial(spec: DesignSpec, overlap, squared, output: int) -> np.nda
     core = inv @ squared @ inv.T
     degree = 2 * (spec.model_order - 1 - output)
     coeffs = np.zeros(degree + 1)
-    scale = spec.sample_period ** (-2 * output)
+    try:
+        scale = spec.sample_period ** (-2 * output)
+    except OverflowError:
+        scale = math.inf
+    if not sys.float_info.min <= scale < math.inf:
+        raise _period_error(spec, output)
     for i in range(output, spec.model_order):
         for j in range(output, spec.model_order):
             weight = math.perm(i, output) * math.perm(j, output)
@@ -375,7 +404,13 @@ def build_realization(spec: DesignSpec) -> FilterRealization:
     n_first, n_second = spec.n_first_states, spec.n_second_states
 
     to_on, from_on = orthonormal_transforms(overlap)
-    weight_from_states = impulse_to_weight_transform(n_first)
+    try:
+        weight_from_states = impulse_to_weight_transform(n_first)
+    except OverflowError:  # its integer entries outgrow a float from 161 stages on
+        raise DesignError(
+            f"design rejected: the readout of its {n_first} cascade stages overflows the "
+            f"float range (kappa={kappa}, p={p}, model_order={spec.model_order})"
+        ) from None
     # The model's monomials start at the kappa-th weight: select rows
     # kappa .. kappa + model_order - 1 of the weight family.
     selector = np.zeros((spec.model_order, n_first))

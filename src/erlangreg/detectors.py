@@ -15,7 +15,8 @@ only the data of its readout on one shared engine.  Every detector is an
 estimator._Stream, the same stream the estimator runs: it exposes
 realization, sigma0_sq and state, its samples enter through the stream's
 one per-sample and one block entry, and all it adds is Z and the run
-marker that turns Z into events.  Its threshold and events list, like its
+marker that turns Z into events.  The marker owns the events list that
+both entries append to.  Its threshold and events list, like its
 realization, are read-only, as the marker and the kernel capture them.
 
 update() feeds one sample through a kernel generated and compiled for the
@@ -25,13 +26,13 @@ floats, and the run marker's update on (n, Z), all in one call.  run()
 feeds a block, computes Z for the whole block at once with the same
 formula on arrays and finds its events with array operations, so its
 Python work grows with the number of exceedance runs, not of samples.  A
-run still open at the end of a block carries into the next one, so events
-do not depend on how the stream is cut into blocks or mixed with update()
-calls; finish() closes a run left open at the end of the stream.  A NaN or
-infinite sample, or a prior variance sigma0_sq that is negative or not
-finite, raises ValueError; a bad sample leaves the detector as it was.  So
-does a NaN threshold, which no statistic could ever exceed; an infinite
-threshold is allowed and never fires.
+run still open when a block starts enters it as its first exceedance, so
+events do not depend on how the stream is cut into blocks or mixed with
+update() calls; finish() closes a run left open at the end
+of the stream.  A NaN or infinite sample, or a prior variance sigma0_sq
+that is negative or not finite, raises ValueError; a bad sample leaves the
+detector as it was.  So does a NaN threshold, which no statistic could
+ever exceed; an infinite threshold is allowed and never fires.
 """
 
 from __future__ import annotations
@@ -91,47 +92,48 @@ class _RunMarker:
     Runs of z > threshold produce kind_pos events at the maximum; when
     kind_neg is given, runs of z < -threshold produce kind_neg events at
     the minimum.  z equal to the threshold is not an exceedance, and a tie
-    for the extremum goes to the earliest sample.  An event is returned
-    only when its run ends; flush() closes a run left open at end of
-    stream.
+    for the extremum goes to the earliest sample.  A run's event is
+    appended to events, oldest first, when the run ends; flush() closes a
+    run left open at end of stream.
 
     update() takes one sample, extend() a block.  Both keep the same
     state: the sign of the run open after the last sample (_sign, 0 when
     none is open) and its extremum so far (_best_n, _best_z).  A run open
-    at the end of a block therefore continues into the next block or
-    update(), and the two can be mixed freely on one stream.
+    when a block starts enters it as one more exceedance just before its
+    first sample, holding that extremum, so the block continues or closes
+    it like any other run; update() and extend() mix freely on one stream.
+    A copy has its own events list.
     """
 
     def __init__(self, threshold: float, kind_pos: str, kind_neg: Optional[str] = None):
         self.threshold = threshold
         self.kind_pos = kind_pos
         self.kind_neg = kind_neg
+        self.events: list[Event] = []
         self._sign = 0
         self._best_n = -1
         self._best_z = 0.0
 
-    def update(self, n: int, z: float) -> Optional[Event]:
+    def __getstate__(self):
+        return {**vars(self), "events": list(self.events)}
+
+    def update(self, n: int, z: float) -> None:
         if z > self.threshold:
             sign = 1
         elif self.kind_neg is not None and z < -self.threshold:
             sign = -1
         else:
             sign = 0
-        completed = None
-        if self._sign != 0 and sign != self._sign:
-            completed = self._emit()
-        if sign != 0:
-            if self._sign != sign:
-                self._best_n, self._best_z = n, z
-            elif (sign > 0 and z > self._best_z) or (sign < 0 and z < self._best_z):
-                self._best_n, self._best_z = n, z
-            self._sign = sign
-        else:
-            self._sign = 0
-        return completed
+        if sign != self._sign:
+            if self._sign != 0:
+                self._close()
+            if sign != 0:
+                self._sign, self._best_n, self._best_z = sign, n, z
+        elif (sign > 0 and z > self._best_z) or (sign < 0 and z < self._best_z):
+            self._best_n, self._best_z = n, z
 
-    def extend(self, start: int, z: np.ndarray) -> list[Event]:
-        """Feed a block whose first sample is number start; returns its events.
+    def extend(self, start: int, z: np.ndarray) -> None:
+        """Feed a block whose first sample is number start.
 
         Exceedance runs come from the places where the sign of the
         exceedance changes, and each run's extremum from one reduceat over
@@ -148,64 +150,49 @@ class _RunMarker:
             sign -= neg  # pos is not read again
         # nonzero() is several times faster on bool than on int8.
         active = exceed.nonzero()[0]
-        events = []
-        if active.size == 0:
-            if self._sign != 0 and z.size:
-                events.append(self._emit())
-            return events
+        if active.size == 0 and self._sign == 0:
+            return
         signs = sign[active]
-        # Signed so that every run's extremum is its maximum.
-        value = z[active] * signs
+        values = z[active]
+        if self._sign != 0:
+            # The open run, as exceedance -1; being first, it wins ties.
+            active = np.concatenate(((-1,), active))
+            signs = np.concatenate(((self._sign,), signs))
+            values = np.concatenate(((self._best_z,), values))
         new_run = np.empty(active.size, dtype=bool)
         new_run[0] = True
         np.logical_or(active[1:] - active[:-1] != 1, signs[1:] != signs[:-1], out=new_run[1:])
         starts = new_run.nonzero()[0]
-        peak = np.maximum.reduceat(value, starts)
+        # Signed so that every run's extremum is its maximum.
+        signed = values * signs
+        peak = np.maximum.reduceat(signed, starts)
         lengths = np.empty_like(starts)
         np.subtract(starts[1:], starts[:-1], out=lengths[:-1])
         lengths[-1] = active.size - starts[-1]
-        hits = (value == peak.repeat(lengths)).nonzero()[0]
+        hits = (signed == peak.repeat(lengths)).nonzero()[0]
         # Every run holds a hit, so the first hit at or after a run's start
         # is that run's earliest extremum.
-        best = active[hits[hits.searchsorted(starts)]]
-        best_z = z[best].tolist()
-        best = best.tolist()
+        best = hits[hits.searchsorted(starts)]
+        best_n = [start + i if i >= 0 else self._best_n for i in active[best].tolist()]
+        best_z = values[best].tolist()
         run_signs = signs[starts].tolist()
-
-        if self._sign != 0:
-            if active[0] == 0 and run_signs[0] == self._sign:
-                # The open run continues; its earlier extremum wins ties.
-                if self._sign > 0:
-                    keep = best_z[0] <= self._best_z
-                else:
-                    keep = best_z[0] >= self._best_z
-                if keep:
-                    best[0], best_z[0] = self._best_n - start, self._best_z
-            else:
-                events.append(self._emit())
-        open_last = active[-1] == z.size - 1
-        closed = len(best) - 1 if open_last else len(best)
-        events += [
-            Event(start + n, z_n, self.kind_pos if s > 0 else self.kind_neg)
-            for n, z_n, s in zip(best[:closed], best_z, run_signs)
-        ]
-        if open_last:
-            self._sign = run_signs[-1]
-            self._best_n, self._best_z = start + best[-1], best_z[-1]
-        else:
-            self._sign = 0
-        return events
-
-    def flush(self) -> Optional[Event]:
-        if self._sign != 0:
-            return self._emit()
-        return None
-
-    def _emit(self) -> Event:
-        kind = self.kind_pos if self._sign > 0 else self.kind_neg
-        event = Event(n=self._best_n, z=self._best_z, kind=kind)
         self._sign = 0
-        return event
+        if active[-1] == z.size - 1:
+            self._sign = run_signs.pop()
+            self._best_n, self._best_z = best_n[-1], best_z[-1]
+        self.events += [
+            Event(n, z_n, self.kind_pos if s > 0 else self.kind_neg)
+            for n, z_n, s in zip(best_n, best_z, run_signs)
+        ]
+
+    def flush(self) -> None:
+        if self._sign != 0:
+            self._close()
+
+    def _close(self) -> None:
+        kind = self.kind_pos if self._sign > 0 else self.kind_neg
+        self.events.append(Event(self._best_n, self._best_z, kind))
+        self._sign = 0
 
 
 class _Detector(_Stream):
@@ -216,8 +203,7 @@ class _Detector(_Stream):
     (coeff, power, residual_mass, vrf_ii) reading one filter's noise
     variance from the states as coeff @ w1 and power @ w2.  Blocks read the
     rows as arrays; single samples go through a kernel compiled from them,
-    and bound to the detector's run marker and event list, on the first
-    update().
+    and bound to the detector's run marker, on the first update().
     """
 
     def __init__(self, realization, threshold: float, sigma0_sq: float,
@@ -225,7 +211,6 @@ class _Detector(_Stream):
         if math.isnan(threshold):
             raise ValueError(f"threshold must not be NaN, got {threshold!r}")
         super().__init__(realization, sigma0_sq)
-        self._events: list[Event] = []
         self._rows = (value_row, noise_terms)
         self._marker = _RunMarker(threshold, kind_pos, kind_neg)
 
@@ -236,18 +221,17 @@ class _Detector(_Stream):
 
     @property
     def events(self) -> list[Event]:
-        """Declared events, oldest first: the list the kernel appends to, so
-        it is read-only; clear() it to drop the events already taken."""
-        return self._events
+        """Declared events, oldest first: the run marker's list, which both
+        paths append to, so it is read-only; clear() it to drop the events
+        already taken."""
+        return self._marker.events
 
     def _build_kernel(self):
-        return detector_kernel(self.realization, *self._rows, _VARIANCE_FLOOR,
-                               self._marker, self._events)
+        return detector_kernel(self.realization, *self._rows, _VARIANCE_FLOOR, self._marker)
 
     def __getstate__(self):
-        # A copy has its own run marker and events.
-        return {**super().__getstate__(), "_events": list(self._events),
-                "_marker": copy.copy(self._marker)}
+        # A copy has its own run marker, and so its own events.
+        return {**super().__getstate__(), "_marker": copy.copy(self._marker)}
 
     def run(self, xs: np.ndarray) -> np.ndarray:
         """Feed a block; returns the statistic sequence for the block."""
@@ -258,15 +242,13 @@ class _Detector(_Stream):
             self.realization, xs, self.sigma0_sq, self.state
         )
         z = self._statistic(w1_block, w2_block)
-        self._events.extend(self._marker.extend(state.n + 1 - xs.size, z))
+        self._marker.extend(state.n + 1 - xs.size, z)
         self._state = state
         return z
 
     def finish(self) -> None:
         """Close any exceedance run still open at end of stream."""
-        event = self._marker.flush()
-        if event is not None:
-            self._events.append(event)
+        self._marker.flush()
 
     def _settled_count(self) -> int:
         """Samples whose events are final.

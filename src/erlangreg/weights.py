@@ -17,6 +17,8 @@ import math
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
+_LOG_FLOAT_MAX = math.log(2.0) * 1024  # ln of the float range's top, 2**1024
+
 __all__ = [
     "WeightSpec",
     "WeightMoments",
@@ -41,7 +43,9 @@ def erlang_sum(k: int, p: float) -> float:
     polynomial A_k is the Eulerian number A(k, j), built by the recurrence
     A(n, j) = j*A(n-1, j) + (n-j+1)*A(n-1, j-1) from A(0, 0) = 1.  Every
     coefficient is a nonnegative integer and p > 0, so nothing cancels.
-    A sum that is not a finite float raises OverflowError naming k and p.
+    When that form leaves the float range (the largest coefficient does
+    from k = 172 on), the series is summed directly instead; a sum that is
+    not a finite float raises OverflowError naming k and p.
     """
     _check_sum_args(k, p)
     k = int(k)
@@ -53,8 +57,37 @@ def erlang_sum(k: int, p: float) -> float:
     except (OverflowError, ZeroDivisionError):  # a coefficient or (1 - p)**(k + 1)
         total = math.inf
     if not math.isfinite(total):
-        raise OverflowError(f"erlang sum S_k(p) with k={k}, p={p} overflows the float range")
+        try:
+            total = _series_sum(k, p)
+        except OverflowError:
+            raise OverflowError(
+                f"erlang sum S_k(p) with k={k}, p={p} overflows the float range"
+            ) from None
     return total
+
+
+def _series_sum(k: int, p: float) -> float:
+    """S_k(p) summed term by term in exact integers, rounded once.
+
+    With p = a / d, the partial sum to N terms times d**N is the integer
+    T_N = T_{N-1} * d + N**k * a**N.  Terms grow up to m* = k / -ln(p)
+    and then fall at least as fast as sqrt(p)**m beyond 2 m*, where the sum
+    stops once a term is below 2**-70 of it.  A largest term past the float
+    range raises OverflowError before any summing, as does the quotient.
+    """
+    log_p = math.log(p)
+    peak = max(1, int(k / -log_p))
+    if max(k * math.log(m) + m * log_p for m in (peak, peak + 1)) > _LOG_FLOAT_MAX:
+        raise OverflowError("a term of the series overflows")
+    a, d = p.as_integer_ratio()
+    total, a_m, m = 0, 1, 0
+    while True:
+        m += 1
+        a_m *= a
+        term = m ** k * a_m
+        total = total * d + term
+        if m >= 2 * peak and term << 70 < total:
+            return total / d ** m
 
 
 @functools.lru_cache(maxsize=128)

@@ -134,6 +134,17 @@ def test_design_names_the_real_cause_and_writes_nothing(tmp_path, capsys, args, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize("ts", ["1e200", "1e160"])
+def test_design_with_underflowing_derivative_gains_writes_nothing(tmp_path, capsys, ts):
+    # Exited 0 with a second derivative of noise gain 0 and readout row 0,
+    # on which detect --kind peak wrote z = 0 on every row.
+    out = tmp_path / "d.json"
+    argv = ["design", "--kappa", "2", "--p", "0.9", "--kx", "3", "--kt", "3", "--ts", ts]
+    assert main(argv + ["--out", str(out)]) == 3
+    assert f"sample period {float(ts)!r} underflows" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_design_usage_error_is_exit_2():
     assert main(["design", "--kappa", "0", "--p", "0.8"]) == 2
     assert main(["design", "--kappa", "0", "--p", "0.8", "--kx", "2", "--q", "soon"]) == 2

@@ -176,6 +176,41 @@ def test_weight_sums_beyond_float_range_raise_design_error(kappa, p, kx):
         build_realization(_spec(kappa=kappa, p=p, kx=kx, kt=1, q=None))
 
 
+@pytest.mark.parametrize("ts", [1e200, 1e160, 1e100])
+def test_sample_period_whose_gains_underflow_is_named(ts):
+    # The derivative scale (1/sample_period)**k underflowed: the design
+    # built with a second derivative of noise gain 0 and readout row 0, so
+    # its Z read 0 forever.  optimal_delay for the slope raised ValueError.
+    named = "^" + re.escape(f"sample period {ts!r} underflows the noise gain of output ")
+    makers = (build_realization, vrf_matrix, optimal_delay,
+              lambda spec: optimal_delay(spec, output=1),
+              lambda spec: optimal_delay(spec, output=2))
+    for make in makers:
+        with pytest.raises(DesignError, match=named) as err:
+            make(_spec(kappa=2, p=0.9, kx=3, kt=3, q=None if make is not vrf_matrix else 5.0,
+                       ts=ts))
+        assert "delay" not in str(err.value)
+
+
+def test_overflowing_delay_polynomial_scale_names_the_sample_period():
+    # (1/sample_period)**4 of the curvature's noise gain escaped as a bare
+    # OverflowError.
+    spec = _spec(kappa=2, p=0.9, kx=3, kt=3, q=None, ts=1e-200)
+    with pytest.raises(DesignError, match=r"^sample period 1e-200 overflows the noise gain "
+                                          r"of output 2"):
+        optimal_delay(spec, output=2)
+
+
+def test_cascade_whose_readout_overflows_is_named():
+    # Its weight sums are finite, but the integer readout transform of 201
+    # stages is not.
+    spec = _spec(kappa=200, p=1e-8, kx=1, kt=1, q=None)
+    with pytest.raises(DesignError, match=re.escape(
+            "readout of its 201 cascade stages overflows the float range "
+            "(kappa=200, p=1e-08, model_order=1)")):
+        build_realization(spec)
+
+
 def test_p_whose_square_underflows_is_named():
     # p**2 rounds to 0, which the squared-weight sums used to report as
     # "0 < p < 1, got 0.0".

@@ -81,81 +81,116 @@ def _marker():
     return _RunMarker(3.0, "up", "down")
 
 
+def _extended(marker, start, z):
+    """The events one extend() call appends."""
+    taken = len(marker.events)
+    marker.extend(start, np.array(z))
+    return marker.events[taken:]
+
+
+def _flushed(marker):
+    """The events one flush() call appends."""
+    taken = len(marker.events)
+    marker.flush()
+    return marker.events[taken:]
+
+
 @hypothesis.given(
     z=st.lists(
         st.sampled_from([-5.0, -4.0, -3.0, -1.0, 0.0, 2.0, 3.0, 4.0, 5.0, math.nan]),
         max_size=60,
     ),
     cuts=st.lists(st.integers(0, 60), max_size=8),
+    per_sample=st.lists(st.booleans(), max_size=9),
     two_sided=st.booleans(),
     threshold=st.sampled_from([3.0, 0.0, -1.0, -3.0]),
 )
 # One-sample blocks, one of them carrying an open run on.
-@hypothesis.example(z=[4.0, 5.0, 0.0, 4.0], cuts=[1, 2, 3], two_sided=True, threshold=3.0)
+@hypothesis.example(z=[4.0, 5.0, 0.0, 4.0], cuts=[1, 2, 3], per_sample=[],
+                    two_sided=True, threshold=3.0)
 # Every sample of the block exceeds, and the runs turn sign inside it.
-@hypothesis.example(z=[4.0, 5.0, 4.0, -4.0, -5.0], cuts=[], two_sided=True, threshold=3.0)
+@hypothesis.example(z=[4.0, 5.0, 4.0, -4.0, -5.0], cuts=[], per_sample=[],
+                    two_sided=True, threshold=3.0)
 # The second block's first sample continues the open run, with a tie.
-@hypothesis.example(z=[0.0, 4.0, 5.0, 5.0, 4.0, 0.0], cuts=[3], two_sided=True, threshold=3.0)
+@hypothesis.example(z=[0.0, 4.0, 5.0, 5.0, 4.0, 0.0], cuts=[3], per_sample=[],
+                    two_sided=True, threshold=3.0)
 # The second block's first sample turns the open run's sign.
-@hypothesis.example(z=[0.0, 4.0, 5.0, -4.0, -5.0, 0.0], cuts=[3], two_sided=True, threshold=3.0)
+@hypothesis.example(z=[0.0, 4.0, 5.0, -4.0, -5.0, 0.0], cuts=[3], per_sample=[],
+                    two_sided=True, threshold=3.0)
 # A negative threshold: 0.0 is past both bounds and counts as positive.
-@hypothesis.example(z=[0.0, -3.0, 2.0, 0.0, -3.0], cuts=[2], two_sided=True, threshold=-1.0)
-def test_marker_extend_matches_update(z, cuts, two_sided, threshold):
+@hypothesis.example(z=[0.0, -3.0, 2.0, 0.0, -3.0], cuts=[2], per_sample=[],
+                    two_sided=True, threshold=-1.0)
+# A zero-length block while a run is open, which stays open; once after
+# samples fed one at a time.
+@hypothesis.example(z=[0.0, 4.0, 5.0, 4.0, 0.0], cuts=[2, 2], per_sample=[],
+                    two_sided=True, threshold=3.0)
+@hypothesis.example(z=[0.0, 4.0, 5.0, 4.0, 0.0], cuts=[2, 2], per_sample=[True],
+                    two_sided=False, threshold=3.0)
+# A block with no exceedance closes the open run.
+@hypothesis.example(z=[4.0, 5.0, 0.0, 1.0, 4.0], cuts=[2, 4], per_sample=[],
+                    two_sided=True, threshold=3.0)
+def test_marker_extend_matches_update(z, cuts, per_sample, two_sided, threshold):
     # Few distinct values make ties, threshold hits and sign turns common.
     # A negative threshold puts samples past both bounds.
     kind_neg = "down" if two_sided else None
     scalar = _RunMarker(threshold, "up", kind_neg)
-    expected = [e for n, v in enumerate(z) if (e := scalar.update(n, v)) is not None]
-    expected.append(scalar.flush())
+    for n, v in enumerate(z):
+        scalar.update(n, v)
+    scalar.flush()
 
-    block = _RunMarker(threshold, "up", kind_neg)
-    got = []
-    bounds = sorted({0, len(z), *(c for c in cuts if c <= len(z))})
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        got += block.extend(lo, np.array(z[lo:hi]))
-    got.append(block.flush())
-    assert got == expected
+    # A repeated cut makes a zero-length block; block i goes through
+    # update() one sample at a time when per_sample[i] is set.
+    mixed = _RunMarker(threshold, "up", kind_neg)
+    bounds = sorted([0, len(z), *(c for c in cuts if c <= len(z))])
+    for i, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
+        if i < len(per_sample) and per_sample[i]:
+            for n in range(lo, hi):
+                mixed.update(n, z[n])
+        else:
+            mixed.extend(lo, np.array(z[lo:hi]))
+    mixed.flush()
+    assert mixed.events == scalar.events
 
 
 def test_marker_tie_takes_first_index():
     marker = _marker()
-    assert marker.extend(10, np.array([0.0, 5.0, 7.0, 7.0, 2.0])) == [Event(12, 7.0, "up")]
-    assert marker.extend(15, np.array([-4.0, -6.0, -6.0, 0.0])) == [Event(16, -6.0, "down")]
+    assert _extended(marker, 10, [0.0, 5.0, 7.0, 7.0, 2.0]) == [Event(12, 7.0, "up")]
+    assert _extended(marker, 15, [-4.0, -6.0, -6.0, 0.0]) == [Event(16, -6.0, "down")]
     # A tie across a block boundary keeps the earlier sample.
     marker.extend(19, np.array([0.0, 4.0, 7.0]))
-    assert marker.extend(22, np.array([7.0, 1.0])) == [Event(21, 7.0, "up")]
+    assert _extended(marker, 22, [7.0, 1.0]) == [Event(21, 7.0, "up")]
 
 
 def test_marker_threshold_is_not_an_exceedance():
     marker = _marker()
-    assert marker.extend(0, np.array([3.0, -3.0, 3.0, 0.0, -3.0])) == []
-    assert marker.flush() is None
-    assert marker.extend(5, np.array([3.0, np.nextafter(3.0, 4.0), 3.0])) == [
+    assert _extended(marker, 0, [3.0, -3.0, 3.0, 0.0, -3.0]) == []
+    assert _flushed(marker) == []
+    assert _extended(marker, 5, [3.0, np.nextafter(3.0, 4.0), 3.0]) == [
         Event(6, float(np.nextafter(3.0, 4.0)), "up")
     ]
 
 
 def test_marker_sign_turn_emits_both_events():
     marker = _marker()
-    assert marker.extend(0, np.array([4.0, 5.0, -4.0, -6.0, 0.0])) == [
+    assert _extended(marker, 0, [4.0, 5.0, -4.0, -6.0, 0.0]) == [
         Event(1, 5.0, "up"),
         Event(3, -6.0, "down"),
     ]
     # The same turn across a block boundary.
-    assert marker.extend(5, np.array([4.0, 5.0])) == []
-    assert marker.extend(7, np.array([-4.0, -6.0])) == [Event(6, 5.0, "up")]
-    assert marker.flush() == Event(8, -6.0, "down")
+    assert _extended(marker, 5, [4.0, 5.0]) == []
+    assert _extended(marker, 7, [-4.0, -6.0]) == [Event(6, 5.0, "up")]
+    assert _flushed(marker) == [Event(8, -6.0, "down")]
 
 
 def test_marker_open_run_closes_later():
     marker = _marker()
-    assert marker.extend(0, np.array([0.0, 4.0, 6.0])) == []
-    assert marker.extend(3, np.array([])) == []
-    assert marker.extend(3, np.array([5.0, 8.0, 4.0])) == []
-    assert marker.extend(6, np.array([0.0])) == [Event(4, 8.0, "up")]
-    assert marker.extend(7, np.array([9.0, 5.0])) == []
-    assert marker.flush() == Event(7, 9.0, "up")
-    assert marker.flush() is None
+    assert _extended(marker, 0, [0.0, 4.0, 6.0]) == []
+    assert _extended(marker, 3, []) == []
+    assert _extended(marker, 3, [5.0, 8.0, 4.0]) == []
+    assert _extended(marker, 6, [0.0]) == [Event(4, 8.0, "up")]
+    assert _extended(marker, 7, [9.0, 5.0]) == []
+    assert _flushed(marker) == [Event(7, 9.0, "up")]
+    assert _flushed(marker) == []
 
 
 def test_event_is_a_plain_value():

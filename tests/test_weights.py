@@ -1,5 +1,6 @@
 import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -64,6 +65,27 @@ def test_sum_beyond_float_range_raises_overflow_naming_k_and_p(k, p):
     with pytest.raises(OverflowError, match=re.escape(f"k={k}, p={p}")):
         erlang_sum(k, p)
     assert math.isfinite(erlang_sum(82, 0.99))
+
+
+def _exact_sum(k, p):
+    """S_k(p) as a Fraction sum of the series, stopped far past its peak."""
+    p = Fraction(p)
+    total, m = Fraction(0), 0
+    while True:
+        m += 1
+        term = m**k * p**m
+        total += term
+        if m > k and term < total * Fraction(1, 2**80):
+            return total
+
+
+@pytest.mark.parametrize("k, p", [(200, 1e-5), (180, 1e-3), (300, 1e-9), (250, 1e-4)])
+def test_finite_sum_past_the_eulerian_range_matches_the_exact_series(k, p):
+    # The Eulerian coefficients of these k overflow a float, so the closed
+    # form raised OverflowError for sums up to about 1e250.
+    exact = float(_exact_sum(k, p))
+    assert math.isfinite(exact)
+    assert erlang_sum(k, p) == pytest.approx(exact, rel=1e-12)
 
 
 def test_weight_spec_derives_timescale():
