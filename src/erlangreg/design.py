@@ -27,7 +27,7 @@ from typing import Optional
 import numpy as np
 
 from .network import impulse_to_weight_transform, steady_state_vector
-from .weights import WeightSpec, erlang_sum, weight_moments
+from .weights import _EULERIAN_FLOAT_ROWS, WeightSpec, erlang_sum, weight_moments
 
 __all__ = [
     "DesignError",
@@ -167,16 +167,25 @@ def _gram_pair(spec: DesignSpec):
     S_{a + b + 2 kappa}(p**2): the weight enters squared, as it does
     wherever white noise passes through the weighted fit.  A sum that is
     not a finite float, or a p whose square underflows, raises DesignError
-    naming kappa, p and model_order.
+    naming kappa, p and model_order.  So does a finite sum of order 172 or
+    more: its design has a cascade of at least 87 stages, whose integer
+    readout transform cancels away every digit of the fit.
     """
     kappa, p, n = spec.weight.kappa, spec.weight.p, spec.model_order
+    top = 2 * (kappa + n - 1)  # the highest order, in the squared overlap
     if p * p == 0.0:
         cause = f"p={p} is so small that its square, the squared weight's decay, underflows to 0"
     else:
         try:
-            return _hankel(kappa, p, n), _hankel(2 * kappa, p * p, n)
+            pair = _hankel(kappa, p, n), _hankel(2 * kappa, p * p, n)
         except OverflowError:
             cause = "its weight sums overflow the float range"
+        else:
+            if top < _EULERIAN_FLOAT_ROWS:
+                return pair
+            cause = (f"its weight sums reach order {top}, past {_EULERIAN_FLOAT_ROWS - 1}, "
+                     f"where its cascade of {spec.n_first_states} stages cannot read out "
+                     f"its fit in floats")
     raise DesignError(f"design rejected: {cause} (kappa={kappa}, p={p}, model_order={n})")
 
 
@@ -221,7 +230,7 @@ def synthesis_matrix(spec: DesignSpec) -> np.ndarray:
     try:
         return _synthesis(spec)
     except OverflowError:
-        raise _overflow(spec, pinned=True) from None
+        raise _range_error(spec, pinned=True) from None
 
 
 def _synthesis(spec: DesignSpec) -> np.ndarray:
@@ -237,44 +246,34 @@ def _synthesis(spec: DesignSpec) -> np.ndarray:
     return out
 
 
-def _overflow(spec: DesignSpec, pinned: bool) -> DesignError:
-    """The error of a design whose synthesis, noise gains or readout rows overflow.
+def _range_error(spec: DesignSpec, pinned: bool) -> DesignError:
+    """The error of a design whose synthesis, noise gains or readout rows leave the float range.
 
-    Row k of those matrices carries (1/sample_period)**k, so the sample
-    period is named when the same design at a unit period is finite, and
-    the delay otherwise.  Only a delay the caller pinned gets the advice to
-    pin a smaller one.
-    """
-    if spec.sample_period != 1.0:
-        try:
-            build_realization(replace(spec, sample_period=1.0))
-        except DesignError:
-            pass
-        else:
-            return DesignError(
-                f"sample period {spec.sample_period!r} overflows the design: the derivative "
-                f"scale (1/sample_period)**{spec.n_outputs - 1} makes its noise gains or "
-                f"readout rows not finite; use a longer sample period or fewer outputs"
-            )
-    advice = "; pin a delay of smaller magnitude" if pinned else ""
-    return DesignError(
-        f"delay {spec.delay!r} overflows the design: its synthesis, noise gains "
-        f"or readout rows are not finite{advice}"
-    )
-
-
-def _period_error(spec: DesignSpec, output: int, gain=None) -> DesignError:
-    """The error of a sample period that scales output's noise gain out of range.
-
-    The gain carries (1/sample_period)**(2 * output); gain, when given, is
-    the value it took, which is not a positive normal float.
+    Output k's rows carry (1/sample_period)**k and its noise gain the square
+    of that.  The sample period is named when the delay plays no part
+    (spec.delay is None, as in the delay polynomial) or when the same design
+    at a unit period builds; the delay otherwise.  Only a delay the caller
+    pinned gets the advice to pin a smaller one.
     """
     t_s = spec.sample_period
+    period_caused = spec.delay is None
+    if not period_caused and t_s != 1.0:
+        try:
+            build_realization(replace(spec, sample_period=1.0))
+            period_caused = True
+        except DesignError:
+            pass
+    if not period_caused:
+        advice = "; pin a delay of smaller magnitude" if pinned else ""
+        return DesignError(
+            f"delay {spec.delay!r} overflows the design: its synthesis, noise gains "
+            f"or readout rows are not finite{advice}"
+        )
     way, fix = ("overflows", "longer") if t_s < 1.0 else ("underflows", "shorter")
-    took = "" if gain is None else f", which came out as {gain!r}"
     return DesignError(
-        f"sample period {t_s!r} {way} the noise gain of output {output}{took}: it "
-        f"carries (1/sample_period)**{2 * output}; use a {fix} sample period or fewer outputs"
+        f"sample period {t_s!r} {way} the design: output k carries (1/sample_period)**k, "
+        f"which takes a noise gain or readout row out of the float range; use a {fix} "
+        f"sample period or fewer outputs"
     )
 
 
@@ -299,11 +298,9 @@ def _gains(spec: DesignSpec, overlap, squared, pinned: bool):
             vrf = _vrf(synthesis, overlap, squared)
     except OverflowError:
         vrf = None
-    if vrf is None or not np.isfinite(vrf).all():
-        raise _overflow(spec, pinned)
-    for output, gain in enumerate(vrf.diagonal().tolist()):
-        if not gain >= sys.float_info.min:
-            raise _period_error(spec, output, gain)
+    in_range = vrf is not None and np.isfinite(vrf).all()
+    if not (in_range and (vrf.diagonal() >= sys.float_info.min).all()):
+        raise _range_error(spec, pinned)
     return synthesis, vrf
 
 
@@ -319,8 +316,8 @@ def _delay_polynomial(spec: DesignSpec, overlap, squared, output: int) -> np.nda
         scale = spec.sample_period ** (-2 * output)
     except OverflowError:
         scale = math.inf
-    if not sys.float_info.min <= scale < math.inf:
-        raise _period_error(spec, output)
+    if not sys.float_info.min <= scale < math.inf:  # the delay plays no part in it
+        raise _range_error(replace(spec, delay=None), pinned=False)
     for i in range(output, spec.model_order):
         for j in range(output, spec.model_order):
             weight = math.perm(i, output) * math.perm(j, output)
@@ -404,13 +401,7 @@ def build_realization(spec: DesignSpec) -> FilterRealization:
     n_first, n_second = spec.n_first_states, spec.n_second_states
 
     to_on, from_on = orthonormal_transforms(overlap)
-    try:
-        weight_from_states = impulse_to_weight_transform(n_first)
-    except OverflowError:  # its integer entries outgrow a float from 161 stages on
-        raise DesignError(
-            f"design rejected: the readout of its {n_first} cascade stages overflows the "
-            f"float range (kappa={kappa}, p={p}, model_order={spec.model_order})"
-        ) from None
+    weight_from_states = impulse_to_weight_transform(n_first)
     # The model's monomials start at the kappa-th weight: select rows
     # kappa .. kappa + model_order - 1 of the weight family.
     selector = np.zeros((spec.model_order, n_first))
@@ -433,7 +424,7 @@ def build_realization(spec: DesignSpec) -> FilterRealization:
         power_output=power_output,
     )
     if not (math.isfinite(residual_mass) and np.isfinite(state_output).all()):
-        raise _overflow(spec, pinned)
+        raise _range_error(spec, pinned)
     for matrix in (*arrays.values(), vrf):
         matrix.flags.writeable = False
     return FilterRealization(spec=spec, residual_mass=residual_mass, vrf=vrf, **arrays)

@@ -18,6 +18,8 @@ from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
 _LOG_FLOAT_MAX = math.log(2.0) * 1024  # ln of the float range's top, 2**1024
+# Rows of the Eulerian triangle whose coefficients all fit a float: 0 .. 171.
+_EULERIAN_FLOAT_ROWS = 172
 
 __all__ = [
     "WeightSpec",
@@ -43,26 +45,24 @@ def erlang_sum(k: int, p: float) -> float:
     polynomial A_k is the Eulerian number A(k, j), built by the recurrence
     A(n, j) = j*A(n-1, j) + (n-j+1)*A(n-1, j-1) from A(0, 0) = 1.  Every
     coefficient is a nonnegative integer and p > 0, so nothing cancels.
-    When that form leaves the float range (the largest coefficient does
-    from k = 172 on), the series is summed directly instead; a sum that is
+    From k = _EULERIAN_FLOAT_ROWS on the largest coefficient is past the
+    float range, so the series is summed directly instead.  A sum that is
     not a finite float raises OverflowError naming k and p.
     """
     _check_sum_args(k, p)
     k = int(k)
-    num = 0.0
     try:
-        for coeff in reversed(_eulerian_row(k)):
-            num = num * p + coeff
-        total = num / (1.0 - p) ** (k + 1)
-    except (OverflowError, ZeroDivisionError):  # a coefficient or (1 - p)**(k + 1)
+        if k >= _EULERIAN_FLOAT_ROWS:
+            total = _series_sum(k, p)
+        else:
+            num = 0.0
+            for coeff in reversed(_eulerian_row(k)):
+                num = num * p + coeff
+            total = num / (1.0 - p) ** (k + 1)
+    except (OverflowError, ZeroDivisionError):  # a term, the quotient or (1 - p)**(k + 1)
         total = math.inf
     if not math.isfinite(total):
-        try:
-            total = _series_sum(k, p)
-        except OverflowError:
-            raise OverflowError(
-                f"erlang sum S_k(p) with k={k}, p={p} overflows the float range"
-            ) from None
+        raise OverflowError(f"erlang sum S_k(p) with k={k}, p={p} overflows the float range")
     return total
 
 
@@ -74,6 +74,8 @@ def _series_sum(k: int, p: float) -> float:
     and then fall at least as fast as sqrt(p)**m beyond 2 m*, where the sum
     stops once a term is below 2**-70 of it.  A largest term past the float
     range raises OverflowError before any summing, as does the quotient.
+    From k = _EULERIAN_FLOAT_ROWS on, a largest term in range puts the peak
+    below 170, so the loop is short.
     """
     log_p = math.log(p)
     peak = max(1, int(k / -log_p))

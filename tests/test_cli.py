@@ -145,6 +145,16 @@ def test_design_with_underflowing_derivative_gains_writes_nothing(tmp_path, caps
     assert not out.exists()
 
 
+@pytest.mark.parametrize("kappa", ["86", "100"])
+def test_design_whose_finite_sums_pass_order_171_exits_3(tmp_path, capsys, kappa):
+    # Rejected while these sums overflowed; once they were summed, the
+    # design built and its level read -6.6e126 for data around 5.
+    out = tmp_path / "d.json"
+    assert main(["design", "--kappa", kappa, "--p", "1e-8", "--kx", "1", "--out", str(out)]) == 3
+    assert f"past 171, where its cascade of {int(kappa) + 1} stages" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_design_usage_error_is_exit_2():
     assert main(["design", "--kappa", "0", "--p", "0.8"]) == 2
     assert main(["design", "--kappa", "0", "--p", "0.8", "--kx", "2", "--q", "soon"]) == 2

@@ -181,7 +181,7 @@ def test_sample_period_whose_gains_underflow_is_named(ts):
     # The derivative scale (1/sample_period)**k underflowed: the design
     # built with a second derivative of noise gain 0 and readout row 0, so
     # its Z read 0 forever.  optimal_delay for the slope raised ValueError.
-    named = "^" + re.escape(f"sample period {ts!r} underflows the noise gain of output ")
+    named = "^" + re.escape(f"sample period {ts!r} underflows the design: ")
     makers = (build_realization, vrf_matrix, optimal_delay,
               lambda spec: optimal_delay(spec, output=1),
               lambda spec: optimal_delay(spec, output=2))
@@ -196,19 +196,25 @@ def test_overflowing_delay_polynomial_scale_names_the_sample_period():
     # (1/sample_period)**4 of the curvature's noise gain escaped as a bare
     # OverflowError.
     spec = _spec(kappa=2, p=0.9, kx=3, kt=3, q=None, ts=1e-200)
-    with pytest.raises(DesignError, match=r"^sample period 1e-200 overflows the noise gain "
-                                          r"of output 2"):
+    with pytest.raises(DesignError, match=r"^sample period 1e-200 overflows the design"):
         optimal_delay(spec, output=2)
+    # The polynomial does not involve the delay, so a pinned one is not blamed.
+    with pytest.raises(DesignError, match=r"^sample period 1e-200 overflows the design"):
+        optimal_delay(_spec(kappa=2, p=0.9, kx=3, kt=1, q=1e200, ts=1e-200), output=2)
 
 
-def test_cascade_whose_readout_overflows_is_named():
-    # Its weight sums are finite, but the integer readout transform of 201
-    # stages is not.
-    spec = _spec(kappa=200, p=1e-8, kx=1, kt=1, q=None)
-    with pytest.raises(DesignError, match=re.escape(
-            "readout of its 201 cascade stages overflows the float range "
-            "(kappa=200, p=1e-08, model_order=1)")):
-        build_realization(spec)
+@pytest.mark.parametrize("kappa, kx", [(86, 1), (100, 1), (200, 1), (84, 3)])
+def test_finite_weight_sums_past_the_closed_form_orders_are_rejected(kappa, kx):
+    # Their sums of order 172 or more are finite, but a cascade of 87 or
+    # more stages reads out garbage (kappa 100 read -6.6e126 for a level of
+    # 5), so these designs stay rejected as they were while those sums
+    # raised.
+    named = re.escape(f"reach order {2 * (kappa + kx - 1)}, past 171, where its cascade of "
+                      f"{kappa + kx} stages") + ".*" + re.escape(f"(kappa={kappa}, p=1e-08, ")
+    for make, q in ((build_realization, None), (build_realization, 1.0), (vrf_matrix, 1.0),
+                    (optimal_delay, None)):
+        with pytest.raises(DesignError, match=named):
+            make(_spec(kappa=kappa, p=1e-8, kx=kx, kt=1, q=q))
 
 
 def test_p_whose_square_underflows_is_named():
