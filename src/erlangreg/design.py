@@ -15,6 +15,15 @@ The VRF (variance reduction factor) of an output is the ratio of its
 steady-state noise variance to the input white-noise variance, the sum of
 its squared impulse-response samples.  For these filters it has a closed
 form in the Gram pair.
+
+Every design is built at a unit sample period, and the period is applied
+once, last: output k's rows are multiplied by (1/sample_period)**k and its
+noise gains by the square, which moves no optimal delay.  A design that
+leaves the float range is named by the first stage that fails: (1) its
+weight sums (_gram_pair), (2) the overlap's conditioning, (3) the delay,
+when the synthesis, noise gains or readout rows leave the float range at a
+unit period (_delay_error), and (4) the sample period, when only its scale
+takes them out (_period_scale).
 """
 
 from __future__ import annotations
@@ -224,84 +233,87 @@ def synthesis_matrix(spec: DesignSpec) -> np.ndarray:
     delay**(k_x - k_t) for k_t <= k_x, else zero.  The sign flip per
     derivative accounts for the model's age axis running backward in time:
     a rising ramp has a negative slope against sample age, and this matrix
-    returns it as a positive time derivative.  A delay or sample period
-    whose powers overflow raises DesignError.
+    returns it as a positive time derivative.  Built at a unit period, then
+    scaled: a delay whose powers overflow raises the delay's DesignError,
+    then a period whose scale takes a row out of range the period's.
     """
     try:
-        return _synthesis(spec)
+        rows = _synthesis(spec)
     except OverflowError:
-        raise _range_error(spec, pinned=True) from None
+        raise _delay_error(spec, pinned=True) from None
+    reach = np.abs(rows).max(axis=1).tolist()
+    return rows * np.array([[_period_scale(spec, k, reach=r)] for k, r in enumerate(reach)])
 
 
 def _synthesis(spec: DesignSpec) -> np.ndarray:
-    """synthesis_matrix, but a power that overflows raises OverflowError."""
+    """synthesis_matrix at a unit period; a power that overflows raises OverflowError."""
     if spec.delay is None:
         raise DesignError("synthesis matrix needs a resolved delay; got None")
-    q, t_s = spec.delay, spec.sample_period
     out = np.zeros((spec.n_outputs, spec.model_order))
     for k_t in range(spec.n_outputs):
-        scale = (-1.0 / t_s) ** k_t
         for k_x in range(k_t, spec.model_order):
-            out[k_t, k_x] = scale * math.perm(k_x, k_t) * q ** (k_x - k_t)
+            out[k_t, k_x] = (-1) ** k_t * math.perm(k_x, k_t) * spec.delay ** (k_x - k_t)
     return out
 
 
-def _range_error(spec: DesignSpec, pinned: bool) -> DesignError:
-    """The error of a design whose synthesis, noise gains or readout rows leave the float range.
+def _period_scale(spec: DesignSpec, k: int, gain: float = 1.0, reach: float = 0.0) -> float:
+    """(1/sample_period)**k: output k's rows carry it, its noise gain its square.
 
-    Output k's rows carry (1/sample_period)**k and its noise gain the square
-    of that.  The sample period is named when the delay plays no part
-    (spec.delay is None, as in the delay polynomial) or when the same design
-    at a unit period builds; the delay otherwise.  Only a delay the caller
-    pinned gets the advice to pin a smaller one.
+    Range-error stage 4, the last: DesignError names the sample period unless
+    gain * scale * scale is a positive normal float and reach * scale finite
+    (gain: a unit-period gain of output k; reach: its rows' largest entry).
     """
     t_s = spec.sample_period
-    period_caused = spec.delay is None
-    if not period_caused and t_s != 1.0:
-        try:
-            build_realization(replace(spec, sample_period=1.0))
-            period_caused = True
-        except DesignError:
-            pass
-    if not period_caused:
-        advice = "; pin a delay of smaller magnitude" if pinned else ""
-        return DesignError(
-            f"delay {spec.delay!r} overflows the design: its synthesis, noise gains "
-            f"or readout rows are not finite{advice}"
-        )
+    try:
+        scale = (1.0 / t_s) ** k
+    except OverflowError:
+        scale = math.inf
+    if sys.float_info.min <= gain * scale * scale < math.inf and reach * scale < math.inf:
+        return scale
     way, fix = ("overflows", "longer") if t_s < 1.0 else ("underflows", "shorter")
-    return DesignError(
-        f"sample period {t_s!r} {way} the design: output k carries (1/sample_period)**k, "
-        f"which takes a noise gain or readout row out of the float range; use a {fix} "
-        f"sample period or fewer outputs"
-    )
+    raise DesignError(f"sample period {t_s!r} {way} the design: output k carries "
+                      f"(1/sample_period)**k, which takes a noise gain or readout row out of "
+                      f"the float range; use a {fix} sample period or fewer outputs")
 
 
-def _vrf(synthesis: np.ndarray, overlap: np.ndarray, squared: np.ndarray) -> np.ndarray:
-    """Noise gain matrix synthesis G**-1 G2 G**-T synthesis.T."""
-    # Rows of the per-state output map: synthesis @ overlap**-1.
-    state_rows = np.linalg.solve(overlap, synthesis.T).T
-    return state_rows @ squared @ state_rows.T
+def _delay_error(spec: DesignSpec, pinned: bool) -> DesignError:
+    """Range-error stage 3, before the period's: at a unit sample period the
+    delay takes the synthesis, noise gains or readout rows out of the float
+    range.  Only a delay the caller pinned gets the advice to pin a smaller one.
+    """
+    advice = "; pin a delay of smaller magnitude" if pinned else ""
+    return DesignError(f"delay {spec.delay!r} overflows the design: its synthesis, noise "
+                       f"gains or readout rows are not finite{advice}")
 
 
-def _gains(spec: DesignSpec, overlap, squared, pinned: bool):
-    """(synthesis, vrf) at spec's resolved delay.
+def _gains(spec: DesignSpec, overlap, squared, pinned: bool, *readout):
+    """(rows, vrf) at spec's resolved delay: rows = synthesis @ each readout.
 
-    DesignError unless vrf is finite and every output's noise gain is a
-    positive normal float: a derivative's gain that underflows would read
-    0 forever, and its Z could never fire.
+    Unit period first: the delay is named unless vrf and rows are finite and
+    every output's gain is a positive normal float (one that underflows reads
+    0 forever).  Period last: row k is scaled by s_k, vrf entry (a, b) by s_a s_b.
     """
     try:
-        synthesis = _synthesis(spec)
+        rows = _synthesis(spec)
         # The products of the delay's powers: a far delay overflows them.
         with np.errstate(over="ignore", invalid="ignore"):
-            vrf = _vrf(synthesis, overlap, squared)
+            # Rows of the per-state output map: synthesis @ overlap**-1.
+            state_rows = np.linalg.solve(overlap, rows.T).T
+            vrf = state_rows @ squared @ state_rows.T
+            for matrix in readout:
+                rows = rows @ matrix
     except OverflowError:
         vrf = None
-    in_range = vrf is not None and np.isfinite(vrf).all()
-    if not (in_range and (vrf.diagonal() >= sys.float_info.min).all()):
-        raise _range_error(spec, pinned)
-    return synthesis, vrf
+    if not (vrf is not None and np.isfinite(vrf).all() and np.isfinite(rows).all()
+            and (vrf.diagonal() >= sys.float_info.min).all()):
+        raise _delay_error(spec, pinned)
+    # A unit scale is exact; skipping its small-array products keeps a
+    # unit-period build as fast as when the period entered the synthesis.
+    if spec.sample_period == 1.0:
+        return rows, vrf
+    limits = zip(vrf.diagonal().tolist(), np.abs(rows).max(axis=1).tolist())
+    scales = np.array([_period_scale(spec, k, *limit) for k, limit in enumerate(limits)])
+    return rows * scales[:, None], scales[:, None] * vrf * scales
 
 
 def _delay_polynomial(spec: DesignSpec, overlap, squared, output: int) -> np.ndarray:
@@ -312,17 +324,14 @@ def _delay_polynomial(spec: DesignSpec, overlap, squared, output: int) -> np.nda
     core = inv @ squared @ inv.T
     degree = 2 * (spec.model_order - 1 - output)
     coeffs = np.zeros(degree + 1)
-    try:
-        scale = spec.sample_period ** (-2 * output)
-    except OverflowError:
-        scale = math.inf
-    if not sys.float_info.min <= scale < math.inf:  # the delay plays no part in it
-        raise _range_error(replace(spec, delay=None), pinned=False)
     for i in range(output, spec.model_order):
         for j in range(output, spec.model_order):
             weight = math.perm(i, output) * math.perm(j, output)
-            coeffs[i + j - 2 * output] += scale * weight * core[i, j]
-    return coeffs
+            coeffs[i + j - 2 * output] += weight * core[i, j]
+    # The square of output's scale moves no root, but names a period that
+    # takes these coefficients out of the float range.
+    scale = _period_scale(spec, output, max(map(abs, coeffs.tolist())))
+    return coeffs * scale * scale
 
 
 def _optimal_delay(spec: DesignSpec, overlap, squared, output: int):
@@ -384,8 +393,8 @@ def build_realization(spec: DesignSpec) -> FilterRealization:
 
     Resolves delay=None to the variance-optimal delay, rejects designs whose
     overlap matrix is numerically rank deficient, and attaches the noise
-    gain matrix.  Weight sums, a delay or a sample period that leave the
-    float range raise DesignError naming the cause.
+    gain matrix.  A range error names the first stage that fails: weight
+    sums, the delay at a unit sample period, then the sample period's scale.
     """
     overlap, squared = _gram_pair(spec)
     cond = np.linalg.cond(overlap)
@@ -395,7 +404,6 @@ def build_realization(spec: DesignSpec) -> FilterRealization:
     pinned = spec.delay is not None
     if not pinned:
         spec = replace(spec, delay=_optimal_delay(spec, overlap, squared, 0)[0])
-    synthesis, vrf = _gains(spec, overlap, squared, pinned)
 
     kappa, p = spec.weight.kappa, spec.weight.p
     n_first, n_second = spec.n_first_states, spec.n_second_states
@@ -407,13 +415,14 @@ def build_realization(spec: DesignSpec) -> FilterRealization:
     selector = np.zeros((spec.model_order, n_first))
     selector[:, kappa:] = np.eye(spec.model_order)
     coeff_output = to_on @ selector @ weight_from_states
-    with np.errstate(over="ignore", invalid="ignore"):  # checked below
-        state_output = synthesis @ from_on @ coeff_output
+    state_output, vrf = _gains(spec, overlap, squared, pinned, from_on, coeff_output)
     power_output = impulse_to_weight_transform(n_second)[-1]
 
     # Expected weighted residual power of unit-variance white noise: total
     # weight mass S_kappa(p) = overlap[0, 0] minus the mass the fit absorbs
-    # through its leverage.
+    # through its leverage.  Finite once the weight sums are: the weight
+    # squared is at most the weight times its peak, so the leverage mass
+    # lies between 0 and model_order times that peak.
     residual_mass = float(overlap[0, 0]) - float(np.trace(to_on @ squared @ to_on.T))
 
     arrays = dict(
@@ -423,8 +432,6 @@ def build_realization(spec: DesignSpec) -> FilterRealization:
         state_output=state_output,
         power_output=power_output,
     )
-    if not (math.isfinite(residual_mass) and np.isfinite(state_output).all()):
-        raise _range_error(spec, pinned)
     for matrix in (*arrays.values(), vrf):
         matrix.flags.writeable = False
     return FilterRealization(spec=spec, residual_mass=residual_mass, vrf=vrf, **arrays)

@@ -11,8 +11,10 @@ delay) are computed by `analyze` from the loaded realization.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
+import numbers
 
 import numpy as np
 
@@ -33,6 +35,7 @@ FORMAT_VERSION = 2
 _READABLE_VERSIONS = (1, 2)
 
 _SPEC_NUMBERS = ("kappa", "p", "model_order", "n_outputs", "delay", "sample_period")
+_SPEC_INTEGERS = ("kappa", "model_order", "n_outputs")
 
 _ARRAY_FIELDS = (
     "steady_second",
@@ -122,15 +125,20 @@ def realization_from_document(document: dict) -> FilterRealization:
     """
     _validate(document)
     raw_spec = document["spec"]
-    for key in _SPEC_NUMBERS:
-        _finite_number("spec", key, raw_spec[key])
+    number = {key: _finite_number("spec", key, raw_spec[key]) for key in _SPEC_NUMBERS}
+    for key in _SPEC_INTEGERS:
+        if not number[key].is_integer():
+            raise DesignError(
+                f"design document spec field {key!r} must be an integer, got {raw_spec[key]!r}"
+            )
+        number[key] = int(number[key])
     try:
         spec = DesignSpec(
-            weight=WeightSpec(kappa=int(raw_spec["kappa"]), p=float(raw_spec["p"])),
-            model_order=int(raw_spec["model_order"]),
-            n_outputs=int(raw_spec["n_outputs"]),
-            delay=float(raw_spec["delay"]),
-            sample_period=float(raw_spec["sample_period"]),
+            weight=WeightSpec(kappa=number["kappa"], p=number["p"]),
+            model_order=number["model_order"],
+            n_outputs=number["n_outputs"],
+            delay=number["delay"],
+            sample_period=number["sample_period"],
         )
     except (TypeError, ValueError) as exc:
         raise DesignError(f"design document spec is invalid: {exc}") from exc
@@ -158,29 +166,42 @@ def realization_from_document(document: dict) -> FilterRealization:
 def _finite_number(section: str, key: str, value) -> float:
     """value as a float; DesignError naming the field unless it is a finite number.
 
-    json.loads accepts the tokens NaN and Infinity, and a non-finite number
-    in a design runs without error but yields NaN estimates or a zero noise
-    variance, so that no detector ever alarms.
+    Only a JSON number counts: float() would also take the string "2" and
+    the boolean true.  json.loads accepts the tokens NaN and Infinity, and a
+    non-finite number in a design runs without error but yields NaN
+    estimates or a zero noise variance, so that no detector ever alarms.
     """
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise DesignError(f"design document {section} field {key!r} is not a number: {value!r}")
     try:
         number = float(value)
-    except (TypeError, ValueError) as exc:
-        raise DesignError(
-            f"design document {section} field {key!r} is not a number: {value!r}"
-        ) from exc
+    except OverflowError:  # an integer past the float range
+        number = math.inf
     if not math.isfinite(number):
         raise DesignError(f"design document {section} field {key!r} is not finite: {number!r}")
     return number
 
 
 def _finite_array(section: str, key: str, value) -> np.ndarray:
-    """value as a read-only float array; DesignError naming the field unless all finite."""
+    """value as a read-only float array; DesignError naming the field unless all finite.
+
+    Only JSON numbers count: the float conversion would also take the
+    string "1.5" and the boolean true.
+    """
     try:
         arr = np.array(value, dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise DesignError(
             f"design document {section} field {key!r} is not a numeric array: {exc}"
         ) from exc
+    entries = [value]
+    for _ in range(arr.ndim):
+        entries = itertools.chain.from_iterable(entries)
+    if not set(map(type, entries)).isdisjoint((str, bool)):
+        raise DesignError(
+            f"design document {section} field {key!r} is not a numeric array: "
+            f"it holds a string or a boolean"
+        )
     finite = np.isfinite(arr)
     if not finite.all():
         bad = np.flatnonzero(~finite)

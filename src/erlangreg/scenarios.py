@@ -136,24 +136,21 @@ def simulate_target(scenario: TargetScenario) -> Tuple[np.ndarray, np.ndarray]:
 
 
 _PULSE_START = 150
+_PULSE_WIDTH = 100
+_PULSE_HEIGHT = 20.0
+_PULSE_KERNEL_SIGMA = 8.0
 
 
-def _smoothed_pulse(
-    n_samples: int = 400,
-    start: int = _PULSE_START,
-    width: int = 100,
-    height: float = 20.0,
-    kernel_sigma: float = 8.0,
-) -> np.ndarray:
-    """Rectangular pulse blurred by a Gaussian kernel, rescaled to height."""
+def _smoothed_pulse(n_samples: int) -> np.ndarray:
+    """Rectangular pulse blurred by a Gaussian kernel, rescaled to its height."""
     pulse = np.zeros(n_samples)
-    pulse[start : start + width] = 1.0
-    half = int(math.ceil(4.0 * kernel_sigma))
+    pulse[_PULSE_START : _PULSE_START + _PULSE_WIDTH] = 1.0
+    half = int(math.ceil(4.0 * _PULSE_KERNEL_SIGMA))
     taps = np.arange(-half, half + 1)
-    kernel = np.exp(-0.5 * (taps / kernel_sigma) ** 2)
+    kernel = np.exp(-0.5 * (taps / _PULSE_KERNEL_SIGMA) ** 2)
     kernel /= kernel.sum()
     smooth = np.convolve(pulse, kernel, mode="same")
-    return smooth * (height / smooth.max())
+    return smooth * (_PULSE_HEIGHT / smooth.max())
 
 
 def synth_edge_waveform(

@@ -297,6 +297,24 @@ def test_non_finite_design_document_exits_3(tmp_path, capsys, command):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("field, value, cause", [
+    ("kappa", 2.5, "'kappa' must be an integer, got 2.5"),
+    ("n_outputs", "2", "'n_outputs' is not a number: '2'"),
+])
+def test_run_rejects_a_spec_number_it_would_coerce(tmp_path, capsys, field, value, cause):
+    # kappa 2.5 ran as kappa 2 and exited 0.
+    design = _design(tmp_path, "d.json", kappa=2, p=0.8, kx=2, kt=2)
+    document = json.loads(design.read_text())
+    document["spec"][field] = value
+    design.write_text(json.dumps(document))
+    data = tmp_path / "in.csv"
+    data.write_text("x\n1.0\n2.0\n3.0\n")
+    out = tmp_path / "out.csv"
+    assert main(["run", "--design", str(design), "--input", str(data), "--out", str(out)]) == 3
+    assert cause in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["run", "detect"])
 @pytest.mark.parametrize("prior", ["nan", "inf", "-1"])
 def test_bad_prior_variance_exits_before_any_output(tmp_path, capsys, command, prior):

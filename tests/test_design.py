@@ -1,4 +1,5 @@
 import copy
+import math
 import re
 
 import numpy as np
@@ -240,6 +241,70 @@ def test_overflowing_sample_period_is_named(q):
     with pytest.raises(DesignError, match=r"^delay 1e\+200 overflows .*pin a delay"):
         build_realization(_spec(kappa=2, p=0.9, kx=3, kt=3, q=1e200, ts=1e-200))
     assert np.isfinite(build_realization(_spec(kappa=2, p=0.9, kx=3, kt=3, ts=1e-50)).vrf).all()
+
+
+_UNIT_DESIGNS = [(0, 0.8, 2, 2), (2, 0.9, 3, 3), (6, 0.8, 4, 3), (8, 0.95, 3, 3), (1, 0.9, 4, 4)]
+
+
+@pytest.mark.parametrize("kappa, p, kx, kt", _UNIT_DESIGNS)
+@pytest.mark.parametrize("q", [None, 3.5, -1.0])
+def test_sample_period_is_a_unit(kappa, p, kx, kt, q):
+    # A design at sample period ts is its unit-period design with output k's
+    # rows times s_k = (1/ts)**k and vrf entry (a, b) times s_a s_b; the
+    # delay and residual mass do not depend on the period.
+    unit = build_realization(_spec(kappa, p, kx, kt, q=q))
+    for ts in (2.0**-7, 0.5, 4.0, 2.0**7, 0.01, 1e-3, 0.37, 60.0):
+        real = build_realization(_spec(kappa, p, kx, kt, q=q, ts=ts))
+        scales = np.array([(1.0 / ts) ** k for k in range(kt)])
+        state_output = unit.state_output * scales[:, None]
+        vrf = unit.vrf * np.outer(scales, scales)
+        assert real.spec.delay == unit.spec.delay
+        assert real.residual_mass == unit.residual_mass
+        for name in ("steady_second", "from_orthonormal", "coeff_output", "power_output"):
+            assert np.array_equal(getattr(real, name), getattr(unit, name)), name
+        if math.log2(ts).is_integer():
+            # A power of two scales without rounding.
+            assert np.array_equal(real.state_output, state_output), ts
+            assert np.array_equal(real.vrf, vrf), ts
+            continue
+        row_max = np.abs(state_output).max(axis=1, keepdims=True)
+        assert (np.abs(real.state_output - state_output) <= 1e-12 * row_max).all(), ts
+        # |vrf[a, b]| <= sqrt(vrf[a, a] vrf[b, b]), which is the scale of an
+        # entry: at the optimal delay the level-slope covariance is 0 up to
+        # rounding, so the row's largest entry would be no scale for it.
+        bound = np.sqrt(np.outer(vrf.diagonal(), vrf.diagonal()))
+        assert (np.abs(real.vrf - vrf) <= 1e-12 * bound).all(), ts
+
+
+def test_delay_polynomial_scale_is_checked_against_its_coefficients():
+    # At 1e-77 the curvature's scale squared, 1e308, is a normal float, but
+    # it took the delay polynomial's coefficients to infinity: np.roots
+    # warned and raised LinAlgError.  The roots do not depend on the scale.
+    unit = optimal_delay(_spec(0, 0.8, 4, 3, q=None), output=2)
+    fine = optimal_delay(_spec(0, 0.8, 4, 3, q=None, ts=1e-77), output=2)
+    assert fine.q_optimal == pytest.approx(unit.q_optimal, rel=1e-12)
+    assert fine.candidates[0][1] == pytest.approx(unit.candidates[0][1] * 1e308, rel=1e-12)
+    with pytest.raises(DesignError, match=r"^sample period 1e-78 overflows the design"):
+        optimal_delay(_spec(0, 0.8, 4, 3, q=None, ts=1e-78), output=2)
+
+
+@pytest.mark.parametrize("q", [None, 3.5, -1.0, 1e100, 1e200, -1e300])
+def test_unit_sample_period_is_never_named(q):
+    # At a unit period the scale is 1, so a range error names the weight
+    # sums, the conditioning or the delay, never the sample period.
+    designs = _UNIT_DESIGNS + [(300, 0.99, 1, 1), (0, 0.999, 8, 3), (84, 1e-8, 3, 3),
+                               (2, 1e-300, 2, 1)]
+    for kappa, p, kx, kt in designs:
+        spec = _spec(kappa, p, kx, kt, q=q)
+        calls = [build_realization] + [lambda spec, k=k: optimal_delay(spec, output=k)
+                                       for k in range(kx)]
+        if q is not None:
+            calls += [vrf_matrix, synthesis_matrix]
+        for call in calls:
+            try:
+                call(spec)
+            except DesignError as err:
+                assert "sample period" not in str(err), (kappa, p, kx, kt, q)
 
 
 def test_array_values_compare_by_identity():

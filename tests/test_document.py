@@ -159,6 +159,38 @@ def test_rejects_malformed_documents():
             with pytest.raises(DesignError, match=f"{key!r}.*non-finite"):
                 realization_from_document(document_from_json(text))
 
+    # int() truncated kappa 2.5 to 2 (and the design ran), and float() or
+    # the float array conversion took JSON strings and booleans.
+    cases = [
+        ("spec", "kappa", 2.5, "'kappa' must be an integer, got 2.5"),
+        ("spec", "model_order", 3.9, "'model_order' must be an integer, got 3.9"),
+        ("spec", "n_outputs", 2.2, "'n_outputs' must be an integer, got 2.2"),
+        ("spec", "kappa", "2", "'kappa' is not a number: '2'"),
+        ("spec", "n_outputs", "2", "'n_outputs' is not a number: '2'"),
+        ("spec", "kappa", True, "'kappa' is not a number: True"),
+        ("spec", "p", "0.8", "'p' is not a number: '0.8'"),
+        ("spec", "delay", False, "'delay' is not a number: False"),
+        ("spec", "sample_period", "1", "'sample_period' is not a number: '1'"),
+        ("spec", "kappa", 10**400, "'kappa' is not finite: inf"),
+        ("realization", "residual_mass", "1646.66", "'residual_mass' is not a number: '1646.66'"),
+        ("realization", "power_output", ["1.0", "-3.0", "2.0"],
+         "'power_output' is not a numeric array: it holds a string or a boolean"),
+        ("realization", "power_output", [1.0, True, 2.0],
+         "'power_output' is not a numeric array: it holds a string or a boolean"),
+        ("realization", "coeff_output", [[1.0, "0"], [0.0, 1.0]],
+         "'coeff_output' is not a numeric array: it holds a string or a boolean"),
+        ("analysis", "vrf", [[True]], "'vrf' is not a numeric array: it holds a string or a boolean"),
+    ]
+    for section, key, value, message in cases:
+        bad = json.loads(document_to_json(doc))
+        bad[section][key] = value
+        with pytest.raises(DesignError, match=re.escape(message)):
+            realization_from_document(document_from_json(json.dumps(bad)))
+    # An integral float is an integer.
+    good = json.loads(document_to_json(doc))
+    good["spec"]["model_order"] = 2.0
+    assert realization_from_document(good).spec.model_order == 2
+
 
 def _check_version_1_document(real, extra):
     # A document the version-1 writer produced (design --kappa 2 --p 0.8
