@@ -20,17 +20,31 @@ estimator._Stream) writes it back with export() when it is read.
 
 The arithmetic and its order are those of a plain loop: state i becomes
 p * (w_0 + ... + w_i) + d, the partial sum carried from state to state,
-and a row reads as r_0 w_0 + r_1 w_1 + ..., added left to right.  A loop
-that starts its sum from 0.0 gets the same value with one more add per
-row; the two differ only in the sign of a zero read by a row of all
-negative entries from all-zero states.
+and a row reads as r_0 w_0 + r_1 w_1 + ..., added left to right, except
+that a term whose entry is exactly 0.0 is left out (a row with none left
+reads 0.0).  Rows have such entries: coefficient row i of a filter is
+zero past state kappa + i, and a change pair's fast filter is
+zero-padded to the slow filter's cascades.  A product with a zero entry
+is a zero, and adding a zero changes no sum but a zero's sign, so the
+kernel reads what a loop that starts its sums from 0.0 and multiplies
+every entry reads, == for ==, with two exceptions: the sign of a zero,
+and a state that has overflowed to inf (a power state does once
+|x - x0| passes about 1.3e154), where the loop's 0 * inf is NaN and the
+kernel reads the sum of the other terms, inf or finite.
+
+A detector's readout calls its run marker's update only for a sample that
+could change the marker: one whose Z passes a bound (the threshold, or
+for a two-sided marker its negative) or that arrives while a run is open.
+On any other sample update would find no exceedance and no run to close,
+and do nothing, so events are those of calling it on every sample, for
+any threshold.
 
 The source text is built from indices and fixed operators only.  Every
 number (the decay, the row entries, the residual masses, the noise gains,
-the variance floor and the counter's increment) and every object the
-readout calls is a parameter of the factory, bound when it is called, so
-the kernel reads them from closure cells and no float and no outside text
-is ever compiled.
+the variance floor, the marker's bounds and the counter's increment) and
+every object the readout calls is a parameter of the factory, bound when
+it is called, so the kernel reads them from closure cells and no float
+and no outside text is ever compiled.
 """
 
 from __future__ import annotations
@@ -61,8 +75,13 @@ class _Source:
         return self.bind(f"k{len(self.parameters)}", float(value))
 
     def dot(self, row, state: str) -> str:
-        """Expression for row @ state, with state held in cells state0, state1, ..."""
-        return " + ".join(f"{self.const(r)} * {state}{j}" for j, r in enumerate(row))
+        """Expression for row @ state, with state held in cells state0, state1, ...
+
+        Terms whose entry is exactly 0.0 are left out; a row with none left
+        reads 0.0.
+        """
+        terms = [f"{self.const(r)} * {state}{j}" for j, r in enumerate(row) if r != 0.0]
+        return " + ".join(terms) or "0.0"
 
     def let(self, name: str, expression: str) -> None:
         self.readout.append(f"{name} = {expression}")
@@ -143,7 +162,9 @@ def detector_kernel(stream, value_row, noise_terms, floor: float, marker) -> Cal
     Z is value_row @ w1 over the square root of the sum, over noise_terms
     (coeff, power, residual_mass, vrf_ii), of vrf_ii times each filter's
     noise variance, and 0.0 where that sum is below floor.  The readout
-    passes (n, z) to marker.update, which records the events, and returns z.
+    passes (n, z) to marker.update, which records the events, when z passes
+    the marker's threshold or its negative (two-sided markers only) or a
+    run is open, and returns z.
     """
     spec = stream.spec
     src = _Source(spec.weight.p, spec.n_first_states, spec.n_second_states)
@@ -152,5 +173,10 @@ def detector_kernel(stream, value_row, noise_terms, floor: float, marker) -> Cal
         src.let("t", f"{'t + ' if i else ''}{src.const(vrf_ii)} * ({variance})")
     value = src.dot(value_row.tolist(), "a")
     src.let("z", f"0.0 if t < {src.const(floor)} else ({value}) / sqrt(t)")
-    src.readout += [f"{src.bind('marker', marker)}.update(n, z)", "return z"]
+    hi = src.const(marker.threshold)
+    lo = src.const(-marker.threshold if marker.kind_neg is not None else -math.inf)
+    run = src.bind("marker", marker)
+    src.readout += [f"if z > {hi} or z < {lo} or {run}._sign:",
+                    f"    {run}.update(n, z)",
+                    "return z"]
     return src.build()

@@ -20,7 +20,7 @@ Every design is built at a unit sample period, and the period is applied
 once, last: output k's rows are multiplied by (1/sample_period)**k and its
 noise gains by the square, which moves no optimal delay.  A design that
 leaves the float range is named by the first stage that fails: (1) its
-weight sums (_gram_pair), (2) the overlap's conditioning, (3) the delay,
+weight sums and (2) the overlap's conditioning (_gram_pair), (3) the delay,
 when the synthesis, noise gains or readout rows leave the float range at a
 unit period (_delay_error), and (4) the sample period, when only its scale
 takes them out (_period_scale).
@@ -36,7 +36,7 @@ from typing import Optional
 import numpy as np
 
 from .network import impulse_to_weight_transform, steady_state_vector
-from .weights import _EULERIAN_FLOAT_ROWS, WeightSpec, erlang_sum, weight_moments
+from .weights import _EULERIAN_FLOAT_ROWS, WeightSpec, erlang_sum
 
 __all__ = [
     "DesignError",
@@ -178,7 +178,9 @@ def _gram_pair(spec: DesignSpec):
     not a finite float, or a p whose square underflows, raises DesignError
     naming kappa, p and model_order.  So does a finite sum of order 172 or
     more: its design has a cascade of at least 87 stages, whose integer
-    readout transform cancels away every digit of the fit.
+    readout transform cancels away every digit of the fit.  Range-error
+    stage 2 follows: an overlap whose condition number passes
+    _CONDITION_LIMIT raises IllConditionedDesignError.
     """
     kappa, p, n = spec.weight.kappa, spec.weight.p, spec.model_order
     top = 2 * (kappa + n - 1)  # the highest order, in the squared overlap
@@ -191,6 +193,9 @@ def _gram_pair(spec: DesignSpec):
             cause = "its weight sums overflow the float range"
         else:
             if top < _EULERIAN_FLOAT_ROWS:
+                cond = np.linalg.cond(pair[0])
+                if cond > _CONDITION_LIMIT:
+                    raise IllConditionedDesignError(kappa, p, n, cond)
                 return pair
             cause = (f"its weight sums reach order {top}, past {_EULERIAN_FLOAT_ROWS - 1}, "
                      f"where its cascade of {spec.n_first_states} stages cannot read out "
@@ -339,11 +344,13 @@ def _optimal_delay(spec: DesignSpec, overlap, squared, output: int):
 
     candidates lists (delay, gain) at every real stationary point; it is
     empty when the gain does not depend on the delay, and q_best is then
-    the weight centroid.
+    the weight centroid S_{kappa+1}(p) / S_kappa(p): the DC group delay of
+    the model_order 1 smoother that the weight realizes.
     """
     coeffs = _delay_polynomial(spec, overlap, squared, output)
     if len(coeffs) == 1:
-        return weight_moments(spec.weight).mu_w, []
+        kappa, p = spec.weight.kappa, spec.weight.p
+        return erlang_sum(kappa + 1, p) / float(overlap[0, 0]), []
     derivative = coeffs[1:] * np.arange(1, len(coeffs))
     roots = np.roots(derivative[::-1])
     real_roots = sorted(float(r.real) for r in roots if abs(r.imag) <= 1e-8)
@@ -367,7 +374,8 @@ def vrf_matrix(spec: DesignSpec) -> np.ndarray:
 
     Output covariance of unit white noise equals this matrix; entry (a, b)
     is the covariance between derivative outputs a and b.  A delay or
-    sample period whose gains would not be finite raises DesignError.
+    sample period whose gains would not be finite raises DesignError; weight
+    sums and conditioning are checked first, as build_realization does.
     """
     return _gains(spec, *_gram_pair(spec), pinned=True)[1]
 
@@ -379,8 +387,10 @@ def optimal_delay(spec: DesignSpec, output: int = 0) -> VrfReport:
     each stationary point by the sign of the exact second derivative, and
     returns the minimum with the least delay.  When the gain is
     delay-independent (model_order of 1, or the highest derivative) the
-    weight centroid is reported and the candidate list is empty.  A sample
-    period whose gains would not be finite raises DesignError.
+    weight centroid is reported and the candidate list is empty.  As in
+    build_realization, weight sums out of range and a sample period whose
+    gains would not be finite raise DesignError, and an ill-conditioned
+    overlap IllConditionedDesignError.
     """
     overlap, squared = _gram_pair(spec)
     q_best, candidates = _optimal_delay(spec, overlap, squared, output)
@@ -394,13 +404,10 @@ def build_realization(spec: DesignSpec) -> FilterRealization:
     Resolves delay=None to the variance-optimal delay, rejects designs whose
     overlap matrix is numerically rank deficient, and attaches the noise
     gain matrix.  A range error names the first stage that fails: weight
-    sums, the delay at a unit sample period, then the sample period's scale.
+    sums, conditioning, the delay at a unit sample period, then the sample
+    period's scale.
     """
     overlap, squared = _gram_pair(spec)
-    cond = np.linalg.cond(overlap)
-    if cond > _CONDITION_LIMIT:
-        raise IllConditionedDesignError(spec.weight.kappa, spec.weight.p, spec.model_order, cond)
-
     pinned = spec.delay is not None
     if not pinned:
         spec = replace(spec, delay=_optimal_delay(spec, overlap, squared, 0)[0])

@@ -22,9 +22,10 @@ realization, are read-only, as the marker and the kernel capture them.
 update() feeds one sample through a kernel generated and compiled for the
 detector on its first update() (see _kernel): one unrolled step of both
 cascades held in closure cells, Z as explicit multiply-adds in Python
-floats, and the run marker's update on (n, Z), all in one call.  run()
-feeds a block, computes Z for the whole block at once with the same
-formula on arrays and finds its events with array operations, so its
+floats, and the run marker's update on (n, Z) for a sample that could
+change the marker, all in one call.  run() feeds a block, computes Z for
+the whole block at once with the same formula on arrays and finds its
+events with array operations, so its
 Python work grows with the number of exceedance runs, not of samples.  A
 run still open when a block starts enters it as its first exceedance, so
 events do not depend on how the stream is cut into blocks or mixed with

@@ -355,7 +355,9 @@ def test_residual_mass_positive_and_less_than_total():
 @pytest.mark.parametrize("q", [None, 3.5])
 def test_build_takes_each_gram_sum_once(monkeypatch, kappa, p, kx, kt, q):
     # One pass: the overlap and the squared overlap each need 2 kx - 1
-    # distinct sums S_k, and every other design quantity reads those two.
+    # distinct sums S_k, and every other design quantity reads those two,
+    # but for the delay of kx 1, the centroid S_{kappa+1}(p) / S_kappa(p),
+    # whose numerator is in neither.
     calls = []
 
     def counting(k, p):
@@ -364,7 +366,7 @@ def test_build_takes_each_gram_sum_once(monkeypatch, kappa, p, kx, kt, q):
 
     monkeypatch.setattr(erlangreg.design, "erlang_sum", counting)
     build_realization(_spec(kappa, p, kx, kt, q))
-    assert len(calls) == 2 * (2 * kx - 1)
+    assert len(calls) == 2 * (2 * kx - 1) + (kx == 1 and q is None)
     assert len(set(calls)) == len(calls)
 
 

@@ -360,3 +360,60 @@ def test_run_gives_the_floats_of_the_reference_block_path(seed):
         assert len(marker.events) > 10
         final = detector.state
         assert (list(final.w1), list(final.w2), final.n, final.x0) == state
+
+
+@pytest.mark.parametrize("kind", ["edge", "peak", "change"])
+def test_per_sample_updates_skip_only_quiet_samples(kind):
+    # update() calls the run marker only for a sample whose Z passes a bound
+    # or that arrives while a run is open.  The plan ends each run() block
+    # on the first sample of an exceedance run at threshold 3, then feeds 60
+    # samples through update(): the rest of the run, then quiet samples.
+    # At every threshold, events are those of a plain marker fed the same Z.
+    n = 500
+    t = np.arange(n, dtype=float)
+    rng = np.random.Generator(np.random.PCG64(11))
+    xs = (4.0 * np.clip((t - 120.0) / 40.0, 0.0, 1.0)
+          + 6.0 * np.exp(-0.5 * ((t - 340.0) / 15.0) ** 2)
+          + 0.5 * rng.standard_normal(n))
+    make = {
+        "edge": lambda threshold: EdgeDetector(build(2, 0.8, 2, kt=2), threshold, 0.25),
+        "peak": lambda threshold: PeakDetector(build(2, 0.8, 3, kt=3), threshold, 0.25),
+        "change": lambda threshold: ChangeDetector(*_change_pair(), threshold, 0.25),
+    }[kind]
+    z_probe = make(3.0).run(xs)
+    exceed = z_probe > 3.0 if kind == "peak" else np.abs(z_probe) > 3.0
+    plan, pos = [], 0
+    for first in (exceed & ~np.r_[False, exceed[:-1]]).nonzero()[0].tolist():
+        if first >= pos:
+            plan += [(pos, first + 1, False), (first + 1, min(first + 61, n), True)]
+            pos = first + 61
+    plan.append((pos, n, False))
+
+    z_seen = []
+    for threshold in (3.0, 0.0, -1.0, math.inf):
+        detector = make(threshold)
+        marker = detector._marker
+        z = np.empty(n)
+        open_block_ends = quiet_updates = 0
+        for lo, hi, per_sample in plan:
+            if not per_sample:
+                z[lo:hi] = detector.run(xs[lo:hi])
+                open_block_ends += marker._sign != 0
+                continue
+            for k in range(lo, hi):
+                was_open = marker._sign != 0
+                z[k] = detector.update(xs[k])
+                bound = z[k] if kind == "peak" else abs(z[k])
+                quiet_updates += not was_open and bound <= threshold
+        detector.finish()
+        plain = _RunMarker(threshold, marker.kind_pos, marker.kind_neg)
+        for k, z_k in enumerate(z.tolist()):
+            plain.update(k, z_k)
+        plain.flush()
+        assert detector.events == plain.events, threshold
+        if threshold == 3.0:
+            assert open_block_ends >= 1 and quiet_updates >= 10, (open_block_ends, quiet_updates)
+        z_seen.append(z)
+    # The threshold and the skipped marker calls move no Z.
+    for z in z_seen[1:]:
+        assert np.array_equal(z, z_seen[0])

@@ -104,6 +104,7 @@ def test_group_delay_matches_design_delay():
 def test_group_delay_of_constant_model_is_weight_centroid():
     # A one-coefficient fit is the normalized weight m**kappa p**m, whose
     # centroid is S_{kappa+1}(p) / S_kappa(p); at kappa 0, p 0.8 that is 4.
+    # The design records that centroid as its delay.
     real = build(0, 0.8, 1, kt=1, q=None)
     assert group_delay_dc(real) == pytest.approx(4.0, rel=1e-12)
     for kappa in (0, 1, 2, 4, 8):
@@ -111,6 +112,7 @@ def test_group_delay_of_constant_model_is_weight_centroid():
             real = build(kappa, p, 1, kt=1, q=None)
             centroid = erlang_sum(kappa + 1, p) / erlang_sum(kappa, p)
             assert group_delay_dc(real) == pytest.approx(centroid, rel=1e-12)
+            assert real.spec.delay == pytest.approx(group_delay_dc(real), rel=1e-12)
 
 
 def test_group_delay_is_impulse_response_centroid():

@@ -179,3 +179,36 @@ def test_kernel_source_holds_no_design_numbers(monkeypatch):
     for source in sources:
         numbers = re.findall(r"(?<![\w.])\d[\w.]*", source)
         assert set(numbers) == {"0.0"}, source
+
+
+def test_kernel_multiplies_only_nonzero_row_entries(monkeypatch):
+    # One product per nonzero entry of every readout row, in step() and in
+    # read(); none for the zero entries, such as the change pair's padding
+    # of the fast filter to the slow filter's cascades.
+    sources = []
+
+    def capture(source, *args):
+        sources.append(source)
+        return builtins.compile(source, *args)
+
+    monkeypatch.setattr(_kernel, "compile", capture, raising=False)
+    real = build(2, 0.9, 2, kt=2, q=None)
+    fast, slow = _change_pair(3, 0.8, 2)
+    consumers = (StreamingEstimator(real), EdgeDetector(real, 3.0),
+                 ChangeDetector(fast, slow, 3.0))
+    for consumer in consumers:
+        consumer.update(1.0)
+        consumer.update(2.5)
+    assert len(sources) == 3
+    rows = [[real.coeff_output, real.power_output, real.state_output]]
+    for detector in consumers[1:]:
+        value_row, noise_terms = detector._rows
+        rows.append([value_row] + [row for term in noise_terms for row in term[:2]])
+    zeros = []
+    for source, consumer_rows in zip(sources, rows):
+        nonzero = sum(np.count_nonzero(row) for row in consumer_rows)
+        zeros.append(sum(np.size(row) for row in consumer_rows) - nonzero)
+        assert len(re.findall(r"\bk\d+ \* [aq]\d+\b", source)) == 2 * nonzero, source
+    # The rows hold zeros: 1 each in the base design's coefficient rows, 11
+    # in the change pair's.
+    assert zeros == [1, 1, 11]

@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
 
-from erlangreg import DesignSpec, WeightSpec, optimal_delay, vrf_matrix
+from erlangreg import (
+    DesignSpec,
+    IllConditionedDesignError,
+    WeightSpec,
+    build_realization,
+    optimal_delay,
+    vrf_matrix,
+)
 from erlangreg.design import _delay_polynomial, _gram_pair
 
 from oracles import build, vrf_by_parseval
@@ -87,11 +94,27 @@ def test_optimal_delay_for_derivative_output():
 
 
 def test_single_coefficient_model_uses_centroid():
-    spec = _spec(2, 0.8, 1)
-    report = optimal_delay(spec)
-    lam = spec.weight.lambda_w
-    assert report.q_optimal == pytest.approx(3.0 * lam, rel=1e-12)
+    # The centroid of m**2 p**m: S_3(p) / S_2(p) = (1 + 4p + p**2) / (1 - p**2),
+    # 121 / 9 at p 0.8.
+    report = optimal_delay(_spec(2, 0.8, 1))
+    assert report.q_optimal == pytest.approx(121.0 / 9.0, rel=1e-14)
     assert len(report.candidates) == 0
+
+
+def test_public_gains_reject_an_ill_conditioned_overlap():
+    # Condition 1.16e15: the public delay search and gain matrix fail at the
+    # conditioning stage, as build_realization does, and never reach the
+    # delay (output 1 found no minimum at all, output 0 and 2 blamed it).
+    spec = _spec(4, 1e-8, 3, kt=3)
+    with pytest.raises(IllConditionedDesignError) as built:
+        build_realization(spec)
+    for output in range(3):
+        with pytest.raises(IllConditionedDesignError) as got:
+            optimal_delay(spec, output=output)
+        assert str(got.value) == str(built.value)
+    with pytest.raises(IllConditionedDesignError) as got:
+        vrf_matrix(_spec(4, 1e-8, 3, kt=3, q=2.0))
+    assert str(got.value) == str(built.value)
 
 
 def test_least_delay_minimum_is_chosen():
