@@ -193,7 +193,7 @@ def _gram_pair(spec: DesignSpec):
             cause = "its weight sums overflow the float range"
         else:
             if top < _EULERIAN_FLOAT_ROWS:
-                cond = np.linalg.cond(pair[0])
+                cond = _condition(pair[0])
                 if cond > _CONDITION_LIMIT:
                     raise IllConditionedDesignError(kappa, p, n, cond)
                 return pair
@@ -201,6 +201,21 @@ def _gram_pair(spec: DesignSpec):
                      f"where its cascade of {spec.n_first_states} stages cannot read out "
                      f"its fit in floats")
     raise DesignError(f"design rejected: {cause} (kappa={kappa}, p={p}, model_order={n})")
+
+
+def _condition(matrix: np.ndarray):
+    """np.linalg.cond(matrix), read from one singular-value call.
+
+    The ratio of the largest to the smallest singular value, taken with
+    every float error ignored; a NaN ratio from a singular matrix reads inf,
+    unless the matrix itself holds a NaN.
+    """
+    s = np.linalg.svd(matrix, compute_uv=False)
+    with np.errstate(all="ignore"):
+        cond = s[0] / s[-1]
+    if np.isnan(cond) and not np.isnan(matrix).any():
+        return np.float64(np.inf)
+    return cond
 
 
 def orthonormal_transforms(overlap: np.ndarray):
@@ -316,27 +331,30 @@ def _gains(spec: DesignSpec, overlap, squared, pinned: bool, *readout):
     # unit-period build as fast as when the period entered the synthesis.
     if spec.sample_period == 1.0:
         return rows, vrf
-    limits = zip(vrf.diagonal().tolist(), np.abs(rows).max(axis=1).tolist())
-    scales = np.array([_period_scale(spec, k, *limit) for k, limit in enumerate(limits)])
-    return rows * scales[:, None], scales[:, None] * vrf * scales
+    # The scales and their range checks in Python floats, which spares
+    # numpy's per-call cost on these tiny arrays; then three products.
+    gains = vrf.diagonal().tolist()
+    scales = [_period_scale(spec, k, gains[k], max(map(abs, row)))
+              for k, row in enumerate(rows.tolist())]
+    column = np.array(scales)[:, None]
+    return rows * column, column * vrf * column.T
 
 
-def _delay_polynomial(spec: DesignSpec, overlap, squared, output: int) -> np.ndarray:
-    """Ascending coefficients of output's diagonal noise gain in the delay."""
+def _delay_polynomial(spec: DesignSpec, overlap, squared, output: int) -> list:
+    """Ascending coefficients of output's diagonal noise gain in the delay, as floats."""
     if not 0 <= output < spec.model_order:
         raise ValueError(f"output must be in [0, {spec.model_order}), got {output}")
     inv = np.linalg.solve(overlap, np.eye(spec.model_order))
-    core = inv @ squared @ inv.T
-    degree = 2 * (spec.model_order - 1 - output)
-    coeffs = np.zeros(degree + 1)
+    core = (inv @ squared @ inv.T).tolist()
+    coeffs = [0.0] * (2 * (spec.model_order - 1 - output) + 1)
     for i in range(output, spec.model_order):
         for j in range(output, spec.model_order):
             weight = math.perm(i, output) * math.perm(j, output)
-            coeffs[i + j - 2 * output] += weight * core[i, j]
+            coeffs[i + j - 2 * output] += weight * core[i][j]
     # The square of output's scale moves no root, but names a period that
     # takes these coefficients out of the float range.
-    scale = _period_scale(spec, output, max(map(abs, coeffs.tolist())))
-    return coeffs * scale * scale
+    scale = _period_scale(spec, output, max(map(abs, coeffs)))
+    return [c * scale * scale for c in coeffs]
 
 
 def _optimal_delay(spec: DesignSpec, overlap, squared, output: int):
@@ -345,19 +363,45 @@ def _optimal_delay(spec: DesignSpec, overlap, squared, output: int):
     candidates lists (delay, gain) at every real stationary point; it is
     empty when the gain does not depend on the delay, and q_best is then
     the weight centroid S_{kappa+1}(p) / S_kappa(p): the DC group delay of
-    the model_order 1 smoother that the weight realizes.
+    the model_order 1 smoother that the weight realizes.  The derivatives
+    and values are taken in Python floats, with the products and sums that
+    numpy's array products and np.polyval make.
     """
     coeffs = _delay_polynomial(spec, overlap, squared, output)
     if len(coeffs) == 1:
         kappa, p = spec.weight.kappa, spec.weight.p
         return erlang_sum(kappa + 1, p) / float(overlap[0, 0]), []
-    derivative = coeffs[1:] * np.arange(1, len(coeffs))
-    roots = np.roots(derivative[::-1])
-    real_roots = sorted(float(r.real) for r in roots if abs(r.imag) <= 1e-8)
-    candidates = [(q, float(np.polyval(coeffs[::-1], q))) for q in real_roots]
-    curvature = derivative[1:] * np.arange(1, len(derivative))
-    minima = [q for q in real_roots if np.polyval(curvature[::-1], q) > 0.0]
+    derivative = [k * c for k, c in enumerate(coeffs)][1:]
+    curvature = [k * c for k, c in enumerate(derivative)][1:]
+    real_roots = _real_roots(derivative)
+    candidates = [(q, _horner(coeffs, q)) for q in real_roots]
+    minima = [q for q in real_roots if _horner(curvature, q) > 0.0]
     return min(minima), candidates
+
+
+def _real_roots(coeffs: list) -> list:
+    """Sorted real roots of the ascending coefficients, as np.roots finds them.
+
+    A line d0 + d1 q has the one root -d0 / d1, the entry of np.roots' 1x1
+    companion matrix.  LAPACK returns that entry as its eigenvalue unless it
+    rescales the matrix, which it does outside about [1e-138, 1e138], so the
+    quotient is taken only inside [1e-100, 1e100].  Any other polynomial or
+    root goes through np.roots.
+    """
+    if len(coeffs) == 2 and coeffs[1] != 0.0:
+        root = -coeffs[0] / coeffs[1]
+        if 1e-100 <= abs(root) <= 1e100:
+            return [root]
+    roots = np.roots(coeffs[::-1])
+    return sorted(float(r.real) for r in roots if abs(r.imag) <= 1e-8)
+
+
+def _horner(coeffs: list, x: float) -> float:
+    """np.polyval of the ascending coefficients at x: the same Horner steps from 0.0."""
+    value = 0.0
+    for c in reversed(coeffs):
+        value = value * x + c
+    return value
 
 
 @dataclass(frozen=True, eq=False)

@@ -6,7 +6,8 @@ resolved parameters plus every runtime matrix, so loading never repeats
 design-time numerics and a document built on one machine runs identically
 on another.  Its analysis section holds only the noise gain matrix `vrf`,
 which the runtime reads; the frequency metrics (cutoff frequency, DC group
-delay) are computed by `analyze` from the loaded realization.
+delay) are computed by `analyze` from the loaded realization.  The text is
+exactly json's indent-2 output: json.dumps(document, indent=2) plus a newline.
 """
 
 from __future__ import annotations
@@ -76,7 +77,63 @@ def design_to_document(realization: FilterRealization, requested_delay="auto") -
 
 
 def document_to_json(document: dict) -> str:
-    return json.dumps(document, indent=2) + "\n"
+    """The document's text: exactly json.dumps(document, indent=2) + "\n".
+
+    json's indented output is written by its pure-Python encoder, one
+    generator step per value; this writer joins each list of floats from
+    float.__repr__ in one pass and escapes keys and strings with json's own
+    C encoder.  A value it does not write as json would, such as a subclass
+    of a JSON type, a non-string key or a self-referencing container,
+    leaves the whole document to json.dumps.
+    """
+    try:
+        return _json_text(document, "") + "\n"
+    except (_Unhandled, RecursionError):
+        return json.dumps(document, indent=2) + "\n"
+
+
+class _Unhandled(Exception):
+    """A value _json_text leaves to json.dumps."""
+
+
+_escape = json.encoder.encode_basestring_ascii
+_CONSTANTS = {None: "null", True: "true", False: "false"}
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_text(value, pad: str) -> str:
+    """value as json.dumps(..., indent=2) writes it at the nesting of pad."""
+    kind = type(value)
+    if kind is float:
+        text = float.__repr__(value)
+        return _NON_FINITE.get(text, text)
+    if kind is str:
+        return _escape(value)
+    if kind is int:
+        return int.__repr__(value)
+    if kind is bool or value is None:
+        return _CONSTANTS[value]
+    inner = pad + "  "
+    glue = ",\n" + inner
+    if kind is list or kind is tuple:
+        if not value:
+            return "[]"
+        try:
+            body = glue.join(map(float.__repr__, value))
+        except TypeError:  # an entry that is not a float
+            body = None
+        if body is None or "n" in body:  # json spells nan and inf otherwise
+            body = glue.join([_json_text(item, inner) for item in value])
+        return f"[\n{inner}{body}\n{pad}]"
+    if kind is dict:
+        if not value:
+            return "{}"
+        if not all(type(key) is str for key in value):
+            raise _Unhandled
+        body = glue.join([f"{_escape(key)}: {_json_text(item, inner)}"
+                          for key, item in value.items()])
+        return f"{{\n{inner}{body}\n{pad}}}"
+    raise _Unhandled
 
 
 def document_from_json(text: str) -> dict:

@@ -16,7 +16,9 @@ complex arithmetic.  The DC group delay is the centroid of the smoother's
 impulse response, an exact sum over the same states.
 
 response_report is the one entry point for the analyze command; design
-documents carry none of these numbers.
+documents carry none of these numbers.  Its frequency grid does not depend
+on the design: every report of one grid size shares the same read-only
+freqs array.
 """
 
 from __future__ import annotations
@@ -89,21 +91,18 @@ def _distortion(realization, omegas, smoother):
     return (smoother.real - np.cos(phase)) ** 2 + (smoother.imag + np.sin(phase)) ** 2
 
 
-def _grid(grid_size):
-    if grid_size < 2:
-        raise ValueError(f"grid_size must be at least 2, got {grid_size}")
-    return np.linspace(0.0, 0.5, grid_size)
-
-
 @lru_cache(maxsize=4)
-def _grid_trig(grid_size):
-    """cos(omega) and sin(omega) on the report grid of grid_size, read-only.
+def _grid(grid_size):
+    """(freqs, omegas, cos(omegas), sin(omegas)) of the report grid, read-only.
 
     They do not depend on the design, so a process that reports on many
-    designs computes them once per grid size.
+    designs computes them once per grid size, and every report shares them.
     """
-    omegas = 2.0 * np.pi * _grid(grid_size)
-    tables = np.cos(omegas), np.sin(omegas)
+    if grid_size < 2:
+        raise ValueError(f"grid_size must be at least 2, got {grid_size}")
+    freqs = np.linspace(0.0, 0.5, grid_size)
+    omegas = 2.0 * np.pi * freqs
+    tables = freqs, omegas, np.cos(omegas), np.sin(omegas)
     for table in tables:
         table.flags.writeable = False
     return tables
@@ -161,9 +160,8 @@ def group_delay_dc(realization: FilterRealization) -> float:
 
 def response_report(realization: FilterRealization, grid_size: int = 2048) -> ResponseReport:
     """Evaluate the full grid report used by the analyze command."""
-    freqs = _grid(grid_size)
-    omegas = 2.0 * np.pi * freqs
-    responses = _responses(realization, *_grid_trig(grid_size))
+    freqs, omegas, cos, sin = _grid(grid_size)
+    responses = _responses(realization, cos, sin)
     dist = _distortion(realization, omegas, responses[0])
     return ResponseReport(
         freqs=freqs,

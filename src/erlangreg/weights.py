@@ -131,13 +131,16 @@ class WeightSpec:
 
 
 class WeightMoments(NamedTuple):
-    mu_w: float    # centroid, samples behind the newest sample
+    # Mean of the continuous weight t**kappa exp(-t / lambda_w), (kappa + 1)
+    # lambda_w samples behind the newest sample; not the sampled weight's
+    # centroid S_{kappa+1}(p) / S_kappa(p) (4.4814 against 4.0 at kappa 0, p 0.8).
+    mu_w: float
     var_w: float   # variance, samples squared
     skew: float    # dimensionless; 2 for exponential decay, -> 0 as kappa grows
 
 
 def weight_moments(spec: WeightSpec) -> WeightMoments:
-    """Centroid, variance, and skew of the continuous Erlang weight."""
+    """Mean, variance, and skew of the continuous Erlang weight."""
     shape = spec.kappa + 1
     return WeightMoments(
         mu_w=shape * spec.lambda_w,

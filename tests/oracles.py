@@ -202,6 +202,38 @@ def build(kappa, p, kx, kt=1, q=None, ts=1.0):
     )
 
 
+# The ROADMAP conditioning grid of (kappa, p, model_order), 175 designs, and
+# the design grid: it adds the kappa 6 designs of the benchmark's sweep.
+GRID_P = (0.8, 0.9, 0.95, 0.98, 0.99, 0.995, 0.999)
+ROADMAP_GRID = [(kappa, p, kx) for kappa in (0, 1, 2, 4, 8) for p in GRID_P for kx in range(1, 6)]
+DESIGN_GRID = ROADMAP_GRID + [(6, p, kx) for p in GRID_P for kx in range(1, 6)]
+
+
+def real_roots_reference(coeffs) -> list:
+    """Sorted real roots of ascending polynomial coefficients, by np.roots."""
+    roots = np.roots(np.asarray(coeffs, dtype=float)[::-1])
+    return sorted(float(r.real) for r in roots if abs(r.imag) <= 1e-8)
+
+
+def delay_search_reference(coeffs, centroid: float):
+    """(q_best, candidates) of a noise gain's ascending delay polynomial.
+
+    The real stationary points come from np.roots of the derivative, the
+    gain at each from np.polyval, and q_best is the least one whose second
+    derivative is positive.  A constant gain yields centroid and no
+    candidates.
+    """
+    coeffs = np.asarray(coeffs, dtype=float)
+    if len(coeffs) == 1:
+        return centroid, []
+    derivative = coeffs[1:] * np.arange(1, len(coeffs))
+    real = real_roots_reference(derivative)
+    candidates = [(q, float(np.polyval(coeffs[::-1], q))) for q in real]
+    curvature = derivative[1:] * np.arange(1, len(derivative))
+    minima = [q for q in real if np.polyval(curvature[::-1], q) > 0.0]
+    return min(minima), candidates
+
+
 # One per-sample step and its readouts in plain floats: explicit loops, each
 # sum added left to right from 0.0, no sum() (which compensates its rounding
 # on Python >= 3.12).  The package's per-sample path must agree exactly.

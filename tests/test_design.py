@@ -20,11 +20,11 @@ from erlangreg import (
 )
 
 import erlangreg.design
-from erlangreg.design import _gram_pair, orthonormal_transforms, synthesis_matrix
+from erlangreg.design import _condition, _gram_pair, orthonormal_transforms, synthesis_matrix
 from erlangreg.document import _ARRAY_FIELDS
 from erlangreg.network import steady_state_vector
 
-from oracles import build
+from oracles import ROADMAP_GRID, build
 
 
 def _spec(kappa=2, p=0.8, kx=3, kt=2, q=5.0, ts=1.0):
@@ -148,6 +148,43 @@ def test_build_rejects_ill_conditioned():
         build(kappa=0, p=0.999, kx=8, q=0.0)
     assert err.value.cond > 1e12
     assert "0.999" in str(err.value)
+
+
+def test_condition_check_is_np_linalg_cond():
+    # The overlap's condition number comes from one singular-value call;
+    # the grid's designs are rejected exactly where np.linalg.cond passes
+    # 1e12, and the error carries its value.
+    rejected = []
+    for kappa, p, kx in ROADMAP_GRID:
+        overlap = np.array([[erlang_sum(a + b + kappa, p) for b in range(kx)]
+                            for a in range(kx)])
+        cond = np.linalg.cond(overlap)
+        try:
+            build(kappa, p, kx)
+        except IllConditionedDesignError as err:
+            assert err.cond == cond, (kappa, p, kx)
+            rejected.append((kappa, p, kx))
+        else:
+            assert cond <= 1e12, (kappa, p, kx)
+    assert len(rejected) == 73
+
+
+@pytest.mark.parametrize("matrix", [
+    np.eye(3), np.zeros((2, 2)), np.array([[1.0, 2.0], [2.0, 4.0]]),
+    np.array([[math.inf, 0.0], [0.0, 1.0]]), np.array([[1.0, 1e-20], [1e-20, 1e-300]]),
+])
+def test_condition_keeps_np_linalg_cond_semantics(matrix):
+    # A singular matrix reads inf, not NaN, and nothing warns.
+    assert repr(_condition(matrix)) == repr(np.linalg.cond(matrix))
+
+
+def test_condition_of_a_nan_matrix_fails_as_np_linalg_cond_does():
+    matrix = np.array([[math.nan, 1.0], [1.0, 1.0]])
+    with pytest.raises(np.linalg.LinAlgError) as want:
+        np.linalg.cond(matrix)
+    with pytest.raises(np.linalg.LinAlgError) as got:
+        _condition(matrix)
+    assert str(got.value) == str(want.value)
 
 
 @pytest.mark.parametrize("kx,kt,q", [(3, 3, 1e200), (3, 3, 1e100), (3, 3, -1e100),

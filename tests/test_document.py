@@ -1,12 +1,16 @@
 import json
+import math
 import re
 from pathlib import Path
 
+import hypothesis
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from erlangreg import (
     DesignError,
+    IllConditionedDesignError,
     design_to_document,
     document_from_json,
     document_to_json,
@@ -18,7 +22,7 @@ from erlangreg import (
 from erlangreg import response
 from erlangreg.network import steady_state_vector
 
-from oracles import build
+from oracles import DESIGN_GRID, build
 
 DATA = Path(__file__).parent / "data"
 
@@ -39,6 +43,59 @@ def test_round_trip_is_bit_exact():
     np.testing.assert_array_equal(loaded.steady_second, real.steady_second)
     np.testing.assert_array_equal(loaded.from_orthonormal, real.from_orthonormal)
     assert loaded.residual_mass == real.residual_mass
+
+
+_FLOATS = st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308, math.nan, math.inf,
+                           -math.inf]) | st.floats()
+_TEXT = st.text(st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f é☃\U0001f600\ud800az')) | st.text()
+_JSON_VALUES = st.recursive(
+    _FLOATS | st.integers() | st.booleans() | st.none() | _TEXT,
+    lambda children: (st.lists(_FLOATS) | st.lists(children) | st.lists(children).map(tuple)
+                      | st.dictionaries(_TEXT, children)),
+    max_leaves=20,
+)
+
+
+@hypothesis.settings(max_examples=150)
+@hypothesis.given(_JSON_VALUES)
+def test_document_text_is_json_indent_2(value):
+    assert document_to_json(value) == json.dumps(value, indent=2) + "\n"
+
+
+class _Ratio(float):
+    pass
+
+
+@pytest.mark.parametrize("value", [
+    {1: 2.0}, {"a": {None: [1.0]}}, [_Ratio(1.5), 2.0], [_Ratio("nan")], {"x": (1, _Ratio(2.0))},
+    [True, 1.0], [1.0, 2], {"deep": [[[[]]]], "e": {}}, "text", 2.5, None,
+])
+def test_document_text_leaves_other_values_to_json(value):
+    # Non-string keys and subclasses of JSON types are json.dumps' to write.
+    assert document_to_json(value) == json.dumps(value, indent=2) + "\n"
+
+
+def test_self_referencing_document_fails_as_json_does():
+    loop = {"a": []}
+    loop["a"].append(loop)
+    with pytest.raises(ValueError, match="Circular reference detected"):
+        document_to_json(loop)
+
+
+def test_design_documents_are_json_indent_2_text():
+    # Every accepted design of the grid, with one output and with up to three.
+    written = 0
+    for kappa, p, kx in DESIGN_GRID:
+        for kt in sorted({1, min(kx, 3)}):
+            try:
+                real = build(kappa, p, kx, kt=kt)
+            except IllConditionedDesignError:
+                continue
+            for requested in ("auto", real.spec.delay):
+                document = design_to_document(real, requested)
+                assert document_to_json(document) == json.dumps(document, indent=2) + "\n"
+            written += 1
+    assert written == 198
 
 
 def test_document_records_request_and_resolution():

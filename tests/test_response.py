@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from erlangreg import erlang_sum, response_matrix, response_report, run_block
-from erlangreg.response import _grid_trig, group_delay_dc
+from erlangreg.response import _grid, group_delay_dc
 
 from oracles import build
 
@@ -166,10 +166,10 @@ def test_report_bundles_grid_and_metrics():
     assert report.group_delay_dc == pytest.approx(8.5, abs=1e-5)
     with pytest.raises(ValueError):
         response_report(real, grid_size=0)
-    # cos and sin of a grid are computed once per size and shared
-    # read-only; each report has its own writable frequencies, and the
-    # responses response_matrix gives on them.
+    # The grid, its frequencies and their cos and sin are computed once per
+    # size and shared read-only by every report, which holds the responses
+    # response_matrix gives on them.
     other = response_report(build(2, 0.9, 3, kt=3, q=None), grid_size=256)
-    assert other.freqs is not report.freqs and other.freqs.flags.writeable
+    assert other.freqs is report.freqs and not report.freqs.flags.writeable
     assert np.array_equal(report.responses, response_matrix(real, 2.0 * np.pi * report.freqs))
-    assert all(a is b and not a.flags.writeable for a, b in zip(_grid_trig(256), _grid_trig(256)))
+    assert all(a is b and not a.flags.writeable for a, b in zip(_grid(256), _grid(256)))

@@ -1,17 +1,28 @@
+import math
+
+import hypothesis
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from erlangreg import (
     DesignSpec,
     IllConditionedDesignError,
     WeightSpec,
     build_realization,
+    erlang_sum,
     optimal_delay,
     vrf_matrix,
 )
-from erlangreg.design import _delay_polynomial, _gram_pair
+from erlangreg.design import _delay_polynomial, _gram_pair, _horner, _real_roots
 
-from oracles import build, vrf_by_parseval
+from oracles import (
+    DESIGN_GRID,
+    build,
+    delay_search_reference,
+    real_roots_reference,
+    vrf_by_parseval,
+)
 
 
 def _spec(kappa, p, kx, kt=1, q=None, ts=1.0):
@@ -63,6 +74,57 @@ def test_delay_polynomial_evaluates_to_vrf():
             direct = vrf_matrix(_spec(2, 0.8, 3, 3, q=q))[output, output]
             poly = float(np.polyval(coeffs[::-1], q))
             assert poly == pytest.approx(direct, rel=1e-11)
+
+
+def test_delay_search_equals_np_roots_and_np_polyval():
+    # The closed-form root of a linear derivative and the Horner values in
+    # Python floats give every accepted design and output the very delay
+    # and candidates that np.roots and np.polyval give.
+    searched = 0
+    for kappa, p, kx in DESIGN_GRID:
+        spec = _spec(kappa, p, kx, min(kx, 3))
+        try:
+            overlap, squared = _gram_pair(spec)
+        except IllConditionedDesignError:
+            continue
+        centroid = erlang_sum(kappa + 1, p) / erlang_sum(kappa, p)
+        for output in range(kx):
+            report = optimal_delay(spec, output)
+            coeffs = _delay_polynomial(spec, overlap, squared, output)
+            q_best, candidates = delay_search_reference(coeffs, centroid)
+            assert report.q_optimal == q_best, (kappa, p, kx, output)
+            assert report.candidates == candidates, (kappa, p, kx, output)
+            searched += 1
+    assert searched == 245
+
+
+def _same(a, b):
+    """Equal floats, zeros of one sign: repr tells -0.0 from 0.0."""
+    return list(map(repr, a)) == list(map(repr, b))
+
+
+_SLOPES = st.floats(1e-150, 1e150) | st.floats(-1e150, -1e-150) | st.just(0.0)
+
+
+@hypothesis.settings(max_examples=400)
+@hypothesis.given(st.floats(-1e150, 1e150), _SLOPES)
+@hypothesis.example(3.0, 0.0)
+@hypothesis.example(0.0, 2.0)
+@hypothesis.example(-0.0, 2.0)
+@hypothesis.example(1e-130, 1e10)
+def test_linear_root_is_the_companion_eigenvalue(d0, d1):
+    # Across the magnitudes where LAPACK rescales a 1x1 matrix and where it
+    # does not, the closed form returns what np.roots does, or defers to it.
+    assert _same(_real_roots([d0, d1]), real_roots_reference([d0, d1]))
+
+
+@hypothesis.settings(max_examples=200)
+@hypothesis.given(st.lists(st.floats(-1e10, 1e10), min_size=1, max_size=9),
+                  st.floats(-1e4, 1e4))
+@hypothesis.example([-0.0], 2.0)
+@hypothesis.example([-0.0, 1.0], 0.0)
+def test_horner_is_np_polyval(coeffs, x):
+    assert _same([_horner(coeffs, x)], [float(np.polyval(coeffs[::-1], x))])
 
 
 def test_optimal_delay_is_local_minimum():
