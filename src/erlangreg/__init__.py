@@ -31,7 +31,6 @@ from .response import (
     response_report,
 )
 from .estimator import (
-    EstimatorState,
     EstimateFrame,
     SequenceResult,
     StreamingEstimator,
@@ -78,7 +77,6 @@ __all__ = [
     "ResponseReport",
     "response_matrix",
     "response_report",
-    "EstimatorState",
     "EstimateFrame",
     "SequenceResult",
     "StreamingEstimator",

@@ -45,7 +45,6 @@ __all__ = [
     "FilterRealization",
     "VrfReport",
     "orthonormal_transforms",
-    "synthesis_matrix",
     "vrf_matrix",
     "optimal_delay",
     "build_realization",
@@ -131,9 +130,9 @@ class FilterRealization:
     The cascades are fixed by the spec: spec.n_first_states stages of decay
     spec.weight.p for the signal moments, spec.n_second_states for the power.
     The design-time matrices that only build these rows (the Gram pair, the
-    basis change into the orthonormal polynomials and the synthesis matrix)
-    are not kept; _gram_pair, orthonormal_transforms and synthesis_matrix
-    rebuild them from the spec.
+    basis change into the orthonormal polynomials and the unit-period
+    synthesis matrix) are not kept; _gram_pair, orthonormal_transforms and
+    _synthesis rebuild them from the spec.
 
     from_orthonormal : (model_order, model_order) upper triangular basis
         change from weight-orthonormal to monomial coefficients.
@@ -246,29 +245,14 @@ def orthonormal_transforms(overlap: np.ndarray):
     return to_orthonormal, to_orthonormal.T
 
 
-def synthesis_matrix(spec: DesignSpec) -> np.ndarray:
-    """Differentiate-and-evaluate matrix applied to monomial coefficients.
-
-    Entry (k_t, k_x) = (-1/sample_period)**k_t * k_x!/(k_x - k_t)! *
-    delay**(k_x - k_t) for k_t <= k_x, else zero.  The sign flip per
-    derivative accounts for the model's age axis running backward in time:
-    a rising ramp has a negative slope against sample age, and this matrix
-    returns it as a positive time derivative.  Built at a unit period, then
-    scaled: a delay whose powers overflow raises the delay's DesignError,
-    then a period whose scale takes a row out of range the period's.
-    """
-    try:
-        rows = _synthesis(spec)
-    except OverflowError:
-        raise _delay_error(spec, pinned=True) from None
-    reach = np.abs(rows).max(axis=1).tolist()
-    return rows * np.array([[_period_scale(spec, k, reach=r)] for k, r in enumerate(reach)])
-
-
 def _synthesis(spec: DesignSpec) -> np.ndarray:
-    """synthesis_matrix at a unit period; a power that overflows raises OverflowError."""
+    """Differentiate-and-evaluate matrix on monomial coefficients, unit period.
+
+    Entry (k_t, k_x) = (-1)**k_t * k_x!/(k_x - k_t)! * delay**(k_x - k_t), k_t <= k_x
+    (sample age runs backward in time); a power that overflows raises OverflowError.
+    """
     if spec.delay is None:
-        raise DesignError("synthesis matrix needs a resolved delay; got None")
+        raise DesignError("noise gains and readout rows need a resolved delay; got None")
     out = np.zeros((spec.n_outputs, spec.model_order))
     for k_t in range(spec.n_outputs):
         for k_x in range(k_t, spec.model_order):
@@ -276,7 +260,7 @@ def _synthesis(spec: DesignSpec) -> np.ndarray:
     return out
 
 
-def _period_scale(spec: DesignSpec, k: int, gain: float = 1.0, reach: float = 0.0) -> float:
+def _period_scale(spec: DesignSpec, k: int, gain: float, reach: float = 0.0) -> float:
     """(1/sample_period)**k: output k's rows carry it, its noise gain its square.
 
     Range-error stage 4, the last: DesignError names the sample period unless

@@ -46,7 +46,7 @@ import numpy as np
 
 from ._kernel import detector_kernel
 from .design import DesignError
-from .estimator import _advance_moments, _noise_variance, _Stream
+from .estimator import _noise_variance, _Stream
 
 __all__ = [
     "Event",
@@ -239,12 +239,9 @@ class _Detector(_Stream):
         xs = np.asarray(xs, dtype=float)
         if xs.shape == (0,):
             return np.empty(0)
-        w1_block, w2_block, state = _advance_moments(
-            self.realization, xs, self.sigma0_sq, self.state
-        )
+        w1_block, w2_block = self._advance_moments(xs)
         z = self._statistic(w1_block, w2_block)
-        self._marker.extend(state.n + 1 - xs.size, z)
-        self._state = state
+        self._marker.extend(self._state.n + 1 - xs.size, z)
         return z
 
     def finish(self) -> None:

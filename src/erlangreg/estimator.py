@@ -15,12 +15,12 @@ finite raises ValueError too.
 
 Every consumer of a stream, StreamingEstimator here and the detectors, is
 a _Stream: it exposes realization (read-only, as its kernel captures it),
-sigma0_sq and state (None until the first sample), and only its readout
-is its own.  A sample enters a stream at one place, _Stream.update, and a
-block at one other, _advance_moments; each starts the stream on its first
-sample and rejects non-finite input.  Nothing changes an EstimatorState
-once it exists: a block returns a new one, and a consumer's state changes
-only when its call returns.
+sigma0_sq and state (None until the first sample), holds that state
+itself, and only its readout is its own.  A sample enters a stream at one
+place, _Stream.update, and a block at one other, _Stream._advance_moments:
+each starts the stream on its first sample, rejects non-finite input, and
+alone changes the state.  Nothing changes an EstimatorState once it
+exists; a block keeps its new one only once the block has succeeded.
 
 The per-sample path runs in Python floats.  On the consumer's first
 per-sample use the package compiles a kernel for its shape (see _kernel),
@@ -36,8 +36,8 @@ list traffic, cost far more than the arithmetic.  For the same reason a
 per-sample frame keeps the kernel's floats and builds its estimates and
 covariance arrays only when they are read.  The block path filters whole
 arrays and reads them out with matrix products, by the same formula for
-the estimates and the noise variance; run_sequence is that path for a
-caller who keeps the state: state in, state out.
+the estimates and the noise variance.  run_sequence starts a stream on a
+block and returns the estimator that continues it.
 """
 
 from __future__ import annotations
@@ -133,26 +133,6 @@ class SequenceResult:
     variances: np.ndarray    # (n_outputs, N) diagonal of the covariance
 
 
-def _start(realization: FilterRealization, x0: float, sigma0_sq: float) -> EstimatorState:
-    """A stream's state on its first sample x0: the final-value start.
-
-    Both cascades begin at the steady state they would reach under a
-    constant input x0 whose noise variance is sigma0_sq, so a constant
-    stream produces flat outputs from the very first sample.  Measured from
-    x0, that is zero for the signal cascade and sigma0_sq times the unit
-    steady state for the power cascade.  With the signal cascade at zero no
-    part of that power counts as fit, so sigma_eps2 at sample 0 is
-    sigma0_sq * S_kappa(p) / residual_mass, somewhat above sigma0_sq.  The
-    caller has checked x0.
-    """
-    return EstimatorState(
-        w1=(0.0,) * realization.spec.n_first_states,
-        w2=tuple((realization.steady_second * _prior_variance(sigma0_sq)).tolist()),
-        n=0,
-        x0=float(x0),
-    )
-
-
 def _prior_variance(sigma0_sq: float) -> float:
     """sigma0_sq as a float; ValueError unless it is finite and nonnegative.
 
@@ -188,98 +168,6 @@ def _noise_variance(beta, power, residual_mass):
     return residual
 
 
-def _advance_moments(
-    realization: FilterRealization,
-    xs: np.ndarray,
-    sigma0_sq: float,
-    state: EstimatorState | None,
-):
-    """Advance both moment cascades over a non-empty block.
-
-    Returns (w1_block, w2_block, state): the state trajectories, one column
-    per sample, and a new state after the block; the given state is never
-    changed.  A block that is not a 1-D array raises ValueError naming its
-    shape, and one that holds a NaN or infinite sample raises ValueError
-    naming its index.  With state=None the stream starts here: the first
-    sample sets the final-value start (its column is the start itself, and
-    the sample counter stays at 0) and the rest advance the recursions.
-
-    The two cascades run as one stacked run_block call on the rows
-    [d, d**2], d = x - x0: the power cascade has the first kappa + 1 stages
-    of the signal cascade, and those stages share their products.
-    """
-    if xs.ndim != 1:
-        raise ValueError(f"a block of samples must be 1-D, got shape {xs.shape}")
-    start = 0 if state is None else state.n + 1
-    # One reduction for the common case: a NaN or infinite sample makes the
-    # sum non-finite.  So does a sum of finite samples that overflows (numpy
-    # then warns of it); only then are the samples checked one by one.
-    if not isfinite(np.add.reduce(xs)):
-        finite = np.isfinite(xs)
-        if not finite.all():
-            bad = int(np.argmin(finite))
-            raise _not_finite(start + bad, float(xs[bad]))
-    p = realization.spec.weight.p
-    first = 0
-    if state is None:
-        state = _start(realization, xs[0], sigma0_sq)
-        first = 1  # column 0 is the start itself
-    moments = np.empty((2, xs.size - first))
-    np.subtract(xs[first:], state.x0, out=moments[0])
-    np.multiply(moments[0], moments[0], out=moments[1])
-    w1_block, w2_block = run_block(p, moments, [state.w1, state.w2], start=start + first)
-    if first:
-        w1_block = np.hstack([np.array(state.w1)[:, None], w1_block])
-        w2_block = np.hstack([np.array(state.w2)[:, None], w2_block])
-    state = EstimatorState(tuple(w1_block[:, -1].tolist()), tuple(w2_block[:, -1].tolist()),
-                           start + xs.size - 1, state.x0)
-    return w1_block, w2_block, state
-
-
-def run_sequence(
-    realization: FilterRealization,
-    xs: np.ndarray,
-    sigma0_sq: float = 0.0,
-    state: EstimatorState | None = None,
-):
-    """Process a block of samples at once; returns (SequenceResult, state).
-
-    With state=None the stream starts here: the first sample initializes
-    the recursions from the prior noise variance sigma0_sq and contributes
-    the first frame.  Passing the returned state back in continues the
-    stream across blocks with output that agrees with per-sample update()
-    calls to rounding, as the block path orders its sums differently.  The
-    state given is never changed, also when the call raises, and one whose
-    cascade lengths are not this design's raises ValueError.  sigma0_sq is
-    checked on every call, but with a state it is not used.
-    """
-    sigma0_sq = _prior_variance(sigma0_sq)
-    n1, n2 = realization.spec.n_first_states, realization.spec.n_second_states
-    if state is not None and (len(state.w1), len(state.w2)) != (n1, n2):
-        raise ValueError(f"state has cascades of {len(state.w1)} and {len(state.w2)} "
-                         f"states, this design {n1} and {n2}")
-    xs = np.asarray(xs, dtype=float)
-    n_out = realization.spec.n_outputs
-    if xs.shape == (0,):
-        empty = SequenceResult(
-            estimates=np.empty((n_out, 0)),
-            sigma_eps2=np.empty(0),
-            variances=np.empty((n_out, 0)),
-        )
-        return empty, state
-
-    w1_block, w2_block, state = _advance_moments(realization, xs, sigma0_sq, state)
-    sigma_eps2 = _noise_variance(
-        realization.coeff_output @ w1_block,
-        realization.power_output @ w2_block,
-        realization.residual_mass,
-    )
-    estimates = realization.state_output @ w1_block
-    estimates[0] += state.x0
-    variances = sigma_eps2 * realization.vrf.diagonal()[:, None]
-    return SequenceResult(estimates=estimates, sigma_eps2=sigma_eps2, variances=variances), state
-
-
 class _Stream:
     """One stream through realization's two moment cascades.
 
@@ -287,8 +175,9 @@ class _Stream:
     per-sample kernel factory, which the subclass's _build_kernel() makes
     on the first per-sample call.  Samples enter one at a time through
     update() and in blocks through _advance_moments(); the two can be
-    mixed freely on one stream.  A subclass adds only its readout: the
-    estimator's frames, a detector's statistic and events.
+    mixed freely on one stream, and they are the only places that change
+    its state.  A subclass adds only its readout: the estimator's frames,
+    a detector's statistic and events.
 
     The state has one home at a time.  While samples arrive one by one it
     lives in the closure cells of the kernel's step (see _kernel).  Reading
@@ -353,28 +242,100 @@ class _Stream:
         state = self._state
         first = state is None
         if first:
-            state = self._state = _start(self.realization, x, self.sigma0_sq)
+            state = self._state = self._start(x)
         if self._make is None:
             self._make = self._build_kernel()
         self._step, read, self._export = self._make(state.w1, state.w2, state.x0, state.n)
         return read() if first else self._step(x)
+
+    def _start(self, x0: float) -> EstimatorState:
+        """The stream's state on its first sample x0: the final-value start.
+
+        Both cascades begin at the steady state they would reach under a
+        constant input x0 whose noise variance is sigma0_sq, so a constant
+        stream produces flat outputs from the very first sample.  Measured
+        from x0, that is zero for the signal cascade and sigma0_sq times the
+        unit steady state for the power cascade.  With the signal cascade at
+        zero no part of that power counts as fit, so sigma_eps2 at sample 0
+        is sigma0_sq * S_kappa(p) / residual_mass, somewhat above sigma0_sq.
+        The caller has checked x0.
+        """
+        w2 = self.realization.steady_second * _prior_variance(self.sigma0_sq)
+        return EstimatorState((0.0,) * self.realization.spec.n_first_states,
+                              tuple(w2.tolist()), 0, float(x0))
+
+    def _advance_moments(self, xs: np.ndarray):
+        """Advance both moment cascades over a non-empty block of floats.
+
+        Returns (w1_block, w2_block), the state trajectories with one column
+        per sample, and makes the state after the block the stream's.  A
+        block that is not a 1-D array raises ValueError naming its shape, and
+        one that holds a NaN or infinite sample ValueError naming its index;
+        either leaves the state as it was.  On a new stream the first sample
+        sets the final-value start (its column is the start itself, and the
+        sample counter stays at 0) and the rest advance the recursions.
+
+        The two cascades run as one stacked run_block call on the rows
+        [d, d**2], d = x - x0: the power cascade has the first kappa + 1
+        stages of the signal cascade, and those stages share their products.
+        """
+        if xs.ndim != 1:
+            raise ValueError(f"a block of samples must be 1-D, got shape {xs.shape}")
+        state = self.state
+        start = 0 if state is None else state.n + 1
+        # One reduction for the common case: a NaN or infinite sample makes
+        # the sum non-finite.  So does a sum of finite samples that overflows
+        # (numpy then warns of it); only then are the samples checked one by
+        # one.
+        if not isfinite(np.add.reduce(xs)):
+            finite = np.isfinite(xs)
+            if not finite.all():
+                bad = int(np.argmin(finite))
+                raise _not_finite(start + bad, float(xs[bad]))
+        first = 0
+        if state is None:
+            state = self._start(xs[0])
+            first = 1  # column 0 is the start itself
+        moments = np.empty((2, xs.size - first))
+        np.subtract(xs[first:], state.x0, out=moments[0])
+        np.multiply(moments[0], moments[0], out=moments[1])
+        w1_block, w2_block = run_block(self.realization.spec.weight.p, moments,
+                                       [state.w1, state.w2], start=start + first)
+        if first:
+            w1_block = np.hstack([np.array(state.w1)[:, None], w1_block])
+            w2_block = np.hstack([np.array(state.w2)[:, None], w2_block])
+        self._state = EstimatorState(tuple(w1_block[:, -1].tolist()),
+                                     tuple(w2_block[:, -1].tolist()),
+                                     start + xs.size - 1, state.x0)
+        return w1_block, w2_block
 
 
 class StreamingEstimator(_Stream):
     """The estimator on one stream: update() feeds one sample, extend() a block.
 
     update() returns the sample's EstimateFrame and extend() the block's
-    SequenceResult, the same numbers run_sequence gives for the stream.
+    SequenceResult.
     """
 
     def _build_kernel(self):
         return estimator_kernel(self.realization, _frame)
 
     def extend(self, xs: np.ndarray) -> SequenceResult:
-        result, self._state = run_sequence(
-            self.realization, xs, self.sigma0_sq, self.state
+        xs = np.asarray(xs, dtype=float)
+        realization = self.realization
+        n_out = realization.spec.n_outputs
+        if xs.shape == (0,):
+            return SequenceResult(np.empty((n_out, 0)), np.empty(0), np.empty((n_out, 0)))
+        w1_block, w2_block = self._advance_moments(xs)
+        sigma_eps2 = _noise_variance(
+            realization.coeff_output @ w1_block,
+            realization.power_output @ w2_block,
+            realization.residual_mass,
         )
-        return result
+        estimates = realization.state_output @ w1_block
+        estimates[0] += self._state.x0
+        variances = sigma_eps2 * realization.vrf.diagonal()[:, None]
+        return SequenceResult(estimates=estimates, sigma_eps2=sigma_eps2, variances=variances)
 
     def coefficients(self):
         """Current fit coefficients (orthonormal and monomial bases).
@@ -395,3 +356,14 @@ class StreamingEstimator(_Stream):
         alpha[0] += state.x0
         beta[0] += state.x0 / from_orthonormal[0, 0]
         return beta, alpha
+
+
+def run_sequence(realization: FilterRealization, xs: np.ndarray, sigma0_sq: float = 0.0):
+    """Start a stream on a block; returns (SequenceResult, StreamingEstimator).
+
+    The first sample initializes the recursions from the prior noise
+    variance sigma0_sq and contributes the first frame.  The estimator is
+    the live stream after the block, which extend() and update() continue.
+    """
+    stream = StreamingEstimator(realization, sigma0_sq)
+    return stream.extend(xs), stream

@@ -1,8 +1,11 @@
 """Reproducible test scenarios: a tracked target and synthetic waveforms.
 
 All randomness flows through a seeded PCG64 generator with an explicit
-Box-Muller transform for the normal draws, so the same seed reproduces
-the same samples bit for bit across platforms and library versions.
+Box-Muller transform for the normal draws.  The uniform stream of a seed
+is fixed.  The normal draws take np.log, np.cos and np.sin of it, whose
+last bit depends on the SIMD code path numpy picks for the CPU, so a seed
+repeats its samples bit for bit on one machine and numpy build and may
+differ in the last bit elsewhere.
 """
 
 from __future__ import annotations
@@ -32,10 +35,11 @@ def make_rng(seed: int) -> np.random.Generator:
 def gaussian_noise(rng: np.random.Generator, n: int) -> np.ndarray:
     """Standard normal draws via Box-Muller on uniform pairs.
 
-    Spelled out rather than using rng.standard_normal so the exact sample
-    stream is pinned by this code, not by numpy's internal algorithm choice
-    (which has changed across versions).  u1 is mapped to (0, 1] to keep
-    the log finite.
+    Spelled out rather than using rng.standard_normal so the algorithm is
+    pinned by this code, not by numpy's internal choice (which has changed
+    across versions); the last bit of a draw still follows numpy's
+    vectorized log, cos and sin on the machine.  u1 is mapped to
+    (0, 1] to keep the log finite.
     """
     if n < 0:
         raise ValueError(f"sample count must be nonnegative, got {n}")

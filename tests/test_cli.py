@@ -15,6 +15,7 @@ from erlangreg import (
     ChangeDetector,
     EdgeDetector,
     PeakDetector,
+    StreamingEstimator,
     TargetScenario,
     response_report,
     run_sequence,
@@ -806,9 +807,9 @@ def _both_paths_input():
 
 
 def _library_run(real, xs):
-    tables, state = [], None
+    stream, tables = StreamingEstimator(real), []
     for i in range(0, xs.size, _RUN_CHUNK):
-        result, state = run_sequence(real, xs[i:i + _RUN_CHUNK], 0.0, state)
+        result = stream.extend(xs[i:i + _RUN_CHUNK])
         tables.append(np.vstack([result.estimates, result.sigma_eps2, result.variances]))
     table = np.concatenate(tables, axis=1)
     template = "%d," + ",".join(["%.17g"] * table.shape[0]) + "\n"

@@ -20,7 +20,7 @@ from erlangreg import (
 )
 
 import erlangreg.design
-from erlangreg.design import _condition, _gram_pair, orthonormal_transforms, synthesis_matrix
+from erlangreg.design import _condition, _gram_pair, _synthesis, orthonormal_transforms
 from erlangreg.document import _ARRAY_FIELDS
 from erlangreg.network import steady_state_vector
 
@@ -123,19 +123,18 @@ def test_orthonormal_transforms_reject_indefinite():
 
 
 def test_synthesis_matrix_entries():
-    spec = _spec(kappa=0, p=0.8, kx=3, kt=3, q=2.0, ts=0.5)
-    syn = synthesis_matrix(spec)
-    # Row 0 evaluates the polynomial at age q; row 1 is -1/ts times its
-    # age derivative; row 2 adds another factor.
-    np.testing.assert_allclose(syn[0], [1.0, 2.0, 4.0])
-    np.testing.assert_allclose(syn[1], [0.0, -2.0, -8.0])
-    np.testing.assert_allclose(syn[2], [0.0, 0.0, 8.0])
+    # At a unit sample period (test_sample_period_is_a_unit checks the
+    # period's scale): row 0 evaluates the polynomial at age q, row 1 is
+    # minus its age derivative, and row 2 its second age derivative.
+    spec = _spec(kappa=0, p=0.8, kx=3, kt=3, q=2.0)
+    syn = _synthesis(spec)
+    assert syn.tolist() == [[1.0, 2.0, 4.0], [0.0, -1.0, -4.0], [0.0, 0.0, 2.0]]
 
 
 def test_synthesis_needs_resolved_delay():
     spec = DesignSpec(weight=WeightSpec(kappa=0, p=0.8), model_order=2)
-    with pytest.raises(DesignError):
-        synthesis_matrix(spec)
+    with pytest.raises(DesignError, match="need a resolved delay"):
+        vrf_matrix(spec)
 
 
 def test_build_resolves_auto_delay():
@@ -336,7 +335,7 @@ def test_unit_sample_period_is_never_named(q):
         calls = [build_realization] + [lambda spec, k=k: optimal_delay(spec, output=k)
                                        for k in range(kx)]
         if q is not None:
-            calls += [vrf_matrix, synthesis_matrix]
+            calls.append(vrf_matrix)
         for call in calls:
             try:
                 call(spec)

@@ -19,7 +19,6 @@ from erlangreg import (
     StreamingEstimator,
     run_sequence,
 )
-from erlangreg.design import synthesis_matrix
 from erlangreg.network import _PIECE, run_block, steady_state_vector
 
 from oracles import (
@@ -71,7 +70,8 @@ def test_update_stream_equals_block_run():
     rng = np.random.Generator(np.random.PCG64(23))
     real = build(1, 0.9, 3, kt=2, q=None)
     xs = rng.standard_normal(120) + 5.0
-    result, state = run_sequence(real, xs)
+    result, stream = run_sequence(real, xs)
+    state = stream.state
 
     est = StreamingEstimator(real)
     for i, x in enumerate(xs):
@@ -90,9 +90,9 @@ def test_run_sequence_chunks_are_equivalent():
     rng = np.random.Generator(np.random.PCG64(24))
     real = build(2, 0.8, 2, kt=2, q=8.0)
     xs = rng.standard_normal(301) + 2.0
-    whole, state_whole = run_sequence(real, xs)
-    part1, state = run_sequence(real, xs[:157])
-    part2, state = run_sequence(real, xs[157:], state=state)
+    whole, whole_stream = run_sequence(real, xs)
+    part1, stream = run_sequence(real, xs[:157])
+    part2 = stream.extend(xs[157:])
     np.testing.assert_allclose(
         np.hstack([part1.estimates, part2.estimates]), whole.estimates, rtol=1e-11
     )
@@ -100,7 +100,7 @@ def test_run_sequence_chunks_are_equivalent():
         np.hstack([part1.sigma_eps2, part2.sigma_eps2]), whole.sigma_eps2,
         rtol=1e-9, atol=1e-12,
     )
-    assert state.n == state_whole.n
+    assert stream.state.n == whole_stream.state.n
 
 
 @pytest.mark.parametrize("design", [(0, 0.8, 2, 1), (2, 0.9, 2, 2), (6, 0.8, 4, 3), (3, 0.99, 2, 2)])
@@ -113,18 +113,33 @@ def test_aligned_blocks_give_the_floats_of_one_call(design, n):
     real = build(kappa, p, kx, kt=kt)
     xs = 40.0 + np.random.Generator(np.random.PCG64(n)).standard_normal(n)
     piece = _PIECE
-    w1_whole, w2_whole, whole = estimator_module._advance_moments(real, xs, 0.5, None)
-    parts, state = [], None
-    for lo in range(0, n, piece):
-        w1, w2, state = estimator_module._advance_moments(real, xs[lo:lo + piece], 0.5, state)
-        parts.append((w1, w2))
+    whole, blocks = StreamingEstimator(real, 0.5), StreamingEstimator(real, 0.5)
+    w1_whole, w2_whole = whole._advance_moments(xs)
+    parts = [blocks._advance_moments(xs[lo:lo + piece]) for lo in range(0, n, piece)]
     assert np.array_equal(np.hstack([w1 for w1, _ in parts]), w1_whole)
     assert np.array_equal(np.hstack([w2 for _, w2 in parts]), w2_whole)
-    assert (state.w1, state.w2, state.n) == (whole.w1, whole.w2, whole.n)
+    assert blocks.state == whole.state and whole.state.n == n - 1
     _, by_blocks = run_sequence(real, xs[:piece], 0.5)
     for lo in range(piece, n, piece):
-        _, by_blocks = run_sequence(real, xs[lo:lo + piece], 0.5, by_blocks)
-    assert (by_blocks.w1, by_blocks.w2) == (whole.w1, whole.w2)
+        by_blocks.extend(xs[lo:lo + piece])
+    assert by_blocks.state == whole.state
+
+
+@pytest.mark.parametrize("design", [(0, 0.8, 2, 1), (6, 0.8, 4, 3), (3, 0.99, 2, 2)])
+@pytest.mark.parametrize("k", [_PIECE, 2 * _PIECE])
+def test_the_stream_run_sequence_returns_continues_it(design, k):
+    # run_sequence on a head cut at a multiple of _PIECE, then extend() on
+    # the returned stream, gives every float of one run_sequence call.
+    kappa, p, kx, kt = design
+    real = build(kappa, p, kx, kt=kt)
+    xs, _ = packet_signal(3, 3 * _PIECE + 500)
+    whole, whole_stream = run_sequence(real, xs, 0.5)
+    head, stream = run_sequence(real, xs[:k], 0.5)
+    tail = stream.extend(xs[k:])
+    for name in ("estimates", "sigma_eps2", "variances"):
+        got = np.concatenate([getattr(head, name), getattr(tail, name)], axis=-1)
+        assert np.array_equal(got, getattr(whole, name)), name
+    assert stream.state == whole_stream.state
 
 
 @pytest.mark.parametrize("design", [(6, 0.8, 4, 3), (2, 0.9, 2, 2)])
@@ -155,12 +170,15 @@ def test_extend_gives_the_floats_of_the_reference_block_path(design, seed):
 
 def test_empty_input_leaves_state_alone():
     real = build(0, 0.8, 2, kt=1, q=8.5)
-    result, state = run_sequence(real, np.empty(0))
+    result, stream = run_sequence(real, np.empty(0))
+    assert result.estimates.shape == result.variances.shape == (1, 0)
+    assert result.sigma_eps2.shape == (0,)
+    assert stream.state is None
+    _, stream = run_sequence(real, np.array([1.0, 2.0]))
+    state = stream.state
+    result = stream.extend(np.empty(0))
     assert result.estimates.shape == (1, 0)
-    assert state is None
-    _, state = run_sequence(real, np.array([1.0, 2.0]))
-    result, state2 = run_sequence(real, np.empty(0), state=state)
-    assert state2 is state
+    assert stream.state is state
 
 
 def test_covariance_is_sigma_times_vrf():
@@ -196,9 +214,10 @@ def test_coefficients_bases_are_consistent():
     np.testing.assert_allclose(
         alpha, real.from_orthonormal @ beta, rtol=1e-12
     )
-    # The monomial coefficients must reproduce the synthesized outputs.
+    # The monomial coefficients, evaluated at age q, reproduce the value.
+    q = real.spec.delay
     assert frame.estimates[0] == pytest.approx(
-        float(synthesis_matrix(real.spec)[0] @ alpha), rel=1e-10
+        sum(a * q ** j for j, a in enumerate(alpha)), rel=1e-10
     )
 
 
@@ -292,7 +311,7 @@ def test_non_finite_sample_raises_and_leaves_state_unchanged(bad):
     with pytest.raises(ValueError, match="sample 30 "):
         est.update(bad)
     with pytest.raises(ValueError, match="sample 31 "):
-        run_sequence(real, np.array([1.0, bad]), state=est.state)
+        est.extend(np.array([1.0, bad]))
     assert np.array_equal(est.state.w1, kept[0])
     assert np.array_equal(est.state.w2, kept[1])
     assert (est.state.n, est.state.x0) == kept[2:]
@@ -310,16 +329,9 @@ def test_prior_variance_must_be_finite_and_nonnegative(bad):
     real = build(1, 0.85, 2, kt=2, q=None)
     with pytest.raises(ValueError, match="sigma0_sq must be finite and nonnegative"):
         StreamingEstimator(real, sigma0_sq=bad)
-    with pytest.raises(ValueError, match="sigma0_sq must be finite and nonnegative"):
-        run_sequence(real, np.ones(5), sigma0_sq=bad)
-    # A continued stream checks the prior too, empty block included, and
-    # leaves its state as it was.
-    _, state = run_sequence(real, np.arange(5.0))
-    kept = (list(state.w1), list(state.w2), state.n, state.x0)
     for xs in (np.ones(5), np.empty(0)):
         with pytest.raises(ValueError, match="sigma0_sq must be finite and nonnegative"):
-            run_sequence(real, xs, sigma0_sq=bad, state=state)
-        assert (list(state.w1), list(state.w2), state.n, state.x0) == kept
+            run_sequence(real, xs, sigma0_sq=bad)
 
 
 # Every consumer of a stream, each with a prior; the change pair rides the
@@ -410,9 +422,6 @@ def test_blocks_must_be_one_dimensional(kind, shape):
     if kind == "estimator":
         with pytest.raises(ValueError, match=message):
             run_sequence(consumer.realization, xs)
-        with pytest.raises(ValueError, match=message):
-            run_sequence(consumer.realization, xs, state=consumer.state)
-        assert consumer.state == kept
 
 
 def _events_signal(size=300):
@@ -479,53 +488,23 @@ def test_reading_the_state_changes_nothing(kind, mixed):
         assert watched.events
 
 
-def test_run_sequence_returns_a_state_that_continues_the_stream():
-    # State in, state out: the returned state continues the stream as
-    # extend() does, and the state given, with the consumer that owns it,
-    # is left as it was.
+def test_run_sequence_returns_the_stream_that_continues_it():
+    # The estimator run_sequence returns is the live stream after the
+    # block: update() and extend() go on from the next sample, as on an
+    # estimator that took the block through extend().
     real = build(2, 0.9, 3, kt=3, q=None)
     xs = _events_signal()
-    est, twin = StreamingEstimator(real, 0.25), StreamingEstimator(real, 0.25)
-    _feed(est, xs[:20]), _feed(twin, xs[:20])
-    state = est.state
-    kept = copy.deepcopy(state)
-    result, continued = run_sequence(real, xs[20:50], 0.25, state=state)
-    assert continued.n == 49 and state == kept and est.state is state
-    assert _feed(twin, xs[20:50], per_sample=False) == [
+    result, stream = run_sequence(real, xs[:50], 0.25)
+    assert type(stream) is StreamingEstimator
+    assert stream.realization is real and stream.sigma0_sq == 0.25
+    twin = StreamingEstimator(real, 0.25)
+    assert _feed(twin, xs[:50], per_sample=False) == [
         result.estimates.tolist(), result.sigma_eps2.tolist()
     ]
-    assert twin.state == continued
-    # The owner never saw xs[20:50]: it goes on from sample 20.
-    assert _feed(est, xs[20:]) == _feed(StreamingEstimator(real, 0.25), xs)[20:]
-
-
-@pytest.mark.parametrize("case", ["success", "nan", "foreign"])
-def test_run_sequence_leaves_its_state_argument_alone(case):
-    # Before, run_sequence advanced the state it was given in place, and the
-    # consumer that handed it out with it; a foreign state was advanced too,
-    # before the readout failed on it.
-    real = build(1, 0.9, 3, kt=3, q=None)
-    xs = _events_signal()
-    est, twin = StreamingEstimator(real, 0.25), StreamingEstimator(real, 0.25)
-    est.extend(xs[:100]), twin.extend(xs[:100])
-    state = est.state
-    kept = copy.deepcopy(state)
-    design, block, error = {
-        "success": (real, xs[100:150], None),
-        "nan": (real, np.concatenate([xs[100:107], [math.nan], xs[107:150]]), "sample 107 "),
-        "foreign": (build(2, 0.9, 2, kt=2, q=None), xs[100:150],
-                    "state has cascades of 4 and 2 states, this design 4 and 3"),
-    }[case]
-    if error is None:
-        _, continued = run_sequence(design, block, 0.25, state)
-        assert continued.n == 149
-    else:
-        with pytest.raises(ValueError, match=error):
-            run_sequence(design, block, 0.25, state)
-    assert state == kept and est.state == kept
-    assert _feed(est, xs[100:200]) == _feed(twin, xs[100:200])
-    assert _feed(est, xs[200:], per_sample=False) == _feed(twin, xs[200:], per_sample=False)
-    assert est.state == twin.state
+    assert stream.state == twin.state and stream.state.n == 49
+    assert _feed(stream, xs[50:100]) == _feed(twin, xs[50:100])
+    assert _feed(stream, xs[100:], per_sample=False) == _feed(twin, xs[100:], per_sample=False)
+    assert stream.state == twin.state
 
 
 def _marker_state(consumer):
@@ -632,10 +611,8 @@ def test_state_vectors_are_float_tuples():
     _assert_float_state(est.state, real)
     est.update(2.0)
     _assert_float_state(est.state, real)
-    _, state = run_sequence(real, xs, state=est.state)
-    _assert_float_state(state, real)
-    _, state = run_sequence(real, xs)
-    _assert_float_state(state, real)
+    _, stream = run_sequence(real, xs)
+    _assert_float_state(stream.state, real)
 
     est = StreamingEstimator(real)
     est.update(1.0)
@@ -693,7 +670,8 @@ def test_update_and_extend_agree_with_one_run_sequence(kappa, p, kx, seed, plan,
     t = np.arange(300, dtype=float)
     noise = np.random.Generator(np.random.PCG64(seed)).standard_normal(t.size)
     xs = offset + 3.0 + 0.02 * t + 1e-4 * t * t + noise
-    whole, state = run_sequence(real, xs, sigma0_sq=0.25)
+    whole, whole_stream = run_sequence(real, xs, sigma0_sq=0.25)
+    state = whole_stream.state
 
     est = StreamingEstimator(real, sigma0_sq=0.25)
     estimates, sigma2 = [], []

@@ -19,6 +19,21 @@ def test_noise_stream_is_reproducible():
     assert not np.array_equal(a, c)
 
 
+def test_uniform_stream_is_pinned():
+    # The PCG64 uniforms of a seed are fixed on every platform and numpy
+    # version; the normal draws go through numpy's vectorized log, cos and
+    # sin, whose last bit may follow the CPU's SIMD code path.
+    assert [u.hex() for u in make_rng(0).random(4)] == [
+        "0x1.461fd79fb3850p-1", "0x1.1442f7e20b674p-2",
+        "0x1.4fa7b529d9bd0p-5", "0x1.0ec9ed84d0bc0p-6",
+    ]
+    np.testing.assert_allclose(
+        gaussian_noise(make_rng(0), 4),
+        [1.3766350132497243, 0.3624497920131611, 0.7887205905387179, 0.08220133353931267],
+        rtol=1e-14, atol=0,
+    )
+
+
 def test_noise_moments_converge():
     draws = gaussian_noise(make_rng(0), 100_000)
     assert abs(draws.mean()) < 0.05 * 1.0 + 0.02
