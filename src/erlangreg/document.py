@@ -227,8 +227,12 @@ def _finite_number(section: str, key: str, value) -> float:
     the boolean true.  json.loads accepts the tokens NaN and Infinity, and a
     non-finite number in a design runs without error but yields NaN
     estimates or a zero noise variance, so that no detector ever alarms.
+    A float or an int, what json.loads makes of a number, skips the ABC
+    test, which costs several times the rest.
     """
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+    kind = type(value)
+    if kind is not float and kind is not int and (
+            isinstance(value, bool) or not isinstance(value, numbers.Real)):
         raise DesignError(f"design document {section} field {key!r} is not a number: {value!r}")
     try:
         number = float(value)
@@ -243,7 +247,9 @@ def _finite_array(section: str, key: str, value) -> np.ndarray:
     """value as a read-only float array; DesignError naming the field unless all finite.
 
     Only JSON numbers count: the float conversion would also take the
-    string "1.5" and the boolean true.
+    string "1.5" and the boolean true.  Once the conversion has found the
+    nesting depth, one walk over the innermost lists collects the entry
+    types.
     """
     try:
         arr = np.array(value, dtype=float)
@@ -251,8 +257,8 @@ def _finite_array(section: str, key: str, value) -> np.ndarray:
         raise DesignError(
             f"design document {section} field {key!r} is not a numeric array: {exc}"
         ) from exc
-    entries = [value]
-    for _ in range(arr.ndim):
+    entries = value if arr.ndim else [value]
+    for _ in range(arr.ndim - 1):
         entries = itertools.chain.from_iterable(entries)
     if not set(map(type, entries)).isdisjoint((str, bool)):
         raise DesignError(

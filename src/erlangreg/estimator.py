@@ -22,6 +22,16 @@ each starts the stream on its first sample, rejects non-finite input, and
 alone changes the state.  Nothing changes an EstimatorState once it
 exists; a block keeps its new one only once the block has succeeded.
 
+Consumers of one cascade shape (decay and both cascade lengths), such as
+an estimator and a peak detector on one design, share their block runs.
+_advance_moments keeps the last run of each shape: the state it started
+from, a copy of its block, its read-only trajectories and the state after
+it.  A stream whose block and start equal that run's bit for bit takes its
+trajectories and end state instead of running the engine, so it gets the
+very floats it would get alone.  A run is kept only for a block of at most
+one piece, and only while two or more streams of the shape that have run a
+block are alive; a lone consumer, as in every CLI command, keeps nothing.
+
 The per-sample path runs in Python floats.  On the consumer's first
 per-sample use the package compiles a kernel for its shape (see _kernel),
 which steps both cascades as unrolled running sums and evaluates the
@@ -42,6 +52,7 @@ block and returns the estimator that continues it.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from functools import partial
 from math import isfinite
@@ -52,7 +63,7 @@ import numpy as np
 
 from ._kernel import estimator_kernel
 from .design import FilterRealization
-from .network import run_block
+from .network import _PIECE, run_block
 
 __all__ = [
     "EstimatorState",
@@ -168,6 +179,37 @@ def _noise_variance(beta, power, residual_mass):
     return residual
 
 
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    """Whether two float arrays hold the same bits: -0.0 is not 0.0."""
+    return np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+class _BlockRun(NamedTuple):
+    """One block's run of the moment cascades, kept for the shape's other streams."""
+
+    fresh: bool                 # the block started its stream, from `start`
+    start: EstimatorState       # the state the block started from
+    block: np.ndarray           # a copy of the block
+    trajectories: tuple         # (w1_block, w2_block), read-only
+    after: EstimatorState       # the state after the block
+
+
+class _Peers:
+    """The live streams of one cascade shape and the last block run among them."""
+
+    __slots__ = ("streams", "last", "__weakref__")
+
+    def __init__(self):
+        self.streams = weakref.WeakSet()
+        self.last: _BlockRun | None = None
+
+
+# (p, n_first_states, n_second_states) -> _Peers.  Each stream holds its
+# shape's entry, so the entry, and the block run it keeps, goes when the
+# last stream of the shape does.
+_PEERS = weakref.WeakValueDictionary()
+
+
 class _Stream:
     """One stream through realization's two moment cascades.
 
@@ -177,7 +219,8 @@ class _Stream:
     update() and in blocks through _advance_moments(); the two can be
     mixed freely on one stream, and they are the only places that change
     its state.  A subclass adds only its readout: the estimator's frames,
-    a detector's statistic and events.
+    a detector's statistic and events.  Block trajectories are read-only,
+    as streams of one cascade shape may share them (see _advance_moments).
 
     The state has one home at a time.  While samples arrive one by one it
     lives in the closure cells of the kernel's step (see _kernel).  Reading
@@ -193,6 +236,7 @@ class _Stream:
         self._make = None     # the kernel factory, built on the first update()
         self._step = None     # step and export hold the state in their cells,
         self._export = None   # or are None while _state holds it
+        self._peers = None    # the _Peers of its cascade shape, from its first block
 
     @property
     def realization(self) -> FilterRealization:
@@ -214,9 +258,10 @@ class _Stream:
     def __getstate__(self):
         # Reading .state moves the state out of the cells and drops the
         # closures, so pickles and copies carry the state and never compiled
-        # code.  A copy shares the realization and the state, both immutable.
+        # code.  A copy shares the realization and the state, both immutable,
+        # and joins its shape's peers on its next block.
         self.state
-        return {**self.__dict__, "_make": None}
+        return {**self.__dict__, "_make": None, "_peers": None}
 
     def update(self, x: float):
         """Feed one sample; returns its readout.
@@ -267,21 +312,42 @@ class _Stream:
     def _advance_moments(self, xs: np.ndarray):
         """Advance both moment cascades over a non-empty block of floats.
 
-        Returns (w1_block, w2_block), the state trajectories with one column
-        per sample, and makes the state after the block the stream's.  A
-        block that is not a 1-D array raises ValueError naming its shape, and
-        one that holds a NaN or infinite sample ValueError naming its index;
-        either leaves the state as it was.  On a new stream the first sample
-        sets the final-value start (its column is the start itself, and the
-        sample counter stays at 0) and the rest advance the recursions.
+        Returns (w1_block, w2_block), the read-only state trajectories with
+        one column per sample, and makes the state after the block the
+        stream's.  A block that is not a 1-D array raises ValueError naming
+        its shape, and one that holds a NaN or infinite sample ValueError
+        naming its index; either leaves the state as it was.  On a new
+        stream the first sample sets the final-value start (its column is
+        the start itself, and the sample counter stays at 0) and the rest
+        advance the recursions.
 
         The two cascades run as one stacked run_block call on the rows
         [d, d**2], d = x - x0: the power cascade has the first kappa + 1
         stages of the signal cascade, and those stages share their products.
+
+        Streams of one cascade shape (p and both cascade lengths) share
+        their last block run: a block equal bit for bit to that run's, from
+        a state equal bit for bit to its start, takes the run's trajectories
+        and the state after it, with no check and no engine call, and so
+        the very floats the run gave.  A run is kept only for blocks of at
+        most one piece and while two or more streams of the shape that have
+        run a block are alive, and a miss drops it before the engine runs,
+        so a shape holds at most one run, never beside the one being made.
         """
         if xs.ndim != 1:
             raise ValueError(f"a block of samples must be 1-D, got shape {xs.shape}")
         state = self.state
+        peers = self._peers
+        if peers is None:
+            spec = self.realization.spec
+            shape = (spec.weight.p, spec.n_first_states, spec.n_second_states)
+            peers = self._peers = _PEERS.setdefault(shape, _Peers())
+            peers.streams.add(self)
+        if peers.last is not None:
+            if self._reruns(peers.last, state, xs):
+                self._state = peers.last.after
+                return peers.last.trajectories
+            peers.last = None
         start = 0 if state is None else state.n + 1
         # One reduction for the common case: a NaN or infinite sample makes
         # the sum non-finite.  So does a sum of finite samples that overflows
@@ -292,22 +358,39 @@ class _Stream:
             if not finite.all():
                 bad = int(np.argmin(finite))
                 raise _not_finite(start + bad, float(xs[bad]))
-        first = 0
-        if state is None:
+        fresh = state is None
+        if fresh:
             state = self._start(xs[0])
-            first = 1  # column 0 is the start itself
+        first = int(fresh)  # column 0 of a fresh stream is the start itself
         moments = np.empty((2, xs.size - first))
         np.subtract(xs[first:], state.x0, out=moments[0])
         np.multiply(moments[0], moments[0], out=moments[1])
         w1_block, w2_block = run_block(self.realization.spec.weight.p, moments,
                                        [state.w1, state.w2], start=start + first)
-        if first:
+        if fresh:
             w1_block = np.hstack([np.array(state.w1)[:, None], w1_block])
             w2_block = np.hstack([np.array(state.w2)[:, None], w2_block])
+        w1_block.flags.writeable = w2_block.flags.writeable = False
+        trajectories = (w1_block, w2_block)
         self._state = EstimatorState(tuple(w1_block[:, -1].tolist()),
                                      tuple(w2_block[:, -1].tolist()),
                                      start + xs.size - 1, state.x0)
-        return w1_block, w2_block
+        if xs.size <= _PIECE and len(peers.streams) > 1:
+            peers.last = _BlockRun(fresh, state, xs.copy(), trajectories, self._state)
+        return trajectories
+
+    def _reruns(self, run: _BlockRun, state: EstimatorState | None, xs: np.ndarray) -> bool:
+        """Whether xs from state is the kept block run: the same block, bit
+        for bit, from the same start, the same object or equal bit for bit.
+        A new stream's start is the final-value start _start() builds from
+        its prior and its design, on a first sample the run has checked."""
+        if (state is None) != run.fresh or not _same_bits(xs, run.block):
+            return False
+        if state is None:
+            state = self._start(xs[0])
+        kept = run.start
+        return state is kept or (state.n == kept.n and _same_bits(
+            np.array((*state.w1, *state.w2, state.x0)), np.array((*kept.w1, *kept.w2, kept.x0))))
 
 
 class StreamingEstimator(_Stream):

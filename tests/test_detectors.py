@@ -1,8 +1,11 @@
+import copy
+import gc
 import math
 
 import numpy as np
 import pytest
 
+from erlangreg import estimator as estimator_module
 from erlangreg import (
     ChangeDetector,
     DesignError,
@@ -11,6 +14,7 @@ from erlangreg import (
     StreamingEstimator,
 )
 from erlangreg.detectors import _VARIANCE_FLOOR, _RunMarker
+from erlangreg.network import run_block
 
 from oracles import block_statistic_reference, build, moments_reference, packet_signal
 
@@ -360,6 +364,92 @@ def test_run_gives_the_floats_of_the_reference_block_path(seed):
         assert len(marker.events) > 10
         final = detector.state
         assert (list(final.w1), list(final.w2), final.n, final.x0) == state
+
+
+def _stream_block_makers():
+    """Makers of the four consumers of the stream-block benchmark: the
+    estimator on the wide design, then edge, peak and change as above.  The
+    estimator and the peak detector run one cascade shape, from two
+    realizations of the same design."""
+    wide = build(6, 0.8, 4, kt=3)
+    # A copy of an unfed detector is a new one with its own run marker.
+    return [lambda: StreamingEstimator(wide)] + [
+        lambda d=d: copy.copy(d) for d in _stream_block_detectors()
+    ]
+
+
+def _readouts(consumer, xs, per_sample):
+    """A stretch's readouts as arrays: estimates, sigma_eps2 and variances
+    from the estimator, Z from a detector."""
+    if not per_sample:
+        if isinstance(consumer, StreamingEstimator):
+            result = consumer.extend(xs)
+            return [result.estimates, result.sigma_eps2, result.variances]
+        return [consumer.run(xs)]
+    got = [consumer.update(x) for x in xs.tolist()]
+    if isinstance(consumer, StreamingEstimator):
+        return [np.array([f.estimates for f in got]).T, np.array([f.sigma_eps2 for f in got]),
+                np.array([f.covariance.diagonal() for f in got]).T]
+    return [np.array(got)]
+
+
+def _feed_plan(consumers, xs, plan, calls):
+    """Feed each stretch of the plan to every consumer in turn; returns per
+    consumer its readouts, events and final state, and the engine calls
+    each stretch cost."""
+    parts = [[] for _ in consumers]
+    per_stretch = []
+    for lo, hi, per_sample in plan:
+        before = len(calls)
+        for consumer, part in zip(consumers, parts):
+            part.append(_readouts(consumer, xs[lo:hi], per_sample))
+        per_stretch.append((per_sample, len(calls) - before))
+    out = []
+    for consumer, part in zip(consumers, parts):
+        readouts = [np.concatenate(field, axis=-1) for field in zip(*part)]
+        events = None
+        if not isinstance(consumer, StreamingEstimator):
+            consumer.finish()
+            events = consumer.events
+        out.append((readouts, events, consumer.state))
+    return out, per_stretch
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("mixed", [False, True])
+def test_consumers_fed_together_equal_consumers_fed_alone(seed, mixed, monkeypatch):
+    # The estimator and the peak detector share the wide cascade's block
+    # runs.  Fed packet by packet together, from the first packet through
+    # the 1e6 offset stretch, and with update() calls between blocks, every
+    # consumer gives the floats, events and state it gives fed alone, and a
+    # block packet costs three engine calls, not four.
+    xs, sizes = packet_signal(seed, 40_000)
+    plan, pos = [], 0
+    for i, size in enumerate(sizes):
+        head = min(40, size - 1) if mixed and i % 4 == 1 else 0
+        if head:
+            plan.append((pos, pos + head, True))
+        plan.append((pos + head, pos + size, False))
+        pos += size
+    makers = _stream_block_makers()
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("start", 0))
+        return run_block(*args, **kwargs)
+
+    monkeypatch.setattr(estimator_module, "run_block", counted)
+    gc.collect()
+    alone = [_feed_plan([make()], xs, plan, calls)[0][0] for make in makers]
+    together, per_stretch = _feed_plan([make() for make in makers], xs, plan, calls)
+    for (got, got_events, got_state), (want, want_events, want_state) in zip(together, alone):
+        assert all(np.array_equal(a, b) for a, b in zip(got, want, strict=True))
+        assert got_events == want_events and got_state == want_state
+    # Both wide streams join their shape on their first block, so that one
+    # costs four calls; each block packet after it costs three.
+    blocks = [n for per_sample, n in per_stretch if not per_sample]
+    assert blocks[0] == 4 and set(blocks[1:]) == {3}
+    assert all(n == 0 for per_sample, n in per_stretch if per_sample)
 
 
 @pytest.mark.parametrize("kind", ["edge", "peak", "change"])

@@ -1,8 +1,10 @@
 import copy
 import functools
+import gc
 import math
 import pickle
 import re
+import tracemalloc
 
 import hypothesis
 import numpy as np
@@ -17,6 +19,8 @@ from erlangreg import (
     EstimateFrame,
     PeakDetector,
     StreamingEstimator,
+    design_to_document,
+    realization_from_document,
     run_sequence,
 )
 from erlangreg.network import _PIECE, run_block, steady_state_vector
@@ -794,3 +798,213 @@ def test_per_sample_update_touches_no_numpy(monkeypatch):
     assert proxy.touched == []
     for frame, values in zip(frames, expected, strict=True):
         _assert_frame_reads(frame, values)
+
+
+# ---------------------------------------------------------------------------
+# Streams of one cascade shape share their last block run: a block equal bit
+# for bit, from a start equal bit for bit, takes that run's trajectories.
+
+
+def _engine_calls(monkeypatch):
+    """Count the estimator's run_block calls; returns the list they append to."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("start", 0))
+        return run_block(*args, **kwargs)
+
+    monkeypatch.setattr(estimator_module, "run_block", counted)
+    return calls
+
+
+def _block_outputs(consumer, xs):
+    """The block's readout as arrays: (estimates, sigma_eps2, variances) or (Z,)."""
+    result = _feed_block(consumer, xs)
+    if isinstance(result, np.ndarray):
+        return (result,)
+    return result.estimates, result.sigma_eps2, result.variances
+
+
+def _equal_outputs(a, b):
+    return len(a) == len(b) and all(np.array_equal(x, y) for x, y in zip(a, b))
+
+
+def _lone_outputs(make, blocks):
+    """Each block's outputs and the state after it, of one consumer fed alone."""
+    gc.collect()
+    consumer = make()
+    out = [(_block_outputs(consumer, xs), consumer.state) for xs in blocks]
+    assert consumer._peers.last is None
+    return out
+
+
+def _joined(real):
+    """A stream of real's cascade shape that has run a block: it counts as
+    live for the shape, so the next block run of the shape is kept."""
+    peer = StreamingEstimator(real)
+    peer.extend(_XS[:2])
+    return peer
+
+
+def _edited_steady_second(real):
+    """real through a document whose steady_second[0] moved by one ulp."""
+    document = design_to_document(real)
+    steady = document["realization"]["steady_second"]
+    steady[0] = math.nextafter(steady[0], math.inf)
+    return realization_from_document(document)
+
+
+_REAL = build(2, 0.9, 3, kt=3, q=None)
+_XS = np.random.Generator(np.random.PCG64(40)).standard_normal(600) + 5.0
+
+
+def _last_set(xs, value):
+    xs = xs.copy()
+    xs[-1] = value
+    return xs
+
+
+def _after_update(consumer, x):
+    consumer.update(x)
+    return consumer
+
+
+# (first stream, second stream, first block, second block): the second
+# block, or the start it runs from, differs from the kept run's in one bit,
+# or one stream starts on its block and the other continues.
+_MISSES = {
+    "a stream that continues from its first sample": (
+        lambda: _after_update(StreamingEstimator(_REAL), _XS[0]),
+        lambda: EdgeDetector(_REAL, 3.0), _XS[:300], _XS[:300]),
+    "a block one ulp apart": (
+        lambda: StreamingEstimator(_REAL), lambda: EdgeDetector(_REAL, 3.0),
+        _XS[:300], _last_set(_XS[:300], math.nextafter(_XS[299], 0.0))),
+    "a zero of the other sign": (
+        lambda: StreamingEstimator(_REAL), lambda: PeakDetector(_REAL, 3.0),
+        _last_set(_XS[:300], 0.0), _last_set(_XS[:300], -0.0)),
+    "another prior": (
+        lambda: StreamingEstimator(_REAL, 0.25), lambda: EdgeDetector(_REAL, 3.0, 0.5),
+        _XS[:300], _XS[:300]),
+    "a hand-edited steady_second": (
+        lambda: StreamingEstimator(_REAL, 0.25),
+        lambda: EdgeDetector(_edited_steady_second(_REAL), 3.0, 0.25),
+        _XS[:300], _XS[:300]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MISSES))
+def test_a_block_unlike_the_kept_run_runs_the_engine(case, monkeypatch):
+    make_a, make_b, block_a, block_b = _MISSES[case]
+    lone = _lone_outputs(make_b, [block_b, _XS[300:]])
+    calls = _engine_calls(monkeypatch)
+    peer, a, b = _joined(_REAL), make_a(), make_b()
+    _feed_block(a, block_a)
+    assert a._peers.last is not None and b.state is None
+    assert _equal_outputs(_block_outputs(b, block_b), lone[0][0])
+    assert len(calls) == 3 and b.state == lone[0][1]
+    _feed_block(a, _XS[300:])
+    assert _equal_outputs(_block_outputs(b, _XS[300:]), lone[1][0])
+    assert b.state == lone[1][1]
+
+
+def test_an_input_changed_in_place_between_consumers_misses(monkeypatch):
+    # The kept run holds a copy of its block: writing into the caller's
+    # array after one consumer read it makes the next one run the engine.
+    xs = _XS[:300].copy()
+    changed = _last_set(xs, xs[-1] + 1.0)
+    lone = _lone_outputs(lambda: EdgeDetector(_REAL, 3.0), [changed])
+    calls = _engine_calls(monkeypatch)
+    peer, a, b = _joined(_REAL), StreamingEstimator(_REAL), EdgeDetector(_REAL, 3.0)
+    a.extend(xs)
+    xs[-1] += 1.0
+    assert _equal_outputs(_block_outputs(b, xs), lone[0][0])
+    assert len(calls) == 3 and b.state == lone[0][1]
+
+
+def test_a_non_finite_block_after_a_kept_run_raises(monkeypatch):
+    lone = _lone_outputs(lambda: EdgeDetector(_REAL, 3.0), [_XS[:300], _XS[300:400]])
+    calls = _engine_calls(monkeypatch)
+    peer, a, b = _joined(_REAL), StreamingEstimator(_REAL), EdgeDetector(_REAL, 3.0)
+    a.extend(_XS[:300]), b.run(_XS[:300])
+    assert len(calls) == 2 and b.state is a.state
+    kept = b.state
+    a.extend(_XS[300:400])
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="sample 307 "):
+            b.run(np.r_[_XS[300:307], bad, _XS[308:400]])
+        assert b.state is kept
+    assert _equal_outputs(_block_outputs(b, _XS[300:400]), lone[1][0])
+    assert b.state == lone[1][1]
+
+
+def test_a_lone_stream_keeps_no_block_run(monkeypatch):
+    gc.collect()
+    real = build(1, 0.85, 2, kt=2, q=None)
+    calls = _engine_calls(monkeypatch)
+    a = StreamingEstimator(real)
+    for lo in range(0, 600, 100):
+        a.extend(_XS[lo:lo + 100])
+        assert a._peers.last is None
+    # A second live stream of the shape makes a run worth keeping ...
+    b = EdgeDetector(real, 3.0)
+    b.run(_XS[:100])
+    a.extend(_XS[:100])
+    assert a._peers.last is not None
+    # ... and once it is gone, the lone stream keeps nothing again.
+    del b
+    gc.collect()
+    a.extend(_XS[100:200])
+    assert a._peers.last is None
+    assert len(calls) == 9
+
+
+@pytest.mark.parametrize("size", [_PIECE, _PIECE + 1])
+def test_only_blocks_of_at_most_one_piece_are_kept(size, monkeypatch):
+    xs = np.random.Generator(np.random.PCG64(41)).standard_normal(size) + 3.0
+    lone = _lone_outputs(lambda: PeakDetector(_REAL, 3.0), [xs])
+    calls = _engine_calls(monkeypatch)
+    peer, a, b = _joined(_REAL), StreamingEstimator(_REAL), PeakDetector(_REAL, 3.0)
+    a.extend(xs)
+    assert (a._peers.last is not None) == (size <= _PIECE)
+    assert _equal_outputs(_block_outputs(b, xs), lone[0][0])
+    assert len(calls) == (2 if size <= _PIECE else 3)
+    assert b.state == lone[0][1] == a.state
+
+
+@pytest.mark.parametrize("shared", [False, True])
+def test_block_trajectories_are_read_only(shared):
+    # Fresh, continued and shared blocks alike: no consumer can write into
+    # the arrays another one reads.
+    peer, a, b = _joined(_REAL), StreamingEstimator(_REAL), EdgeDetector(_REAL, 3.0)
+    for lo in (0, 300):
+        blocks = [a._advance_moments(_XS[lo:lo + 300])]
+        if shared:
+            blocks.append(b._advance_moments(_XS[lo:lo + 300]))
+            assert blocks[1] is blocks[0]
+        for w1_block, w2_block in blocks:
+            for w in (w1_block, w2_block):
+                with pytest.raises(ValueError, match="read-only"):
+                    w[0, -1] = 1.0
+
+
+def test_shared_block_memory_does_not_grow_with_input():
+    # Two live streams of one shape keep one run between blocks, and drop
+    # it before the next engine call: what they hold does not grow with
+    # the number of blocks.
+    xs = np.random.Generator(np.random.PCG64(42)).standard_normal(12 * _PIECE) + 3.0
+    wide = build(6, 0.8, 4, kt=3)
+    peaks = []
+    gc.collect()
+    for blocks in (2, 2, 12):
+        tracemalloc.start()
+        try:
+            est, peak = StreamingEstimator(wide), PeakDetector(wide, 3.0)
+            for lo in range(0, blocks * _PIECE, _PIECE):
+                est.extend(xs[lo:lo + _PIECE])
+                peak.run(xs[lo:lo + _PIECE])
+            assert est._peers.last is not None
+            del est, peak
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[2] - peaks[1] < 0.5e6, peaks
