@@ -22,15 +22,20 @@ each starts the stream on its first sample, rejects non-finite input, and
 alone changes the state.  Nothing changes an EstimatorState once it
 exists; a block keeps its new one only once the block has succeeded.
 
-Consumers of one cascade shape (decay and both cascade lengths), such as
-an estimator and a peak detector on one design, share their block runs.
-_advance_moments keeps the last run of each shape: the state it started
+Consumers of one decay p, such as an estimator and a peak detector on one
+design or a change detector whose cascades are shorter, share their block
+runs.  Stage k of a cascade is the same integration whatever its length,
+and run_block computes it the same way whatever the longest order, so a
+shorter cascade is the leading stages of a longer one, bit for bit.
+_advance_moments keeps the last run of each decay: the state it started
 from, a copy of its block, its read-only trajectories and the state after
-it.  A stream whose block and start equal that run's bit for bit takes its
-trajectories and end state instead of running the engine, so it gets the
-very floats it would get alone.  A run is kept only for a block of at most
-one piece, and only while two or more streams of the shape that have run a
-block are alive; a lone consumer, as in every CLI command, keeps nothing.
+it.  A stream whose cascades are no longer than that run's, whose block
+equals its block bit for bit, and whose start equals the leading entries
+of its start bit for bit takes the leading stages of its trajectories and
+end state instead of running the engine, so it gets the very floats it
+would get alone.  A run is kept only for a block of at most one piece, and
+only while two or more streams of the decay that have run a block are
+alive; a lone consumer, as in every CLI command, keeps nothing.
 
 The per-sample path runs in Python floats.  On the consumer's first
 per-sample use the package compiles a kernel for its shape (see _kernel),
@@ -185,7 +190,7 @@ def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
 
 
 class _BlockRun(NamedTuple):
-    """One block's run of the moment cascades, kept for the shape's other streams."""
+    """One block's run of the moment cascades, kept for the decay's other streams."""
 
     fresh: bool                 # the block started its stream, from `start`
     start: EstimatorState       # the state the block started from
@@ -195,7 +200,7 @@ class _BlockRun(NamedTuple):
 
 
 class _Peers:
-    """The live streams of one cascade shape and the last block run among them."""
+    """The live streams of one decay and the last block run among them."""
 
     __slots__ = ("streams", "last", "__weakref__")
 
@@ -204,9 +209,8 @@ class _Peers:
         self.last: _BlockRun | None = None
 
 
-# (p, n_first_states, n_second_states) -> _Peers.  Each stream holds its
-# shape's entry, so the entry, and the block run it keeps, goes when the
-# last stream of the shape does.
+# p -> _Peers.  Each stream holds its decay's entry, so the entry, and the
+# block run it keeps, goes when the last stream of the decay does.
 _PEERS = weakref.WeakValueDictionary()
 
 
@@ -220,7 +224,7 @@ class _Stream:
     mixed freely on one stream, and they are the only places that change
     its state.  A subclass adds only its readout: the estimator's frames,
     a detector's statistic and events.  Block trajectories are read-only,
-    as streams of one cascade shape may share them (see _advance_moments).
+    as streams of one decay may share them (see _advance_moments).
 
     The state has one home at a time.  While samples arrive one by one it
     lives in the closure cells of the kernel's step (see _kernel).  Reading
@@ -236,7 +240,7 @@ class _Stream:
         self._make = None     # the kernel factory, built on the first update()
         self._step = None     # step and export hold the state in their cells,
         self._export = None   # or are None while _state holds it
-        self._peers = None    # the _Peers of its cascade shape, from its first block
+        self._peers = None    # the _Peers of its decay, from its first block
 
     @property
     def realization(self) -> FilterRealization:
@@ -259,7 +263,7 @@ class _Stream:
         # Reading .state moves the state out of the cells and drops the
         # closures, so pickles and copies carry the state and never compiled
         # code.  A copy shares the realization and the state, both immutable,
-        # and joins its shape's peers on its next block.
+        # and joins its decay's peers on its next block.
         self.state
         return {**self.__dict__, "_make": None, "_peers": None}
 
@@ -325,28 +329,29 @@ class _Stream:
         [d, d**2], d = x - x0: the power cascade has the first kappa + 1
         stages of the signal cascade, and those stages share their products.
 
-        Streams of one cascade shape (p and both cascade lengths) share
-        their last block run: a block equal bit for bit to that run's, from
-        a state equal bit for bit to its start, takes the run's trajectories
-        and the state after it, with no check and no engine call, and so
-        the very floats the run gave.  A run is kept only for blocks of at
-        most one piece and while two or more streams of the shape that have
-        run a block are alive, and a miss drops it before the engine runs,
-        so a shape holds at most one run, never beside the one being made.
+        Streams of one decay p share their last block run.  A stream whose
+        cascades are no longer than the run's, whose block equals the run's
+        bit for bit, and whose start equals the leading entries of the
+        run's start bit for bit takes the leading stages of the run's
+        trajectories and of the state after it, with no check and no engine
+        call: run_block computes a stage the same way whatever the longest
+        order, so these are the very floats the stream would get alone.  A
+        run is kept only for blocks of at most one piece and while two or
+        more streams of the decay that have run a block are alive, and a
+        miss drops it before the engine runs, so a decay holds at most one
+        run, never beside the one being made.
         """
         if xs.ndim != 1:
             raise ValueError(f"a block of samples must be 1-D, got shape {xs.shape}")
         state = self.state
         peers = self._peers
         if peers is None:
-            spec = self.realization.spec
-            shape = (spec.weight.p, spec.n_first_states, spec.n_second_states)
-            peers = self._peers = _PEERS.setdefault(shape, _Peers())
+            peers = self._peers = _PEERS.setdefault(self.realization.spec.weight.p, _Peers())
             peers.streams.add(self)
-        if peers.last is not None:
-            if self._reruns(peers.last, state, xs):
-                self._state = peers.last.after
-                return peers.last.trajectories
+        run = peers.last
+        if run is not None:
+            if self._reruns(run, state, xs):
+                return self._ride(run)
             peers.last = None
         start = 0 if state is None else state.n + 1
         # One reduction for the common case: a NaN or infinite sample makes
@@ -380,17 +385,38 @@ class _Stream:
         return trajectories
 
     def _reruns(self, run: _BlockRun, state: EstimatorState | None, xs: np.ndarray) -> bool:
-        """Whether xs from state is the kept block run: the same block, bit
-        for bit, from the same start, the same object or equal bit for bit.
-        A new stream's start is the final-value start _start() builds from
-        its prior and its design, on a first sample the run has checked."""
-        if (state is None) != run.fresh or not _same_bits(xs, run.block):
+        """Whether xs from state is the leading stages of the kept block run:
+        cascades no longer than the run's, the same block, bit for bit, and
+        a start that is the run's, or equal bit for bit to the leading
+        entries of the run's.  A new stream's start is the final-value start
+        _start() builds from its prior and its design, on a first sample the
+        run has checked."""
+        spec = self.realization.spec
+        n1, n2 = spec.n_first_states, spec.n_second_states
+        kept = run.start
+        if (state is None) != run.fresh or n1 > len(kept.w1) or n2 > len(kept.w2):
+            return False
+        if not _same_bits(xs, run.block):
             return False
         if state is None:
             state = self._start(xs[0])
-        kept = run.start
         return state is kept or (state.n == kept.n and _same_bits(
-            np.array((*state.w1, *state.w2, state.x0)), np.array((*kept.w1, *kept.w2, kept.x0))))
+            np.array((*state.w1, *state.w2, state.x0)),
+            np.array((*kept.w1[:n1], *kept.w2[:n2], kept.x0))))
+
+    def _ride(self, run: _BlockRun):
+        """Take the stream's stages of the kept block run; returns its
+        (w1_block, w2_block).  A stream of the run's cascade lengths takes
+        the run's arrays and end state themselves."""
+        spec = self.realization.spec
+        n1, n2 = spec.n_first_states, spec.n_second_states
+        after = run.after
+        if (n1, n2) == (len(after.w1), len(after.w2)):
+            self._state = after
+            return run.trajectories
+        w1_block, w2_block = run.trajectories
+        self._state = EstimatorState(after.w1[:n1], after.w2[:n2], after.n, after.x0)
+        return w1_block[:n1], w2_block[:n2]
 
 
 class StreamingEstimator(_Stream):

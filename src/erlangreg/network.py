@@ -94,8 +94,12 @@ def run_block(p: float, u: np.ndarray, w_prev, *, start: int = 0):
 
     Several cascades of the same p run together when u is a 2-D array of
     input rows and w_prev a sequence of one state vector per row, longest
-    first; the result is then the list of their trajectories.  Stage k runs
-    once for every row whose cascade has more than k stages.
+    first; the result is then the list of their trajectories.  Every row
+    runs every stage of the longest cascade, a shorter one from a start
+    vector zero-padded to that order, and keeps only its own stages.  Stage
+    k of a row is then the same products on the same operands whatever the
+    longest order is, so the leading stages of a run equal, bit for bit, a
+    run from the leading entries of its start vectors.
     """
     if not 0.0 < p < 1.0:
         raise ValueError(f"smoothing parameter must satisfy 0 < p < 1, got {p}")
@@ -142,7 +146,9 @@ def _scan_piece(p, u, state, states):
     signal is laid out one sub-block per row, cascade after cascade, so a
     single product of those rows with `within` gives the stage's response
     from rest; the carries then follow from the end column of that very
-    product.
+    product.  Every stage is one product over all rows: a shorter start
+    vector reads as zeros past its end, and its row's extra stages are
+    computed and left for the caller to drop.
     """
     within, offset, across, start = _scan_tables(p)
     rows, n = u.shape
@@ -161,18 +167,15 @@ def _scan_piece(p, u, state, states):
     signal[:, :n] = u
     signal = signal.reshape(rows * n_sub, _SUB)
     carried = np.empty_like(signal)
-    active = rows
+    m = rows * n_sub
     for k in range(order):
-        while len(state[active - 1]) <= k:
-            active -= 1
-        m = active * n_sub
-        y = np.matmul(signal[:m], within, out=slabs[k, :m])
-        carry = ends[k, :active] @ across
-        carry += start_terms[k, :active]
+        y = np.matmul(signal, within, out=slabs[k])
+        carry = ends[k] @ across
+        carry += start_terms[k]
         if m > _OUTER_ROWS:
-            y += np.einsum("i,j->ij", carry.reshape(m), offset, out=carried[:m])
+            y += np.einsum("i,j->ij", carry.reshape(m), offset, out=carried)
         else:
-            y += np.multiply(carry.reshape(m, 1), offset, out=carried[:m])
+            y += np.multiply(carry.reshape(m, 1), offset, out=carried)
         signal = y
 
 

@@ -348,8 +348,10 @@ def template_rows(template: str, columns) -> str:
 # package must match them exactly (np.array_equal), not merely to rounding.
 # The stage loop forms each carry term with einsum and reshapes its views
 # per stage; the noise terms are added with sum(); the guard is np.where
-# under errstate.  Samples are cut into pieces of BLOCK_PIECE counted from
-# the stream's first sample, as the package cuts them.
+# under errstate.  Stacked rows run every stage of the longest cascade,
+# shorter start vectors zero-padded, as the package runs them.  Samples are
+# cut into pieces of BLOCK_PIECE counted from the stream's first sample, as
+# the package cuts them.
 
 BLOCK_SUB = 32
 BLOCK_PIECE = 8192
@@ -387,15 +389,12 @@ def _scan_piece_reference(p, u, state, states):
     signal[:, :n] = u
     signal = signal.reshape(rows * n_sub, BLOCK_SUB)
     carried = np.empty_like(signal)
-    active = rows
+    m = rows * n_sub
     for k in range(len(state[0])):
-        while len(state[active - 1]) <= k:
-            active -= 1
-        m = active * n_sub
-        y = np.matmul(signal[:m], within, out=states[k, :active].reshape(m, BLOCK_SUB))
-        carry = y[:, -1].reshape(active, n_sub) @ across
-        carry += start_terms[k, :active]
-        y += np.einsum("i,j->ij", carry.reshape(m), offset, out=carried[:m])
+        y = np.matmul(signal, within, out=states[k].reshape(m, BLOCK_SUB))
+        carry = y[:, -1].reshape(rows, n_sub) @ across
+        carry += start_terms[k]
+        y += np.einsum("i,j->ij", carry.reshape(m), offset, out=carried)
         signal = y
 
 

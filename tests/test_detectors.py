@@ -419,10 +419,12 @@ def _feed_plan(consumers, xs, plan, calls):
 @pytest.mark.parametrize("mixed", [False, True])
 def test_consumers_fed_together_equal_consumers_fed_alone(seed, mixed, monkeypatch):
     # The estimator and the peak detector share the wide cascade's block
-    # runs.  Fed packet by packet together, from the first packet through
-    # the 1e6 offset stretch, and with update() calls between blocks, every
-    # consumer gives the floats, events and state it gives fed alone, and a
-    # block packet costs three engine calls, not four.
+    # runs, and the change detector, of the same decay and shorter
+    # cascades, reads their leading stages.  Fed packet by packet together,
+    # from the first packet through the 1e6 offset stretch, and with
+    # update() calls between blocks, every consumer gives the floats,
+    # events and state it gives fed alone, and a block packet costs two
+    # engine calls, not four.
     xs, sizes = packet_signal(seed, 40_000)
     plan, pos = [], 0
     for i, size in enumerate(sizes):
@@ -445,10 +447,11 @@ def test_consumers_fed_together_equal_consumers_fed_alone(seed, mixed, monkeypat
     for (got, got_events, got_state), (want, want_events, want_state) in zip(together, alone):
         assert all(np.array_equal(a, b) for a, b in zip(got, want, strict=True))
         assert got_events == want_events and got_state == want_state
-    # Both wide streams join their shape on their first block, so that one
-    # costs four calls; each block packet after it costs three.
+    # On the first block the estimator is the only stream of its decay that
+    # has run one, so its run is not kept and that packet costs three calls;
+    # each block packet after it costs two.
     blocks = [n for per_sample, n in per_stretch if not per_sample]
-    assert blocks[0] == 4 and set(blocks[1:]) == {3}
+    assert blocks[0] == 3 and set(blocks[1:]) == {2}
     assert all(n == 0 for per_sample, n in per_stretch if per_sample)
 
 

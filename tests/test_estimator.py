@@ -801,8 +801,10 @@ def test_per_sample_update_touches_no_numpy(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# Streams of one cascade shape share their last block run: a block equal bit
-# for bit, from a start equal bit for bit, takes that run's trajectories.
+# Streams of one decay share their last block run: a stream whose cascades
+# are no longer than the run's, fed a block equal bit for bit from a start
+# equal bit for bit to the leading entries of the run's, takes the leading
+# stages of that run's trajectories.
 
 
 def _engine_calls(monkeypatch):
@@ -898,6 +900,71 @@ def test_a_block_unlike_the_kept_run_runs_the_engine(case, monkeypatch):
     lone = _lone_outputs(make_b, [block_b, _XS[300:]])
     calls = _engine_calls(monkeypatch)
     peer, a, b = _joined(_REAL), make_a(), make_b()
+    _feed_block(a, block_a)
+    assert a._peers.last is not None and b.state is None
+    assert _equal_outputs(_block_outputs(b, block_b), lone[0][0])
+    assert len(calls) == 3 and b.state == lone[0][1]
+    _feed_block(a, _XS[300:])
+    assert _equal_outputs(_block_outputs(b, _XS[300:]), lone[1][0])
+    assert b.state == lone[1][1]
+
+
+_WIDE = build(6, 0.8, 4, kt=3)                    # cascades of 10 and 7 stages
+_CHANGE = (build(0, 0.8, 2, kt=1, q=8.5), build(3, 0.8, 2, kt=1, q=8.5))  # 5 and 4
+
+# Streams of decay 0.8 whose cascades are no longer than the wide run's:
+# each reads the leading stages of that run.
+_RIDERS = {
+    "change": lambda: ChangeDetector(*_CHANGE, 3.0),
+    "estimator": lambda: StreamingEstimator(build(2, 0.8, 3, kt=3)),
+    "edge": lambda: EdgeDetector(build(6, 0.8, 2, kt=2), 3.0),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_RIDERS))
+def test_a_shorter_stream_of_the_decay_reads_the_kept_run(kind, monkeypatch):
+    # The rider's outputs and states are those it gives alone, bit for bit,
+    # and it runs no cascade of its own: the three engine calls are the
+    # peer's and the wide estimator's two.
+    make = _RIDERS[kind]
+    lone = _lone_outputs(make, [_XS[:300], _XS[300:]])
+    calls = _engine_calls(monkeypatch)
+    peer, a, b = _joined(_WIDE), StreamingEstimator(_WIDE), make()
+    for (outputs, state), xs in zip(lone, (_XS[:300], _XS[300:])):
+        a.extend(xs)
+        assert _equal_outputs(_block_outputs(b, xs), outputs)
+        assert b.state == state
+    assert len(calls) == 3
+
+
+# (first stream, second stream, first block, second block), both of decay
+# 0.8 but the last two: the second stream's cascades, its block or its
+# start are not the leading stages of the first stream's run.
+_PREFIX_MISSES = {
+    "a rider whose first sample differs": (
+        lambda: StreamingEstimator(_WIDE), _RIDERS["change"],
+        _XS[:300], np.r_[math.nextafter(_XS[0], 0.0), _XS[1:300]]),
+    "a longer stream after a shorter kept run": (
+        _RIDERS["change"], lambda: StreamingEstimator(_WIDE), _XS[:300], _XS[:300]),
+    "a power cascade longer than the run's": (
+        # kappa 8, kx 1: 9 signal stages of the run's 10, but 9 power stages of its 7.
+        lambda: PeakDetector(_WIDE, 3.0), lambda: StreamingEstimator(build(8, 0.8, 1)),
+        _XS[:300], _XS[:300]),
+    "another decay": (
+        lambda: StreamingEstimator(_WIDE), lambda: EdgeDetector(build(3, 0.9, 2, kt=2), 3.0),
+        _XS[:300], _XS[:300]),
+    "another prior on a fresh stream": (
+        lambda: StreamingEstimator(_WIDE, 0.25), lambda: ChangeDetector(*_CHANGE, 3.0, 0.5),
+        _XS[:300], _XS[:300]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_PREFIX_MISSES))
+def test_a_stream_off_the_leading_stages_of_the_kept_run_runs_the_engine(case, monkeypatch):
+    make_a, make_b, block_a, block_b = _PREFIX_MISSES[case]
+    lone = _lone_outputs(make_b, [block_b, _XS[300:]])
+    calls = _engine_calls(monkeypatch)
+    peer, a, b = _joined(_WIDE), make_a(), make_b()
     _feed_block(a, block_a)
     assert a._peers.last is not None and b.state is None
     assert _equal_outputs(_block_outputs(b, block_b), lone[0][0])

@@ -1,7 +1,9 @@
 import math
 
+import hypothesis
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from erlangreg import run_block
 from erlangreg.network import _PIECE, impulse_to_weight_transform, steady_state_vector
@@ -222,3 +224,44 @@ def test_start_cuts_the_block_on_the_stream_grid(start):
         assert np.array_equal(run_block(0.9, u, w[0], start=start),
                               _split_at_the_grid(0.9, u[None], w[:1], start)[0]), n
         assert got[0].shape == (7, n) and got[1].shape == (4, n)
+
+
+def _assert_leading_stages_are_shorter_runs(p, n, start, orders, prefixes, seed):
+    """The leading (n1, n2) stages of a stacked run of the given orders equal
+    a run from the leading n1 and n2 entries of its start vectors, bit for
+    bit; so do those of a one-row run."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    u = 40.0 + 3.0 * rng.standard_normal(n)
+    rows = np.vstack([u - 40.0, (u - 40.0) ** 2])
+    w1, w2 = (rng.standard_normal(k) * steady_state_vector(k, p) for k in orders)
+    long = run_block(p, rows, [w1, w2], start=start)
+    alone = run_block(p, u, w1, start=start)
+    for n1, n2 in prefixes:
+        short = run_block(p, rows, [w1[:n1], w2[:n2]], start=start)
+        assert np.array_equal(long[0][:n1], short[0]), (n1, n2)
+        assert np.array_equal(long[1][:n2], short[1]), (n1, n2)
+        assert np.array_equal(alone[:n1], run_block(p, u, w1[:n1], start=start)), n1
+
+
+@pytest.mark.parametrize("start", [0, 3, 8000])
+@pytest.mark.parametrize("n", [1, 31, 32, 33, 8191, 8192, 8193, 20_000])
+@pytest.mark.parametrize("p", [0.3, 0.8, 0.99])
+def test_leading_stages_equal_a_shorter_run(p, n, start):
+    # Every stage is one product over all stacked rows, so a stage's floats
+    # do not depend on how many stages follow it: a stream of shorter
+    # cascades can read its stages off a longer run of the same decay.
+    _assert_leading_stages_are_shorter_runs(
+        p, n, start, (17, 9), [(17, 1), (10, 7), (9, 9), (5, 4), (1, 1)], seed=n + start)
+
+
+@hypothesis.given(
+    p=st.floats(0.05, 0.999),
+    n=st.integers(1, 9000),
+    start=st.integers(0, 3 * _PIECE),
+    orders=st.integers(1, 17).flatmap(lambda k: st.tuples(st.just(k), st.integers(1, k))),
+    data=st.data(),
+)
+def test_leading_stages_equal_a_shorter_run_property(p, n, start, orders, data):
+    n1 = data.draw(st.integers(1, orders[0]))
+    n2 = data.draw(st.integers(1, min(n1, orders[1])))
+    _assert_leading_stages_are_shorter_runs(p, n, start, orders, [(n1, n2)], seed=n)
