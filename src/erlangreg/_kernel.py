@@ -23,14 +23,16 @@ p * (w_0 + ... + w_i) + d, the partial sum carried from state to state,
 and a row reads as r_0 w_0 + r_1 w_1 + ..., added left to right, except
 that a term whose entry is exactly 0.0 is left out (a row with none left
 reads 0.0).  Rows have such entries: coefficient row i of a filter is
-zero past state kappa + i, and a change pair's fast filter is
-zero-padded to the slow filter's cascades.  A product with a zero entry
-is a zero, and adding a zero changes no sum but a zero's sign, so the
-kernel reads what a loop that starts its sums from 0.0 and multiplies
-every entry reads, == for ==, with two exceptions: the sign of a zero,
-and a state that has overflowed to inf (a power state does once
-|x - x0| passes about 1.3e154), where the loop's 0 * inf is NaN and the
-kernel reads the sum of the other terms, inf or finite.
+zero past state kappa + i.  A filter's rows read the leading cells of the
+cascades, which may be longer than its own; the one padded row is the
+change pair's difference row, the fast filter's value row padded with
+zeros less the slow filter's.  A product with a zero entry is a zero,
+and adding a zero changes no sum but a zero's sign, so the kernel reads
+what a loop that starts its sums from 0.0 and multiplies every entry
+reads, == for ==, with two exceptions: the sign of a zero, and a state
+that has overflowed to inf (a power state does once |x - x0| passes
+about 1.3e154), where the loop's 0 * inf is NaN and the kernel reads the
+sum of the other terms, inf or finite.
 
 A detector's readout calls its run marker's update only for a sample that
 could change the marker: one whose Z passes a bound (the threshold, or
@@ -86,19 +88,20 @@ class _Source:
     def let(self, name: str, expression: str) -> None:
         self.readout.append(f"{name} = {expression}")
 
-    def noise_variance(self, coeff_rows, power_row, residual_mass) -> str:
-        """Lines reading one filter's noise variance; returns its expression.
+    def noise_variance(self, realization) -> str:
+        """Lines reading realization's noise variance; returns its expression.
 
         The residual power (filtered power less the power of the orthonormal
         coefficients), clamped at zero as max(r, 0.0) is, over the residual
-        mass.
+        mass, read from the filter's own leading states of the cascades.
         """
         betas = []
-        for i, row in enumerate(coeff_rows):
+        for i, row in enumerate(realization.coeff_output.tolist()):
             self.let(f"b{i}", self.dot(row, "a"))
             betas.append(f"b{i} * b{i}")
-        self.let("r", f"{self.dot(power_row, 'q')} - ({' + '.join(betas)})")
-        return f"(0.0 if r < 0.0 else r) / {self.const(residual_mass)}"
+        power = self.dot(realization.power_output.tolist(), "q")
+        self.let("r", f"{power} - ({' + '.join(betas)})")
+        return f"(0.0 if r < 0.0 else r) / {self.const(realization.residual_mass)}"
 
     def build(self) -> Callable:
         """Compile the factory; the readout lines end in their return."""
@@ -144,11 +147,7 @@ def estimator_kernel(realization, frame) -> Callable:
     """
     spec = realization.spec
     src = _Source(spec.weight.p, spec.n_first_states, spec.n_second_states)
-    src.let("v", src.noise_variance(
-        realization.coeff_output.tolist(),
-        realization.power_output.tolist(),
-        realization.residual_mass,
-    ))
+    src.let("v", src.noise_variance(realization))
     rows = [src.dot(row, "a") for row in realization.state_output.tolist()]
     rows[0] += " + x0"
     src.readout.append(f"return {src.bind('frame', frame)}(("
@@ -160,17 +159,17 @@ def detector_kernel(stream, value_row, noise_terms, floor: float, marker) -> Cal
     """Kernel factory of a detector's statistic on the cascades of realization stream.
 
     Z is value_row @ w1 over the square root of the sum, over noise_terms
-    (coeff, power, residual_mass, vrf_ii), of vrf_ii times each filter's
-    noise variance, and 0.0 where that sum is below floor.  The readout
-    passes (n, z) to marker.update, which records the events, when z passes
-    the marker's threshold or its negative (two-sided markers only) or a
-    run is open, and returns z.
+    (filter, gain), of gain times the filter's noise variance, read from
+    the filter's leading cells, and 0.0 where that sum is below floor.
+    The readout passes (n, z) to marker.update, which records the events,
+    when z passes the marker's threshold or its negative (two-sided
+    markers only) or a run is open, and returns z.
     """
     spec = stream.spec
     src = _Source(spec.weight.p, spec.n_first_states, spec.n_second_states)
-    for i, (coeff, power, residual_mass, vrf_ii) in enumerate(noise_terms):
-        variance = src.noise_variance(coeff.tolist(), power.tolist(), residual_mass)
-        src.let("t", f"{'t + ' if i else ''}{src.const(vrf_ii)} * ({variance})")
+    for i, (realization, gain) in enumerate(noise_terms):
+        variance = src.noise_variance(realization)
+        src.let("t", f"{'t + ' if i else ''}{src.const(gain)} * ({variance})")
     value = src.dot(value_row.tolist(), "a")
     src.let("z", f"0.0 if t < {src.const(floor)} else ({value}) / sqrt(t)")
     hi = src.const(marker.threshold)

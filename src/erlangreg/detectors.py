@@ -2,10 +2,12 @@
 
 A detector is a fixed readout of the estimator's two moment cascades.  Its
 statistic Z is a linear readout of the signal cascade (a derivative, or the
-difference of two smoothers) divided by its standard deviation, which is
-the design's noise gain times the live noise variance read from both
-cascades; Z is a CFAR-style test against a fixed threshold.  One contiguous
-run of threshold exceedances declares one event, at the run's extremum.
+difference of two smoothers) over its standard deviation, whose square
+sums noise terms: each the noise gain of one output of a whole filter
+times that filter's live noise variance, which the estimator's own
+readout takes from the filter's leading stages of the cascades.  Z is a
+CFAR-style test against a fixed threshold.  One contiguous run of
+threshold exceedances declares one event, at the run's extremum.
 When the variance estimate underflows (no data yet, or a perfect fit) Z is
 reported as 0 so that empty regimes never alarm.
 
@@ -200,11 +202,12 @@ class _Detector(_Stream):
     """Z readout and event extraction on the moment states of one stream.
 
     The stream runs realization's cascades.  Z is value_row @ w1 over the
-    square root of sum(vrf_ii * noise variance) across noise_terms, each
-    (coeff, power, residual_mass, vrf_ii) reading one filter's noise
-    variance from the states as coeff @ w1 and power @ w2.  Blocks read the
-    rows as arrays; single samples go through a kernel compiled from them,
-    and bound to the detector's run marker, on the first update().
+    square root of sum(gain * _noise_variance(filter, w1, w2)) across
+    noise_terms, each (filter, gain): a design of the stream's decay whose
+    cascades are no longer than the stream's, and the noise gain of one of
+    its outputs.  Blocks read the rows as arrays; single samples go through
+    a kernel compiled from them, and bound to the detector's run marker, on
+    the first update().
     """
 
     def __init__(self, realization, threshold: float, sigma0_sq: float,
@@ -263,9 +266,9 @@ class _Detector(_Stream):
         """Z for a block of moment states, one column per sample."""
         value_row, noise_terms = self._rows
         variance = None
-        for coeff, power, residual_mass, vrf_ii in noise_terms:
-            term = _noise_variance(coeff @ w1_block, power @ w2_block, residual_mass)
-            term *= vrf_ii
+        for realization, gain in noise_terms:
+            term = _noise_variance(realization, w1_block, w2_block)
+            term *= gain
             variance = term if variance is None else np.add(variance, term, out=variance)
         return _guarded_ratio(value_row @ w1_block, variance)
 
@@ -280,30 +283,13 @@ def _output_row(detector, realization, index):
     return realization.state_output[index]
 
 
-def _noise_term(realization, index, stream):
-    """Noise term of output index, zero-padded to the cascades of stream.
-
-    stream is the realization whose cascades run.  Padding lets a filter
-    ride longer cascades of the same decay: the first states of a longer
-    cascade evolve exactly like the shorter one.
-    """
-    pad1 = stream.spec.n_first_states - realization.spec.n_first_states
-    pad2 = stream.spec.n_second_states - realization.spec.n_second_states
-    return (
-        np.pad(realization.coeff_output, ((0, 0), (0, pad1))),
-        np.pad(realization.power_output, (0, pad2)),
-        realization.residual_mass,
-        float(realization.vrf[index, index]),
-    )
-
-
 class EdgeDetector(_Detector):
     """Rising/falling edge detection: the slope over its standard deviation."""
 
     def __init__(self, realization, threshold: float, sigma0_sq: float = 0.0):
         super().__init__(
             realization, threshold, sigma0_sq,
-            _output_row(self, realization, 1), [_noise_term(realization, 1, realization)],
+            _output_row(self, realization, 1), ((realization, realization.vrf[1, 1]),),
             RISING_EDGE, FALLING_EDGE,
         )
 
@@ -317,7 +303,7 @@ class PeakDetector(_Detector):
     def __init__(self, realization, threshold: float, sigma0_sq: float = 0.0):
         super().__init__(
             realization, threshold, sigma0_sq,
-            -_output_row(self, realization, 2), [_noise_term(realization, 2, realization)],
+            -_output_row(self, realization, 2), ((realization, realization.vrf[2, 2]),),
             PEAK, None,
         )
 
@@ -327,8 +313,9 @@ class ChangeDetector(_Detector):
 
     Z is the difference of the two smoothed values over its standard
     deviation.  Both filters read one shared pair of moment recursions at
-    the slow filter's (larger) orders; the fast filter's readouts are
-    zero-padded.  Z > threshold declares an upward break, Z < -threshold a
+    the slow filter's (larger) orders: the fast filter's noise variance
+    reads their leading stages, and the difference row pads its value row
+    with zeros.  Z > threshold declares an upward break, Z < -threshold a
     downward one.
 
     Takes two already-built realizations, so that designs loaded from
@@ -365,8 +352,7 @@ class ChangeDetector(_Detector):
         super().__init__(
             realization_b, threshold, sigma0_sq,
             np.pad(realization_a.state_output[0], (0, pad)) - realization_b.state_output[0],
-            [_noise_term(realization_a, 0, realization_b),
-             _noise_term(realization_b, 0, realization_b)],
+            ((realization_a, realization_a.vrf[0, 0]), (realization_b, realization_b.vrf[0, 0])),
             BREAK_UP, BREAK_DOWN,
         )
 

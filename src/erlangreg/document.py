@@ -163,6 +163,8 @@ def _validate(document: dict) -> None:
     for key in _SPEC_NUMBERS:
         if key not in spec:
             raise DesignError(f"design document spec is missing {key!r}")
+    if "vrf" not in document["analysis"]:
+        raise DesignError("design document analysis is missing 'vrf'")
     realization = document["realization"]
     for key in ("residual_mass",) + _ARRAY_FIELDS:
         if key not in realization:
@@ -210,7 +212,7 @@ def realization_from_document(document: dict) -> FilterRealization:
     arrays = {key: _finite_array("realization", key, raw[key]) for key in _ARRAY_FIELDS}
     _check_shapes(spec, arrays)
 
-    vrf = _finite_array("analysis", "vrf", document["analysis"].get("vrf"))
+    vrf = _finite_array("analysis", "vrf", document["analysis"]["vrf"])
     if vrf.shape != (spec.n_outputs, spec.n_outputs):
         raise DesignError(
             f"design document vrf has shape {vrf.shape}, "
@@ -247,9 +249,9 @@ def _finite_array(section: str, key: str, value) -> np.ndarray:
     """value as a read-only float array; DesignError naming the field unless all finite.
 
     Only JSON numbers count: the float conversion would also take the
-    string "1.5" and the boolean true.  Once the conversion has found the
-    nesting depth, one walk over the innermost lists collects the entry
-    types.
+    string "1.5" and the boolean true, and reads a null as NaN.  Once the
+    conversion has found the nesting depth, one walk over the innermost
+    lists collects the entry types.
     """
     try:
         arr = np.array(value, dtype=float)
@@ -260,10 +262,15 @@ def _finite_array(section: str, key: str, value) -> np.ndarray:
     entries = value if arr.ndim else [value]
     for _ in range(arr.ndim - 1):
         entries = itertools.chain.from_iterable(entries)
-    if not set(map(type, entries)).isdisjoint((str, bool)):
+    types = set(map(type, entries))
+    if not types.isdisjoint((str, bool)):
         raise DesignError(
             f"design document {section} field {key!r} is not a numeric array: "
             f"it holds a string or a boolean"
+        )
+    if type(None) in types:
+        raise DesignError(
+            f"design document {section} field {key!r} is not a numeric array: it holds a null"
         )
     finite = np.isfinite(arr)
     if not finite.all():

@@ -35,7 +35,12 @@ of its start bit for bit takes the leading stages of its trajectories and
 end state instead of running the engine, so it gets the very floats it
 would get alone.  A run is kept only for a block of at most one piece, and
 only while two or more streams of the decay that have run a block are
-alive; a lone consumer, as in every CLI command, keeps nothing.
+alive; a lone consumer, as in every CLI command, keeps nothing.  The
+saving depends on feeding order, a known limit: a shorter cascade fed
+first keeps its own run, which a longer stream after it misses.  An
+estimator and a peak detector on a 10/7-stage design and a change
+detector on a 5/4-stage pair of its decay cost one run_block call per
+packet fed in that order, and two with the change detector fed first.
 
 The per-sample path runs in Python floats.  On the consumer's first
 per-sample use the package compiles a kernel for its shape (see _kernel),
@@ -166,21 +171,24 @@ def _not_finite(n: int, x: float) -> ValueError:
     return ValueError(f"sample {n} is not finite: {x!r}")
 
 
-def _noise_variance(beta, power, residual_mass):
-    """Residual power over the effective weight mass, clamped at zero.
+def _noise_variance(realization, w1_block, w2_block):
+    """realization's noise variance, one per column of the trajectories.
 
-    The weighted residual sum is the filtered input power minus the power
-    captured by the orthonormal fit coefficients.  Dividing by the
-    effective mass (total weight mass minus the fit's leverage) makes the
-    estimate unbiased for white noise; finite precision can drive the
-    difference slightly negative early on, hence the clamp.  beta has one
-    column per sample and power one entry per sample; the per-sample
-    kernels evaluate the same formula.
+    The residual power over the effective weight mass, clamped at zero: the
+    filtered input power less the power captured by the orthonormal fit
+    coefficients, over the total weight mass less the fit's leverage, is
+    unbiased for white noise, and finite precision can drive it slightly
+    negative early on.  The filter reads the leading stages of the
+    trajectories, which may be those of a longer cascade of its decay; the
+    per-sample kernels evaluate the same formula.
     """
+    spec = realization.spec
+    beta = realization.coeff_output @ w1_block[:spec.n_first_states]
     residual = np.einsum("ij,ij->j", beta, beta)
-    np.subtract(power, residual, out=residual)
+    np.subtract(realization.power_output @ w2_block[:spec.n_second_states], residual,
+                out=residual)
     np.maximum(residual, 0.0, out=residual)
-    residual /= residual_mass
+    residual /= realization.residual_mass
     return residual
 
 
@@ -436,11 +444,7 @@ class StreamingEstimator(_Stream):
         if xs.shape == (0,):
             return SequenceResult(np.empty((n_out, 0)), np.empty(0), np.empty((n_out, 0)))
         w1_block, w2_block = self._advance_moments(xs)
-        sigma_eps2 = _noise_variance(
-            realization.coeff_output @ w1_block,
-            realization.power_output @ w2_block,
-            realization.residual_mass,
-        )
+        sigma_eps2 = _noise_variance(realization, w1_block, w2_block)
         estimates = realization.state_output @ w1_block
         estimates[0] += self._state.x0
         variances = sigma_eps2 * realization.vrf.diagonal()[:, None]

@@ -234,6 +234,27 @@ def test_analyze_missing_document(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("edit, message", [
+    (lambda doc: doc["analysis"].pop("vrf"), "analysis is missing 'vrf'"),
+    (lambda doc: doc["analysis"].update(vrf=None),
+     "'vrf' is not a numeric array: it holds a null"),
+    (lambda doc: doc["realization"]["power_output"].__setitem__(0, None),
+     "'power_output' is not a numeric array: it holds a null"),
+], ids=["missing-vrf", "null-vrf", "null-entry"])
+def test_missing_or_null_array_field_exits_3(tmp_path, capsys, edit, message):
+    design = _design(tmp_path, "d.json", kappa=1, p=0.8, kx=2, kt=2)
+    doc = json.loads(design.read_text())
+    edit(doc)
+    design.write_text(json.dumps(doc))
+    data = tmp_path / "in.csv"
+    data.write_text("x\n1.0\n2.0\n")
+    capsys.readouterr()
+    assert main(["run", "--design", str(design), "--input", str(data),
+                 "--out", str(tmp_path / "out.csv")]) == 3
+    err = capsys.readouterr().err
+    assert message in err and "non-finite" not in err
+
+
 def test_run_constant_input_is_flat(tmp_path):
     design = _design(tmp_path, "d.json", kappa=1, p=0.8, kx=2, kt=2)
     data = tmp_path / "in.csv"

@@ -13,7 +13,7 @@ from erlangreg import (
     PeakDetector,
     StreamingEstimator,
 )
-from erlangreg.detectors import _VARIANCE_FLOOR, _RunMarker
+from erlangreg.detectors import _VARIANCE_FLOOR, _Detector, _RunMarker
 from erlangreg.network import run_block
 
 from oracles import block_statistic_reference, build, moments_reference, packet_signal
@@ -335,6 +335,15 @@ def _stream_block_detectors():
             ChangeDetector(fast, slow, 3.0)]
 
 
+def _padded_term(real, gain, stream):
+    """A (realization, gain) noise term as the reference's (coeff, power,
+    residual_mass, vrf_ii), its rows zero-padded to stream's cascades."""
+    pad1 = stream.spec.n_first_states - real.spec.n_first_states
+    pad2 = stream.spec.n_second_states - real.spec.n_second_states
+    return (np.pad(real.coeff_output, ((0, 0), (0, pad1))),
+            np.pad(real.power_output, (0, pad2)), real.residual_mass, gain)
+
+
 @pytest.mark.parametrize("seed", [1, 2])
 def test_run_gives_the_floats_of_the_reference_block_path(seed):
     # Packets of 64 to 8192 samples, several crossing a multiple of 8192,
@@ -343,7 +352,8 @@ def test_run_gives_the_floats_of_the_reference_block_path(seed):
     # the reference's: any change of rounding in the readout fails here.
     xs, sizes = packet_signal(seed, 40_000)
     for detector in _stream_block_detectors():
-        value_row, noise_terms = detector._rows
+        value_row, terms = detector._rows
+        noise_terms = [_padded_term(real, gain, detector.realization) for real, gain in terms]
         marker = _RunMarker(detector.threshold, detector._marker.kind_pos,
                             detector._marker.kind_neg)
         state = None
@@ -364,6 +374,56 @@ def test_run_gives_the_floats_of_the_reference_block_path(seed):
         assert len(marker.events) > 10
         final = detector.state
         assert (list(final.w1), list(final.w2), final.n, final.x0) == state
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_a_noise_term_is_its_filters_lone_noise_variance(seed, monkeypatch):
+    # A noise term is a filter and a gain.  Its noise variance, read on the
+    # detector's block trajectories, of which the filter's cascades are the
+    # leading stages, is the sigma_eps2 of a lone estimator on that filter
+    # fed the same packets, bit for bit: edge on the base design, peak on
+    # the wide one, and both filters of two change pairs.
+    xs, sizes = packet_signal(seed, 20_000)
+    cuts = np.cumsum([0] + sizes)
+    packets = [xs[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
+    fast = build(2, 0.9, 3, kt=1)
+    pair = (fast, build(6, 0.9, 3, kt=1, q=fast.spec.delay))
+    makers = [lambda d=d: copy.copy(d) for d in _stream_block_detectors()]
+    makers.append(lambda: ChangeDetector(*pair, 3.0))
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("start", 0))
+        return run_block(*args, **kwargs)
+
+    seen = []
+    statistic = _Detector._statistic
+
+    def spied(detector, w1_block, w2_block):
+        seen.append((w1_block, w2_block))
+        return statistic(detector, w1_block, w2_block)
+
+    monkeypatch.setattr(estimator_module, "run_block", counted)
+    monkeypatch.setattr(_Detector, "_statistic", spied)
+    terms = 0
+    for make in makers:
+        gc.collect()
+        detector = make()
+        want = []
+        for real, _ in detector._rows[1]:
+            # Each estimator runs alone: one engine call per packet.
+            estimator, before = StreamingEstimator(real), len(calls)
+            want.append([estimator.extend(packet).sigma_eps2 for packet in packets])
+            assert len(calls) - before == len(packets)
+            del estimator
+        for i, packet in enumerate(packets):
+            detector.run(packet)
+            w1_block, w2_block = seen.pop()
+            for (real, _), sigma_eps2 in zip(detector._rows[1], want):
+                got = estimator_module._noise_variance(real, w1_block, w2_block)
+                assert np.array_equal(got, sigma_eps2[i]), (type(detector).__name__, i)
+        terms += len(want)
+    assert terms == 6
 
 
 def _stream_block_makers():

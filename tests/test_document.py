@@ -170,6 +170,10 @@ def test_rejects_malformed_documents():
     del bad["realization"]["coeff_output"]
     with pytest.raises(DesignError):
         document_from_json(json.dumps(bad))
+    bad = json.loads(document_to_json(doc))
+    del bad["analysis"]["vrf"]
+    with pytest.raises(DesignError, match="analysis is missing 'vrf'"):
+        document_from_json(json.dumps(bad))
 
     bad = json.loads(document_to_json(doc))
     bad["realization"]["state_output"] = [[1.0, 2.0, 3.0]]
@@ -237,6 +241,18 @@ def test_rejects_malformed_documents():
         ("realization", "coeff_output", [[1.0, "0"], [0.0, 1.0]],
          "'coeff_output' is not a numeric array: it holds a string or a boolean"),
         ("analysis", "vrf", [[True]], "'vrf' is not a numeric array: it holds a string or a boolean"),
+        # np.array(None, dtype=float) is NaN, and so is a null entry, but a
+        # null is no number, finite or not.
+        ("analysis", "vrf", None, "'vrf' is not a numeric array: it holds a null"),
+        ("analysis", "vrf", [[None]], "'vrf' is not a numeric array: it holds a null"),
+        ("realization", "power_output", None,
+         "'power_output' is not a numeric array: it holds a null"),
+        ("realization", "power_output", [1.0, None, 2.0],
+         "'power_output' is not a numeric array: it holds a null"),
+        ("realization", "coeff_output", [[1.0, None], [0.0, 1.0]],
+         "'coeff_output' is not a numeric array: it holds a null"),
+        ("realization", "steady_second", [None, None],
+         "'steady_second' is not a numeric array: it holds a null"),
     ]
     for section, key, value, message in cases:
         bad = json.loads(document_to_json(doc))

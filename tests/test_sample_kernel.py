@@ -183,8 +183,8 @@ def test_kernel_source_holds_no_design_numbers(monkeypatch):
 
 def test_kernel_multiplies_only_nonzero_row_entries(monkeypatch):
     # One product per nonzero entry of every readout row, in step() and in
-    # read(); none for the zero entries, such as the change pair's padding
-    # of the fast filter to the slow filter's cascades.
+    # read(); none for the zero entries, such as a coefficient row's
+    # entries past state kappa + i.
     sources = []
 
     def capture(source, *args):
@@ -203,12 +203,13 @@ def test_kernel_multiplies_only_nonzero_row_entries(monkeypatch):
     rows = [[real.coeff_output, real.power_output, real.state_output]]
     for detector in consumers[1:]:
         value_row, noise_terms = detector._rows
-        rows.append([value_row] + [row for term in noise_terms for row in term[:2]])
+        rows.append([value_row] + [row for filt, _ in noise_terms
+                                    for row in (filt.coeff_output, filt.power_output)])
     zeros = []
     for source, consumer_rows in zip(sources, rows):
         nonzero = sum(np.count_nonzero(row) for row in consumer_rows)
         zeros.append(sum(np.size(row) for row in consumer_rows) - nonzero)
         assert len(re.findall(r"\bk\d+ \* [aq]\d+\b", source)) == 2 * nonzero, source
-    # The rows hold zeros: 1 each in the base design's coefficient rows, 11
-    # in the change pair's.
-    assert zeros == [1, 1, 11]
+    # The rows hold zeros: 1 each in the base design's coefficient rows, 2
+    # in the change pair's, whose noise rows are each filter's own.
+    assert zeros == [1, 1, 2]
