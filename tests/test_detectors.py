@@ -13,7 +13,7 @@ from erlangreg import (
     PeakDetector,
     StreamingEstimator,
 )
-from erlangreg.detectors import _VARIANCE_FLOOR, _Detector, _RunMarker
+from erlangreg.detectors import _VARIANCE_FLOOR, _RunMarker, _guarded_ratio
 from erlangreg.network import run_block
 
 from oracles import block_statistic_reference, build, moments_reference, packet_signal
@@ -335,6 +335,13 @@ def _stream_block_detectors():
             ChangeDetector(fast, slow, 3.0)]
 
 
+def _kx3_change_detector():
+    """Change on a kappa 2/6, kx 3 pair: the slow cascades are three stages
+    longer than the fast ones."""
+    fast = build(2, 0.9, 3, kt=1)
+    return ChangeDetector(fast, build(6, 0.9, 3, kt=1, q=fast.spec.delay), 3.0)
+
+
 def _padded_term(real, gain, stream):
     """A (realization, gain) noise term as the reference's (coeff, power,
     residual_mass, vrf_ii), its rows zero-padded to stream's cascades."""
@@ -351,7 +358,7 @@ def test_run_gives_the_floats_of_the_reference_block_path(seed):
     # the events those of the per-sample marker on it, and the final state
     # the reference's: any change of rounding in the readout fails here.
     xs, sizes = packet_signal(seed, 40_000)
-    for detector in _stream_block_detectors():
+    for detector in _stream_block_detectors() + [_kx3_change_detector()]:
         value_row, terms = detector._rows
         noise_terms = [_padded_term(real, gain, detector.realization) for real, gain in terms]
         marker = _RunMarker(detector.threshold, detector._marker.kind_pos,
@@ -378,52 +385,30 @@ def test_run_gives_the_floats_of_the_reference_block_path(seed):
 
 @pytest.mark.parametrize("seed", [1, 2])
 def test_a_noise_term_is_its_filters_lone_noise_variance(seed, monkeypatch):
-    # A noise term is a filter and a gain.  Its noise variance, read on the
-    # detector's block trajectories, of which the filter's cascades are the
-    # leading stages, is the sigma_eps2 of a lone estimator on that filter
-    # fed the same packets, bit for bit: edge on the base design, peak on
-    # the wide one, and both filters of two change pairs.
+    # A noise term is a filter and a gain.  The variance a detector divides
+    # by is the sum over its terms of gain times the sigma_eps2 of a lone
+    # estimator on the term's filter fed the same packets, bit for bit:
+    # edge on the base design, peak on the wide one, and two change pairs,
+    # whose fast filter reads the leading stages of the slow cascades.
     xs, sizes = packet_signal(seed, 20_000)
-    cuts = np.cumsum([0] + sizes)
-    packets = [xs[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
-    fast = build(2, 0.9, 3, kt=1)
-    pair = (fast, build(6, 0.9, 3, kt=1, q=fast.spec.delay))
-    makers = [lambda d=d: copy.copy(d) for d in _stream_block_detectors()]
-    makers.append(lambda: ChangeDetector(*pair, 3.0))
-    calls = []
+    packets = np.split(xs, np.cumsum(sizes)[:-1])
+    variances = []
 
-    def counted(*args, **kwargs):
-        calls.append(kwargs.get("start", 0))
-        return run_block(*args, **kwargs)
+    def spied(value, variance):
+        variances.append(variance.copy())
+        return _guarded_ratio(value, variance)
 
-    seen = []
-    statistic = _Detector._statistic
+    def lone(realization):
+        estimator = StreamingEstimator(realization)
+        return np.concatenate([estimator.extend(packet).sigma_eps2 for packet in packets])
 
-    def spied(detector, w1_block, w2_block):
-        seen.append((w1_block, w2_block))
-        return statistic(detector, w1_block, w2_block)
-
-    monkeypatch.setattr(estimator_module, "run_block", counted)
-    monkeypatch.setattr(_Detector, "_statistic", spied)
-    terms = 0
-    for make in makers:
-        gc.collect()
-        detector = make()
-        want = []
-        for real, _ in detector._rows[1]:
-            # Each estimator runs alone: one engine call per packet.
-            estimator, before = StreamingEstimator(real), len(calls)
-            want.append([estimator.extend(packet).sigma_eps2 for packet in packets])
-            assert len(calls) - before == len(packets)
-            del estimator
-        for i, packet in enumerate(packets):
+    monkeypatch.setattr("erlangreg.detectors._guarded_ratio", spied)
+    for detector in _stream_block_detectors() + [_kx3_change_detector()]:
+        want = sum(gain * lone(real) for real, gain in detector._rows[1])
+        variances.clear()
+        for packet in packets:
             detector.run(packet)
-            w1_block, w2_block = seen.pop()
-            for (real, _), sigma_eps2 in zip(detector._rows[1], want):
-                got = estimator_module._noise_variance(real, w1_block, w2_block)
-                assert np.array_equal(got, sigma_eps2[i]), (type(detector).__name__, i)
-        terms += len(want)
-    assert terms == 6
+        assert np.array_equal(np.concatenate(variances), want), type(detector).__name__
 
 
 def _stream_block_makers():
