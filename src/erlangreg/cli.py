@@ -275,6 +275,8 @@ def cmd_run(args) -> int:
 
 
 def cmd_detect(args) -> int:
+    if args.kind != "change" and args.design_b is not None:
+        raise ValueError(f"--design-b is for --kind change only, not --kind {args.kind}")
     realization = _load_design(args.design)
     if args.kind == "edge":
         detector = EdgeDetector(realization, args.threshold, args.sigma0_sq)

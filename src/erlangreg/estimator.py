@@ -24,23 +24,19 @@ exists; a block keeps its new one only once the block has succeeded.
 
 Consumers of one decay p, such as an estimator and a peak detector on one
 design or a change detector whose cascades are shorter, share their block
-runs.  Stage k of a cascade is the same integration whatever its length,
-and run_block computes it the same way whatever the longest order, so a
-shorter cascade is the leading stages of a longer one, bit for bit.
-_advance_moments keeps the last run of each decay: the state it started
-from, a copy of its block, its read-only trajectories and the state after
-it.  A stream whose cascades are no longer than that run's, whose block
-equals its block bit for bit, and whose start equals the leading entries
-of its start bit for bit takes the leading stages of its trajectories and
-end state instead of running the engine, so it gets the very floats it
-would get alone.  A run is kept only for a block of at most one piece, and
-only while two or more streams of the decay that have run a block are
-alive; a lone consumer, as in every CLI command, keeps nothing.  The
-saving depends on feeding order, a known limit: a shorter cascade fed
-first keeps its own run, which a longer stream after it misses.  An
-estimator and a peak detector on a 10/7-stage design and a change
-detector on a 5/4-stage pair of its decay cost one run_block call per
-packet fed in that order, and two with the change detector fed first.
+runs.  run_block is a pure function of its inputs, and it computes stage k
+the same way whatever the longest order, so a shorter cascade is the
+leading stages of a longer one, bit for bit.  _advance_moments keeps the
+last run_block call of each decay; a stream whose own call would read the
+same inputs, bit for bit, takes its leading stages instead, the very floats
+it would get alone.  A call is kept only for a block of at most one piece,
+and only while two or more streams of the decay that have run a block are
+alive; a lone consumer, as in every CLI command, keeps nothing.  The saving
+depends on feeding order, a known limit: a shorter cascade fed first keeps
+its own call, which a longer stream after it misses.  An estimator and a
+peak detector on a 10/7-stage design and a change detector on a 5/4-stage
+pair of its decay cost one run_block call per packet fed in that order,
+and two with the change detector fed first.
 
 The per-sample path runs in Python floats.  On the consumer's first
 per-sample use the package compiles a kernel for its shape (see _kernel),
@@ -63,6 +59,7 @@ block and returns the estimator that continues it.
 from __future__ import annotations
 
 import weakref
+from array import array
 from dataclasses import dataclass
 from functools import partial
 from math import isfinite
@@ -192,19 +189,31 @@ def _noise_variance(realization, w1_block, w2_block):
     return residual
 
 
-def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
-    """Whether two float arrays hold the same bits: -0.0 is not 0.0."""
-    return np.array_equal(a.view(np.uint64), b.view(np.uint64))
-
-
 class _BlockRun(NamedTuple):
-    """One block's run of the moment cascades, kept for the decay's other streams."""
+    """One run_block call of a stream's block, kept for the decay's other streams."""
 
-    fresh: bool                 # the block started its stream, from `start`
-    start: EstimatorState       # the state the block started from
-    block: np.ndarray           # a copy of the block
+    start: int                  # the sample number of the block's first column
+    block: bytes                # the samples it ran, x0 not subtracted
+    x0: float                   # the stream's first sample
+    w1: tuple[float, ...]       # the start vectors of the two cascades
+    w2: tuple[float, ...]
     trajectories: tuple         # (w1_block, w2_block), read-only
-    after: EstimatorState       # the state after the block
+
+
+def _leading_stages(run, start, block, state, n1, n2):
+    """The first n1 and n2 stages of run's trajectories, if run_block would
+    read what run's call read, bit for bit: the block from sample number
+    start, the stream's x0 and the leading entries of the start vectors;
+    otherwise None.  run_block is a pure function of those, and computes a
+    stage the same way whatever the longest order.  Inputs compare as
+    bytes, so -0.0 is not 0.0, and the start vectors of a cascade longer
+    than the run's have more entries than the run's leading ones."""
+    if (run is None or start != run.start or block.tobytes() != run.block
+            or array("d", (state.x0, *state.w1, *state.w2)).tobytes()
+            != array("d", (run.x0, *run.w1[:n1], *run.w2[:n2])).tobytes()):
+        return None
+    w1_block, w2_block = run.trajectories
+    return w1_block[:n1], w2_block[:n2]
 
 
 class _Peers:
@@ -325,29 +334,25 @@ class _Stream:
         """Advance both moment cascades over a non-empty block of floats.
 
         Returns (w1_block, w2_block), the read-only state trajectories with
-        one column per sample, and makes the state after the block the
-        stream's.  A block that is not a 1-D array raises ValueError naming
-        its shape, and one that holds a NaN or infinite sample ValueError
-        naming its index; either leaves the state as it was.  On a new
-        stream the first sample sets the final-value start (its column is
-        the start itself, and the sample counter stays at 0) and the rest
-        advance the recursions.
+        one column per sample, and makes the state after the block, their
+        last column, the stream's.  A block that is not a 1-D array raises
+        ValueError naming its shape, and one that holds a NaN or infinite
+        sample ValueError naming its index; either leaves the state as it
+        was.  On a new stream the first sample sets the final-value start
+        (its column is the start itself, and the sample counter stays at 0)
+        and the rest advance the recursions.
 
         The two cascades run as one stacked run_block call on the rows
         [d, d**2], d = x - x0: the power cascade has the first kappa + 1
         stages of the signal cascade, and those stages share their products.
 
-        Streams of one decay p share their last block run.  A stream whose
-        cascades are no longer than the run's, whose block equals the run's
-        bit for bit, and whose start equals the leading entries of the
-        run's start bit for bit takes the leading stages of the run's
-        trajectories and of the state after it, with no check and no engine
-        call: run_block computes a stage the same way whatever the longest
-        order, so these are the very floats the stream would get alone.  A
-        run is kept only for blocks of at most one piece and while two or
-        more streams of the decay that have run a block are alive, and a
-        miss drops it before the engine runs, so a decay holds at most one
-        run, never beside the one being made.
+        Streams of one decay p share their last run_block call: a stream
+        whose own call would read the same inputs takes the leading stages
+        of its trajectories with no check and no engine call (see
+        _leading_stages).  A call is kept only for blocks of at most one
+        piece and while two or more streams of the decay that have run a
+        block are alive, and a miss drops it before the engine runs, so a
+        decay holds at most one call, never beside the one being made.
         """
         if xs.ndim != 1:
             raise ValueError(f"a block of samples must be 1-D, got shape {xs.shape}")
@@ -356,75 +361,45 @@ class _Stream:
         if peers is None:
             peers = self._peers = _PEERS.setdefault(self.realization.spec.weight.p, _Peers())
             peers.streams.add(self)
-        run = peers.last
-        if run is not None:
-            if self._reruns(run, state, xs):
-                return self._ride(run)
-            peers.last = None
-        start = 0 if state is None else state.n + 1
-        # One reduction for the common case: a NaN or infinite sample makes
-        # the sum non-finite.  So does a sum of finite samples that overflows
-        # (numpy then warns of it); only then are the samples checked one by
-        # one.
-        if not isfinite(np.add.reduce(xs)):
-            finite = np.isfinite(xs)
-            if not finite.all():
-                bad = int(np.argmin(finite))
-                raise _not_finite(start + bad, float(xs[bad]))
         fresh = state is None
+        start = 0 if fresh else state.n + 1
         if fresh:
             state = self._start(xs[0])
-        first = int(fresh)  # column 0 of a fresh stream is the start itself
-        moments = np.empty((2, xs.size - first))
-        np.subtract(xs[first:], state.x0, out=moments[0])
-        np.multiply(moments[0], moments[0], out=moments[1])
-        w1_block, w2_block = run_block(self.realization.spec.weight.p, moments,
-                                       [state.w1, state.w2], start=start + first)
+        # Column 0 of a fresh stream is the start itself: the engine runs the rest.
+        block = xs[1:] if fresh else xs
+        at = start + int(fresh)
+        spec = self.realization.spec
+        trajectories = _leading_stages(peers.last, at, block, state,
+                                       spec.n_first_states, spec.n_second_states)
+        if trajectories is None:
+            peers.last = None
+            # One reduction for the common case: a NaN or infinite sample
+            # makes the sum non-finite.  So does a sum of finite samples that
+            # overflows (numpy then warns of it); only then are the samples
+            # checked one by one.
+            if not isfinite(np.add.reduce(xs)):
+                finite = np.isfinite(xs)
+                if not finite.all():
+                    bad = int(np.argmin(finite))
+                    raise _not_finite(start + bad, float(xs[bad]))
+            moments = np.empty((2, block.size))
+            np.subtract(block, state.x0, out=moments[0])
+            np.multiply(moments[0], moments[0], out=moments[1])
+            w1_block, w2_block = run_block(spec.weight.p, moments, [state.w1, state.w2], start=at)
+            w1_block.flags.writeable = w2_block.flags.writeable = False
+            trajectories = (w1_block, w2_block)
+            if xs.size <= _PIECE and len(peers.streams) > 1:
+                peers.last = _BlockRun(at, block.tobytes(), state.x0, state.w1, state.w2,
+                                       trajectories)
+        w1_block, w2_block = trajectories
         if fresh:
             w1_block = np.hstack([np.array(state.w1)[:, None], w1_block])
             w2_block = np.hstack([np.array(state.w2)[:, None], w2_block])
-        w1_block.flags.writeable = w2_block.flags.writeable = False
-        trajectories = (w1_block, w2_block)
+            w1_block.flags.writeable = w2_block.flags.writeable = False
         self._state = EstimatorState(tuple(w1_block[:, -1].tolist()),
                                      tuple(w2_block[:, -1].tolist()),
                                      start + xs.size - 1, state.x0)
-        if xs.size <= _PIECE and len(peers.streams) > 1:
-            peers.last = _BlockRun(fresh, state, xs.copy(), trajectories, self._state)
-        return trajectories
-
-    def _reruns(self, run: _BlockRun, state: EstimatorState | None, xs: np.ndarray) -> bool:
-        """Whether xs from state is the leading stages of the kept block run:
-        cascades no longer than the run's, the same block, bit for bit, and
-        a start that is the run's, or equal bit for bit to the leading
-        entries of the run's.  A new stream's start is the final-value start
-        _start() builds from its prior and its design, on a first sample the
-        run has checked."""
-        spec = self.realization.spec
-        n1, n2 = spec.n_first_states, spec.n_second_states
-        kept = run.start
-        if (state is None) != run.fresh or n1 > len(kept.w1) or n2 > len(kept.w2):
-            return False
-        if not _same_bits(xs, run.block):
-            return False
-        if state is None:
-            state = self._start(xs[0])
-        return state is kept or (state.n == kept.n and _same_bits(
-            np.array((*state.w1, *state.w2, state.x0)),
-            np.array((*kept.w1[:n1], *kept.w2[:n2], kept.x0))))
-
-    def _ride(self, run: _BlockRun):
-        """Take the stream's stages of the kept block run; returns its
-        (w1_block, w2_block).  A stream of the run's cascade lengths takes
-        the run's arrays and end state themselves."""
-        spec = self.realization.spec
-        n1, n2 = spec.n_first_states, spec.n_second_states
-        after = run.after
-        if (n1, n2) == (len(after.w1), len(after.w2)):
-            self._state = after
-            return run.trajectories
-        w1_block, w2_block = run.trajectories
-        self._state = EstimatorState(after.w1[:n1], after.w2[:n2], after.n, after.x0)
-        return w1_block[:n1], w2_block[:n2]
+        return w1_block, w2_block
 
 
 class StreamingEstimator(_Stream):

@@ -508,6 +508,22 @@ def test_detect_change_needs_second_design(tmp_path, capsys):
     assert "design-b" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("kind", ["edge", "peak"])
+def test_detect_rejects_a_second_design_unless_change(kind, tmp_path, capsys):
+    # --design-b is checked before any design is loaded or output opened:
+    # a path that does not exist names the option, not the file.
+    design = _design(tmp_path, "a.json", kappa=2, p=0.8, kx=3, kt=3)
+    data = tmp_path / "in.csv"
+    data.write_text("1.0\n")
+    out = tmp_path / "o.csv"
+    rc = main(["detect", "--kind", kind, "--design", str(design),
+               "--design-b", str(tmp_path / "no" / "such" / "file.json"),
+               "--threshold", "3", "--input", str(data), "--out", str(out)])
+    assert rc == 3
+    assert "--design-b" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_detect_change_rejects_mismatched_delay(tmp_path, capsys):
     design_a = _design(tmp_path, "a.json", kappa=0, p=0.8, kx=2)
     design_b = _design(tmp_path, "b.json", kappa=3, p=0.8, kx=2)  # optimum 22.41

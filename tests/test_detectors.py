@@ -460,16 +460,32 @@ def _feed_plan(consumers, xs, plan, calls):
     return out, per_stretch
 
 
-@pytest.mark.parametrize("seed", [1, 2])
-@pytest.mark.parametrize("mixed", [False, True])
-def test_consumers_fed_together_equal_consumers_fed_alone(seed, mixed, monkeypatch):
+# Feeding orders of the four _stream_block_makers() consumers, as indices,
+# and the engine calls each block packet after the first costs in that
+# order.  Which stream keeps a run depends on the order: a shorter cascade
+# fed first keeps its own, and the longer stream after it misses it.
+_FEEDING_ORDERS = {
+    "stream-block": ((0, 1, 2, 3), 2),
+    "reversed": ((3, 2, 1, 0), 3),
+    "change first": ((3, 0, 1, 2), 3),
+}
+
+
+# The stream-block order, the default, is named by mixed and seed alone.
+@pytest.mark.parametrize("order, mixed, seed", [
+    pytest.param(order, mixed, seed, id="-".join(
+        map(str, (mixed, seed) if order == "stream-block" else (order, mixed, seed))))
+    for order in _FEEDING_ORDERS for mixed in (False, True) for seed in (1, 2)
+])
+def test_consumers_fed_together_equal_consumers_fed_alone(seed, mixed, order, monkeypatch):
     # The estimator and the peak detector share the wide cascade's block
     # runs, and the change detector, of the same decay and shorter
     # cascades, reads their leading stages.  Fed packet by packet together,
-    # from the first packet through the 1e6 offset stretch, and with
-    # update() calls between blocks, every consumer gives the floats,
-    # events and state it gives fed alone, and a block packet costs two
-    # engine calls, not four.
+    # in any order, from the first packet through the 1e6 offset stretch,
+    # and with update() calls between blocks, every consumer gives the
+    # floats, events and state it gives fed alone.  In the stream-block
+    # order a block packet costs two engine calls, not four.
+    indices, per_packet = _FEEDING_ORDERS[order]
     xs, sizes = packet_signal(seed, 40_000)
     plan, pos = [], 0
     for i, size in enumerate(sizes):
@@ -479,6 +495,7 @@ def test_consumers_fed_together_equal_consumers_fed_alone(seed, mixed, monkeypat
         plan.append((pos + head, pos + size, False))
         pos += size
     makers = _stream_block_makers()
+    makers = [makers[i] for i in indices]
     calls = []
 
     def counted(*args, **kwargs):
@@ -490,13 +507,13 @@ def test_consumers_fed_together_equal_consumers_fed_alone(seed, mixed, monkeypat
     alone = [_feed_plan([make()], xs, plan, calls)[0][0] for make in makers]
     together, per_stretch = _feed_plan([make() for make in makers], xs, plan, calls)
     for (got, got_events, got_state), (want, want_events, want_state) in zip(together, alone):
-        assert all(np.array_equal(a, b) for a, b in zip(got, want, strict=True))
+        assert all(np.array_equal(a.view(np.uint64), b.view(np.uint64))
+                   for a, b in zip(got, want, strict=True))
         assert got_events == want_events and got_state == want_state
-    # On the first block the estimator is the only stream of its decay that
-    # has run one, so its run is not kept and that packet costs three calls;
-    # each block packet after it costs two.
+    # On the first block the first stream of decay 0.8 is the only one that
+    # has run one, so its run is not kept and that packet costs three calls.
     blocks = [n for per_sample, n in per_stretch if not per_sample]
-    assert blocks[0] == 3 and set(blocks[1:]) == {2}
+    assert blocks[0] == 3 and set(blocks[1:]) == {per_packet}
     assert all(n == 0 for per_sample, n in per_stretch if per_sample)
 
 

@@ -866,18 +866,24 @@ def _last_set(xs, value):
     return xs
 
 
-def _after_update(consumer, x):
-    consumer.update(x)
+def _after_update(consumer, *xs):
+    for x in xs:
+        consumer.update(x)
     return consumer
 
 
 # (first stream, second stream, first block, second block): the second
 # block, or the start it runs from, differs from the kept run's in one bit,
-# or one stream starts on its block and the other continues.
+# its sample number differs, or one stream starts on its block and the
+# other continues.
 _MISSES = {
     "a stream that continues from its first sample": (
         lambda: _after_update(StreamingEstimator(_REAL), _XS[0]),
         lambda: EdgeDetector(_REAL, 3.0), _XS[:300], _XS[:300]),
+    "a later sample number": (
+        # Ten samples equal to the first leave both cascades at their start.
+        lambda: _after_update(StreamingEstimator(_REAL), *[_XS[0]] * 10),
+        lambda: EdgeDetector(_REAL, 3.0), _XS[1:300], _XS[:300]),
     "a block one ulp apart": (
         lambda: StreamingEstimator(_REAL), lambda: EdgeDetector(_REAL, 3.0),
         _XS[:300], _last_set(_XS[:300], math.nextafter(_XS[299], 0.0))),
@@ -974,6 +980,22 @@ def test_a_stream_off_the_leading_stages_of_the_kept_run_runs_the_engine(case, m
     assert b.state == lone[1][1]
 
 
+def test_a_start_unlike_the_kept_runs_in_its_signal_cascade_alone_misses(monkeypatch):
+    # Samples 5.5 and 4.5 after a first sample 5.0 have one square: the two
+    # streams hold one power cascade and signal cascades of opposite signs.
+    def make_b():
+        return _after_update(EdgeDetector(_REAL, 3.0), 5.0, 4.5)
+
+    lone = _lone_outputs(make_b, [_XS[:300]])
+    calls = _engine_calls(monkeypatch)
+    peer, a, b = _joined(_REAL), _after_update(StreamingEstimator(_REAL), 5.0, 5.5), make_b()
+    assert a.state.w2 == b.state.w2 and a.state.w1 != b.state.w1
+    a.extend(_XS[:300])
+    assert a._peers.last is not None
+    assert _equal_outputs(_block_outputs(b, _XS[:300]), lone[0][0])
+    assert len(calls) == 3 and b.state == lone[0][1]
+
+
 def test_an_input_changed_in_place_between_consumers_misses(monkeypatch):
     # The kept run holds a copy of its block: writing into the caller's
     # array after one consumer read it makes the next one run the engine.
@@ -993,7 +1015,7 @@ def test_a_non_finite_block_after_a_kept_run_raises(monkeypatch):
     calls = _engine_calls(monkeypatch)
     peer, a, b = _joined(_REAL), StreamingEstimator(_REAL), EdgeDetector(_REAL, 3.0)
     a.extend(_XS[:300]), b.run(_XS[:300])
-    assert len(calls) == 2 and b.state is a.state
+    assert len(calls) == 2 and b.state == a.state
     kept = b.state
     a.extend(_XS[300:400])
     for bad in (math.nan, math.inf, -math.inf):
@@ -1047,7 +1069,8 @@ def test_block_trajectories_are_read_only(shared):
         blocks = [a._advance_moments(_XS[lo:lo + 300])]
         if shared:
             blocks.append(b._advance_moments(_XS[lo:lo + 300]))
-            assert blocks[1] is blocks[0]
+            assert all(np.array_equal(w.view(np.uint64), v.view(np.uint64))
+                       for w, v in zip(*blocks, strict=True))
         for w1_block, w2_block in blocks:
             for w in (w1_block, w2_block):
                 with pytest.raises(ValueError, match="read-only"):
