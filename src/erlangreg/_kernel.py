@@ -10,13 +10,16 @@ module writes a straight-line kernel factory, compiles it once and returns
 
 make moves one stream's state into the closure cells of three new
 functions: each cascade state is a cell of its own, as are the stream's
-first sample x0 and its sample counter n.  step(x) steps both cascades by
-d = x - x0 as an unrolled running sum, advances n and returns the readout;
-read() returns the readout without stepping (a stream's first sample);
-export() returns (w1, w2, n) as new float tuples and the counter.  While a
-stream is fed one sample at a time its state lives in those cells only,
-so no list is built, unpacked or stored per sample; the owner (see
-estimator._Stream) writes it back with export() when it is read.
+first sample x0 and its sample counter n.  step(x) converts x with
+float(), raises ValueError for a NaN or infinite sample before it touches
+a cell, steps both cascades by d = x - x0 as an unrolled running sum,
+advances n and returns the readout; read() returns the readout without
+stepping (a stream's first sample); export() returns (w1, w2, n) as new
+float tuples and the counter.  While a stream is fed one sample at a time
+its state lives in those cells only, so no list is built, unpacked or
+stored per sample.  The owner (see estimator._Stream) makes step its
+update, so one sample is one Python call, and reads the cells with
+export() when its state is read; the cells stay live.
 
 The arithmetic and its order are those of a plain loop: state i becomes
 p * (w_0 + ... + w_i) + d, the partial sum carried from state to state,
@@ -46,7 +49,8 @@ number (the decay, the row entries, the residual masses, the noise gains,
 the variance floor, the marker's bounds and the counter's increment) and
 every object the readout calls is a parameter of the factory, bound when
 it is called, so the kernel reads them from closure cells and no float
-and no outside text is ever compiled.
+and no outside text is ever compiled.  The sample check's isfinite and
+its error, the same for every kernel, are globals of the compiled code.
 """
 
 from __future__ import annotations
@@ -56,6 +60,11 @@ from functools import lru_cache
 from typing import Callable
 
 __all__ = ["estimator_kernel", "detector_kernel"]
+
+
+def _not_finite(n: int, x: float) -> ValueError:
+    """The error for sample n, whose value x is NaN or infinite."""
+    return ValueError(f"sample {n} is not finite: {x!r}")
 
 
 class _Source:
@@ -108,7 +117,10 @@ class _Source:
         a = [f"a{j}" for j in range(self.n1)]
         q = [f"q{j}" for j in range(self.n2)]
         cells = ", ".join(a + q + ["n"])
-        advance = ["d = x - x0", "dd = d * d"]
+        advance = ["x = float(x)",
+                   "if not isfinite(x):",
+                   "    raise not_finite(n + one, x)",
+                   "d = x - x0", "dd = d * d"]
         for names, feed in ((a, "d"), (q, "dd")):
             advance.append(f"s = {names[0]}")
             for j, name in enumerate(names):
@@ -131,7 +143,7 @@ class _Source:
                "        return step, read, export",
                "    return make"]
         )
-        namespace = {}
+        namespace = {"isfinite": math.isfinite, "not_finite": _not_finite}
         exec(compile(body, "<erlangreg sample kernel>", "exec"), namespace)
         return namespace["kernel"](**self.parameters)
 

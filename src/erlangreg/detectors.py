@@ -22,10 +22,11 @@ both entries append to.  Its threshold and events list, like its
 realization, are read-only, as the marker and the kernel capture them.
 
 update() feeds one sample through a kernel generated and compiled for the
-detector on its first update() (see _kernel): one unrolled step of both
-cascades held in closure cells, Z as explicit multiply-adds in Python
-floats, and the run marker's update on (n, Z) for a sample that could
-change the marker, all in one call.  run() feeds a block, computes Z for
+detector on its first update() (see _kernel), which from then on is the
+detector's update itself: one unrolled step of both cascades held in
+closure cells, Z as explicit multiply-adds in Python floats, and the run
+marker's update on (n, Z) for a sample that could change the marker, all
+in one call.  run() feeds a block, computes Z for
 the whole block at once with the same formula on arrays and finds its
 events with array operations, so its
 Python work grows with the number of exceedance runs, not of samples.  A

@@ -17,10 +17,11 @@ Every consumer of a stream, StreamingEstimator here and the detectors, is
 a _Stream: it exposes realization (read-only, as its kernel captures it),
 sigma0_sq and state (None until the first sample), holds that state
 itself, and only its readout is its own.  A sample enters a stream at one
-place, _Stream.update, and a block at one other, _Stream._advance_moments:
-each starts the stream on its first sample, rejects non-finite input, and
-alone changes the state.  Nothing changes an EstimatorState once it
-exists; a block keeps its new one only once the block has succeeded.
+place, its update, which after the first sample is the stream's kernel
+itself, and a block at one other, _Stream._advance_moments: each starts
+the stream on its first sample, rejects non-finite input, and alone
+changes the state.  Nothing changes an EstimatorState once it exists; a
+block keeps its new one only once the block has succeeded.
 
 Consumers of one decay p, such as an estimator and a peak detector on one
 design or a change detector whose cascades are shorter, share their block
@@ -41,12 +42,14 @@ and two with the change detector fed first.
 The per-sample path runs in Python floats.  On the consumer's first
 per-sample use the package compiles a kernel for its shape (see _kernel),
 which steps both cascades as unrolled running sums and evaluates the
-readout as explicit multiply-adds.  While samples arrive one at a time,
-the stream's state lives in the closure cells of that kernel, one float
-per cell, so one sample is one call with no list built or unpacked.
-Reading .state builds a new EstimatorState from the cells, whose vectors
-are tuples of floats, and the next update() moves it into new cells; the
-state is in one of the two places at a time.  On vectors of a handful of
+readout as explicit multiply-adds.  From the stream's first sample on,
+its state lives in the closure cells of that kernel, one float per cell,
+and the stream's update is the kernel's step, so one sample is one Python
+call with no list built or unpacked.  Reading .state snapshots the cells
+into an EstimatorState, whose vectors are tuples of floats, and leaves
+them live.  Only a block moves the state out of the cells, and the next
+update() moves it into new ones; a pickle or a copy carries a snapshot,
+from which the copy makes cells of its own.  On vectors of a handful of
 states, numpy's per-call overhead, and even Python's own loops, calls and
 list traffic, cost far more than the arithmetic.  For the same reason a
 per-sample frame keeps the kernel's floats and builds its estimates and
@@ -68,7 +71,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._kernel import estimator_kernel
+from ._kernel import _not_finite, estimator_kernel
 from .design import FilterRealization
 from .network import _PIECE, run_block
 
@@ -163,11 +166,6 @@ def _prior_variance(sigma0_sq: float) -> float:
     return sigma0_sq
 
 
-def _not_finite(n: int, x: float) -> ValueError:
-    """The error for sample n, whose value x is NaN or infinite."""
-    return ValueError(f"sample {n} is not finite: {x!r}")
-
-
 def _noise_variance(realization, w1_block, w2_block):
     """realization's noise variance, one per column of the trajectories.
 
@@ -243,20 +241,20 @@ class _Stream:
     a detector's statistic and events.  Block trajectories are read-only,
     as streams of one decay may share them (see _advance_moments).
 
-    The state has one home at a time.  While samples arrive one by one it
-    lives in the closure cells of the kernel's step (see _kernel).  Reading
-    .state builds a new EstimatorState from the cells and drops the
-    closures; the next update() makes new ones from it.  A block replaces
-    the state only once it has succeeded.
+    From its first per-sample call on, the state lives in the closure
+    cells of the kernel (see _kernel), whose step is installed as the
+    instance's update.  Reading .state snapshots the cells and leaves them
+    live.  A block moves the state out of the cells, replacing it only once
+    the block has succeeded, and the next update() moves it into new ones;
+    a pickle or a copy carries a snapshot and makes cells of its own.
     """
 
     def __init__(self, realization: FilterRealization, sigma0_sq: float = 0.0):
         self._realization = realization
         self.sigma0_sq = _prior_variance(sigma0_sq)
-        self._state: EstimatorState | None = None
+        self._state: EstimatorState | None = None  # or the last snapshot of live cells
         self._make = None     # the kernel factory, built on the first update()
-        self._step = None     # step and export hold the state in their cells,
-        self._export = None   # or are None while _state holds it
+        self._export = None   # the live cells' export, None while _state holds the state
         self._peers = None    # the _Peers of its decay, from its first block
 
     @property
@@ -269,20 +267,28 @@ class _Stream:
         """The stream's recursion state, None before its first sample.
 
         A snapshot: a kept state does not change when samples follow.  Two
-        reads with no sample between them return the same object.
+        reads with no sample between them return the same object, as the
+        snapshot of live cells is kept until the sample number moves.  The
+        cells stay live, so a read adds nothing to the next update().
         """
-        if self._export is not None:
-            self._state = EstimatorState(*self._export(), self._state.x0)
-            self._step = self._export = None
+        export = self._export
+        if export is not None:
+            w1, w2, n = export()
+            state = self._state
+            if n != state.n:
+                self._state = EstimatorState(w1, w2, n, state.x0)
         return self._state
 
     def __getstate__(self):
-        # Reading .state moves the state out of the cells and drops the
-        # closures, so pickles and copies carry the state and never compiled
-        # code.  A copy shares the realization and the state, both immutable,
-        # and joins its decay's peers on its next block.
+        # Pickles and copies carry a snapshot of the state and never compiled
+        # code: a copy moves it into cells of its own on its next update(),
+        # and the original's cells stay live.  A copy shares the realization
+        # and the state, both immutable, and joins its decay's peers on its
+        # next block.
         self.state
-        return {**self.__dict__, "_make": None, "_peers": None}
+        attrs = {**self.__dict__, "_make": None, "_export": None, "_peers": None}
+        attrs.pop("update", None)
+        return attrs
 
     def update(self, x: float):
         """Feed one sample; returns its readout.
@@ -290,29 +296,32 @@ class _Stream:
         The readout is the sample's EstimateFrame from the estimator, and
         the statistic Z from a detector, whose events collect in .events.
         The first sample starts the stream.  A NaN or infinite sample
-        raises ValueError before the state changes; the check is written
-        out rather than called, as on this path one more Python call is a
-        few percent of the cost.
-        """
-        x = float(x)
-        if not isfinite(x):
-            state = self.state
-            raise _not_finite(0 if state is None else state.n + 1, x)
-        step = self._step
-        if step is None:
-            return self._resume(x)
-        return step(x)
+        raises ValueError before the state changes.
 
-    def _resume(self, x: float):
-        """update() while the state is not in cells: move it there, then sample x."""
+        From the stream's first sample on, the instance's own update is the
+        kernel's step (see _resume), which converts and checks the sample
+        itself: one sample is one Python call.  This method runs only when
+        no cells are live (the first sample, and the first after a block, a
+        copy or a pickle), or for a bound method taken before they were.
+        """
+        if self._export is None:
+            return self._resume(x)
+        return vars(self)["update"](x)
+
+    def _resume(self, x):
+        """update() while the state is not in cells: move it there, make the
+        kernel's step the instance's update, then sample x."""
         state = self._state
         first = state is None
         if first:
+            x = float(x)
+            if not isfinite(x):
+                raise _not_finite(0, x)
             state = self._state = self._start(x)
         if self._make is None:
             self._make = self._build_kernel()
-        self._step, read, self._export = self._make(state.w1, state.w2, state.x0, state.n)
-        return read() if first else self._step(x)
+        self.update, read, self._export = self._make(state.w1, state.w2, state.x0, state.n)
+        return read() if first else self.update(x)
 
     def _start(self, x0: float) -> EstimatorState:
         """The stream's state on its first sample x0: the final-value start.
@@ -335,12 +344,13 @@ class _Stream:
 
         Returns (w1_block, w2_block), the read-only state trajectories with
         one column per sample, and makes the state after the block, their
-        last column, the stream's.  A block that is not a 1-D array raises
-        ValueError naming its shape, and one that holds a NaN or infinite
-        sample ValueError naming its index; either leaves the state as it
-        was.  On a new stream the first sample sets the final-value start
-        (its column is the start itself, and the sample counter stays at 0)
-        and the rest advance the recursions.
+        last column, the stream's, in place of the kernel's cells.  A block
+        that is not a 1-D array raises ValueError naming its shape, and one
+        that holds a NaN or infinite sample ValueError naming its index;
+        either leaves the state as it was.  On a new stream the first
+        sample sets the final-value start (its column is the start itself,
+        and the sample counter stays at 0) and the rest advance the
+        recursions.
 
         The two cascades run as one stacked run_block call on the rows
         [d, d**2], d = x - x0: the power cascade has the first kappa + 1
@@ -399,6 +409,10 @@ class _Stream:
         self._state = EstimatorState(tuple(w1_block[:, -1].tolist()),
                                      tuple(w2_block[:, -1].tolist()),
                                      start + xs.size - 1, state.x0)
+        if self._export is not None:
+            # The state has left the kernel's cells: drop them.
+            self._export = None
+            del self.update
         return w1_block, w2_block
 
 

@@ -4,6 +4,7 @@ import gc
 import math
 import pickle
 import re
+import sys
 import tracemalloc
 
 import hypothesis
@@ -469,8 +470,8 @@ def _finished(consumer):
 @pytest.mark.parametrize("mixed", [False, True])
 def test_reading_the_state_changes_nothing(kind, mixed):
     # While a stream samples, its state lives in the kernel's closure cells;
-    # reading .state moves it back into the state object and the next
-    # update() moves it into new cells.  Neither move may change a bit.
+    # reading .state snapshots them, and a block moves the state out of them
+    # and the next update() into new ones.  None of it may change a bit.
     xs = _events_signal()
     rng = np.random.Generator(np.random.PCG64(38))
     plan = []
@@ -798,6 +799,150 @@ def test_per_sample_update_touches_no_numpy(monkeypatch):
     assert proxy.touched == []
     for frame, values in zip(frames, expected, strict=True):
         _assert_frame_reads(frame, values)
+
+
+def _profiled_calls(call, *args):
+    """The names of the Python functions call(*args) entered, in order, and
+    its result."""
+    entered = []
+
+    def profile(frame, event, arg):
+        if event == "call":
+            entered.append(frame.f_code.co_name)
+
+    sys.setprofile(profile)
+    try:
+        result = call(*args)
+    finally:
+        sys.setprofile(None)
+    return entered, result
+
+
+@pytest.mark.parametrize("kind", sorted(_CONSUMERS))
+def test_an_update_after_the_first_sample_is_one_call(kind):
+    # The stream's update is its kernel's step: conversion, finite check,
+    # cascade step and readout run in one Python frame.  A detector's run
+    # marker is a second call, on a sample past a bound or while a run is
+    # open; a sample that closes a run also enters the marker's _close,
+    # which builds the event.
+    consumer = _CONSUMERS[kind]()
+    marker = getattr(consumer, "_marker", None)
+    xs = _events_signal().tolist()
+    assert _profiled_calls(consumer.update, xs[0])[0][0] == "update"
+    marked = 0
+    for x in xs[1:]:
+        was_open = marker is not None and marker._sign != 0
+        events = len(consumer.events) if marker is not None else 0
+        entered, z = _profiled_calls(consumer.update, x)
+        if marker is None or (not was_open and (z if kind == "peak" else abs(z)) <= 3.0):
+            assert entered == ["step"], (entered, z)
+        elif len(consumer.events) == events:
+            assert entered == ["step", "update"], (entered, z)
+        else:
+            assert entered[:3] == ["step", "update", "_close"], (entered, z)
+        marked += len(entered) > 1
+    assert (marked > 0) == (marker is not None)
+    # A block moves the state out of the cells; the next sample makes new ones.
+    _feed_block(consumer, np.array(xs[:20]))
+    assert _profiled_calls(consumer.update, xs[20])[0][:2] == ["update", "_resume"]
+    assert _profiled_calls(consumer.update, xs[21])[0][0] == "step"
+
+
+def _bits(values):
+    """values with every float spelled out bit for bit, for ==."""
+    if isinstance(values, float):
+        return values.hex()
+    if isinstance(values, (list, tuple)):
+        return type(values)(map(_bits, values))
+    return values
+
+
+@pytest.mark.parametrize("kind", sorted(_CONSUMERS))
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, "nan"])
+def test_a_non_finite_sample_leaves_the_live_cells_as_they_were(kind, bad):
+    # The kernel checks the sample before it touches a cell: the error names
+    # the sample, the state reads as before, and the stream goes on bit for
+    # bit like a twin that never saw the bad sample.
+    xs = _events_signal()
+    consumer, twin = _CONSUMERS[kind](), _CONSUMERS[kind]()
+    _feed(consumer, xs[:40]), _feed(twin, xs[:40])
+    kept = consumer.state
+    message = re.escape(f"sample 40 is not finite: {float(bad)!r}")
+    with pytest.raises(ValueError, match=message):
+        consumer.update(bad)
+    assert consumer.state == kept == twin.state
+    assert _bits(_feed(consumer, xs[40:120])) == _bits(_feed(twin, xs[40:120]))
+    assert (_bits(_feed(consumer, xs[120:200], per_sample=False))
+            == _bits(_feed(twin, xs[120:200], per_sample=False)))
+    assert _bits(_feed(consumer, xs[200:])) == _bits(_feed(twin, xs[200:]))
+    assert _finished(consumer) == _finished(twin)
+
+
+@pytest.mark.parametrize("kind", sorted(_CONSUMERS))
+def test_a_bound_update_taken_before_the_first_sample_feeds_the_stream(kind):
+    # A bound method taken early still reaches the live cells: it gives the
+    # readouts, events and state of attribute lookup on every sample, across
+    # blocks too.
+    xs = _events_signal()
+    consumer, twin = _CONSUMERS[kind](), _CONSUMERS[kind]()
+    update = consumer.update
+    got = [update(x) for x in xs[:100]]
+    _feed_block(consumer, xs[100:150])
+    got += [update(x) for x in xs[150:]]
+    expected = [twin.update(x) for x in xs[:100]]
+    _feed_block(twin, xs[100:150])
+    expected += [twin.update(x) for x in xs[150:]]
+    if kind == "estimator":
+        got, expected = ([_frame_values(f)[:3] for f in out] for out in (got, expected))
+    assert _bits(got) == _bits(expected)
+    assert _finished(consumer) == _finished(twin)
+    if kind != "estimator":
+        assert consumer.events
+
+
+@pytest.mark.parametrize("kind", sorted(_CONSUMERS))
+def test_update_takes_what_float_takes(kind):
+    # Past the first sample the kernel converts the sample itself.
+    samples = [3, True, np.float32(2.7), np.float64(1.3), "4.25", -2, False]
+    consumer, twin = _CONSUMERS[kind](), _CONSUMERS[kind]()
+    head = _events_signal()[:30]
+    _feed(consumer, head), _feed(twin, head)
+    got = _feed(consumer, samples)
+    assert _bits(got) == _bits(_feed(twin, [float(x) for x in samples]))
+    assert consumer.state == twin.state
+    assert all(type(v) is float for v in consumer.state.w1 + consumer.state.w2)
+
+
+@pytest.mark.parametrize("kind", sorted(_CONSUMERS))
+def test_reading_the_state_leaves_the_cells_live(kind):
+    # .state snapshots the cells, kept until the next sample; no read makes
+    # new cells.  Only a block moves the state out of them.
+    xs = _events_signal()
+    consumer = _CONSUMERS[kind]()
+    consumer.update(xs[0])
+    made = []
+    make = consumer._make
+
+    def counted(*args):
+        made.append(args[-1])
+        return make(*args)
+
+    consumer._make = counted
+    for x in xs[1:60]:
+        consumer.update(x)
+        state = consumer.state
+        assert consumer.state is state
+    assert state.n == 59 and made == []
+    _feed_block(consumer, xs[60:80])
+    consumer.state
+    _feed(consumer, xs[80:90])
+    # The block's state moved into new cells, once.
+    assert made == [79]
+    lone = _CONSUMERS[kind]()
+    _feed(lone, xs[:60]), _feed_block(lone, xs[60:80]), _feed(lone, xs[80:90])
+    assert consumer.state == lone.state
+    assert _bits(_feed(consumer, xs[90:])) == _bits(_feed(lone, xs[90:]))
+    assert _finished(consumer) == _finished(lone)
 
 
 # ---------------------------------------------------------------------------
