@@ -8,9 +8,10 @@ module writes a straight-line kernel factory, compiles it once and returns
 
     make(w1, w2, x0, n) -> (step, read, export)
 
-make moves one stream's state into the closure cells of three new
-functions: each cascade state is a cell of its own, as are the stream's
-first sample x0 and its sample counter n.  step(x) converts x with
+or, for a detector, make(w1, w2, x0, n, marker).  make moves one stream's
+state into the closure cells of three new functions: each cascade state is
+a cell of its own, as are the stream's first sample x0, its sample counter
+n and a detector's run marker.  step(x) converts x with
 float(), raises ValueError for a NaN or infinite sample before it touches
 a cell, steps both cascades by d = x - x0 as an unrolled running sum,
 advances n and returns the readout; read() returns the readout without
@@ -48,9 +49,14 @@ The source text is built from indices and fixed operators only.  Every
 number (the decay, the row entries, the residual masses, the noise gains,
 the variance floor, the marker's bounds and the counter's increment) and
 every object the readout calls is a parameter of the factory, bound when
-it is called, so the kernel reads them from closure cells and no float
-and no outside text is ever compiled.  The sample check's isfinite and
-its error, the same for every kernel, are globals of the compiled code.
+it is called, or, for the one object a stream owns, its run marker, of
+make; so the kernel reads them from closure cells and no float and no
+outside text is ever compiled.  The sample check's isfinite and its error,
+the same for every kernel, are globals of the compiled code.  As no
+factory holds a stream's own object, factories are cached: the
+estimator's by its realization and frame, a detector's by the numbers of
+its readout, so a copied, pickled or second identical detector compiles
+nothing.
 """
 
 from __future__ import annotations
@@ -72,6 +78,7 @@ class _Source:
 
     def __init__(self, p: float, n1: int, n2: int):
         self.parameters = {"sqrt": math.sqrt, "one": 1}
+        self.owned: list[str] = []  # parameters of make, for the stream's own objects
         self.n1, self.n2 = n1, n2
         self.p = self.const(p)
         self.readout: list[str] = []
@@ -79,6 +86,11 @@ class _Source:
     def bind(self, name: str, value) -> str:
         """Name of a factory parameter bound to value."""
         self.parameters[name] = value
+        return name
+
+    def own(self, name: str) -> str:
+        """Name of a parameter of make, for an object of the stream's own."""
+        self.owned.append(name)
         return name
 
     def const(self, value) -> str:
@@ -97,20 +109,21 @@ class _Source:
     def let(self, name: str, expression: str) -> None:
         self.readout.append(f"{name} = {expression}")
 
-    def noise_variance(self, realization) -> str:
-        """Lines reading realization's noise variance; returns its expression.
+    def noise_variance(self, coeff_rows, power_row, residual_mass) -> str:
+        """Lines reading a filter's noise variance; returns its expression.
 
-        The residual power (filtered power less the power of the orthonormal
-        coefficients), clamped at zero as max(r, 0.0) is, over the residual
-        mass, read from the filter's own leading states of the cascades.
+        The arguments are _noise_rows of the filter.  The residual power
+        (filtered power less the power of the orthonormal coefficients),
+        clamped at zero as max(r, 0.0) is, over the residual mass, read
+        from the filter's own leading states of the cascades.
         """
         betas = []
-        for i, row in enumerate(realization.coeff_output.tolist()):
+        for i, row in enumerate(coeff_rows):
             self.let(f"b{i}", self.dot(row, "a"))
             betas.append(f"b{i} * b{i}")
-        power = self.dot(realization.power_output.tolist(), "q")
+        power = self.dot(power_row, "q")
         self.let("r", f"{power} - ({' + '.join(betas)})")
-        return f"(0.0 if r < 0.0 else r) / {self.const(realization.residual_mass)}"
+        return f"(0.0 if r < 0.0 else r) / {self.const(residual_mass)}"
 
     def build(self) -> Callable:
         """Compile the factory; the readout lines end in their return."""
@@ -130,7 +143,7 @@ class _Source:
         advance.append("n = n + one")
         body = "\n".join(
             [f"def kernel({', '.join(self.parameters)}):",
-             "    def make(w1, w2, x0, n):",
+             f"    def make({', '.join(['w1', 'w2', 'x0', 'n', *self.owned])}):",
              f"        {', '.join(a)}, = w1",
              f"        {', '.join(q)}, = w2",
              "        def step(x):",
@@ -159,7 +172,7 @@ def estimator_kernel(realization, frame) -> Callable:
     """
     spec = realization.spec
     src = _Source(spec.weight.p, spec.n_first_states, spec.n_second_states)
-    src.let("v", src.noise_variance(realization))
+    src.let("v", src.noise_variance(*_noise_rows(realization)))
     rows = [src.dot(row, "a") for row in realization.state_output.tolist()]
     rows[0] += " + x0"
     src.readout.append(f"return {src.bind('frame', frame)}(("
@@ -167,26 +180,44 @@ def estimator_kernel(realization, frame) -> Callable:
     return src.build()
 
 
-def detector_kernel(stream, value_row, noise_terms, floor: float, marker) -> Callable:
+def _noise_rows(realization):
+    """What a filter's noise variance reads: its coefficient rows, power row
+    and residual mass, as nested tuples of floats."""
+    return (tuple(map(tuple, realization.coeff_output.tolist())),
+            tuple(realization.power_output.tolist()), realization.residual_mass)
+
+
+def detector_kernel(stream, value_row, noise_terms, floor: float, threshold: float,
+                    two_sided: bool) -> Callable:
     """Kernel factory of a detector's statistic on the cascades of realization stream.
 
     Z is value_row @ w1 over the square root of the sum, over noise_terms
     (filter, gain), of gain times the filter's noise variance, read from
     the filter's leading cells, and 0.0 where that sum is below floor.
-    The readout passes (n, z) to marker.update, which records the events,
-    when z passes the marker's threshold or its negative (two-sided
-    markers only) or a run is open, and returns z.
+    The readout passes (n, z) to the update of make's run marker, which
+    records the events, when z passes threshold or, if two_sided, its
+    negative, or a run is open, and returns z.
+
+    Cached by the numbers of the readout, the last 64 kept: numbers that
+    compare equal make kernels that read equal Z and events.
     """
     spec = stream.spec
-    src = _Source(spec.weight.p, spec.n_first_states, spec.n_second_states)
-    for i, (realization, gain) in enumerate(noise_terms):
-        variance = src.noise_variance(realization)
+    noise = tuple((_noise_rows(realization), float(gain)) for realization, gain in noise_terms)
+    return _detector_kernel(spec.weight.p, spec.n_first_states, spec.n_second_states,
+                            tuple(value_row.tolist()), noise, floor, threshold, two_sided)
+
+
+@lru_cache(maxsize=64)
+def _detector_kernel(p, n1, n2, value_row, noise, floor, threshold, two_sided):
+    src = _Source(p, n1, n2)
+    for i, (rows, gain) in enumerate(noise):
+        variance = src.noise_variance(*rows)
         src.let("t", f"{'t + ' if i else ''}{src.const(gain)} * ({variance})")
-    value = src.dot(value_row.tolist(), "a")
+    value = src.dot(value_row, "a")
     src.let("z", f"0.0 if t < {src.const(floor)} else ({value}) / sqrt(t)")
-    hi = src.const(marker.threshold)
-    lo = src.const(-marker.threshold if marker.kind_neg is not None else -math.inf)
-    run = src.bind("marker", marker)
+    hi = src.const(threshold)
+    lo = src.const(-threshold if two_sided else -math.inf)
+    run = src.own("marker")
     src.readout += [f"if z > {hi} or z < {lo} or {run}._sign:",
                     f"    {run}.update(n, z)",
                     "return z"]

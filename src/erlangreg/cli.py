@@ -23,6 +23,9 @@ no whole-input product rounds differently with the BLAS thread count.
 Input rejected in its first block leaves no output file; a bad row in a
 later block exits 3 and leaves the rows written before it.
 
+Standard input feeds one reader: `run` or `detect` with `--design -` (or
+`--design-b -`) and no `--input` file is a usage error.
+
 Exit codes: 0 success, 2 usage error, 3 numerical or data rejection.
 """
 
@@ -455,10 +458,29 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _stdin_readers(args) -> list:
+    """The options of a command line that read standard input.
+
+    A design given as '-' reads it, and so does the input of run and
+    detect unless it names a file.
+    """
+    readers = [flag for flag, dest in (("--design", "design"), ("--design-b", "design_b"))
+               if getattr(args, dest, None) == "-"]
+    if getattr(args, "input", "") in (None, "-"):
+        readers.append("--input")
+    return readers
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        # The first reader would drain standard input and leave the next
+        # nothing, so the command is refused before anything is read.
+        readers = _stdin_readers(args)
+        if len(readers) > 1:
+            parser.error(f"standard input can feed only one of {', '.join(readers)}; "
+                         f"give the others a file")
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:

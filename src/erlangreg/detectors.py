@@ -21,8 +21,9 @@ marker that turns Z into events.  The marker owns the events list that
 both entries append to.  Its threshold and events list, like its
 realization, are read-only, as the marker and the kernel capture them.
 
-update() feeds one sample through a kernel generated and compiled for the
-detector on its first update() (see _kernel), which from then on is the
+update() feeds one sample through a kernel generated for the detector on
+its first update() (see _kernel; compiled once per readout, and shared by
+detectors with equal rows and threshold), which from then on is the
 detector's update itself: one unrolled step of both cascades held in
 closure cells, Z as explicit multiply-adds in Python floats, and the run
 marker's update on (n, Z) for a sample that could change the marker, all
@@ -42,6 +43,7 @@ ever exceed; an infinite threshold is allowed and never fires.
 from __future__ import annotations
 
 import copy
+import functools
 import math
 from typing import NamedTuple, Optional
 
@@ -207,8 +209,8 @@ class _Detector(_Stream):
     noise_terms, each (filter, gain): a design of the stream's decay whose
     cascades are no longer than the stream's, and the noise gain of one of
     its outputs.  Blocks read the rows as arrays; single samples go through
-    a kernel compiled from them, and bound to the detector's run marker, on
-    the first update().
+    a kernel compiled from them, or taken from _kernel's cache, and bound
+    to the detector's run marker on the first update().
     """
 
     def __init__(self, realization, threshold: float, sigma0_sq: float,
@@ -232,7 +234,10 @@ class _Detector(_Stream):
         return self._marker.events
 
     def _build_kernel(self):
-        return detector_kernel(self.realization, *self._rows, _VARIANCE_FLOOR, self._marker)
+        marker = self._marker
+        make = detector_kernel(self.realization, *self._rows, _VARIANCE_FLOOR,
+                               marker.threshold, marker.kind_neg is not None)
+        return functools.partial(make, marker=marker)
 
     def __getstate__(self):
         # A copy has its own run marker, and so its own events.

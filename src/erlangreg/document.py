@@ -8,6 +8,14 @@ on another.  Its analysis section holds only the noise gain matrix `vrf`,
 which the runtime reads; the frequency metrics (cutoff frequency, DC group
 delay) are computed by `analyze` from the loaded realization.  The text is
 exactly json's indent-2 output: json.dumps(document, indent=2) plus a newline.
+
+Writing and reading take one pass over the numbers each way.  The writer
+fills a text template made once per array shape, with one %-formatting
+call, for any document with design_to_document's keys and plain finite
+numbers, and leaves every other document to json.dumps.  The loader checks
+every array entry in one pass (exactly a float or an int, and finite), then
+builds each array with one np.array; a document that fails that pass goes
+through per-field checks, whose DesignError names the field at fault.
 """
 
 from __future__ import annotations
@@ -16,6 +24,7 @@ import itertools
 import json
 import math
 import numbers
+from functools import lru_cache
 
 import numpy as np
 
@@ -45,6 +54,12 @@ _ARRAY_FIELDS = (
     "state_output",
     "power_output",
 )
+
+# The keys of design_to_document's document, in its order.
+_SECTIONS = ("format", "version", "spec", "analysis", "realization")
+_SPEC_KEYS = ("kappa", "p", "model_order", "n_outputs", "delay", "requested_delay",
+              "sample_period")
+_REALIZATION_KEYS = ("residual_mass",) + _ARRAY_FIELDS
 
 
 def design_to_document(realization: FilterRealization, requested_delay="auto") -> dict:
@@ -80,60 +95,99 @@ def document_to_json(document: dict) -> str:
     """The document's text: exactly json.dumps(document, indent=2) + "\n".
 
     json's indented output is written by its pure-Python encoder, one
-    generator step per value; this writer joins each list of floats from
-    float.__repr__ in one pass and escapes keys and strings with json's own
-    C encoder.  A value it does not write as json would, such as a subclass
-    of a JSON type, a non-string key or a self-referencing container,
-    leaves the whole document to json.dumps.
+    generator step per value.  A document with exactly design_to_document's
+    keys, in order, whose arrays are lists of plain finite floats and ints
+    and whose other values are strings or such numbers, is instead written
+    by one %-formatting call into the text of its array shape (see
+    _template): %r writes each number as json does, and json's own C
+    encoder escapes the strings.  Any other document is json.dumps'.
     """
-    try:
-        return _json_text(document, "") + "\n"
-    except (_Unhandled, RecursionError):
-        return json.dumps(document, indent=2) + "\n"
-
-
-class _Unhandled(Exception):
-    """A value _json_text leaves to json.dumps."""
+    if type(document) is dict and tuple(document) == _SECTIONS:
+        spec, analysis, raw = document["spec"], document["analysis"], document["realization"]
+        if (type(spec) is dict and tuple(spec) == _SPEC_KEYS
+                and type(analysis) is dict and tuple(analysis) == ("vrf",)
+                and type(raw) is dict and tuple(raw) == _REALIZATION_KEYS):
+            plain = _plain_arrays([analysis["vrf"], *map(raw.__getitem__, _ARRAY_FIELDS)])
+            head = list(map(_scalar_text, (document["format"], document["version"],
+                                           *spec.values())))
+            residual = _scalar_text(raw["residual_mass"])
+            if plain is not None and None not in head and residual is not None:
+                shape, entries = plain
+                cut = sum(shape[0])  # the vrf entries, which come before residual_mass
+                return _template(shape) % (*head, *entries[:cut], residual, *entries[cut:])
+    return json.dumps(document, indent=2) + "\n"
 
 
 _escape = json.encoder.encode_basestring_ascii
-_CONSTANTS = {None: "null", True: "true", False: "false"}
-_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+_LIST = frozenset((list,))
+_NUMBER = frozenset((float, int))
 
 
-def _json_text(value, pad: str) -> str:
-    """value as json.dumps(..., indent=2) writes it at the nesting of pad."""
+def _scalar_text(value):
+    """value as json writes it, if a string or a plain finite number; else None."""
     kind = type(value)
-    if kind is float:
-        text = float.__repr__(value)
-        return _NON_FINITE.get(text, text)
     if kind is str:
         return _escape(value)
-    if kind is int:
-        return int.__repr__(value)
-    if kind is bool or value is None:
-        return _CONSTANTS[value]
-    inner = pad + "  "
-    glue = ",\n" + inner
-    if kind is list or kind is tuple:
-        if not value:
-            return "[]"
-        try:
-            body = glue.join(map(float.__repr__, value))
-        except TypeError:  # an entry that is not a float
-            body = None
-        if body is None or "n" in body:  # json spells nan and inf otherwise
-            body = glue.join([_json_text(item, inner) for item in value])
-        return f"[\n{inner}{body}\n{pad}]"
-    if kind is dict:
-        if not value:
-            return "{}"
-        if not all(type(key) is str for key in value):
-            raise _Unhandled
-        body = glue.join([f"{_escape(key)}: {_json_text(item, inner)}"
-                          for key, item in value.items()])
-        return f"{{\n{inner}{body}\n{pad}}}"
-    raise _Unhandled
+    if kind is int or (kind is float and value - value == 0.0):
+        return repr(value)
+    return None
+
+
+def _plain_arrays(arrays):
+    """(shape, entries) of arrays, or None unless all are plain and finite.
+
+    arrays are vrf and the _ARRAY_FIELDS, in that order, as lists: the
+    matrices vrf, from_orthonormal, coeff_output and state_output of list
+    rows.  shape holds the row lengths of each matrix and the length of
+    each vector; entries every entry, in document order.  One pass over the
+    entries checks that each is exactly a float or an int and sums them in
+    Python floats: the sum is finite only if every entry is finite and in
+    the float range, and it fails, without a warning, only for such entries
+    whose sum overflows.
+    """
+    vrf, steady, square, coeff, state, power = arrays
+    if not (_LIST.issuperset(map(type, arrays))
+            and _LIST.issuperset(map(type, itertools.chain(vrf, square, coeff, state)))):
+        return None
+    flat = itertools.chain.from_iterable
+    entries = [*flat(vrf), *steady, *flat(square), *flat(coeff), *flat(state), *power]
+    if not _NUMBER.issuperset(map(type, entries)):
+        return None
+    try:
+        total = sum(entries, 0.0)
+    except OverflowError:  # an integer past the float range
+        return None
+    if not total - total == 0.0:
+        return None
+    shape = (tuple(map(len, vrf)), len(steady), tuple(map(len, square)),
+             tuple(map(len, coeff)), tuple(map(len, state)), len(power))
+    return shape, entries
+
+
+@lru_cache(maxsize=64)
+def _template(shape) -> str:
+    """Text of a design document of shape, with a slot for each value.
+
+    json.dumps writes it from a skeleton of the document's keys: each
+    scalar becomes a %s slot, for its text, and each array entry a %r
+    slot.  No key holds a % sign.
+    """
+    vrf, steady, square, coeff, state, power = shape
+
+    def matrix(rows):
+        return [["%r"] * n for n in rows]
+
+    skeleton = {
+        "format": "%s",
+        "version": "%s",
+        "spec": dict.fromkeys(_SPEC_KEYS, "%s"),
+        "analysis": {"vrf": matrix(vrf)},
+        "realization": dict(zip(_REALIZATION_KEYS, (
+            "%s", ["%r"] * steady, matrix(square), matrix(coeff), matrix(state),
+            ["%r"] * power))),
+    }
+    text = json.dumps(skeleton, indent=2) + "\n"
+    return text.replace('"%s"', "%s").replace('"%r"', "%r")
 
 
 def document_from_json(text: str) -> dict:
@@ -180,7 +234,11 @@ def realization_from_document(document: dict) -> FilterRealization:
     version 1, the weight normalizer `gamma` and the signal cascade's
     fixed point `steady_first`, or the `cutoff_frequency` and
     `group_delay_dc` analysis fields that older documents carry, are
-    ignored.
+    ignored.  The arrays are read-only.
+
+    All array entries are checked in one pass (_plain_arrays) against the
+    shapes the spec fixes; only a document that fails it is checked field
+    by field, for the error.
     """
     _validate(document)
     raw_spec = document["spec"]
@@ -209,17 +267,35 @@ def realization_from_document(document: dict) -> FilterRealization:
             f"design document realization field 'residual_mass' must be positive, "
             f"got {residual_mass!r}"
         )
-    arrays = {key: _finite_array("realization", key, raw[key]) for key in _ARRAY_FIELDS}
-    _check_shapes(spec, arrays)
-
-    vrf = _finite_array("analysis", "vrf", document["analysis"]["vrf"])
-    if vrf.shape != (spec.n_outputs, spec.n_outputs):
-        raise DesignError(
-            f"design document vrf has shape {vrf.shape}, "
-            f"expected {(spec.n_outputs, spec.n_outputs)}"
-        )
+    lists = [document["analysis"]["vrf"], *map(raw.__getitem__, _ARRAY_FIELDS)]
+    plain = _plain_arrays(lists)
+    if plain is not None and plain[0] == _plain_shape(spec):
+        vrf, *built = map(_read_only_array, lists)
+        arrays = dict(zip(_ARRAY_FIELDS, built))
+    else:  # the per-field checks, whose errors name the first field at fault
+        arrays = {key: _finite_array("realization", key, raw[key]) for key in _ARRAY_FIELDS}
+        _check_shapes(spec, arrays)
+        vrf = _finite_array("analysis", "vrf", document["analysis"]["vrf"])
+        if vrf.shape != (spec.n_outputs, spec.n_outputs):
+            raise DesignError(
+                f"design document vrf has shape {vrf.shape}, "
+                f"expected {(spec.n_outputs, spec.n_outputs)}"
+            )
 
     return FilterRealization(spec=spec, residual_mass=residual_mass, vrf=vrf, **arrays)
+
+
+def _plain_shape(spec: DesignSpec):
+    """The shape _plain_arrays reports for the arrays of a design of spec."""
+    n1, n2 = spec.n_first_states, spec.n_second_states
+    k, m = spec.n_outputs, spec.model_order
+    return (k,) * k, n2, (m,) * m, (n1,) * m, (n1,) * k, n2
+
+
+def _read_only_array(value) -> np.ndarray:
+    arr = np.array(value, dtype=float)
+    arr.flags.writeable = False
+    return arr
 
 
 def _finite_number(section: str, key: str, value) -> float:
@@ -254,7 +330,7 @@ def _finite_array(section: str, key: str, value) -> np.ndarray:
     lists collects the entry types.
     """
     try:
-        arr = np.array(value, dtype=float)
+        arr = _read_only_array(value)
     except (TypeError, ValueError, OverflowError) as exc:
         raise DesignError(
             f"design document {section} field {key!r} is not a numeric array: {exc}"
@@ -280,7 +356,6 @@ def _finite_array(section: str, key: str, value) -> np.ndarray:
             f"design document {section} field {key!r} holds {bad.size} non-finite "
             f"value(s), first {float(arr[index])!r} at {tuple(int(i) for i in index)}"
         )
-    arr.flags.writeable = False
     return arr
 
 

@@ -524,6 +524,38 @@ def test_detect_rejects_a_second_design_unless_change(kind, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, readers", [
+    (["run", "--design", "-"], ["--design", "--input"]),
+    (["run", "--design", "-", "--input", "-"], ["--design", "--input"]),
+    (["detect", "--kind", "edge", "--threshold", "3", "--design", "-"], ["--design", "--input"]),
+    (["detect", "--kind", "change", "--threshold", "3", "--design", "A", "--design-b", "-",
+      "--input", "-"], ["--design-b", "--input"]),
+    (["detect", "--kind", "change", "--threshold", "3", "--design", "-", "--design-b", "-",
+      "--input", "x.csv"], ["--design", "--design-b"]),
+])
+def test_one_standard_input_feeds_one_reader(command, readers, tmp_path, capsys, monkeypatch):
+    # The design read would drain standard input and leave no samples: a
+    # usage error, naming both options, before anything is read or written.
+    design = _design(tmp_path, "a.json", kappa=0, p=0.8, kx=2, kt=2)
+    stdin = io.StringIO(design.read_text())
+    monkeypatch.setattr(sys, "stdin", stdin)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "x.csv").write_text("1.0\n")
+    argv = [str(design) if arg == "A" else arg for arg in command]
+    capsys.readouterr()
+    assert main(argv + ["--out", "o.csv"]) == 2
+    captured = capsys.readouterr()
+    assert f"standard input can feed only one of {', '.join(readers)}" in captured.err
+    assert captured.out == ""
+    assert stdin.tell() == 0
+    assert not (tmp_path / "o.csv").exists()
+    # With the samples in a file, the design comes from standard input.
+    if command[0] == "run":
+        stdin.seek(0)
+        assert main(["run", "--design", "-", "--input", "x.csv", "--out", "o.csv"]) == 0
+        assert (tmp_path / "o.csv").read_text().splitlines()[1] == "0,1,0,0,0,0"
+
+
 def test_detect_change_rejects_mismatched_delay(tmp_path, capsys):
     design_a = _design(tmp_path, "a.json", kappa=0, p=0.8, kx=2)
     design_b = _design(tmp_path, "b.json", kappa=3, p=0.8, kx=2)  # optimum 22.41

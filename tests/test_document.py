@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import warnings
 from pathlib import Path
 
 import hypothesis
@@ -317,3 +318,135 @@ def test_loaded_realization_runs_identically():
     via_doc, _ = run_sequence(loaded, xs)
     np.testing.assert_array_equal(direct.estimates, via_doc.estimates)
     np.testing.assert_array_equal(direct.sigma_eps2, via_doc.sigma_eps2)
+
+
+def test_design_documents_are_written_from_their_template(monkeypatch):
+    # A document as design_to_document makes it never reaches json.dumps,
+    # whatever its requested delay; its text is json's all the same.
+    real = build(2, 0.9, 3, kt=3, q=None)
+    documents = [design_to_document(real, requested) for requested in ("auto", 12.5, 12)]
+    texts = [json.dumps(document, indent=2) + "\n" for document in documents]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a design document went to json.dumps")
+
+    monkeypatch.setattr(json, "dumps", refuse)
+    assert [document_to_json(document) for document in documents] == texts
+
+
+def _design_document():
+    return design_to_document(build(1, 0.8, 2, kt=2, q=None), "auto")
+
+
+def _edits():
+    """Documents that are not design_to_document's, each with its name."""
+    def reordered(document):
+        return dict(reversed(list(document.items())))
+
+    yield "extra key", lambda d: d.update(extra=1.0)
+    yield "extra spec key", lambda d: d["spec"].update(extra=1.0)
+    yield "missing key", lambda d: d["realization"].pop("power_output")
+    yield "keys out of order", lambda d: d.update(reordered(d))
+    yield "spec keys out of order", lambda d: d.update(spec=reordered(d["spec"]))
+    yield "bool scalar", lambda d: d["spec"].update(requested_delay=True)
+    yield "bool entry", lambda d: d["analysis"]["vrf"][1].__setitem__(0, False)
+    yield "None scalar", lambda d: d["spec"].update(requested_delay=None)
+    yield "None entry", lambda d: d["realization"]["power_output"].__setitem__(0, None)
+    yield "NaN scalar", lambda d: d["spec"].update(delay=math.nan)
+    yield "NaN entry", lambda d: d["realization"]["coeff_output"][0].__setitem__(1, math.nan)
+    yield "inf residual", lambda d: d["realization"].update(residual_mass=-math.inf)
+    yield "np.float64 scalar", lambda d: d["spec"].update(p=np.float64(0.8))
+    yield "np.float64 entry", lambda d: d["analysis"]["vrf"][0].__setitem__(0, np.float64(0.5))
+    yield "ragged array", lambda d: d["realization"]["state_output"][1].pop()
+    yield "vector for matrix", lambda d: d["analysis"].update(vrf=[1.0, 2.0])
+    yield "matrix for vector", lambda d: d["realization"].update(steady_second=[[1.0], [2.0]])
+    yield "tuple row", lambda d: d["realization"].update(
+        from_orthonormal=[tuple(row) for row in d["realization"]["from_orthonormal"]])
+    yield "set row", lambda d: d["analysis"].update(vrf=[{1.0}, {2.0}])
+    yield "integer entries", lambda d: d["analysis"].update(vrf=[[1, 0], [0, 1]])
+    yield "integer past the float range", lambda d: d["analysis"]["vrf"][0].__setitem__(
+        0, 10**400)
+    yield "sum past the float range", lambda d: d["analysis"].update(vrf=[[1e308] * 2] * 2)
+    yield "empty document", lambda d: d.clear()
+    yield "string with escapes", lambda d: d.update(format='erlang"\\\n☃')
+
+
+@pytest.mark.parametrize("name, edit", list(_edits()), ids=[name for name, _ in _edits()])
+def test_any_other_document_is_json_indent_2(name, edit):
+    document = _design_document()
+    edit(document)
+    try:
+        expected = json.dumps(document, indent=2) + "\n"
+    except TypeError:  # a set is no JSON value
+        with pytest.raises(TypeError):
+            document_to_json(document)
+        return
+    assert document_to_json(document) == expected
+
+
+def test_finite_entries_whose_sum_overflows_load_as_they_are():
+    # The one-pass check sums every entry in Python floats; a sum that
+    # overflows sends the document through the per-field checks, which
+    # take it: no warning, and the stored values, bit for bit.
+    document = json.loads(document_to_json(_design_document()))
+    document["analysis"]["vrf"] = [[1e308, 1e308], [1e308, 1.7976931348623157e308]]
+    document["realization"]["power_output"] = [1e308, -1e308]
+    document["realization"]["steady_second"] = [1e308, 1]
+    text = document_to_json(document)
+    assert text == json.dumps(document, indent=2) + "\n"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        loaded = realization_from_document(document_from_json(text))
+    for key, value in (("vrf", document["analysis"]["vrf"]),
+                       *((key, document["realization"][key]) for key in
+                         ("steady_second", "from_orthonormal", "coeff_output",
+                          "state_output", "power_output"))):
+        got = getattr(loaded, key)
+        assert np.array_equal(got.view(np.uint64), np.array(value, dtype=float).view(np.uint64))
+        assert not got.flags.writeable
+
+
+_ARRAYS = [("analysis", "vrf")] + [
+    ("realization", key) for key in
+    ("steady_second", "from_orthonormal", "coeff_output", "state_output", "power_output")
+]
+
+
+@pytest.mark.parametrize("section, key", _ARRAYS)
+def test_a_malformed_array_is_named_as_before(section, key):
+    # Only a document that fails the one-pass check meets the per-field
+    # checks, so each fault keeps its message.
+    document = json.loads(document_to_json(_design_document()))
+    value = document[section][key]
+    matrix = isinstance(value[0], list)
+    last = (len(value) - 1, len(value[-1]) - 1) if matrix else (len(value) - 1,)
+    shape = (len(value), len(value[0])) if matrix else (len(value),)
+    short = (shape[0] - 1,) + shape[1:]
+
+    def put(entry):
+        edited = json.loads(json.dumps(value))
+        (edited[-1] if matrix else edited)[-1] = entry
+        return edited
+
+    name = f"design document {section} field {key!r}"
+    where = "vrf" if key == "vrf" else f"field {key!r}"
+    cases = [
+        (put("0.5"), f"{name} is not a numeric array: it holds a string or a boolean"),
+        (put("abc"), f"{name} is not a numeric array: could not convert string to float: 'abc'"),
+        (put(True), f"{name} is not a numeric array: it holds a string or a boolean"),
+        (put(None), f"{name} is not a numeric array: it holds a null"),
+        (put(math.nan), f"{name} holds 1 non-finite value(s), first nan at {last}"),
+        (put(-math.inf), f"{name} holds 1 non-finite value(s), first -inf at {last}"),
+        (value[:-1] + [value[-1][:-1]] if matrix else put([0.5, 0.5]),
+         f"{name} is not a numeric array: setting an array element with a sequence"),
+        (value[:-1], f"design document {where} has shape {short}, expected {shape}"),
+        (put(10**400), f"{name} is not a numeric array: int too large to convert to float"),
+    ]
+    for bad, message in cases:
+        document[section][key] = bad
+        with pytest.raises(DesignError) as caught:
+            realization_from_document(document)
+        # numpy words the end of a ragged array's error in its own way.
+        assert str(caught.value).startswith(message), (bad, str(caught.value))
+        if "sequence" not in message:
+            assert str(caught.value) == message

@@ -180,6 +180,7 @@ def test_only_per_sample_updates_build_kernels(monkeypatch, tmp_path):
         return build_kernel(self, *args)
 
     monkeypatch.setattr(_kernel._Source, "build", counting)
+    _kernel._detector_kernel.cache_clear()  # detectors of equal readouts share a kernel
     real = _design(2, 3, 3)
     fast = _design(0, 2, 1)
     slow = _design(3, 2, 1, fast.spec.delay)

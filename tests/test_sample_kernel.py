@@ -8,12 +8,16 @@ filter's longer cascades on zero-padded rows.
 """
 
 import builtins
+import copy
 import functools
 import itertools
+import math
+import pickle
 import re
 
 import hypothesis
 import numpy as np
+import pytest
 from hypothesis import strategies as st
 
 from erlangreg import _kernel
@@ -169,6 +173,7 @@ def test_kernel_source_holds_no_design_numbers(monkeypatch):
         return builtins.compile(source, *args)
 
     monkeypatch.setattr(_kernel, "compile", capture, raising=False)
+    _kernel._detector_kernel.cache_clear()  # detectors of equal readouts share a kernel
     real = build(4, 0.95, 3, kt=3, q=None)
     fast, slow = _change_pair(4, 0.95, 2)
     for consumer in (StreamingEstimator(real), EdgeDetector(real, 3.0),
@@ -192,6 +197,7 @@ def test_kernel_multiplies_only_nonzero_row_entries(monkeypatch):
         return builtins.compile(source, *args)
 
     monkeypatch.setattr(_kernel, "compile", capture, raising=False)
+    _kernel._detector_kernel.cache_clear()  # detectors of equal readouts share a kernel
     real = build(2, 0.9, 2, kt=2, q=None)
     fast, slow = _change_pair(3, 0.8, 2)
     consumers = (StreamingEstimator(real), EdgeDetector(real, 3.0),
@@ -213,3 +219,56 @@ def test_kernel_multiplies_only_nonzero_row_entries(monkeypatch):
     # The rows hold zeros: 1 each in the base design's coefficient rows, 2
     # in the change pair's, whose noise rows are each filter's own.
     assert zeros == [1, 1, 2]
+
+
+@pytest.mark.parametrize("kind", ["edge", "peak", "change"])
+def test_detectors_of_one_readout_share_one_kernel(kind, monkeypatch):
+    # A detector's kernel holds the numbers of its readout and nothing of
+    # its own: a copy, a pickle (whose realizations are new objects) and a
+    # second detector of the same rows and threshold compile nothing, and
+    # read Z, events and states bit for bit as the first.
+    built = []
+    build_kernel = _kernel._Source.build
+
+    def counting(self):
+        built.append(self)
+        return build_kernel(self)
+
+    monkeypatch.setattr(_kernel._Source, "build", counting)
+    real = build(2, 0.9, 3, kt=3, q=None)
+    fast, slow = _change_pair(3, 0.9, 2)
+    makers = {
+        "edge": lambda threshold: EdgeDetector(real, threshold, 0.25),
+        "peak": lambda threshold: PeakDetector(real, threshold, 0.25),
+        "change": lambda threshold: ChangeDetector(fast, slow, threshold, 0.25),
+    }
+    make = makers[kind]
+    xs = _signal(9, 300, 0.0)
+    xs[100:200] = [x + 6.0 * math.sin(i / 8.0) for i, x in enumerate(xs[100:200])]
+    first = make(1.5)
+    zs = [first.update(x) for x in xs[:50]]
+    compiled = len(built)
+    assert compiled <= 1
+
+    twins = [copy.copy(first), copy.deepcopy(first), pickle.loads(pickle.dumps(first)), make(1.5)]
+    for x in xs[:50]:
+        twins[-1].update(x)
+    twin_zs = [[] for _ in twins]
+    for x in xs[50:]:
+        zs.append(first.update(x))
+        for twin, got in zip(twins, twin_zs):
+            got.append(twin.update(x))
+    assert len(built) == compiled
+    first.finish()
+    assert len(first.events) > 0
+    for twin, got in zip(twins, twin_zs):
+        twin.finish()
+        assert np.array_equal(np.array(got).view(np.uint64), np.array(zs[50:]).view(np.uint64))
+        assert twin.events == first.events
+        assert [e.z.hex() for e in twin.events] == [e.z.hex() for e in first.events]
+        assert twin.state == first.state
+
+    # Another threshold is another readout.
+    other = make(2.5)
+    other.update(xs[0])
+    assert len(built) == compiled + 1
