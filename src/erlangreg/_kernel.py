@@ -52,11 +52,11 @@ every object the readout calls is a parameter of the factory, bound when
 it is called, or, for the one object a stream owns, its run marker, of
 make; so the kernel reads them from closure cells and no float and no
 outside text is ever compiled.  The sample check's isfinite and its error,
-the same for every kernel, are globals of the compiled code.  As no
-factory holds a stream's own object, factories are cached: the
-estimator's by its realization and frame, a detector's by the numbers of
-its readout, so a copied, pickled or second identical detector compiles
-nothing.
+the same for every kernel, are globals of the compiled code.  So the text
+alone decides what is compiled, and the one cache, _code, is keyed by it:
+no design, array or float is part of a key, and every consumer of a shape
+seen before, a pickled estimator or a detector at another threshold
+alike, compiles nothing.
 """
 
 from __future__ import annotations
@@ -157,18 +157,24 @@ class _Source:
                "    return make"]
         )
         namespace = {"isfinite": math.isfinite, "not_finite": _not_finite}
-        exec(compile(body, "<erlangreg sample kernel>", "exec"), namespace)
+        exec(_code(body), namespace)
         return namespace["kernel"](**self.parameters)
 
 
 @lru_cache(maxsize=64)
+def _code(body: str):
+    """body compiled: the one kernel cache, keyed by the source text."""
+    return compile(body, "<erlangreg sample kernel>", "exec")
+
+
 def estimator_kernel(realization, frame) -> Callable:
     """Kernel factory of the estimator's frame on realization's cascades.
 
     The readout is frame((n, estimates, sigma_eps2, vrf)): estimates is a
     tuple of floats whose level has x0 added back, vrf the realization's
-    noise gain matrix, and frame the estimator's frame constructor.  Cached
-    by identity: the last 64 pairs stay alive until evicted or process exit.
+    noise gain matrix, and frame the estimator's frame constructor.  The
+    text is compiled once per shape (see _code); the factory binds this
+    realization's numbers.
     """
     spec = realization.spec
     src = _Source(spec.weight.p, spec.n_first_states, spec.n_second_states)
@@ -182,9 +188,9 @@ def estimator_kernel(realization, frame) -> Callable:
 
 def _noise_rows(realization):
     """What a filter's noise variance reads: its coefficient rows, power row
-    and residual mass, as nested tuples of floats."""
-    return (tuple(map(tuple, realization.coeff_output.tolist())),
-            tuple(realization.power_output.tolist()), realization.residual_mass)
+    and residual mass."""
+    return (realization.coeff_output.tolist(), realization.power_output.tolist(),
+            realization.residual_mass)
 
 
 def detector_kernel(stream, value_row, noise_terms, floor: float, threshold: float,
@@ -196,24 +202,15 @@ def detector_kernel(stream, value_row, noise_terms, floor: float, threshold: flo
     the filter's leading cells, and 0.0 where that sum is below floor.
     The readout passes (n, z) to the update of make's run marker, which
     records the events, when z passes threshold or, if two_sided, its
-    negative, or a run is open, and returns z.
-
-    Cached by the numbers of the readout, the last 64 kept: numbers that
-    compare equal make kernels that read equal Z and events.
+    negative, or a run is open, and returns z.  The text is compiled once
+    per shape (see _code); the factory binds these numbers.
     """
     spec = stream.spec
-    noise = tuple((_noise_rows(realization), float(gain)) for realization, gain in noise_terms)
-    return _detector_kernel(spec.weight.p, spec.n_first_states, spec.n_second_states,
-                            tuple(value_row.tolist()), noise, floor, threshold, two_sided)
-
-
-@lru_cache(maxsize=64)
-def _detector_kernel(p, n1, n2, value_row, noise, floor, threshold, two_sided):
-    src = _Source(p, n1, n2)
-    for i, (rows, gain) in enumerate(noise):
-        variance = src.noise_variance(*rows)
+    src = _Source(spec.weight.p, spec.n_first_states, spec.n_second_states)
+    for i, (realization, gain) in enumerate(noise_terms):
+        variance = src.noise_variance(*_noise_rows(realization))
         src.let("t", f"{'t + ' if i else ''}{src.const(gain)} * ({variance})")
-    value = src.dot(value_row, "a")
+    value = src.dot(value_row.tolist(), "a")
     src.let("z", f"0.0 if t < {src.const(floor)} else ({value}) / sqrt(t)")
     hi = src.const(threshold)
     lo = src.const(-threshold if two_sided else -math.inf)

@@ -144,8 +144,8 @@ class FilterRealization:
         second-moment states.
 
     A plain value: it compares and hashes by identity, as its arrays have
-    no single truth value, and holds no compiled code; _kernel caches the
-    estimator's kernel per realization.
+    no single truth value, and holds no compiled code; _kernel caches
+    compiled kernels by their source text, which holds no number.
     """
 
     spec: DesignSpec                 # delay always resolved (never None)

@@ -22,12 +22,13 @@ both entries append to.  Its threshold and events list, like its
 realization, are read-only, as the marker and the kernel capture them.
 
 update() feeds one sample through a kernel generated for the detector on
-its first update() (see _kernel; compiled once per readout, and shared by
-detectors with equal rows and threshold), which from then on is the
-detector's update itself: one unrolled step of both cascades held in
-closure cells, Z as explicit multiply-adds in Python floats, and the run
-marker's update on (n, Z) for a sample that could change the marker, all
-in one call.  run() feeds a block, computes Z for
+its first update() (see _kernel; compiled once per source text, which
+holds no number, so detectors whose rows have the same zero pattern share
+it at any threshold), which from then on is the detector's update itself:
+one unrolled step of both cascades held in closure cells, Z as explicit
+multiply-adds in Python floats, and the run marker's update on (n, Z) for
+a sample that could change the marker, all in one call.  run() feeds a
+block, computes Z for
 the whole block at once with the same formula on arrays and finds its
 events with array operations, so its
 Python work grows with the number of exceedance runs, not of samples.  A
@@ -209,7 +210,7 @@ class _Detector(_Stream):
     noise_terms, each (filter, gain): a design of the stream's decay whose
     cascades are no longer than the stream's, and the noise gain of one of
     its outputs.  Blocks read the rows as arrays; single samples go through
-    a kernel compiled from them, or taken from _kernel's cache, and bound
+    a kernel written from them, whose text _kernel compiles once, and bound
     to the detector's run marker on the first update().
     """
 

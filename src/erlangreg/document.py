@@ -12,10 +12,10 @@ exactly json's indent-2 output: json.dumps(document, indent=2) plus a newline.
 Writing and reading take one pass over the numbers each way.  The writer
 fills a text template made once per array shape, with one %-formatting
 call, for any document with design_to_document's keys and plain finite
-numbers, and leaves every other document to json.dumps.  The loader checks
-every array entry in one pass (exactly a float or an int, and finite), then
-builds each array with one np.array; a document that fails that pass goes
-through per-field checks, whose DesignError names the field at fault.
+numbers, and leaves every other document to json.dumps.  The loader walks
+the fields once: each array is built with one np.array, and its entries
+are checked in one pass (exactly a float or an int, and finite), so the
+DesignError of a bad document names the first field at fault.
 """
 
 from __future__ import annotations
@@ -236,9 +236,9 @@ def realization_from_document(document: dict) -> FilterRealization:
     `group_delay_dc` analysis fields that older documents carry, are
     ignored.  The arrays are read-only.
 
-    All array entries are checked in one pass (_plain_arrays) against the
-    shapes the spec fixes; only a document that fails it is checked field
-    by field, for the error.
+    One walk checks the fields in turn: the entries of each realization
+    array (_finite_array), then their shapes against the spec, then vrf;
+    the first field at fault is named in the DesignError.
     """
     _validate(document)
     raw_spec = document["spec"]
@@ -267,35 +267,16 @@ def realization_from_document(document: dict) -> FilterRealization:
             f"design document realization field 'residual_mass' must be positive, "
             f"got {residual_mass!r}"
         )
-    lists = [document["analysis"]["vrf"], *map(raw.__getitem__, _ARRAY_FIELDS)]
-    plain = _plain_arrays(lists)
-    if plain is not None and plain[0] == _plain_shape(spec):
-        vrf, *built = map(_read_only_array, lists)
-        arrays = dict(zip(_ARRAY_FIELDS, built))
-    else:  # the per-field checks, whose errors name the first field at fault
-        arrays = {key: _finite_array("realization", key, raw[key]) for key in _ARRAY_FIELDS}
-        _check_shapes(spec, arrays)
-        vrf = _finite_array("analysis", "vrf", document["analysis"]["vrf"])
-        if vrf.shape != (spec.n_outputs, spec.n_outputs):
-            raise DesignError(
-                f"design document vrf has shape {vrf.shape}, "
-                f"expected {(spec.n_outputs, spec.n_outputs)}"
-            )
+    arrays = {key: _finite_array("realization", key, raw[key]) for key in _ARRAY_FIELDS}
+    _check_shapes(spec, arrays)
+    vrf = _finite_array("analysis", "vrf", document["analysis"]["vrf"])
+    if vrf.shape != (spec.n_outputs, spec.n_outputs):
+        raise DesignError(
+            f"design document vrf has shape {vrf.shape}, "
+            f"expected {(spec.n_outputs, spec.n_outputs)}"
+        )
 
     return FilterRealization(spec=spec, residual_mass=residual_mass, vrf=vrf, **arrays)
-
-
-def _plain_shape(spec: DesignSpec):
-    """The shape _plain_arrays reports for the arrays of a design of spec."""
-    n1, n2 = spec.n_first_states, spec.n_second_states
-    k, m = spec.n_outputs, spec.model_order
-    return (k,) * k, n2, (m,) * m, (n1,) * m, (n1,) * k, n2
-
-
-def _read_only_array(value) -> np.ndarray:
-    arr = np.array(value, dtype=float)
-    arr.flags.writeable = False
-    return arr
 
 
 def _finite_number(section: str, key: str, value) -> float:
@@ -326,28 +307,36 @@ def _finite_array(section: str, key: str, value) -> np.ndarray:
 
     Only JSON numbers count: the float conversion would also take the
     string "1.5" and the boolean true, and reads a null as NaN.  Once the
-    conversion has found the nesting depth, one walk over the innermost
-    lists collects the entry types.
+    conversion has found the nesting depth, one pass checks that every
+    entry is exactly a float or an int, and their sum in Python floats is
+    finite only if every entry is.  Entries of another type are looked at
+    again, for the string, boolean and null errors; they and a sum that is
+    not finite, as that of finite entries may overflow, leave the finite
+    check to the array.
     """
     try:
-        arr = _read_only_array(value)
+        arr = np.array(value, dtype=float)
     except (TypeError, ValueError, OverflowError) as exc:
         raise DesignError(
             f"design document {section} field {key!r} is not a numeric array: {exc}"
         ) from exc
+    arr.flags.writeable = False
     entries = value if arr.ndim else [value]
     for _ in range(arr.ndim - 1):
-        entries = itertools.chain.from_iterable(entries)
-    types = set(map(type, entries))
-    if not types.isdisjoint((str, bool)):
-        raise DesignError(
-            f"design document {section} field {key!r} is not a numeric array: "
-            f"it holds a string or a boolean"
-        )
-    if type(None) in types:
-        raise DesignError(
-            f"design document {section} field {key!r} is not a numeric array: it holds a null"
-        )
+        entries = [*itertools.chain.from_iterable(entries)]
+    if not _NUMBER.issuperset(map(type, entries)):
+        types = set(map(type, entries))
+        if not types.isdisjoint((str, bool)):
+            raise DesignError(
+                f"design document {section} field {key!r} is not a numeric array: "
+                f"it holds a string or a boolean"
+            )
+        if type(None) in types:
+            raise DesignError(
+                f"design document {section} field {key!r} is not a numeric array: it holds a null"
+            )
+    elif math.isfinite(sum(entries, 0.0)):
+        return arr
     finite = np.isfinite(arr)
     if not finite.all():
         bad = np.flatnonzero(~finite)

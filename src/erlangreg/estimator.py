@@ -40,9 +40,11 @@ pair of its decay cost one run_block call per packet fed in that order,
 and two with the change detector fed first.
 
 The per-sample path runs in Python floats.  On the consumer's first
-per-sample use the package compiles a kernel for its shape (see _kernel),
+per-sample use the package writes a kernel for its shape (see _kernel),
 which steps both cascades as unrolled running sums and evaluates the
-readout as explicit multiply-adds.  From the stream's first sample on,
+readout as explicit multiply-adds.  It is compiled once per source text,
+which holds no number, so a copied or pickled estimator, or one on a
+rebuilt design, compiles nothing.  From the stream's first sample on,
 its state lives in the closure cells of that kernel, one float per cell,
 and the stream's update is the kernel's step, so one sample is one Python
 call with no list built or unpacked.  Reading .state snapshots the cells

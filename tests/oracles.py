@@ -144,6 +144,28 @@ def vrf_by_parseval(realization, k_a: int = 0, k_b: int = 0, horizon: int | None
     )
 
 
+def fading_memory_vrf(theta: float, model_order: int, delay: int, output: int) -> float:
+    """Published noise gain of the fading-memory polynomial filter.
+
+    A kappa 0 design weights its past by theta**m, theta = p: Morrison's
+    fading-memory polynomial filter (Introduction to Sequential Smoothing
+    and Prediction, 1969).  These are his closed forms for the diagonal
+    noise gain of output `output` (0 the level, 1 the velocity per sample)
+    of the degree model_order - 1 filter, read at delay 0 (filtering) or
+    -1 (one-step prediction); they share no step with the design's
+    derivation.  The two level formulas of model order 2 differ, so each
+    belongs to its delay.
+    """
+    t = theta
+    return {
+        (1, 0, 0): (1 - t) / (1 + t),
+        (2, 0, 0): (1 - t) * (1 + 4 * t + 5 * t * t) / (1 + t) ** 3,
+        (2, -1, 0): (1 - t) * (5 + 4 * t + t * t) / (1 + t) ** 3,
+        (2, 0, 1): 2 * (1 - t) ** 3 / (1 + t) ** 3,
+        (2, -1, 1): 2 * (1 - t) ** 3 / (1 + t) ** 3,
+    }[model_order, delay, output]
+
+
 def closed_sigma_omega(kappa: int, p: float, ts: float = 1.0) -> float:
     """Frequency spread of the weight magnitude, closed form for kappa > 2."""
     lam = -1.0 / math.log(p)

@@ -1,5 +1,6 @@
 import json
 import math
+from fractions import Fraction
 import re
 import warnings
 from pathlib import Path
@@ -385,9 +386,9 @@ def test_any_other_document_is_json_indent_2(name, edit):
 
 
 def test_finite_entries_whose_sum_overflows_load_as_they_are():
-    # The one-pass check sums every entry in Python floats; a sum that
-    # overflows sends the document through the per-field checks, which
-    # take it: no warning, and the stored values, bit for bit.
+    # Each field's check sums its entries in Python floats; a sum that
+    # overflows sends the field to the array's own finite check, which
+    # takes it: no warning, and the stored values, bit for bit.
     document = json.loads(document_to_json(_design_document()))
     document["analysis"]["vrf"] = [[1e308, 1e308], [1e308, 1.7976931348623157e308]]
     document["realization"]["power_output"] = [1e308, -1e308]
@@ -414,8 +415,8 @@ _ARRAYS = [("analysis", "vrf")] + [
 
 @pytest.mark.parametrize("section, key", _ARRAYS)
 def test_a_malformed_array_is_named_as_before(section, key):
-    # Only a document that fails the one-pass check meets the per-field
-    # checks, so each fault keeps its message.
+    # The loader's one per-field walk words each fault as the per-field
+    # checks always have.
     document = json.loads(document_to_json(_design_document()))
     value = document[section][key]
     matrix = isinstance(value[0], list)
@@ -450,3 +451,38 @@ def test_a_malformed_array_is_named_as_before(section, key):
         assert str(caught.value).startswith(message), (bad, str(caught.value))
         if "sequence" not in message:
             assert str(caught.value) == message
+
+
+@pytest.mark.parametrize("kind", [np.float64, Fraction])
+def test_entries_of_other_number_types_load_as_floats(kind):
+    # A document built in Python may hold numbers json.loads never makes;
+    # they load to the arrays of their float values.
+    document = json.loads(document_to_json(_design_document()))
+    want = realization_from_document(document)
+    document["analysis"]["vrf"] = [[kind(v) for v in row] for row in document["analysis"]["vrf"]]
+    for key in ("steady_second", "power_output"):
+        document["realization"][key] = [kind(v) for v in document["realization"][key]]
+    for key in ("from_orthonormal", "coeff_output", "state_output"):
+        document["realization"][key] = [[kind(v) for v in row]
+                                        for row in document["realization"][key]]
+    assert {type(v) for v in document["realization"]["power_output"]} == {kind}
+    loaded = realization_from_document(document)
+    for key in ("vrf", "steady_second", "from_orthonormal", "coeff_output", "state_output",
+                "power_output"):
+        got, expected = getattr(loaded, key), getattr(want, key)
+        assert got.dtype == np.float64 and not got.flags.writeable
+        assert np.array_equal(got.view(np.uint64), expected.view(np.uint64)), key
+
+
+def test_entries_are_checked_before_shapes():
+    # A short steady_second and a NaN in the later coeff_output: every
+    # realization array's entries are checked before any shape, so the
+    # error names the NaN.
+    document = json.loads(document_to_json(_design_document()))
+    document["realization"]["steady_second"] = document["realization"]["steady_second"][:-1]
+    document["realization"]["coeff_output"][0][1] = math.nan
+    with pytest.raises(DesignError) as caught:
+        realization_from_document(document)
+    assert str(caught.value) == (
+        "design document realization field 'coeff_output' holds 1 non-finite value(s), "
+        "first nan at (0, 1)")

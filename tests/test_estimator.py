@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
+from erlangreg import _kernel
 from erlangreg import estimator as estimator_module
 from erlangreg import (
     ChangeDetector,
@@ -585,20 +586,47 @@ def test_cleared_events_collect_from_both_paths(kind):
     assert events == twin.events[taken:]
 
 
+def _compiles():
+    """Kernels compiled so far in this process: misses of the source-text cache."""
+    return _kernel._code.cache_info().misses
+
+
 def test_realization_pickles_after_its_kernel_is_compiled():
-    # The compiled kernel is cached by _kernel, keyed by the realization's
-    # identity; the realization itself is plain data.  A loaded copy is a
-    # new design value with a kernel of its own and the same frames.
+    # The compiled kernel is cached by _kernel, keyed by its source text;
+    # the realization itself is plain data.  A loaded copy is a new design
+    # value with the same frames, and compiles nothing.
     real = build(2, 0.9, 3, kt=2, q=None)
     xs = _events_signal()[:50]
     est = StreamingEstimator(real)
     frames = _feed(est, xs)
+    compiles = _compiles()
     loaded = pickle.loads(pickle.dumps(real))
     assert loaded is not real and loaded != real and loaded == loaded
     assert _feed(StreamingEstimator(loaded), xs) == frames
-    # Estimators on one realization share one compile.
-    assert StreamingEstimator(real)._build_kernel() is est._make
-    assert StreamingEstimator(loaded)._build_kernel() is not est._make
+    # Estimators on one realization, or on its loaded copy, share one compile.
+    assert _bits(_feed(StreamingEstimator(real), xs)) == _bits(frames)
+    assert _compiles() == compiles
+
+
+def test_a_pickled_estimator_compiles_nothing():
+    # Its realization is a new object, but its kernel's text is the one
+    # compiled for the original: the loaded estimator reads the same
+    # estimates, noise variance and state, bit for bit.
+    est = StreamingEstimator(build(2, 0.9, 2, kt=2, q=None))
+    xs = _events_signal()
+    _feed(est, xs[:100])
+    compiles = _compiles()
+    loaded = pickle.loads(pickle.dumps(est))
+    got = loaded.update(3.0)
+    assert _compiles() == compiles
+    want = est.update(3.0)
+    assert got.n == want.n
+    assert np.array_equal(got.estimates.view(np.uint64), want.estimates.view(np.uint64))
+    assert got.sigma_eps2.hex() == want.sigma_eps2.hex()
+    assert loaded.state == est.state
+    assert _bits(_feed(loaded, xs[100:])) == _bits(_feed(est, xs[100:]))
+    assert _bits(tuple(loaded.state)) == _bits(tuple(est.state))
+    assert _compiles() == compiles
 
 
 def _assert_float_state(state, stream):

@@ -7,7 +7,6 @@ peak detectors and a change pair whose fast filter rides the slow
 filter's longer cascades on zero-padded rows.
 """
 
-import builtins
 import copy
 import functools
 import itertools
@@ -42,6 +41,24 @@ from oracles import (
 KAPPAS = (0, 1, 2, 4, 8)
 DECAYS = (0.8, 0.9, 0.95, 0.98, 0.99)
 ORDERS = (1, 2, 3, 4, 5)
+
+
+def _compiles():
+    """Kernels compiled so far in this process: misses of the source-text cache."""
+    return _kernel._code.cache_info().misses
+
+
+def _kernel_sources(monkeypatch):
+    """A list that collects the source text of every kernel built from now on."""
+    sources = []
+    code = _kernel._code
+
+    def capture(body):
+        sources.append(body)
+        return code(body)
+
+    monkeypatch.setattr(_kernel, "_code", capture)
+    return sources
 
 
 @functools.lru_cache(maxsize=None)
@@ -165,15 +182,10 @@ def test_constant_stream_reads_exact_zeros():
 
 def test_kernel_source_holds_no_design_numbers(monkeypatch):
     # Every float of a design reaches the kernel by name; the source text
-    # holds identifiers, operators and the literal 0.0 only.
-    sources = []
-
-    def capture(source, *args):
-        sources.append(source)
-        return builtins.compile(source, *args)
-
-    monkeypatch.setattr(_kernel, "compile", capture, raising=False)
-    _kernel._detector_kernel.cache_clear()  # detectors of equal readouts share a kernel
+    # holds identifiers, operators and the literal 0.0 only.  The text of
+    # every consumer's kernel is checked, whether compiled or found in the
+    # cache, which the edge and peak detectors' one text shares.
+    sources = _kernel_sources(monkeypatch)
     real = build(4, 0.95, 3, kt=3, q=None)
     fast, slow = _change_pair(4, 0.95, 2)
     for consumer in (StreamingEstimator(real), EdgeDetector(real, 3.0),
@@ -181,6 +193,7 @@ def test_kernel_source_holds_no_design_numbers(monkeypatch):
         consumer.update(1.0)
         consumer.update(2.5)
     assert len(sources) == 4
+    assert sources[1] == sources[2]
     for source in sources:
         numbers = re.findall(r"(?<![\w.])\d[\w.]*", source)
         assert set(numbers) == {"0.0"}, source
@@ -190,14 +203,7 @@ def test_kernel_multiplies_only_nonzero_row_entries(monkeypatch):
     # One product per nonzero entry of every readout row, in step() and in
     # read(); none for the zero entries, such as a coefficient row's
     # entries past state kappa + i.
-    sources = []
-
-    def capture(source, *args):
-        sources.append(source)
-        return builtins.compile(source, *args)
-
-    monkeypatch.setattr(_kernel, "compile", capture, raising=False)
-    _kernel._detector_kernel.cache_clear()  # detectors of equal readouts share a kernel
+    sources = _kernel_sources(monkeypatch)
     real = build(2, 0.9, 2, kt=2, q=None)
     fast, slow = _change_pair(3, 0.8, 2)
     consumers = (StreamingEstimator(real), EdgeDetector(real, 3.0),
@@ -222,19 +228,13 @@ def test_kernel_multiplies_only_nonzero_row_entries(monkeypatch):
 
 
 @pytest.mark.parametrize("kind", ["edge", "peak", "change"])
-def test_detectors_of_one_readout_share_one_kernel(kind, monkeypatch):
-    # A detector's kernel holds the numbers of its readout and nothing of
-    # its own: a copy, a pickle (whose realizations are new objects) and a
-    # second detector of the same rows and threshold compile nothing, and
-    # read Z, events and states bit for bit as the first.
-    built = []
-    build_kernel = _kernel._Source.build
-
-    def counting(self):
-        built.append(self)
-        return build_kernel(self)
-
-    monkeypatch.setattr(_kernel._Source, "build", counting)
+def test_detectors_of_one_readout_share_one_kernel(kind):
+    # A detector's kernel is compiled once per source text, which holds no
+    # number: a copy, a pickle (whose realizations are new objects), a
+    # second detector of the same rows and threshold and one at another
+    # threshold compile nothing, and read Z, events and states bit for bit
+    # as the first.
+    before = _compiles()
     real = build(2, 0.9, 3, kt=3, q=None)
     fast, slow = _change_pair(3, 0.9, 2)
     makers = {
@@ -247,8 +247,8 @@ def test_detectors_of_one_readout_share_one_kernel(kind, monkeypatch):
     xs[100:200] = [x + 6.0 * math.sin(i / 8.0) for i, x in enumerate(xs[100:200])]
     first = make(1.5)
     zs = [first.update(x) for x in xs[:50]]
-    compiled = len(built)
-    assert compiled <= 1
+    compiled = _compiles()
+    assert compiled - before <= 1
 
     twins = [copy.copy(first), copy.deepcopy(first), pickle.loads(pickle.dumps(first)), make(1.5)]
     for x in xs[:50]:
@@ -258,7 +258,7 @@ def test_detectors_of_one_readout_share_one_kernel(kind, monkeypatch):
         zs.append(first.update(x))
         for twin, got in zip(twins, twin_zs):
             got.append(twin.update(x))
-    assert len(built) == compiled
+    assert _compiles() == compiled
     first.finish()
     assert len(first.events) > 0
     for twin, got in zip(twins, twin_zs):
@@ -268,7 +268,8 @@ def test_detectors_of_one_readout_share_one_kernel(kind, monkeypatch):
         assert [e.z.hex() for e in twin.events] == [e.z.hex() for e in first.events]
         assert twin.state == first.state
 
-    # Another threshold is another readout.
+    # Another threshold compiles nothing, and reads the same Z.
     other = make(2.5)
-    other.update(xs[0])
-    assert len(built) == compiled + 1
+    other_zs = [other.update(x) for x in xs]
+    assert _compiles() == compiled
+    assert np.array_equal(np.array(other_zs).view(np.uint64), np.array(zs).view(np.uint64))

@@ -20,6 +20,7 @@ from oracles import (
     DESIGN_GRID,
     build,
     delay_search_reference,
+    fading_memory_vrf,
     real_roots_reference,
     vrf_by_parseval,
 )
@@ -50,6 +51,17 @@ def test_closed_form_vrf_matches_impulse_energy(kappa, p, kx, kt, q):
         for b in range(a, kt):
             energy = vrf_by_parseval(real, a, b)
             assert real.vrf[a, b] == pytest.approx(energy, rel=1e-8)
+
+
+@pytest.mark.parametrize("theta", [0.5, 0.6, 0.8, 0.9, 0.95, 0.98, 0.99, 0.995, 0.999])
+@pytest.mark.parametrize("kx, q, output", [(1, 0, 0), (2, 0, 0), (2, -1, 0), (2, 0, 1),
+                                           (2, -1, 1)])
+def test_kappa_0_vrf_is_the_fading_memory_closed_form(theta, kx, q, output):
+    # Morrison's published gains; the worst relative error measured on
+    # this grid is 1.45e-14 (theta 0.999, velocity).
+    got = build(0, theta, kx, kt=kx, q=q).vrf[output, output]
+    want = fading_memory_vrf(theta, kx, q, output)
+    assert abs(got - want) <= 1e-13 * want, (got, want)
 
 
 def test_vrf_matrix_symmetric_positive():
