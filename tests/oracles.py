@@ -6,9 +6,12 @@ explicit weighted least squares.  Slow but obviously correct.
 """
 
 import math
+import os
+from pathlib import Path
 
 import numpy as np
 
+import erlangreg
 from erlangreg import DesignSpec, WeightSpec, build_realization, run_block
 
 # Hand-checked impulse-to-weight transform for a 6-stage cascade: row k gives
@@ -222,6 +225,17 @@ def build(kappa, p, kx, kt=1, q=None, ts=1.0):
             sample_period=ts,
         )
     )
+
+
+def package_env(**overrides) -> dict:
+    """This process's environment with `overrides` set and the tested
+    package's root first on PYTHONPATH, for a fresh interpreter."""
+    env = dict(os.environ, **overrides)
+    root = str(Path(erlangreg.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(
+        [root] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p]
+    )
+    return env
 
 
 # The ROADMAP conditioning grid of (kappa, p, model_order), 175 designs, and

@@ -93,12 +93,16 @@ def test_design_example_high_shape(tmp_path):
 
 def test_design_document_carries_no_frequency_analysis(tmp_path):
     # analyze computes the cutoff frequency and the DC group delay; the
-    # design document keeps only the noise gains the runtime reads.
-    path = _design(tmp_path, "d.json", kappa=2, p=0.9, kx=3, kt=3)
-    assert set(json.loads(path.read_text())["analysis"]) == {"vrf"}
-    summary = _analyze_summary(tmp_path, path)
-    q = summary["delay"]
-    assert abs(summary["group_delay_dc"] - q) <= 1e-12 * max(1.0, q)
+    # design document keeps only the noise gains the runtime reads.  A
+    # one-coefficient design records its realized DC group delay too.
+    for shape in (dict(kappa=2, p=0.9, kx=3, kt=3), dict(kappa=0, p=0.8, kx=1)):
+        path = _design(tmp_path, "d.json", **shape)
+        document = json.loads(path.read_text())
+        assert set(document["analysis"]) == {"vrf"}
+        summary = _analyze_summary(tmp_path, path)
+        q = summary["delay"]
+        assert q == document["spec"]["delay"]
+        assert abs(summary["group_delay_dc"] - q) <= 1e-12 * max(1.0, q), shape
 
 
 def test_design_rejects_invalid_p(capsys):
@@ -1004,13 +1008,17 @@ def test_rows_across_changing_layouts(tmp_path, command):
         assert {row[2] for row in blocks[3]} == {""}
 
 
-@pytest.mark.parametrize("command", ["run", "detect"])
+@pytest.mark.parametrize("command", ["run", "detect", "edge"])
 def test_standard_output_bytes_match_a_file(tmp_path, capsysbinary, command):
+    # detect is the change detector on its fast/slow pair.
     xs = _both_paths_input()
     data = _write_column(tmp_path / "in.csv", xs)
     if command == "run":
         design = _design(tmp_path, "d.json", kappa=2, p=0.9, kx=2, kt=2)
         argv = ["run", "--design", str(design)]
+    elif command == "edge":
+        design = _design(tmp_path, "d.json", kappa=2, p=0.9, kx=3, kt=3)
+        argv = ["detect", "--kind", "edge", "--design", str(design), "--threshold", "3"]
     else:
         fast = _design(tmp_path, "fast.json", kappa=0, p=0.8, kx=2, kt=2)
         slow = _design(tmp_path, "slow.json", kappa=3, p=0.8, kx=2, kt=1,

@@ -460,14 +460,18 @@ def _feed_plan(consumers, xs, plan, calls):
     return out, per_stretch
 
 
-# Feeding orders of the four _stream_block_makers() consumers, as indices,
-# and the engine calls each block packet after the first costs in that
-# order.  Which stream keeps a run depends on the order: a shorter cascade
-# fed first keeps its own, and the longer stream after it misses it.
+# Feeding orders of the _stream_block_makers() consumers, as indices, the
+# engine calls the first block packet costs and the calls each block packet
+# after it costs in that order.  Which stream keeps a run depends on the
+# order: a shorter cascade fed first keeps its own, and the longer stream
+# after it misses it.  Without the edge detector, the only consumer of
+# decay 0.9, the estimator first makes a packet one call.
 _FEEDING_ORDERS = {
-    "stream-block": ((0, 1, 2, 3), 2),
-    "reversed": ((3, 2, 1, 0), 3),
-    "change first": ((3, 0, 1, 2), 3),
+    "stream-block": ((0, 1, 2, 3), 3, 2),
+    "reversed": ((3, 2, 1, 0), 3, 3),
+    "change first": ((3, 0, 1, 2), 3, 3),
+    "estimator peak change": ((0, 2, 3), 2, 1),
+    "change peak estimator": ((3, 2, 0), 2, 2),
 }
 
 
@@ -485,7 +489,7 @@ def test_consumers_fed_together_equal_consumers_fed_alone(seed, mixed, order, mo
     # and with update() calls between blocks, every consumer gives the
     # floats, events and state it gives fed alone.  In the stream-block
     # order a block packet costs two engine calls, not four.
-    indices, per_packet = _FEEDING_ORDERS[order]
+    indices, first, per_packet = _FEEDING_ORDERS[order]
     xs, sizes = packet_signal(seed, 40_000)
     plan, pos = [], 0
     for i, size in enumerate(sizes):
@@ -510,10 +514,16 @@ def test_consumers_fed_together_equal_consumers_fed_alone(seed, mixed, order, mo
         assert all(np.array_equal(a.view(np.uint64), b.view(np.uint64))
                    for a, b in zip(got, want, strict=True))
         assert got_events == want_events and got_state == want_state
+        assert got_events is None or got_events
+    # The estimator and the peak detector run one design; the change
+    # detector's cascades are the leading 5 and 4 stages of theirs.
+    estimator, peak, change = (together[indices.index(i)][2] for i in (0, 2, 3))
+    assert estimator == peak
+    assert change.w1 == estimator.w1[:5] and change.w2 == estimator.w2[:4]
     # On the first block the first stream of decay 0.8 is the only one that
-    # has run one, so its run is not kept and that packet costs three calls.
+    # has run one, so its run is not kept.
     blocks = [n for per_sample, n in per_stretch if not per_sample]
-    assert blocks[0] == 3 and set(blocks[1:]) == {per_packet}
+    assert blocks[0] == first and set(blocks[1:]) == {per_packet}
     assert all(n == 0 for per_sample, n in per_stretch if per_sample)
 
 

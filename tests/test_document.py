@@ -34,16 +34,35 @@ def _round_trip(real, requested="auto"):
     return realization_from_document(document_from_json(text))
 
 
-def test_round_trip_is_bit_exact():
-    real = build(2, 0.8, 3, kt=3, q=None)
-    loaded = _round_trip(real)
+_FAST_DELAY = build(0, 0.8, 2, kt=2).spec.delay
+
+
+# (kappa, p, kx, kt, requested delay, sample period): two three-output cubic
+# designs, the README's fast and slow pair, one coefficient, one output of a
+# long cascade and a sample period other than 1.
+@pytest.mark.parametrize("kappa, p, kx, kt, requested, ts", [
+    pytest.param(2, 0.8, 3, 3, "auto", 1.0, id="kappa2-p0.8"),
+    pytest.param(2, 0.9, 3, 3, "auto", 1.0, id="d"),
+    pytest.param(0, 0.8, 2, 2, "auto", 1.0, id="fast"),
+    pytest.param(3, 0.8, 2, 1, _FAST_DELAY, 1.0, id="slow"),
+    pytest.param(0, 0.8, 1, 1, "auto", 1.0, id="k1"),
+    pytest.param(4, 0.95, 3, 1, "auto", 1.0, id="kt1"),
+    pytest.param(2, 0.9, 3, 3, "auto", 0.01, id="ts"),
+])
+def test_round_trip_is_bit_exact(kappa, p, kx, kt, requested, ts):
+    # Compared as uint64 views: assert_array_equal would take -0.0 for 0.0.
+    real = build(kappa, p, kx, kt=kt, q=None if requested == "auto" else requested, ts=ts)
+    text = document_to_json(design_to_document(real, requested))
+    assert text == json.dumps(json.loads(text), indent=2) + "\n"
+    assert not re.search(r"NaN|Infinity", text)
+    assert json.loads(text)["spec"]["requested_delay"] == requested
+    loaded = realization_from_document(document_from_json(text))
     assert loaded.spec == real.spec
-    np.testing.assert_array_equal(loaded.vrf, real.vrf)
-    np.testing.assert_array_equal(loaded.state_output, real.state_output)
-    np.testing.assert_array_equal(loaded.coeff_output, real.coeff_output)
-    np.testing.assert_array_equal(loaded.power_output, real.power_output)
-    np.testing.assert_array_equal(loaded.steady_second, real.steady_second)
-    np.testing.assert_array_equal(loaded.from_orthonormal, real.from_orthonormal)
+    for key in ("vrf", "state_output", "coeff_output", "power_output", "steady_second",
+                "from_orthonormal"):
+        got, want = getattr(loaded, key), getattr(real, key)
+        assert got.shape == want.shape, key
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), key
     assert loaded.residual_mass == real.residual_mass
 
 
@@ -95,7 +114,9 @@ def test_design_documents_are_json_indent_2_text():
                 continue
             for requested in ("auto", real.spec.delay):
                 document = design_to_document(real, requested)
-                assert document_to_json(document) == json.dumps(document, indent=2) + "\n"
+                text = document_to_json(document)
+                assert text == json.dumps(document, indent=2) + "\n"
+                assert not re.search(r"NaN|Infinity", text)
             written += 1
     assert written == 198
 

@@ -1,4 +1,5 @@
-"""Import and laziness guards: no path loads scipy, only update() compiles.
+"""Import, laziness and environment guards: no path loads scipy, only
+update() compiles, and no output depends on the BLAS thread count.
 
 Importing scipy.signal costs over a second of start-up, and the package
 runs on numpy alone: the package, the CLI and every block and per-sample
@@ -9,17 +10,17 @@ through other tests.
 Compiling a per-sample kernel costs one to a few milliseconds, so only
 the first per-sample update() of a realization or a detector may build
 one; designs, detector construction and block runs never do.
+
+BLAS reads its thread count once, when numpy loads, so the CLI runs under
+each count in a fresh interpreter.
 """
 
 import json
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 import numpy as np
 
-import erlangreg
 from erlangreg import (
     ChangeDetector,
     DesignSpec,
@@ -35,7 +36,7 @@ from erlangreg import (
 from erlangreg import _kernel
 from erlangreg.cli import main
 
-_PACKAGE_ROOT = str(Path(erlangreg.__file__).resolve().parents[1])
+from oracles import package_env
 
 
 def _scipy_modules_after(code: str, cwd) -> list[str]:
@@ -44,13 +45,9 @@ def _scipy_modules_after(code: str, cwd) -> list[str]:
         "\nimport json, sys\n"
         "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))\n"
     )
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [_PACKAGE_ROOT] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p]
-    )
     done = subprocess.run(
         [sys.executable, "-c", probe],
-        cwd=cwd, env=env, capture_output=True, text=True, timeout=120,
+        cwd=cwd, env=package_env(), capture_output=True, text=True, timeout=120,
     )
     assert done.returncode == 0, done.stderr
     return json.loads(done.stdout.strip().splitlines()[-1])
@@ -162,6 +159,47 @@ def test_cli_runs_with_scipy_unavailable(tmp_path):
     assert _scipy_modules_after(blocker + _CLI_RUN_AND_DETECT + _BLOCK_RUNS, tmp_path) == []
     for name in ("run.csv", "edge.csv", "peak.csv", "change.csv"):
         assert len((tmp_path / name).read_text().splitlines()) == 9001
+
+
+def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # A drifting level with steps and unit noise; 100 003 rows end in a
+    # part block.  run, detect --kind peak on a wide design and detect
+    # --kind change on the README's pair write the same bytes with one
+    # BLAS thread and with two.
+    rng = np.random.default_rng(11)
+    n = 100_003
+    steps = np.where(rng.random(n) < 2e-4, rng.normal(0.0, 8.0, n), 0.0)
+    xs = np.cumsum(rng.normal(0.0, 0.05, n)) + np.cumsum(steps) + rng.standard_normal(n)
+    (tmp_path / "x.csv").write_text("x\n" + "".join(f"{x!r}\n" for x in xs.tolist()))
+    for name, args in (("wide.json", "--kappa 6 --p 0.8 --kx 4 --kt 3"),
+                       ("fast.json", "--kappa 0 --p 0.8 --kx 2 --kt 2")):
+        assert main(["design", *args.split(), "--out", str(tmp_path / name)]) == 0
+    q = json.loads((tmp_path / "fast.json").read_text())["spec"]["delay"]
+    assert main(["design", "--kappa", "3", "--p", "0.8", "--kx", "2", "--q", repr(q),
+                 "--out", str(tmp_path / "slow.json")]) == 0
+    detect = ["detect", "--threshold", "3", "--input", "x.csv"]
+    commands = {
+        "run": ["run", "--design", "wide.json", "--input", "x.csv"],
+        "peak": detect + ["--kind", "peak", "--design", "wide.json"],
+        "change": detect + ["--kind", "change", "--design", "fast.json",
+                            "--design-b", "slow.json"],
+    }
+    written = {}
+    for threads in ("1", "2"):
+        for name, argv in commands.items():
+            out = tmp_path / f"{name}-{threads}.csv"
+            done = subprocess.run(
+                [sys.executable, "-m", "erlangreg.cli", *argv, "--out", out.name],
+                cwd=tmp_path, env=package_env(OPENBLAS_NUM_THREADS=threads),
+                capture_output=True, text=True, timeout=120,
+            )
+            assert done.returncode == 0, done.stderr
+            written[name, threads] = out.read_bytes()
+    for name in commands:
+        assert written[name, "1"] == written[name, "2"], name
+    assert written["run", "1"].count(b"\n") == n + 1
+    assert b",peak" in written["peak", "1"]
+    assert b",break-" in written["change", "1"]
 
 
 def _design(kappa, kx, kt, delay=None):

@@ -5,7 +5,6 @@ measurements.txt, and the command-line pipeline runs under bash with
 `erlangreg` standing for this interpreter's `-m erlangreg.cli`.
 """
 
-import os
 import re
 import subprocess
 import sys
@@ -13,10 +12,9 @@ from pathlib import Path
 
 import numpy as np
 
-import erlangreg
+from oracles import package_env
 
 _README = Path(__file__).resolve().parents[1] / "README.md"
-_PACKAGE_ROOT = str(Path(erlangreg.__file__).resolve().parents[1])
 
 
 def _block(section: str, language: str) -> str:
@@ -29,20 +27,12 @@ def _block(section: str, language: str) -> str:
     return match.group(1)
 
 
-def _env():
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [_PACKAGE_ROOT] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p]
-    )
-    return env
-
-
 def test_library_quickstart_runs(tmp_path):
     rng = np.random.Generator(np.random.PCG64(3))
     np.savetxt(tmp_path / "measurements.txt", 5.0 + 0.01 * np.arange(300) + rng.standard_normal(300))
     done = subprocess.run(
         [sys.executable, "-c", _block("Library quickstart", "python")],
-        cwd=tmp_path, env=_env(), capture_output=True, text=True, timeout=120,
+        cwd=tmp_path, env=package_env(), capture_output=True, text=True, timeout=120,
     )
     assert done.returncode == 0, done.stderr
     delay, gain = done.stdout.split()
@@ -58,9 +48,11 @@ def test_cli_pipeline_runs(tmp_path):
     )
     done = subprocess.run(
         ["bash", "-c", script],
-        cwd=tmp_path, env=_env(), capture_output=True, text=True, timeout=300,
+        cwd=tmp_path, env=package_env(), capture_output=True, text=True, timeout=300,
     )
     assert done.returncode == 0, done.stderr
-    events = tmp_path / "events.csv"
-    assert events.stat().st_size > 0
-    assert len(events.read_text().splitlines()) > 1
+    # A row per sample of the change scenario, and a trend break among them.
+    events = (tmp_path / "events.csv").read_text()
+    assert len((tmp_path / "change.csv").read_text().splitlines()) == 401
+    assert len(events.splitlines()) == 401
+    assert ",break-" in events
