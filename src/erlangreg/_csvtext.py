@@ -14,6 +14,17 @@ resized to the block's layout, so no byte of an earlier block can reach a
 later one.  Deleting the NULs with bytearray.translate leaves the rows,
 which go to the stream as bytes.
 
+A float slot is as narrow as its block's values allow.  Where no integer
+part has more than 4 digits (the dense layout), one 2-word table entry
+holds the comma, sign, integer part (or "0.000" prefix, or the lead digit
+of d.ddde-XX) and point, 4 words the 16 digits after the point, and a
+tail word "e-XX" is there only if a value of the block is below 1e-4:
+6 or 7 words.  Wider integer parts add the words they need.  On the
+1e6-row input of the `cli-batch` benchmark a `run` row (a row number and
+five floats) takes 140 bytes of buffer for 111 bytes of text, against 192
+when every field had its own point and integer words and a tail, and a
+`detect` row 50 bytes for 28.
+
 Why one buffer, and one column at a time: built as per-column field
 matrices that were concatenated, copied to bytes and decoded to text (and
 encoded again by a text stream), one 8192-row block of `run`'s five float
@@ -90,6 +101,25 @@ _BEFORE = np.array([x + 1 if x >= 0 else 1 for x in _XS])
 _POINTED = np.array([not -4 <= x < 0 for x in _XS])
 _POW10 = np.array([10**j for j in range(20)], dtype=_U64)
 
+# The dense layout, for a column whose integer parts have at most 4
+# digits: its head, one 2-word entry of _DENSE_HEAD, is ',', a byte for the
+# sign (the minus word ORed in) and either the integer part v (or the lead
+# digit of d.ddde-XX) with a byte for the point (the point word ORed in),
+# entry v; or, for -4 <= X < 0, "0." and zeros with the lead digit d,
+# entry _ZEROS + 10 * (X + 4) + d.
+_ZEROS = 10_000
+_DENSE_HEAD = np.zeros((_ZEROS, 8), np.uint8)
+_DENSE_HEAD[:, 0] = ord(",")
+_DENSE_HEAD[:, 2:6] = _WORDS[_LEADING:_TRAILING, None].view(np.uint8)
+_DENSE_HEAD = np.concatenate([
+    _DENSE_HEAD,
+    np.array([",\0" + "0." + "0" * (-x - 1) + str(d) for x in range(-4, 0) for d in range(10)],
+             dtype="S8").view(np.uint8).reshape(-1, 8),
+]).view(np.uint32).T
+_DENSE_BASE = np.array([_ZEROS + 10 * (x + 4) if -4 <= x < 0 else 0 for x in _XS])
+# Values below this (the double nearest 1e-4) are written d.ddde-XX.
+_SCIENTIFIC = 1e-4
+
 
 def _scaled(mant, exp2, x10):
     """floor(mant * 2**exp2 * 10**(16 - x10)) and its fraction as 64 bits.
@@ -135,20 +165,22 @@ def _word(text):
 
 
 _COMMA, _NEWLINE = _word(b",\0\0\0"), _word(b"\n\0\0\0")
+_MINUS, _POINT = _word(b"\0-\0\0"), _word(b"\0\0.\0")
 _UNITS_ZERO = _word(b"\0\0\0" + b"0")
 _NOT_FIRST = _word(b"\0\xff\xff\xff")      # clears a word's first byte
 # A field formatted by '%.17g' itself: ',' and at most 24 characters.
 _SLOW = 7
 
 
-def _fast_fields(x, slot):
+def _fast_fields(x, slot, dense, tail):
     """Write the fields of fast-range values x into slot, rows of uint32 words.
 
-    A row is the head (2 words), the digits before the point, right-aligned
-    (slot's width less 8 words), the point (1 word), the digits after it,
-    left-aligned (4 words), and the tail (1 word).  Every step works on
-    whole 1-D arrays: numpy's per-row cost on narrow 2-D arrays would
-    exceed the arithmetic.
+    A dense row is the head (2 words) and the 16 digits after the point
+    (4 words); any other row is the head (2 words), the digits before the
+    point, right-aligned (slot's width less 7 or 8 words), the point (1
+    word) and the digits after it.  With tail, a last word holds e-XX.
+    Every step works on whole 1-D arrays: numpy's per-row cost on narrow
+    2-D arrays would exceed the arithmetic.
     """
     bits = x.view(_U64)
     mant = (bits & _U64((1 << 52) - 1)) | _U64(1 << 52)
@@ -164,26 +196,51 @@ def _fast_fields(x, slot):
 
     # digits = before * 10**(17 - count) + after, split at the point.
     xi = x10 - _X_MIN
-    count = _BEFORE[xi]
-    scale = _POW10[17 - count]
+    count = np.take(_BEFORE, xi)
+    scale = np.take(_POW10, 17 - count)
     before = digits // scale
     after = digits - before * scale
-    width = slot.shape[1] - 8
-    head = (bits >> _U64(63)).astype(np.intp) * len(_XS) + xi
-    slot[:, 0] = np.take(_HEAD[0], head)
-    slot[:, 1] = np.take(_HEAD[1], head)
-    # Group j holds leading zeros where the number has fewer digits than
-    # the groups from j rightwards; a group of only those is all NUL.
-    for j, group in enumerate(_quads(before, width)):
-        lead = (count < 4 * (width - j)) * _LEADING
-        slot[:, 2 + j] = np.take(_WORDS, group + lead)
-    slot[:, 2 + width] = ((after != 0) & _POINTED[xi]) * np.uint32(_DOT)
-    # Group j holds trailing zeros where every group right of it is zero.
-    rest = 0
-    for j, group in reversed(list(enumerate(_quads(after * _POW10[count - 1])))):
-        slot[:, 3 + width + j] = np.take(_WORDS, group + (rest == 0) * _TRAILING)
-        rest = rest | group
-    slot[:, -1] = _TAIL[xi]
+    sign = (bits >> _U64(63)).astype(np.intp)
+    pointed = (after != 0) & np.take(_POINTED, xi)
+    if dense:
+        head = np.take(_DENSE_BASE, xi) + before.astype(np.intp)
+        slot[:, 0] = np.take(_DENSE_HEAD[0], head) | sign.astype(np.uint32) * _MINUS
+        slot[:, 1] = np.take(_DENSE_HEAD[1], head) | pointed.astype(np.uint32) * _POINT
+        at = 2
+    else:
+        width = slot.shape[1] - 7 - tail
+        head = sign * len(_XS) + xi
+        slot[:, 0] = np.take(_HEAD[0], head)
+        slot[:, 1] = np.take(_HEAD[1], head)
+        # Group j holds leading zeros where the number has fewer digits than
+        # the groups from j rightwards; a group of only those is all NUL.
+        for j, group in enumerate(_quads(before, width)):
+            lead = (count < 4 * (width - j)) * _LEADING
+            slot[:, 2 + j] = np.take(_WORDS, group + lead)
+        slot[:, 2 + width] = pointed * np.uint32(_DOT)
+        at = 3 + width
+    _fraction(after * np.take(_POW10, count - 1), slot[:, at:at + 4])
+    if tail:
+        slot[:, -1] = np.take(_TAIL, xi)
+
+
+def _fraction(after, slot):
+    """Write the 16 digits of after, left-aligned, into 4 words of slot.
+
+    Trailing zeros are NUL.  Only a row whose last group is 0 has any in
+    the groups before it, so the pass from the right runs on those rows.
+    """
+    groups = _quads(after)
+    for j in range(3):
+        slot[:, j] = np.take(_WORDS, groups[j])
+    slot[:, 3] = np.take(_WORDS, groups[3] + _TRAILING)
+    rows = np.flatnonzero(groups[3] == 0)
+    if rows.size:
+        rest = 0
+        for j in (2, 1, 0):
+            group = groups[j][rows]
+            slot[rows, j] = np.take(_WORDS, group + (rest == 0) * _TRAILING)
+            rest = rest | group
 
 
 def _float_slot(x):
@@ -197,12 +254,24 @@ def _float_slot(x):
         size = np.abs(x)
         fast = (size >= _LOW) & (size < _HIGH)
     slow = np.flatnonzero(~fast)
+    if slow.size == x.size:
+        words = _SLOW
+    else:
+        # The digits before the point of the largest value, which 1e15
+        # bounds, set the layout: as many as its integer part has, or one
+        # below 1.  The smallest value sets whether there is a tail word,
+        # and so does a '%.17g' field in a dense slot, as it takes _SLOW.
+        before = len("%d" % np.max(size, where=fast, initial=0.0))
+        dense = before <= 4
+        tail = bool(np.min(size, where=fast, initial=_HIGH) < _SCIENTIFIC
+                    or dense and slow.size)
+        words = (6 if dense else 7 + -(-before // 4)) + tail
 
     def fill(slot):
         if slow.size < x.size:
             # Fast fields in every row, from the stand-in 1.0 where the value
             # is not in the fast range; its words past the first _SLOW are NUL.
-            _fast_fields(np.where(fast, x, 1.0) if slow.size else x, slot)
+            _fast_fields(np.where(fast, x, 1.0) if slow.size else x, slot, dense, tail)
         if slow.size:
             # '%.17g' over those rows, in one %-call; no output is longer than 24.
             values = x[slow].tolist()
@@ -210,12 +279,7 @@ def _float_slot(x):
             slot[slow, :_SLOW] = np.frombuffer(text.encode("ascii"), np.uint32).reshape(
                 -1, _SLOW)
 
-    if slow.size == x.size:
-        return _SLOW, fill
-    # The digits before the point of the largest value, which 1e15 bounds,
-    # set the width: as many as its integer part has, or one below 1.
-    before = len("%d" % np.max(size, where=fast, initial=0.0))
-    return 8 + -(-before // 4), fill
+    return words, fill
 
 
 def _row_number_slot(start, count):

@@ -19,6 +19,14 @@ and go out without a text layer.  Fresh buffers for every block cost a
 `run` and `detect` stream their input in blocks of 8192 values, counted
 from the first value, so their memory stays flat as the input grows and
 no whole-input product rounds differently with the BLAS thread count.
+They read it as bytes, a file opened "rb" or standard input's buffer, in
+64 KB chunks split at each newline, and parse each line with float().  A
+chunk whose bytes a text reader could take otherwise (a byte outside
+ASCII, a carriage return not before a newline, a NUL, a quote), a line
+that is not one finite number, or one longer than the csv field limit
+sends its block and the rest of the input to the text reader, which
+decodes them as open(path, newline="") or sys.stdin does and names the
+bad line.
 `detect` holds back only the rows an open exceedance run may still mark.
 Input rejected in its first block leaves no output file; a bad row in a
 later block exits 3 and leaves the rows written before it.
@@ -32,8 +40,10 @@ Exit codes: 0 success, 2 usage error, 3 numerical or data rejection.
 from __future__ import annotations
 
 import argparse
+import codecs
 import contextlib
 import csv
+import io
 import itertools
 import json
 import math
@@ -68,6 +78,8 @@ __all__ = ["main", "build_parser"]
 # numbers where run_block cuts a stream, so the CLI's floats are those of
 # one library call.
 _RUN_CHUNK = _PIECE
+# Bytes per read of a column: less than csv.field_size_limit()'s default.
+_READ = 1 << 16
 
 
 @contextlib.contextmanager
@@ -88,6 +100,22 @@ def _open_in(path):
     else:
         with open(path, "r", newline="") as fh:
             yield fh
+
+
+@contextlib.contextmanager
+def _open_column(path):
+    """A binary stream of path, or of standard input for None and '-'.
+
+    Yields it with the encoding, errors and newline of the text layer it
+    would be read through: open(path, newline="") or sys.stdin.
+    """
+    if path is None or path == "-":
+        stdin = sys.stdin
+        yield stdin.buffer, {"encoding": stdin.encoding, "errors": stdin.errors,
+                             "newline": None if sys.platform == "win32" else "\n"}
+    else:
+        with open(path, "rb") as fh:
+            yield fh, {}
 
 
 def _delay_flag(text: str):
@@ -138,22 +166,41 @@ def _numeric_column(rows, start=1):
         raise ValueError(f"line {lineno + 1}: {exc}") from None
 
 
-def _column_blocks(fh):
-    """Yield the values of a single-column CSV as float64 arrays of _RUN_CHUNK.
+class _Rest(io.RawIOBase):
+    """The bytes of head, then the rest of stream; closing it leaves stream open."""
 
-    Every array but the last holds exactly _RUN_CHUNK values, counted from
-    the first value, so results do not depend on where the lines fall.
-    Line 1 (header or value) goes through _numeric_column.  Each later
-    block of lines is parsed in bulk by float() and one isfinite check,
-    which pass exactly the blocks whose every line holds one finite number.
-    The first block that fails (a blank row, a quote, a second field, text,
-    NaN/inf or an oversized field) and the rest of the stream go to
-    _numeric_column, numbered from the block's first line, so every input
-    is accepted or rejected by its rules and messages.
+    def __init__(self, head, stream):
+        self._head = memoryview(head)
+        self._stream = stream
+
+    def readable(self):
+        return True
+
+    def readinto(self, b):
+        taken = min(len(b), len(self._head))
+        b[:taken] = self._head[:taken]
+        self._head = self._head[taken:]
+        # Whole reads from the stream once head is used up, so a text layer
+        # on top reads the same chunks as one opened on the stream itself.
+        return taken + (self._stream.readinto(memoryview(b)[taken:]) or 0)
+
+
+def _text_blocks(lines, lineno=1, head=None):
+    """Yield the values of a single-column CSV from its text lines, as _column_blocks.
+
+    lines are the file's text lines from line lineno on, and head the
+    values of the block before them, or None before line 1.  Line 1
+    (header or value) goes through _numeric_column.  Each later block of lines is parsed in bulk
+    by float() and one isfinite check, which pass exactly the blocks whose
+    every line holds one finite number; the first block that fails (a
+    blank row, a quote, a second field, text, NaN/inf or an oversized
+    field) and the rest of the stream go to _numeric_column, numbered from
+    the block's first line.
     """
-    lines = iter(fh)
-    head = list(_numeric_column(itertools.islice(csv.reader(lines), 1)))
-    lineno = 2
+    lines = iter(lines)
+    if head is None:
+        head = list(_numeric_column(itertools.islice(csv.reader(lines), 1)))
+        lineno = 2
     limit = csv.field_size_limit()
     while True:
         block_lines = list(itertools.islice(lines, _RUN_CHUNK - len(head)))
@@ -180,6 +227,90 @@ def _column_blocks(fh):
         yield block
         lineno += len(block_lines)
         head = []
+
+
+def _column_blocks(fh, encoding=None, errors=None, newline=""):
+    """Yield the values of a single-column CSV as float64 arrays of _RUN_CHUNK.
+
+    fh is a binary stream; encoding, errors and newline are those of the
+    text layer it would be read through.  Every array but the last holds
+    exactly _RUN_CHUNK values, counted from the first value, so results do
+    not depend on where the lines fall.
+
+    The stream is read in chunks of _READ bytes, each split at every
+    newline into bytes lines: line 1 (header or value) goes through
+    _numeric_column, and each later block of lines through float() and
+    one isfinite check.  Bytes and text lines can part only where a chunk
+    holds a byte outside ASCII, a carriage return not directly before a
+    newline (a line end to the text layer), a NUL or a quote.  Such a
+    chunk, a line longer than _READ or than csv.field_size_limit(), or a
+    block that fails float() or isfinite sends its block and the rest of
+    the stream to _text_blocks, numbered from the block's first line, so
+    every input is accepted or rejected by the text reader's rules and
+    messages.  A seekable stream is read again from where it started, so
+    that its text layer decodes the same chunks as one opened on it.
+    """
+    origin = fh.tell() if fh.seekable() else None
+    limit = csv.field_size_limit()
+    # The encoding open() would pick; bytes lines are its text only if it
+    # reads ASCII as ASCII.
+    codec = codecs.lookup(io.TextIOWrapper(io.BytesIO(), encoding, errors).encoding).name
+    lineno, head = 1, None      # the block's first line; its values before pending
+    pending, tail = [], b""     # the block's whole lines from there; the line after them
+
+    def text_rest():
+        """_text_blocks from the block's first line on."""
+        if origin is None:
+            rest, skip = b"\n".join([*pending, tail]), 0
+        else:
+            fh.seek(origin)
+            rest, skip = b"", lineno - 1
+        text = io.TextIOWrapper(io.BufferedReader(_Rest(rest, fh)), encoding, errors, newline)
+        return _text_blocks(itertools.islice(text, skip, None), lineno, head)
+
+    if codec not in ("utf-8", "ascii"):
+        yield from text_rest()
+        return
+    eof = False
+    while not eof:
+        chunk = fh.read(_READ)
+        eof = not chunk
+        data = tail + chunk
+        lines = data.split(b"\n")
+        tail = lines.pop()
+        if eof and tail:
+            lines.append(tail)
+            tail = b""
+        pending += lines
+        if (
+            not data.isascii()
+            or b"\0" in data
+            or b'"' in data
+            or b"\r" in data
+            and data.count(b"\r") - data.count(b"\r\n") - data.endswith(b"\r")
+            or len(tail) > _READ
+            or len(data) > limit and max(map(len, lines), default=0) > limit
+        ):
+            yield from text_rest()
+            return
+        if head is None:
+            if not pending:
+                continue
+            head = list(_numeric_column(csv.reader([pending.pop(0).decode("ascii")])))
+            lineno = 2
+        while len(pending) >= _RUN_CHUNK - len(head) or eof and (head or pending):
+            count = min(len(pending), _RUN_CHUNK - len(head))
+            try:
+                block = np.fromiter(map(float, head + pending[:count]), float, len(head) + count)
+            except ValueError:
+                block = None
+            if block is None or not np.isfinite(block).all():
+                yield from text_rest()
+                return
+            yield block
+            del pending[:count]
+            lineno += count
+            head = []
 
 
 # ---------------------------------------------------------------------------
@@ -264,8 +395,8 @@ def cmd_run(args) -> int:
         + [f"var_{k}" for k in range(n_outputs)]
     )
     next_n = 0
-    with _open_in(args.input) as src:
-        blocks = _read_ahead(_column_blocks(src))
+    with _open_column(args.input) as (src, text):
+        blocks = _read_ahead(_column_blocks(src, **text))
         with _open_out(args.out) as dst:
             dst.write((",".join(header) + "\n").encode("ascii"))
             writer = CsvWriter(dst)
@@ -307,8 +438,8 @@ def cmd_detect(args) -> int:
         writer.write([held_z[:count]], start=held_n, text=marks)
         held_n, held_z = stop, held_z[count:]
 
-    with _open_in(args.input) as src:
-        blocks = _read_ahead(_column_blocks(src))
+    with _open_column(args.input) as (src, text):
+        blocks = _read_ahead(_column_blocks(src, **text))
         with _open_out(args.out) as fh:
             fh.write(b"n,z,event\n")
             writer = CsvWriter(fh)

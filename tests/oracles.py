@@ -169,6 +169,40 @@ def fading_memory_vrf(theta: float, model_order: int, delay: int, output: int) -
     }[model_order, delay, output]
 
 
+def fading_memory(theta: float, order: int, xs, start) -> list:
+    """The fading-memory polynomial filter as the plain g-h/g-h-k recursion.
+
+    A kappa 0 design of model order `order` (1 to 3) and decay theta is
+    the critically damped fading-memory filter (Brookner, Tracking and
+    Kalman Filtering Made Easy, 1998, ch. 1): each sample's innovation
+    eps = x - (the level predicted one sample on) corrects the predicted
+    derivatives by the gains g = 1 - theta**order and, for order 2,
+    h = (1 - theta)**2, for order 3, h = 1.5 (1 - theta**2)(1 - theta)
+    and 2k = (1 - theta)**3.  start is the filtered state (level and
+    derivatives per sample, `order` values) before xs[0]; returns the
+    filtered state after each sample of xs, in plain float arithmetic.
+    """
+    t = theta
+    gains = {
+        1: (1 - t,),
+        2: (1 - t * t, (1 - t) ** 2),
+        3: (1 - t ** 3, 1.5 * (1 - t * t) * (1 - t), (1 - t) ** 3),
+    }[order]
+    state = [float(v) for v in start]
+    states = []
+    for x in xs:
+        # Predict one sample on: the Taylor step of the polynomial model.
+        if order == 3:
+            level, velocity, accel = state
+            state = [level + velocity + 0.5 * accel, velocity + accel, accel]
+        elif order == 2:
+            state = [state[0] + state[1], state[1]]
+        eps = float(x) - state[0]
+        state = [s + g * eps for s, g in zip(state, gains)]
+        states.append(tuple(state))
+    return states
+
+
 def closed_sigma_omega(kappa: int, p: float, ts: float = 1.0) -> float:
     """Frequency spread of the weight magnitude, closed form for kappa > 2."""
     lam = -1.0 / math.log(p)

@@ -22,7 +22,7 @@ from erlangreg import (
     simulate_target,
     synth_change_waveform,
 )
-from erlangreg.cli import _RUN_CHUNK, _column_blocks, _numeric_column, main
+from erlangreg.cli import _READ, _RUN_CHUNK, _column_blocks, _numeric_column, _text_blocks, main
 from erlangreg.document import document_from_json, realization_from_document
 
 from oracles import template_rows
@@ -696,7 +696,7 @@ def _values_text(n, seed=5):
 
 
 def _corpus():
-    """name -> (file text, line the error names or None)."""
+    """name -> (file bytes, start of the error message or None)."""
     lines = _values_text(20_000)
     at = 9_000      # inside the second block
 
@@ -704,11 +704,19 @@ def _corpus():
         body = lines[:at] + [row] + lines[at:]
         return ("x\n" if header else "") + "".join(body)
 
+    def straddling(row):
+        # row starts 2 bytes before a read-chunk boundary, so its first
+        # character, ASCII or 3 bytes long, is cut by it.
+        head = "x\n" + "".join(lines[:4_000])
+        assert len(head) > _READ
+        return head[:_READ - 3] + "\n" + row + head[_READ - 3:] + "".join(lines[4_000:])
+
     wide = "0." + "0" * 140_000 + "1\n"     # float() parses it; csv rejects it
-    return {
+    text = {
         "header": ("x\n" + "".join(lines), None),
         "no-header": ("".join(lines), None),
         "crlf": ("x\r\n" + "".join(v.replace("\n", "\r\n") for v in lines), None),
+        "cr-only": ("x\r" + "".join(v.replace("\n", "\r") for v in lines), None),
         "quoted-header": ('"x"\n' + "".join(lines), None),
         "quoted-value": (with_row('"1.5"\n'), None),
         "padded": (with_row("   1.5 \t\n"), None),
@@ -719,13 +727,29 @@ def _corpus():
         "header-only": ("x\n", None),
         "empty": ("", None),
         "one-value": ("2.5", None),
-        "second-field": (with_row("1.0,2.0\n"), at + 2),
-        "bad-row": (with_row("broken\n"), at + 2),
-        "nan": (with_row("nan\n", header=False), at + 1),
-        "header-after-blank": ("\nx\n1.0\n", 2),
-        "oversized": (with_row(wide), at + 2),
-        "oversized-header": (wide + "".join(lines), 1),
+        "second-field": (with_row("1.0,2.0\n"), f"line {at + 2}: "),
+        "bad-row": (with_row("broken\n"), f"line {at + 2}: "),
+        "nan": (with_row("nan\n", header=False), f"line {at + 1}: "),
+        "header-after-blank": ("\nx\n1.0\n", "line 2: "),
+        "oversized": (with_row(wide), f"line {at + 2}: "),
+        "oversized-header": (wide + "".join(lines), "line 1: "),
+        # A lone carriage return ends a line for the text reader, which
+        # numbers a bad row in a later block one line further on.
+        "cr-cr-lf": (with_row("1.0\r\r\n" + "".join(lines[:8_500]) + "broken\n"),
+                     f"line {at + 8_504}: "),
+        "cr-only-short": ("x\r1.5\r2.5\r", None),
+        "wide-digits": (with_row("\uff11.\uff15\n"), None),     # float() reads 1.5
+        "nul": (with_row("1.\x005\n"), f"line {at + 2}: "),
+        "bom": ("\ufeffx\n" + "".join(lines), None),
+        "row-across-chunks": (straddling("12.5\n"), None),
+        "wide-digit-across-chunks": (straddling("\uff11.\uff15\n"), None),
     }
+    data = {name: (body.encode(), error) for name, (body, error) in text.items()}
+    # A byte the text reader cannot decode, in a later block: the error
+    # names the byte's place in the text reader's read.
+    data["undecodable"] = (with_row("1.5\n").encode().replace(b"1.5\n", b"1.\xff\n"),
+                           "'utf-8' codec can't decode byte 0xff in position ")
+    return data
 
 
 _CORPUS = _corpus()
@@ -733,28 +757,33 @@ _CORPUS = _corpus()
 
 @pytest.mark.parametrize("name", sorted(_CORPUS))
 def test_block_reader_agrees_with_line_parser(tmp_path, capsys, name):
-    text, error_line = _CORPUS[name]
+    # The bytes reader, the text block reader it falls back to and the
+    # line parser give the same values, and the same error, on every input.
+    body, error_start = _CORPUS[name]
     data = tmp_path / "in.csv"
-    data.write_bytes(text.encode())
+    data.write_bytes(body)
 
-    def outcome(parse):
-        with open(data, newline="") as fh:
+    def outcome(parse, mode):
+        with open(data, mode, newline=None if "b" in mode else "") as fh:
             try:
                 return parse(fh), None
             except ValueError as exc:
                 return None, str(exc)
 
-    expected, expected_error = outcome(lambda fh: list(_numeric_column(csv.reader(fh))))
-    blocks, error = outcome(lambda fh: list(_column_blocks(fh)))
-    assert error == expected_error
-    if error_line is None:
+    expected, expected_error = outcome(lambda fh: list(_numeric_column(csv.reader(fh))), "r")
+    blocks, error = outcome(lambda fh: list(_column_blocks(fh)), "rb")
+    text_blocks, text_error = outcome(lambda fh: list(_text_blocks(fh)), "r")
+    assert error == expected_error == text_error
+    if error_start is None:
         assert expected_error is None
         assert all(block.size == _RUN_CHUNK for block in blocks[:-1])
         assert all(0 < block.size <= _RUN_CHUNK for block in blocks)
         got = np.concatenate(blocks) if blocks else np.empty(0)
         assert np.array_equal(got, np.array(expected))
+        assert len(text_blocks) == len(blocks)
+        assert all(np.array_equal(a, b) for a, b in zip(text_blocks, blocks))
     else:
-        assert error.startswith(f"line {error_line}: ")
+        assert error.startswith(error_start)
 
     design = _design(tmp_path, "d.json", kappa=0, p=0.8, kx=1, kt=1, q=0.0)
     out = tmp_path / "out.csv"

@@ -91,6 +91,43 @@ def test_edge_values(sign):
     _assert_formats(sign * _edges())
 
 
+def _dense_columns():
+    """Columns at the edges of the dense layout (integer parts below 1e4)."""
+    below = np.nextafter(np.array([1e4, 1e-4, 1e-5]), 0.0)
+    fixed = np.array([1.0, 9.5, 12.25, 999.875, 1234.5678, 3.0, 7.0, 0.1, 0.015625,
+                      1.0000000000000002, 2.5e-4, 0.0012345678901234567])
+    scientific = np.array([9.9999999999999991e-5, 1.5e-7, 3.25e-10, 1.0000000000000001e-11])
+    # Last fraction group 0 (short decimals and integers) mixed with rows
+    # whose last group is not.
+    short = np.array([0.5, 1.25, 17.0, 0.1234, 4096.0, 5.0000000000000009, 0.25,
+                      1.1, 2.0, 9999.0, 0.0001])
+    slow = np.array([0.0, -0.0, 1e-300, 5e-324, np.inf, -np.inf, np.nan, 1e-12])
+    mixed = np.concatenate([fixed, scientific, short])
+    return {
+        "below-1e4": np.concatenate([below, fixed]),
+        "at-1e4": np.concatenate([below, fixed, [1e4]]),
+        "no-scientific": np.concatenate([fixed, short, [below[0], 1e-4]]),
+        "mixed": mixed,
+        "negative": -mixed,
+        "both-signs": mixed * np.resize([1.0, -1.0], mixed.size),
+        "with-slow": np.concatenate([mixed, slow, -mixed]),
+        "only-short": short,
+        "short-with-slow": np.concatenate([short, [0.0, np.nan, -np.inf]]),
+        "smallest-below-1e-4": np.concatenate([short, below[1:2]]),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_dense_columns()))
+def test_dense_layout_edges(name):
+    column = _dense_columns()[name]
+    rng = np.random.Generator(np.random.PCG64(24))
+    columns = [column, rng.permutation(column), column[::-1]]
+    assert _written(columns) == template_rows("%.17g,%.17g,%.17g\n", columns)
+    assert _written(columns[:1], start=3) == template_rows(
+        "%d,%.17g\n", [range(3, 3 + column.size), column])
+    _assert_formats(column)
+
+
 def test_ties_round_to_even():
     assert _written([[100000000000000.125, 10000000000000.0625, -100000000000000.625]]) == (
         "100000000000000.12\n10000000000000.062\n-100000000000000.62\n")

@@ -31,6 +31,7 @@ from oracles import (
     batch_wls,
     batch_wls_variance,
     build,
+    fading_memory,
     moments_reference,
     packet_signal,
     sequence_reference,
@@ -40,6 +41,32 @@ from oracles import (
 def _noisy_poly(rng, n=400):
     t = np.arange(n, dtype=float)
     return 2.0 + 0.03 * t + 1e-4 * t * t + rng.standard_normal(n)
+
+
+@pytest.mark.parametrize("theta", [0.8, 0.9, 0.97])
+@pytest.mark.parametrize("kx", [1, 2, 3])
+def test_kappa_0_runs_are_the_fading_memory_recursion(theta, kx):
+    # A kappa 0 design is the critically damped g-h (kx 2) or g-h-k (kx 3)
+    # filter, or exponential smoothing (kx 1).  The recursion starts from
+    # the q 0 stream's estimates after 2000 samples of warm-up (the two
+    # start-ups differ, so they are not compared) and follows 1000 more of
+    # a noisy quadratic trend from 600 to about 1700; delay -1 reads its
+    # state one Taylor step on.
+    rng = np.random.Generator(np.random.PCG64(31))
+    warm, n = 2000, 3000
+    t = np.arange(n, dtype=float)
+    xs = 600.0 + 0.3 * t + 2e-5 * t * t + rng.standard_normal(n)
+    filtered = StreamingEstimator(build(0, theta, kx, kt=kx, q=0)).extend(xs).estimates
+    states = np.array(fading_memory(theta, kx, xs[warm:], filtered[:, warm - 1])).T
+    step = np.array([[1.0, 1.0, 0.5], [0.0, 1.0, 1.0], [0.0, 0.0, 1.0]])[:kx, :kx]
+    # Per sample and output, the bound is 32 float64 epsilons of the
+    # largest |x| compared; the worst measured is 8 (the level, kx 3,
+    # theta 0.9), and the derivatives stay at or below the level's error.
+    bound = 32 * np.finfo(float).eps * np.abs(xs[warm:]).max()
+    for q, want in ((0, states), (-1, step @ states)):
+        got = StreamingEstimator(build(0, theta, kx, kt=kx, q=q)).extend(xs).estimates
+        err = np.abs(got[:, warm:] - want)
+        assert err.max() <= bound, (q, err.max(axis=1), bound)
 
 
 def test_final_value_initialization_is_transient_free():
