@@ -28,10 +28,12 @@ it at any threshold), which from then on is the detector's update itself:
 one unrolled step of both cascades held in closure cells, Z as explicit
 multiply-adds in Python floats, and the run marker's update on (n, Z) for
 a sample that could change the marker, all in one call.  run() feeds a
-block, computes Z for
-the whole block at once with the same formula on arrays and finds its
-events with array operations, so its
-Python work grows with the number of exceedance runs, not of samples.  A
+block and computes Z for the whole block at once with the same formula on
+arrays: one product reads every noise term's coefficient rows and the
+value row off the signal cascade, each power row is a product of its own,
+and Z comes back in an array of its own.  It finds the block's events
+with array operations, so its Python work grows with the number of
+exceedance runs, not of samples.  A
 run still open when a block starts enters it as its first exceedance, so
 events do not depend on how the stream is cut into blocks or mixed with
 update() calls; finish() closes a run left open at the end
@@ -81,16 +83,17 @@ class Event(NamedTuple):
 def _guarded_ratio(value, variance):
     """value / sqrt(variance), or 0 where the variance is below the floor.
 
-    Takes arrays (a block) and overwrites both with intermediate results;
-    the per-sample kernels evaluate the same guard.  The variance is raised
-    to the floor before its root is taken, so nothing divides by zero.
+    Takes arrays (a block) and returns the ratio in the variance's own
+    buffer, overwritten; value is only read.  The per-sample kernels
+    evaluate the same guard.  The variance is raised to the floor before
+    its root is taken, so nothing divides by zero.
     """
     small = variance < _VARIANCE_FLOOR
     np.maximum(variance, _VARIANCE_FLOOR, out=variance)
     np.sqrt(variance, out=variance)
-    value /= variance
-    value[small] = 0.0
-    return value
+    np.divide(value, variance, out=variance)
+    variance[small] = 0.0
+    return variance
 
 
 class _RunMarker:
@@ -142,25 +145,24 @@ class _RunMarker:
     def extend(self, start: int, z: np.ndarray) -> None:
         """Feed a block whose first sample is number start.
 
-        Exceedance runs come from the places where the sign of the
+        Exceedances take two passes over the block when two-sided, |z| >
+        threshold, and one when not; signs are read at the exceedances
+        alone.  Exceedance runs come from the places where the sign of the
         exceedance changes, and each run's extremum from one reduceat over
         the exceedance samples, so Python work is per run, not per sample.
         """
         z = np.asarray(z, dtype=float)
-        exceed = pos = z > self.threshold
-        sign = pos.view(np.int8)
-        if self.kind_neg is not None:
-            # As in update(), a sample past both bounds (a negative
-            # threshold) counts as positive.
-            neg = (z < -self.threshold) & ~pos
-            exceed = pos | neg
-            sign -= neg  # pos is not read again
-        # nonzero() is several times faster on bool than on int8.
+        threshold = self.threshold
+        # |z| > threshold is z > threshold or z < -threshold, for every
+        # threshold, infinite and negative too; NaN exceeds neither.
+        exceed = z > threshold if self.kind_neg is None else np.abs(z) > threshold
         active = exceed.nonzero()[0]
         if active.size == 0 and self._sign == 0:
             return
-        signs = sign[active]
         values = z[active]
+        # As in update(), a sample past both bounds (a negative threshold)
+        # counts as positive.
+        signs = np.where(values > threshold, np.int8(1), np.int8(-1))
         if self._sign != 0:
             # The open run, as exceedance -1; being first, it wins ties.
             active = np.concatenate(((-1,), active))
@@ -206,11 +208,12 @@ class _Detector(_Stream):
     """Z readout and event extraction on the moment states of one stream.
 
     The stream runs realization's cascades.  Z is value_row @ w1 over the
-    square root of sum(gain * _noise_variance(filter, w1, w2)) across
-    noise_terms, each (filter, gain): a design of the stream's decay whose
-    cascades are no longer than the stream's, and the noise gain of one of
-    its outputs.  Blocks read the rows as arrays; single samples go through
-    a kernel written from them, whose text _kernel compiles once, and bound
+    square root of the sum of gain times the filter's noise variance (see
+    estimator._noise_variance) across noise_terms, each (filter, gain): a
+    design of the stream's decay whose cascades are no longer than the
+    stream's, and the noise gain of one of its outputs.  Blocks read the
+    rows as one stacked array (_readout); single samples go through a
+    kernel written from them, whose text _kernel compiles once, and bound
     to the detector's run marker on the first update().
     """
 
@@ -233,6 +236,18 @@ class _Detector(_Stream):
         paths append to, so it is read-only; clear() it to drop the events
         already taken."""
         return self._marker.events
+
+    @functools.cached_property
+    def _readout(self):
+        """The block readout: each noise term's coefficient rows, zero-padded
+        to the stream's signal cascade, then the value row."""
+        value_row, noise_terms = self._rows
+        n_first = self.realization.spec.n_first_states
+        return np.vstack([
+            *(np.pad(term.coeff_output, ((0, 0), (0, n_first - term.spec.n_first_states)))
+              for term, _ in noise_terms),
+            value_row,
+        ])
 
     def _build_kernel(self):
         marker = self._marker
@@ -270,14 +285,22 @@ class _Detector(_Stream):
         return 0 if self.state is None else self.state.n + 1
 
     def _statistic(self, w1_block, w2_block):
-        """Z for a block of moment states, one column per sample."""
-        value_row, noise_terms = self._rows
+        """Z for a block of moment states, one column per sample.
+
+        One product reads every coefficient row and the value row off the
+        signal cascade; Z comes back in the variance's own buffer, so it
+        holds none of that product.
+        """
+        readout = self._readout @ w1_block
         variance = None
-        for realization, gain in noise_terms:
-            term = _noise_variance(realization, w1_block, w2_block)
+        row = 0
+        for realization, gain in self._rows[1]:
+            n_coeff = realization.spec.model_order
+            term = _noise_variance(realization, readout[row:row + n_coeff], w2_block)
+            row += n_coeff
             term *= gain
             variance = term if variance is None else np.add(variance, term, out=variance)
-        return _guarded_ratio(value_row @ w1_block, variance)
+        return _guarded_ratio(readout[-1], variance)
 
 
 def _output_row(detector, realization, index):

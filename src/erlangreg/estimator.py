@@ -56,9 +56,13 @@ states, numpy's per-call overhead, and even Python's own loops, calls and
 list traffic, cost far more than the arithmetic.  For the same reason a
 per-sample frame keeps the kernel's floats and builds its estimates and
 covariance arrays only when they are read.  The block path filters whole
-arrays and reads them out with matrix products, by the same formula for
-the estimates and the noise variance.  run_sequence starts a stream on a
-block and returns the estimator that continues it.
+arrays and reads them out by the same formula for the estimates and the
+noise variance: one product reads the signal cascade for a consumer, the
+fit coefficients' rows and the outputs' rows stacked, and the power row is
+a product of its own.  A coefficient row reads the same floats stacked as
+alone; a power row would not, so it stays alone.  Every array a block
+returns holds its own memory, not a view of that product.  run_sequence
+starts a stream on a block and returns the estimator that continues it.
 """
 
 from __future__ import annotations
@@ -66,7 +70,7 @@ from __future__ import annotations
 import weakref
 from array import array
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 from math import isfinite
 from operator import itemgetter
 from typing import NamedTuple
@@ -168,22 +172,23 @@ def _prior_variance(sigma0_sq: float) -> float:
     return sigma0_sq
 
 
-def _noise_variance(realization, w1_block, w2_block):
-    """realization's noise variance, one per column of the trajectories.
+def _noise_variance(realization, beta, w2_block):
+    """realization's noise variance, one per column of beta.
 
-    The residual power over the effective weight mass, clamped at zero: the
-    filtered input power less the power captured by the orthonormal fit
-    coefficients, over the total weight mass less the fit's leverage, is
-    unbiased for white noise, and finite precision can drive it slightly
-    negative early on.  The filter reads the leading stages of the
-    trajectories, which may be those of a longer cascade of its decay; the
-    per-sample kernels evaluate the same formula.
+    beta holds the realization's orthonormal fit coefficients, its
+    coeff_output rows read off the signal cascade, one column per sample;
+    w2_block is the power cascade's trajectories.  The residual power over
+    the effective weight mass, clamped at zero: the filtered input power
+    less the power captured by the fit coefficients, over the total weight
+    mass less the fit's leverage, is unbiased for white noise, and finite
+    precision can drive it slightly negative early on.  The filter reads the
+    leading stages of the power trajectories, which may be those of a
+    longer cascade of its decay; the per-sample kernels evaluate the same
+    formula.  Returns a new array.
     """
-    spec = realization.spec
-    beta = realization.coeff_output @ w1_block[:spec.n_first_states]
     residual = np.einsum("ij,ij->j", beta, beta)
-    np.subtract(realization.power_output @ w2_block[:spec.n_second_states], residual,
-                out=residual)
+    np.subtract(realization.power_output @ w2_block[:realization.spec.n_second_states],
+                residual, out=residual)
     np.maximum(residual, 0.0, out=residual)
     residual /= realization.residual_mass
     return residual
@@ -425,6 +430,11 @@ class StreamingEstimator(_Stream):
     SequenceResult.
     """
 
+    @cached_property
+    def _readout(self):
+        """The block readout: the fit coefficients' rows, then the outputs'."""
+        return np.vstack([self.realization.coeff_output, self.realization.state_output])
+
     def _build_kernel(self):
         return estimator_kernel(self.realization, _frame)
 
@@ -435,8 +445,12 @@ class StreamingEstimator(_Stream):
         if xs.shape == (0,):
             return SequenceResult(np.empty((n_out, 0)), np.empty(0), np.empty((n_out, 0)))
         w1_block, w2_block = self._advance_moments(xs)
-        sigma_eps2 = _noise_variance(realization, w1_block, w2_block)
-        estimates = realization.state_output @ w1_block
+        # One product reads the signal cascade; the estimates are copied off
+        # it, so a result a caller keeps does not hold the coefficient rows.
+        readout = self._readout @ w1_block
+        n_coeff = realization.spec.model_order
+        sigma_eps2 = _noise_variance(realization, readout[:n_coeff], w2_block)
+        estimates = readout[n_coeff:].copy()
         estimates[0] += self._state.x0
         variances = sigma_eps2 * realization.vrf.diagonal()[:, None]
         return SequenceResult(estimates=estimates, sigma_eps2=sigma_eps2, variances=variances)

@@ -12,11 +12,15 @@ run_block runs the cascade in numpy alone, as a chunked first-order scan
 stage.  Within each sub-block of _SUB samples one matrix product applies
 the lower-triangular Toeplitz of p**(i - s); the sub-block end values carry
 through one product with the Toeplitz of p**(_SUB * m); and each carry
-re-enters its sub-block as p**(i + 1) times the carry.  Every coefficient
-is a non-negative power of p, so nothing cancels and nothing divides by a
-power of p.  Input is cut into pieces where a sample's number in its
-stream is a multiple of _PIECE, so the tables stay the size of one piece
-and a stream fed in blocks gets the floats of one call.
+re-enters its sub-block as p**(i + 1) times the carry.  On a long piece
+the carry comes first, from the ends of the stage's response from rest,
+and enters as p times the carry added to the sub-block's first input
+sample, so one product gives the whole stage; on a short one it is added
+after that product.  Every coefficient is a non-negative power of p, so
+nothing cancels and nothing divides by a power of p.  Input is cut into
+pieces where a sample's number in its stream is a multiple of _PIECE, so
+the tables stay the size of one piece and a stream fed in blocks gets the
+floats of one call.
 """
 
 from __future__ import annotations
@@ -34,15 +38,20 @@ __all__ = [
 
 _SUB = 32       # samples per sub-block of the scan
 _PIECE = 8192   # samples per piece; a multiple of _SUB
-# The carry term of a stage is the outer product of its carries, one per
-# sub-block row, with `offset`.  Up to _OUTER_ROWS rows it is a broadcast
-# multiply, which costs least per call; above, it is einsum, whose loop is
-# faster than a broadcast whose inner loop is only _SUB long.  Timed on one
-# core of a 2-vCPU Xeon VM with numpy 2.4: at 2 rows the multiply takes
-# 2.9 us and einsum 4.7 us; at 512 rows the multiply takes 29 us and einsum
-# 20 us; they cross between 64 and 96 rows.  Each entry is the same single
-# product either way; only a zero product's sign may differ (einsum writes
-# +0.0), and no comparison sees that.
+# Above _OUTER_ROWS sub-block rows a stage folds its carries into its
+# input: one product reads the ends of its response from rest, and p times
+# each carry, added to its sub-block's first input sample, rides the
+# stage's one product with `within`.  Up to _OUTER_ROWS rows the carry term
+# is added after that product as a broadcast multiply of the carries with
+# `offset`, which costs less per call than the extra product and the saved
+# column.  Timed on one core of a 2-vCPU Xeon VM with numpy 2.4, medians of
+# 30 alternating rounds of the 10/7 stacked cascade: at 4 rows (64 samples)
+# the fold costs 30% more; at 32 rows the two tie; at 40 to 56 rows the fold
+# saves 2-7%, at 64 rows 10% and at 512 rows (8192 samples) 22%.  The fold
+# rounds the sum of each sample at the scale of the carry, so it is less
+# accurate: over 192 random cases of 1 and 2 rows, 1000 to 8192 samples,
+# its largest error was 2.5 times that of scipy's first-order filter, and
+# the multiply's 1.3 times.  Hence the switch stays where the fold pays well.
 _OUTER_ROWS = 64
 
 
@@ -145,38 +154,52 @@ def _scan_piece(p, u, state, states):
     trails every real sample, so it changes none of them.  A stage's
     signal is laid out one sub-block per row, cascade after cascade, so a
     single product of those rows with `within` gives the stage's response
-    from rest; the carries then follow from the end column of that very
-    product.  Every stage is one product over all rows: a shorter start
-    vector reads as zeros past its end, and its row's extra stages are
-    computed and left for the caller to drop.
+    from rest, and a product with its last column the ends of that
+    response, from which the carries follow.  Above _OUTER_ROWS rows the
+    carries are folded into the signal before its product; below, they are
+    added after it, read from the end column of that very product.  Every
+    stage is the same products over all rows: a shorter start vector reads
+    as zeros past its end, and its row's extra stages are computed and left
+    for the caller to drop.
     """
     within, offset, across, start = _scan_tables(p)
     rows, n = u.shape
     order, _, width = states.shape
     n_sub = width // _SUB
+    m = rows * n_sub
     across = across[:n_sub, :n_sub]
     start_terms = np.zeros((order, rows))
     for r, w in enumerate(state):
         start_terms[: len(w), r] = w
     start_terms = start_terms[:, :, None] * start[:n_sub]
-    # Stage k as one sub-block per row, and the end values of its sub-blocks.
-    slabs = states.reshape(order, rows * n_sub, _SUB)
-    ends = states[:, :, _SUB - 1::_SUB]
+    # Stage k as one sub-block per row.
+    slabs = states.reshape(order, m, _SUB)
 
     signal = np.zeros((rows, width))
     signal[:, :n] = u
-    signal = signal.reshape(rows * n_sub, _SUB)
-    carried = np.empty_like(signal)
-    m = rows * n_sub
-    for k in range(order):
-        y = np.matmul(signal, within, out=slabs[k])
-        carry = ends[k] @ across
-        carry += start_terms[k]
-        if m > _OUTER_ROWS:
-            y += np.einsum("i,j->ij", carry.reshape(m), offset, out=carried)
-        else:
+    signal = signal.reshape(m, _SUB)
+    if m > _OUTER_ROWS:
+        last = within[:, -1]
+        for k in range(order):
+            carry = (signal @ last).reshape(rows, n_sub) @ across
+            carry += start_terms[k]
+            carry *= p
+            # From stage 1 on the signal is the previous stage's trajectory,
+            # so its first column is restored after the product.
+            head = signal[:, 0].copy()
+            signal[:, 0] += carry.reshape(m)
+            y = np.matmul(signal, within, out=slabs[k])
+            signal[:, 0] = head
+            signal = y
+    else:
+        ends = states[:, :, _SUB - 1::_SUB]
+        carried = np.empty_like(signal)
+        for k in range(order):
+            y = np.matmul(signal, within, out=slabs[k])
+            carry = ends[k] @ across
+            carry += start_terms[k]
             y += np.multiply(carry.reshape(m, 1), offset, out=carried)
-        signal = y
+            signal = y
 
 
 def steady_state_vector(order: int, p: float) -> np.ndarray:

@@ -416,15 +416,19 @@ def template_rows(template: str, columns) -> str:
 # The block path as it computed its floats before its per-call costs were
 # cut: the same operations, operands, memory layouts and order, so that the
 # package must match them exactly (np.array_equal), not merely to rounding.
-# The stage loop forms each carry term with einsum and reshapes its views
-# per stage; the noise terms are added with sum(); the guard is np.where
-# under errstate.  Stacked rows run every stage of the longest cascade,
-# shorter start vectors zero-padded, as the package runs them.  Samples are
-# cut into pieces of BLOCK_PIECE counted from the stream's first sample, as
-# the package cuts them.
+# Above BLOCK_OUTER_ROWS sub-block rows a stage folds p times each carry
+# into its sub-block's first input sample, on a copy of the signal; up to
+# that, it adds the carry term after the product, formed with einsum.  Views
+# are reshaped per stage; a detector's coefficient rows and value row are
+# read in one stacked product; the noise terms are added with sum(); the
+# guard is np.where under errstate.  Stacked rows run every stage of the
+# longest cascade, shorter start vectors zero-padded, as the package runs
+# them.  Samples are cut into pieces of BLOCK_PIECE counted from the
+# stream's first sample, as the package cuts them.
 
 BLOCK_SUB = 32
 BLOCK_PIECE = 8192
+BLOCK_OUTER_ROWS = 64
 
 
 def _scan_tables_reference(p: float):
@@ -461,10 +465,18 @@ def _scan_piece_reference(p, u, state, states):
     carried = np.empty_like(signal)
     m = rows * n_sub
     for k in range(len(state[0])):
-        y = np.matmul(signal, within, out=states[k].reshape(m, BLOCK_SUB))
-        carry = y[:, -1].reshape(rows, n_sub) @ across
-        carry += start_terms[k]
-        y += np.einsum("i,j->ij", carry.reshape(m), offset, out=carried)
+        if m > BLOCK_OUTER_ROWS:
+            # The carries fold into each sub-block's first input sample.
+            carry = (signal @ within[:, -1]).reshape(rows, n_sub) @ across
+            carry += start_terms[k]
+            folded = signal.copy()
+            folded[:, 0] += (carry * p).reshape(m)
+            y = np.matmul(folded, within, out=states[k].reshape(m, BLOCK_SUB))
+        else:
+            y = np.matmul(signal, within, out=states[k].reshape(m, BLOCK_SUB))
+            carry = y[:, -1].reshape(rows, n_sub) @ across
+            carry += start_terms[k]
+            y += np.einsum("i,j->ij", carry.reshape(m), offset, out=carried)
         signal = y
 
 
@@ -543,12 +555,18 @@ def sequence_reference(real, w1_block, w2_block, x0: float):
 
 
 def block_statistic_reference(value_row, noise_terms, w1_block, w2_block, floor=1e-15):
-    """A detector's block Z from its value row and (coeff, power, mass, vrf_ii) terms."""
+    """A detector's block Z from its value row and (coeff, power, mass, vrf_ii) terms.
+
+    Every term's coefficient rows and the value row are read in one
+    stacked product, in that order."""
+    rows = np.vstack([coeff for coeff, *_ in noise_terms] + [value_row])
+    products = rows @ w1_block
+    betas = np.split(products[:-1], np.cumsum([len(coeff) for coeff, *_ in noise_terms])[:-1])
     variance = sum(
-        vrf_ii * _block_noise_variance(coeff @ w1_block, power @ w2_block, residual_mass)
-        for coeff, power, residual_mass, vrf_ii in noise_terms
+        vrf_ii * _block_noise_variance(beta, power @ w2_block, residual_mass)
+        for beta, (coeff, power, residual_mass, vrf_ii) in zip(betas, noise_terms)
     )
-    value = value_row @ w1_block
+    value = products[-1]
     with np.errstate(divide="ignore", invalid="ignore"):
         return np.where(variance < floor, 0.0, value / np.sqrt(np.maximum(variance, floor)))
 

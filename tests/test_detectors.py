@@ -411,6 +411,39 @@ def test_a_noise_term_is_its_filters_lone_noise_variance(seed, monkeypatch):
         assert np.array_equal(np.concatenate(variances), want), type(detector).__name__
 
 
+def _holds_no_more_than_itself(array):
+    """array owns its memory, or views a base no larger than itself."""
+    return array.base is None or array.base.nbytes <= array.nbytes
+
+
+@pytest.mark.parametrize("together", [False, True])
+def test_block_outputs_hold_no_larger_array(together):
+    # A block's estimates, sigma_eps2 and variances, and a detector's Z,
+    # are each an array of their own, not a view of a readout product with
+    # more rows: a caller that keeps a result keeps only its own floats.
+    # Fed alone and fed together in the stream-block order, where streams
+    # share their block runs, over packets on both sides of the engine's
+    # fold switch and across a piece edge.
+    xs, _ = packet_signal(5, 20_000)
+    sizes = [1, 64, 1024, 1025, 8192, 8000]
+    makers = _stream_block_makers()
+    groups = [[make() for make in makers]] if together else [[make()] for make in makers]
+    for consumers in groups:
+        pos = 0
+        for size in sizes:
+            for consumer in consumers:
+                block = xs[pos:pos + size]
+                if isinstance(consumer, StreamingEstimator):
+                    result = consumer.extend(block)
+                    outputs = [result.estimates, result.sigma_eps2, result.variances]
+                else:
+                    outputs = [consumer.run(block)]
+                for output in outputs:
+                    assert output.shape[-1] == size
+                    assert _holds_no_more_than_itself(output), (type(consumer).__name__, size)
+            pos += size
+
+
 def _stream_block_makers():
     """Makers of the four consumers of the stream-block benchmark: the
     estimator on the wide design, then edge, peak and change as above.  The

@@ -97,13 +97,14 @@ def _flushed(marker):
 
 @hypothesis.given(
     z=st.lists(
-        st.sampled_from([-5.0, -4.0, -3.0, -1.0, 0.0, 2.0, 3.0, 4.0, 5.0, math.nan]),
+        st.sampled_from([-5.0, -4.0, -3.0, -1.0, -0.0, 0.0, 2.0, 3.0, 4.0, 5.0,
+                         math.nan, math.inf, -math.inf]),
         max_size=60,
     ),
     cuts=st.lists(st.integers(0, 60), max_size=8),
     per_sample=st.lists(st.booleans(), max_size=9),
     two_sided=st.booleans(),
-    threshold=st.sampled_from([3.0, 0.0, -1.0, -3.0]),
+    threshold=st.sampled_from([3.0, 0.0, -1.0, -3.0, math.inf, -math.inf]),
 )
 # One-sample blocks, one of them carrying an open run on.
 @hypothesis.example(z=[4.0, 5.0, 0.0, 4.0], cuts=[1, 2, 3], per_sample=[],
@@ -129,6 +130,18 @@ def _flushed(marker):
 # A block with no exceedance closes the open run.
 @hypothesis.example(z=[4.0, 5.0, 0.0, 1.0, 4.0], cuts=[2, 4], per_sample=[],
                     two_sided=True, threshold=3.0)
+# Two-sided runs read |z| > threshold: infinite samples exceed every
+# finite threshold, -0.0 is 0.0, and an infinite threshold bounds both
+# sides.  At +inf nothing exceeds; at -inf every sample but NaN does, -inf
+# itself as a positive one, as in update().
+@hypothesis.example(z=[-0.0, 0.0, math.inf, -math.inf, -0.0, math.nan, -math.inf],
+                    cuts=[3], per_sample=[], two_sided=True, threshold=0.0)
+@hypothesis.example(z=[math.inf, -math.inf, 5.0, math.nan], cuts=[1], per_sample=[],
+                    two_sided=True, threshold=math.inf)
+@hypothesis.example(z=[-math.inf, 0.0, math.inf, math.nan, -math.inf, -0.0], cuts=[2],
+                    per_sample=[False, True], two_sided=True, threshold=-math.inf)
+@hypothesis.example(z=[-math.inf, 4.0, -0.0, math.inf], cuts=[], per_sample=[],
+                    two_sided=False, threshold=-math.inf)
 def test_marker_extend_matches_update(z, cuts, per_sample, two_sided, threshold):
     # Few distinct values make ties, threshold hits and sign turns common.
     # A negative threshold puts samples past both bounds.

@@ -6,7 +6,13 @@ import pytest
 from hypothesis import strategies as st
 
 from erlangreg import run_block
-from erlangreg.network import _PIECE, impulse_to_weight_transform, steady_state_vector
+from erlangreg.network import (
+    _OUTER_ROWS,
+    _PIECE,
+    _SUB,
+    impulse_to_weight_transform,
+    steady_state_vector,
+)
 
 from oracles import WEIGHT_TRANSFORM_6, cascade_longdouble, dense_states, scan_reference
 
@@ -84,23 +90,42 @@ def _stage_errors(states, reference):
     return (np.abs(states - reference).max(axis=1) / scale).astype(float)
 
 
-def _accuracy_case(p, order, n, seed):
+def _accuracy_case(p, order, n, seed, rows=1):
+    """rows stacked cascades of n samples, orders order and order - 3 (at
+    least 1), each against its long-double recursion."""
     rng = np.random.Generator(np.random.PCG64(seed))
-    u = rng.standard_normal(n) + 0.25
-    w_prev = rng.standard_normal(order) * steady_state_vector(order, p)
-    reference = cascade_longdouble(p, u, w_prev)
-    blocked = _stage_errors(run_block(p, u, w_prev), reference)
-    lfiltered = _stage_errors(_lfilter_cascade(p, u, w_prev), reference)
-    # Both engines are a few ulps from the long-double recursion; the
-    # blocked scan must stay within twice the first-order filter's error.
-    assert blocked.max() <= 1e-14, blocked
-    assert blocked.max() <= 2.0 * lfiltered.max(), (blocked, lfiltered)
+    u = rng.standard_normal((rows, n)) + 0.25
+    w_prev = [rng.standard_normal(k) * steady_state_vector(k, p)
+              for k in [order, max(order - 3, 1)][:rows]]
+    got = run_block(p, u, w_prev) if rows > 1 else [run_block(p, u[0], w_prev[0])]
+    for u_r, w_r, states in zip(u, w_prev, got):
+        reference = cascade_longdouble(p, u_r, w_r)
+        blocked = _stage_errors(states, reference)
+        lfiltered = _stage_errors(_lfilter_cascade(p, u_r, w_r), reference)
+        # Both engines are a few ulps from the long-double recursion; the
+        # blocked scan must stay within twice the first-order filter's error.
+        assert blocked.max() <= 1e-14, blocked
+        assert blocked.max() <= 2.0 * lfiltered.max(), (blocked, lfiltered)
+
+
+_GRID_P = [0.8, 0.9, 0.95, 0.99, 0.995, 0.999]
 
 
 @pytest.mark.parametrize("order", [1, 4, 8, 13])
-@pytest.mark.parametrize("p", [0.8, 0.9, 0.95, 0.99, 0.995, 0.999])
+@pytest.mark.parametrize("p", _GRID_P)
 def test_run_block_matches_long_double_recursion(p, order):
     _accuracy_case(p, order, 2500, seed=int(p * 1000) + order)
+
+
+# One row and two stacked rows, at the most sub-block rows that add the
+# carry after the product and at the fewest that fold it into the input.
+@pytest.mark.parametrize("rows, n", [
+    (rows, _OUTER_ROWS * _SUB // rows + extra) for rows in (1, 2) for extra in (0, 1)
+])
+@pytest.mark.parametrize("order", [1, 4, 8, 13])
+@pytest.mark.parametrize("p", _GRID_P)
+def test_run_block_matches_long_double_recursion_at_the_fold_switch(p, order, rows, n):
+    _accuracy_case(p, order, n, seed=int(p * 1000) + order + n, rows=rows)
 
 
 @pytest.mark.parametrize("p", [0.9, 0.999])
