@@ -19,14 +19,14 @@ and go out without a text layer.  Fresh buffers for every block cost a
 `run` and `detect` stream their input in blocks of 8192 values, counted
 from the first value, so their memory stays flat as the input grows and
 no whole-input product rounds differently with the BLAS thread count.
-They read it as bytes, a file opened "rb" or standard input's buffer, in
-64 KB chunks split at each newline, and parse each line with float().  A
-chunk whose bytes a text reader could take otherwise (a byte outside
-ASCII, a carriage return not before a newline, a NUL, a quote), a line
-that is not one finite number, or one longer than the csv field limit
-sends its block and the rest of the input to the text reader, which
-decodes them as open(path, newline="") or sys.stdin does and names the
-bad line.
+They read it as bytes, a file opened "rb" or standard input's buffer, by
+one rule for both: its text is that of open(path, newline="",
+errors="surrogateescape").  They read 64 KB chunks split at each newline
+and parse each line with float().  A chunk whose bytes the text layer
+could read otherwise (a byte outside ASCII after line 1, a carriage
+return not before a newline, a NUL, a quote), a line that is not one
+finite number, or one longer than the csv field limit sends its block and
+the rest of the input to the line parser, which names the bad line.
 `detect` holds back only the rows an open exceedance run may still mark.
 Input rejected in its first block leaves no output file; a bad row in a
 later block exits 3 and leaves the rows written before it.
@@ -94,28 +94,13 @@ def _open_out(path):
 
 
 @contextlib.contextmanager
-def _open_in(path):
+def _open_in(path, mode="r"):
+    """A text ("r") or binary ("rb") stream of path, or of standard input for None and '-'."""
     if path is None or path == "-":
-        yield sys.stdin
+        yield sys.stdin.buffer if mode == "rb" else sys.stdin
     else:
-        with open(path, "r", newline="") as fh:
+        with open(path, mode, newline=None if mode == "rb" else "") as fh:
             yield fh
-
-
-@contextlib.contextmanager
-def _open_column(path):
-    """A binary stream of path, or of standard input for None and '-'.
-
-    Yields it with the encoding, errors and newline of the text layer it
-    would be read through: open(path, newline="") or sys.stdin.
-    """
-    if path is None or path == "-":
-        stdin = sys.stdin
-        yield stdin.buffer, {"encoding": stdin.encoding, "errors": stdin.errors,
-                             "newline": None if sys.platform == "win32" else "\n"}
-    else:
-        with open(path, "rb") as fh:
-            yield fh, {}
 
 
 def _delay_flag(text: str):
@@ -180,93 +165,57 @@ class _Rest(io.RawIOBase):
         taken = min(len(b), len(self._head))
         b[:taken] = self._head[:taken]
         self._head = self._head[taken:]
-        # Whole reads from the stream once head is used up, so a text layer
-        # on top reads the same chunks as one opened on the stream itself.
-        return taken + (self._stream.readinto(memoryview(b)[taken:]) or 0)
+        return taken or self._stream.readinto(b)
 
 
-def _text_blocks(lines, lineno=1, head=None):
-    """Yield the values of a single-column CSV from its text lines, as _column_blocks.
+def _first_row(line):
+    """The csv row of text line 1, or None if the text layer's line 1 differs.
 
-    lines are the file's text lines from line lineno on, and head the
-    values of the block before them, or None before line 1.  Line 1
-    (header or value) goes through _numeric_column.  Each later block of lines is parsed in bulk
-    by float() and one isfinite check, which pass exactly the blocks whose
-    every line holds one finite number; the first block that fails (a
-    blank row, a quote, a second field, text, NaN/inf or an oversized
-    field) and the rest of the stream go to _numeric_column, numbered from
-    the block's first line.
+    The text layer also ends a line at a carriage return, which csv rejects
+    inside a line; a quoted field left open runs on into the next line; and
+    csv before Python 3.11 rejects a NUL.
     """
-    lines = iter(lines)
-    if head is None:
-        head = list(_numeric_column(itertools.islice(csv.reader(lines), 1)))
-        lineno = 2
-    limit = csv.field_size_limit()
-    while True:
-        block_lines = list(itertools.islice(lines, _RUN_CHUNK - len(head)))
-        if not (head or block_lines):
-            return
-        try:
-            block = np.fromiter(
-                map(float, head + block_lines), float, len(head) + len(block_lines)
-            )
-        except ValueError:
-            block = None
-        if (
-            block is None
-            or not np.isfinite(block).all()
-            or max(map(len, block_lines), default=0) > limit
-        ):
-            rows = csv.reader(itertools.chain(block_lines, lines))
-            values = itertools.chain(head, _numeric_column(rows, start=lineno))
-            while True:
-                block = np.fromiter(itertools.islice(values, _RUN_CHUNK), float)
-                if not block.size:
-                    return
-                yield block
-        yield block
-        lineno += len(block_lines)
-        head = []
+    if "\r" in line[:-1] or "\0" in line:
+        return None
+    rows = csv.reader([line + "\n", ""])
+    row = next(rows)
+    return row if rows.line_num == 1 else None
 
 
-def _column_blocks(fh, encoding=None, errors=None, newline=""):
+def _column_blocks(fh):
     """Yield the values of a single-column CSV as float64 arrays of _RUN_CHUNK.
 
-    fh is a binary stream; encoding, errors and newline are those of the
-    text layer it would be read through.  Every array but the last holds
-    exactly _RUN_CHUNK values, counted from the first value, so results do
-    not depend on where the lines fall.
+    fh is a binary stream.  Every array but the last holds exactly
+    _RUN_CHUNK values, counted from the first value, so results do not
+    depend on where the lines fall.  The stream's text is read as by
+    open(path, newline="", errors="surrogateescape"): the locale's codec,
+    csv's line ends, and an undecodable byte kept as a lone surrogate, which
+    then fails as a numbered "not numeric" line.
 
     The stream is read in chunks of _READ bytes, each split at every
-    newline into bytes lines: line 1 (header or value) goes through
-    _numeric_column, and each later block of lines through float() and
-    one isfinite check.  Bytes and text lines can part only where a chunk
+    newline into bytes lines.  Line 1 (header or value) is decoded and goes
+    through _numeric_column, unless the text layer would read it otherwise
+    (_first_row).  Each later block of lines goes through float() and one
+    isfinite check.  Bytes and text lines can part only where a chunk
     holds a byte outside ASCII, a carriage return not directly before a
-    newline (a line end to the text layer), a NUL or a quote.  Such a
-    chunk, a line longer than _READ or than csv.field_size_limit(), or a
-    block that fails float() or isfinite sends its block and the rest of
-    the stream to _text_blocks, numbered from the block's first line, so
-    every input is accepted or rejected by the text reader's rules and
-    messages.  A seekable stream is read again from where it started, so
-    that its text layer decodes the same chunks as one opened on it.
+    newline, a NUL or a quote.  Such a chunk, a line longer than _READ or
+    than csv.field_size_limit(), a block that fails float() or isfinite,
+    or a codec that does not read ASCII as ASCII sends its block and the
+    rest of the stream to _numeric_column, numbered from the block's first
+    line, so every input is accepted or rejected by its rules and messages.
     """
-    origin = fh.tell() if fh.seekable() else None
     limit = csv.field_size_limit()
-    # The encoding open() would pick; bytes lines are its text only if it
-    # reads ASCII as ASCII.
-    codec = codecs.lookup(io.TextIOWrapper(io.BytesIO(), encoding, errors).encoding).name
+    codec = codecs.lookup(io.TextIOWrapper(io.BytesIO()).encoding).name
     lineno, head = 1, None      # the block's first line; its values before pending
     pending, tail = [], b""     # the block's whole lines from there; the line after them
 
     def text_rest():
-        """_text_blocks from the block's first line on."""
-        if origin is None:
-            rest, skip = b"\n".join([*pending, tail]), 0
-        else:
-            fh.seek(origin)
-            rest, skip = b"", lineno - 1
-        text = io.TextIOWrapper(io.BufferedReader(_Rest(rest, fh)), encoding, errors, newline)
-        return _text_blocks(itertools.islice(text, skip, None), lineno, head)
+        """_numeric_column's blocks from the block's first line on."""
+        rest = _Rest(b"\n".join([*pending, tail]), fh)
+        text = io.TextIOWrapper(rest, errors="surrogateescape", newline="")
+        values = itertools.chain(head or (), _numeric_column(csv.reader(text), lineno))
+        while (block := np.fromiter(itertools.islice(values, _RUN_CHUNK), float)).size:
+            yield block
 
     if codec not in ("utf-8", "ascii"):
         yield from text_rest()
@@ -282,22 +231,28 @@ def _column_blocks(fh, encoding=None, errors=None, newline=""):
             lines.append(tail)
             tail = b""
         pending += lines
+        if len(tail) > _READ or len(data) > limit and max(map(len, lines), default=0) > limit:
+            yield from text_rest()
+            return
+        if head is None:
+            if not pending:
+                continue
+            row = _first_row(pending[0].decode(codec, "surrogateescape"))
+            if row is None:
+                yield from text_rest()
+                return
+            head = list(_numeric_column([row]))
+            data = data[len(pending.pop(0)) + 1:]
+            lineno = 2
         if (
             not data.isascii()
             or b"\0" in data
             or b'"' in data
             or b"\r" in data
             and data.count(b"\r") - data.count(b"\r\n") - data.endswith(b"\r")
-            or len(tail) > _READ
-            or len(data) > limit and max(map(len, lines), default=0) > limit
         ):
             yield from text_rest()
             return
-        if head is None:
-            if not pending:
-                continue
-            head = list(_numeric_column(csv.reader([pending.pop(0).decode("ascii")])))
-            lineno = 2
         while len(pending) >= _RUN_CHUNK - len(head) or eof and (head or pending):
             count = min(len(pending), _RUN_CHUNK - len(head))
             try:
@@ -395,8 +350,8 @@ def cmd_run(args) -> int:
         + [f"var_{k}" for k in range(n_outputs)]
     )
     next_n = 0
-    with _open_column(args.input) as (src, text):
-        blocks = _read_ahead(_column_blocks(src, **text))
+    with _open_in(args.input, "rb") as src:
+        blocks = _read_ahead(_column_blocks(src))
         with _open_out(args.out) as dst:
             dst.write((",".join(header) + "\n").encode("ascii"))
             writer = CsvWriter(dst)
@@ -438,8 +393,8 @@ def cmd_detect(args) -> int:
         writer.write([held_z[:count]], start=held_n, text=marks)
         held_n, held_z = stop, held_z[count:]
 
-    with _open_column(args.input) as (src, text):
-        blocks = _read_ahead(_column_blocks(src, **text))
+    with _open_in(args.input, "rb") as src:
+        blocks = _read_ahead(_column_blocks(src))
         with _open_out(args.out) as fh:
             fh.write(b"n,z,event\n")
             writer = CsvWriter(fh)

@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import math
+import subprocess
 import sys
 import time
 import tracemalloc
@@ -22,10 +23,11 @@ from erlangreg import (
     simulate_target,
     synth_change_waveform,
 )
-from erlangreg.cli import _READ, _RUN_CHUNK, _column_blocks, _numeric_column, _text_blocks, main
+from erlangreg import cli
+from erlangreg.cli import _READ, _RUN_CHUNK, _column_blocks, _numeric_column, main
 from erlangreg.document import document_from_json, realization_from_document
 
-from oracles import template_rows
+from oracles import package_env, template_rows
 
 
 def _read_csv(path):
@@ -743,58 +745,157 @@ def _corpus():
         "bom": ("\ufeffx\n" + "".join(lines), None),
         "row-across-chunks": (straddling("12.5\n"), None),
         "wide-digit-across-chunks": (straddling("\uff11.\uff15\n"), None),
+        # Line 1 as the text layer reads it: a quoted field left open runs
+        # on (here to the end of the input), and a lone carriage return ends
+        # the line.
+        "open-quote-header": ('"x\n' + "".join(lines), "line 1: field larger than field limit"),
+        "cr-in-header": ("x\r1.5\n" + "".join(lines), None),
+        "bom-quoted-header": ('\ufeff"x"\n' + "".join(lines), None),
+        "quoted-header-crlf": ('"x"\r\n' + "".join(v.replace("\n", "\r\n") for v in lines), None),
     }
     data = {name: (body.encode(), error) for name, (body, error) in text.items()}
-    # A byte the text reader cannot decode, in a later block: the error
-    # names the byte's place in the text reader's read.
+    # A byte the codec cannot decode is kept as a lone surrogate: a header
+    # holding one is a header, and a later row fails as not numeric.
     data["undecodable"] = (with_row("1.5\n").encode().replace(b"1.5\n", b"1.\xff\n"),
-                           "'utf-8' codec can't decode byte 0xff in position ")
+                           f"line {at + 2}: not numeric: '1.\\udcff'")
+    data["undecodable-header"] = (b"x\xff\n" + "".join(lines).encode(), None)
     return data
 
 
 _CORPUS = _corpus()
 
 
-@pytest.mark.parametrize("name", sorted(_CORPUS))
-def test_block_reader_agrees_with_line_parser(tmp_path, capsys, name):
-    # The bytes reader, the text block reader it falls back to and the
-    # line parser give the same values, and the same error, on every input.
-    body, error_start = _CORPUS[name]
-    data = tmp_path / "in.csv"
-    data.write_bytes(body)
+def _line_parser_outcome(path):
+    """Values and error of _numeric_column over the text of path."""
+    with open(path, newline="", errors="surrogateescape") as fh:
+        try:
+            return list(_numeric_column(csv.reader(fh))), None
+        except ValueError as exc:
+            return None, str(exc)
 
-    def outcome(parse, mode):
-        with open(data, mode, newline=None if "b" in mode else "") as fh:
-            try:
-                return parse(fh), None
-            except ValueError as exc:
-                return None, str(exc)
 
-    expected, expected_error = outcome(lambda fh: list(_numeric_column(csv.reader(fh))), "r")
-    blocks, error = outcome(lambda fh: list(_column_blocks(fh)), "rb")
-    text_blocks, text_error = outcome(lambda fh: list(_text_blocks(fh)), "r")
-    assert error == expected_error == text_error
-    if error_start is None:
-        assert expected_error is None
+def _blocks_outcome(fh):
+    try:
+        return list(_column_blocks(fh)), None
+    except ValueError as exc:
+        return None, str(exc)
+
+
+def _assert_same_outcome(outcome, expected):
+    (blocks, error), (values, expected_error) = outcome, expected
+    assert error == expected_error
+    if error is None:
         assert all(block.size == _RUN_CHUNK for block in blocks[:-1])
         assert all(0 < block.size <= _RUN_CHUNK for block in blocks)
         got = np.concatenate(blocks) if blocks else np.empty(0)
-        assert np.array_equal(got, np.array(expected))
-        assert len(text_blocks) == len(blocks)
-        assert all(np.array_equal(a, b) for a, b in zip(text_blocks, blocks))
+        assert np.array_equal(got, np.array(values))
+
+
+class _Pipe(io.RawIOBase):
+    """A stream that cannot seek and hands out at most `size` bytes a read."""
+
+    def __init__(self, data, size):
+        self.source = io.BytesIO(data)
+        self.size = size
+
+    def readable(self):
+        return True
+
+    def read(self, n=-1):
+        return self.source.read(self.size if n < 0 else min(n, self.size))
+
+    def readinto(self, b):
+        return self.source.readinto(memoryview(b)[:self.size])
+
+
+def _run_both_ways(argv, data, monkeypatch, capsysbinary):
+    """(exit code, stdout, stderr) of main(argv) reading data by --input, then by stdin."""
+    outcomes = []
+    for stdin in (None, io.TextIOWrapper(io.BufferedReader(_Pipe(data.read_bytes(), _READ)))):
+        monkeypatch.setattr(sys, "stdin", stdin)
+        rc = main(argv + (["--input", str(data)] if stdin is None else []))
+        outcomes.append((rc, *capsysbinary.readouterr()))
+    return outcomes
+
+
+@pytest.mark.parametrize("name", sorted(_CORPUS))
+def test_block_reader_agrees_with_line_parser(tmp_path, monkeypatch, capsysbinary, name):
+    # The bytes reader and the line parser give the same values, and the
+    # same error, on every input; run and detect give the same bytes
+    # reading it from a file and from standard input.
+    body, error_start = _CORPUS[name]
+    data = tmp_path / "in.csv"
+    data.write_bytes(body)
+    expected = _line_parser_outcome(data)
+    with open(data, "rb") as fh:
+        _assert_same_outcome(_blocks_outcome(fh), expected)
+    values, error = expected
+    if error_start is None:
+        assert error is None
     else:
         assert error.startswith(error_start)
 
+    design = _design(tmp_path, "d.json", kappa=0, p=0.8, kx=2, kt=2, q=0.0)
+    for argv in (["run"], ["detect", "--kind", "edge", "--threshold", "3"]):
+        argv += ["--design", str(design), "--out", "-"]
+        by_file, by_stdin = _run_both_ways(argv, data, monkeypatch, capsysbinary)
+        assert by_stdin == by_file
+        rc, out, err = by_file
+        if error is None:
+            assert (rc, err) == (0, b"")
+            assert len(out.splitlines()) == len(values) + 1
+        else:
+            assert rc == 3
+            assert err == f"error: {error}\n".encode()
+
+
+@pytest.mark.parametrize("size", [1, 4096, _READ])
+@pytest.mark.parametrize("name", sorted(_CORPUS))
+def test_block_reader_on_a_stream_that_cannot_seek(tmp_path, name, size):
+    data = tmp_path / "in.csv"
+    data.write_bytes(_CORPUS[name][0])
+    pipe = _Pipe(data.read_bytes(), size)
+    assert not pipe.seekable()
+    _assert_same_outcome(_blocks_outcome(pipe), _line_parser_outcome(data))
+
+
+@pytest.mark.parametrize("name", ["header", "bom", "quoted-header", "bom-quoted-header",
+                                  "quoted-header-crlf", "undecodable-header"])
+def test_a_decoded_first_line_keeps_the_bytes_path(tmp_path, monkeypatch, name):
+    # Line 1 is decoded by the bytes reader itself, so a BOM, a quoted or
+    # an undecodable header does not send the input to the line parser.
+    data = tmp_path / "in.csv"
+    data.write_bytes(_CORPUS[name][0])
+    made = []
+
+    class CountedRest(cli._Rest):
+        def __init__(self, *args):
+            made.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(cli, "_Rest", CountedRest)
+    with open(data, "rb") as fh:
+        _assert_same_outcome(_blocks_outcome(fh), _line_parser_outcome(data))
+    assert made == []
+
+
+@pytest.mark.parametrize("name", ["header", "crlf", "cr-only", "bom", "bad-row", "undecodable"])
+def test_run_reads_redirected_and_piped_standard_input_as_a_file(tmp_path, name):
+    data = tmp_path / "in.csv"
+    data.write_bytes(_CORPUS[name][0])
     design = _design(tmp_path, "d.json", kappa=0, p=0.8, kx=1, kt=1, q=0.0)
-    out = tmp_path / "out.csv"
-    capsys.readouterr()
-    rc = main(["run", "--design", str(design), "--input", str(data), "--out", str(out)])
-    if error is None:
-        assert rc == 0
-        assert len(out.read_text().splitlines()) == len(expected) + 1
-    else:
-        assert rc == 3
-        assert capsys.readouterr().err == f"error: {error}\n"
+    argv = [sys.executable, "-m", "erlangreg.cli", "run", "--design", str(design)]
+
+    def run(extra=(), **stdin):
+        done = subprocess.run(argv + list(extra), env=package_env(), capture_output=True,
+                              timeout=120, **stdin)
+        return done.returncode, done.stdout, done.stderr
+
+    by_file = run(["--input", str(data)], stdin=subprocess.DEVNULL)
+    assert by_file[0] == (3 if _CORPUS[name][1] else 0)
+    with open(data, "rb") as fh:
+        assert run(stdin=fh) == by_file
+    assert run(input=data.read_bytes()) == by_file
 
 
 @pytest.mark.parametrize("command", ["run", "detect"])
