@@ -14,15 +14,17 @@ resized to the block's layout, so no byte of an earlier block can reach a
 later one.  Deleting the NULs with bytearray.translate leaves the rows,
 which go to the stream as bytes.
 
-A float slot is as narrow as its block's values allow.  Where no integer
-part has more than 4 digits (the dense layout), one 2-word table entry
-holds the comma, sign, integer part (or "0.000" prefix, or the lead digit
-of d.ddde-XX) and point, 4 words the 16 digits after the point, and a
-tail word "e-XX" is there only if a value of the block is below 1e-4:
-6 or 7 words.  Wider integer parts add the words they need.  On the
-1e6-row input of the `cli-batch` benchmark a `run` row (a row number and
-five floats) takes 140 bytes of buffer for 111 bytes of text, against 192
-when every field had its own point and integer words and a tail, and a
+A float slot is as narrow as its block's values allow.  One 2-word table
+entry holds the comma, sign, last four digits of the integer part (or
+"0.000" prefix, or the lead digit of d.ddde-XX) and point, 4 words the 16
+digits after the point, and a tail word "e-XX" is there only if a value
+of the block is below 1e-4: 6 or 7 words.  Where an integer part has more
+than 4 digits, the comma and sign move to a leading word, followed by the
+digits above the last four in whole words, right-aligned as the row
+numbers are: 8 words for 5 to 8 digits, up to 10 for 15.  On the 1e6-row
+input of the `cli-batch` benchmark a `run` row (a row number and five
+floats) takes 140 bytes of buffer for 111 bytes of text, against 192 when
+every field had its own point and integer words and a tail, and a
 `detect` row 50 bytes for 28.
 
 Why one buffer, and one column at a time: built as per-column field
@@ -59,7 +61,7 @@ import numpy as np
 __all__ = ["CsvWriter"]
 
 _U64 = np.uint64
-_DOT, _ZERO = ord("."), ord("0")
+_ZERO = ord("0")
 
 # The fast range: true decimal exponents -11..14, so k = 16 - X is 2..27
 # and the shift -E - k is 0..63 bits even when the first guess of X is
@@ -84,15 +86,9 @@ _WORDS = np.concatenate([
 ]).view(np.uint32).ravel()
 _LEADING, _TRAILING = 10_000, 20_000
 
-# Per decimal exponent X (and sign): the head of a field, ',' with the sign
-# and, for -4 <= X < 0, "0." and zeros, as 2 words; its tail, "e-XX" in
-# scientific notation, as 1 word.
+# Per decimal exponent X: the tail of a field, "e-XX" in scientific
+# notation, as 1 word.
 _XS = range(_X_MIN, _X_MAX + 1)
-_HEAD = np.array(
-    ["," + sign + ("0." + "0" * (-x - 1) if -4 <= x < 0 else "")
-     for sign in ("", "-") for x in _XS],
-    dtype="S8",
-).view(np.uint32).reshape(-1, 2).T.copy()
 _TAIL = np.array(["e-%02d" % -x if x < -4 else "" for x in _XS], dtype="S4").view(np.uint32)
 # Digits before the point: X + 1 in fixed notation with X >= 0, else the
 # lead digit; the point goes in only in those cases, where "0." is not in
@@ -101,22 +97,23 @@ _BEFORE = np.array([x + 1 if x >= 0 else 1 for x in _XS])
 _POINTED = np.array([not -4 <= x < 0 for x in _XS])
 _POW10 = np.array([10**j for j in range(20)], dtype=_U64)
 
-# The dense layout, for a column whose integer parts have at most 4
-# digits: its head, one 2-word entry of _DENSE_HEAD, is ',', a byte for the
-# sign (the minus word ORed in) and either the integer part v (or the lead
-# digit of d.ddde-XX) with a byte for the point (the point word ORed in),
-# entry v; or, for -4 <= X < 0, "0." and zeros with the lead digit d,
-# entry _ZEROS + 10 * (X + 4) + d.
-_ZEROS = 10_000
+# The head of a field, one 2-word entry of _DENSE_HEAD, is ',', a byte for
+# the sign (the minus word ORed in) and either the last four digits v of
+# the integer part (or the lead digit of d.ddde-XX) with a byte for the
+# point (the point word ORed in), entry v with their zeros kept and entry
+# _LEADING + v with leading zeros as NUL, as in _WORDS; or, for
+# -4 <= X < 0, "0." and zeros with the lead digit d, entry
+# _ZEROS + 10 * (X + 4) + d.
+_ZEROS = _TRAILING
 _DENSE_HEAD = np.zeros((_ZEROS, 8), np.uint8)
 _DENSE_HEAD[:, 0] = ord(",")
-_DENSE_HEAD[:, 2:6] = _WORDS[_LEADING:_TRAILING, None].view(np.uint8)
+_DENSE_HEAD[:, 2:6] = _WORDS[:_ZEROS, None].view(np.uint8)
 _DENSE_HEAD = np.concatenate([
     _DENSE_HEAD,
     np.array([",\0" + "0." + "0" * (-x - 1) + str(d) for x in range(-4, 0) for d in range(10)],
              dtype="S8").view(np.uint8).reshape(-1, 8),
-]).view(np.uint32).T
-_DENSE_BASE = np.array([_ZEROS + 10 * (x + 4) if -4 <= x < 0 else 0 for x in _XS])
+]).view(np.uint32).T.copy()                     # np.take copies a strided table first
+_DENSE_BASE = np.array([_ZEROS + 10 * (x + 4) if -4 <= x < 0 else _LEADING for x in _XS])
 # Values below this (the double nearest 1e-4) are written d.ddde-XX.
 _SCIENTIFIC = 1e-4
 
@@ -172,15 +169,15 @@ _NOT_FIRST = _word(b"\0\xff\xff\xff")      # clears a word's first byte
 _SLOW = 7
 
 
-def _fast_fields(x, slot, dense, tail):
+def _fast_fields(x, slot, tail):
     """Write the fields of fast-range values x into slot, rows of uint32 words.
 
-    A dense row is the head (2 words) and the 16 digits after the point
-    (4 words); any other row is the head (2 words), the digits before the
-    point, right-aligned (slot's width less 7 or 8 words), the point (1
-    word) and the digits after it.  With tail, a last word holds e-XX.
-    Every step works on whole 1-D arrays: numpy's per-row cost on narrow
-    2-D arrays would exceed the arithmetic.
+    A row is the head (2 words) and the 16 digits after the point (4
+    words); with tail, a last word holds e-XX.  A slot wider than that
+    starts with a word holding ',' and the sign, and the words of the
+    integer part's digits above its last four, right-aligned.  Every step
+    works on whole 1-D arrays: numpy's per-row cost on narrow 2-D arrays
+    would exceed the arithmetic.
     """
     bits = x.view(_U64)
     mant = (bits & _U64((1 << 52) - 1)) | _U64(1 << 52)
@@ -200,28 +197,36 @@ def _fast_fields(x, slot, dense, tail):
     scale = np.take(_POW10, 17 - count)
     before = digits // scale
     after = digits - before * scale
-    sign = (bits >> _U64(63)).astype(np.intp)
+    minus = (bits >> _U64(63)).astype(np.uint32) * _MINUS
     pointed = (after != 0) & np.take(_POINTED, xi)
-    if dense:
-        head = np.take(_DENSE_BASE, xi) + before.astype(np.intp)
-        slot[:, 0] = np.take(_DENSE_HEAD[0], head) | sign.astype(np.uint32) * _MINUS
-        slot[:, 1] = np.take(_DENSE_HEAD[1], head) | pointed.astype(np.uint32) * _POINT
-        at = 2
-    else:
-        width = slot.shape[1] - 7 - tail
-        head = sign * len(_XS) + xi
-        slot[:, 0] = np.take(_HEAD[0], head)
-        slot[:, 1] = np.take(_HEAD[1], head)
-        # Group j holds leading zeros where the number has fewer digits than
-        # the groups from j rightwards; a group of only those is all NUL.
-        for j, group in enumerate(_quads(before, width)):
-            lead = (count < 4 * (width - j)) * _LEADING
-            slot[:, 2 + j] = np.take(_WORDS, group + lead)
-        slot[:, 2 + width] = pointed * np.uint32(_DOT)
-        at = 3 + width
-    _fraction(after * np.take(_POW10, count - 1), slot[:, at:at + 4])
+    at = slot.shape[1] - 6 - tail               # the head's first word
+    head = np.take(_DENSE_BASE, xi)
+    if at:
+        # After higher digits, the last four keep their zeros.
+        high = before // _U64(10_000)
+        before = before - high * _U64(10_000)
+        head = head - (high != 0) * _LEADING
+        slot[:, 0] = _COMMA | minus
+        _digit_groups(high, slot[:, 1:at])
+    head = head + before.astype(np.intp)
+    first = np.take(_DENSE_HEAD[0], head)
+    slot[:, at] = first & _NOT_FIRST if at else first | minus
+    slot[:, at + 1] = np.take(_DENSE_HEAD[1], head) | pointed.astype(np.uint32) * _POINT
+    _fraction(after * np.take(_POW10, count - 1), slot[:, at + 2:at + 6])
     if tail:
         slot[:, -1] = np.take(_TAIL, xi)
+
+
+def _digit_groups(numbers, slot):
+    """Write numbers, '%d' right-aligned, into slot's words, 4 digits each.
+
+    Group j holds leading zeros as NUL where every group left of it is
+    zero, which is always so for the first; so 0 is all NUL.
+    """
+    words = slot.shape[1]
+    for j, group in enumerate(_quads(numbers, words)):
+        lead = True if j == 0 else numbers < _U64(10 ** (4 * (words - j)))
+        slot[:, j] = np.take(_WORDS, group + lead * _LEADING)
 
 
 def _fraction(after, slot):
@@ -258,20 +263,20 @@ def _float_slot(x):
         words = _SLOW
     else:
         # The digits before the point of the largest value, which 1e15
-        # bounds, set the layout: as many as its integer part has, or one
-        # below 1.  The smallest value sets whether there is a tail word,
-        # and so does a '%.17g' field in a dense slot, as it takes _SLOW.
-        before = len("%d" % np.max(size, where=fast, initial=0.0))
-        dense = before <= 4
+        # bounds, set the layout: a word for ',' and the sign and the words
+        # of the digits above the last four, where it has more than four.
+        # The smallest value sets whether there is a tail word, and so does
+        # a '%.17g' field in a 6-word slot, as it takes _SLOW.
+        high = -(-max(len("%d" % np.max(size, where=fast, initial=0.0)) - 4, 0) // 4)
         tail = bool(np.min(size, where=fast, initial=_HIGH) < _SCIENTIFIC
-                    or dense and slow.size)
-        words = (6 if dense else 7 + -(-before // 4)) + tail
+                    or not high and slow.size)
+        words = 6 + tail + (high and 1 + high)
 
     def fill(slot):
         if slow.size < x.size:
             # Fast fields in every row, from the stand-in 1.0 where the value
             # is not in the fast range; its words past the first _SLOW are NUL.
-            _fast_fields(np.where(fast, x, 1.0) if slow.size else x, slot, dense, tail)
+            _fast_fields(np.where(fast, x, 1.0) if slow.size else x, slot, tail)
         if slow.size:
             # '%.17g' over those rows, in one %-call; no output is longer than 24.
             values = x[slow].tolist()
@@ -285,18 +290,13 @@ def _float_slot(x):
 def _row_number_slot(start, count):
     """(words, fill) of the row numbers start .. start + count - 1, '%d' each."""
     numbers = _U64(start) + np.arange(count, dtype=_U64)
-    quads = -(-len(str(start + count - 1)) // 4)
 
     def fill(slot):
-        # Group j holds leading zeros where every group left of it is zero,
-        # which is always so for the first; the number 0 keeps its digit.
-        for j, group in enumerate(_quads(numbers, quads)):
-            lead = True if j == 0 else numbers < _U64(10 ** (4 * (quads - j)))
-            slot[:, j] = np.take(_WORDS, group + lead * _LEADING)
+        _digit_groups(numbers, slot)
         if start == 0:
-            slot[0, -1] = _UNITS_ZERO
+            slot[0, -1] = _UNITS_ZERO       # the number 0 keeps its digit
 
-    return quads, fill
+    return -(-len(str(start + count - 1)) // 4), fill
 
 
 def _text_slot(text, count):

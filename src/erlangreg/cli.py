@@ -16,17 +16,21 @@ and go out without a text layer.  Fresh buffers for every block cost a
 `run` of 1e6 rows 98k-134k minor page faults; the reused one, about 8k,
 5k of them the interpreter's and numpy's start-up.
 
+Every command reads bytes too, a file opened "rb" or standard input's
+buffer.  json.loads reads a design document's bytes as UTF-8, -16 or -32,
+so `--design -` loads what `--design PATH` loads under any locale.
+
 `run` and `detect` stream their input in blocks of 8192 values, counted
 from the first value, so their memory stays flat as the input grows and
 no whole-input product rounds differently with the BLAS thread count.
-They read it as bytes, a file opened "rb" or standard input's buffer, by
-one rule for both: its text is that of open(path, newline="",
-errors="surrogateescape").  They read 64 KB chunks split at each newline
-and parse each line with float().  A chunk whose bytes the text layer
-could read otherwise (a byte outside ASCII after line 1, a carriage
-return not before a newline, a NUL, a quote), a line that is not one
-finite number, or one longer than the csv field limit sends its block and
-the rest of the input to the line parser, which names the bad line.
+They read it by one rule for a file and standard input: its text is that
+of open(path, newline="", errors="surrogateescape").  They read 64 KB
+chunks split at each newline and parse each line with float().  A chunk
+whose bytes the text layer could read otherwise (a byte outside ASCII
+after line 1, a carriage return not before a newline, a NUL, a quote), a
+line that is not one finite number, or one longer than the csv field
+limit sends its block and the rest of the input to the line parser, which
+names the bad line.
 `detect` holds back only the rows an open exceedance run may still mark.
 Input rejected in its first block leaves no output file; a bad row in a
 later block exits 3 and leaves the rows written before it.
@@ -94,12 +98,12 @@ def _open_out(path):
 
 
 @contextlib.contextmanager
-def _open_in(path, mode="r"):
-    """A text ("r") or binary ("rb") stream of path, or of standard input for None and '-'."""
+def _open_in(path):
+    """A binary stream of path, or standard input's buffer for None and '-'."""
     if path is None or path == "-":
-        yield sys.stdin.buffer if mode == "rb" else sys.stdin
+        yield sys.stdin.buffer
     else:
-        with open(path, mode, newline=None if mode == "rb" else "") as fh:
+        with open(path, "rb") as fh:
             yield fh
 
 
@@ -350,7 +354,7 @@ def cmd_run(args) -> int:
         + [f"var_{k}" for k in range(n_outputs)]
     )
     next_n = 0
-    with _open_in(args.input, "rb") as src:
+    with _open_in(args.input) as src:
         blocks = _read_ahead(_column_blocks(src))
         with _open_out(args.out) as dst:
             dst.write((",".join(header) + "\n").encode("ascii"))
@@ -393,7 +397,7 @@ def cmd_detect(args) -> int:
         writer.write([held_z[:count]], start=held_n, text=marks)
         held_n, held_z = stop, held_z[count:]
 
-    with _open_in(args.input, "rb") as src:
+    with _open_in(args.input) as src:
         blocks = _read_ahead(_column_blocks(src))
         with _open_out(args.out) as fh:
             fh.write(b"n,z,event\n")

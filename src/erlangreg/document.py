@@ -190,8 +190,11 @@ def _template(shape) -> str:
     return text.replace('"%s"', "%s").replace('"%r"', "%r")
 
 
-def document_from_json(text: str) -> dict:
-    """Parse and validate a design document; raises DesignError if unusable."""
+def document_from_json(text: str | bytes) -> dict:
+    """Parse and validate a design document; raises DesignError if unusable.
+
+    Bytes are decoded as json.loads decodes them: UTF-8, -16 or -32.
+    """
     try:
         document = json.loads(text)
     except json.JSONDecodeError as exc:

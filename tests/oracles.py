@@ -7,6 +7,7 @@ explicit weighted least squares.  Slow but obviously correct.
 
 import math
 import os
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -167,6 +168,82 @@ def fading_memory_vrf(theta: float, model_order: int, delay: int, output: int) -
         (2, 0, 1): 2 * (1 - t) ** 3 / (1 + t) ** 3,
         (2, -1, 1): 2 * (1 - t) ** 3 / (1 + t) ** 3,
     }[model_order, delay, output]
+
+
+def _exact_solve(matrix, rhs):
+    """matrix**-1 @ rhs for lists of Fraction rows, by Gauss-Jordan elimination."""
+    size = len(matrix)
+    rows = [[*map(Fraction, a), *map(Fraction, b)] for a, b in zip(matrix, rhs)]
+    for col in range(size):
+        pivot = next(r for r in range(col, size) if rows[r][col] != 0)
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        rows[col] = [v / rows[col][col] for v in rows[col]]
+        for r in range(size):
+            if r != col and rows[r][col] != 0:
+                factor = rows[r][col]
+                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[col])]
+    return [row[size:] for row in rows]
+
+
+def _exact_product(a, b):
+    return [[sum(x * y for x, y in zip(row, column)) for column in zip(*b)] for row in a]
+
+
+def _transpose(rows):
+    return [list(column) for column in zip(*rows)]
+
+
+def exact_sums(p: Fraction, top: int) -> list:
+    """S_0(p) .. S_top(p) as Fractions, S_k(p) = sum over m >= 0 of m**k p**m.
+
+    Shifting the sum by one sample, S_k = p sum over m >= 0 of (m + 1)**k
+    p**m = p sum_{j <= k} C(k, j) S_j, so S_0 = 1/(1 - p) and
+    S_k = p/(1 - p) sum_{j < k} C(k, j) S_j.
+    """
+    sums = [1 / (1 - p)]
+    for k in range(1, top + 1):
+        sums.append(p / (1 - p) * sum(math.comb(k, j) * sums[j] for j in range(k)))
+    return sums
+
+
+def exact_design(real) -> dict:
+    """A realization's design quantities in exact rational arithmetic.
+
+    Every float is a dyadic rational, so at the float p, delay and sample
+    period of real.spec the weight sums S_k(p), the Gram pair (overlap and
+    squared overlap), the readout rows state_output = synthesis G**-1 T,
+    the noise gains vrf = (synthesis G**-1) G2 (synthesis G**-1)**T and
+    residual_mass = S_kappa(p) - trace(G**-1 G2) are exact Fractions.  T,
+    rows kappa .. kappa + model_order - 1 of the impulse-to-weight
+    transform, is solved from its defining identity sum_j T[k, j]
+    C(m + j, j) = m**k at m = 0 .. order - 1, not taken from the package.
+    Returns those quantities by name, as lists of Fraction rows.
+    """
+    spec = real.spec
+    kappa, n, outputs = spec.weight.kappa, spec.model_order, spec.n_outputs
+    p, q = Fraction(spec.weight.p), Fraction(spec.delay)
+    scale = 1 / Fraction(spec.sample_period)
+    sums = exact_sums(p, 2 * (n - 1) + kappa)
+    overlap = [[sums[a + b + kappa] for b in range(n)] for a in range(n)]
+    squared_sums = exact_sums(p * p, 2 * (n - 1 + kappa))
+    squared = [[squared_sums[a + b + 2 * kappa] for b in range(n)] for a in range(n)]
+    order = kappa + n
+    transform_t = _exact_solve([[math.comb(m + j, j) for j in range(order)] for m in range(order)],
+                               [[m ** k for k in range(order)] for m in range(order)])
+    transform = _transpose(transform_t)[kappa:]
+    synthesis = [[(-1) ** k * math.perm(j, k) * q ** (j - k) * scale ** k if j >= k else 0
+                  for j in range(n)] for k in range(outputs)]
+    # synthesis G**-1, transposed: G is symmetric.
+    gain_rows = _transpose(_exact_solve(overlap, _transpose(synthesis)))
+    leverage = _exact_solve(overlap, squared)
+    return {
+        "sums": sums,
+        "overlap": overlap,
+        "squared": squared,
+        "state_output": _exact_product(gain_rows, transform),
+        "vrf": _exact_product(_exact_product(gain_rows, squared), _transpose(gain_rows)),
+        "residual_mass": sums[kappa] - sum(leverage[i][i] for i in range(n)),
+    }
 
 
 def fading_memory(theta: float, order: int, xs, start) -> list:

@@ -543,8 +543,8 @@ def test_one_standard_input_feeds_one_reader(command, readers, tmp_path, capsys,
     # The design read would drain standard input and leave no samples: a
     # usage error, naming both options, before anything is read or written.
     design = _design(tmp_path, "a.json", kappa=0, p=0.8, kx=2, kt=2)
-    stdin = io.StringIO(design.read_text())
-    monkeypatch.setattr(sys, "stdin", stdin)
+    stdin = io.BytesIO(design.read_bytes())
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(stdin))
     monkeypatch.chdir(tmp_path)
     (tmp_path / "x.csv").write_text("1.0\n")
     argv = [str(design) if arg == "A" else arg for arg in command]
@@ -560,6 +560,47 @@ def test_one_standard_input_feeds_one_reader(command, readers, tmp_path, capsys,
         stdin.seek(0)
         assert main(["run", "--design", "-", "--input", "x.csv", "--out", "o.csv"]) == 0
         assert (tmp_path / "o.csv").read_text().splitlines()[1] == "0,1,0,0,0,0"
+
+
+@pytest.mark.parametrize("encoding", ["utf-8", "utf-8-sig", "utf-16", "utf-32"])
+def test_a_design_document_loads_alike_by_path_and_standard_input(
+        encoding, tmp_path, monkeypatch, capsysbinary):
+    # A document is read as bytes and json.loads decodes it, so standard
+    # input loads what the path loads, in each encoding json reads, whatever
+    # codec standard input's text layer has.
+    text = _design(tmp_path, "a.json", kappa=0, p=0.8, kx=2, kt=2).read_text()
+    design = tmp_path / "e.json"
+    design.write_bytes(text.encode(encoding))
+    data = tmp_path / "x.csv"
+    data.write_text("x\n1.0\n2.5\n")
+    argv = ["run", "--input", str(data), "--out", "-", "--design"]
+    capsysbinary.readouterr()
+    outcomes = [(main(argv + [str(design)]), *capsysbinary.readouterr())]
+    for codec in ("utf-8", "utf-16", "latin-1"):
+        stdin = io.TextIOWrapper(io.BytesIO(design.read_bytes()), encoding=codec)
+        monkeypatch.setattr(sys, "stdin", stdin)
+        outcomes.append((main(argv + ["-"]), *capsysbinary.readouterr()))
+    assert outcomes[0][::2] == (0, b"")
+    assert outcomes[0][1].splitlines()[1] == b"0,1,0,0,0,0"
+    assert outcomes == outcomes[:1] * 4
+
+
+def test_the_console_entry_reads_a_design_on_standard_input_as_bytes(tmp_path):
+    # Under PYTHONIOENCODING=utf-16 standard input's text layer would read
+    # a UTF-8 document as UTF-16; its buffer reads what the path reads.
+    design = _design(tmp_path, "d.json", kappa=0, p=0.8, kx=2, kt=2)
+    data = tmp_path / "x.csv"
+    data.write_text("x\n1.0\n2.5\n")
+    argv = [sys.executable, "-m", "erlangreg.cli", "run", "--input", str(data), "--design"]
+    env = package_env(PYTHONIOENCODING="utf-16")
+    by_path = subprocess.run(argv + [str(design)], env=env, capture_output=True,
+                             stdin=subprocess.DEVNULL, timeout=120)
+    with open(design, "rb") as fh:
+        by_stdin = subprocess.run(argv + ["-"], env=env, capture_output=True, stdin=fh,
+                                  timeout=120)
+    assert (by_path.returncode, by_path.stderr) == (0, b"")
+    assert (by_stdin.returncode, by_stdin.stdout, by_stdin.stderr) == (
+        0, by_path.stdout, b"")
 
 
 def test_detect_change_rejects_mismatched_delay(tmp_path, capsys):

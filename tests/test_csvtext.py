@@ -128,6 +128,33 @@ def test_dense_layout_edges(name):
     _assert_formats(column)
 
 
+def _wide_column(digits):
+    """A column whose largest integer part has digits digits, with zeros
+    below higher digits at every width up to it, and fields of every other
+    kind: one digit, zeros, a tail word and two '%.17g' fields."""
+    return np.array([
+        *(10.0 ** j + 0.0625 for j in range(digits)),
+        float("123456789012345"[:digits]) + 0.5,
+        -(10.0 ** digits - 1.25),
+        7.25, 0.0, -0.0, 1e-5, 5e-324, np.inf,
+    ])
+
+
+@pytest.mark.parametrize("tail", [True, False])
+@pytest.mark.parametrize("digits", [4, 5, 8, 9, 12, 13, 15])
+def test_wide_integer_parts(digits, tail):
+    # 4 digits fit the head; 5-8, 9-12 and 13-15 take 1, 2 and 3 words
+    # of digits above the head's four.
+    column = _wide_column(digits)
+    if not tail:
+        column = column[column != 1e-5]
+    assert len("%d" % np.max(np.abs(column), where=np.isfinite(column), initial=0.0)) == digits
+    columns = [column, -column[::-1]]
+    assert _written(columns) == template_rows("%.17g,%.17g\n", columns)
+    assert _written(columns, start=9_995) == template_rows(
+        "%d,%.17g,%.17g\n", [range(9_995, 9_995 + column.size), *columns])
+
+
 def test_ties_round_to_even():
     assert _written([[100000000000000.125, 10000000000000.0625, -100000000000000.625]]) == (
         "100000000000000.12\n10000000000000.062\n-100000000000000.62\n")
