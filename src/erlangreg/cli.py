@@ -207,7 +207,18 @@ def _column_blocks(fh):
     or a codec that does not read ASCII as ASCII sends its block and the
     rest of the stream to _numeric_column, numbered from the block's first
     line, so every input is accepted or rejected by its rules and messages.
+
+    An unbuffered stream (io.RawIOBase), which may return a few bytes a
+    read, is read through an io.BufferedReader, so each chunk is one full
+    read; the reader is detached when the blocks end, which leaves fh open.
     """
+    if isinstance(fh, io.RawIOBase):
+        buffered = io.BufferedReader(fh, _READ)
+        try:
+            yield from _column_blocks(buffered)
+        finally:
+            buffered.detach()
+        return
     limit = csv.field_size_limit()
     codec = codecs.lookup(io.TextIOWrapper(io.BytesIO()).encoding).name
     lineno, head = 1, None      # the block's first line; its values before pending

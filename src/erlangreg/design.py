@@ -7,9 +7,12 @@ that collapses into a few frozen readout rows applied to the live cascade
 states; building them is the job of this module.
 
 Every design quantity comes from one pair of Gram matrices built from the
-sums S_k(p): the overlap G and its squared-weight twin G2.  The noise-gain
-helpers here read that pair, so build_realization makes it once; the public
-vrf_matrix and optimal_delay build it per call.
+sums S_k(p): the overlap G and its squared-weight twin G2.  G is factored
+once per design, G = L L**T (Cholesky), and everything is read through that
+factor: the readout rows through L**-T, and every noise gain, the delay
+polynomial and the residual mass through the whitened squared overlap
+W = L**-1 G2 L**-T.  build_realization factors once; so does each call of
+the public vrf_matrix and optimal_delay.
 
 The VRF (variance reduction factor) of an output is the ratio of its
 steady-state noise variance to the input white-noise variance, the sum of
@@ -31,12 +34,12 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, replace
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
 from .network import impulse_to_weight_transform, steady_state_vector
-from .weights import _EULERIAN_FLOAT_ROWS, WeightSpec, erlang_sum
+from .weights import _EULERIAN_FLOAT_ROWS, WeightSpec, _squared_erlang_sum, erlang_sum
 
 __all__ = [
     "DesignError",
@@ -158,13 +161,10 @@ class FilterRealization:
     vrf: np.ndarray                  # (n_outputs, n_outputs) noise gain matrix
 
 
-def _hankel(kappa: int, p: float, n: int) -> np.ndarray:
-    """(n, n) matrix with entry (a, b) = S_{a + b + kappa}(p).
-
-    Entries depend on a + b only, so each of the 2n - 1 sums is taken once.
-    """
-    sums = np.array([erlang_sum(k + kappa, p) for k in range(2 * n - 1)])
-    return sums[np.add.outer(np.arange(n), np.arange(n))]
+def _hankel(sums: list) -> np.ndarray:
+    """(n, n) matrix with entry (a, b) = sums[a + b], from the 2n - 1 sums."""
+    n = (len(sums) + 1) // 2
+    return np.array(sums)[np.add.outer(np.arange(n), np.arange(n))]
 
 
 def _gram_pair(spec: DesignSpec):
@@ -172,12 +172,13 @@ def _gram_pair(spec: DesignSpec):
 
     Overlap entry (a, b) is S_{a + b + kappa}(p), the weighted Gram matrix
     of the monomials in sample age.  The squared overlap has entry
-    S_{a + b + 2 kappa}(p**2): the weight enters squared, as it does
-    wherever white noise passes through the weighted fit.  A sum that is
-    not a finite float, or a p whose square underflows, raises DesignError
-    naming kappa, p and model_order.  So does a finite sum of order 172 or
-    more: its design has a cascade of at least 87 stages, whose integer
-    readout transform cancels away every digit of the fit.  Range-error
+    S_{a + b + 2 kappa}(p**2) (_squared_erlang_sum): the weight enters
+    squared, as it does wherever white noise passes through the weighted
+    fit.  A sum that is not a finite float, or a p whose square underflows,
+    raises DesignError naming kappa, p and model_order.  So does a finite
+    sum of order 172 or more: its design has a cascade of at least 87
+    stages, whose integer readout transform cancels away every digit of the
+    fit.  Range-error
     stage 2 follows: an overlap whose condition number passes
     _CONDITION_LIMIT raises IllConditionedDesignError.
     """
@@ -187,7 +188,8 @@ def _gram_pair(spec: DesignSpec):
         cause = f"p={p} is so small that its square, the squared weight's decay, underflows to 0"
     else:
         try:
-            pair = _hankel(kappa, p, n), _hankel(2 * kappa, p * p, n)
+            pair = (_hankel([erlang_sum(k + kappa, p) for k in range(2 * n - 1)]),
+                    _hankel([_squared_erlang_sum(k + 2 * kappa, p) for k in range(2 * n - 1)]))
         except OverflowError:
             cause = "its weight sums overflow the float range"
         else:
@@ -245,6 +247,22 @@ def orthonormal_transforms(overlap: np.ndarray):
     return to_orthonormal, to_orthonormal.T
 
 
+class _Factor(NamedTuple):
+    """A design's overlap, factored once: every design quantity reads these."""
+
+    mass: float                   # S_kappa(p), the overlap's first entry
+    to_orthonormal: np.ndarray    # L**-1
+    from_orthonormal: np.ndarray  # L**-T
+    whitened: np.ndarray          # W = L**-1 G2 L**-T
+
+
+def _factor(spec: DesignSpec) -> _Factor:
+    """The Gram pair (range-error stages 1 and 2), then the overlap's one factor."""
+    overlap, squared = _gram_pair(spec)
+    to_on, from_on = orthonormal_transforms(overlap)
+    return _Factor(float(overlap[0, 0]), to_on, from_on, to_on @ squared @ from_on)
+
+
 def _synthesis(spec: DesignSpec) -> np.ndarray:
     """Differentiate-and-evaluate matrix on monomial coefficients, unit period.
 
@@ -290,9 +308,10 @@ def _delay_error(spec: DesignSpec, pinned: bool) -> DesignError:
                        f"gains or readout rows are not finite{advice}")
 
 
-def _gains(spec: DesignSpec, overlap, squared, pinned: bool, *readout):
-    """(rows, vrf) at spec's resolved delay: rows = synthesis @ each readout.
+def _gains(spec: DesignSpec, factor: _Factor, pinned: bool, coeff_output=None):
+    """(rows, vrf) at spec's resolved delay, from A = synthesis @ from_orthonormal.
 
+    vrf = A W A**T; rows = A @ coeff_output, or A itself without coeff_output.
     Unit period first: the delay is named unless vrf and rows are finite and
     every output's gain is a positive normal float (one that underflows reads
     0 forever).  Period last: row k is scaled by s_k, vrf entry (a, b) by s_a s_b.
@@ -301,11 +320,10 @@ def _gains(spec: DesignSpec, overlap, squared, pinned: bool, *readout):
         rows = _synthesis(spec)
         # The products of the delay's powers: a far delay overflows them.
         with np.errstate(over="ignore", invalid="ignore"):
-            # Rows of the per-state output map: synthesis @ overlap**-1.
-            state_rows = np.linalg.solve(overlap, rows.T).T
-            vrf = state_rows @ squared @ state_rows.T
-            for matrix in readout:
-                rows = rows @ matrix
+            rows = rows @ factor.from_orthonormal
+            vrf = rows @ factor.whitened @ rows.T
+            if coeff_output is not None:
+                rows = rows @ coeff_output
     except OverflowError:
         vrf = None
     if not (vrf is not None and np.isfinite(vrf).all() and np.isfinite(rows).all()
@@ -324,12 +342,15 @@ def _gains(spec: DesignSpec, overlap, squared, pinned: bool, *readout):
     return rows * column, column * vrf * column.T
 
 
-def _delay_polynomial(spec: DesignSpec, overlap, squared, output: int) -> list:
-    """Ascending coefficients of output's diagonal noise gain in the delay, as floats."""
+def _delay_polynomial(spec: DesignSpec, factor: _Factor, output: int) -> list:
+    """Ascending coefficients of output's diagonal noise gain in the delay, as floats.
+
+    The gain is s core s**T over output's synthesis row s, whose entries are
+    powers of the delay, with core = G**-1 G2 G**-1 = L**-T W L**-1.
+    """
     if not 0 <= output < spec.model_order:
         raise ValueError(f"output must be in [0, {spec.model_order}), got {output}")
-    inv = np.linalg.solve(overlap, np.eye(spec.model_order))
-    core = (inv @ squared @ inv.T).tolist()
+    core = (factor.from_orthonormal @ factor.whitened @ factor.to_orthonormal).tolist()
     coeffs = [0.0] * (2 * (spec.model_order - 1 - output) + 1)
     for i in range(output, spec.model_order):
         for j in range(output, spec.model_order):
@@ -341,7 +362,7 @@ def _delay_polynomial(spec: DesignSpec, overlap, squared, output: int) -> list:
     return [c * scale * scale for c in coeffs]
 
 
-def _optimal_delay(spec: DesignSpec, overlap, squared, output: int):
+def _optimal_delay(spec: DesignSpec, factor: _Factor, output: int):
     """(q_best, candidates): the least-delay minimum of output's noise gain.
 
     candidates lists (delay, gain) at every real stationary point; it is
@@ -351,10 +372,9 @@ def _optimal_delay(spec: DesignSpec, overlap, squared, output: int):
     and values are taken in Python floats, with the products and sums that
     numpy's array products and np.polyval make.
     """
-    coeffs = _delay_polynomial(spec, overlap, squared, output)
+    coeffs = _delay_polynomial(spec, factor, output)
     if len(coeffs) == 1:
-        kappa, p = spec.weight.kappa, spec.weight.p
-        return erlang_sum(kappa + 1, p) / float(overlap[0, 0]), []
+        return erlang_sum(spec.weight.kappa + 1, spec.weight.p) / factor.mass, []
     derivative = [k * c for k, c in enumerate(coeffs)][1:]
     curvature = [k * c for k, c in enumerate(derivative)][1:]
     real_roots = _real_roots(derivative)
@@ -405,7 +425,7 @@ def vrf_matrix(spec: DesignSpec) -> np.ndarray:
     sample period whose gains would not be finite raises DesignError; weight
     sums and conditioning are checked first, as build_realization does.
     """
-    return _gains(spec, *_gram_pair(spec), pinned=True)[1]
+    return _gains(spec, _factor(spec), pinned=True)[1]
 
 
 def optimal_delay(spec: DesignSpec, output: int = 0) -> VrfReport:
@@ -420,9 +440,9 @@ def optimal_delay(spec: DesignSpec, output: int = 0) -> VrfReport:
     gains would not be finite raise DesignError, and an ill-conditioned
     overlap IllConditionedDesignError.
     """
-    overlap, squared = _gram_pair(spec)
-    q_best, candidates = _optimal_delay(spec, overlap, squared, output)
-    vrf = _gains(replace(spec, delay=q_best), overlap, squared, pinned=False)[1]
+    factor = _factor(spec)
+    q_best, candidates = _optimal_delay(spec, factor, output)
+    vrf = _gains(replace(spec, delay=q_best), factor, pinned=False)[1]
     return VrfReport(vrf=vrf, q_optimal=q_best, candidates=candidates)
 
 
@@ -435,34 +455,33 @@ def build_realization(spec: DesignSpec) -> FilterRealization:
     sums, conditioning, the delay at a unit sample period, then the sample
     period's scale.
     """
-    overlap, squared = _gram_pair(spec)
+    factor = _factor(spec)
     pinned = spec.delay is not None
     if not pinned:
-        spec = replace(spec, delay=_optimal_delay(spec, overlap, squared, 0)[0])
+        spec = replace(spec, delay=_optimal_delay(spec, factor, 0)[0])
 
     kappa, p = spec.weight.kappa, spec.weight.p
     n_first, n_second = spec.n_first_states, spec.n_second_states
 
-    to_on, from_on = orthonormal_transforms(overlap)
     weight_from_states = impulse_to_weight_transform(n_first)
     # The model's monomials start at the kappa-th weight: select rows
     # kappa .. kappa + model_order - 1 of the weight family.
     selector = np.zeros((spec.model_order, n_first))
     selector[:, kappa:] = np.eye(spec.model_order)
-    coeff_output = to_on @ selector @ weight_from_states
-    state_output, vrf = _gains(spec, overlap, squared, pinned, from_on, coeff_output)
+    coeff_output = factor.to_orthonormal @ selector @ weight_from_states
+    state_output, vrf = _gains(spec, factor, pinned, coeff_output)
     power_output = impulse_to_weight_transform(n_second)[-1]
 
     # Expected weighted residual power of unit-variance white noise: total
-    # weight mass S_kappa(p) = overlap[0, 0] minus the mass the fit absorbs
-    # through its leverage.  Finite once the weight sums are: the weight
-    # squared is at most the weight times its peak, so the leverage mass
-    # lies between 0 and model_order times that peak.
-    residual_mass = float(overlap[0, 0]) - float(np.trace(to_on @ squared @ to_on.T))
+    # weight mass S_kappa(p) minus the mass the fit absorbs through its
+    # leverage, trace(G**-1 G2) = trace W.  Finite once the weight sums are:
+    # the weight squared is at most the weight times its peak, so the
+    # leverage mass lies between 0 and model_order times that peak.
+    residual_mass = factor.mass - float(np.trace(factor.whitened))
 
     arrays = dict(
         steady_second=steady_state_vector(n_second, p),
-        from_orthonormal=from_on,
+        from_orthonormal=factor.from_orthonormal,
         coeff_output=coeff_output,
         state_output=state_output,
         power_output=power_output,

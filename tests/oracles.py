@@ -212,7 +212,8 @@ def exact_design(real) -> dict:
     Every float is a dyadic rational, so at the float p, delay and sample
     period of real.spec the weight sums S_k(p), the Gram pair (overlap and
     squared overlap), the readout rows state_output = synthesis G**-1 T,
-    the noise gains vrf = (synthesis G**-1) G2 (synthesis G**-1)**T and
+    the noise gains vrf = (synthesis G**-1) G2 (synthesis G**-1)**T, their
+    delay-free core G**-1 G2 G**-1 and
     residual_mass = S_kappa(p) - trace(G**-1 G2) are exact Fractions.  T,
     rows kappa .. kappa + model_order - 1 of the impulse-to-weight
     transform, is solved from its defining identity sum_j T[k, j]
@@ -243,6 +244,8 @@ def exact_design(real) -> dict:
         "state_output": _exact_product(gain_rows, transform),
         "vrf": _exact_product(_exact_product(gain_rows, squared), _transpose(gain_rows)),
         "residual_mass": sums[kappa] - sum(leverage[i][i] for i in range(n)),
+        # G**-1 (G**-1 G2)**T = G**-1 G2 G**-1: G and G2 are symmetric.
+        "core": _exact_solve(overlap, _transpose(leverage)),
     }
 
 

@@ -25,7 +25,12 @@ from erlangreg import (
 )
 from erlangreg import cli
 from erlangreg.cli import _READ, _RUN_CHUNK, _column_blocks, _numeric_column, main
-from erlangreg.document import document_from_json, realization_from_document
+from erlangreg.document import (
+    design_to_document,
+    document_from_json,
+    document_to_json,
+    realization_from_document,
+)
 
 from oracles import package_env, template_rows
 
@@ -618,10 +623,12 @@ def test_detect_change_rejects_mismatched_delay(tmp_path, capsys):
 def test_version_1_and_version_2_documents_give_the_same_bytes(tmp_path):
     # The version-1 fixture was written by `design --kappa 2 --p 0.8 --kx 3
     # --kt 3` before the format dropped its overlap, to_orthonormal and
-    # synthesis arrays; every command reading it must write what the same
-    # design's version-2 document gives.
+    # synthesis arrays; every command reading it must write what the
+    # version-2 document of the same arrays gives.
     v1 = Path(__file__).parent / "data" / "design_v1_kappa2_p0.8_kx3_kt3.json"
-    v2 = _design(tmp_path, "v2.json", kappa=2, p=0.8, kx=3, kt=3)
+    v2 = tmp_path / "v2.json"
+    real = realization_from_document(document_from_json(v1.read_bytes()))
+    v2.write_text(document_to_json(design_to_document(real)))
     assert json.loads(v2.read_text())["version"] == 2
     xs = np.random.Generator(np.random.PCG64(8)).standard_normal(3000)
     xs[1500:] += 0.02 * np.arange(1500)
@@ -898,6 +905,19 @@ def test_block_reader_on_a_stream_that_cannot_seek(tmp_path, name, size):
     pipe = _Pipe(data.read_bytes(), size)
     assert not pipe.seekable()
     _assert_same_outcome(_blocks_outcome(pipe), _line_parser_outcome(data))
+
+
+def test_block_reader_leaves_an_unbuffered_stream_open():
+    # An unbuffered stream is read through a buffer that is detached, not
+    # closed, when the blocks end or are abandoned.
+    pipe = _Pipe(b"x\n1\n2\n", 1)
+    assert np.concatenate(list(_column_blocks(pipe))).tolist() == [1.0, 2.0]
+    assert not pipe.closed
+    pipe = _Pipe(b"1\n" * (_RUN_CHUNK + 1), 1)
+    blocks = _column_blocks(pipe)
+    assert next(blocks).size == _RUN_CHUNK
+    blocks.close()
+    assert not pipe.closed
 
 
 @pytest.mark.parametrize("name", ["header", "bom", "quoted-header", "bom-quoted-header",

@@ -4,7 +4,6 @@ import re
 
 import numpy as np
 import pytest
-from scipy.linalg import solve_triangular
 
 from erlangreg import (
     DesignError,
@@ -23,6 +22,7 @@ import erlangreg.design
 from erlangreg.design import _condition, _gram_pair, _synthesis, orthonormal_transforms
 from erlangreg.document import _ARRAY_FIELDS
 from erlangreg.network import steady_state_vector
+from erlangreg.weights import _squared_erlang_sum
 
 from oracles import ROADMAP_GRID, build
 
@@ -90,6 +90,7 @@ def test_orthonormal_transforms_whiten_overlap():
 
 def test_basis_change_on_the_design_grid():
     # Every design of the conditioning grid kappa x p x kx 1-5 that builds.
+    solve_triangular = pytest.importorskip("scipy.linalg").solve_triangular
     built = 0
     for kappa in (0, 1, 2, 4, 8):
         for p in (0.8, 0.9, 0.95, 0.98, 0.99, 0.995, 0.999):
@@ -396,14 +397,40 @@ def test_build_takes_each_gram_sum_once(monkeypatch, kappa, p, kx, kt, q):
     # whose numerator is in neither.
     calls = []
 
-    def counting(k, p):
-        calls.append((k, p))
-        return erlang_sum(k, p)
+    def counting(total):
+        def count(k, p):
+            calls.append((total.__name__, k, p))
+            return total(k, p)
+        return count
 
-    monkeypatch.setattr(erlangreg.design, "erlang_sum", counting)
+    for total in (erlang_sum, _squared_erlang_sum):
+        monkeypatch.setattr(erlangreg.design, total.__name__, counting(total))
     build_realization(_spec(kappa, p, kx, kt, q))
     assert len(calls) == 2 * (2 * kx - 1) + (kx == 1 and q is None)
     assert len(set(calls)) == len(calls)
+
+
+def test_each_design_call_factors_the_overlap_once(monkeypatch):
+    # build_realization, optimal_delay and vrf_matrix each read every row,
+    # gain and delay polynomial through one Cholesky factor, and solve
+    # nothing else.
+    calls = []
+
+    def counting(overlap):
+        calls.append(overlap)
+        return orthonormal_transforms(overlap)
+
+    def refuse(*args):
+        raise AssertionError("np.linalg.solve was called")
+
+    monkeypatch.setattr(erlangreg.design, "orthonormal_transforms", counting)
+    monkeypatch.setattr(np.linalg, "solve", refuse)
+    auto, pinned = _spec(6, 0.8, 4, 3, q=None), _spec(6, 0.8, 4, 3, q=3.5)
+    for call, spec in ((build_realization, auto), (build_realization, pinned),
+                       (optimal_delay, auto), (vrf_matrix, pinned)):
+        calls.clear()
+        call(spec)
+        assert len(calls) == 1, call.__name__
 
 
 @pytest.mark.parametrize("kappa,p,kx,kt", [(0, 0.8, 1, 1), (2, 0.9, 2, 2), (6, 0.8, 4, 3),

@@ -3,6 +3,7 @@ import math
 from fractions import Fraction
 import re
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import hypothesis
@@ -25,8 +26,12 @@ from erlangreg import response
 from erlangreg.network import steady_state_vector
 
 from oracles import DESIGN_GRID, build
+from test_exact_design import RESIDUAL_MASS, ROWS, VRF
 
 DATA = Path(__file__).parent / "data"
+# The version-1 fixture's delay against a fresh build's, relative: 5.7e-15
+# measured (the squared overlap's sums moved to an exact denominator).
+V1_DELAY = 2e-14
 
 
 def _round_trip(real, requested="auto"):
@@ -293,8 +298,8 @@ def _check_version_1_document(real, extra):
     # --kx 3 --kt 3) carries overlap, to_orthonormal and synthesis, and
     # older ones also the weight normalizer gamma or the signal cascade's
     # fixed point steady_first (passed in `extra`).  The runtime reads none of
-    # them: the document loads to the arrays of a fresh build, bit for bit,
-    # and runs as the version-2 document does.
+    # them: the document loads to its own arrays and runs, bit for bit, as
+    # the version-2 document of those arrays does.
     doc = json.loads((DATA / "design_v1_kappa2_p0.8_kx3_kt3.json").read_text())
     assert doc["version"] == 1
     assert {"overlap", "to_orthonormal", "synthesis"} <= set(doc["realization"])
@@ -302,16 +307,24 @@ def _check_version_1_document(real, extra):
     doc["realization"].update(extra)
     v1 = realization_from_document(document_from_json(json.dumps(doc)))
 
-    assert v1.spec == real.spec
-    assert v1.residual_mass == real.residual_mass
-    for key in ("steady_second", "from_orthonormal", "coeff_output", "state_output",
-                "power_output", "vrf"):
+    # Against a fresh build: the arrays that neither the squared overlap nor
+    # the delay reach are the same bits; the delay, readout rows, noise
+    # gains and residual mass agree within the exact-arithmetic bounds
+    # (test_exact_design), the delay within V1_DELAY relative.
+    assert replace(v1.spec, delay=real.spec.delay) == real.spec
+    assert abs(v1.spec.delay - real.spec.delay) <= V1_DELAY * real.spec.delay
+    for key in ("steady_second", "from_orthonormal", "coeff_output", "power_output"):
         np.testing.assert_array_equal(getattr(v1, key), getattr(real, key), err_msg=key)
+    for got, want in zip(v1.state_output, real.state_output):
+        assert np.abs(got - want).max() <= ROWS * np.abs(want).max()
+    scale = np.sqrt(np.outer(real.vrf.diagonal(), real.vrf.diagonal()))
+    assert (np.abs(v1.vrf - real.vrf) <= VRF * scale).all()
+    assert abs(v1.residual_mass - real.residual_mass) <= RESIDUAL_MASS * real.residual_mass
 
-    v2_doc = design_to_document(real)
+    v2_doc = design_to_document(v1)
     assert v2_doc["version"] == 2
     assert not {"overlap", "to_orthonormal", "synthesis"} & set(v2_doc["realization"])
-    v2 = _round_trip(real)
+    v2 = _round_trip(v1)
     xs = np.random.Generator(np.random.PCG64(12)).standard_normal(50) + 3.0
     via_v1, _ = run_sequence(v1, xs)
     via_v2, _ = run_sequence(v2, xs)

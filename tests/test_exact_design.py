@@ -5,14 +5,18 @@ at about twice the largest error measured over the grid (120 designs,
 Python 3.11, numpy 2.4, x86-64):
 
 - overlap entries 4.0e-16 relative (kappa 4, p 0.95, kx 3);
-- squared overlap entries 2.7e-13 relative (kappa 8, p 0.999, kx 2): the
-  design sums S_k at the float p * p, the exact oracle at p**2;
-- state_output rows 1.87e-12 relative to the row's largest entry
+- squared overlap entries 2.7e-15 relative (kappa 8, p 0.999, kx 2): the
+  design sums S_k(p**2) over the exact ((1 - p)(1 + p))**(k + 1), where
+  1 - p*p read 2.7e-13;
+- state_output rows 1.93e-12 relative to the row's largest entry
   (kappa 8, p 0.999, kx 2);
-- vrf entries 6.9e-13 relative to sqrt(vrf_aa vrf_bb) (kappa 6, p 0.8,
-  kx 4, overlap condition 6.5e11); 2.7e-13 on the kappa 0-8 designs, all
-  of it from the float p * p;
-- residual_mass 1.3e-14 relative (kappa 6, p 0.8, kx 4).
+- vrf entries 5.95e-13 relative to sqrt(vrf_aa vrf_bb) (kappa 6, p 0.8,
+  kx 4, overlap condition 6.5e11);
+- residual_mass 7.0e-15 relative (kappa 6, p 0.8, kx 4);
+- the kx 2 optimal delay 1.1e-15 relative (kappa 1, p 0.98) to the exact
+  root -core_01 / core_11 of its noise gain, core = G**-1 G2 G**-1.
+
+Every quantity is read through one Cholesky factor of the overlap G.
 """
 
 import functools
@@ -26,7 +30,8 @@ from erlangreg.response import group_delay_dc
 
 from oracles import DESIGN_GRID, build, exact_design
 
-OVERLAP, SQUARED, ROWS, VRF, RESIDUAL_MASS = 1e-15, 6e-13, 4e-12, 1.5e-12, 3e-14
+OVERLAP, SQUARED, ROWS, VRF, RESIDUAL_MASS = 1e-15, 6e-15, 4e-12, 1.5e-12, 3e-14
+DELAY = 2.5e-15
 
 
 def _relative(floats, exact, scale):
@@ -61,6 +66,16 @@ def test_design_matches_exact_arithmetic(kappa, p, kx):
     assert worst <= VRF, f"vrf: {worst:.3g}"
     mass = exact["residual_mass"]
     assert _relative(real.residual_mass, mass, mass) <= RESIDUAL_MASS
+
+
+@pytest.mark.parametrize("kappa, p", [(kappa, p) for kappa, p, kx in DESIGN_GRID
+                                      if kx == 2 and _accepted(kappa, p, kx)])
+def test_kx_2_optimal_delay_is_the_exact_root(kappa, p):
+    # Output 0's gain (1, q) core (1, q)**T is least at q = -core_01 / core_11.
+    real = _accepted(kappa, p, 2)
+    core = exact_design(real)["core"]
+    root = -core[0][1] / core[1][1]
+    assert _relative(real.spec.delay, root, abs(root)) <= DELAY
 
 
 def test_exact_sums_are_the_series():

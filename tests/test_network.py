@@ -74,7 +74,7 @@ def test_run_block_carries_state_across_splits():
 
 def _lfilter_cascade(p, u, w_prev):
     """The cascade as chained scipy first-order filters, stage after stage."""
-    from scipy.signal import lfilter
+    lfilter = pytest.importorskip("scipy.signal").lfilter
 
     out = np.empty((len(w_prev), len(u)))
     signal = u
@@ -98,13 +98,14 @@ def _accuracy_case(p, order, n, seed, rows=1):
     w_prev = [rng.standard_normal(k) * steady_state_vector(k, p)
               for k in [order, max(order - 3, 1)][:rows]]
     got = run_block(p, u, w_prev) if rows > 1 else [run_block(p, u[0], w_prev[0])]
-    for u_r, w_r, states in zip(u, w_prev, got):
-        reference = cascade_longdouble(p, u_r, w_r)
-        blocked = _stage_errors(states, reference)
-        lfiltered = _stage_errors(_lfilter_cascade(p, u_r, w_r), reference)
-        # Both engines are a few ulps from the long-double recursion; the
-        # blocked scan must stay within twice the first-order filter's error.
+    references = [cascade_longdouble(p, u_r, w_r) for u_r, w_r in zip(u, w_prev)]
+    errors = [_stage_errors(states, reference) for states, reference in zip(got, references)]
+    # Both engines are a few ulps from the long-double recursion; the
+    # blocked scan must stay within twice the first-order filter's error.
+    for blocked in errors:
         assert blocked.max() <= 1e-14, blocked
+    for u_r, w_r, reference, blocked in zip(u, w_prev, references, errors):
+        lfiltered = _stage_errors(_lfilter_cascade(p, u_r, w_r), reference)
         assert blocked.max() <= 2.0 * lfiltered.max(), (blocked, lfiltered)
 
 

@@ -14,7 +14,7 @@ from erlangreg import (
     optimal_delay,
     vrf_matrix,
 )
-from erlangreg.design import _delay_polynomial, _gram_pair, _horner, _real_roots
+from erlangreg.design import _delay_polynomial, _factor, _horner, _real_roots
 
 from oracles import (
     DESIGN_GRID,
@@ -81,7 +81,7 @@ def test_vrf_scales_with_sample_period():
 def test_delay_polynomial_evaluates_to_vrf():
     spec = _spec(2, 0.8, 3, 3)
     for output in range(3):
-        coeffs = _delay_polynomial(spec, *_gram_pair(spec), output)
+        coeffs = _delay_polynomial(spec, _factor(spec), output)
         for q in (-2.0, 0.0, 3.7, 11.0):
             direct = vrf_matrix(_spec(2, 0.8, 3, 3, q=q))[output, output]
             poly = float(np.polyval(coeffs[::-1], q))
@@ -96,13 +96,13 @@ def test_delay_search_equals_np_roots_and_np_polyval():
     for kappa, p, kx in DESIGN_GRID:
         spec = _spec(kappa, p, kx, min(kx, 3))
         try:
-            overlap, squared = _gram_pair(spec)
+            factor = _factor(spec)
         except IllConditionedDesignError:
             continue
         centroid = erlang_sum(kappa + 1, p) / erlang_sum(kappa, p)
         for output in range(kx):
             report = optimal_delay(spec, output)
-            coeffs = _delay_polynomial(spec, overlap, squared, output)
+            coeffs = _delay_polynomial(spec, factor, output)
             q_best, candidates = delay_search_reference(coeffs, centroid)
             assert report.q_optimal == q_best, (kappa, p, kx, output)
             assert report.candidates == candidates, (kappa, p, kx, output)

@@ -4,7 +4,6 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from scipy import stats
 
 from erlangreg import (
     DispersionReport,
@@ -106,6 +105,7 @@ def test_weight_spec_validation():
 def test_moments_match_gamma_distribution(kappa, p):
     # The continuous envelope of the weight is a gamma density with shape
     # kappa + 1 and scale lambda_w; its moments are textbook values.
+    stats = pytest.importorskip("scipy.stats")
     spec = WeightSpec(kappa=kappa, p=p)
     mean, var, skew = stats.gamma.stats(a=kappa + 1, scale=spec.lambda_w, moments="mvs")
     got = weight_moments(spec)
@@ -141,6 +141,7 @@ def test_frequency_spread_matches_closed_form(kappa, p):
 def test_frequency_spread_matches_numeric_integration(kappa, p):
     # dispersion() uses the Beta-ratio closed form; the oracle integrates
     # the pulse magnitude's moments numerically and shares no formula.
+    pytest.importorskip("scipy.integrate")
     report = dispersion(WeightSpec(kappa=kappa, p=p))
     assert report.sigma_omega == pytest.approx(numeric_sigma_omega(kappa, p), rel=1e-6)
 
