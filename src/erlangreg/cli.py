@@ -36,7 +36,10 @@ Input rejected in its first block leaves no output file; a bad row in a
 later block exits 3 and leaves the rows written before it.
 
 Standard input feeds one reader: `run` or `detect` with `--design -` (or
-`--design-b -`) and no `--input` file is a usage error.
+`--design-b -`) and no `--input` file is a usage error.  So is an output
+that names a file the command reads (analyze's summary at its default
+path too), and an `analyze --summary-out` that names its `--out`, `-`
+included: opening the output would truncate it.
 
 Exit codes: 0 success, 2 usage error, 3 numerical or data rejection.
 """
@@ -51,6 +54,7 @@ import io
 import itertools
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -303,13 +307,19 @@ def cmd_design(args) -> int:
     return 0
 
 
+def _summary_path(args):
+    """analyze's summary path: --summary-out, else the CSV's path plus
+    '.summary.json', or None when the CSV goes to standard output."""
+    if args.summary_out is None and args.out != "-":
+        return args.out + ".summary.json"
+    return args.summary_out
+
+
 def cmd_analyze(args) -> int:
     # A usage error leaves nothing written, so the summary path comes first.
-    summary_path = args.summary_out
+    summary_path = _summary_path(args)
     if summary_path is None:
-        if args.out == "-":
-            raise ValueError("--summary-out is required when the CSV goes to stdout")
-        summary_path = args.out + ".summary.json"
+        raise ValueError("--summary-out is required when the CSV goes to stdout")
     realization = _load_design(args.design)
     report = response_report(realization, args.grid_size)
 
@@ -572,6 +582,39 @@ def _stdin_readers(args) -> list:
     return readers
 
 
+def _same_file(a, b) -> bool:
+    """Whether two path options name one file; '-' names only itself."""
+    if a == b:
+        return True
+    if "-" in (a, b):
+        return False
+    try:
+        return os.path.samefile(a, b)
+    except OSError:  # a path that does not exist yet
+        return os.path.realpath(a) == os.path.realpath(b)
+
+
+def _overwrites(args) -> list:
+    """(output, other) option pairs where the output would overwrite the
+    other's file.
+
+    An output may not name a file the command reads, and analyze's summary,
+    at its default path too, may not name the CSV, standard output ('-')
+    included.
+    """
+    def files(named):
+        return [(flag, path) for flag, path in named if path not in (None, "-")]
+    summary = _summary_path(args) if hasattr(args, "summary_out") else None
+    outputs = files([("--out", args.out), ("--summary-out", summary)])
+    inputs = files((flag, getattr(args, dest, None)) for flag, dest in
+                   (("--input", "input"), ("--design", "design"), ("--design-b", "design_b")))
+    pairs = [(out, given) for out, out_path in outputs for given, in_path in inputs
+             if _same_file(out_path, in_path)]
+    if summary is not None and _same_file(summary, args.out):
+        pairs.append(("--summary-out", "--out"))
+    return pairs
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -582,6 +625,13 @@ def main(argv=None) -> int:
         if len(readers) > 1:
             parser.error(f"standard input can feed only one of {', '.join(readers)}; "
                          f"give the others a file")
+        # Opening an output truncates it, so one that names an input would
+        # destroy the data before it is read, and analyze's summary would
+        # overwrite its CSV.
+        clashes = _overwrites(args)
+        if clashes:
+            parser.error("; ".join(f"{out} names the same file as {other}"
+                                   for out, other in clashes) + "; give it another path")
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:

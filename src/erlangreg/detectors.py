@@ -31,13 +31,13 @@ a sample that could change the marker, all in one call.  run() feeds a
 block and computes Z for the whole block at once with the same formula on
 arrays: one product reads every noise term's coefficient rows and the
 value row off the signal cascade, each power row is a product of its own,
-and Z comes back in an array of its own.  It finds the block's events
-with array operations, so its Python work grows with the number of
-exceedance runs, not of samples.  A
-run still open when a block starts enters it as its first exceedance, so
-events do not depend on how the stream is cut into blocks or mixed with
-update() calls; finish() closes a run left open at the end
-of the stream.  A NaN or infinite sample, or a prior variance sigma0_sq
+and Z comes back in an array of its own.  It cuts the block where the
+exceedance's sign changes and feeds the marker's update() one sample of
+each stretch, so its Python work grows with the number of stretches, not
+of samples.  The marker's update() is the one run rule for both entries,
+so events do not depend on how the stream is cut into blocks or mixed
+with update() calls; finish() closes a run left open at the end of the
+stream.  A NaN or infinite sample, or a prior variance sigma0_sq
 that is negative or not finite, raises ValueError; a bad sample leaves the
 detector as it was.  So does a NaN threshold, which no statistic could
 ever exceed; an infinite threshold is allowed and never fires.
@@ -106,13 +106,12 @@ class _RunMarker:
     appended to events, oldest first, when the run ends; flush() closes a
     run left open at end of stream.
 
-    update() takes one sample, extend() a block.  Both keep the same
-    state: the sign of the run open after the last sample (_sign, 0 when
-    none is open) and its extremum so far (_best_n, _best_z).  A run open
-    when a block starts enters it as one more exceedance just before its
-    first sample, holding that extremum, so the block continues or closes
-    it like any other run; update() and extend() mix freely on one stream.
-    A copy has its own events list.
+    update() takes one sample and holds the run rule; its state is the
+    sign of the run open after the last sample (_sign, 0 when none is
+    open) and its extremum so far (_best_n, _best_z).  extend() takes a
+    block and feeds update() the one sample of each stretch of equal sign
+    that can change that state, so the two mix freely on one stream.  A
+    copy has its own events list.
     """
 
     def __init__(self, threshold: float, kind_pos: str, kind_neg: Optional[str] = None):
@@ -145,54 +144,26 @@ class _RunMarker:
     def extend(self, start: int, z: np.ndarray) -> None:
         """Feed a block whose first sample is number start.
 
-        Exceedances take two passes over the block when two-sided, |z| >
-        threshold, and one when not; signs are read at the exceedances
-        alone.  Exceedance runs come from the places where the sign of the
-        exceedance changes, and each run's extremum from one reduceat over
-        the exceedance samples, so Python work is per run, not per sample.
+        The block is cut wherever the sign of the exceedance changes, read
+        as update() reads it, and each stretch hands update() one sample:
+        a run's earliest extremum, or the first sample of a stretch with no
+        exceedance.  So Python work is per stretch, not per sample.
         """
         z = np.asarray(z, dtype=float)
-        threshold = self.threshold
-        # |z| > threshold is z > threshold or z < -threshold, for every
-        # threshold, infinite and negative too; NaN exceeds neither.
-        exceed = z > threshold if self.kind_neg is None else np.abs(z) > threshold
-        active = exceed.nonzero()[0]
-        if active.size == 0 and self._sign == 0:
+        if z.size == 0:
             return
-        values = z[active]
-        # As in update(), a sample past both bounds (a negative threshold)
-        # counts as positive.
-        signs = np.where(values > threshold, np.int8(1), np.int8(-1))
-        if self._sign != 0:
-            # The open run, as exceedance -1; being first, it wins ties.
-            active = np.concatenate(((-1,), active))
-            signs = np.concatenate(((self._sign,), signs))
-            values = np.concatenate(((self._best_z,), values))
-        new_run = np.empty(active.size, dtype=bool)
-        new_run[0] = True
-        np.logical_or(active[1:] - active[:-1] != 1, signs[1:] != signs[:-1], out=new_run[1:])
-        starts = new_run.nonzero()[0]
-        # Signed so that every run's extremum is its maximum.
-        signed = values * signs
-        peak = np.maximum.reduceat(signed, starts)
-        lengths = np.empty_like(starts)
-        np.subtract(starts[1:], starts[:-1], out=lengths[:-1])
-        lengths[-1] = active.size - starts[-1]
-        hits = (signed == peak.repeat(lengths)).nonzero()[0]
-        # Every run holds a hit, so the first hit at or after a run's start
-        # is that run's earliest extremum.
-        best = hits[hits.searchsorted(starts)]
-        best_n = [start + i if i >= 0 else self._best_n for i in active[best].tolist()]
-        best_z = values[best].tolist()
-        run_signs = signs[starts].tolist()
-        self._sign = 0
-        if active[-1] == z.size - 1:
-            self._sign = run_signs.pop()
-            self._best_n, self._best_z = best_n[-1], best_z[-1]
-        self.events += [
-            Event(n, z_n, self.kind_pos if s > 0 else self.kind_neg)
-            for n, z_n, s in zip(best_n, best_z, run_signs)
-        ]
+        threshold = self.threshold
+        above = z > threshold
+        sign = above.view(np.int8)
+        if self.kind_neg is not None:
+            # As in update(), a sample past both bounds counts as positive.
+            sign = sign - ((z < -threshold) & ~above).view(np.int8)
+        cuts = [0, *(np.flatnonzero(sign[1:] != sign[:-1]) + 1).tolist(), z.size]
+        for lo, hi in zip(cuts, cuts[1:]):
+            s = sign.item(lo)
+            if s != 0:
+                lo += int(z[lo:hi].argmax() if s > 0 else z[lo:hi].argmin())
+            self.update(start + lo, z.item(lo))
 
     def flush(self) -> None:
         if self._sign != 0:

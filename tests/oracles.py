@@ -249,6 +249,56 @@ def exact_design(real) -> dict:
     }
 
 
+def _exact_cascade_step(w, p: Fraction, feed: Fraction) -> list:
+    """One cascade step in Fractions: state i becomes p (w[0] + ... + w[i]) + feed."""
+    out = []
+    partial = 0
+    for value in w:
+        partial += value
+        out.append(p * partial + feed)
+    return out
+
+
+def _exact_dot(row, w) -> Fraction:
+    return sum((r * v for r, v in zip(row, w)), Fraction(0))
+
+
+def exact_run(real, xs, sigma0_sq: float = 0.0):
+    """The estimator's run of xs in exact rational arithmetic.
+
+    Both moment cascades run in Fractions at the float p from the
+    final-value start: x0 = xs[0], the signal cascade at zero and the power
+    cascade at sigma0_sq times steady_second, each sample after the first
+    feeding x - x0 and its square.  The realization's float rows are read
+    exactly, so what is left is the float run's own rounding.  Returns
+    (estimates, sigma_eps2): per sample, the list of state_output readouts
+    with x0 added back to the level, and the noise variance, its residual
+    power clamped at zero, both as Fractions.  The integers grow by about
+    53 bits per sample and stage, so keep xs to a few hundred samples.
+    """
+    def exact(values):
+        return [Fraction(v) for v in values.tolist()]
+
+    p = Fraction(real.spec.weight.p)
+    rows = [exact(row) for row in real.state_output]
+    coeff = [exact(row) for row in real.coeff_output]
+    power, mass = exact(real.power_output), Fraction(real.residual_mass)
+    x0 = Fraction(float(xs[0]))
+    w1 = [Fraction(0)] * real.spec.n_first_states
+    w2 = [v * Fraction(float(sigma0_sq)) for v in exact(real.steady_second)]
+    estimates, sigma_eps2 = [], []
+    for n, x in enumerate(np.asarray(xs, dtype=float).tolist()):
+        if n:
+            u = Fraction(x) - x0
+            w1, w2 = _exact_cascade_step(w1, p, u), _exact_cascade_step(w2, p, u * u)
+        frame = [_exact_dot(row, w1) for row in rows]
+        frame[0] += x0
+        estimates.append(frame)
+        residual = _exact_dot(power, w2) - sum(_exact_dot(row, w1) ** 2 for row in coeff)
+        sigma_eps2.append(max(residual, Fraction(0)) / mass)
+    return estimates, sigma_eps2
+
+
 def fading_memory(theta: float, order: int, xs, start) -> list:
     """The fading-memory polynomial filter as the plain g-h/g-h-k recursion.
 

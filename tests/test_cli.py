@@ -567,6 +567,41 @@ def test_one_standard_input_feeds_one_reader(command, readers, tmp_path, capsys,
         assert (tmp_path / "o.csv").read_text().splitlines()[1] == "0,1,0,0,0,0"
 
 
+@pytest.mark.parametrize("command, options", [
+    (["run", "--design", "d.json", "--input", "x.csv", "--out", "x.csv"], ["--out", "--input"]),
+    (["detect", "--kind", "edge", "--threshold", "3", "--design", "d.json",
+      "--input", "x.csv", "--out", "./x.csv"], ["--out", "--input"]),
+    (["run", "--design", "d.json", "--input", "link.csv", "--out", "x.csv"],
+     ["--out", "--input"]),
+    (["analyze", "--design", "d.json", "--out", "d.json"], ["--out", "--design"]),
+    (["analyze", "--design", "d.json", "--out", "r.csv", "--summary-out", "r.csv"],
+     ["--summary-out", "--out"]),
+    (["analyze", "--design", "d.json", "--out", "-", "--summary-out", "-"],
+     ["--summary-out", "--out"]),
+    (["analyze", "--design", "r.csv.summary.json", "--out", "r.csv"],
+     ["--summary-out", "--design"]),
+], ids=["run", "detect", "symlink", "design", "summary", "summary-stdout", "default-summary"])
+def test_an_output_that_names_another_options_file_is_refused(command, options, tmp_path,
+                                                               capsysbinary, monkeypatch):
+    # Opening the output would truncate the input before it is read, or
+    # the summary, at the path given or at its default, would overwrite a
+    # file: a usage error, naming both options, before any file is opened
+    # for writing.
+    monkeypatch.chdir(tmp_path)
+    _design(tmp_path, "d.json", kappa=2, p=0.9, kx=2, kt=2)
+    (tmp_path / "r.csv.summary.json").write_bytes((tmp_path / "d.json").read_bytes())
+    # More rows than one block, so the old command read its own output.
+    (tmp_path / "x.csv").write_text("x\n" + "".join(_values_text(3 * _RUN_CHUNK)))
+    (tmp_path / "link.csv").symlink_to("x.csv")
+    before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+    capsysbinary.readouterr()
+    assert main(command) == 2
+    captured = capsysbinary.readouterr()
+    assert f"{options[0]} names the same file as {options[1]}".encode() in captured.err
+    assert captured.out == b""
+    assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
+
+
 @pytest.mark.parametrize("encoding", ["utf-8", "utf-8-sig", "utf-16", "utf-32"])
 def test_a_design_document_loads_alike_by_path_and_standard_input(
         encoding, tmp_path, monkeypatch, capsysbinary):

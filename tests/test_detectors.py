@@ -326,20 +326,20 @@ def test_detectors_reject_bad_prior_variance(bad):
             make()
 
 
-def _stream_block_detectors():
+def _stream_block_detectors(threshold=3.0):
     """Edge on base, peak on wide, change on the fast/slow pair."""
     fast = build(0, 0.8, 2, kt=2)
     slow = build(3, 0.8, 2, kt=1, q=fast.spec.delay)
-    return [EdgeDetector(build(2, 0.9, 2, kt=2), 3.0),
-            PeakDetector(build(6, 0.8, 4, kt=3), 3.0),
-            ChangeDetector(fast, slow, 3.0)]
+    return [EdgeDetector(build(2, 0.9, 2, kt=2), threshold),
+            PeakDetector(build(6, 0.8, 4, kt=3), threshold),
+            ChangeDetector(fast, slow, threshold)]
 
 
-def _kx3_change_detector():
+def _kx3_change_detector(threshold=3.0):
     """Change on a kappa 2/6, kx 3 pair: the slow cascades are three stages
     longer than the fast ones."""
     fast = build(2, 0.9, 3, kt=1)
-    return ChangeDetector(fast, build(6, 0.9, 3, kt=1, q=fast.spec.delay), 3.0)
+    return ChangeDetector(fast, build(6, 0.9, 3, kt=1, q=fast.spec.delay), threshold)
 
 
 def _padded_term(real, gain, stream):
@@ -351,14 +351,19 @@ def _padded_term(real, gain, stream):
             np.pad(real.power_output, (0, pad2)), real.residual_mass, gain)
 
 
-@pytest.mark.parametrize("seed", [1, 2])
-def test_run_gives_the_floats_of_the_reference_block_path(seed):
+@pytest.mark.parametrize("seed, threshold", [
+    pytest.param(seed, threshold, id=str(seed) if threshold == 3.0 else f"{seed}-{threshold}")
+    for threshold in (3.0, 1.0, 0.5) for seed in (1, 2)
+])
+def test_run_gives_the_floats_of_the_reference_block_path(seed, threshold):
     # Packets of 64 to 8192 samples, several crossing a multiple of 8192,
     # one stretch at a 1e6 offset.  Z equals the reference block path's Z,
     # the events those of the per-sample marker on it, and the final state
     # the reference's: any change of rounding in the readout fails here.
+    # At thresholds 1 and 0.5 a packet holds hundreds of exceedance runs,
+    # and runs often stay open across packet ends.
     xs, sizes = packet_signal(seed, 40_000)
-    for detector in _stream_block_detectors() + [_kx3_change_detector()]:
+    for detector in _stream_block_detectors(threshold) + [_kx3_change_detector(threshold)]:
         value_row, terms = detector._rows
         noise_terms = [_padded_term(real, gain, detector.realization) for real, gain in terms]
         marker = _RunMarker(detector.threshold, detector._marker.kind_pos,
